@@ -7,9 +7,9 @@ GO ?= go
 # tighter cap than the local default so the leg stays inside its slot.
 VALIDATE_MAX_READS ?= 30000
 
-.PHONY: check vet build test race race-fleet race-cran race-hybrid race-ensemble fuzz-smoke slo fmt validate update-golden cover
+.PHONY: check vet build test race race-fleet race-cran race-ensemble fuzz-smoke slo bench-harness fmt validate update-golden cover
 
-check: vet build test race race-fleet race-cran race-hybrid race-ensemble fuzz-smoke slo
+check: vet build test race race-fleet race-cran race-ensemble fuzz-smoke slo bench-harness
 
 vet:
 	$(GO) vet ./...
@@ -33,12 +33,6 @@ race-fleet:
 race-cran:
 	$(GO) test -race -count=1 ./internal/cran/
 
-# Heterogeneous-backend stress: concurrent mixed-backend Serves with
-# hybrid routing, mid-flight classical-backend death, cancellation, and
-# the mixed-pool determinism battery — all under the race detector.
-race-hybrid:
-	$(GO) test -race -count=1 -run 'Hybrid|Hetero|Backend|Route' ./internal/fleet/
-
 # Flexible-parallelism ensemble lock: the K×G arm planner and grouped
 # batching, multi-initial-state prepared runs, fusion purity, and the
 # ensemble determinism battery — all under the race detector.
@@ -57,6 +51,12 @@ fuzz-smoke:
 slo:
 	$(GO) test -count=1 ./internal/slo/
 	$(GO) run ./cmd/slotool -trace internal/slo/testdata/trace_small.jsonl -quiet > /dev/null
+
+# The benchmark harness is its own module, so the root `go test ./...`
+# never builds it; vet and test it here so an API change that breaks the
+# benchmark fails the gate.
+bench-harness:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	gofmt -l .

@@ -1,10 +1,11 @@
 // Codeduplink: the full link-layer loop around the hybrid detector. An
 // information packet is convolutionally encoded (K=7, rate 1/2), mapped
 // onto 16-QAM symbols across successive channel uses of a 4-user MIMO
-// uplink, and detected per channel use by the GS→RA hybrid. The
-// annealer's sample ensemble yields per-bit LLRs (core.SampleSoftOutput)
-// which feed a soft-decision Viterbi decoder — against a hard-decision
-// baseline from the same detector.
+// uplink, and detected per channel use by the GS→RA hybrid, run as a
+// single-arm core.Ensemble. The annealer's sample ensemble yields per-bit
+// LLRs (mimo.FuseLLRs over the arm's reads) which feed a soft-decision
+// Viterbi decoder — against a hard-decision baseline from the same
+// detector.
 //
 //	go run ./examples/codeduplink
 package main
@@ -118,12 +119,11 @@ func detectUse(bits []int8, scheme modulation.Scheme, n0 float64, r *rng.Source)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	hy := &core.Hybrid{NumReads: 120}
-	out, llrs, err := hy.SolveSoft(red, 0, r.SplitString("hybrid"))
+	out, err := (&core.Ensemble{NumReads: 120}).Solve(red, r.SplitString("hybrid"))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return red, out, llrs, nil
+	return red, &out.Outcome, out.FusedLLRs, nil
 }
 
 func randomBits(r *rng.Source, n int) []int8 {

@@ -148,10 +148,11 @@ func TestCodedLinkRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, spinLLRs, err := (&core.Hybrid{NumReads: 80}).SolveSoft(red, 0, ur.SplitString("hy"))
+		out, err := (&core.Ensemble{NumReads: 80}).Solve(red, ur.SplitString("hy"))
 		if err != nil {
 			t.Fatal(err)
 		}
+		spinLLRs := out.FusedLLRs
 		for u := 0; u < users; u++ {
 			for b := 0; b < scheme.BitsPerSymbol(); b++ {
 				llrs = append(llrs, spinLLRs[mimo.BitLLR{User: u, Bit: b}.SpinIndex(red)])

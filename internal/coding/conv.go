@@ -2,8 +2,8 @@
 // soft-decision Viterbi decoding — the link-layer substrate around the
 // paper's detector: the ARQ turn-around that motivates its latency
 // budget exists because frames are coded, decoded, and acknowledged, and
-// a soft-output detector (core.SampleSoftOutput) only pays off if a
-// soft-input decoder consumes the LLRs.
+// a soft-output detector (core.Ensemble's FusedLLRs, computed by
+// mimo.FuseLLRs) only pays off if a soft-input decoder consumes the LLRs.
 package coding
 
 import (

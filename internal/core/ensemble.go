@@ -267,9 +267,8 @@ type EnsembleOutcome struct {
 	FusedLLRs []float64
 }
 
-// Solve fans the frame into K×G arms, runs them as shared-schedule
-// batches over one prepared problem per grid entry (the per-problem
-// compile is paid G times, not K×G), and fuses the reads.
+// Solve fans the frame into K×G arms on the shared arm runner and fuses
+// the surviving arms' reads into per-spin soft output.
 //
 // Determinism: arm 0 runs on the exact RNG stream Hybrid.Solve uses
 // ("quantum" under r), every further arm on its own "ensemble/arm"
@@ -285,167 +284,10 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cands {
-		if len(c) != red.NumSpins() {
-			return nil, fmt.Errorf("core: candidate has %d spins for %d-spin problem", len(c), red.NumSpins())
-		}
+	out, err := cfg.Config.runArms(red, cands, cfg.SpGrid, cfg.Tp, cfg.NumReads, cfg.FallbackOnFault, r)
+	if err != nil {
+		return nil, err
 	}
-	arms := PlanArms(cfg.K, len(cfg.SpGrid))
-
-	// One lease + one prepared problem per grid entry; all K candidate
-	// arms of that entry run RunPreparedMulti against it.
-	type gridSession struct {
-		sc    *annealer.Schedule
-		lease *annealer.Lease
-		prep  *annealer.Prepared
-	}
-	sessions := make([]gridSession, len(cfg.SpGrid))
-	for g, sp := range cfg.SpGrid {
-		sc, err := annealer.Reverse(sp, cfg.Tp)
-		if err != nil {
-			return nil, err
-		}
-		p := cfg.Config.params(sc, nil, cfg.NumReads)
-		var l *annealer.Lease
-		if cfg.Config.QPU != nil {
-			l, err = cfg.Config.QPU.Lease(p)
-		} else {
-			l, err = annealer.NewLease(p)
-		}
-		if err != nil {
-			return nil, err
-		}
-		prep, err := l.PrepareProblem(red.Ising)
-		if err != nil {
-			return nil, err
-		}
-		sessions[g] = gridSession{sc: sc, lease: l, prep: prep}
-	}
-
-	// Arm RNG streams: arm 0 is Hybrid.Solve's "quantum" stream (the
-	// collapse anchor), arms beyond it get independent keyed splits.
-	armRng := make([]*rng.Source, len(arms))
-	extra := r.SplitString("ensemble/arm")
-	for i := range arms {
-		if i == 0 {
-			armRng[i] = r.SplitString("quantum")
-		} else {
-			armRng[i] = extra.Split(uint64(i))
-		}
-	}
-
-	// Group arms by grid entry, preserving arm order within each group,
-	// and run each group as one multi-initial-state batch.
-	results := make([]*annealer.Result, len(arms))
-	armErrs := make([]error, len(arms))
-	for g := range cfg.SpGrid {
-		var idx []int
-		var runs []annealer.PreparedRun
-		for i, a := range arms {
-			if a.SpIndex != g {
-				continue
-			}
-			idx = append(idx, i)
-			runs = append(runs, annealer.PreparedRun{
-				InitialState: cands[a.Candidate],
-				NumReads:     cfg.NumReads,
-				Rng:          armRng[i],
-			})
-		}
-		res, errs, err := sessions[g].lease.RunPreparedMulti(sessions[g].prep, runs)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range idx {
-			results[i], armErrs[i] = res[j], errs[j]
-		}
-	}
-
-	out := &EnsembleOutcome{Arms: make([]ArmOutcome, len(arms))}
-	var firstFault error
-	healthy := 0
-	for i, a := range arms {
-		ao := &out.Arms[i]
-		ao.Arm = a
-		ao.Sp = cfg.SpGrid[a.SpIndex]
-		ao.InitialState = cands[a.Candidate]
-		ao.InitialEnergy = red.Ising.Energy(cands[a.Candidate])
-		if armErrs[i] != nil {
-			fe, isFault := annealer.AsFault(armErrs[i])
-			if !isFault || !e.FallbackOnFault {
-				return nil, armErrs[i]
-			}
-			ao.Fault = fe
-			if firstFault == nil {
-				firstFault = fe
-			}
-			continue
-		}
-		res := results[i]
-		ao.Best = res.Best
-		ao.Samples = res.Samples
-		ao.AnnealTime = res.TotalAnnealTime
-		ao.BrokenChainRate = res.BrokenChainRate
-		ao.FaultStats = res.Faults
-		healthy++
-	}
-
-	// The frame's hard answer: best anneal sample across every surviving
-	// arm (arm order, strict improvement), then every classical candidate
-	// competes — a hybrid never returns worse than its classical half.
-	out.InitialState = cands[0]
-	out.InitialEnergy = red.Ising.Energy(cands[0])
-	if healthy == 0 {
-		// Every arm faulted: the top candidate is still a complete answer.
-		best := 0
-		for c := 1; c < len(cands); c++ {
-			if red.Ising.Energy(cands[c]) < red.Ising.Energy(cands[best]) {
-				best = c
-			}
-		}
-		out.ScheduleDuration = sessions[0].sc.Duration()
-		out.Best = qubo.Sample{Spins: append([]int8(nil), cands[best]...), Energy: red.Ising.Energy(cands[best])}
-		out.Source = AnswerClassicalFallback
-		out.Fault = firstFault
-		out.Symbols = red.DecodeSpins(out.Best.Spins)
-		cfg.Config.recordAnswerSource(out.Source)
-		return out, nil
-	}
-	haveBest := false
-	var weightedBreaks, sampleCount float64
-	for i := range out.Arms {
-		ao := &out.Arms[i]
-		if ao.Fault != nil {
-			continue
-		}
-		if !haveBest || ao.Best.Energy < out.Best.Energy {
-			out.Best = ao.Best
-			haveBest = true
-		}
-		out.Samples = append(out.Samples, ao.Samples...)
-		out.AnnealTime += ao.AnnealTime
-		weightedBreaks += ao.BrokenChainRate * float64(len(ao.Samples))
-		sampleCount += float64(len(ao.Samples))
-		out.FaultStats.ReadTimeouts += ao.FaultStats.ReadTimeouts
-		out.FaultStats.ChainBreakStorms += ao.FaultStats.ChainBreakStorms
-		out.FaultStats.CalibrationDrifts += ao.FaultStats.CalibrationDrifts
-		if out.ScheduleDuration == 0 {
-			out.ScheduleDuration = results[i].ScheduleDuration
-		}
-	}
-	if sampleCount > 0 {
-		out.BrokenChainRate = weightedBreaks / sampleCount
-	}
-	out.Source = AnswerQuantum
-	for _, c := range cands {
-		if energy := red.Ising.Energy(c); energy < out.Best.Energy {
-			out.Best = qubo.Sample{Spins: append([]int8(nil), c...), Energy: energy}
-			out.Source = AnswerClassicalCandidate
-		}
-	}
-	out.Symbols = red.DecodeSpins(out.Best.Spins)
-
-	// Fuse the surviving arms' reads into per-spin soft output.
 	armSamples := make([][]qubo.Sample, 0, len(out.Arms))
 	for i := range out.Arms {
 		if out.Arms[i].Fault == nil {
@@ -455,6 +297,135 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 	if llrs, err := mimo.FuseLLRs(armSamples, cfg.Beta, 0); err == nil {
 		out.FusedLLRs = llrs
 	}
-	cfg.Config.recordAnswerSource(out.Source)
+	return out, nil
+}
+
+// runArms is the reverse-anneal detection path every RA solver shares.
+// It runs the PlanArms(len(cands), len(grid)) arm plan — one lease and
+// one prepared problem per grid entry, so the per-problem compile is paid
+// G times, not K×G, and each entry's arms run as one multi-initial-state
+// batch — then hands the arms to Reduce for the hard answer. Hybrid is
+// the one-candidate, one-entry plan, whose lone arm runs unprepared.
+//
+// Arm 0 runs on r's "quantum" stream (the single-RA anchor), every
+// further arm on its own "ensemble/arm" split. With fallback a faulted
+// arm contributes nothing and the frame answers from the survivors (or
+// the fallback rung); without it any arm fault fails the solve.
+func (c AnnealConfig) runArms(red *mimo.Reduction, cands [][]int8, grid []float64, tp float64, reads int, fallback bool, r *rng.Source) (*EnsembleOutcome, error) {
+	for i, cand := range cands {
+		if len(cand) != red.NumSpins() {
+			return nil, fmt.Errorf("core: candidate %d has %d spins for %d-spin problem", i, len(cand), red.NumSpins())
+		}
+	}
+	arms := PlanArms(len(cands), len(grid))
+	results := make([]*annealer.Result, len(arms))
+	armErrs := make([]error, len(arms))
+	extra := r.SplitString("ensemble/arm")
+	var firstDuration float64
+	for g, sp := range grid {
+		sc, err := annealer.Reverse(sp, tp)
+		if err != nil {
+			return nil, err
+		}
+		if g == 0 {
+			firstDuration = sc.Duration()
+		}
+		p := c.params(sc, nil, reads)
+		var l *annealer.Lease
+		if c.QPU != nil {
+			l, err = c.QPU.Lease(p)
+		} else {
+			l, err = annealer.NewLease(p)
+		}
+		if err != nil {
+			return nil, err
+		}
+		var idx []int
+		var runs []annealer.PreparedRun
+		for i, a := range arms {
+			if a.SpIndex != g {
+				continue
+			}
+			armRng := extra.Split(uint64(i))
+			if i == 0 {
+				armRng = r.SplitString("quantum")
+			}
+			idx = append(idx, i)
+			runs = append(runs, annealer.PreparedRun{
+				InitialState: cands[a.Candidate],
+				NumReads:     reads,
+				Rng:          armRng,
+			})
+		}
+		if len(runs) == 1 {
+			// A lone arm shares its compile with nothing: run it
+			// unprepared (bit-identical) and skip the Ising snapshot.
+			results[idx[0]], armErrs[idx[0]] = l.Run(red.Ising, runs[0].InitialState, reads, runs[0].Rng)
+			continue
+		}
+		prep, err := l.PrepareProblem(red.Ising)
+		if err != nil {
+			return nil, err
+		}
+		res, errs, err := l.RunPreparedMulti(prep, runs)
+		if err != nil {
+			return nil, err
+		}
+		for j, i := range idx {
+			results[i], armErrs[i] = res[j], errs[j]
+		}
+	}
+
+	out := &EnsembleOutcome{Arms: make([]ArmOutcome, len(arms))}
+	reduced := make([]Arm, len(arms))
+	var weightedBreaks, sampleCount float64
+	for i, a := range arms {
+		ao := &out.Arms[i]
+		ao.Arm, ao.Sp = a, grid[a.SpIndex]
+		ao.InitialState = cands[a.Candidate]
+		ao.InitialEnergy = red.Ising.Energy(cands[a.Candidate])
+		if armErrs[i] != nil {
+			fe, isFault := annealer.AsFault(armErrs[i])
+			if !isFault || !fallback {
+				return nil, armErrs[i]
+			}
+			ao.Fault, reduced[i].Fault = fe, fe
+			continue
+		}
+		res := results[i]
+		ao.Best, ao.Samples = res.Best, res.Samples
+		ao.AnnealTime = res.TotalAnnealTime
+		ao.BrokenChainRate = res.BrokenChainRate
+		ao.FaultStats = res.Faults
+		reduced[i] = Arm{Best: res.Best, Source: AnswerQuantum}
+		if out.Samples == nil {
+			// Share the first arm's reads; the capped capacity makes a
+			// later arm's append copy rather than write past them.
+			out.Samples = res.Samples[:len(res.Samples):len(res.Samples)]
+		} else {
+			out.Samples = append(out.Samples, res.Samples...)
+		}
+		out.AnnealTime += res.TotalAnnealTime
+		weightedBreaks += res.BrokenChainRate * float64(len(res.Samples))
+		sampleCount += float64(len(res.Samples))
+		out.FaultStats.ReadTimeouts += res.Faults.ReadTimeouts
+		out.FaultStats.ChainBreakStorms += res.Faults.ChainBreakStorms
+		out.FaultStats.CalibrationDrifts += res.Faults.CalibrationDrifts
+		if out.ScheduleDuration == 0 {
+			out.ScheduleDuration = res.ScheduleDuration
+		}
+	}
+	if sampleCount > 0 {
+		out.BrokenChainRate = weightedBreaks / sampleCount
+	}
+	if out.ScheduleDuration == 0 {
+		// Every arm faulted: report the plan's first schedule.
+		out.ScheduleDuration = firstDuration
+	}
+	ans := Reduce(red.Ising, cands, reduced)
+	out.Best, out.Source, out.Fault = ans.Best, ans.Source, ans.Fault
+	out.InitialState, out.InitialEnergy = cands[0], out.Arms[0].InitialEnergy
+	out.Symbols = red.DecodeSpins(out.Best.Spins)
+	c.recordAnswerSource(out.Source)
 	return out, nil
 }

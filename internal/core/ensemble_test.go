@@ -163,6 +163,33 @@ func TestEnsembleK1ByteIdenticalToHybrid(t *testing.T) {
 	}
 }
 
+// TestEnsembleK1SoftMatchesGroundSigns: on an easy noiseless instance
+// the single-arm ensemble's soft output (mimo.FuseLLRs over one arm's
+// reads) must agree in sign with the ground state on most spins.
+func TestEnsembleK1SoftMatchesGroundSigns(t *testing.T) {
+	inst := testInstance(t, modulation.QAM16, 4, 73)
+	out, err := (&Ensemble{NumReads: 60, Config: fastCfg()}).Solve(inst.Reduction, rng.New(75))
+	if err != nil {
+		t.Fatal(err)
+	}
+	llrs := out.FusedLLRs
+	if len(llrs) != inst.Reduction.NumSpins() {
+		t.Fatalf("%d LLRs", len(llrs))
+	}
+	if out.Best.Energy > inst.GroundEnergy+1e-6 {
+		t.Skip("single arm missed the optimum on this draw; soft-sign check not meaningful")
+	}
+	agree := 0
+	for i, l := range llrs {
+		if (l > 0) == (inst.GroundSpins[i] > 0) {
+			agree++
+		}
+	}
+	if agree < len(llrs)*3/4 {
+		t.Fatalf("soft output agrees with ground on only %d/%d spins", agree, len(llrs))
+	}
+}
+
 // TestEnsembleZeroValueMatchesHybridZeroValue: defaults line up field
 // for field, so flag-free configs collapse too.
 func TestEnsembleZeroValueMatchesHybridZeroValue(t *testing.T) {

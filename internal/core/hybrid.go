@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/annealer"
 	"repro/internal/mimo"
-	"repro/internal/qubo"
 	"repro/internal/rng"
 )
 
@@ -59,60 +58,20 @@ func (h *Hybrid) withDefaults() Hybrid {
 	return out
 }
 
-// Solve runs the hybrid pipeline on a reduced detection problem.
+// Solve runs the hybrid pipeline on a reduced detection problem: the
+// one-candidate × {Sp} arm plan of the ensemble's arm runner, answered
+// by Reduce.
 func (h *Hybrid) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
 	cfg := h.withDefaults()
 	init, err := cfg.Classical.Initialize(red, r.SplitString("classical"))
 	if err != nil {
 		return nil, fmt.Errorf("core: classical module: %w", err)
 	}
-	if len(init) != red.NumSpins() {
-		return nil, fmt.Errorf("core: classical module returned %d spins for %d-spin problem", len(init), red.NumSpins())
-	}
-	sc, err := annealer.Reverse(cfg.Sp, cfg.Tp)
+	out, err := cfg.Config.runArms(red, [][]int8{init}, []float64{cfg.Sp}, cfg.Tp, cfg.NumReads, h.FallbackOnFault, r)
 	if err != nil {
 		return nil, err
 	}
-	res, err := cfg.Config.run(red.Ising, cfg.Config.params(sc, init, cfg.NumReads), r.SplitString("quantum"))
-	if err != nil {
-		if fe, ok := annealer.AsFault(err); ok && h.FallbackOnFault {
-			// Graceful degradation: the device faulted, but the classical
-			// candidate is a complete answer. Availability over quality.
-			out := &Outcome{
-				InitialState:     init,
-				InitialEnergy:    red.Ising.Energy(init),
-				ScheduleDuration: sc.Duration(),
-				Best:             qubo.Sample{Spins: append([]int8(nil), init...), Energy: red.Ising.Energy(init)},
-				Source:           AnswerClassicalFallback,
-				Fault:            fe,
-			}
-			out.Symbols = red.DecodeSpins(out.Best.Spins)
-			cfg.Config.recordAnswerSource(out.Source)
-			return out, nil
-		}
-		return nil, err
-	}
-	out := &Outcome{
-		Samples:          res.Samples,
-		InitialState:     init,
-		InitialEnergy:    red.Ising.Energy(init),
-		AnnealTime:       res.TotalAnnealTime,
-		ScheduleDuration: res.ScheduleDuration,
-		BrokenChainRate:  res.BrokenChainRate,
-		Best:             res.Best,
-		Source:           AnswerQuantum,
-		FaultStats:       res.Faults,
-	}
-	// §2: the best sample is the final solution; the classical candidate
-	// also competes (a hybrid system never returns worse than its
-	// classical half).
-	if out.InitialEnergy < out.Best.Energy {
-		out.Best = qubo.Sample{Spins: append([]int8(nil), init...), Energy: out.InitialEnergy}
-		out.Source = AnswerClassicalCandidate
-	}
-	out.Symbols = red.DecodeSpins(out.Best.Spins)
-	cfg.Config.recordAnswerSource(out.Source)
-	return out, nil
+	return &out.Outcome, nil
 }
 
 // ForwardSolver runs plain Forward Annealing — the fully quantum baseline

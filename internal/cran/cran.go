@@ -45,11 +45,6 @@ const (
 	ShedShardBackpressure = "shard-backpressure"
 )
 
-// classicalFallbackPerSpin matches fleet's (and pipeline's) modelled
-// μs-per-spin cost of answering a shed frame classically, so router-shed
-// and fleet-shed frames price identically.
-const classicalFallbackPerSpin = 1e-3
-
 // Stream identity limits: a (cell, ue) pair packs into one fleet stream
 // id as cell·1024 + ue, which must stay inside the fleet's [0, 2^31)
 // stream range.
@@ -523,18 +518,15 @@ func (rt *router) shed(i int, r Request, reason string, outcomes []Outcome) {
 	rt.frameShard[i] = -1
 	rt.frameEpoch[i] = 0
 	rt.routerShed++
+	ans := core.Reduce(r.Problem, [][]int8{r.InitialState}, nil)
 	o := fleet.Outcome{
 		Stream: StreamID(r.Cell, r.UE), Seq: r.Seq,
 		Arrival: r.Arrival,
 		Start:   r.Arrival,
-		Finish:  r.Arrival + float64(r.Problem.N)*classicalFallbackPerSpin,
+		Finish:  r.Arrival + float64(r.Problem.N)*core.FallbackMicrosPerSpin,
 		Device:  -1, Batch: -1,
 		Shed: true, ShedReason: reason,
-		Source: core.AnswerClassicalFallback,
-		Best: qubo.Sample{
-			Spins:  append([]int8(nil), r.InitialState...),
-			Energy: r.Problem.Energy(r.InitialState),
-		},
+		Source: ans.Source, Best: ans.Best,
 	}
 	if r.Deadline > 0 && o.Finish > r.Arrival+r.Deadline {
 		o.DeadlineMissed = true

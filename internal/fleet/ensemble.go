@@ -25,7 +25,8 @@ type EnsembleFrame struct {
 	// Problem is the reduced detection problem shared by every arm.
 	Problem *qubo.Ising
 	// Candidates are the top-K classical candidates; Candidates[0] seeds
-	// arm 0 (the single-RA anchor) and is the shed/fallback answer.
+	// arm 0 (the single-RA anchor). The lowest-energy candidate is the
+	// fallback answer when no arm is healthy.
 	Candidates [][]int8
 }
 
@@ -49,9 +50,8 @@ type EnsembleConfig struct {
 type EnsembleOutcome struct {
 	Stream int `json:"stream"`
 	Seq    int `json:"seq"`
-	// Best and Source are the frame's hard answer: the minimum over every
-	// arm's best (arm order, strict improvement), every classical
-	// candidate competing as usual.
+	// Best and Source are the frame's hard answer: core.Reduce over the
+	// healthy arms (neither shed nor faulted) and every candidate.
 	Best   qubo.Sample       `json:"best"`
 	Source core.AnswerSource `json:"source"`
 	// FusedLLRs is the per-spin soft output over every surviving arm's
@@ -145,11 +145,12 @@ func ServeEnsemble(ctx context.Context, cfg EnsembleConfig, frames []EnsembleFra
 		}
 		return fa.Seq < fb.Seq
 	})
+	healthy := make([]core.Arm, 0, nArms)
 	for _, fi := range order {
 		f := frames[fi]
 		eo := EnsembleOutcome{Stream: f.Stream, Seq: f.Seq, Finish: math.Inf(-1)}
 		var pooled [][]qubo.Sample
-		haveBest := false
+		healthy = healthy[:0]
 		for ai := range arms {
 			o := byArm[[2]int{f.Stream*nArms + ai, f.Seq}]
 			if o == nil {
@@ -163,31 +164,18 @@ func ServeEnsemble(ctx context.Context, cfg EnsembleConfig, frames []EnsembleFra
 				eo.ShedArms++
 				continue
 			}
-			if !haveBest || o.Best.Energy < eo.Best.Energy {
-				eo.Best = o.Best
-				eo.Source = o.Source
-				haveBest = true
+			// A read-fault arm answered with its candidate on the fallback
+			// rung; it carries no anneal output, so it does not compete.
+			if o.Source.Degraded() {
+				continue
 			}
+			healthy = append(healthy, core.Arm{Best: o.Best, Source: o.Source})
 			if len(o.Samples) > 0 {
 				pooled = append(pooled, o.Samples)
 			}
 		}
-		if !haveBest {
-			// Every arm shed: the frame degrades to its top candidate, the
-			// same rung a single-RA shed lands on.
-			e := f.Problem.Energy(f.Candidates[0])
-			eo.Best = qubo.Sample{Spins: append([]int8(nil), f.Candidates[0]...), Energy: e}
-			eo.Source = core.AnswerClassicalFallback
-		} else {
-			// Every candidate competes with the pooled arm answers (the
-			// per-arm pass already compared each arm's own candidate).
-			for _, c := range f.Candidates {
-				if e := f.Problem.Energy(c); e < eo.Best.Energy {
-					eo.Best = qubo.Sample{Spins: append([]int8(nil), c...), Energy: e}
-					eo.Source = core.AnswerClassicalCandidate
-				}
-			}
-		}
+		ans := core.Reduce(f.Problem, f.Candidates, healthy)
+		eo.Best, eo.Source = ans.Best, ans.Source
 		if len(pooled) > 0 {
 			if llrs, err := mimo.FuseLLRs(pooled, cfg.Beta, 0); err == nil {
 				eo.FusedLLRs = llrs

@@ -222,6 +222,74 @@ func TestServeEnsembleAllShed(t *testing.T) {
 	}
 }
 
+// TestServeEnsembleAllShedPicksLowestCandidate: with every arm shed the
+// frame falls back to its lowest-energy candidate, not to slot 0
+// (TopKCandidates pins the greedy state there whatever its energy) — the
+// fallback rung core.Ensemble takes too.
+func TestServeEnsembleAllShedPicksLowestCandidate(t *testing.T) {
+	p := testProblems(t)[0]
+	ground, err := qubo.ExhaustiveIsing(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groundE := p.Energy(ground.Spins)
+	worse := ensembleCandidates(p, 1)[0]
+	if p.Energy(worse) <= groundE {
+		t.Fatal("setup: slot-0 candidate is already optimal")
+	}
+	cfg := EnsembleConfig{
+		Fleet:  Config{Devices: []Device{{SweepsPerMicrosecond: 30, FailAt: 1e-9}}, Seed: 1},
+		SpGrid: []float64{0.45}, ReadsPerArm: 3,
+	}
+	frames := []EnsembleFrame{{Arrival: 5, Problem: p, Candidates: [][]int8{worse, ground.Spins}}}
+	res, err := ServeEnsemble(context.Background(), cfg, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eo := res.Outcomes[0]
+	if eo.ShedArms != 2 || eo.Source != core.AnswerClassicalFallback {
+		t.Fatalf("all-shed frame answered %+v", eo)
+	}
+	if eo.Best.Energy != groundE {
+		t.Fatalf("all-shed frame fell back to energy %g, lowest candidate is %g", eo.Best.Energy, groundE)
+	}
+}
+
+// TestServeEnsembleReadFaultArmDoesNotDegrade: an arm whose reads were
+// all lost (a fault, not a shed) has no anneal output. It must not
+// compete with its candidate on the fallback rung and so report the
+// frame as degraded while another arm served it healthily.
+func TestServeEnsembleReadFaultArmDoesNotDegrade(t *testing.T) {
+	p := testProblems(t)[0]
+	ground, err := qubo.ExhaustiveIsing(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs := logicalDevices(2)
+	devs[0].Faults.ReadTimeoutRate = 1
+	cfg := EnsembleConfig{
+		Fleet:  Config{Devices: devs, Seed: 1},
+		SpGrid: []float64{0.37, 0.45}, ReadsPerArm: 3,
+	}
+	// The ground-state candidate ties or beats every anneal read, so a
+	// faulted arm 0 holding it would otherwise never be displaced.
+	frames := []EnsembleFrame{{Problem: p, Candidates: [][]int8{ground.Spins}}}
+	res, err := ServeEnsemble(context.Background(), cfg, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eo := res.Outcomes[0]
+	if a := eo.Arms; a[0].Shed || !a[0].Source.Degraded() || a[1].Shed || a[1].Source.Degraded() {
+		t.Fatalf("setup: want arm 0 read-faulted and arm 1 healthy, got sources %v and %v", a[0].Source, a[1].Source)
+	}
+	if eo.Source.Degraded() {
+		t.Fatalf("frame with a healthy arm reported %v", eo.Source)
+	}
+	if groundE := p.Energy(ground.Spins); eo.Best.Energy != groundE {
+		t.Fatalf("frame answered energy %g, ground is %g", eo.Best.Energy, groundE)
+	}
+}
+
 // TestServeEnsembleValidation: bad grids, empty frame sets, mismatched
 // K, and stream overflow are rejected up front.
 func TestServeEnsembleValidation(t *testing.T) {

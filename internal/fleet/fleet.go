@@ -54,11 +54,6 @@ const (
 	ShedNoCompatibleBackend = "no-compatible-backend"
 )
 
-// classicalFallbackPerSpin is the modelled μs-per-spin cost of answering a
-// shed frame with the classical candidate, matching
-// pipeline.ClassicalFallback.
-const classicalFallbackPerSpin = 1e-3
-
 // Request is one detection frame submitted to the fleet: a reduced Ising
 // problem plus the classical candidate that seeds reverse annealing.
 type Request struct {
@@ -786,17 +781,14 @@ func (pl *planner) shed(fi int, reason string, t float64) {
 	f := &pl.frames[fi]
 	o := &pl.outcomes[fi]
 	o.Start = t
-	o.Finish = t + float64(f.req.Problem.N)*classicalFallbackPerSpin
+	o.Finish = t + float64(f.req.Problem.N)*core.FallbackMicrosPerSpin
 	o.QueueMicros = t - f.req.Arrival
 	o.Attempts = f.attempts
 	o.Shed = true
 	o.ShedReason = reason
 	o.DeadlineMissed = o.Finish > f.absDeadline
-	o.Source = core.AnswerClassicalFallback
-	o.Best = qubo.Sample{
-		Spins:  append([]int8(nil), f.req.InitialState...),
-		Energy: f.req.Problem.Energy(f.req.InitialState),
-	}
+	ans := core.Reduce(f.req.Problem, [][]int8{f.req.InitialState}, nil)
+	o.Best, o.Source = ans.Best, ans.Source
 	pl.cfg.Trace.Event("fleet/shed", t, pl.tattrs(telemetry.Attrs{"stream": f.req.Stream, "seq": f.req.Seq, "reason": reason}))
 	if o.DeadlineMissed {
 		pl.deadlineMiss(fi, o.Finish)
@@ -1349,32 +1341,23 @@ func (pl *planner) runBatch(bi int) error {
 		} else {
 			res, err = l.Run(f.req.Problem, f.req.InitialState, f.reads, r)
 		}
-		initE := f.req.Problem.Energy(f.req.InitialState)
+		arm := core.Arm{Source: core.AnswerQuantum}
 		if err != nil {
 			if _, ok := annealer.AsFault(err); !ok {
 				return err
 			}
 			// A read-level hard fault (all reads lost): the candidate is
 			// still a complete answer — degrade, keep the planned timing.
-			o.Source = core.AnswerClassicalFallback
-			o.Best = qubo.Sample{
-				Spins:  append([]int8(nil), f.req.InitialState...),
-				Energy: initE,
-			}
-			pl.annealStats(f, o, initE, nil)
-			continue
-		}
-		if initE < res.Best.Energy {
-			o.Source = core.AnswerClassicalCandidate
-			o.Best = qubo.Sample{Spins: append([]int8(nil), f.req.InitialState...), Energy: initE}
+			arm.Fault = err
 		} else {
-			o.Source = core.AnswerQuantum
-			o.Best = res.Best
+			arm.Best = res.Best
+			if f.req.KeepSamples {
+				o.Samples = res.Samples
+			}
 		}
-		if f.req.KeepSamples {
-			o.Samples = res.Samples
-		}
-		pl.annealStats(f, o, initE, res)
+		ans := core.Reduce(f.req.Problem, [][]int8{f.req.InitialState}, []core.Arm{arm})
+		o.Best, o.Source = ans.Best, ans.Source
+		pl.annealStats(f, o, res)
 	}
 	return nil
 }
@@ -1395,15 +1378,9 @@ func (pl *planner) runClassicalBatch(bi int) error {
 		if err != nil {
 			return fmt.Errorf("fleet: device %d (%s): %w", b.dev, d.Backend, err)
 		}
-		initE := f.req.Problem.Energy(f.req.InitialState)
-		if initE < best.Energy {
-			o.Source = core.AnswerClassicalCandidate
-			o.Best = qubo.Sample{Spins: append([]int8(nil), f.req.InitialState...), Energy: initE}
-		} else {
-			o.Source = core.AnswerClassicalSolver
-			o.Best = best
-		}
-		pl.classicalStats(f, o, initE, meanE, d.Backend)
+		ans := core.Reduce(f.req.Problem, [][]int8{f.req.InitialState}, []core.Arm{{Best: best, Source: core.AnswerClassicalSolver}})
+		o.Best, o.Source = ans.Best, ans.Source
+		pl.classicalStats(f, o, meanE, d.Backend)
 	}
 	return nil
 }
@@ -1412,10 +1389,11 @@ func (pl *planner) runClassicalBatch(bi int) error {
 // monitor's health scoring sees one uniform quality stream: the same
 // event name and residual fields, chain/fault tallies pinned to zero (a
 // classical solver has no chains to break), plus the backend attribute.
-func (pl *planner) classicalStats(f *frame, o *Outcome, candE, meanE float64, kind BackendKind) {
+func (pl *planner) classicalStats(f *frame, o *Outcome, meanE float64, kind BackendKind) {
 	if pl.cfg.Trace == nil {
 		return
 	}
+	candE := f.req.Problem.Energy(f.req.InitialState)
 	pl.cfg.Trace.Event("fleet/anneal-stats", o.Finish, pl.tattrs(telemetry.Attrs{
 		"device": o.Device, "batch": o.Batch,
 		"stream": f.req.Stream, "seq": f.req.Seq,
@@ -1433,10 +1411,11 @@ func (pl *planner) classicalStats(f *frame, o *Outcome, candE, meanE float64, ki
 // Every value derives from the plan-fixed RNG keys, so emission from the
 // concurrent execute phase cannot perturb the deterministic record set.
 // res == nil marks a hard fault that lost every read.
-func (pl *planner) annealStats(f *frame, o *Outcome, candE float64, res *annealer.Result) {
+func (pl *planner) annealStats(f *frame, o *Outcome, res *annealer.Result) {
 	if pl.cfg.Trace == nil {
 		return
 	}
+	candE := f.req.Problem.Energy(f.req.InitialState)
 	attrs := telemetry.Attrs{
 		"device": o.Device, "batch": o.Batch,
 		"stream": f.req.Stream, "seq": f.req.Seq,

@@ -104,6 +104,53 @@ func TestFuseLLRsSignsFollowBoltzmann(t *testing.T) {
 	}
 }
 
+// TestFuseLLRsUnanimousClamps: reads that agree on every spin leave one
+// side of each sum empty, so the LLRs saturate at the clamp even when the
+// reads' energies differ.
+func TestFuseLLRsUnanimousClamps(t *testing.T) {
+	arms := [][]qubo.Sample{{sample(-3, 1, -1), sample(-2, 1, -1)}}
+	llrs, err := FuseLLRs(arms, 1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(llrs, []float64{10, -10}) {
+		t.Fatalf("unanimous LLRs = %v, want ±10", llrs)
+	}
+}
+
+// TestFuseLLRsWeighting: a low-energy read dominates a high-energy
+// disagreeing one, more so at larger beta, with the exact Boltzmann value.
+func TestFuseLLRsWeighting(t *testing.T) {
+	arms := [][]qubo.Sample{{
+		sample(-5, 1),  // good read says +1
+		sample(-1, -1), // bad read says −1
+	}}
+	weak, _ := FuseLLRs(arms, 0.1, 100)
+	strong, _ := FuseLLRs(arms, 2, 100)
+	if weak[0] <= 0 || strong[0] <= 0 {
+		t.Fatalf("LLR should favour the low-energy read: %v %v", weak, strong)
+	}
+	if strong[0] <= weak[0] {
+		t.Fatalf("larger beta should sharpen the LLR: %v vs %v", strong[0], weak[0])
+	}
+	// beta=2: log(e^0) − log(e^{−2·4}) = 8.
+	if math.Abs(strong[0]-8) > 1e-9 {
+		t.Fatalf("strong LLR = %v, want 8", strong[0])
+	}
+}
+
+// TestFuseLLRsAutoBeta: beta ≤ 0 picks 4 / (E_max − E_min), so a spread
+// of 8 gives beta 0.5 and an LLR of exactly 0.5·8 = 4.
+func TestFuseLLRsAutoBeta(t *testing.T) {
+	llrs, err := FuseLLRs([][]qubo.Sample{{sample(0, 1), sample(8, -1)}}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(llrs[0]-4) > 1e-12 {
+		t.Fatalf("auto-beta LLR = %v, want 4", llrs[0])
+	}
+}
+
 // TestFuseLLRsMixedSpinLengthsRejected: arms must agree on the problem.
 func TestFuseLLRsMixedSpinLengthsRejected(t *testing.T) {
 	arms := [][]qubo.Sample{{sample(-1, 1, -1)}, {sample(-1, 1, -1, 1)}}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/instance"
 	"repro/internal/mimo"
-	"repro/internal/qubo"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
 )
@@ -92,12 +91,6 @@ type QuantumStage struct {
 	Sp, Tp   float64
 	NumReads int
 	Config   core.AnnealConfig
-	// Lease, when set, routes every frame through a prepared device
-	// session instead of re-validating and re-compiling per call — the
-	// fleet serving path. The lease's schedule and device settings take
-	// the place of Sp/Tp/Config; results are bit-identical to the
-	// unleased stage when both describe the same device.
-	Lease *annealer.Lease
 	// ProgrammingMicros and ReadoutMicros model per-call and per-read
 	// device overheads added to the pure anneal time. The paper's Figure 2
 	// pipelining is exactly about hiding these behind the classical
@@ -141,9 +134,6 @@ func (s *QuantumStage) Process(f *Frame) (float64, error) {
 	if f.Attempt > 0 {
 		rr = rr.Split(uint64(f.Attempt))
 	}
-	if s.Lease != nil {
-		return s.processLeased(f, pl, reads, rr)
-	}
 	h := &core.Hybrid{
 		Classical: core.FixedModule{State: pl.InitialState},
 		Sp:        sp, Tp: tp, NumReads: reads,
@@ -164,42 +154,14 @@ func (s *QuantumStage) Process(f *Frame) (float64, error) {
 	return service, nil
 }
 
-// processLeased is the prepared-session path: the lease already holds the
-// validated schedule and compiled sweep program, so per-frame cost is the
-// anneal itself. The RNG stream ("quantum" under the per-frame split) and
-// the best-of contest against the classical candidate match Hybrid.Solve
-// exactly, so a leased stage is bit-identical to the unleased one.
-func (s *QuantumStage) processLeased(f *Frame, pl *DetectionPayload, reads int, rr *rng.Source) (float64, error) {
-	red := pl.Instance.Reduction
-	if len(pl.InitialState) != red.NumSpins() {
-		return 0, fmt.Errorf("pipeline: frame %d candidate has %d spins for %d-spin problem",
-			f.Seq, len(pl.InitialState), red.NumSpins())
-	}
-	res, err := s.Lease.Run(red.Ising, pl.InitialState, reads, rr.SplitString("quantum"))
-	if err != nil {
-		return s.ProgrammingMicros, err
-	}
-	best, source := res.Best, core.AnswerQuantum
-	if initE := red.Ising.Energy(pl.InitialState); initE < best.Energy {
-		best = qubo.Sample{Spins: append([]int8(nil), pl.InitialState...), Energy: initE}
-		source = core.AnswerClassicalCandidate
-	}
-	pl.Symbols = red.DecodeSpins(best.Spins)
-	pl.BestEnergy = best.Energy
-	pl.SymbolErrors = mimo.SymbolErrors(pl.Symbols, pl.Instance.Transmitted)
-	pl.Source = source
-	pl.Degraded = source.Degraded()
-	service := s.ProgrammingMicros + float64(reads)*(res.ScheduleDuration+s.ReadoutMicros)
-	return service, nil
-}
-
 // ClassicalFallback answers a frame whose quantum stage could not complete
 // with the classical candidate the classical stage already computed — the
-// availability guarantee of the hybrid structure: the GS answer is always
-// on hand, so a QPU outage degrades quality, never completeness.
+// availability guarantee of the hybrid structure (core.Reduce's fallback
+// rung): the GS answer is always on hand, so a QPU outage degrades
+// quality, never completeness.
 type ClassicalFallback struct {
 	// MicrosFor models the decode cost from the spin count; nil charges
-	// a linear N·1ns model (decoding a ready candidate is nearly free).
+	// core.FallbackMicrosPerSpin per spin.
 	MicrosFor func(numSpins int) float64
 }
 
@@ -216,16 +178,17 @@ func (c *ClassicalFallback) Recover(f *Frame) (float64, error) {
 		return 0, fmt.Errorf("frame %d has no classical candidate to fall back to", f.Seq)
 	}
 	red := pl.Instance.Reduction
-	pl.Symbols = red.DecodeSpins(pl.InitialState)
-	pl.BestEnergy = red.Ising.Energy(pl.InitialState)
+	ans := core.Reduce(red.Ising, [][]int8{pl.InitialState}, nil)
+	pl.Symbols = red.DecodeSpins(ans.Best.Spins)
+	pl.BestEnergy = ans.Best.Energy
 	pl.SymbolErrors = mimo.SymbolErrors(pl.Symbols, pl.Instance.Transmitted)
-	pl.Source = core.AnswerClassicalFallback
-	pl.Degraded = true
+	pl.Source = ans.Source
+	pl.Degraded = ans.Source.Degraded()
 	n := red.NumSpins()
 	if c.MicrosFor != nil {
 		return c.MicrosFor(n), nil
 	}
-	return float64(n) * 1e-3, nil
+	return float64(n) * core.FallbackMicrosPerSpin, nil
 }
 
 // validateFrameTiming rejects degenerate arrival parameters before they

@@ -5,9 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/annealer"
-	"repro/internal/channel"
-	"repro/internal/core"
 	"repro/internal/instance"
 	"repro/internal/modulation"
 	"repro/internal/rng"
@@ -110,71 +107,5 @@ func TestGenerateFramesPoissonValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-// TestQuantumStageLeaseMatchesUnleased: routing the quantum stage through
-// a prepared device lease must not change a single bit — same symbols,
-// energies, sources, and service times as the stage that re-validates and
-// re-compiles per frame. This is the contract that lets the fleet serving
-// path share one compiled session across frames.
-func TestQuantumStageLeaseMatchesUnleased(t *testing.T) {
-	run := func(lease *annealer.Lease) []*Frame {
-		insts, err := instance.Corpus(instance.Spec{
-			Users: 3, Scheme: modulation.QAM16, Channel: channel.UnitGainRandomPhase,
-		}, 29, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames, err := GenerateFrames(insts, 300, 5_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := &Pipeline{Stages: []Stage{
-			&ClassicalStage{Rng: rng.New(1)},
-			&QuantumStage{
-				NumReads: 20,
-				Config:   core.AnnealConfig{SweepsPerMicrosecond: 60},
-				Lease:    lease,
-				Rng:      rng.New(2),
-			},
-		}}
-		out, err := p.Run(frames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	sc, err := annealer.Reverse(0.45, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lease, err := annealer.NewLease(annealer.Params{Schedule: sc, SweepsPerMicrosecond: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, leased := run(nil), run(lease)
-	if len(plain) != len(leased) {
-		t.Fatalf("frame counts differ: %d vs %d", len(plain), len(leased))
-	}
-	for i := range plain {
-		a := plain[i].Payload.(*DetectionPayload)
-		b := leased[i].Payload.(*DetectionPayload)
-		if a.BestEnergy != b.BestEnergy || a.Source != b.Source || a.SymbolErrors != b.SymbolErrors {
-			t.Fatalf("frame %d diverged: plain {E=%v src=%v errs=%d}, leased {E=%v src=%v errs=%d}",
-				i, a.BestEnergy, a.Source, a.SymbolErrors, b.BestEnergy, b.Source, b.SymbolErrors)
-		}
-		for j := range a.Symbols {
-			if a.Symbols[j] != b.Symbols[j] {
-				t.Fatalf("frame %d symbol %d diverged: %v vs %v", i, j, a.Symbols[j], b.Symbols[j])
-			}
-		}
-		for j := range plain[i].ServiceTimes {
-			if plain[i].ServiceTimes[j] != leased[i].ServiceTimes[j] {
-				t.Fatalf("frame %d service time %d diverged: %v vs %v",
-					i, j, plain[i].ServiceTimes[j], leased[i].ServiceTimes[j])
-			}
-		}
 	}
 }

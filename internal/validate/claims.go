@@ -761,8 +761,8 @@ func evalCRANShardScaling(e *Env) ([]Estimate, int, error) {
 // the Figure 8 instance): fanning one detection into K=4 candidates ×
 // the 3-point s_p grid must beat the single greedy/0.45 arm on success
 // probability. The comparison is PAIRED inside one ensemble solve — the
-// single-RA baseline is arm 0's own reads against its candidate, exactly
-// the Hybrid answer rule — so each trial's difference is Bernoulli in
+// single-RA baseline is core.Reduce over arm 0 and its candidate alone —
+// so each trial's difference is Bernoulli in
 // {0, 1} and the "ensemble-collapsed" injection (K→1, trivial grid)
 // makes every difference identically zero: the gate crosses immediately
 // instead of stalling. Committed seed-2020 mean difference ≈ 0.6 at two
@@ -798,11 +798,9 @@ func evalEnsembleRA(e *Env) ([]Estimate, int, error) {
 				return nil, spent, err
 			}
 			arm0 := out.Arms[0]
-			singleBest := arm0.Best.Energy
-			if arm0.InitialEnergy < singleBest {
-				singleBest = arm0.InitialEnergy
-			}
-			single := singleBest <= in.GroundEnergy+groundTol
+			alone := core.Reduce(in.Reduction.Ising, [][]int8{arm0.InitialState},
+				[]core.Arm{{Best: arm0.Best, Source: core.AnswerQuantum, Fault: arm0.Fault}})
+			single := alone.Best.Energy <= in.GroundEnergy+groundTol
 			ens := out.Best.Energy <= in.GroundEnergy+groundTol
 			d := 0.0
 			if ens && !single {
