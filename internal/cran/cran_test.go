@@ -355,3 +355,25 @@ func TestBackpressure(t *testing.T) {
 		t.Fatalf("report disagrees with outcomes: %+v", res.Report)
 	}
 }
+
+// FuzzParsePlacement: the -placement flag is external input. Parsing
+// must never panic; an accepted value is a valid Placement whose String
+// parses back to itself.
+func FuzzParsePlacement(f *testing.F) {
+	for _, s := range []string{"hash", "consistent-hash", "load", "load-aware", "", "Hash", "placement(1)", " hash"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePlacement(s)
+		if err != nil {
+			return
+		}
+		if !p.valid() {
+			t.Fatalf("ParsePlacement(%q) accepted invalid placement %d", s, int(p))
+		}
+		back, err := ParsePlacement(p.String())
+		if err != nil || back != p {
+			t.Fatalf("ParsePlacement(%q) = %v, but its String %q parses to %v, %v", s, p, p.String(), back, err)
+		}
+	})
+}

@@ -137,3 +137,41 @@ func TestHybridConfigValidation(t *testing.T) {
 		t.Fatal("withDefaults mutated the caller's device slice")
 	}
 }
+
+// FuzzParseBackends: the -backends pool spec is external input. Parsing
+// must never panic; a rejected spec returns no devices, and an accepted
+// one yields exactly one device per comma entry, of that entry's kind,
+// forming a pool Serve accepts.
+func FuzzParseBackends(f *testing.F) {
+	for _, s := range []string{"qpu,qpu,pt,sa", "qpu", "qaoa, sa ,pt", "", ",", "qpu,,pt", "QPU", "qpu-sim,parallel-tempering,simulated-annealing"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		devs, err := ParseBackends(spec)
+		if err != nil {
+			if devs != nil {
+				t.Fatalf("ParseBackends(%q) returned %d devices alongside error %v", spec, len(devs), err)
+			}
+			return
+		}
+		entries := strings.Split(spec, ",")
+		if len(devs) != len(entries) {
+			t.Fatalf("ParseBackends(%q): %d devices for %d entries", spec, len(devs), len(entries))
+		}
+		for i, e := range entries {
+			want, err := ParseBackendKind(strings.TrimSpace(e))
+			if err != nil {
+				t.Fatalf("ParseBackends(%q) accepted entry %q that ParseBackendKind rejects: %v", spec, e, err)
+			}
+			if devs[i].Backend != want {
+				t.Fatalf("ParseBackends(%q): device %d is %v, entry says %v", spec, i, devs[i].Backend, want)
+			}
+			if (want == BackendQPUSim) != (devs[i].QPU != nil) {
+				t.Fatalf("ParseBackends(%q): device %d (%v) has QPU model %v", spec, i, want, devs[i].QPU)
+			}
+		}
+		if _, err := (Config{Devices: devs}).withDefaults(); err != nil {
+			t.Fatalf("ParseBackends(%q) built a pool Serve rejects: %v", spec, err)
+		}
+	})
+}

@@ -168,25 +168,32 @@ func (m *Monitor) Len() int {
 	return len(m.recs)
 }
 
-// Finish analyzes everything observed so far.
+// Finish analyzes everything observed so far. The buffer is copied once
+// under the lock and that private copy is sorted in place.
 func (m *Monitor) Finish() (*Snapshot, error) {
 	m.mu.Lock()
 	recs := append([]telemetry.Record(nil), m.recs...)
 	m.mu.Unlock()
-	return Analyze(recs, m.cfg)
+	return analyze(recs, m.cfg)
 }
 
 // Analyze runs the full monitoring pass over a record set (live-captured
 // or parsed from JSONL — both paths land here). The input order is
-// irrelevant: records are sorted into the exporter's deterministic order
-// first.
+// irrelevant: a copy of the records is sorted into the exporter's
+// deterministic order (telemetry.SortRecords) first, so the caller's
+// slice is never reordered.
 func Analyze(records []telemetry.Record, cfg Config) (*Snapshot, error) {
+	return analyze(append([]telemetry.Record(nil), records...), cfg)
+}
+
+// analyze is Analyze over a slice the caller hands over: recs is sorted
+// in place.
+func analyze(recs []telemetry.Record, cfg Config) (*Snapshot, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	recs := append([]telemetry.Record(nil), records...)
-	sortRecords(recs)
+	telemetry.SortRecords(recs)
 
 	a := &analysis{
 		cfg:        cfg,

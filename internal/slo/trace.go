@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/telemetry"
 )
@@ -39,7 +38,7 @@ type ParseStats struct {
 	// corrupted or doubly-concatenated trace.
 	Duplicates int
 	// OutOfOrder counts adjacent input pairs that violated the exporter's
-	// deterministic (T0, Name, attrs) order; ParseTrace restores the
+	// deterministic telemetry.SortRecords order; ParseTrace restores the
 	// order, so a nonzero count is informational.
 	OutOfOrder int
 }
@@ -52,8 +51,8 @@ const maxTraceLine = 16 << 20
 // line aborts with a *ParseError; in lenient mode malformed lines are
 // counted and skipped (a truncated tail parses to the records before the
 // cut). Records are returned re-sorted into the exporter's deterministic
-// order, with the manifest record (if any) first, so downstream analysis
-// is insensitive to line shuffling.
+// order (telemetry.SortRecords), with the manifest record (if any)
+// first, so downstream analysis is insensitive to line shuffling.
 func ParseTrace(r io.Reader, strict bool) ([]telemetry.Record, ParseStats, error) {
 	var (
 		stats    ParseStats
@@ -100,39 +99,15 @@ func ParseTrace(r io.Reader, strict bool) ([]telemetry.Record, ParseStats, error
 		stats.Skipped++
 	}
 	stats.OutOfOrder = countInversions(records)
-	sortRecords(records)
+	telemetry.SortRecords(records)
 	return append(manifest, records...), stats, nil
 }
 
-// recordKey is the exporter's deterministic sort key.
-func recordKey(r telemetry.Record) (float64, string, string) {
-	attrs, _ := json.Marshal(r.Attrs)
-	return r.T0, r.Name, string(attrs)
-}
-
-// sortRecords orders records exactly as telemetry.Tracer.Records does:
-// by (T0, Name, marshaled attrs).
-func sortRecords(recs []telemetry.Record) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		ti, ni, ai := recordKey(recs[i])
-		tj, nj, aj := recordKey(recs[j])
-		if ti != tj {
-			return ti < tj
-		}
-		if ni != nj {
-			return ni < nj
-		}
-		return ai < aj
-	})
-}
-
-// countInversions counts adjacent pairs out of exporter order.
+// countInversions counts adjacent pairs out of telemetry.RecordLess order.
 func countInversions(recs []telemetry.Record) int {
 	n := 0
 	for i := 1; i < len(recs); i++ {
-		ti, ni, ai := recordKey(recs[i-1])
-		tj, nj, aj := recordKey(recs[i])
-		if ti > tj || (ti == tj && (ni > nj || (ni == nj && ai > aj))) {
+		if telemetry.RecordLess(recs[i], recs[i-1]) {
 			n++
 		}
 	}

@@ -105,7 +105,8 @@ func finalize(b *Bucket, values []float64) {
 }
 
 // nearestRank returns the p-th percentile of sorted values by the
-// nearest-rank method (the convention fleet/cran reports use).
+// nearest-rank method with rank ⌈p·n⌉. The fleet and cran reports round
+// p·n half-up instead, so the two can differ by one rank.
 func nearestRank(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0

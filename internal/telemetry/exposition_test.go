@@ -2,6 +2,10 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -115,5 +119,54 @@ func TestSnapshotZeroObservationHistogram(t *testing.T) {
 	}
 	if s.Count != 0 || s.Sum != 0 || len(s.Bins) != 3 {
 		t.Fatalf("zero-observation snapshot malformed: %+v", s)
+	}
+}
+
+// fmtSeriesKey is the series-key renderer the registry first shipped
+// with (fmt %q per label, reflective sort, strings.Join), kept as the
+// specification seriesKey must reproduce byte for byte.
+func fmtSeriesKey(name string, labels []Label) string {
+	if len(labels) == 0 {
+		return name
+	}
+	ls := append([]Label(nil), labels...)
+	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	parts := make([]string, len(ls))
+	for i, l := range ls {
+		parts[i] = fmt.Sprintf("%s=%q", l.Key, l.Value)
+	}
+	return name + "{" + strings.Join(parts, ",") + "}"
+}
+
+func TestSeriesKeyMatchesFmtRendering(t *testing.T) {
+	keys := []string{"shard", "device", "kind", "le", "a", "z"}
+	values := []string{"", "s0", `a"b\c`, "line1\nline2", "tab\there", "é", "\x00\x7f", "\xff\xfe", "日本", strings.Repeat("v", 200)}
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		labels := make([]Label, r.Intn(13))
+		for i := range labels {
+			labels[i] = Label{Key: keys[r.Intn(len(keys))], Value: values[r.Intn(len(values))]}
+		}
+		given := append([]Label(nil), labels...)
+		if got, want := seriesKey("fleet_frames_total", labels), fmtSeriesKey("fleet_frames_total", labels); got != want {
+			t.Fatalf("labels %q: key %q, want %q", labels, got, want)
+		}
+		if !slices.Equal(labels, given) {
+			t.Fatalf("seriesKey reordered the caller's labels: %q", labels)
+		}
+	}
+}
+
+// TestRegistryLookupAllocs pins the hot metric-lookup path: an existing
+// series found through an unsorted two-label set costs the sorted copy
+// and the key string, nothing more.
+func TestRegistryLookupAllocs(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("fleet_frames_total", Label{"shard", "s1"}, Label{"device", "3"})
+	allocs := testing.AllocsPerRun(100, func() {
+		reg.Counter("fleet_frames_total", Label{"shard", "s1"}, Label{"device", "3"}).Inc()
+	})
+	if allocs > 2 {
+		t.Fatalf("counter lookup: %.0f allocs, want ≤ 2", allocs)
 	}
 }

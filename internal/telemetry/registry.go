@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -18,19 +20,30 @@ type Label struct {
 	Key, Value string
 }
 
-// renderLabels returns the Prometheus-style {k="v",...} suffix with keys
-// sorted, or "" for no labels.
-func renderLabels(labels []Label) string {
+// seriesKey returns the family name followed by the Prometheus-style
+// {k="v",...} label suffix, keys sorted (labels sharing a key keep their
+// given order), or the bare name for no labels. Values are quoted by
+// strconv, which is what %q does for strings.
+func seriesKey(name string, labels []Label) string {
 	if len(labels) == 0 {
-		return ""
+		return name
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	parts := make([]string, len(ls))
-	for i, l := range ls {
-		parts[i] = fmt.Sprintf("%s=%q", l.Key, l.Value)
+	byKey := func(a, b Label) int { return strings.Compare(a.Key, b.Key) }
+	if !slices.IsSortedFunc(labels, byKey) {
+		labels = slices.Clone(labels)
+		slices.SortStableFunc(labels, byKey)
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	var arr [128]byte
+	buf := append(append(arr[:0], name...), '{')
+	for i, l := range labels {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, l.Key...)
+		buf = append(buf, '=')
+		buf = strconv.AppendQuote(buf, l.Value)
+	}
+	return string(append(buf, '}'))
 }
 
 // Counter is a monotonically increasing value. Nil-safe: Add/Inc on a nil
@@ -180,7 +193,7 @@ func (r *Registry) Enabled() bool { return r != nil }
 // # TYPE per family and mixed kinds would corrupt it. That is a
 // programming error, not a runtime condition.
 func (r *Registry) lookup(name, kind string, labels []Label, mk func() *series) *series {
-	key := name + renderLabels(labels)
+	key := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if k, ok := r.kinds[name]; ok && k != kind {
@@ -192,7 +205,7 @@ func (r *Registry) lookup(name, kind string, labels []Label, mk func() *series) 
 	}
 	s := mk()
 	s.family = name
-	s.labels = renderLabels(labels)
+	s.labels = key[len(name):]
 	s.kind = kind
 	r.series[key] = s
 	return s

@@ -17,10 +17,12 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -53,9 +55,10 @@ func (r Record) Duration() float64 { return r.T1 - r.T0 }
 // the stream without touching it, so an attached sink can never perturb
 // results or the exported trace. Records arrive in HOST-SCHEDULING order
 // (parallel emitters interleave arbitrarily); a sink that needs the
-// deterministic order must bucket by simulated time or sort on Finish,
-// exactly as Records() does. Implementations must be safe for concurrent
-// calls and must not mutate the record's Attrs map.
+// deterministic order must bucket by simulated time or sort with
+// SortRecords on Finish, exactly as Records() does. Implementations must
+// be safe for concurrent calls and must not mutate the record's Attrs
+// map.
 type RecordSink interface {
 	ObserveRecord(Record)
 }
@@ -138,8 +141,8 @@ func (t *Tracer) Len() int {
 
 // Records returns a deterministically ordered copy of the collected
 // records. Parallel emitters append in host-scheduling order, so the copy
-// is sorted by (T0, Name, marshaled attrs) — the record SET is
-// deterministic for a fixed seed, hence so is the sorted sequence.
+// is put into SortRecords order — the record SET is deterministic for a
+// fixed seed, hence so is the sorted sequence.
 func (t *Tracer) Records() []Record {
 	if t == nil {
 		return nil
@@ -147,18 +150,40 @@ func (t *Tracer) Records() []Record {
 	t.mu.Lock()
 	out := append([]Record(nil), t.records...)
 	t.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].T0 != out[j].T0 {
-			return out[i].T0 < out[j].T0
-		}
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		ai, _ := json.Marshal(out[i].Attrs)
-		aj, _ := json.Marshal(out[j].Attrs)
-		return string(ai) < string(aj)
-	})
+	SortRecords(out)
 	return out
+}
+
+// RecordLess is the trace's one record order: by T0, then Name, then the
+// marshaled Attrs. Attrs are marshaled only when both T0 and Name tie, so
+// almost every comparison is a float and a string compare.
+func RecordLess(a, b Record) bool { return compareRecords(a, b) < 0 }
+
+func compareRecords(a, b Record) int {
+	switch {
+	case a.T0 < b.T0:
+		return -1
+	case a.T0 > b.T0:
+		return 1
+	case a.T0 != b.T0:
+		// A NaN T0 is unordered against everything; the tie-breakers
+		// below never apply to it.
+		return 0
+	}
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	aa, _ := json.Marshal(a.Attrs)
+	ab, _ := json.Marshal(b.Attrs)
+	return bytes.Compare(aa, ab)
+}
+
+// SortRecords stable-sorts recs in place into RecordLess order. It is the
+// one ordering of trace records: the JSONL export, the SLO monitor and
+// the offline trace parser all go through it, which is what makes a live
+// and an offline analysis of the same run agree byte for byte.
+func SortRecords(recs []Record) {
+	slices.SortStableFunc(recs, compareRecords)
 }
 
 // WriteJSONL writes the manifest (if set) followed by every record, one
