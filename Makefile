@@ -7,9 +7,9 @@ GO ?= go
 # tighter cap than the local default so the leg stays inside its slot.
 VALIDATE_MAX_READS ?= 30000
 
-.PHONY: check vet build test race race-fleet race-cran race-ensemble fuzz-smoke slo bench-harness fmt validate update-golden cover
+.PHONY: check vet build test race race-fleet race-cran race-ensemble fuzz-smoke slo bench-harness cross fmt validate update-golden cover
 
-check: vet build test race race-fleet race-cran race-ensemble fuzz-smoke slo bench-harness
+check: vet build test race race-fleet race-cran race-ensemble fuzz-smoke slo bench-harness cross
 
 vet:
 	$(GO) vet ./...
@@ -59,6 +59,12 @@ slo:
 # benchmark fails the gate.
 bench-harness:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Off amd64 the SVMC lockstep kernel is the pure-Go staged path
+# (svmc_simd_generic.go): build and vet it for arm64 so a change to the
+# kernel cannot break the only SVMC kernel those hosts run.
+cross:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/annealer/
 
 fmt:
 	gofmt -l .

@@ -173,40 +173,30 @@ type readScratch struct {
 }
 
 // batch holds one Run call's shared compiled state: the base CSR problem
-// every read programs from, and the scratch pool that makes steady-state
-// reads allocation-free.
+// every read programs from, the engine kernel, and the scratch pool that
+// makes steady-state reads allocation-free.
 type batch struct {
-	p     Params
-	base  *qubo.CSR
-	read  ReadFunc
-	bread BatchReadFunc // lockstep kernel; nil when the engine has none
-	pool  sync.Pool
+	p      Params
+	base   *qubo.CSR
+	kernel BatchReadFunc
+	pool   sync.Pool
 }
 
-func newBatch(p Params, base *qubo.CSR) (*batch, error) {
-	if be, ok := p.Engine.(BatchEngine); ok {
-		read, bread, err := be.PrepareBatch(p.Schedule, *p.Profile, p.SweepsPerMicrosecond)
-		if err != nil {
+// newBatch builds a batch around kernel — the amortization a Lease
+// provides: Engine.Prepare runs once per lease, not once per problem. A
+// nil kernel compiles one now.
+func newBatch(p Params, base *qubo.CSR, kernel BatchReadFunc) (*batch, error) {
+	if kernel == nil {
+		var err error
+		if kernel, err = p.Engine.Prepare(p.Schedule, *p.Profile, p.SweepsPerMicrosecond); err != nil {
 			return nil, err
 		}
-		return newPreparedBatch(p, base, read, bread), nil
 	}
-	read, err := p.Engine.Prepare(p.Schedule, *p.Profile, p.SweepsPerMicrosecond)
-	if err != nil {
-		return nil, err
-	}
-	return newPreparedBatch(p, base, read, nil), nil
-}
-
-// newPreparedBatch builds a batch around an ALREADY compiled ReadFunc —
-// the amortization a Lease provides: Engine.Prepare runs once per lease,
-// not once per problem.
-func newPreparedBatch(p Params, base *qubo.CSR, read ReadFunc, bread BatchReadFunc) *batch {
-	b := &batch{p: p, base: base, read: read, bread: bread}
+	b := &batch{p: p, base: base, kernel: kernel}
 	b.pool.New = func() any {
 		return &readScratch{field: make([]float64, base.N)}
 	}
-	return b
+	return b, nil
 }
 
 // program returns the problem read should run against: the shared base
@@ -235,41 +225,14 @@ func (b *batch) program(st *readScratch, drifted *bool) *qubo.CSR {
 	return st.prog
 }
 
-// oneRead runs read index `read` of the batch: stream derivation, fault
-// draws, programming, dynamics, quench, storm. out receives the measured
-// state; the returned problem is what the read actually ran against.
-func (b *batch) oneRead(read int, root *rng.Source, out []int8, f *readFault) (ran bool) {
-	st := b.pool.Get().(*readScratch)
-	defer b.pool.Put(st)
-	root.SplitInto(&st.rr, uint64(read))
-	// Split never advances rr: dynamics stay fault-independent.
-	st.rr.SplitStringInto(&st.fr, "fault")
-	if b.p.Faults.readTimesOut(&st.fr) {
-		f.timeout = true
-		return false
-	}
-	prog := b.program(st, &f.drift)
-	var probe Probe
-	if b.p.Probe != nil {
-		probe = readProbe{b.p.Probe, read}
-	}
-	b.read(prog, b.p.InitialState, out, &st.rr, probe)
-	if !b.p.NoQuench {
-		prog.Quench(out, st.field)
-	}
-	f.storm = b.p.Faults.storm(out, &st.fr)
-	return true
-}
-
 // groupReads runs reads [lo, hi) of the batch as one lockstep group
-// through the engine's BatchReadFunc. Per-read stream derivation, fault
-// draws and programming happen in read order exactly as oneRead performs
-// them — only the dynamics are interleaved, and each read's private
-// stream makes that interleaving invisible — so results are bit-identical
-// to the sequential path. post runs once per surviving read, in read
-// order, and owns everything after the dynamics (quench, storm,
-// unembedding, sample capture); timed-out reads are marked in faults and
-// skipped.
+// through the engine kernel. Per-read stream derivation, fault draws and
+// programming happen in read order — only the dynamics are interleaved,
+// and each read's private stream makes that interleaving invisible — so
+// a read's result does not depend on its group. post runs once per
+// surviving read, in read order, and owns everything after the dynamics
+// (quench, storm, unembedding, sample capture); timed-out reads are
+// marked in faults and skipped.
 func (b *batch) groupReads(lo, hi int, root *rng.Source, spins []int8, n int,
 	faults []readFault, post func(read int, prog *qubo.CSR, out []int8, st *readScratch)) {
 	var sts [lockstepWidth]*readScratch
@@ -291,11 +254,14 @@ func (b *batch) groupReads(lo, hi int, root *rng.Source, spins []int8, n int,
 			Out:  spins[read*n : (read+1)*n],
 			Rng:  &st.rr,
 		}
+		if b.p.Probe != nil {
+			group[ng].Probe = readProbe{b.p.Probe, read}
+		}
 		member[ng] = read
 		ng++
 	}
 	if ng > 0 {
-		b.bread(b.p.InitialState, group[:ng])
+		b.kernel(b.p.InitialState, group[:ng])
 	}
 	for k := 0; k < ng; k++ {
 		read := member[k]
@@ -329,30 +295,39 @@ func Run(is *qubo.Ising, p Params, r *rng.Source) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runLogical(is, p, nil, nil, r)
+	return runLogical(is, p, nil, r)
 }
 
 // runLogical is the shared logical-problem body behind Run and
-// Lease.Run: pre-flight checks, the programming-fault draw, the CSR
-// compile, and the read loop. A non-nil read skips Engine.Prepare (the
-// lease compiled it already, along with the optional lockstep bread);
-// p must have passed withDefaults.
-func runLogical(is *qubo.Ising, p Params, read ReadFunc, bread BatchReadFunc, r *rng.Source) (*Result, error) {
+// Lease.Run: the empty-problem check, the CSR compile, and the batch.
+// kernel is the lease's compiled engine kernel, or nil to compile one
+// now; p must have passed withDefaults.
+func runLogical(is *qubo.Ising, p Params, kernel BatchReadFunc, r *rng.Source) (*Result, error) {
 	if is.N == 0 {
 		return nil, fmt.Errorf("annealer: empty problem")
 	}
 	pr := qubo.NewCSR(is)
 	pr.Normalize()
-	return runLogicalCompiled(is, pr, p, read, bread, r)
+	return runCompiled(is, nil, pr, p, kernel, r)
 }
 
-// runLogicalCompiled runs a batch whose CSR compile already happened —
-// either just now (runLogical) or once, cached, via Lease.RunPrepared.
-// pr must be the normalized CSR of is; it is only read, never written,
-// so one compiled problem may serve concurrent calls.
-func runLogicalCompiled(is *qubo.Ising, pr *qubo.CSR, p Params, read ReadFunc, bread BatchReadFunc, r *rng.Source) (*Result, error) {
-	if p.Schedule.StartsClassical() && len(p.InitialState) != is.N {
-		return nil, fmt.Errorf("annealer: reverse anneal needs an initial state of %d spins, got %d", is.N, len(p.InitialState))
+// runCompiled runs a batch whose problem compile already happened —
+// just now (runLogical, QPU.runEmbedded) or once, cached, via
+// Lease.RunPrepared. pr is the normalized CSR the engine sweeps: is's
+// own, or with a non-nil emb the physical problem of is under emb. The
+// compiled artifacts are only read, never written, so one compiled
+// problem may serve concurrent calls. The logical and embedded paths
+// differ only in each read's finish: an embedded read counts its broken
+// chains and is unembedded by majority vote.
+func runCompiled(is *qubo.Ising, emb *chimera.Embedding, pr *qubo.CSR, p Params,
+	kernel BatchReadFunc, r *rng.Source) (*Result, error) {
+	if p.Schedule.StartsClassical() {
+		if len(p.InitialState) != is.N {
+			return nil, fmt.Errorf("annealer: reverse anneal needs an initial state of %d spins, got %d", is.N, len(p.InitialState))
+		}
+		if emb != nil {
+			p.InitialState = emb.EmbedSpins(p.InitialState)
+		}
 	}
 	// Batch-level fault: the device rejects the programming cycle. Drawn
 	// from a dedicated split so the per-read streams below are untouched.
@@ -360,54 +335,67 @@ func runLogicalCompiled(is *qubo.Ising, pr *qubo.CSR, p Params, read ReadFunc, b
 		p.emitHardFault(FaultProgramming)
 		return nil, &FaultError{Kind: FaultProgramming}
 	}
-	var b *batch
-	if read != nil {
-		b = newPreparedBatch(p, pr, read, bread)
-	} else {
-		var err error
-		b, err = newBatch(p, pr)
-		if err != nil {
-			return nil, err
-		}
+	b, err := newBatch(p, pr, kernel)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{ScheduleDuration: p.Schedule.Duration()}
 	samples := make([]qubo.Sample, p.NumReads)
 	faults := make([]readFault, p.NumReads)
-	// One flat spin block backs every sample, so the batch performs O(1)
-	// allocations regardless of NumReads.
-	spins := make([]int8, p.NumReads*is.N)
-	if b.bread != nil && p.Probe == nil {
-		// Lockstep path: reads advance through the sweep program in groups
-		// of lockstepWidth; per-read streams keep the outcome bit-identical
-		// to the sequential loop below (TestLockstepMatchesSequential).
-		finish := func(read int, prog *qubo.CSR, out []int8, st *readScratch) {
-			if !p.NoQuench {
-				prog.Quench(out, st.field)
-			}
-			faults[read].storm = p.Faults.storm(out, &st.fr)
-			samples[read] = qubo.Sample{Spins: out, Energy: is.Energy(out)}
-		}
-		parallelFor(groupCount(p.NumReads), p.Parallelism, func(g int) {
-			lo, hi := g*lockstepWidth, (g+1)*lockstepWidth
-			if hi > p.NumReads {
-				hi = p.NumReads
-			}
-			b.groupReads(lo, hi, r, spins, is.N, faults, finish)
-		})
-	} else {
-		parallelFor(p.NumReads, p.Parallelism, func(read int) {
-			out := spins[read*is.N : (read+1)*is.N]
-			if b.oneRead(read, r, out, &faults[read]) {
-				samples[read] = qubo.Sample{Spins: out, Energy: is.Energy(out)}
-			}
-		})
+	// Flat blocks back the engine readout and, embedded, the unembedded
+	// logical samples, so the batch performs O(1) allocations regardless
+	// of NumReads.
+	spins := make([]int8, p.NumReads*pr.N)
+	var logSpins []int8
+	var broken []int
+	if emb != nil {
+		logSpins = make([]int8, p.NumReads*is.N)
+		broken = make([]int, p.NumReads)
 	}
+	finish := func(read int, prog *qubo.CSR, out []int8, st *readScratch) {
+		sample := out
+		if emb != nil {
+			// Chain breakage is counted on the RAW engine output — the
+			// state the device's readout would see — before the quench
+			// heals chains on the way to the sample's reported basin, and
+			// before any storm.
+			sample = logSpins[read*is.N : (read+1)*is.N]
+			broken[read] = emb.UnembedInto(sample, out)
+		}
+		if !p.NoQuench {
+			prog.Quench(out, st.field)
+		}
+		faults[read].storm = p.Faults.storm(out, &st.fr)
+		if emb != nil {
+			emb.UnembedInto(sample, out)
+		}
+		samples[read] = qubo.Sample{Spins: sample, Energy: is.Energy(sample)}
+	}
+	parallelFor(groupCount(p.NumReads), p.Parallelism, func(g int) {
+		lo, hi := g*lockstepWidth, (g+1)*lockstepWidth
+		if hi > p.NumReads {
+			hi = p.NumReads
+		}
+		b.groupReads(lo, hi, r, spins, pr.N, faults, finish)
+	})
 	res.Samples, res.Faults = compactReads(samples, faults)
 	res.TotalAnnealTime = float64(p.NumReads) * res.ScheduleDuration
 	p.emitBatchTelemetry(res, faults)
 	if len(res.Samples) == 0 {
 		p.emitHardFault(FaultAllReadsLost)
 		return nil, &FaultError{Kind: FaultAllReadsLost}
+	}
+	if emb != nil {
+		totalBroken := 0
+		for read, br := range broken {
+			if !faults[read].timeout {
+				totalBroken += br
+			}
+		}
+		res.BrokenChainRate = float64(totalBroken) / float64(len(res.Samples)*is.N)
+		if p.Metrics != nil {
+			p.Metrics.Gauge("annealer_broken_chain_rate").Set(res.BrokenChainRate)
+		}
 	}
 	res.Best = bestSample(res.Samples)
 	return res, nil
@@ -501,20 +489,29 @@ func (q *QPU) Run(logical *qubo.Ising, p Params, r *rng.Source) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return q.runEmbedded(logical, p, nil, nil, r)
+	return q.runEmbedded(logical, p, nil, r)
 }
 
 // runEmbedded is the shared embedded-problem body behind QPU.Run and
-// Lease.Run: embedding, pre-flight checks, the programming-fault draw,
-// and the physical read loop with per-read unembedding. A non-nil read
-// skips Engine.Prepare (the lease compiled it already, along with the
-// optional lockstep bread); p must have passed withDefaults.
-func (q *QPU) runEmbedded(logical *qubo.Ising, p Params, read ReadFunc, bread BatchReadFunc, r *rng.Source) (*Result, error) {
+// Lease.Run: the embedding compile, then the batch on the physical
+// problem. kernel is the lease's compiled engine kernel, or nil to
+// compile one now; p must have passed withDefaults.
+func (q *QPU) runEmbedded(logical *qubo.Ising, p Params, kernel BatchReadFunc, r *rng.Source) (*Result, error) {
 	emb, prPhys, err := q.prepareEmbedded(logical)
 	if err != nil {
 		return nil, err
 	}
-	return q.runEmbeddedCompiled(logical, emb, prPhys, p, read, bread, r)
+	return runCompiled(logical, emb, prPhys, q.withTiming(p), kernel, r)
+}
+
+// withTiming fills the span-layout timing model with the QPU's own
+// overheads unless the caller pinned one (telemetry only — results are
+// unaffected).
+func (q *QPU) withTiming(p Params) Params {
+	if p.Timing == nil {
+		p.Timing = &DeviceTiming{ProgrammingMicros: q.ProgrammingTime, ReadoutMicros: q.ReadoutTime}
+	}
+	return p
 }
 
 // prepareEmbedded performs the per-problem compile of the embedded path:
@@ -546,114 +543,4 @@ func (q *QPU) prepareEmbedded(logical *qubo.Ising) (*chimera.Embedding, *qubo.CS
 	prPhys := qubo.NewCSR(phys)
 	prPhys.Normalize()
 	return emb, prPhys, nil
-}
-
-// runEmbeddedCompiled is runEmbedded after the compile: prPhys must be
-// the normalized physical CSR of logical under emb. Like
-// runLogicalCompiled it only reads the compiled artifacts, so a cached
-// (emb, prPhys) pair may serve concurrent calls.
-func (q *QPU) runEmbeddedCompiled(logical *qubo.Ising, emb *chimera.Embedding, prPhys *qubo.CSR,
-	p Params, read ReadFunc, bread BatchReadFunc, r *rng.Source) (*Result, error) {
-	if p.Schedule.StartsClassical() {
-		if len(p.InitialState) != logical.N {
-			return nil, fmt.Errorf("annealer: reverse anneal needs an initial state of %d spins, got %d", logical.N, len(p.InitialState))
-		}
-		p.InitialState = emb.EmbedSpins(p.InitialState)
-	}
-	// The QPU knows its own overheads; fill the span-layout timing model
-	// unless the caller pinned one (telemetry only — results unaffected).
-	if p.Timing == nil {
-		p.Timing = &DeviceTiming{ProgrammingMicros: q.ProgrammingTime, ReadoutMicros: q.ReadoutTime}
-	}
-	if p.Faults.ProgrammingFails(r.SplitString("fault/programming")) {
-		p.emitHardFault(FaultProgramming)
-		return nil, &FaultError{Kind: FaultProgramming}
-	}
-	var b *batch
-	if read != nil {
-		b = newPreparedBatch(p, prPhys, read, bread)
-	} else {
-		var err error
-		b, err = newBatch(p, prPhys)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{ScheduleDuration: p.Schedule.Duration()}
-	samples := make([]qubo.Sample, p.NumReads)
-	faults := make([]readFault, p.NumReads)
-	// Flat blocks back both the physical readout and the unembedded
-	// logical samples — O(1) allocations per batch.
-	physSpins := make([]int8, p.NumReads*prPhys.N)
-	logSpins := make([]int8, p.NumReads*logical.N)
-	// Chain breakage is counted on the RAW engine output — the state the
-	// device's readout would see — before the quench heals chains on the
-	// way to each sample's reported basin, and before any storm.
-	broken := make([]int, p.NumReads)
-	if b.bread != nil && p.Probe == nil {
-		// Lockstep path over the physical problem; mirrors runLogical.
-		finish := func(read int, prog *qubo.CSR, phys []int8, st *readScratch) {
-			logical2 := logSpins[read*logical.N : (read+1)*logical.N]
-			broken[read] = emb.UnembedInto(logical2, phys)
-			if !p.NoQuench {
-				prog.Quench(phys, st.field)
-			}
-			faults[read].storm = p.Faults.storm(phys, &st.fr)
-			emb.UnembedInto(logical2, phys)
-			samples[read] = qubo.Sample{Spins: logical2, Energy: logical.Energy(logical2)}
-		}
-		parallelFor(groupCount(p.NumReads), p.Parallelism, func(g int) {
-			lo, hi := g*lockstepWidth, (g+1)*lockstepWidth
-			if hi > p.NumReads {
-				hi = p.NumReads
-			}
-			b.groupReads(lo, hi, r, physSpins, b.base.N, faults, finish)
-		})
-	} else {
-		parallelFor(p.NumReads, p.Parallelism, func(read int) {
-			phys := physSpins[read*b.base.N : (read+1)*b.base.N]
-			logical2 := logSpins[read*logical.N : (read+1)*logical.N]
-			st := b.pool.Get().(*readScratch)
-			r.SplitInto(&st.rr, uint64(read))
-			st.rr.SplitStringInto(&st.fr, "fault")
-			if b.p.Faults.readTimesOut(&st.fr) {
-				faults[read].timeout = true
-				b.pool.Put(st)
-				return
-			}
-			prog := b.program(st, &faults[read].drift)
-			var probe Probe
-			if p.Probe != nil {
-				probe = readProbe{p.Probe, read}
-			}
-			b.read(prog, p.InitialState, phys, &st.rr, probe)
-			broken[read] = emb.UnembedInto(logical2, phys)
-			if !p.NoQuench {
-				prog.Quench(phys, st.field)
-			}
-			faults[read].storm = p.Faults.storm(phys, &st.fr)
-			emb.UnembedInto(logical2, phys)
-			samples[read] = qubo.Sample{Spins: logical2, Energy: logical.Energy(logical2)}
-			b.pool.Put(st)
-		})
-	}
-	res.Samples, res.Faults = compactReads(samples, faults)
-	res.TotalAnnealTime = float64(p.NumReads) * res.ScheduleDuration
-	p.emitBatchTelemetry(res, faults)
-	if len(res.Samples) == 0 {
-		p.emitHardFault(FaultAllReadsLost)
-		return nil, &FaultError{Kind: FaultAllReadsLost}
-	}
-	totalBroken := 0
-	for read, br := range broken {
-		if !faults[read].timeout {
-			totalBroken += br
-		}
-	}
-	res.BrokenChainRate = float64(totalBroken) / float64(len(res.Samples)*logical.N)
-	if p.Metrics != nil {
-		p.Metrics.Gauge("annealer_broken_chain_rate").Set(res.BrokenChainRate)
-	}
-	res.Best = bestSample(res.Samples)
-	return res, nil
 }

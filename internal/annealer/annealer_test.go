@@ -402,19 +402,10 @@ func BenchmarkPIMCAnneal32(b *testing.B) {
 	benchmarkEngineAnneal32(b, PIMC{Slices: 16})
 }
 
+// benchmarkEngineAnneal32 times one lockstep group of forward reads on
+// a 32-spin frustrated problem through eng's production kernel.
 func benchmarkEngineAnneal32(b *testing.B, eng Engine) {
-	pr := qubo.NewCSR(frustrated(32, 1))
-	fa, _ := Forward(1, 0.41, 1)
-	read, err := eng.Prepare(fa, DWave2000QProfile(), 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(1)
-	out := make([]int8, pr.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		read(pr, nil, out, r, nil)
-	}
+	benchGroup(b, eng, qubo.NewCSR(frustrated(32, 1)))
 }
 
 // TestParallelismDeterministic: reads are bit-identical regardless of the

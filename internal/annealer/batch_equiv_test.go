@@ -2,25 +2,34 @@ package annealer
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/qubo"
 	"repro/internal/rng"
 )
 
-// seqOnly hides an engine's BatchEngine implementation so callers fall
-// back to the one-read reference path — the handle equivalence tests use
-// to pit the lockstep kernel against its reference.
-type seqOnly struct{ Engine }
+// obsLog collects probe observations by the read index readProbe
+// stamps on them (single-goroutine use only).
+type obsLog map[int][]SweepObservation
 
-func lockstepGroup(t testing.TB, eng Engine, sc *Schedule, prof Profile, rate float64,
-	pr *qubo.CSR, init []int8, reads int, seed uint64) ([][]int8, []rng.Source) {
-	t.Helper()
-	be, ok := eng.(BatchEngine)
-	if !ok {
-		t.Fatalf("engine %s does not implement BatchEngine", eng.Name())
+func (l obsLog) ObserveSweep(ob SweepObservation) { l[ob.Read] = append(l[ob.Read], ob) }
+
+// probeFor returns read j's probe: a read-stamping wrapper around log,
+// as the batch runner attaches it, or nil when log is nil.
+func probeFor(log obsLog, j int) Probe {
+	if log == nil {
+		return nil
 	}
-	_, batch, err := be.PrepareBatch(sc, prof, rate)
+	return readProbe{log, j}
+}
+
+// lockstepGroup runs reads of one group through the engine's production
+// kernel, probing every read into log when log is non-nil.
+func lockstepGroup(t testing.TB, eng Engine, sc *Schedule, prof Profile, rate float64,
+	pr *qubo.CSR, init []int8, reads int, seed uint64, log obsLog) ([][]int8, []rng.Source) {
+	t.Helper()
+	kernel, err := eng.Prepare(sc, prof, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,16 +40,18 @@ func lockstepGroup(t testing.TB, eng Engine, sc *Schedule, prof Profile, rate fl
 	for j := 0; j < reads; j++ {
 		outs[j] = make([]int8, pr.N)
 		root.SplitInto(&rngs[j], uint64(j))
-		group[j] = BatchRead{Prog: pr, Out: outs[j], Rng: &rngs[j]}
+		group[j] = BatchRead{Prog: pr, Out: outs[j], Rng: &rngs[j], Probe: probeFor(log, j)}
 	}
-	batch(init, group)
+	kernel(init, group)
 	return outs, rngs
 }
 
+// sequentialGroup runs the same reads one at a time through the
+// one-read reference kernel.
 func sequentialGroup(t testing.TB, eng Engine, sc *Schedule, prof Profile, rate float64,
-	pr *qubo.CSR, init []int8, reads int, seed uint64) ([][]int8, []rng.Source) {
+	pr *qubo.CSR, init []int8, reads int, seed uint64, log obsLog) ([][]int8, []rng.Source) {
 	t.Helper()
-	read, err := eng.Prepare(sc, prof, rate)
+	read, err := prepareReference(eng, sc, prof, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +61,7 @@ func sequentialGroup(t testing.TB, eng Engine, sc *Schedule, prof Profile, rate 
 	for j := 0; j < reads; j++ {
 		outs[j] = make([]int8, pr.N)
 		root.SplitInto(&rngs[j], uint64(j))
-		read(pr, init, outs[j], &rngs[j], nil)
+		read(pr, init, outs[j], &rngs[j], probeFor(log, j))
 	}
 	return outs, rngs
 }
@@ -73,11 +84,59 @@ func assertGroupsEqual(t *testing.T, label string, seqOuts, batchOuts [][]int8, 
 	}
 }
 
+// sameBits reports whether two floats are the same IEEE-754 value, bit
+// for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// assertObservationsEqual requires each read's lockstep observation
+// stream to equal the reference kernel's field by field, bit for bit.
+func assertObservationsEqual(t *testing.T, label string, reads int, seq, batch obsLog) {
+	t.Helper()
+	for j := 0; j < reads; j++ {
+		want, got := seq[j], batch[j]
+		if len(want) == 0 || len(got) != len(want) {
+			t.Fatalf("%s: read %d: %d lockstep observations, reference %d", label, j, len(got), len(want))
+		}
+		for s := range want {
+			w, g := want[s], got[s]
+			if g.Read != w.Read || g.Sweep != w.Sweep || g.TotalSweeps != w.TotalSweeps ||
+				!sameBits(g.TimeMicros, w.TimeMicros) || !sameBits(g.S, w.S) || !sameBits(g.Energy, w.Energy) ||
+				g.Accepted != w.Accepted || g.Proposed != w.Proposed || len(g.ReplicaEnergies) != len(w.ReplicaEnergies) {
+				t.Fatalf("%s: read %d observation %d: lockstep %+v, reference %+v", label, j, s, g, w)
+			}
+			for k := range w.ReplicaEnergies {
+				if !sameBits(g.ReplicaEnergies[k], w.ReplicaEnergies[k]) {
+					t.Fatalf("%s: read %d observation %d replica %d: lockstep %v, reference %v",
+						label, j, s, k, g.ReplicaEnergies[k], w.ReplicaEnergies[k])
+				}
+			}
+		}
+	}
+}
+
+// checkLockstepMatches runs one group through the production kernel,
+// unprobed and probed, and through the probed reference kernel. It
+// requires identical spins and final RNG states across all three, and
+// identical per-read observation streams from the two probed runs.
+func checkLockstepMatches(t *testing.T, label string, eng Engine, sc *Schedule, prof Profile,
+	pr *qubo.CSR, init []int8, reads int, seed uint64) {
+	t.Helper()
+	const rate = 50
+	seqLog, batchLog := obsLog{}, obsLog{}
+	seqOuts, seqRngs := sequentialGroup(t, eng, sc, prof, rate, pr, init, reads, seed, seqLog)
+	batchOuts, batchRngs := lockstepGroup(t, eng, sc, prof, rate, pr, init, reads, seed, nil)
+	probedOuts, probedRngs := lockstepGroup(t, eng, sc, prof, rate, pr, init, reads, seed, batchLog)
+	assertGroupsEqual(t, label, seqOuts, batchOuts, seqRngs, batchRngs)
+	assertGroupsEqual(t, label+"/probed-vs-unprobed", batchOuts, probedOuts, batchRngs, probedRngs)
+	assertObservationsEqual(t, label, reads, seqLog, batchLog)
+}
+
 // TestLockstepMatchesSequential is the lockstep≡sequential equivalence
 // property test: across engines, schedule shapes, problem shapes and
-// group sizes (including partial groups), the lockstep kernel must
-// reproduce the one-read reference path bit for bit — same spins, same
-// final RNG state per read.
+// group sizes (including partial groups), the production lockstep kernel
+// must reproduce the one-read reference kernel bit for bit — same spins,
+// same final RNG state, and with a probe attached the same per-sweep
+// observations for every read.
 func TestLockstepMatchesSequential(t *testing.T) {
 	prof := DWave2000QProfile()
 	r := rng.New(0x10c)
@@ -113,10 +172,7 @@ func TestLockstepMatchesSequential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						seed := r.Uint64()
-						seqOuts, seqRngs := sequentialGroup(t, tc.eng, sc, prof, 50, pr, init, reads, seed)
-						batchOuts, batchRngs := lockstepGroup(t, tc.eng, sc, prof, 50, pr, init, reads, seed)
-						assertGroupsEqual(t, name, seqOuts, batchOuts, seqRngs, batchRngs)
+						checkLockstepMatches(t, name, tc.eng, sc, prof, pr, init, reads, r.Uint64())
 					})
 				}
 			}

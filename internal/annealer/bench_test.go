@@ -50,41 +50,55 @@ func embeddedBenchIsing(b *testing.B) *qubo.Ising {
 }
 
 // benchSweepConfig is the Config payload of a sweep benchmark's
-// BENCH_*.json record.
+// BENCH_*.json record. NsPerSweep is per read-sweep: one full lockstep
+// group of ReadsPerGroup reads runs per iteration.
 type benchSweepConfig struct {
 	Engine             string  `json:"engine"`
 	Spins              int     `json:"spins"`
 	SweepsPerRead      int     `json:"sweeps_per_read"`
+	ReadsPerGroup      int     `json:"reads_per_group"`
 	NsPerSweep         float64 `json:"ns_per_sweep"`
 	BaselineNsPerSweep float64 `json:"baseline_ns_per_sweep"`
 	Speedup            float64 `json:"speedup"`
 }
 
-func benchmarkSweep(b *testing.B, eng Engine) {
-	is := embeddedBenchIsing(b)
-	pr := qubo.NewCSR(is)
+// benchGroup times eng's production kernel on pr: one full lockstepWidth
+// group of forward-anneal reads per iteration. It reports ns per
+// read-sweep and returns that figure with the sweep count per read.
+func benchGroup(b *testing.B, eng Engine, pr *qubo.CSR) (nsPerSweep float64, sweeps int) {
+	b.Helper()
 	fa, _ := Forward(1, 0.41, 1)
-	prof := DWave2000QProfile()
 	sweeps, err := sweepCount(fa, 100)
 	if err != nil {
 		b.Fatal(err)
 	}
-	read, err := eng.Prepare(fa, prof, 100)
+	kernel, err := eng.Prepare(fa, DWave2000QProfile(), 100)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := rng.New(1)
-	out := make([]int8, pr.N)
+	var rngs [lockstepWidth]rng.Source
+	var group [lockstepWidth]BatchRead
+	root := rng.New(1)
+	for j := range group {
+		root.SplitInto(&rngs[j], uint64(j))
+		group[j] = BatchRead{Prog: pr, Out: make([]int8, pr.N), Rng: &rngs[j]}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		read(pr, nil, out, r, nil)
+		kernel(nil, group[:])
 	}
-	nsPerSweep := float64(b.Elapsed().Nanoseconds()) / float64(b.N*sweeps)
-	b.ReportMetric(nsPerSweep, "ns/sweep")
+	nsPerSweep = float64(b.Elapsed().Nanoseconds()) / float64(b.N*lockstepWidth*sweeps)
+	b.ReportMetric(nsPerSweep, "ns/read-sweep")
+	return nsPerSweep, sweeps
+}
+
+func benchmarkSweep(b *testing.B, eng Engine) {
+	pr := qubo.NewCSR(embeddedBenchIsing(b))
+	nsPerSweep, sweeps := benchGroup(b, eng, pr)
 	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
 		base := baselineNsPerSweep[eng.Name()]
 		cfg := benchSweepConfig{
-			Engine: eng.Name(), Spins: pr.N, SweepsPerRead: sweeps,
+			Engine: eng.Name(), Spins: pr.N, SweepsPerRead: sweeps, ReadsPerGroup: lockstepWidth,
 			NsPerSweep: nsPerSweep, BaselineNsPerSweep: base,
 		}
 		if base > 0 && nsPerSweep > 0 {
@@ -95,8 +109,8 @@ func benchmarkSweep(b *testing.B, eng Engine) {
 			NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 			Iterations: b.N,
 			Config:     cfg,
-			Series: fmt.Sprintf("engine=%s spins=%d ns/sweep=%.0f baseline=%.0f speedup=%.2fx",
-				eng.Name(), pr.N, nsPerSweep, base, cfg.Speedup),
+			Series: fmt.Sprintf("engine=%s spins=%d reads/group=%d ns/read-sweep=%.0f baseline=%.0f speedup=%.2fx",
+				eng.Name(), pr.N, lockstepWidth, nsPerSweep, base, cfg.Speedup),
 		}
 		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
 			b.Fatal(err)

@@ -19,47 +19,39 @@ import (
 // An engine runs in two phases. Prepare compiles the batch-invariant
 // sweep program — the per-sweep schedule quantities s(t), A(s), B(s) and
 // any engine-specific factors derived from them, which are identical for
-// every read of a batch — and returns the ReadFunc that evolves one read.
-// Run calls Prepare once and fans the ReadFunc out across reads, so the
-// per-sweep trigonometry/transcendentals are paid once per batch instead
-// of once per read.
+// every read of a batch — and returns the engine's one production kernel,
+// a BatchReadFunc that evolves groups of reads in lockstep. Run calls
+// Prepare once per batch (a Lease once per session) and fans groups of
+// reads out to the kernel, so the per-sweep trigonometry/transcendentals
+// are paid once per batch instead of once per read. Probed and unprobed
+// reads run through the same kernel.
 //
 // Precondition (validated by the caller, once): the schedule has passed
 // (*Schedule).Validate and the profile (Profile).Validate. Run/QPU.Run
 // establish this in withDefaults before any engine code runs; engines do
-// not re-validate and must not panic on schedule content. The one knob an
-// engine interprets itself — the sweep rate — is checked in Prepare,
-// which returns an error (never panics) for a non-positive rate.
+// not re-validate and must not panic on schedule content. The knobs an
+// engine interprets itself — the sweep rate, and PIMC's Trotter number —
+// are checked in Prepare, which returns an error (never panics, never a
+// kernel) when they are out of range.
 type Engine interface {
 	// Name identifies the engine in experiment output.
 	Name() string
 	// Prepare compiles the sweep program for one batch. See the interface
 	// comment for the validation contract.
-	Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (ReadFunc, error)
+	Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (BatchReadFunc, error)
 }
-
-// ReadFunc evolves one read against pr — the compiled problem, whose
-// topology is the batch's but whose coefficients may carry per-read noise
-// (ICE, calibration drift) — and writes the measured classical state into
-// out (length pr.N). init is the programmed initial state for schedules
-// that start at s = 1 (reverse annealing) and is ignored otherwise. probe,
-// when non-nil, receives one observation per sweep; a nil probe must cost
-// nothing beyond a per-sweep nil check, and probing may never perturb the
-// dynamics (the probe sees state, it does not touch the RNG).
-//
-// ReadFuncs are safe for concurrent use: compiled state is read-only and
-// per-read scratch is pooled internally, so steady-state reads allocate
-// nothing.
-type ReadFunc func(pr *qubo.CSR, init []int8, out []int8, r *rng.Source, probe Probe)
 
 // BatchRead describes one resident read of a lockstep group: the compiled
 // problem it runs against (all reads of a group must share the problem
-// TOPOLOGY — Offsets/Cols — though coefficients may differ per read), the
-// output spin buffer, and the read's private RNG stream.
+// TOPOLOGY — Offsets/Cols — though coefficients may differ per read;
+// per-read noise such as ICE or calibration drift lives in the
+// coefficients), the output spin buffer, the read's private RNG stream,
+// and the probe that watches it (nil when unprobed).
 type BatchRead struct {
-	Prog *qubo.CSR
-	Out  []int8
-	Rng  *rng.Source
+	Prog  *qubo.CSR
+	Out   []int8
+	Rng   *rng.Source
+	Probe Probe
 }
 
 // BatchReadFunc evolves a group of reads in LOCKSTEP: all reads advance
@@ -68,32 +60,24 @@ type BatchRead struct {
 // schedule constants are loaded once per group and the reads' independent
 // dependency chains overlap in the pipeline instead of serializing.
 //
-// Each read draws from its own Rng in EXACTLY the order the one-read
-// ReadFunc would — the streams are private, so interleaving reads cannot
-// change any draw — and performs the identical floating-point operations,
-// so outcomes are bit-identical to running the reads sequentially through
-// the ReadFunc (the reference implementation, enforced by
-// TestLockstepMatchesSequential). On return every Rng has advanced
-// exactly as the sequential read would have left it.
+// Each read draws only from its own Rng, in a fixed per-read order, and
+// writes its measured classical state into Out (length Prog.N). init is
+// the shared programmed initial state for schedules that start at s = 1
+// (reverse annealing) and is ignored otherwise. The streams are private,
+// so a read's outcome — and the state its Rng is left in — does not
+// depend on which reads share its group; the one-read reference kernels
+// in the tests pin this bit for bit (TestLockstepMatchesSequential).
 //
-// init is the shared programmed initial state (schedules starting at
-// s = 1); probes are not supported — probed runs take the sequential
-// reference path. BatchReadFuncs are safe for concurrent use: group
-// scratch is pooled internally.
+// A read with a non-nil Probe receives one observation per sweep. A nil
+// probe costs nothing beyond a per-sweep nil check, and probing never
+// perturbs the dynamics (the probe sees state; it does not touch the
+// RNG). Within a group, observations arrive in sweep order, not
+// necessarily read by read.
+//
+// BatchReadFuncs are safe for concurrent use: compiled state is read-only
+// and group scratch is pooled internally, so steady-state groups allocate
+// nothing beyond probe observations.
 type BatchReadFunc func(init []int8, reads []BatchRead)
-
-// BatchEngine is implemented by engines that provide a lockstep
-// multi-read kernel alongside the one-read reference path. PrepareBatch
-// compiles the same batch-invariant sweep program as Prepare and returns
-// both entry points; the caller picks per run (the batched path whenever
-// no probe is attached).
-type BatchEngine interface {
-	Engine
-	// PrepareBatch compiles the sweep program once and returns the
-	// sequential reference ReadFunc plus the lockstep BatchReadFunc.
-	// The validation contract matches Prepare.
-	PrepareBatch(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (ReadFunc, BatchReadFunc, error)
-}
 
 // lockstepWidth is the number of reads resident in one lockstep group.
 // Eight reads give the out-of-order core enough independent RNG/trig/

@@ -19,17 +19,47 @@ func TestPrepareRejectsNonPositiveSweepRate(t *testing.T) {
 	engines := []Engine{SVMC{}, SVMC{TFMoves: true}, PIMC{Slices: 8}}
 	for _, e := range engines {
 		for _, rate := range []float64{0, -1, -1e9} {
-			read, err := e.Prepare(sc, prof, rate)
+			kernel, err := e.Prepare(sc, prof, rate)
 			if err == nil {
 				t.Fatalf("%s.Prepare(rate=%g): want error, got nil", e.Name(), rate)
 			}
-			if read != nil {
-				t.Fatalf("%s.Prepare(rate=%g): non-nil ReadFunc alongside error", e.Name(), rate)
+			if kernel != nil {
+				t.Fatalf("%s.Prepare(rate=%g): non-nil kernel alongside error", e.Name(), rate)
 			}
 		}
 		if _, err := e.Prepare(sc, prof, 100); err != nil {
 			t.Fatalf("%s.Prepare(rate=100): unexpected error %v", e.Name(), err)
 		}
+	}
+}
+
+// The bit-packed PIMC kernel holds one Trotter slice per bit of a word:
+// Prepare must reject more than 64 slices with an error and no kernel,
+// and Run must surface that error, while 64 slices still prepare.
+func TestPrepareRejectsTooManySlices(t *testing.T) {
+	sc, err := Forward(1, 0.5, 0)
+	if err != nil {
+		t.Fatalf("Forward: %v", err)
+	}
+	prof := CalibratedProfile()
+	kernel, err := PIMC{Slices: 65}.Prepare(sc, prof, 100)
+	if err == nil {
+		t.Fatal("PIMC{Slices: 65}.Prepare: want error, got nil")
+	}
+	if kernel != nil {
+		t.Fatal("PIMC{Slices: 65}.Prepare: non-nil kernel alongside error")
+	}
+	if _, err := (PIMC{Slices: 64}).Prepare(sc, prof, 100); err != nil {
+		t.Fatalf("PIMC{Slices: 64}.Prepare: unexpected error %v", err)
+	}
+	is := qubo.NewIsing(3)
+	is.SetCoupling(0, 1, 1)
+	p := Params{Schedule: sc, Engine: PIMC{Slices: 65}, SweepsPerMicrosecond: 10}
+	if res, err := Run(is, p, rng.New(1)); err == nil || res != nil {
+		t.Fatalf("Run with 65 slices: got (%v, %v), want an error", res, err)
+	}
+	if _, err := NewLease(p); err == nil {
+		t.Fatal("NewLease with 65 slices: want error, got nil")
 	}
 }
 

@@ -16,15 +16,14 @@ import (
 )
 
 // Lease is a prepared session on one simulated device: a validated
-// Params template plus the engine's batch-invariant compiled ReadFunc.
+// Params template plus the engine's batch-invariant compiled kernel.
 // A lease is safe for concurrent Run calls — the compiled program is
 // read-only and per-read scratch is pooled per batch — so an execution
 // layer may run batches of the same device on multiple workers.
 type Lease struct {
-	p     Params
-	read  ReadFunc
-	bread BatchReadFunc // lockstep kernel; nil when the engine has none
-	qpu   *QPU
+	p      Params
+	kernel BatchReadFunc
+	qpu    *QPU
 }
 
 // NewLease validates p once, compiles the engine's sweep program, and
@@ -37,18 +36,11 @@ func NewLease(p Params) (*Lease, error) {
 	if err != nil {
 		return nil, err
 	}
-	if be, ok := p.Engine.(BatchEngine); ok {
-		read, bread, err := be.PrepareBatch(p.Schedule, *p.Profile, p.SweepsPerMicrosecond)
-		if err != nil {
-			return nil, err
-		}
-		return &Lease{p: p, read: read, bread: bread}, nil
-	}
-	read, err := p.Engine.Prepare(p.Schedule, *p.Profile, p.SweepsPerMicrosecond)
+	kernel, err := p.Engine.Prepare(p.Schedule, *p.Profile, p.SweepsPerMicrosecond)
 	if err != nil {
 		return nil, err
 	}
-	return &Lease{p: p, read: read}, nil
+	return &Lease{p: p, kernel: kernel}, nil
 }
 
 // Lease returns a prepared session whose runs take the full hardware
@@ -92,16 +84,27 @@ func (l *Lease) ServiceMicros(numReads int) float64 {
 // RNG — the lease only amortizes validation and Prepare, it never
 // changes the dynamics.
 func (l *Lease) Run(is *qubo.Ising, init []int8, numReads int, r *rng.Source) (*Result, error) {
+	p, err := l.callParams(init, numReads)
+	if err != nil {
+		return nil, err
+	}
+	if l.qpu != nil {
+		return l.qpu.runEmbedded(is, p, l.kernel, r)
+	}
+	return runLogical(is, p, l.kernel, r)
+}
+
+// callParams applies one call's arguments to the lease template: init
+// becomes the initial state and a positive numReads overrides the
+// default read count, which must stay within MaxReads.
+func (l *Lease) callParams(init []int8, numReads int) (Params, error) {
 	p := l.p
 	p.InitialState = init
 	if numReads > 0 {
 		p.NumReads = numReads
 	}
 	if p.NumReads > MaxReads {
-		return nil, fmt.Errorf("annealer: %d reads exceed the per-read stream limit %d", p.NumReads, MaxReads)
+		return p, fmt.Errorf("annealer: %d reads exceed the per-read stream limit %d", p.NumReads, MaxReads)
 	}
-	if l.qpu != nil {
-		return l.qpu.runEmbedded(is, p, l.read, l.bread, r)
-	}
-	return runLogical(is, p, l.read, l.bread, r)
+	return p, nil
 }

@@ -150,6 +150,13 @@ func TestLeaseErrorContracts(t *testing.T) {
 	if _, err := lease.Run(is, make([]int8, is.N), MaxReads+1, rng.New(1)); err == nil {
 		t.Fatal("reads beyond MaxReads must fail")
 	}
+	prep, err := lease.PrepareProblem(is)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lease.RunPrepared(prep, make([]int8, is.N), MaxReads+1, rng.New(1)); err == nil {
+		t.Fatal("prepared reads beyond MaxReads must fail")
+	}
 	if got := lease.ServiceMicros(10); got != 10*sc.Duration() {
 		t.Fatalf("logical ServiceMicros = %g, want %g", got, 10*sc.Duration())
 	}

@@ -1,12 +1,9 @@
 package annealer
 
 import (
+	"fmt"
 	"math"
-	"math/bits"
 	"sync"
-
-	"repro/internal/qubo"
-	"repro/internal/rng"
 )
 
 // PIMC is the path-integral Monte Carlo engine — simulated quantum
@@ -28,7 +25,8 @@ import (
 // Measurement returns one uniformly chosen replica, mirroring the
 // projective readout of the device.
 type PIMC struct {
-	// Slices is the Trotter number P (default 16).
+	// Slices is the Trotter number P (default 16, at most 64: the
+	// production kernel packs one replica slice per bit of a word).
 	Slices int
 	// MaxTemporalCoupling clamps K(s) as A(s) → 0 so late-schedule
 	// dynamics freeze smoothly instead of dividing by zero (default 5).
@@ -72,43 +70,27 @@ func (e PIMC) temporalCoupling(beta, a float64, p int) float64 {
 	return k
 }
 
-// pimcScratch is one read's working state, pooled per batch. The replica
-// matrix is stored n-major — spin i of slice k lives at replicaFlat[i*p+k]
-// — so the three slice values a Metropolis proposal touches (current,
-// imaginary-time neighbours k±1) sit in the same 16-byte block instead of
-// three cache lines P·N bytes apart. The field matrix stays k-major
-// because the accept path streams a whole row of slice k's fields.
-type pimcScratch struct {
-	replicaFlat []int8    // n-major: spin i of slice k at [i*p+k]
-	fieldFlat   []float64 // k-major: slice k's fields at [k*n : (k+1)*n]
-	fields      [][]float64
-	energies    []float64 // per-replica problem energies (probed runs only)
-	gather      []int8    // one replica's spins, contiguous (probe init only)
+// pimcProgram is PIMC's compiled sweep program: per sweep, the spatial
+// action factor β·B(s)/2P and the clamped temporal coupling K(s).
+type pimcProgram struct {
+	tab               *sweepTable
+	spatial, temporal []float64
+	p                 int
+	startsClassical   bool
 }
 
-func (sc *pimcScratch) ensure(p, n int) {
-	if cap(sc.replicaFlat) < p*n || len(sc.fields) != p || len(sc.fields[0]) != n {
-		sc.replicaFlat = make([]int8, p*n)
-		sc.fieldFlat = make([]float64, p*n)
-		sc.fields = make([][]float64, p)
-		for k := 0; k < p; k++ {
-			sc.fields[k] = sc.fieldFlat[k*n : (k+1)*n]
-		}
-		sc.energies = make([]float64, p)
-		sc.gather = make([]int8, n)
+// compile builds the sweep program once for the batch — a tanh+log per
+// sweep instead of per read. The bit-packed kernel holds one replica
+// slice per bit of a uint64, so a Trotter number above 64 is rejected.
+func (e PIMC) compile(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (*pimcProgram, error) {
+	p := e.slices()
+	if p > 64 {
+		return nil, fmt.Errorf("annealer: PIMC supports at most 64 Trotter slices, got %d", p)
 	}
-}
-
-// Prepare implements Engine: the per-sweep spatial action factor
-// β·B(s)/2P and clamped temporal coupling K(s) — a tanh+log per sweep —
-// are computed once for the batch instead of once per read, and replica/
-// field scratch is pooled across reads.
-func (e PIMC) Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (ReadFunc, error) {
 	tab, err := newSweepTable(sc, prof, sweepsPerMicrosecond)
 	if err != nil {
 		return nil, err
 	}
-	p := e.slices()
 	beta := 1 / prof.TemperatureGHz
 	spatial := make([]float64, tab.sweeps())
 	temporal := make([]float64, tab.sweeps())
@@ -116,152 +98,25 @@ func (e PIMC) Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) 
 		spatial[i] = beta * tab.b[i] / (2 * float64(p))
 		temporal[i] = e.temporalCoupling(beta, tab.a[i], p)
 	}
-	startsClassical := sc.StartsClassical()
-	pool := &sync.Pool{New: func() any { return new(pimcScratch) }}
-	return func(pr *qubo.CSR, init []int8, out []int8, r *rng.Source, probe Probe) {
-		st := pool.Get().(*pimcScratch)
-		st.ensure(p, pr.N)
-		pimcRead(pr, tab, spatial, temporal, p, startsClassical, init, out, st, r, probe)
-		pool.Put(st)
-	}, nil
+	return &pimcProgram{tab: tab, spatial: spatial, temporal: temporal, p: p,
+		startsClassical: sc.StartsClassical()}, nil
 }
 
-// pimcRead evolves one PIMC read. It draws from r in exactly the same
-// order regardless of probe, so probed and unprobed runs are
-// bit-identical; the per-replica problem energies a probe reports are
-// maintained incrementally during flips (O(1) per flip) instead of
-// recomputed from scratch every sweep (O(P·n·deg)).
-func pimcRead(pr *qubo.CSR, tab *sweepTable, spatial, temporal []float64, p int,
-	startsClassical bool, init, out []int8, st *pimcScratch, r *rng.Source, probe Probe) {
-	n := pr.N
-	flat, fields := st.replicaFlat, st.fields
-	cols, w, offs := pr.Cols, pr.W, pr.Offsets
-	if startsClassical {
-		if len(init) != n {
-			panic("annealer: PIMC reverse anneal requires an initial state")
-		}
-		for i, s := range init {
-			base := i * p
-			for k := 0; k < p; k++ {
-				flat[base+k] = s
-			}
-		}
-	} else {
-		// Slice-major draw order, matching the previous k-major layout's
-		// initialisation stream bit for bit.
-		for k := 0; k < p; k++ {
-			for i := 0; i < n; i++ {
-				flat[i*p+k] = r.Spin()
-			}
-		}
+// Prepare implements Engine: the sweep program is compiled once and the
+// returned kernel runs each read of a group through the bit-packed
+// sweep loop, with replica/field scratch pooled across reads.
+func (e PIMC) Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (BatchReadFunc, error) {
+	prog, err := e.compile(sc, prof, sweepsPerMicrosecond)
+	if err != nil {
+		return nil, err
 	}
-	// fields[k][i] = h_i + Σ_j J_ij·s_{j,k}, maintained incrementally
-	// (the inlined row walk is CSR.LocalField against the strided layout).
-	for k := 0; k < p; k++ {
-		f := fields[k]
-		for i := 0; i < n; i++ {
-			fi := pr.H[i]
-			for kk := offs[i]; kk < offs[i+1]; kk++ {
-				fi += w[kk] * float64(flat[int(cols[kk])*p+k])
-			}
-			f[i] = fi
+	pool := &sync.Pool{New: func() any { return new(pimcBatchScratch) }}
+	return func(init []int8, reads []BatchRead) {
+		for _, br := range reads {
+			st := pool.Get().(*pimcBatchScratch)
+			st.ensure(prog.p, br.Prog.N)
+			pimcPackedRead(br.Prog, prog, init, br.Out, st, br.Rng, br.Probe)
+			pool.Put(st)
 		}
-	}
-	// trackE: replica problem energies only matter when someone watches.
-	trackE := probe != nil
-	if trackE {
-		for k := 0; k < p; k++ {
-			for i := 0; i < n; i++ {
-				st.gather[i] = flat[i*p+k]
-			}
-			st.energies[k] = pr.Energy(st.gather)
-		}
-	}
-
-	// The sweep loop advances the generator in locals (see fastrand.go);
-	// the draw sequence — one bounded index per proposal, one uniform per
-	// uphill proposal — is bit-identical to r.Intn/r.Float64.
-	nb := uint64(n)
-	negnb := lemireThreshold(n)
-	rs0, rs1, rs2, rs3 := r.State()
-	sweeps := tab.sweeps()
-	for sweep := 0; sweep < sweeps; sweep++ {
-		// −2·sp and 2·tc are exact (power-of-two scalings), so hoisting
-		// them out of the proposal loop cannot change any rounding.
-		spm2 := -2 * spatial[sweep]
-		tc2 := 2 * temporal[sweep]
-		accepted := 0
-		for k := 0; k < p; k++ {
-			kPrev := k - 1
-			if kPrev < 0 {
-				kPrev = p - 1
-			}
-			kNext := k + 1
-			if kNext == p {
-				kNext = 0
-			}
-			f := fields[k]
-			for m := 0; m < n; m++ {
-				var x uint64
-				x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
-				hi, lo := bits.Mul64(x, nb)
-				for lo < negnb {
-					x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
-					hi, lo = bits.Mul64(x, nb)
-				}
-				i := int(hi)
-				base := i * p
-				si8 := flat[base+k]
-				si := float64(si8)
-				// Spatial action delta: flipping s changes slice energy by
-				// −2·s·f, scaled by the spatial action factor; the two
-				// temporal bonds change by +2·K·s·(s_prev + s_next).
-				dS := spm2*si*f[i] + tc2*si*float64(flat[base+kPrev]+flat[base+kNext])
-				accept := dS <= 0
-				if !accept {
-					x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
-					u := float64(x>>11) * (1.0 / (1 << 53))
-					v := metroBracket(u, dS)
-					accept = v > 0 || (v == 0 && metropolisExpExact(u, dS))
-				}
-				if accept {
-					accepted++
-					if trackE {
-						// Problem-frame energy delta of the flip; f[i]
-						// excludes s_i, so it is still valid here.
-						st.energies[k] -= 2 * float64(si8) * f[i]
-					}
-					nv := -si8
-					flat[base+k] = nv
-					nvf := float64(nv)
-					for kk := offs[i]; kk < offs[i+1]; kk++ {
-						f[cols[kk]] += 2 * w[kk] * nvf
-					}
-				}
-			}
-		}
-		if probe != nil {
-			// Copy the tracked energies so the observation owns its slice
-			// (probes may retain it past this sweep).
-			energies := make([]float64, p)
-			var mean float64
-			for k, e := range st.energies {
-				energies[k] = e
-				mean += e
-			}
-			probe.ObserveSweep(SweepObservation{
-				Sweep: sweep, TotalSweeps: sweeps, TimeMicros: tab.t[sweep], S: tab.s[sweep],
-				Energy: mean / float64(p), ReplicaEnergies: energies,
-				Accepted: accepted, Proposed: p * n,
-			})
-		}
-	}
-
-	r.SetState(rs0, rs1, rs2, rs3)
-
-	// Projective measurement: one uniformly chosen replica.
-	kSel := r.Intn(p)
-	for i := 0; i < n; i++ {
-		out[i] = flat[i*p+kSel]
-	}
+	}, nil
 }

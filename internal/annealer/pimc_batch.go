@@ -2,13 +2,12 @@ package annealer
 
 import (
 	"math/bits"
-	"sync"
 
 	"repro/internal/qubo"
 	"repro/internal/rng"
 )
 
-// Bit-packed lockstep read path for PIMC. The replica matrix — p slices
+// Bit-packed group kernel for PIMC. The replica matrix — p slices
 // of n ±1 spins — collapses to one uint64 word per spin: bit k of
 // spins[i] is set iff s_{i,k} = −1. Everything a Metropolis proposal
 // needs from the replica matrix (the current slice value and both
@@ -18,17 +17,16 @@ import (
 // 130-spin embedded problem fits in ~1 KB of L1. The arithmetic is
 // untouched: a spin only ever enters the float pipeline as ±1.0, and
 // IEEE-754 multiplication by ±1.0 is exact, so every dS, every field
-// update, and every draw matches the int8 reference path bit for bit —
-// enforced by TestLockstepMatchesSequential.
-//
-// Packing requires p ≤ 64; a larger Trotter number (never the default)
-// simply gets no batch kernel and the caller falls back to the
-// sequential reference path.
+// update, and every draw matches the int8 one-read reference kernel bit
+// for bit — enforced by TestLockstepMatchesSequential. Packing requires
+// p ≤ 64, which PIMC.Prepare enforces.
 
 type pimcBatchScratch struct {
 	spins     []uint64  // bit k of spins[i] set ⇔ s_{i,k} = −1
 	fieldFlat []float64 // k-major: slice k's fields at [k*n : (k+1)*n]
 	fields    [][]float64
+	energies  []float64 // per-replica problem energies (probed reads only)
+	gather    []int8    // one replica's spins, unpacked (probe init only)
 }
 
 func (st *pimcBatchScratch) ensure(p, n int) {
@@ -39,57 +37,27 @@ func (st *pimcBatchScratch) ensure(p, n int) {
 		for k := 0; k < p; k++ {
 			st.fields[k] = st.fieldFlat[k*n : (k+1)*n]
 		}
+		st.energies = make([]float64, p)
+		st.gather = make([]int8, n)
 	}
 	st.spins = st.spins[:n]
 }
 
-// PrepareBatch implements BatchEngine: the same compiled sweep program
-// as Prepare, returned with the bit-packed group kernel. With p > 64
-// the batch path is nil and callers stay on the reference ReadFunc.
-func (e PIMC) PrepareBatch(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (ReadFunc, BatchReadFunc, error) {
-	read, err := e.Prepare(sc, prof, sweepsPerMicrosecond)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := e.slices()
-	if p > 64 {
-		return read, nil, nil
-	}
-	tab, err := newSweepTable(sc, prof, sweepsPerMicrosecond)
-	if err != nil {
-		return nil, nil, err
-	}
-	beta := 1 / prof.TemperatureGHz
-	spatial := make([]float64, tab.sweeps())
-	temporal := make([]float64, tab.sweeps())
-	for i := range spatial {
-		spatial[i] = beta * tab.b[i] / (2 * float64(p))
-		temporal[i] = e.temporalCoupling(beta, tab.a[i], p)
-	}
-	startsClassical := sc.StartsClassical()
-	pool := &sync.Pool{New: func() any { return new(pimcBatchScratch) }}
-	batch := func(init []int8, reads []BatchRead) {
-		for _, br := range reads {
-			st := pool.Get().(*pimcBatchScratch)
-			st.ensure(p, br.Prog.N)
-			pimcPackedRead(br.Prog, tab, spatial, temporal, p, startsClassical, init, br.Out, st, br.Rng)
-			pool.Put(st)
-		}
-	}
-	return read, batch, nil
-}
-
-// pimcPackedRead is pimcRead over the packed representation, probe-free
-// (the batch path never carries a probe). The draw sequence — the
-// slice-major init spins, one bounded index per proposal, one uniform
-// per uphill proposal, the final replica selection — is unchanged.
-func pimcPackedRead(pr *qubo.CSR, tab *sweepTable, spatial, temporal []float64, p int,
-	startsClassical bool, init, out []int8, st *pimcBatchScratch, r *rng.Source) {
+// pimcPackedRead evolves one PIMC read over the packed representation.
+// The draw sequence — the slice-major init spins, one bounded index per
+// proposal, one uniform per uphill proposal, the final replica
+// selection — is the same whether or not probe is set, so probed and
+// unprobed reads are bit-identical. The per-replica problem energies a
+// probe reports are maintained incrementally during flips (O(1) per
+// flip) instead of recomputed every sweep (O(P·n·deg)).
+func pimcPackedRead(pr *qubo.CSR, prog *pimcProgram, init, out []int8,
+	st *pimcBatchScratch, r *rng.Source, probe Probe) {
+	tab, spatial, temporal, p := prog.tab, prog.spatial, prog.temporal, prog.p
 	n := pr.N
 	spins, fields := st.spins, st.fields
 	cols, w, offs := pr.Cols, pr.W, pr.Offsets
 	all := ^uint64(0) >> uint(64-p)
-	if startsClassical {
+	if prog.startsClassical {
 		if len(init) != n {
 			panic("annealer: PIMC reverse anneal requires an initial state")
 		}
@@ -133,6 +101,20 @@ func pimcPackedRead(pr *qubo.CSR, tab *sweepTable, spatial, temporal []float64, 
 			f[i] = fi
 		}
 	}
+	// trackE: replica problem energies only matter when someone watches.
+	trackE := probe != nil
+	if trackE {
+		for k := 0; k < p; k++ {
+			bit := uint64(1) << uint(k)
+			for i, sp := range spins {
+				st.gather[i] = 1
+				if sp&bit != 0 {
+					st.gather[i] = -1
+				}
+			}
+			st.energies[k] = pr.Energy(st.gather)
+		}
+	}
 
 	nb := uint64(n)
 	negnb := lemireThreshold(n)
@@ -141,6 +123,7 @@ func pimcPackedRead(pr *qubo.CSR, tab *sweepTable, spatial, temporal []float64, 
 	for sweep := 0; sweep < sweeps; sweep++ {
 		spm2 := -2 * spatial[sweep]
 		tc2 := 2 * temporal[sweep]
+		accepted := 0
 		for k := 0; k < p; k++ {
 			kPrev := k - 1
 			if kPrev < 0 {
@@ -179,6 +162,12 @@ func pimcPackedRead(pr *qubo.CSR, tab *sweepTable, spatial, temporal []float64, 
 					accept = v > 0 || (v == 0 && metropolisExpExact(u, dS))
 				}
 				if accept {
+					accepted++
+					if trackE {
+						// Problem-frame energy delta of the flip; f[i]
+						// excludes s_i, so it is still valid here.
+						st.energies[k] -= 2 * si * f[i]
+					}
 					spins[i] = sp ^ bit
 					nvf := -si
 					for kk := offs[i]; kk < offs[i+1]; kk++ {
@@ -186,6 +175,21 @@ func pimcPackedRead(pr *qubo.CSR, tab *sweepTable, spatial, temporal []float64, 
 					}
 				}
 			}
+		}
+		if probe != nil {
+			// Copy the tracked energies so the observation owns its slice
+			// (probes may retain it past this sweep).
+			energies := make([]float64, p)
+			var mean float64
+			for k, e := range st.energies {
+				energies[k] = e
+				mean += e
+			}
+			probe.ObserveSweep(SweepObservation{
+				Sweep: sweep, TotalSweeps: sweeps, TimeMicros: tab.t[sweep], S: tab.s[sweep],
+				Energy: mean / float64(p), ReplicaEnergies: energies,
+				Accepted: accepted, Proposed: p * n,
+			})
 		}
 	}
 

@@ -73,18 +73,14 @@ func (l *Lease) RunPrepared(prep *Prepared, init []int8, numReads int, r *rng.So
 	if prep == nil || prep.l != l {
 		return nil, fmt.Errorf("annealer: prepared problem does not belong to this lease")
 	}
-	p := l.p
-	p.InitialState = init
-	if numReads > 0 {
-		p.NumReads = numReads
-	}
-	if p.NumReads > MaxReads {
-		return nil, fmt.Errorf("annealer: %d reads exceed the per-read stream limit %d", p.NumReads, MaxReads)
+	p, err := l.callParams(init, numReads)
+	if err != nil {
+		return nil, err
 	}
 	if l.qpu != nil {
-		return l.qpu.runEmbeddedCompiled(prep.is, prep.emb, prep.pr, p, l.read, l.bread, r)
+		p = l.qpu.withTiming(p)
 	}
-	return runLogicalCompiled(prep.is, prep.pr, p, l.read, l.bread, r)
+	return runCompiled(prep.is, prep.emb, prep.pr, p, l.kernel, r)
 }
 
 // PrepCacheStats is a point-in-time snapshot of a cache's counters.

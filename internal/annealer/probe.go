@@ -41,8 +41,8 @@ type Probe interface {
 	ObserveSweep(ob SweepObservation)
 }
 
-// readProbe stamps the batch read index onto engine observations (engines
-// see one read at a time and do not know their index).
+// readProbe stamps the batch read index onto engine observations (a
+// kernel sees a group's reads, not their indices in the batch).
 type readProbe struct {
 	p    Probe
 	read int

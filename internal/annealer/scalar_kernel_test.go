@@ -8,11 +8,11 @@ import (
 )
 
 // TestLockstepScalarMatchesSIMD pins the pure-Go staged kernel against
-// whatever path the host CPU takes by default: with the SIMD gate forced
-// off, the lockstep batch must still reproduce the sequential reference
-// bit for bit. On AVX2 hosts this exercises the scalar stage-1 kernel the
-// SIMD path shadows; elsewhere it is a plain re-run of the equivalence
-// property.
+// the reference: with the SIMD gate forced off, the lockstep group must
+// still reproduce the one-read reference kernel bit for bit, unprobed
+// and probed. On AVX2 hosts this exercises the scalar stage-1 kernel the
+// SIMD path shadows — the only SVMC kernel off amd64; elsewhere it is a
+// plain re-run of the equivalence property.
 func TestLockstepScalarMatchesSIMD(t *testing.T) {
 	saved := hasBatchSIMD
 	hasBatchSIMD = false
@@ -20,19 +20,29 @@ func TestLockstepScalarMatchesSIMD(t *testing.T) {
 
 	prof := DWave2000QProfile()
 	r := rng.New(0x5ca1a)
-	sc, err := Forward(1, 0.41, 1)
+	fwd, err := Forward(1, 0.41, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, err := Reverse(0.55, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{4, 17} {
-		for _, reads := range []int{3, 9} {
-			is := randomIsing(t, r, n, 0.5)
-			pr := qubo.NewCSR(is)
-			pr.Normalize()
-			seed := r.Uint64()
-			seqOuts, seqRngs := sequentialGroup(t, SVMC{}, sc, prof, 50, pr, nil, reads, seed)
-			batchOuts, batchRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, pr, nil, reads, seed)
-			assertGroupsEqual(t, "scalar-svmc", seqOuts, batchOuts, seqRngs, batchRngs)
+		for _, reads := range []int{1, 3, 8, 11} {
+			for _, sc := range []*Schedule{fwd, rev} {
+				is := randomIsing(t, r, n, 0.5)
+				pr := qubo.NewCSR(is)
+				pr.Normalize()
+				var init []int8
+				if sc.StartsClassical() {
+					init = make([]int8, n)
+					for i := range init {
+						init[i] = int8(1 - 2*(i%3%2))
+					}
+				}
+				checkLockstepMatches(t, "scalar-svmc", SVMC{}, sc, prof, pr, init, reads, r.Uint64())
+			}
 		}
 	}
 }
@@ -59,9 +69,9 @@ func TestScalarScoreMatchesStage1(t *testing.T) {
 	// same seed: the verdict replay path and the staged kernel must agree
 	// on every read's output and final RNG state.
 	seed := r.Uint64()
-	simdOuts, simdRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, pr, nil, 8, seed)
+	simdOuts, simdRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, pr, nil, 8, seed, nil)
 	hasBatchSIMD = false
-	scalarOuts, scalarRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, pr, nil, 8, seed)
+	scalarOuts, scalarRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, pr, nil, 8, seed, nil)
 	hasBatchSIMD = true
 	assertGroupsEqual(t, "simd-vs-scalar", simdOuts, scalarOuts, simdRngs, scalarRngs)
 }

@@ -1,13 +1,6 @@
 package annealer
 
-import (
-	"math"
-	"math/bits"
-	"sync"
-
-	"repro/internal/qubo"
-	"repro/internal/rng"
-)
+import "sync"
 
 // SVMC is the spin-vector Monte Carlo engine (Shin, Smith, Smolin &
 // Vazirani's classical model of D-Wave dynamics): each qubit i is a
@@ -66,39 +59,22 @@ func moveScale(a, b, floor float64) float64 {
 	return s
 }
 
-// svmcScratch is one read's working state, pooled per batch. sinT caches
-// sin θ_i alongside the cos θ_i cache z, so a proposal evaluates one
-// fused Sincos for the proposed angle instead of three transcendentals.
-type svmcScratch struct {
-	theta, z, sinT, zField []float64
-	probeSpins             []int8
+// svmcProgram is SVMC's compiled sweep program: the batch-shared sweep
+// table plus, for TF moves, the per-sweep proposal widths.
+type svmcProgram struct {
+	tab             *sweepTable
+	scale           []float64 // TF proposal width per sweep; nil for uniform moves
+	beta            float64
+	startsClassical bool
 }
 
-func (sc *svmcScratch) ensure(n int) {
-	if cap(sc.theta) < n {
-		sc.theta = make([]float64, n)
-		sc.z = make([]float64, n)
-		sc.sinT = make([]float64, n)
-		sc.zField = make([]float64, n)
-		sc.probeSpins = make([]int8, n)
-	}
-	sc.theta = sc.theta[:n]
-	sc.z = sc.z[:n]
-	sc.sinT = sc.sinT[:n]
-	sc.zField = sc.zField[:n]
-	sc.probeSpins = sc.probeSpins[:n]
-}
-
-// Prepare implements Engine: it compiles the sweep program — s(t), A(s),
-// B(s) and, for TF moves, the per-sweep proposal scale — once for the
-// whole batch, and hands back a read function whose scratch (rotor
-// angles, cos-θ cache, incremental z-field) is pooled across reads.
-func (e SVMC) Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (ReadFunc, error) {
+// compile builds the sweep program — s(t), A(s), B(s) and, for TF moves,
+// the per-sweep proposal scale — once for the whole batch.
+func (e SVMC) compile(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (*svmcProgram, error) {
 	tab, err := newSweepTable(sc, prof, sweepsPerMicrosecond)
 	if err != nil {
 		return nil, err
 	}
-	beta := 1 / prof.TemperatureGHz
 	minScale := e.MinMoveScale
 	if minScale <= 0 {
 		minScale = 0.02
@@ -112,161 +88,25 @@ func (e SVMC) Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) 
 			scale[i] = moveScale(tab.a[i], tab.b[i], minScale)
 		}
 	}
-	startsClassical := sc.StartsClassical()
-	pool := &sync.Pool{New: func() any { return new(svmcScratch) }}
-	return func(pr *qubo.CSR, init []int8, out []int8, r *rng.Source, probe Probe) {
-		st := pool.Get().(*svmcScratch)
-		st.ensure(pr.N)
-		e.read(pr, tab, scale, beta, startsClassical, init, out, st, r, probe)
-		pool.Put(st)
-	}, nil
+	return &svmcProgram{tab: tab, scale: scale, beta: 1 / prof.TemperatureGHz,
+		startsClassical: sc.StartsClassical()}, nil
 }
 
-// read evolves one SVMC read. It draws from r in exactly the same order
-// regardless of probe, so probed and unprobed runs are bit-identical.
-func (e SVMC) read(pr *qubo.CSR, tab *sweepTable, scale []float64, beta float64,
-	startsClassical bool, init, out []int8, st *svmcScratch, r *rng.Source, probe Probe) {
-	n := pr.N
-	theta, z, sinT, zField := st.theta, st.z, st.sinT, st.zField
-	if startsClassical {
-		if len(init) != n {
-			panic("annealer: SVMC reverse anneal requires an initial state")
-		}
-		// Loop-invariant transcendentals hoisted: cos 0 = 1, sin 0 = 0 and
-		// cos π = −1 are exact; sin π is the (nonzero) libm value at the
-		// double nearest π and must stay bit-identical to math.Sin, which
-		// TestSVMCStartConstants pins.
-		sinPi := math.Sin(math.Pi)
-		for i, s := range init {
-			if s > 0 {
-				theta[i] = 0
-				z[i] = 1
-				sinT[i] = 0
-			} else {
-				theta[i] = math.Pi
-				z[i] = -1
-				sinT[i] = sinPi
-			}
-		}
-	} else {
-		// Forward start: rotors aligned with the transverse field.
-		// sin(π/2) evaluates to exactly 1 (TestSVMCStartConstants).
-		for i := range theta {
-			theta[i] = math.Pi / 2
-			z[i] = 0
-			sinT[i] = 1
-		}
+// Prepare implements Engine: it compiles the sweep program once and
+// returns the lockstep group kernel over it, with group scratch pooled
+// across calls.
+func (e SVMC) Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (BatchReadFunc, error) {
+	prog, err := e.compile(sc, prof, sweepsPerMicrosecond)
+	if err != nil {
+		return nil, err
 	}
-	// zField[i] = h_i + Σ_j J_ij·cos θ_j, maintained incrementally.
-	cols, w, offs := pr.Cols, pr.W, pr.Offsets
-	for i := 0; i < n; i++ {
-		f := pr.H[i]
-		for k := offs[i]; k < offs[i+1]; k++ {
-			f += w[k] * z[cols[k]]
+	pool := &sync.Pool{New: func() any { return new(svmcBatchScratch) }}
+	return func(init []int8, reads []BatchRead) {
+		if len(reads) == 0 {
+			return
 		}
-		zField[i] = f
-	}
-
-	// The sweep loop advances the generator in locals (see fastrand.go);
-	// the draw sequence — index, optional TF gate, proposal angle, one
-	// uniform per uphill proposal — is bit-identical to r.Intn/r.Float64.
-	nb := uint64(n)
-	negnb := lemireThreshold(n)
-	rs0, rs1, rs2, rs3 := r.State()
-	sweeps := tab.sweeps()
-	for sweep := 0; sweep < sweeps; sweep++ {
-		a := tab.a[sweep]
-		b := tab.b[sweep]
-		sc := 1.0
-		if scale != nil {
-			sc = scale[sweep]
-		}
-		accepted := 0
-		for k := 0; k < n; k++ {
-			var x uint64
-			x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
-			hi, lo := bits.Mul64(x, nb)
-			for lo < negnb {
-				x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
-				hi, lo = bits.Mul64(x, nb)
-			}
-			i := int(hi)
-			global := scale == nil
-			if !global {
-				x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
-				global = float64(x>>11)*(1.0/(1<<53)) < sc
-			}
-			var nt, sinNt, nz float64
-			if global {
-				// Global move: a fresh uniform angle. Under TF scaling
-				// these occur at rate A/(A+B) — the surrogate for the
-				// multi-spin tunnelling channel that closes as the
-				// transverse field is suppressed. The draw u is the angle
-				// in units of π, so sinCosPi needs no argument reduction;
-				// the current angle's sine comes from the sinT cache.
-				x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
-				u := float64(x>>11) * (1.0 / (1 << 53))
-				nt = math.Pi * u
-				sinNt, nz = sinCosPi(u)
-			} else {
-				// Local TF-scaled move around the current angle,
-				// reflected into [0, π].
-				x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
-				nt = theta[i] + (2*(float64(x>>11)*(1.0/(1<<53)))-1)*math.Pi*sc
-				if nt < 0 {
-					nt = -nt
-				}
-				if nt > math.Pi {
-					nt = 2*math.Pi - nt
-				}
-				u := nt * (1 / math.Pi)
-				if u > 1 {
-					u = 1 // guard the π·(1/π) rounding at nt = π
-				}
-				sinNt, nz = sinCosPi(u)
-			}
-			dE := -a/2*(sinNt-sinT[i]) + b/2*(nz-z[i])*zField[i]
-			accept := dE <= 0
-			if !accept {
-				x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
-				u := float64(x>>11) * (1.0 / (1 << 53))
-				xx := beta * dE
-				v := metroBracket(u, xx)
-				accept = v > 0 || (v == 0 && metropolisExpExact(u, xx))
-			}
-			if accept {
-				accepted++
-				dz := nz - z[i]
-				theta[i] = nt
-				z[i] = nz
-				sinT[i] = sinNt
-				for kk := offs[i]; kk < offs[i+1]; kk++ {
-					zField[cols[kk]] += w[kk] * dz
-				}
-			}
-		}
-		if probe != nil {
-			for i, zi := range z {
-				if zi >= 0 {
-					st.probeSpins[i] = 1
-				} else {
-					st.probeSpins[i] = -1
-				}
-			}
-			probe.ObserveSweep(SweepObservation{
-				Sweep: sweep, TotalSweeps: sweeps, TimeMicros: tab.t[sweep], S: tab.s[sweep],
-				Energy: pr.Energy(st.probeSpins), Accepted: accepted, Proposed: n,
-			})
-		}
-	}
-
-	r.SetState(rs0, rs1, rs2, rs3)
-
-	for i, zi := range z {
-		if zi >= 0 {
-			out[i] = 1
-		} else {
-			out[i] = -1
-		}
-	}
+		st := pool.Get().(*svmcBatchScratch)
+		svmcBatchRead(prog, init, reads, st)
+		pool.Put(st)
+	}, nil
 }

@@ -3,11 +3,10 @@ package annealer
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // Lockstep SVMC: R reads of one batch advance through the sweep program
-// together. The sequential read loop is latency-bound — every proposal
+// together. A one-read sweep loop is latency-bound — every proposal
 // chains an RNG step into sinCosPi's polynomial into the dE compare, and
 // the core sits idle waiting on each link. Interleaving R independent
 // reads per (sweep, proposal) step gives the out-of-order window R
@@ -28,9 +27,9 @@ import (
 // every resident read — branch-light, so the FP chains pipeline back to
 // back — and stage 2 scores and applies it, confining the unpredictable
 // accept/reject branches to code the trig no longer waits on. Every read
-// draws from its own stream in exactly the sequential order (index draw,
+// draws from its own stream in exactly the one-read order (index draw,
 // angle draw, then one uniform per uphill proposal), so outcomes are
-// bit-identical to the one-read reference path.
+// bit-identical to the one-read reference kernel the tests keep.
 type svmcBatchScratch struct {
 	rot                []float64 // z, sinT, zField triplets per (read, spin)
 	theta              []float64 // read-major rotor angles, TF-only
@@ -41,6 +40,8 @@ type svmcBatchScratch struct {
 	dE                 []float64 // stage-2 proposal energy delta per read
 	u                  []float64 // stage-2 uphill uniform per read (SIMD)
 	lanoff             []uint64  // per-lane rot offset 3·j·n (0 for padding)
+	accepted           []int     // per-lane accepts this sweep (read by probes)
+	probeSpins         []int8    // one lane's projected state (probed reads only)
 	args               []svmcStepArgs
 }
 
@@ -75,6 +76,10 @@ func (st *svmcBatchScratch) ensure(r, n int) {
 	}
 	st.rot = st.rot[:3*r*n]
 	st.theta = st.theta[:r*n]
+	if cap(st.probeSpins) < n {
+		st.probeSpins = make([]int8, n)
+	}
+	st.probeSpins = st.probeSpins[:n]
 	rr := (r + 7) &^ 7
 	if cap(st.rs0) < rr {
 		st.rs0 = make([]uint64, rr)
@@ -88,6 +93,7 @@ func (st *svmcBatchScratch) ensure(r, n int) {
 		st.dE = make([]float64, rr)
 		st.u = make([]float64, rr)
 		st.lanoff = make([]uint64, rr)
+		st.accepted = make([]int, rr)
 		st.args = make([]svmcStepArgs, rr/8)
 	}
 	st.rs0 = st.rs0[:rr]
@@ -101,64 +107,30 @@ func (st *svmcBatchScratch) ensure(r, n int) {
 	st.dE = st.dE[:rr]
 	st.u = st.u[:rr]
 	st.lanoff = st.lanoff[:rr]
+	st.accepted = st.accepted[:rr]
 	st.args = st.args[:rr/8]
-}
-
-// PrepareBatch implements BatchEngine: the same compiled sweep program as
-// Prepare, returned with both the one-read reference path and the
-// lockstep group kernel over it.
-func (e SVMC) PrepareBatch(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (ReadFunc, BatchReadFunc, error) {
-	read, err := e.Prepare(sc, prof, sweepsPerMicrosecond)
-	if err != nil {
-		return nil, nil, err
-	}
-	tab, err := newSweepTable(sc, prof, sweepsPerMicrosecond)
-	if err != nil {
-		return nil, nil, err
-	}
-	beta := 1 / prof.TemperatureGHz
-	minScale := e.MinMoveScale
-	if minScale <= 0 {
-		minScale = 0.02
-	}
-	var scale []float64
-	if e.TFMoves {
-		scale = make([]float64, tab.sweeps())
-		for i := range scale {
-			scale[i] = moveScale(tab.a[i], tab.b[i], minScale)
-		}
-	}
-	startsClassical := sc.StartsClassical()
-	pool := &sync.Pool{New: func() any { return new(svmcBatchScratch) }}
-	batch := func(init []int8, reads []BatchRead) {
-		if len(reads) == 0 {
-			return
-		}
-		st := pool.Get().(*svmcBatchScratch)
-		svmcBatchRead(tab, scale, beta, startsClassical, init, reads, st)
-		pool.Put(st)
-	}
-	return read, batch, nil
 }
 
 // svmcBatchRead evolves one lockstep group. Reads must share problem
 // topology (per-read coefficient clones off one base CSR qualify).
-func svmcBatchRead(tab *sweepTable, scale []float64, beta float64,
-	startsClassical bool, init []int8, reads []BatchRead, st *svmcBatchScratch) {
+func svmcBatchRead(prog *svmcProgram, init []int8, reads []BatchRead, st *svmcBatchScratch) {
+	tab, scale, beta := prog.tab, prog.scale, prog.beta
 	r := len(reads)
 	n := reads[0].Prog.N
 	st.ensure(r, n)
 	rot, theta := st.rot, st.theta
 	tf := scale != nil
+	acc := st.accepted
+	probed := false
 
 	// Per-read state initialisation — identical constants to the
-	// sequential path, with the reverse-start transcendentals hoisted
+	// reference kernel, with the reverse-start transcendentals hoisted
 	// (cos π = −1 exactly; sin π is the libm value at the double nearest
 	// π, not zero, and must match bit for bit).
 	sinPi := math.Sin(math.Pi)
 	for j := range reads {
 		base := j * n
-		if startsClassical {
+		if prog.startsClassical {
 			for i, s := range init {
 				if s > 0 {
 					if tf {
@@ -193,6 +165,8 @@ func svmcBatchRead(tab *sweepTable, scale []float64, beta float64,
 			rot[3*(base+i)+2] = f
 		}
 		st.rs0[j], st.rs1[j], st.rs2[j], st.rs3[j] = reads[j].Rng.State()
+		acc[j] = 0
+		probed = probed || reads[j].Probe != nil
 	}
 	rs0, rs1, rs2, rs3 := st.rs0, st.rs1, st.rs2, st.rs3
 	idx, nsin, ncos, nang := st.idx, st.nsin, st.ncos, st.nang
@@ -283,6 +257,7 @@ func svmcBatchRead(tab *sweepTable, scale []float64, beta float64,
 							accept = metropolisExpExact(uu[j], beta*dEs[j])
 						}
 						if accept {
+							acc[j]++
 							bi := int(lan[j]) + 3*int(idx[j])
 							nz := ncos[j]
 							dz := nz - rot[bi]
@@ -308,7 +283,7 @@ func svmcBatchRead(tab *sweepTable, scale []float64, beta float64,
 				svmcStage1Scalar(st, 0, r, nb, negnb)
 			} else {
 				// TF proposals draw index, gate, then angle — exactly the
-				// sequential order — and need the current rotor angle for
+				// one-read order — and need the current rotor angle for
 				// local moves, so theta is live here.
 				for j := 0; j < r; j++ {
 					s0, s1, s2, s3 := rs0[j], rs1[j], rs2[j], rs3[j]
@@ -356,8 +331,8 @@ func svmcBatchRead(tab *sweepTable, scale []float64, beta float64,
 			dEs := st.dE
 			for j := 0; j < r; j++ {
 				bi := 3 * (j*n + int(idx[j]))
-				// One triplet load — same expression tree as the sequential
-				// engine, so the rounding is identical.
+				// One triplet load — same expression tree as the reference
+				// kernel, so the rounding is identical.
 				dEs[j] = na2*(nsin[j]-rot[bi+1]) + b2*(ncos[j]-rot[bi])*rot[bi+2]
 			}
 			// Stage 2b: decide and apply. The accept/reject branches live
@@ -393,6 +368,7 @@ func svmcBatchRead(tab *sweepTable, scale []float64, beta float64,
 					}
 				}
 				if accept {
+					acc[j]++
 					dz := nz - rot[bi]
 					if tf {
 						theta[j*n+int(idx[j])] = nang[j]
@@ -408,6 +384,9 @@ func svmcBatchRead(tab *sweepTable, scale []float64, beta float64,
 					}
 				}
 			}
+		}
+		if probed {
+			svmcObserveSweep(tab, sweep, n, reads, rot, st)
 		}
 	}
 
@@ -487,4 +466,28 @@ func svmcScoreScalar(st *svmcBatchScratch, c0 int, nb, negnb uint64,
 		}
 	}
 	return am, em
+}
+
+// svmcObserveSweep reports one sweep to every probed read of the group —
+// the read's state projected to sign(cos θ), its problem-frame energy,
+// and the sweep's accept count — and resets every lane's count.
+func svmcObserveSweep(tab *sweepTable, sweep, n int, reads []BatchRead, rot []float64, st *svmcBatchScratch) {
+	spins := st.probeSpins
+	for j := range reads {
+		if probe := reads[j].Probe; probe != nil {
+			base := j * n
+			for i := range spins {
+				if rot[3*(base+i)] >= 0 {
+					spins[i] = 1
+				} else {
+					spins[i] = -1
+				}
+			}
+			probe.ObserveSweep(SweepObservation{
+				Sweep: sweep, TotalSweeps: tab.sweeps(), TimeMicros: tab.t[sweep], S: tab.s[sweep],
+				Energy: reads[j].Prog.Energy(spins), Accepted: st.accepted[j], Proposed: n,
+			})
+		}
+		st.accepted[j] = 0
+	}
 }

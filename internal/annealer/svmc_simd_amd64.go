@@ -16,7 +16,7 @@ import "math"
 //
 // svmcStepx8 advances a.rs0..rs3 (index draw, angle draw, and — only
 // for lanes whose dE came out positive — the uphill uniform, exactly
-// the sequential draw order) and fills a.idx, sn, cs, dE (the
+// the one-read draw order) and fills a.idx, sn, cs, dE (the
 // proposal's energy delta), u (the uphill uniform; garbage for downhill
 // lanes), and the verdict bitmasks a.accm (bit j: lane j accepted
 // outright) and a.exm (bit j: the bracket could not decide and the
