@@ -2,6 +2,7 @@ package annealer
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/chimera"
@@ -136,7 +137,7 @@ type Result struct {
 }
 
 // readFault carries one read's fault flags; indexed per read so the
-// parallel read loop tallies without shared state.
+// parallel group loop tallies without shared state.
 type readFault struct {
 	timeout, storm, drift bool
 }
@@ -163,117 +164,269 @@ func compactReads(samples []qubo.Sample, faults []readFault) ([]qubo.Sample, Fau
 }
 
 // readScratch is the per-read working set that survives between reads of
-// a batch: the RNG streams (split in place instead of allocated), the
+// a run: the RNG streams (split in place instead of allocated), the
 // coefficient clone that per-read noise is programmed into, and the
 // quench's local-field buffer.
 type readScratch struct {
 	rr, fr rng.Source
-	prog   *qubo.CSR // lazily cloned from the batch base on first use
+	prog   *qubo.CSR // lazily cloned from the run's problem on first use
 	field  []float64
 }
 
-// batch holds one Run call's shared compiled state: the base CSR problem
-// every read programs from, the engine kernel, and the scratch pool that
-// makes steady-state reads allocation-free.
-type batch struct {
-	p      Params
-	base   *qubo.CSR
-	kernel BatchReadFunc
-	pool   sync.Pool
+// run is one problem's batch of reads in the run body. pr is the
+// normalized CSR the engine sweeps: is's own, or with a non-nil emb the
+// physical problem of is under emb. Compiled artifacts are only read, so
+// one compiled problem may serve concurrent runs.
+type run struct {
+	is  *qubo.Ising
+	emb *chimera.Embedding
+	pr  *qubo.CSR
+	p   Params
+	r   *rng.Source
+
+	// pool holds readScratch sized to pr. It is a separate object: the
+	// runtime keeps a used pool reachable until the second GC after its
+	// last use, and an embedded pool would pin the run's buffers as long.
+	pool     *sync.Pool
+	samples  []qubo.Sample
+	faults   []readFault
+	spins    []int8 // flat engine readout, NumReads × pr.N
+	logSpins []int8 // embedded: flat unembedded samples, NumReads × is.N
+	broken   []int  // embedded: broken chains per read
+
+	res *Result
+	err error // set by the caller for an argument error, or by the body
 }
 
-// newBatch builds a batch around kernel — the amortization a Lease
-// provides: Engine.Prepare runs once per lease, not once per problem. A
-// nil kernel compiles one now.
-func newBatch(p Params, base *qubo.CSR, kernel BatchReadFunc) (*batch, error) {
-	if kernel == nil {
-		var err error
-		if kernel, err = p.Engine.Prepare(p.Schedule, *p.Profile, p.SweepsPerMicrosecond); err != nil {
-			return nil, err
+// readRef is one read of one run: the unit packReads lays out.
+type readRef struct {
+	ru   *run
+	read int
+}
+
+// runAll is the one run body behind every entry point. Each run does its
+// own pre-work (start); then the reads of ALL runs are packed into
+// lockstep groups (packReads) that fan out through parallelFor, and each
+// run's Result or fault is assembled, telemetry included, in run order.
+// Packing cannot change an answer: a read's dynamics depend only on its
+// own stream. All runs must belong to the lease whose compiled kernel
+// this is. A run whose err the caller set is skipped.
+func runAll(runs []*run, kernel BatchReadFunc) {
+	refs, groups := packReads(runs)
+	for _, ru := range runs {
+		if ru.err == nil {
+			ru.err = ru.start()
 		}
 	}
-	b := &batch{p: p, base: base, kernel: kernel}
-	b.pool.New = func() any {
-		return &readScratch{field: make([]float64, base.N)}
+	parallelFor(len(groups)-1, runs[0].p.Parallelism, func(g int) {
+		groupReads(kernel, refs[groups[g]:groups[g+1]])
+	})
+	for _, ru := range runs {
+		if ru.err == nil {
+			ru.res, ru.err = ru.assemble()
+		}
 	}
-	return b, nil
 }
 
-// program returns the problem read should run against: the shared base
-// when no noise applies, or the scratch's pooled coefficient clone with
-// ICE and (when the fault fires) calibration drift programmed in. The
-// noise draw order matches the adjacency-list ICE/drift path: h in spin
-// order (nonzero entries only), then couplings in (i, j), i < j order.
-func (b *batch) program(st *readScratch, drifted *bool) *qubo.CSR {
-	ice := b.p.ICE
-	*drifted = b.p.Faults.driftFires(&st.fr)
+// packReads lays out the reads of every run without a caller-set error in
+// group order — runs bucketed by physical N in first-appearance order,
+// then runs in order and reads in order within a bucket — and returns the
+// group bounds: group g is refs[groups[g]:groups[g+1]], at most
+// lockstepWidth reads of one N. The layout depends only on each run's N
+// and NumReads, never on an RNG draw: the reads of a run that fails in
+// start keep their slots and are skipped, like timed-out reads.
+func packReads(runs []*run) (refs []readRef, groups []int) {
+	total := 0
+	for _, ru := range runs {
+		if ru.err == nil {
+			total += ru.p.NumReads
+		}
+	}
+	refs = make([]readRef, 0, total)
+	groups = make([]int, 0, total/lockstepWidth+len(runs)+1)
+	for i, ru := range runs {
+		if ru.err != nil || slices.ContainsFunc(runs[:i], func(prev *run) bool {
+			return prev.err == nil && prev.pr.N == ru.pr.N
+		}) {
+			continue // failed, or its bucket is already laid out
+		}
+		bucket := len(refs)
+		for _, rb := range runs[i:] {
+			for read := 0; rb.err == nil && rb.pr.N == ru.pr.N && read < rb.p.NumReads; read++ {
+				if (len(refs)-bucket)%lockstepWidth == 0 {
+					groups = append(groups, len(refs))
+				}
+				refs = append(refs, readRef{rb, read})
+			}
+		}
+	}
+	return refs, append(groups, len(refs))
+}
+
+// start is a run's pre-work: the reverse-anneal initial-state check and,
+// embedded, its mapping onto the physical qubits; the programming-fault
+// draw; and the scratch pool and read buffers. Flat blocks back the
+// engine readout and, embedded, the unembedded logical samples, so a run
+// performs O(1) allocations regardless of NumReads.
+func (ru *run) start() error {
+	p := &ru.p
+	if p.Schedule.StartsClassical() {
+		if len(p.InitialState) != ru.is.N {
+			return fmt.Errorf("annealer: reverse anneal needs an initial state of %d spins, got %d", ru.is.N, len(p.InitialState))
+		}
+		if ru.emb != nil {
+			p.InitialState = ru.emb.EmbedSpins(p.InitialState)
+		}
+	}
+	// Run-level fault: the device rejects the programming cycle. Drawn
+	// from a dedicated split so the per-read streams are untouched.
+	if p.Faults.ProgrammingFails(ru.r.SplitString("fault/programming")) {
+		p.emitHardFault(FaultProgramming)
+		return &FaultError{Kind: FaultProgramming}
+	}
+	n, reads := ru.pr.N, p.NumReads
+	ru.pool = &sync.Pool{New: func() any { return &readScratch{field: make([]float64, n)} }}
+	ru.samples = make([]qubo.Sample, reads)
+	ru.faults = make([]readFault, reads)
+	ru.spins = make([]int8, reads*n)
+	if ru.emb != nil {
+		ru.logSpins = make([]int8, reads*ru.is.N)
+		ru.broken = make([]int, reads)
+	}
+	return nil
+}
+
+// program returns the problem a read should run against: the run's
+// compiled problem when no noise applies, or the scratch's pooled
+// coefficient clone with ICE and (when the fault fires) calibration
+// drift programmed in. The noise draw order matches the adjacency-list
+// ICE/drift path: h in spin order (nonzero entries only), then couplings
+// in (i, j), i < j order.
+func (ru *run) program(st *readScratch, drifted *bool) *qubo.CSR {
+	ice := ru.p.ICE
+	*drifted = ru.p.Faults.driftFires(&st.fr)
 	if !ice.enabled() && !*drifted {
-		return b.base
+		return ru.pr
 	}
 	if st.prog == nil {
-		st.prog = b.base.CloneCoeffs()
+		st.prog = ru.pr.CloneCoeffs()
 	} else {
-		st.prog.CopyCoeffsFrom(b.base)
+		st.prog.CopyCoeffsFrom(ru.pr)
 	}
 	if ice.enabled() {
 		applyGaussianCSR(st.prog, ice.SigmaH, ice.SigmaJ, &st.rr)
 	}
 	if *drifted {
-		sigma := b.p.Faults.driftSigma()
+		sigma := ru.p.Faults.driftSigma()
 		applyGaussianCSR(st.prog, sigma, sigma, &st.fr)
 	}
 	return st.prog
 }
 
-// groupReads runs reads [lo, hi) of the batch as one lockstep group
-// through the engine kernel. Per-read stream derivation, fault draws and
-// programming happen in read order — only the dynamics are interleaved,
-// and each read's private stream makes that interleaving invisible — so
-// a read's result does not depend on its group. post runs once per
-// surviving read, in read order, and owns everything after the dynamics
-// (quench, storm, unembedding, sample capture); timed-out reads are
-// marked in faults and skipped.
-func (b *batch) groupReads(lo, hi int, root *rng.Source, spins []int8, n int,
-	faults []readFault, post func(read int, prog *qubo.CSR, out []int8, st *readScratch)) {
+// groupReads runs one packed group of reads through the engine kernel.
+// Each read's prelude — stream derivation, the timeout draw, ICE/drift
+// programming — happens in group order, only the dynamics are
+// interleaved, and each read's private stream makes that interleaving
+// invisible, so a read's result does not depend on its group. Each
+// surviving read then runs its run's finish step; timed-out reads are
+// marked in their run's faults and skipped, as are the reads of a run
+// whose programming failed.
+func groupReads(kernel BatchReadFunc, refs []readRef) {
 	var sts [lockstepWidth]*readScratch
 	var group [lockstepWidth]BatchRead
 	var member [lockstepWidth]int
 	ng := 0
-	for read := lo; read < hi; read++ {
-		st := b.pool.Get().(*readScratch)
-		sts[read-lo] = st
-		root.SplitInto(&st.rr, uint64(read))
-		// Split never advances rr: dynamics stay fault-independent.
-		st.rr.SplitStringInto(&st.fr, "fault")
-		if b.p.Faults.readTimesOut(&st.fr) {
-			faults[read].timeout = true
+	for k, ref := range refs {
+		ru, read := ref.ru, ref.read
+		if ru.err != nil {
 			continue
 		}
+		st := ru.pool.Get().(*readScratch)
+		sts[k] = st
+		ru.r.SplitInto(&st.rr, uint64(read))
+		// Split never advances rr: dynamics stay fault-independent.
+		st.rr.SplitStringInto(&st.fr, "fault")
+		if ru.p.Faults.readTimesOut(&st.fr) {
+			ru.faults[read].timeout = true
+			continue
+		}
+		n := ru.pr.N
 		group[ng] = BatchRead{
-			Prog: b.program(st, &faults[read].drift),
-			Out:  spins[read*n : (read+1)*n],
+			Prog: ru.program(st, &ru.faults[read].drift),
+			Init: ru.p.InitialState,
+			Out:  ru.spins[read*n : (read+1)*n],
 			Rng:  &st.rr,
 		}
-		if b.p.Probe != nil {
-			group[ng].Probe = readProbe{b.p.Probe, read}
+		if ru.p.Probe != nil {
+			group[ng].Probe = readProbe{ru.p.Probe, read}
 		}
-		member[ng] = read
+		member[ng] = k
 		ng++
 	}
 	if ng > 0 {
-		b.kernel(b.p.InitialState, group[:ng])
+		kernel(group[:ng])
 	}
-	for k := 0; k < ng; k++ {
-		read := member[k]
-		post(read, group[k].Prog, group[k].Out, sts[read-lo])
+	for g := 0; g < ng; g++ {
+		k := member[g]
+		refs[k].ru.finish(refs[k].read, group[g].Prog, group[g].Out, sts[k])
 	}
-	for j := lo; j < hi; j++ {
-		b.pool.Put(sts[j-lo])
+	for k, ref := range refs {
+		if sts[k] != nil {
+			ref.ru.pool.Put(sts[k])
+		}
 	}
 }
 
-// groupCount returns the number of lockstep groups covering n reads.
-func groupCount(n int) int { return (n + lockstepWidth - 1) / lockstepWidth }
+// finish owns everything after one read's dynamics: on the embedded
+// path the broken-chain count, then the quench, the chain-break storm,
+// unembedding, and the sample capture.
+func (ru *run) finish(read int, prog *qubo.CSR, out []int8, st *readScratch) {
+	sample := out
+	if ru.emb != nil {
+		// Chain breakage is counted on the RAW engine output — the state
+		// the device's readout would see — before the quench heals
+		// chains on the way to the sample's reported basin, and before
+		// any storm.
+		sample = ru.logSpins[read*ru.is.N : (read+1)*ru.is.N]
+		ru.broken[read] = ru.emb.UnembedInto(sample, out)
+	}
+	if !ru.p.NoQuench {
+		prog.Quench(out, st.field)
+	}
+	ru.faults[read].storm = ru.p.Faults.storm(out, &st.fr)
+	if ru.emb != nil {
+		ru.emb.UnembedInto(sample, out)
+	}
+	ru.samples[read] = qubo.Sample{Spins: sample, Energy: ru.is.Energy(sample)}
+}
+
+// assemble turns a run's finished reads into its Result and publishes
+// its telemetry. With every read lost it returns a *FaultError.
+func (ru *run) assemble() (*Result, error) {
+	p := ru.p
+	res := &Result{ScheduleDuration: p.Schedule.Duration()}
+	res.Samples, res.Faults = compactReads(ru.samples, ru.faults)
+	res.TotalAnnealTime = float64(p.NumReads) * res.ScheduleDuration
+	p.emitBatchTelemetry(res, ru.faults)
+	if len(res.Samples) == 0 {
+		p.emitHardFault(FaultAllReadsLost)
+		return nil, &FaultError{Kind: FaultAllReadsLost}
+	}
+	if ru.emb != nil {
+		totalBroken := 0
+		for read, br := range ru.broken {
+			if !ru.faults[read].timeout {
+				totalBroken += br
+			}
+		}
+		res.BrokenChainRate = float64(totalBroken) / float64(len(res.Samples)*ru.is.N)
+		if p.Metrics != nil {
+			p.Metrics.Gauge("annealer_broken_chain_rate").Set(res.BrokenChainRate)
+		}
+	}
+	res.Best = bestSample(res.Samples)
+	return res, nil
+}
 
 // Run draws reads from the simulated annealer for a logical (all-to-all
 // capable) problem. The problem is normalized to the device coefficient
@@ -289,116 +442,13 @@ func groupCount(n int) int { return (n + lockstepWidth - 1) / lockstepWidth }
 //
 // With an active FaultModel, Run returns a *FaultError when the batch
 // programming fails or every read is lost; surviving soft faults are
-// reported in Result.Faults.
+// reported in Result.Faults. Run is a one-call Lease.
 func Run(is *qubo.Ising, p Params, r *rng.Source) (*Result, error) {
-	p, err := p.withDefaults()
+	l, err := NewLease(p)
 	if err != nil {
 		return nil, err
 	}
-	return runLogical(is, p, nil, r)
-}
-
-// runLogical is the shared logical-problem body behind Run and
-// Lease.Run: the empty-problem check, the CSR compile, and the batch.
-// kernel is the lease's compiled engine kernel, or nil to compile one
-// now; p must have passed withDefaults.
-func runLogical(is *qubo.Ising, p Params, kernel BatchReadFunc, r *rng.Source) (*Result, error) {
-	if is.N == 0 {
-		return nil, fmt.Errorf("annealer: empty problem")
-	}
-	pr := qubo.NewCSR(is)
-	pr.Normalize()
-	return runCompiled(is, nil, pr, p, kernel, r)
-}
-
-// runCompiled runs a batch whose problem compile already happened —
-// just now (runLogical, QPU.runEmbedded) or once, cached, via
-// Lease.RunPrepared. pr is the normalized CSR the engine sweeps: is's
-// own, or with a non-nil emb the physical problem of is under emb. The
-// compiled artifacts are only read, never written, so one compiled
-// problem may serve concurrent calls. The logical and embedded paths
-// differ only in each read's finish: an embedded read counts its broken
-// chains and is unembedded by majority vote.
-func runCompiled(is *qubo.Ising, emb *chimera.Embedding, pr *qubo.CSR, p Params,
-	kernel BatchReadFunc, r *rng.Source) (*Result, error) {
-	if p.Schedule.StartsClassical() {
-		if len(p.InitialState) != is.N {
-			return nil, fmt.Errorf("annealer: reverse anneal needs an initial state of %d spins, got %d", is.N, len(p.InitialState))
-		}
-		if emb != nil {
-			p.InitialState = emb.EmbedSpins(p.InitialState)
-		}
-	}
-	// Batch-level fault: the device rejects the programming cycle. Drawn
-	// from a dedicated split so the per-read streams below are untouched.
-	if p.Faults.ProgrammingFails(r.SplitString("fault/programming")) {
-		p.emitHardFault(FaultProgramming)
-		return nil, &FaultError{Kind: FaultProgramming}
-	}
-	b, err := newBatch(p, pr, kernel)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{ScheduleDuration: p.Schedule.Duration()}
-	samples := make([]qubo.Sample, p.NumReads)
-	faults := make([]readFault, p.NumReads)
-	// Flat blocks back the engine readout and, embedded, the unembedded
-	// logical samples, so the batch performs O(1) allocations regardless
-	// of NumReads.
-	spins := make([]int8, p.NumReads*pr.N)
-	var logSpins []int8
-	var broken []int
-	if emb != nil {
-		logSpins = make([]int8, p.NumReads*is.N)
-		broken = make([]int, p.NumReads)
-	}
-	finish := func(read int, prog *qubo.CSR, out []int8, st *readScratch) {
-		sample := out
-		if emb != nil {
-			// Chain breakage is counted on the RAW engine output — the
-			// state the device's readout would see — before the quench
-			// heals chains on the way to the sample's reported basin, and
-			// before any storm.
-			sample = logSpins[read*is.N : (read+1)*is.N]
-			broken[read] = emb.UnembedInto(sample, out)
-		}
-		if !p.NoQuench {
-			prog.Quench(out, st.field)
-		}
-		faults[read].storm = p.Faults.storm(out, &st.fr)
-		if emb != nil {
-			emb.UnembedInto(sample, out)
-		}
-		samples[read] = qubo.Sample{Spins: sample, Energy: is.Energy(sample)}
-	}
-	parallelFor(groupCount(p.NumReads), p.Parallelism, func(g int) {
-		lo, hi := g*lockstepWidth, (g+1)*lockstepWidth
-		if hi > p.NumReads {
-			hi = p.NumReads
-		}
-		b.groupReads(lo, hi, r, spins, pr.N, faults, finish)
-	})
-	res.Samples, res.Faults = compactReads(samples, faults)
-	res.TotalAnnealTime = float64(p.NumReads) * res.ScheduleDuration
-	p.emitBatchTelemetry(res, faults)
-	if len(res.Samples) == 0 {
-		p.emitHardFault(FaultAllReadsLost)
-		return nil, &FaultError{Kind: FaultAllReadsLost}
-	}
-	if emb != nil {
-		totalBroken := 0
-		for read, br := range broken {
-			if !faults[read].timeout {
-				totalBroken += br
-			}
-		}
-		res.BrokenChainRate = float64(totalBroken) / float64(len(res.Samples)*is.N)
-		if p.Metrics != nil {
-			p.Metrics.Gauge("annealer_broken_chain_rate").Set(res.BrokenChainRate)
-		}
-	}
-	res.Best = bestSample(res.Samples)
-	return res, nil
+	return l.Run(is, l.p.InitialState, l.p.NumReads, r)
 }
 
 // parallelFor runs body(0..n-1), optionally across a worker pool. Each
@@ -485,23 +535,11 @@ func (q *QPU) ServiceTime(sc *Schedule, numReads int) float64 {
 // the PHYSICAL readout, so majority-vote unembedding partially heals them
 // — chain redundancy is a storm mitigation the logical path lacks.
 func (q *QPU) Run(logical *qubo.Ising, p Params, r *rng.Source) (*Result, error) {
-	p, err := p.withDefaults()
+	l, err := q.Lease(p)
 	if err != nil {
 		return nil, err
 	}
-	return q.runEmbedded(logical, p, nil, r)
-}
-
-// runEmbedded is the shared embedded-problem body behind QPU.Run and
-// Lease.Run: the embedding compile, then the batch on the physical
-// problem. kernel is the lease's compiled engine kernel, or nil to
-// compile one now; p must have passed withDefaults.
-func (q *QPU) runEmbedded(logical *qubo.Ising, p Params, kernel BatchReadFunc, r *rng.Source) (*Result, error) {
-	emb, prPhys, err := q.prepareEmbedded(logical)
-	if err != nil {
-		return nil, err
-	}
-	return runCompiled(logical, emb, prPhys, q.withTiming(p), kernel, r)
+	return l.Run(logical, l.p.InitialState, l.p.NumReads, r)
 }
 
 // withTiming fills the span-layout timing model with the QPU's own

@@ -24,10 +24,31 @@ func probeFor(log obsLog, j int) Probe {
 	return readProbe{log, j}
 }
 
+// lanes assigns each read of a group its problem and initial state:
+// read j runs prs[j%len(prs)] from inits[j%len(inits)], or from no
+// initial state when inits is empty.
+type lanes struct {
+	prs   []*qubo.CSR
+	inits [][]int8
+}
+
+// oneProblem is the lane assignment of a single-problem group.
+func oneProblem(pr *qubo.CSR, init []int8) lanes {
+	return lanes{prs: []*qubo.CSR{pr}, inits: [][]int8{init}}
+}
+
+func (ln lanes) at(j int) (*qubo.CSR, []int8) {
+	var init []int8
+	if len(ln.inits) > 0 {
+		init = ln.inits[j%len(ln.inits)]
+	}
+	return ln.prs[j%len(ln.prs)], init
+}
+
 // lockstepGroup runs reads of one group through the engine's production
 // kernel, probing every read into log when log is non-nil.
 func lockstepGroup(t testing.TB, eng Engine, sc *Schedule, prof Profile, rate float64,
-	pr *qubo.CSR, init []int8, reads int, seed uint64, log obsLog) ([][]int8, []rng.Source) {
+	ln lanes, reads int, seed uint64, log obsLog) ([][]int8, []rng.Source) {
 	t.Helper()
 	kernel, err := eng.Prepare(sc, prof, rate)
 	if err != nil {
@@ -38,18 +59,19 @@ func lockstepGroup(t testing.TB, eng Engine, sc *Schedule, prof Profile, rate fl
 	group := make([]BatchRead, reads)
 	root := rng.New(seed)
 	for j := 0; j < reads; j++ {
+		pr, init := ln.at(j)
 		outs[j] = make([]int8, pr.N)
 		root.SplitInto(&rngs[j], uint64(j))
-		group[j] = BatchRead{Prog: pr, Out: outs[j], Rng: &rngs[j], Probe: probeFor(log, j)}
+		group[j] = BatchRead{Prog: pr, Init: init, Out: outs[j], Rng: &rngs[j], Probe: probeFor(log, j)}
 	}
-	kernel(init, group)
+	kernel(group)
 	return outs, rngs
 }
 
 // sequentialGroup runs the same reads one at a time through the
 // one-read reference kernel.
 func sequentialGroup(t testing.TB, eng Engine, sc *Schedule, prof Profile, rate float64,
-	pr *qubo.CSR, init []int8, reads int, seed uint64, log obsLog) ([][]int8, []rng.Source) {
+	ln lanes, reads int, seed uint64, log obsLog) ([][]int8, []rng.Source) {
 	t.Helper()
 	read, err := prepareReference(eng, sc, prof, rate)
 	if err != nil {
@@ -59,6 +81,7 @@ func sequentialGroup(t testing.TB, eng Engine, sc *Schedule, prof Profile, rate 
 	rngs := make([]rng.Source, reads)
 	root := rng.New(seed)
 	for j := 0; j < reads; j++ {
+		pr, init := ln.at(j)
 		outs[j] = make([]int8, pr.N)
 		root.SplitInto(&rngs[j], uint64(j))
 		read(pr, init, outs[j], &rngs[j], probeFor(log, j))
@@ -119,16 +142,43 @@ func assertObservationsEqual(t *testing.T, label string, reads int, seq, batch o
 // requires identical spins and final RNG states across all three, and
 // identical per-read observation streams from the two probed runs.
 func checkLockstepMatches(t *testing.T, label string, eng Engine, sc *Schedule, prof Profile,
-	pr *qubo.CSR, init []int8, reads int, seed uint64) {
+	ln lanes, reads int, seed uint64) {
 	t.Helper()
 	const rate = 50
 	seqLog, batchLog := obsLog{}, obsLog{}
-	seqOuts, seqRngs := sequentialGroup(t, eng, sc, prof, rate, pr, init, reads, seed, seqLog)
-	batchOuts, batchRngs := lockstepGroup(t, eng, sc, prof, rate, pr, init, reads, seed, nil)
-	probedOuts, probedRngs := lockstepGroup(t, eng, sc, prof, rate, pr, init, reads, seed, batchLog)
+	seqOuts, seqRngs := sequentialGroup(t, eng, sc, prof, rate, ln, reads, seed, seqLog)
+	batchOuts, batchRngs := lockstepGroup(t, eng, sc, prof, rate, ln, reads, seed, nil)
+	probedOuts, probedRngs := lockstepGroup(t, eng, sc, prof, rate, ln, reads, seed, batchLog)
 	assertGroupsEqual(t, label, seqOuts, batchOuts, seqRngs, batchRngs)
 	assertGroupsEqual(t, label+"/probed-vs-unprobed", batchOuts, probedOuts, batchRngs, probedRngs)
 	assertObservationsEqual(t, label, reads, seqLog, batchLog)
+}
+
+// mixedLanes builds the lanes of a mixed-problem group: three problems of
+// n spins with different coefficients AND different CSR topologies
+// (densities 0.15, 0.5, 0.9; an exact-zero coupling is no edge at all),
+// and, for reverse schedules, a different random initial state per lane.
+func mixedLanes(t testing.TB, r *rng.Source, n, reads int, reverse bool) lanes {
+	t.Helper()
+	var ln lanes
+	for _, density := range []float64{0.15, 0.5, 0.9} {
+		pr := qubo.NewCSR(randomIsing(t, r, n, density))
+		pr.Normalize()
+		ln.prs = append(ln.prs, pr)
+	}
+	if ln.prs[0].Offsets[n] == ln.prs[2].Offsets[n] {
+		t.Fatal("mixed lanes share a topology")
+	}
+	if reverse {
+		for j := 0; j < reads; j++ {
+			init := make([]int8, n)
+			for i := range init {
+				init[i] = r.Spin()
+			}
+			ln.inits = append(ln.inits, init)
+		}
+	}
+	return ln
 }
 
 // TestLockstepMatchesSequential is the lockstep≡sequential equivalence
@@ -136,7 +186,9 @@ func checkLockstepMatches(t *testing.T, label string, eng Engine, sc *Schedule, 
 // group sizes (including partial groups), the production lockstep kernel
 // must reproduce the one-read reference kernel bit for bit — same spins,
 // same final RNG state, and with a probe attached the same per-sweep
-// observations for every read.
+// observations for every read. The mixed cases pack lanes of different
+// problems of one size, each with its own initial state, into one group,
+// as the run body does across the runs of a multi-run batch.
 func TestLockstepMatchesSequential(t *testing.T) {
 	prof := DWave2000QProfile()
 	r := rng.New(0x10c)
@@ -172,9 +224,25 @@ func TestLockstepMatchesSequential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						checkLockstepMatches(t, name, tc.eng, sc, prof, pr, init, reads, r.Uint64())
+						checkLockstepMatches(t, name, tc.eng, sc, prof, oneProblem(pr, init), reads, r.Uint64())
 					})
 				}
+			}
+		}
+		for _, reads := range []int{8, 11} {
+			for _, reverse := range []bool{false, true} {
+				name := fmt.Sprintf("%s/mixed/n=17/reads=%d/reverse=%v", tc.name, reads, reverse)
+				t.Run(name, func(t *testing.T) {
+					sc, err := Forward(1, 0.41, 1)
+					if reverse {
+						sc, err = Reverse(0.55, 0.6)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					ln := mixedLanes(t, r, 17, reads, reverse)
+					checkLockstepMatches(t, name, tc.eng, sc, prof, ln, reads, r.Uint64())
+				})
 			}
 		}
 	}

@@ -85,7 +85,7 @@ func benchGroup(b *testing.B, eng Engine, pr *qubo.CSR) (nsPerSweep float64, swe
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernel(nil, group[:])
+		kernel(group[:])
 	}
 	nsPerSweep = float64(b.Elapsed().Nanoseconds()) / float64(b.N*lockstepWidth*sweeps)
 	b.ReportMetric(nsPerSweep, "ns/read-sweep")
@@ -236,6 +236,67 @@ func BenchmarkRunICEFaults(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(is, p, rng.New(uint64(i)+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunPreparedMulti measures one fleet batch of the
+// ensemble-coded serving workload: 4 ensemble arms × 4 reads of reverse
+// anneal (s_p = 0.45, 1 μs pause, 30 sweeps/μs) on the embedded 4-user
+// 16-QAM detection problem, each arm from its own candidate, in one
+// multi-run call — the 16 reads fill two full lockstep groups where
+// per-arm calls would run four half-empty ones.
+func BenchmarkRunPreparedMulti(b *testing.B) {
+	in, err := instance.Synthesize(instance.Spec{Users: 4, Scheme: modulation.QAM16, Seed: 0xE45E})
+	if err != nil {
+		b.Fatal(err)
+	}
+	is := in.Reduction.Ising
+	ra, err := Reverse(0.45, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := NewQPU2000Q().Lease(Params{Schedule: ra, NumReads: 4, SweepsPerMicrosecond: 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prep, err := l.PrepareProblem(is)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const arms = 4
+	inits := make([][]int8, arms)
+	cand := rng.New(0xA125)
+	for a := range inits {
+		inits[a] = make([]int8, is.N)
+		for i := range inits[a] {
+			inits[a][i] = cand.Spin()
+		}
+	}
+	runs := make([]PreparedRun, arms)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for a := range runs {
+			runs[a] = PreparedRun{Prep: prep, InitialState: inits[a], NumReads: 4, Rng: rng.New(uint64(i*arms + a + 1))}
+		}
+		if _, errs, err := l.RunPreparedMulti(runs); err != nil || errs[0] != nil {
+			b.Fatal(err, errs[0])
+		}
+	}
+	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
+		rec := telemetry.BenchRecord{
+			Name:       "AnnealerRunPreparedMulti4x4",
+			NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+			Iterations: b.N,
+			Config: map[string]any{
+				"engine": "svmc", "arms": arms, "reads_per_arm": 4, "spins": prep.pr.N, "path": "embedded-multi-run",
+			},
+			Series: fmt.Sprintf("arms=%d reads/arm=4 spins=%d ns/op=%.0f", arms, prep.pr.N,
+				float64(b.Elapsed().Nanoseconds())/float64(b.N)),
+		}
+		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,7 +22,8 @@ import (
 // every read of a batch — and returns the engine's one production kernel,
 // a BatchReadFunc that evolves groups of reads in lockstep. Run calls
 // Prepare once per batch (a Lease once per session) and fans groups of
-// reads out to the kernel, so the per-sweep trigonometry/transcendentals
+// reads — from one run or, through RunPreparedMulti, many — out to the
+// kernel, so the per-sweep trigonometry/transcendentals
 // are paid once per batch instead of once per read. Probed and unprobed
 // reads run through the same kernel.
 //
@@ -42,13 +43,18 @@ type Engine interface {
 }
 
 // BatchRead describes one resident read of a lockstep group: the compiled
-// problem it runs against (all reads of a group must share the problem
-// TOPOLOGY — Offsets/Cols — though coefficients may differ per read;
-// per-read noise such as ICE or calibration drift lives in the
-// coefficients), the output spin buffer, the read's private RNG stream,
-// and the probe that watches it (nil when unprobed).
+// problem it runs against, its programmed initial state, the output spin
+// buffer, the read's private RNG stream, and the probe that watches it
+// (nil when unprobed). All reads of a group must share the problem SIZE
+// (Prog.N) and nothing else: coefficients and topology (Offsets/Cols)
+// may differ per read — the run body packs reads of different problems
+// of one size into a group, and per-read noise such as ICE or
+// calibration drift lives in the coefficients. Init is the read's
+// programmed initial state for schedules that start at s = 1 (reverse
+// annealing), length Prog.N, and is ignored otherwise.
 type BatchRead struct {
 	Prog  *qubo.CSR
+	Init  []int8
 	Out   []int8
 	Rng   *rng.Source
 	Probe Probe
@@ -58,15 +64,16 @@ type BatchRead struct {
 // through the sweep program together, with spin state stored as
 // struct-of-arrays (read-major contiguous blocks) so the per-sweep
 // schedule constants are loaded once per group and the reads' independent
-// dependency chains overlap in the pipeline instead of serializing.
+// dependency chains overlap in the pipeline instead of serializing. The
+// group takes only its size from the reads' shared N; every other
+// problem quantity is read per read.
 //
 // Each read draws only from its own Rng, in a fixed per-read order, and
-// writes its measured classical state into Out (length Prog.N). init is
-// the shared programmed initial state for schedules that start at s = 1
-// (reverse annealing) and is ignored otherwise. The streams are private,
-// so a read's outcome — and the state its Rng is left in — does not
-// depend on which reads share its group; the one-read reference kernels
-// in the tests pin this bit for bit (TestLockstepMatchesSequential).
+// writes its measured classical state into Out (length Prog.N). The
+// streams are private, so a read's outcome — and the state its Rng is
+// left in — does not depend on which reads share its group; the one-read
+// reference kernels in the tests pin this bit for bit
+// (TestLockstepMatchesSequential).
 //
 // A read with a non-nil Probe receives one observation per sweep. A nil
 // probe costs nothing beyond a per-sweep nil check, and probing never
@@ -77,7 +84,7 @@ type BatchRead struct {
 // BatchReadFuncs are safe for concurrent use: compiled state is read-only
 // and group scratch is pooled internally, so steady-state groups allocate
 // nothing beyond probe observations.
-type BatchReadFunc func(init []int8, reads []BatchRead)
+type BatchReadFunc func(reads []BatchRead)
 
 // lockstepWidth is the number of reads resident in one lockstep group.
 // Eight reads give the out-of-order core enough independent RNG/trig/

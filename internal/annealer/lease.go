@@ -84,14 +84,11 @@ func (l *Lease) ServiceMicros(numReads int) float64 {
 // RNG — the lease only amortizes validation and Prepare, it never
 // changes the dynamics.
 func (l *Lease) Run(is *qubo.Ising, init []int8, numReads int, r *rng.Source) (*Result, error) {
-	p, err := l.callParams(init, numReads)
+	prep, err := l.compile(is)
 	if err != nil {
 		return nil, err
 	}
-	if l.qpu != nil {
-		return l.qpu.runEmbedded(is, p, l.kernel, r)
-	}
-	return runLogical(is, p, l.kernel, r)
+	return l.RunPrepared(prep, init, numReads, r)
 }
 
 // callParams applies one call's arguments to the lease template: init

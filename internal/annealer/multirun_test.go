@@ -1,74 +1,226 @@
 package annealer
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/instance"
+	"repro/internal/modulation"
+	"repro/internal/qubo"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 )
 
-// TestRunPreparedMultiMatchesSequential: the multi-initial-state batch is
-// pure sugar — every arm's result must be bit-identical to the standalone
-// RunPrepared call with the same (init, reads, rng), on both the logical
-// and the embedded paths, regardless of how arms are partitioned.
+// multiTestProblems returns detection problems of 6, 8, 8 and 10 spins:
+// two sizes share N with different problems, and on the embedded path
+// the 10-spin problem needs a larger Chimera region than the rest, so a
+// batch over them mixes physical sizes.
+func multiTestProblems(t *testing.T) []*qubo.Ising {
+	t.Helper()
+	specs := []instance.Spec{
+		{Users: 3, Scheme: modulation.QPSK, Seed: 1},
+		{Users: 4, Scheme: modulation.QPSK, Seed: 2},
+		{Users: 2, Scheme: modulation.QAM16, Seed: 3},
+		{Users: 5, Scheme: modulation.QPSK, Seed: 4},
+	}
+	out := make([]*qubo.Ising, len(specs))
+	for i, sp := range specs {
+		in, err := instance.Synthesize(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = in.Reduction.Ising
+	}
+	return out
+}
+
+// multiTestRuns builds a batch of runs over preps whose read counts
+// (1, 3, 4, 5, 12) straddle the lockstep group edges, each with its own
+// initial state and stream seed.
+func multiTestRuns(preps []*Prepared, seeds []uint64) []PreparedRun {
+	counts := []int{1, 3, 4, 5, 12}
+	runs := make([]PreparedRun, len(seeds))
+	for i := range runs {
+		prep := preps[i%len(preps)]
+		init := make([]int8, prep.Problem().N)
+		for k := range init {
+			init[k] = int8(1 - 2*((k*(i+1)+i)/3%2))
+		}
+		runs[i] = PreparedRun{Prep: prep, InitialState: init, NumReads: counts[i%len(counts)], Rng: rng.New(seeds[i])}
+	}
+	return runs
+}
+
+// TestRunPreparedMultiMatchesSequential: packing runs into shared
+// lockstep groups cannot change an answer — every run's result (or
+// fault) must reflect.DeepEqual the standalone RunPrepared call with the
+// same (prep, init, reads, rng), on both the logical and the embedded
+// paths, across mixed problem sizes, read counts straddling group edges,
+// ICE, every soft fault plus programming failures, and parallelism 1
+// and 4.
 func TestRunPreparedMultiMatchesSequential(t *testing.T) {
-	is := prepTestProblems(t, 1)[0]
+	problems := multiTestProblems(t)
 	sc, err := Reverse(0.45, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{
-		Schedule: sc, NumReads: 8, SweepsPerMicrosecond: 30,
-		ICE: ICE{SigmaH: 0.02, SigmaJ: 0.01},
+	faults := map[string]FaultModel{
+		"clean": {},
+		"faulty": {ProgrammingFailureRate: 0.3, ReadTimeoutRate: 0.25,
+			ChainBreakStormRate: 0.2, CalibrationDriftRate: 0.2},
 	}
-	leases := map[string]*Lease{}
-	l, err := NewLease(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leases["logical"] = l
-	if l, err = NewQPU2000Q().Lease(p); err != nil {
-		t.Fatal(err)
-	}
-	leases["embedded"] = l
-	inits := make([][]int8, 3)
-	for c := range inits {
-		inits[c] = make([]int8, is.N)
-		for i := range inits[c] {
-			if (i+c)%2 == 0 {
-				inits[c][i] = 1
-			} else {
-				inits[c][i] = -1
-			}
-		}
-	}
-	for name, l := range leases {
-		t.Run(name, func(t *testing.T) {
-			prep, err := l.PrepareProblem(is)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs := make([]PreparedRun, len(inits))
-			for c := range inits {
-				runs[c] = PreparedRun{InitialState: inits[c], NumReads: 8, Rng: rng.New(100 + uint64(c))}
-			}
-			results, errs, err := l.RunPreparedMulti(prep, runs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for c := range inits {
-				if errs[c] != nil {
-					t.Fatalf("arm %d errored: %v", c, errs[c])
-				}
-				want, err := l.RunPrepared(prep, inits[c], 8, rng.New(100+uint64(c)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, results[c]) {
-					t.Fatalf("%s arm %d diverges from standalone RunPrepared", name, c)
+	for _, path := range []string{"logical", "embedded"} {
+		t.Run(path, func(t *testing.T) {
+			for fname, fm := range faults {
+				for _, par := range []int{1, 4} {
+					p := Params{
+						Schedule: sc, NumReads: 8, SweepsPerMicrosecond: 30,
+						ICE: ICE{SigmaH: 0.02, SigmaJ: 0.01}, Faults: fm, Parallelism: par,
+					}
+					l, err := NewLease(p)
+					if path == "embedded" {
+						l, err = NewQPU2000Q().Lease(p)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					preps := make([]*Prepared, len(problems))
+					for i, is := range problems {
+						if preps[i], err = l.PrepareProblem(is); err != nil {
+							t.Fatal(err)
+						}
+					}
+					seeds := make([]uint64, 10)
+					for i := range seeds {
+						seeds[i] = 100 + uint64(i)
+					}
+					runs := multiTestRuns(preps, seeds)
+					results, errs, err := l.RunPreparedMulti(runs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					faulted := 0
+					for i, ru := range runs {
+						want, wantErr := l.RunPrepared(ru.Prep, ru.InitialState, ru.NumReads, rng.New(seeds[i]))
+						if !reflect.DeepEqual(want, results[i]) || !reflect.DeepEqual(wantErr, errs[i]) {
+							t.Fatalf("%s/%s/par=%d run %d diverges from standalone RunPrepared (err %v vs %v)",
+								path, fname, par, i, errs[i], wantErr)
+						}
+						if errs[i] != nil {
+							faulted++
+						}
+					}
+					if fname == "faulty" && (faulted == 0 || faulted == len(runs)) {
+						t.Fatalf("%s/par=%d: want a mixed batch, got %d of %d runs faulted", path, par, faulted, len(runs))
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestRunPreparedMultiTelemetry: with a tracer and a registry attached,
+// one multi-run call emits the same trace (in telemetry.SortRecords
+// order) and the same metric exposition as the standalone calls in run
+// order.
+func TestRunPreparedMultiTelemetry(t *testing.T) {
+	problems := multiTestProblems(t)
+	sc, err := Reverse(0.45, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type sinks struct {
+		tr  *telemetry.Tracer
+		reg *telemetry.Registry
+		l   *Lease
+	}
+	build := func() sinks {
+		s := sinks{tr: telemetry.NewTracer(), reg: telemetry.NewRegistry()}
+		p := Params{
+			Schedule: sc, NumReads: 8, SweepsPerMicrosecond: 30, Trace: s.tr, Metrics: s.reg,
+			Faults: FaultModel{ProgrammingFailureRate: 0.2, ReadTimeoutRate: 0.25,
+				ChainBreakStormRate: 0.2, CalibrationDriftRate: 0.2},
+		}
+		if s.l, err = NewQPU2000Q().Lease(p); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	multi, seq := build(), build()
+	prep := func(l *Lease) []*Prepared {
+		preps := make([]*Prepared, len(problems))
+		for i, is := range problems {
+			if preps[i], err = l.PrepareProblem(is); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return preps
+	}
+	seeds := []uint64{7, 8, 9, 10, 11, 12, 13}
+	if _, _, err := multi.l.RunPreparedMulti(multiTestRuns(prep(multi.l), seeds)); err != nil {
+		t.Fatal(err)
+	}
+	for _, ru := range multiTestRuns(prep(seq.l), seeds) {
+		seq.l.RunPrepared(ru.Prep, ru.InitialState, ru.NumReads, ru.Rng) //nolint:errcheck // faults are expected
+	}
+	var a, b bytes.Buffer
+	if err := multi.tr.WriteJSONL(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := seq.tr.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("multi-run trace differs from the sequential calls' trace")
+	}
+	a.Reset()
+	b.Reset()
+	if err := multi.reg.WritePrometheus(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := seq.reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("multi-run metrics differ from the sequential calls':\n%s\nvs\n%s", a.String(), b.String())
+	}
+}
+
+// TestPackReadsGroups pins the packing rule: runs bucketed by physical N
+// in first-appearance order, runs then reads in order within a bucket,
+// groups of at most lockstepWidth that never span two sizes, and runs
+// with an argument error left out.
+func TestPackReadsGroups(t *testing.T) {
+	mk := func(n, reads int) *run {
+		return &run{pr: &qubo.CSR{N: n}, p: Params{NumReads: reads}}
+	}
+	bad := mk(5, 3)
+	bad.err = fmt.Errorf("argument error")
+	runs := []*run{mk(5, 3), mk(7, 9), bad, mk(5, 6), mk(7, 1)}
+	refs, groups := packReads(runs)
+	type ref struct{ run, read int }
+	idx := map[*run]int{}
+	for i, ru := range runs {
+		idx[ru] = i
+	}
+	var got [][]ref
+	for g := 0; g+1 < len(groups); g++ {
+		var grp []ref
+		for _, r := range refs[groups[g]:groups[g+1]] {
+			grp = append(grp, ref{idx[r.ru], r.read})
+		}
+		got = append(got, grp)
+	}
+	want := [][]ref{
+		{{0, 0}, {0, 1}, {0, 2}, {3, 0}, {3, 1}, {3, 2}, {3, 3}, {3, 4}},
+		{{3, 5}},
+		{{1, 0}, {1, 1}, {1, 2}, {1, 3}, {1, 4}, {1, 5}, {1, 6}, {1, 7}},
+		{{1, 8}, {4, 0}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("packed groups %v, want %v", got, want)
 	}
 }
 
@@ -97,9 +249,9 @@ func TestRunPreparedMultiIsolatesArmFaults(t *testing.T) {
 	}
 	runs := make([]PreparedRun, 16)
 	for i := range runs {
-		runs[i] = PreparedRun{InitialState: init, NumReads: 5, Rng: rng.New(uint64(i))}
+		runs[i] = PreparedRun{Prep: prep, InitialState: init, NumReads: 5, Rng: rng.New(uint64(i))}
 	}
-	results, errs, err := l.RunPreparedMulti(prep, runs)
+	results, errs, err := l.RunPreparedMulti(runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +277,8 @@ func TestRunPreparedMultiIsolatesArmFaults(t *testing.T) {
 	}
 }
 
-// TestRunPreparedMultiValidates: foreign prepared problems, empty
-// batches and nil RNG streams are rejected up front.
+// TestRunPreparedMultiValidates: foreign or missing prepared problems,
+// empty batches and nil RNG streams are rejected up front.
 func TestRunPreparedMultiValidates(t *testing.T) {
 	is := prepTestProblems(t, 1)[0]
 	sc, err := Reverse(0.45, 1)
@@ -150,17 +302,28 @@ func TestRunPreparedMultiValidates(t *testing.T) {
 	for i := range init {
 		init[i] = 1
 	}
-	good := []PreparedRun{{InitialState: init, NumReads: 5, Rng: rng.New(1)}}
-	if _, _, err := l2.RunPreparedMulti(prep, good); err == nil {
+	good := PreparedRun{Prep: prep, InitialState: init, NumReads: 5, Rng: rng.New(1)}
+	if _, _, err := l2.RunPreparedMulti([]PreparedRun{good}); err == nil {
 		t.Fatal("foreign prepared problem accepted")
 	}
-	if _, _, err := l1.RunPreparedMulti(nil, good); err == nil {
+	noPrep := good
+	noPrep.Prep = nil
+	if _, _, err := l1.RunPreparedMulti([]PreparedRun{good, noPrep}); err == nil {
 		t.Fatal("nil prepared problem accepted")
 	}
-	if _, _, err := l1.RunPreparedMulti(prep, nil); err == nil {
+	if _, _, err := l1.RunPreparedMulti(nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	if _, _, err := l1.RunPreparedMulti(prep, []PreparedRun{{InitialState: init, NumReads: 5}}); err == nil {
+	noRng := good
+	noRng.Rng = nil
+	if _, _, err := l1.RunPreparedMulti([]PreparedRun{noRng}); err == nil {
 		t.Fatal("nil rng stream accepted")
+	}
+	// A read count past MaxReads is a per-run error, not a batch abort.
+	huge := good
+	huge.NumReads = MaxReads + 1
+	results, errs, err := l1.RunPreparedMulti([]PreparedRun{huge, good})
+	if err != nil || errs[0] == nil || results[0] != nil || errs[1] != nil || results[1] == nil {
+		t.Fatalf("oversized run: err %v, errs %v", err, errs)
 	}
 }

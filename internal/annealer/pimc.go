@@ -111,11 +111,11 @@ func (e PIMC) Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) 
 		return nil, err
 	}
 	pool := &sync.Pool{New: func() any { return new(pimcBatchScratch) }}
-	return func(init []int8, reads []BatchRead) {
+	return func(reads []BatchRead) {
 		for _, br := range reads {
 			st := pool.Get().(*pimcBatchScratch)
 			st.ensure(prog.p, br.Prog.N)
-			pimcPackedRead(br.Prog, prog, init, br.Out, st, br.Rng, br.Probe)
+			pimcPackedRead(br.Prog, prog, br.Init, br.Out, st, br.Rng, br.Probe)
 			pool.Put(st)
 		}
 	}, nil

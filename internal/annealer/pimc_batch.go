@@ -3,6 +3,7 @@ package annealer
 import (
 	"math/bits"
 
+	"repro/internal/metropolis"
 	"repro/internal/qubo"
 	"repro/internal/rng"
 )
@@ -158,8 +159,8 @@ func pimcPackedRead(pr *qubo.CSR, prog *pimcProgram, init, out []int8,
 				if !accept {
 					x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
 					u := float64(x>>11) * (1.0 / (1 << 53))
-					v := metroBracket(u, dS)
-					accept = v > 0 || (v == 0 && metropolisExpExact(u, dS))
+					v := metropolis.Bracket(u, dS)
+					accept = v > 0 || (v == 0 && metropolis.Exact(u, dS))
 				}
 				if accept {
 					accepted++

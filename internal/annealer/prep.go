@@ -48,20 +48,25 @@ func (p *Prepared) Problem() *qubo.Ising { return p.is }
 // snapshot it keeps is a deep copy, so later mutation of is cannot
 // desynchronize a cached entry from its compiled artifacts.
 func (l *Lease) PrepareProblem(is *qubo.Ising) (*Prepared, error) {
+	return l.compile(is.Clone())
+}
+
+// compile is PrepareProblem without the snapshot copy, for a one-call
+// Prepared whose problem cannot change while it runs (Lease.Run).
+func (l *Lease) compile(is *qubo.Ising) (*Prepared, error) {
 	if is.N == 0 {
 		return nil, fmt.Errorf("annealer: empty problem")
 	}
-	prep := &Prepared{l: l, is: is.Clone()}
+	prep := &Prepared{l: l, is: is}
 	if l.qpu != nil {
-		emb, pr, err := l.qpu.prepareEmbedded(prep.is)
+		emb, pr, err := l.qpu.prepareEmbedded(is)
 		if err != nil {
 			return nil, err
 		}
 		prep.emb, prep.pr = emb, pr
 	} else {
-		pr := qubo.NewCSR(prep.is)
-		pr.Normalize()
-		prep.pr = pr
+		prep.pr = qubo.NewCSR(is)
+		prep.pr.Normalize()
 	}
 	return prep, nil
 }
@@ -73,14 +78,19 @@ func (l *Lease) RunPrepared(prep *Prepared, init []int8, numReads int, r *rng.So
 	if prep == nil || prep.l != l {
 		return nil, fmt.Errorf("annealer: prepared problem does not belong to this lease")
 	}
+	ru := l.preparedRun(prep, init, numReads, r)
+	runAll([]*run{ru}, l.kernel)
+	return ru.res, ru.err
+}
+
+// preparedRun builds the run of one call against prep; an argument error
+// is carried in the run's err.
+func (l *Lease) preparedRun(prep *Prepared, init []int8, numReads int, r *rng.Source) *run {
 	p, err := l.callParams(init, numReads)
-	if err != nil {
-		return nil, err
-	}
 	if l.qpu != nil {
 		p = l.qpu.withTiming(p)
 	}
-	return runCompiled(prep.is, prep.emb, prep.pr, p, l.kernel, r)
+	return &run{is: prep.is, emb: prep.emb, pr: prep.pr, p: p, r: r, err: err}
 }
 
 // PrepCacheStats is a point-in-time snapshot of a cache's counters.

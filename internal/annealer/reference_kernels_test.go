@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/metropolis"
 	"repro/internal/qubo"
 	"repro/internal/rng"
 )
@@ -182,8 +183,8 @@ func (e SVMC) read(pr *qubo.CSR, tab *sweepTable, scale []float64, beta float64,
 				x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
 				u := float64(x>>11) * (1.0 / (1 << 53))
 				xx := beta * dE
-				v := metroBracket(u, xx)
-				accept = v > 0 || (v == 0 && metropolisExpExact(u, xx))
+				v := metropolis.Bracket(u, xx)
+				accept = v > 0 || (v == 0 && metropolis.Exact(u, xx))
 			}
 			if accept {
 				accepted++
@@ -344,8 +345,8 @@ func pimcRead(pr *qubo.CSR, tab *sweepTable, spatial, temporal []float64, p int,
 				if !accept {
 					x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
 					u := float64(x>>11) * (1.0 / (1 << 53))
-					v := metroBracket(u, dS)
-					accept = v > 0 || (v == 0 && metropolisExpExact(u, dS))
+					v := metropolis.Bracket(u, dS)
+					accept = v > 0 || (v == 0 && metropolis.Exact(u, dS))
 				}
 				if accept {
 					accepted++

@@ -10,7 +10,7 @@ import (
 // TestLockstepScalarMatchesSIMD pins the pure-Go staged kernel against
 // the reference: with the SIMD gate forced off, the lockstep group must
 // still reproduce the one-read reference kernel bit for bit, unprobed
-// and probed. On AVX2 hosts this exercises the scalar stage-1 kernel the
+// and probed, for one-problem and mixed-problem groups. On AVX2 hosts this exercises the scalar stage-1 kernel the
 // SIMD path shadows — the only SVMC kernel off amd64; elsewhere it is a
 // plain re-run of the equivalence property.
 func TestLockstepScalarMatchesSIMD(t *testing.T) {
@@ -41,7 +41,11 @@ func TestLockstepScalarMatchesSIMD(t *testing.T) {
 						init[i] = int8(1 - 2*(i%3%2))
 					}
 				}
-				checkLockstepMatches(t, "scalar-svmc", SVMC{}, sc, prof, pr, init, reads, r.Uint64())
+				checkLockstepMatches(t, "scalar-svmc", SVMC{}, sc, prof, oneProblem(pr, init), reads, r.Uint64())
+			}
+			for _, sc := range []*Schedule{fwd, rev} {
+				ln := mixedLanes(t, r, n, reads, sc.StartsClassical())
+				checkLockstepMatches(t, "scalar-svmc/mixed", SVMC{}, sc, prof, ln, reads, r.Uint64())
 			}
 		}
 	}
@@ -69,9 +73,9 @@ func TestScalarScoreMatchesStage1(t *testing.T) {
 	// same seed: the verdict replay path and the staged kernel must agree
 	// on every read's output and final RNG state.
 	seed := r.Uint64()
-	simdOuts, simdRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, pr, nil, 8, seed, nil)
+	simdOuts, simdRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, oneProblem(pr, nil), 8, seed, nil)
 	hasBatchSIMD = false
-	scalarOuts, scalarRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, pr, nil, 8, seed, nil)
+	scalarOuts, scalarRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, oneProblem(pr, nil), 8, seed, nil)
 	hasBatchSIMD = true
 	assertGroupsEqual(t, "simd-vs-scalar", simdOuts, scalarOuts, simdRngs, scalarRngs)
 }

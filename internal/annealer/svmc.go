@@ -101,12 +101,12 @@ func (e SVMC) Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) 
 		return nil, err
 	}
 	pool := &sync.Pool{New: func() any { return new(svmcBatchScratch) }}
-	return func(init []int8, reads []BatchRead) {
+	return func(reads []BatchRead) {
 		if len(reads) == 0 {
 			return
 		}
 		st := pool.Get().(*svmcBatchScratch)
-		svmcBatchRead(prog, init, reads, st)
+		svmcBatchRead(prog, reads, st)
 		pool.Put(st)
 	}, nil
 }

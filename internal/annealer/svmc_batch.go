@@ -3,16 +3,19 @@ package annealer
 import (
 	"math"
 	"math/bits"
+
+	"repro/internal/metropolis"
 )
 
-// Lockstep SVMC: R reads of one batch advance through the sweep program
-// together. A one-read sweep loop is latency-bound — every proposal
+// Lockstep SVMC: R reads of equal problem size advance through the sweep
+// program together. A one-read sweep loop is latency-bound — every proposal
 // chains an RNG step into sinCosPi's polynomial into the dE compare, and
 // the core sits idle waiting on each link. Interleaving R independent
 // reads per (sweep, proposal) step gives the out-of-order window R
 // disjoint chains to overlap, which is where the kernel's speedup comes
-// from; the schedule constants and the shared CSR topology are also
-// loaded once per group step instead of once per read.
+// from; the schedule constants are also loaded once per group step
+// instead of once per read. Each lane walks its own CSR, so the reads
+// may belong to different problems.
 //
 // Per-read state is struct-of-arrays in read-major contiguous blocks:
 // read j's rotor caches live at [j*n, (j+1)*n) (theta only materializes
@@ -50,9 +53,10 @@ type svmcBatchScratch struct {
 // kernel call marshals a single pointer instead of 17 stack arguments
 // (the call sits in a loop that runs once per spin per sweep — the
 // marshaling alone was a measurable slice of the sweep). The layout is
-// hard offsets in svmc_simd_amd64.s, asserted at init; accm/exm are
+// hard offsets in svmc_simd_amd64.s (TestSVMCStepArgsLayout); accm/exm are
 // OUTPUTS the kernel writes: bit j of accm/exm is lane j's
-// accepted-outright / bracket-undecided verdict.
+// accepted-outright / bracket-undecided verdict. bounds points at
+// metropolis.Bounds, the one exp bracket every Metropolis test reads.
 type svmcStepArgs struct {
 	rs0, rs1, rs2, rs3 *[8]uint64  // +0 +8 +16 +24
 	idx                *[8]uint64  // +32
@@ -63,6 +67,7 @@ type svmcStepArgs struct {
 	nb, negnb          uint64      // +88 +96
 	na2, b2, beta      float64     // +104 +112 +120
 	accm, exm          uint16      // +128 +130 (kernel-written)
+	bounds             *float64    // +136
 }
 
 // ensure sizes the scratch for an r-read group of n spins. The per-lane
@@ -111,9 +116,11 @@ func (st *svmcBatchScratch) ensure(r, n int) {
 	st.args = st.args[:rr/8]
 }
 
-// svmcBatchRead evolves one lockstep group. Reads must share problem
-// topology (per-read coefficient clones off one base CSR qualify).
-func svmcBatchRead(prog *svmcProgram, init []int8, reads []BatchRead, st *svmcBatchScratch) {
+// svmcBatchRead evolves one lockstep group. Reads must share the problem
+// size n; everything else — field init, the accept path's row walk,
+// probe energies, the reverse-start state — reads the lane's own Prog
+// and Init, so one group may carry different problems.
+func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	tab, scale, beta := prog.tab, prog.scale, prog.beta
 	r := len(reads)
 	n := reads[0].Prog.N
@@ -131,7 +138,7 @@ func svmcBatchRead(prog *svmcProgram, init []int8, reads []BatchRead, st *svmcBa
 	for j := range reads {
 		base := j * n
 		if prog.startsClassical {
-			for i, s := range init {
+			for i, s := range reads[j].Init {
 				if s > 0 {
 					if tf {
 						theta[base+i] = 0
@@ -204,6 +211,7 @@ func svmcBatchRead(prog *svmcProgram, init []int8, reads []BatchRead, st *svmcBa
 			rot: &rot[0], lanoff: (*[8]uint64)(lan[c:]),
 			dE: (*[8]float64)(dEs[c:]), u: (*[8]float64)(uu[c:]),
 			nb: uint64(n), negnb: lemireThreshold(n), beta: beta,
+			bounds: &metropolis.Bounds[0],
 		}
 	}
 	sweeps := tab.sweeps()
@@ -254,7 +262,7 @@ func svmcBatchRead(prog *svmcProgram, init []int8, reads []BatchRead, st *svmcBa
 						work &= work - 1
 						accept := am&uint32(jj) != 0
 						if em&uint32(jj) != 0 {
-							accept = metropolisExpExact(uu[j], beta*dEs[j])
+							accept = metropolis.Exact(uu[j], beta*dEs[j])
 						}
 						if accept {
 							acc[j]++
@@ -350,21 +358,21 @@ func svmcBatchRead(prog *svmcProgram, init []int8, reads []BatchRead, st *svmcBa
 					rs0[j], rs1[j], rs2[j], rs3[j] = s0, s1, s2, s3
 					u := float64(x>>11) * (1.0 / (1 << 53))
 					xx := beta * dE
-					// metroBracket, unrolled branchlessly: the outcome of
+					// metropolis.Bracket, unrolled branchlessly: the outcome of
 					// u < exp(−xx) is a coin flip the branch predictor
 					// cannot learn, so resolve both bracket compares as
 					// flags (one cache line, loads issued unconditionally)
 					// and branch only for the rare inside-the-bracket case.
-					// Decision-identical to metropolisExp on every input.
-					k := uint(xx * expGridStep)
-					if k < expGridMax {
-						acc := u < expBounds[2*k+1]
-						if acc != (u < expBounds[2*k]) {
-							acc = metropolisExpExact(u, xx)
+					// Decision-identical to metropolis.Accept on every input.
+					k := uint(xx * metropolis.GridStep)
+					if k < metropolis.GridMax {
+						acc := u < metropolis.Bounds[2*k+1]
+						if acc != (u < metropolis.Bounds[2*k]) {
+							acc = metropolis.Exact(u, xx)
 						}
 						accept = acc
 					} else {
-						accept = u < 0x1p-53 && metropolisExpExact(u, xx)
+						accept = u < 0x1p-53 && metropolis.Exact(u, xx)
 					}
 				}
 				if accept {
@@ -457,7 +465,7 @@ func svmcScoreScalar(st *svmcBatchScratch, c0 int, nb, negnb uint64,
 			st.rs0[j], st.rs1[j], st.rs2[j], st.rs3[j] = s0, s1, s2, s3
 			u := float64(x>>11) * (1.0 / (1 << 53))
 			st.u[j] = u
-			switch metroBracket(u, beta*dE) {
+			switch metropolis.Bracket(u, beta*dE) {
 			case 1:
 				am |= bit
 			case 0:

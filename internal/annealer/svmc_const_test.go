@@ -3,7 +3,29 @@ package annealer
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
+
+// TestSVMCStepArgsLayout pins the svmcStepArgs field offsets that
+// svmc_simd_amd64.s loads and stores as hard constants.
+func TestSVMCStepArgsLayout(t *testing.T) {
+	var a svmcStepArgs
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"rs0", unsafe.Offsetof(a.rs0), 0}, {"idx", unsafe.Offsetof(a.idx), 32},
+		{"sn", unsafe.Offsetof(a.sn), 40}, {"rot", unsafe.Offsetof(a.rot), 56},
+		{"lanoff", unsafe.Offsetof(a.lanoff), 64}, {"dE", unsafe.Offsetof(a.dE), 72},
+		{"nb", unsafe.Offsetof(a.nb), 88}, {"na2", unsafe.Offsetof(a.na2), 104},
+		{"beta", unsafe.Offsetof(a.beta), 120}, {"accm", unsafe.Offsetof(a.accm), 128},
+		{"exm", unsafe.Offsetof(a.exm), 130}, {"bounds", unsafe.Offsetof(a.bounds), 136},
+	} {
+		if f.got != f.want {
+			t.Errorf("svmcStepArgs.%s at offset %d, svmc_simd_amd64.s assumes %d", f.name, f.got, f.want)
+		}
+	}
+}
 
 // TestSVMCStartConstants pins the exact trigonometric values SVMC's
 // start-state initialization hoists out of its loops (svmc.go). The

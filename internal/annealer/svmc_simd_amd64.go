@@ -1,6 +1,10 @@
 package annealer
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/metropolis"
+)
 
 // The lockstep SVMC proposal kernel in svmc_simd_amd64.s: one call runs
 // a full proposal step for eight resident reads with 4-wide AVX2
@@ -20,7 +24,7 @@ import "math"
 // proposal's energy delta), u (the uphill uniform; garbage for downhill
 // lanes), and the verdict bitmasks a.accm (bit j: lane j accepted
 // outright) and a.exm (bit j: the bracket could not decide and the
-// caller must settle u < exp(−beta·dE) with metropolisExpExact; such
+// caller must settle u < exp(−beta·dE) with metropolis.Exact; such
 // lanes' accm bit is meaningless). Lane j's spin triplets live at
 // rot[lanoff[j]+3i]; a padding lane must carry lanoff 0 so its gathers
 // stay in bounds. If any lane's index draw hits the Lemire rejection
@@ -54,8 +58,8 @@ var svmcSIMDTab struct {
 	signBit  [4]uint64     // +256  0x8000000000000000
 	sinC     [7][4]float64 // +288
 	cosC     [8][4]float64 // +512
-	expStep  [4]float64    // +768  expGridStep
-	expCap   [4]uint64     // +800  expGridMax (as int64)
+	expStep  [4]float64    // +768  metropolis.GridStep
+	expCap   [4]uint64     // +800  metropolis.GridMax (as int64)
 }
 
 func init() {
@@ -76,8 +80,8 @@ func init() {
 	for k := 0; k < 8; k++ {
 		fillF(&svmcSIMDTab.cosC[k], cosPiCoef[k])
 	}
-	fillF(&svmcSIMDTab.expStep, expGridStep)
-	fill(&svmcSIMDTab.expCap, expGridMax)
+	fillF(&svmcSIMDTab.expStep, metropolis.GridStep)
+	fill(&svmcSIMDTab.expCap, metropolis.GridMax)
 	// The u64→f64 magic-number identity the conversion rests on, checked
 	// once at startup so a miscompiled constant can never ship silently.
 	if v := uint64(1)<<52 | 12345; float64(v) != (math.Float64frombits(0x4530000000000000|v>>32)-(0x1p84+0x1p52))+math.Float64frombits(0x4330000000000000|v&0xFFFFFFFF) {

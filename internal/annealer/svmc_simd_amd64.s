@@ -139,7 +139,7 @@
 // accumulators at bit position SHIFT. Inputs, all set up by the main
 // body: CX the args struct (read-only here; sn/cs pointers come from
 // it), R8–R11 the state arrays (holding post-angle-draw states),
-// R12 idx, R13 rot, R14 lanoff, R15 expBounds, DX dE, SI u, and the
+// R12 idx, R13 rot, R14 lanoff, R15 bounds, DX dE, SI u, and the
 // stack frame holds na2 (0), b2 (32), beta (64) broadcast 4-wide.
 // DI/BX accumulate the acc/ex bitmasks. AX and Y0–Y8/X2 are clobbered.
 // The sequence, with the operand convention "op A, B, C ⇒ C = B op A"
@@ -160,7 +160,7 @@
 //     catches exactly like the scalar uint conversion's wraparound —
 //     both land in the frozen-tail branch). inTable = 0 ≤ k < cap;
 //     gmask = uphill ∧ inTable.
-//  5. Gather the bracket hiB = expBounds[2k], loB = expBounds[2k+1]
+//  5. Gather the bracket hiB = bounds[2k], loB = bounds[2k+1]
 //     under gmask (masked-off lanes touch no memory, so garbage k in
 //     downhill/tail lanes is harmless). accLo = u < loB,
 //     accHi = u < hiB; inside-the-bracket lanes (accLo ≠ accHi) are
@@ -333,7 +333,7 @@ TEXT ·svmcStepx8(SB), NOSPLIT, $96-9
 
 	MOVQ 56(CX), R13 // rot
 	MOVQ 64(CX), R14 // lanoff
-	LEAQ ·expBounds(SB), R15
+	MOVQ 136(CX), R15 // bounds
 	MOVQ 72(CX), DX // dE
 	MOVQ 80(CX), SI // u
 	XORL DI, DI     // acc bitmask

@@ -367,7 +367,10 @@ func (c AnnealConfig) runArms(red *mimo.Reduction, cands [][]int8, grid []float6
 		if err != nil {
 			return nil, err
 		}
-		res, errs, err := l.RunPreparedMulti(prep, runs)
+		for j := range runs {
+			runs[j].Prep = prep
+		}
+		res, errs, err := l.RunPreparedMulti(runs)
 		if err != nil {
 			return nil, err
 		}

@@ -180,7 +180,8 @@ type Config struct {
 	// single-threaded pre-pass in planned batch order, so its hit/miss/
 	// eviction sequence — and therefore every answer — is bit-identical
 	// at any worker count; hits only skip recompiling artifacts the
-	// uncached path would rebuild identically.
+	// uncached path (each frame compiled by its worker) would rebuild
+	// identically.
 	PrepCacheSize int
 	// ShardLabel, when non-empty, tags every trace record and metric
 	// series this Serve emits with a shard="..." attribute/label. It is
@@ -532,7 +533,7 @@ type planner struct {
 
 	schedules map[schedKey]*annealer.Schedule
 	leases    map[leaseKey]*annealer.Lease
-	preps     []*annealer.Prepared // per frame, filled by the execute pre-pass
+	preps     []*annealer.Prepared // per frame, from the execute pre-pass; nil entries compile in the worker
 	prepStats annealer.PrepCacheStats
 
 	retries int
@@ -1262,9 +1263,9 @@ func (pl *planner) execute(ctx context.Context) error {
 	// only the per-frame Prepared pointers fixed here. An evicted-then-
 	// reused problem simply compiles again; either way each frame runs
 	// artifacts byte-identical to the uncached compile.
+	pl.preps = make([]*annealer.Prepared, len(pl.frames))
 	if pl.cfg.PrepCacheSize > 0 {
 		cache := annealer.NewPrepCache(pl.cfg.PrepCacheSize)
-		pl.preps = make([]*annealer.Prepared, len(pl.frames))
 		for _, bi := range jobs {
 			b := &pl.batches[bi]
 			if pl.cfg.Devices[b.dev].Backend.Classical() {
@@ -1321,28 +1322,43 @@ func (pl *planner) execute(ctx context.Context) error {
 	return firstErr
 }
 
-// runBatch anneals one planned batch's frames through the device lease,
-// or hands the batch to its classical solver.
+// runBatch anneals one planned batch's frames through the device lease
+// in one multi-run call, so the frames' reads share lockstep groups, or
+// hands the batch to its classical solver. Frames run against their
+// pre-pass Prepared; with the cache disabled each frame compiles its own,
+// which is bit-identical.
 func (pl *planner) runBatch(bi int) error {
 	b := &pl.batches[bi]
 	if pl.cfg.Devices[b.dev].Backend.Classical() {
 		return pl.runClassicalBatch(bi)
 	}
 	l := pl.leases[leaseKey{b.dev, b.key}]
-	for _, fi := range b.frames {
+	runs := make([]annealer.PreparedRun, len(b.frames))
+	for k, fi := range b.frames {
+		f := &pl.frames[fi]
+		prep := pl.preps[fi]
+		if prep == nil {
+			var err error
+			if prep, err = l.PrepareProblem(f.req.Problem); err != nil {
+				return err
+			}
+		}
+		key := uint64(f.req.Stream)<<32 | uint64(f.req.Seq)
+		runs[k] = annealer.PreparedRun{
+			Prep: prep, InitialState: f.req.InitialState, NumReads: f.reads,
+			Rng: rng.New(pl.cfg.Seed).SplitString("fleet/frame").Split(key).Split(uint64(pl.outcomes[fi].Attempts)),
+		}
+	}
+	results, errs, err := l.RunPreparedMulti(runs)
+	if err != nil {
+		return err
+	}
+	for k, fi := range b.frames {
 		f := &pl.frames[fi]
 		o := &pl.outcomes[fi]
-		key := uint64(f.req.Stream)<<32 | uint64(f.req.Seq)
-		r := rng.New(pl.cfg.Seed).SplitString("fleet/frame").Split(key).Split(uint64(o.Attempts))
-		var res *annealer.Result
-		var err error
-		if pl.preps != nil && pl.preps[fi] != nil {
-			res, err = l.RunPrepared(pl.preps[fi], f.req.InitialState, f.reads, r)
-		} else {
-			res, err = l.Run(f.req.Problem, f.req.InitialState, f.reads, r)
-		}
+		res := results[k]
 		arm := core.Arm{Source: core.AnswerQuantum}
-		if err != nil {
+		if err := errs[k]; err != nil {
 			if _, ok := annealer.AsFault(err); !ok {
 				return err
 			}

@@ -3,6 +3,7 @@ package qubo
 import (
 	"math"
 
+	"repro/internal/metropolis"
 	"repro/internal/rng"
 )
 
@@ -96,7 +97,7 @@ func SimulatedAnnealingFrom(is *Ising, r *rng.Source, start []int8, opts SAOptio
 		for k := 0; k < is.N; k++ {
 			i := r.Intn(is.N)
 			delta := -2 * float64(spins[i]) * field[i]
-			if delta <= 0 || r.Float64() < math.Exp(-beta*delta) {
+			if delta <= 0 || metropolis.Accept(r.Float64(), beta*delta) {
 				spins[i] = -spins[i]
 				energy += delta
 				for _, c := range is.Adj[i] {

@@ -3,6 +3,7 @@ package qubo
 import (
 	"math"
 
+	"repro/internal/metropolis"
 	"repro/internal/rng"
 )
 
@@ -82,7 +83,7 @@ func ParallelTempering(is *Ising, r *rng.Source, opts PTOptions) Sample {
 			for m := 0; m < is.N; m++ {
 				j := mc.Intn(is.N)
 				delta := -2 * float64(sp[j]) * f[j]
-				if delta <= 0 || mc.Float64() < math.Exp(-beta*delta) {
+				if delta <= 0 || metropolis.Accept(mc.Float64(), beta*delta) {
 					sp[j] = -sp[j]
 					energy[i] += delta
 					for _, c := range is.Adj[j] {
@@ -98,7 +99,7 @@ func ParallelTempering(is *Ising, r *rng.Source, opts PTOptions) Sample {
 		if sweep%opts.SwapInterval == 0 {
 			for i := 0; i+1 < k; i++ {
 				d := (betas[i] - betas[i+1]) * (energy[i] - energy[i+1])
-				if d >= 0 || mc.Float64() < math.Exp(d) {
+				if d >= 0 || metropolis.Accept(mc.Float64(), -d) {
 					spins[i], spins[i+1] = spins[i+1], spins[i]
 					fields[i], fields[i+1] = fields[i+1], fields[i]
 					energy[i], energy[i+1] = energy[i+1], energy[i]

@@ -24,7 +24,7 @@ else
     trap 'rm -rf "$FRESH_DIR"' EXIT
     echo "recording fresh benchmarks into $FRESH_DIR ..."
     BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
-        -bench 'BenchmarkSVMCSweep|BenchmarkPIMCSweep|BenchmarkRun$|BenchmarkLeasePreparedHit' \
+        -bench 'BenchmarkSVMCSweep|BenchmarkPIMCSweep|BenchmarkRun$|BenchmarkRunPreparedMulti|BenchmarkLeasePreparedHit' \
         -benchtime=1x ./internal/annealer/ >/dev/null
     BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
         -bench 'BenchmarkFleetServe|BenchmarkEnsembleDetect' -benchtime=1x ./internal/fleet/ >/dev/null

@@ -21,6 +21,7 @@ repro/internal/fleet 94
 repro/internal/instance 84
 repro/internal/linalg 90
 repro/internal/metrics 94
+repro/internal/metropolis 98
 repro/internal/mimo 93
 repro/internal/modulation 94
 repro/internal/pipeline 91
