@@ -301,3 +301,51 @@ func BenchmarkRunPreparedMulti(b *testing.B) {
 		}
 	}
 }
+
+// baselineNsPerSARestart is the ns per 1000-sweep restart of the
+// one-read path, qubo.SimulatedAnnealing, over the same 60 reductions —
+// the cost every top-K restart paid before the lockstep SA group. It is
+// the median of five 480-restart runs on a 2-vCPU Xeon (Sapphire
+// Rapids, KVM), Go 1.24.
+const baselineNsPerSARestart = 698675
+
+// BenchmarkSAGroup times the lockstep SA group on the 16-spin 4-user
+// 16-QAM reductions top-K candidate generation anneals: one full
+// 8-lane group of default-option restarts per iteration, cycling over
+// 60 reductions. It reports ns per restart, with the one-read cost as
+// the recorded baseline.
+func BenchmarkSAGroup(b *testing.B) {
+	reds := saReductions(b, 60)
+	var srcs [lockstepWidth]rng.Source
+	var rs [lockstepWidth]*rng.Source
+	var out [lockstepWidth]qubo.Sample
+	root := rng.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range rs {
+			root.SplitInto(&srcs[j], uint64(i*lockstepWidth+j))
+			rs[j] = &srcs[j]
+		}
+		SimulatedAnnealingGroup(reds[i%len(reds)], rs[:], nil, qubo.SAOptions{}, out[:])
+	}
+	nsPerRestart := float64(b.Elapsed().Nanoseconds()) / float64(b.N*lockstepWidth)
+	b.ReportMetric(nsPerRestart, "ns/restart")
+	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
+		rec := telemetry.BenchRecord{
+			Name:       "AnnealerSAGroup",
+			NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+			Iterations: b.N,
+			Config: map[string]any{
+				"spins": reds[0].N, "sweeps_per_restart": 1000, "lanes": lockstepWidth,
+				"ns_per_restart": nsPerRestart, "baseline_ns_per_restart": baselineNsPerSARestart,
+				"speedup": baselineNsPerSARestart / nsPerRestart,
+			},
+			Series: fmt.Sprintf("spins=%d lanes=%d ns/restart=%.0f baseline=%.0f speedup=%.2fx",
+				reds[0].N, lockstepWidth, nsPerRestart, float64(baselineNsPerSARestart), baselineNsPerSARestart/nsPerRestart),
+		}
+		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -34,13 +34,17 @@ import (
 // and AVX2 (hasBatchSIMD).
 func svmcStepx8(a *svmcStepArgs) bool
 
+// saStepx8 is the lockstep simulated-annealing step in sa_simd_amd64.s;
+// see saStepArgs in sa_group.go for the contract.
+func saStepx8(a *saStepArgs) bool
+
 // cpuHasAVX2 reports AVX2 plus OS support for YMM state (OSXSAVE +
 // XCR0 XMM|YMM), probed with CPUID/XGETBV in svmc_simd_amd64.s.
 func cpuHasAVX2() bool
 
 var hasBatchSIMD = cpuHasAVX2()
 
-// svmcSIMDTab is the constant table the assembly kernel loads its
+// svmcSIMDTab is the constant table the assembly kernels load their
 // 256-bit operands from: each logical constant replicated across the
 // four lanes of a YMM register. The polynomial coefficients are copied
 // from the same init()-computed sinPiCoef/cosPiCoef tables the scalar

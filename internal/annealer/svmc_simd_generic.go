@@ -2,10 +2,15 @@
 
 package annealer
 
-// Non-amd64 builds take the pure-Go staged kernel; hasBatchSIMD gates
-// every call site, so the stub below is unreachable.
+// Non-amd64 builds take the pure-Go staged SVMC kernel and the one-read
+// simulated-annealing path; hasBatchSIMD gates every call site, so the
+// stubs below are unreachable.
 var hasBatchSIMD = false
 
 func svmcStepx8(a *svmcStepArgs) bool {
 	panic("annealer: svmcStepx8 without SIMD support")
+}
+
+func saStepx8(a *saStepArgs) bool {
+	panic("annealer: saStepx8 without SIMD support")
 }

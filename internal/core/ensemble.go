@@ -109,8 +109,14 @@ func ValidateSpGrid(grid []float64) error {
 // default greedy-search state (GreedyModule{} — the single-RA seed, so a
 // K=1 ensemble collapses onto today's hybrid path exactly); the rest are
 // drawn from a fixed generation order — the ascending greedy order, the
-// zero-forcing linear detector, then simulated-annealing restarts on
-// r's "sa" stream — deduplicated and ranked by ascending energy.
+// zero-forcing linear detector, then up to 4K+16 simulated-annealing
+// restarts, restart i on r's "sa" stream split by i — deduplicated and
+// ranked by ascending energy. Restarts stop as soon as the pool holds
+// K−1 distinct candidates. Restart 0 runs one-read; restarts 1, 2, …
+// run eight at a time through annealer.SimulatedAnnealingGroup, whose
+// lanes are bit-identical to one-read restarts, and are consumed in
+// index order, so the candidates are exactly those of one restart at a
+// time.
 func TopKCandidates(red *mimo.Reduction, k int, r *rng.Source) ([][]int8, error) {
 	if k < 1 || k > MaxEnsembleK {
 		return nil, fmt.Errorf("core: ensemble K %d out of [1, %d]", k, MaxEnsembleK)
@@ -149,9 +155,27 @@ func TopKCandidates(red *mimo.Reduction, k int, r *rng.Source) ([][]int8, error)
 			}
 		}
 	}
+	// Restart 0 runs one-read: it fills the pool on most frames, and one
+	// live lane in an 8-lane group costs more than a one-read restart.
+	// Group lanes past the stopping restart are discarded unused.
 	sa := r.SplitString("sa")
-	for i := 0; len(pool) < k-1 && i < 4*k+16; i++ {
-		add(qubo.SimulatedAnnealing(is, sa.Split(uint64(i)), qubo.SAOptions{}).Spins)
+	restarts := 4*k + 16
+	if len(pool) < k-1 {
+		add(qubo.SimulatedAnnealing(is, sa.Split(0), qubo.SAOptions{}).Spins)
+	}
+	var srcs [8]rng.Source
+	var lanes [8]*rng.Source
+	var samples [8]qubo.Sample
+	for i := 1; len(pool) < k-1 && i < restarts; i += len(lanes) {
+		w := min(len(lanes), restarts-i)
+		for j := 0; j < w; j++ {
+			sa.SplitInto(&srcs[j], uint64(i+j))
+			lanes[j] = &srcs[j]
+		}
+		annealer.SimulatedAnnealingGroup(is, lanes[:w], nil, qubo.SAOptions{}, samples[:w])
+		for j := 0; j < w && len(pool) < k-1; j++ {
+			add(samples[j].Spins)
+		}
 	}
 	// Rank the non-base pool by quality; the base candidate keeps slot 0
 	// regardless (the collapse anchor), ties keep generation order.

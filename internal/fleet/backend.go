@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/annealer"
 	"repro/internal/qaoa"
 	"repro/internal/qubo"
 	"repro/internal/rng"
@@ -30,7 +31,8 @@ const (
 	// BackendParallelTempering runs qubo.ParallelTempering per read —
 	// replica-exchange Monte Carlo, the strongest classical surrogate.
 	BackendParallelTempering
-	// BackendSimulatedAnnealing runs qubo.SimulatedAnnealingFrom per read,
+	// BackendSimulatedAnnealing runs qubo.SimulatedAnnealingFrom per read
+	// (eight reads at a time through annealer.SimulatedAnnealingGroup),
 	// seeded from the frame's classical candidate — a cheap local refiner.
 	BackendSimulatedAnnealing
 	// BackendQAOA compiles the frame onto an exact statevector QAOA
@@ -202,16 +204,36 @@ func runClassical(kind BackendKind, p ClassicalParams, is *qubo.Ising, init []in
 		reads = 1
 	}
 	switch kind {
-	case BackendSimulatedAnnealing, BackendParallelTempering:
+	case BackendSimulatedAnnealing:
+		// The reads run eight at a time in lockstep SA groups, each lane
+		// bit-identical to qubo.SimulatedAnnealingFrom(is, r.Split(k),
+		// init, p.SA), and are folded in read order.
+		var srcs [8]rng.Source
+		var lanes [8]*rng.Source
+		var starts [8][]int8
+		var samples [8]qubo.Sample
+		var best qubo.Sample
+		sum := 0.0
+		for k0 := 0; k0 < reads; k0 += len(lanes) {
+			w := min(len(lanes), reads-k0)
+			for j := 0; j < w; j++ {
+				r.SplitInto(&srcs[j], uint64(k0+j))
+				lanes[j], starts[j] = &srcs[j], init
+			}
+			annealer.SimulatedAnnealingGroup(is, lanes[:w], starts[:w], p.SA, samples[:w])
+			for j, s := range samples[:w] {
+				sum += s.Energy
+				if k0+j == 0 || s.Energy < best.Energy {
+					best = s
+				}
+			}
+		}
+		return best, sum / float64(reads), nil
+	case BackendParallelTempering:
 		var best qubo.Sample
 		sum := 0.0
 		for k := 0; k < reads; k++ {
-			var s qubo.Sample
-			if kind == BackendSimulatedAnnealing {
-				s = qubo.SimulatedAnnealingFrom(is, r.Split(uint64(k)), init, p.SA)
-			} else {
-				s = qubo.ParallelTempering(is, r.Split(uint64(k)), p.PT)
-			}
+			s := qubo.ParallelTempering(is, r.Split(uint64(k)), p.PT)
 			sum += s.Energy
 			if k == 0 || s.Energy < best.Energy {
 				best = s

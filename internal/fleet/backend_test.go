@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -102,6 +103,44 @@ func TestRunClassicalFindsGround(t *testing.T) {
 			}
 			if again.Energy != best.Energy || meanAgain != mean {
 				t.Fatalf("%v: re-run diverged", kind)
+			}
+		}
+	}
+}
+
+// TestRunClassicalSAMatchesOneRead pins the grouped SA backend to the
+// one-read fold it replaced: every read qubo.SimulatedAnnealingFrom on
+// r.Split(k) from the shared candidate, summed and minimized in read
+// order. Read counts straddle the 8-lane group width.
+func TestRunClassicalSAMatchesOneRead(t *testing.T) {
+	p := ClassicalParams{}.withDefaults()
+	hard, err := instance.Synthesize(instance.Spec{Users: 8, Scheme: modulation.QAM16, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi, is := range append(testProblems(t), hard.Reduction.Ising) {
+		init := make([]int8, is.N)
+		for i := range init {
+			init[i] = int8(1 - 2*(i%2))
+		}
+		for _, reads := range []int{1, 7, 8, 9, 20} {
+			r := rng.New(uint64(100*pi + reads))
+			var want qubo.Sample
+			sum := 0.0
+			for k := 0; k < reads; k++ {
+				s := qubo.SimulatedAnnealingFrom(is, r.Split(uint64(k)), init, p.SA)
+				sum += s.Energy
+				if k == 0 || s.Energy < want.Energy {
+					want = s
+				}
+			}
+			got, mean, err := runClassical(BackendSimulatedAnnealing, p, is, init, reads, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || mean != sum/float64(reads) {
+				t.Fatalf("problem %d, %d reads: grouped %v (mean %g), one-read %v (mean %g)",
+					pi, reads, got, mean, want, sum/float64(reads))
 			}
 		}
 	}

@@ -63,6 +63,12 @@ func (o SAOptions) withDefaults() SAOptions {
 	return o
 }
 
+// WithDefaults returns o with every unset field at the value
+// SimulatedAnnealing would use, so a re-implementation of the same
+// dynamics (annealer.SimulatedAnnealingGroup) resolves options exactly
+// as the one-read path does.
+func (o SAOptions) WithDefaults() SAOptions { return o.withDefaults() }
+
 // SimulatedAnnealing runs single-spin-flip Metropolis dynamics with a
 // geometric inverse-temperature ramp and returns the best configuration
 // seen. It starts from a uniformly random state.

@@ -59,6 +59,11 @@ func LoadGolden(dir, figure string) (*Golden, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseGolden(figure, buf)
+}
+
+// parseGolden decodes and schema-checks one figure's baseline bytes.
+func parseGolden(figure string, buf []byte) (*Golden, error) {
 	var g Golden
 	if err := json.Unmarshal(buf, &g); err != nil {
 		return nil, fmt.Errorf("validate: golden %s: %w", figure, err)

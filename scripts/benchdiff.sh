@@ -24,8 +24,10 @@ else
     trap 'rm -rf "$FRESH_DIR"' EXIT
     echo "recording fresh benchmarks into $FRESH_DIR ..."
     BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
-        -bench 'BenchmarkSVMCSweep|BenchmarkPIMCSweep|BenchmarkRun$|BenchmarkRunPreparedMulti|BenchmarkLeasePreparedHit' \
+        -bench 'BenchmarkSVMCSweep|BenchmarkPIMCSweep|BenchmarkSAGroup|BenchmarkRun$|BenchmarkRunPreparedMulti|BenchmarkLeasePreparedHit' \
         -benchtime=1x ./internal/annealer/ >/dev/null
+    BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
+        -bench 'BenchmarkTopKCandidates' -benchtime=1x ./internal/core/ >/dev/null
     BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
         -bench 'BenchmarkFleetServe|BenchmarkEnsembleDetect' -benchtime=1x ./internal/fleet/ >/dev/null
     BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
