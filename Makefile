@@ -29,9 +29,12 @@ race-fleet:
 	$(GO) test -race -count=1 ./internal/fleet/
 
 # Same lock one level up: the C-RAN tier's cross-shard failover, shared
-# telemetry merge, and determinism battery under the race detector.
+# telemetry merge, and determinism battery under the race detector, plus
+# the cross-surface battery, which drives multi-worker fleet and C-RAN
+# execute phases with a live SLO monitor attached as a trace sink.
 race-cran:
 	$(GO) test -race -count=1 ./internal/cran/
+	$(GO) test -race -count=1 -run TestCrossSurfaceAgreement ./internal/slo/
 
 # Flexible-parallelism ensemble lock: the K×G arm planner and grouped
 # batching, multi-initial-state prepared runs, fusion purity, and the

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
+
+	"repro/internal/metrics"
 )
 
 // ShardStats aggregates one shard's slice of the tier run.
@@ -54,22 +56,6 @@ type Report struct {
 	ShedRate          float64 `json:"shed_rate"`
 
 	ShardRows []ShardStats `json:"shard_rows"`
-}
-
-// percentile returns the p-quantile (0 ≤ p ≤ 1) of sorted xs by
-// nearest-rank, 0 for empty input (matches the fleet's convention).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p*float64(len(sorted)) + 0.5)
-	if i < 1 {
-		i = 1
-	}
-	if i > len(sorted) {
-		i = len(sorted)
-	}
-	return sorted[i-1]
 }
 
 // report aggregates the run into a Report.
@@ -146,9 +132,9 @@ func (rt *router) report(res *Result) Report {
 	}
 	sort.Float64s(latencies)
 	sort.Float64s(queues)
-	rep.P50LatencyMicros = percentile(latencies, 0.50)
-	rep.P99LatencyMicros = percentile(latencies, 0.99)
-	rep.P99QueueMicros = percentile(queues, 0.99)
+	rep.P50LatencyMicros = metrics.NearestRank(latencies, 50)
+	rep.P99LatencyMicros = metrics.NearestRank(latencies, 99)
+	rep.P99QueueMicros = metrics.NearestRank(queues, 99)
 	if rep.Frames > 0 {
 		rep.DeadlineMissRate = float64(misses) / float64(rep.Frames)
 		rep.ShedRate = float64(rep.Shed) / float64(rep.Frames)

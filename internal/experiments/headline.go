@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/metrics"
 	"repro/internal/modulation"
 )
 
@@ -120,9 +121,9 @@ func Headline(cfg Config) (*HeadlineResult, error) {
 		gsRatios = append(gsRatios, capInf(row.GSRatio))
 		pRatios = append(pRatios, capInf(row.PStarRatio))
 	}
-	res.MedianFamilyTTSRatio = median(famRatios)
-	res.MedianGSTTSRatio = median(gsRatios)
-	res.MedianPStarRatio = median(pRatios)
+	res.MedianFamilyTTSRatio = metrics.Median(famRatios)
+	res.MedianGSTTSRatio = metrics.Median(gsRatios)
+	res.MedianPStarRatio = metrics.Median(pRatios)
 	return res, nil
 }
 
@@ -146,23 +147,6 @@ func capInf(x float64) float64 {
 		return 1000
 	}
 	return x
-}
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
 // WriteTable renders the comparison.

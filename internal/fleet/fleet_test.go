@@ -143,6 +143,47 @@ func TestShedStreamQueueFull(t *testing.T) {
 	}
 }
 
+// TestStreamMeanLatencyOverServedFrames: a stream's mean latency counts
+// only its served frames, like the report's mean, so the served-weighted
+// mean of the stream means is the report mean.
+func TestStreamMeanLatencyOverServedFrames(t *testing.T) {
+	reqs := uniformRequests(t, 3, 6, 0, 0) // all arrive at t=0
+	res, err := Serve(context.Background(), Config{
+		Devices: logicalDevices(1), NumReads: 4, BatchMax: 1, StreamQueueBound: 2, Seed: 1,
+	}, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Report
+	if rep.Shed == 0 || rep.Served == 0 {
+		t.Fatalf("scenario must both serve and shed: %+v", rep)
+	}
+	sum := map[int]float64{}
+	for _, o := range res.Outcomes {
+		if !o.Shed {
+			sum[o.Stream] += o.Finish - o.Arrival
+		}
+	}
+	var weighted float64
+	for _, ss := range rep.Streams {
+		if ss.Shed == 0 {
+			t.Fatalf("stream %d shed nothing; the test needs shedding on every stream", ss.Stream)
+		}
+		want := 0.0
+		if ss.Served > 0 {
+			want = sum[ss.Stream] / float64(ss.Served)
+		}
+		if math.Abs(ss.MeanLatency-want) > 1e-9*math.Max(1, want) {
+			t.Errorf("stream %d: mean latency %v, served-only mean %v", ss.Stream, ss.MeanLatency, want)
+		}
+		weighted += ss.MeanLatency * float64(ss.Served)
+	}
+	weighted /= float64(rep.Served)
+	if math.Abs(weighted-rep.MeanLatencyMicros) > 1e-9*rep.MeanLatencyMicros {
+		t.Fatalf("served-weighted stream mean %v, report mean %v", weighted, rep.MeanLatencyMicros)
+	}
+}
+
 func TestShedFleetOverload(t *testing.T) {
 	probs := testProblems(t)
 	var reqs []Request

@@ -7,6 +7,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/annealer"
+	"repro/internal/metrics"
 )
 
 // DeviceStats aggregates one device's plan-phase accounting.
@@ -32,7 +33,10 @@ type BackendStats struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// StreamStats aggregates one stream's outcomes.
+// StreamStats aggregates one stream's outcomes. MeanLatency is
+// Finish − Arrival over the stream's served frames, as
+// Report.MeanLatencyMicros is over all served frames (0 when the stream
+// had none).
 type StreamStats struct {
 	Stream         int     `json:"stream"`
 	Frames         int     `json:"frames"`
@@ -78,22 +82,6 @@ type Report struct {
 	Streams  []StreamStats  `json:"streams"`
 }
 
-// percentile returns the p-quantile (0 ≤ p ≤ 1) of sorted xs by
-// nearest-rank, 0 for empty input.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p*float64(len(sorted)) + 0.5)
-	if i < 1 {
-		i = 1
-	}
-	if i > len(sorted) {
-		i = len(sorted)
-	}
-	return sorted[i-1]
-}
-
 // report aggregates the plan's accounting into a Report.
 func (pl *planner) report() Report {
 	rep := Report{
@@ -118,7 +106,6 @@ func (pl *planner) report() Report {
 		}
 		ss.Frames++
 		lat := o.Finish - o.Arrival
-		ss.MeanLatency += lat
 		if o.Shed {
 			rep.Shed++
 			ss.Shed++
@@ -128,6 +115,7 @@ func (pl *planner) report() Report {
 			latencies = append(latencies, lat)
 			queues = append(queues, o.QueueMicros)
 			latSum += lat
+			ss.MeanLatency += lat
 		}
 		if o.DeadlineMissed {
 			misses++
@@ -139,9 +127,9 @@ func (pl *planner) report() Report {
 	}
 	sort.Float64s(latencies)
 	sort.Float64s(queues)
-	rep.P50LatencyMicros = percentile(latencies, 0.50)
-	rep.P99LatencyMicros = percentile(latencies, 0.99)
-	rep.P99QueueMicros = percentile(queues, 0.99)
+	rep.P50LatencyMicros = metrics.NearestRank(latencies, 50)
+	rep.P99LatencyMicros = metrics.NearestRank(latencies, 99)
+	rep.P99QueueMicros = metrics.NearestRank(queues, 99)
 	if rep.Frames > 0 {
 		rep.DeadlineMissRate = float64(misses) / float64(rep.Frames)
 	}
@@ -204,8 +192,8 @@ func (pl *planner) report() Report {
 		if ss == nil {
 			continue
 		}
-		if ss.Frames > 0 {
-			ss.MeanLatency /= float64(ss.Frames)
+		if ss.Served > 0 {
+			ss.MeanLatency /= float64(ss.Served)
 		}
 		rep.Streams = append(rep.Streams, *ss)
 	}

@@ -124,6 +124,19 @@ func Percentile(xs []float64, p float64) float64 {
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
+// NearestRank returns the p-th percentile (0 ≤ p ≤ 100) of already
+// sorted data by the nearest-rank method: rank ⌈p·n/100⌉ clamped to
+// [1, n]. It is the one latency percentile every serving surface
+// reports. Empty input yields 0, not NaN, so reports marshal to JSON.
+func NearestRank(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
+	rank = max(1, min(rank, len(sorted)))
+	return sorted[rank-1]
+}
+
 // WilsonInterval returns the 95% Wilson score confidence interval for a
 // binomial proportion with k successes in n trials — the uncertainty bars
 // for success probabilities.

@@ -152,6 +152,49 @@ func TestPercentileOutOfRangePanics(t *testing.T) {
 	Percentile([]float64{1}, 101)
 }
 
+// ramp returns the sorted values 1 … n.
+func ramp(n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(i + 1)
+	}
+	return xs
+}
+
+func TestNearestRank(t *testing.T) {
+	cases := []struct {
+		name   string
+		sorted []float64
+		p      float64
+		want   float64
+	}{
+		{"empty", nil, 50, 0},
+		{"n=1 p0", []float64{7}, 0, 7},
+		{"n=1 p50", []float64{7}, 50, 7},
+		{"n=1 p100", []float64{7}, 100, 7},
+		{"p0 is the minimum", ramp(10), 0, 1},
+		{"p100 is the maximum", ramp(10), 100, 10},
+		{"p99 of 60 is the 60th", ramp(60), 99, 60},
+		{"p99 of 100 is the 99th", ramp(100), 99, 99},
+		{"p95 of 20 is the 19th", ramp(20), 95, 19},
+		{"p50 of 4 is the 2nd", ramp(4), 50, 2},
+	}
+	for _, c := range cases {
+		if got := NearestRank(c.sorted, c.p); got != c.want {
+			t.Errorf("%s: NearestRank = %v, want %v", c.name, got, c.want)
+		}
+	}
+	// The median rank ⌈n/2⌉ is the rank the reports used to take by
+	// rounding n/2 half-up, so p50 did not move when they switched.
+	for n := 1; n <= 200; n++ {
+		xs := ramp(n)
+		halfUp := int(0.5*float64(n) + 0.5)
+		if got := NearestRank(xs, 50); got != xs[halfUp-1] {
+			t.Fatalf("n=%d: p50 = %v, half-up rule gives %v", n, got, xs[halfUp-1])
+		}
+	}
+}
+
 func TestWilsonInterval(t *testing.T) {
 	lo, hi := WilsonInterval(50, 100)
 	if lo >= 0.5 || hi <= 0.5 {

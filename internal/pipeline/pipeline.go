@@ -16,8 +16,10 @@ package pipeline
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -297,7 +299,8 @@ func (p *Pipeline) Schedule(frames []*Frame) (*Report, error) {
 	}
 	if n > 0 {
 		rep.MeanLatency = mean(latencies)
-		rep.P95Latency = percentile95(latencies)
+		sort.Float64s(latencies)
+		rep.P95Latency = metrics.NearestRank(latencies, 95)
 		rep.DeadlineMissRate = float64(missed) / float64(n)
 		rep.FallbackRate = float64(rep.Fallbacks) / float64(n)
 		if rep.Makespan > 0 {
@@ -376,16 +379,4 @@ func mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-func percentile95(xs []float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	// Insertion sort: frame counts are modest.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	idx := int(0.95 * float64(len(sorted)-1))
-	return sorted[idx]
 }

@@ -3,6 +3,8 @@ package slo
 import (
 	"math"
 	"sort"
+
+	"repro/internal/metrics"
 )
 
 // HealthConfig tunes per-device health scoring.
@@ -187,22 +189,12 @@ func medianMAD(xs []float64) (med, mad float64) {
 	if len(xs) == 0 {
 		return 0, 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	med = s[len(s)/2]
-	if len(s)%2 == 0 {
-		med = (s[len(s)/2-1] + s[len(s)/2]) / 2
-	}
-	dev := make([]float64, len(s))
-	for i, x := range s {
+	med = metrics.Median(xs)
+	dev := make([]float64, len(xs))
+	for i, x := range xs {
 		dev[i] = math.Abs(x - med)
 	}
-	sort.Float64s(dev)
-	mad = dev[len(dev)/2]
-	if len(dev)%2 == 0 {
-		mad = (dev[len(dev)/2-1] + dev[len(dev)/2]) / 2
-	}
-	return med, mad
+	return med, metrics.Median(dev)
 }
 
 // robustZ is (x − med)/(1.4826·MAD), with a floor on the scale so a

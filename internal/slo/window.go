@@ -21,6 +21,8 @@ package slo
 import (
 	"math"
 	"sort"
+
+	"repro/internal/metrics"
 )
 
 // Bucket is one finalized window: a tumbling tick, or a sliding window
@@ -99,26 +101,9 @@ func finalize(b *Bucket, values []float64) {
 	}
 	b.Sum = sum
 	b.Mean = sum / float64(len(values))
-	b.P50 = nearestRank(values, 50)
-	b.P99 = nearestRank(values, 99)
+	b.P50 = metrics.NearestRank(values, 50)
+	b.P99 = metrics.NearestRank(values, 99)
 	b.Max = values[len(values)-1]
-}
-
-// nearestRank returns the p-th percentile of sorted values by the
-// nearest-rank method with rank ⌈p·n⌉. The fleet and cran reports round
-// p·n half-up instead, so the two can differ by one rank.
-func nearestRank(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
 
 // Buckets returns the tumbling windows, finalized and sorted by index.

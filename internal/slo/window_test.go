@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 const testTick = 1000.0
@@ -118,7 +120,7 @@ func TestAllAggregates(t *testing.T) {
 	if all.Count != len(vals) {
 		t.Fatalf("All count %d want %d", all.Count, len(vals))
 	}
-	if all.P50 != nearestRank(vals, 50) || all.P99 != nearestRank(vals, 99) || all.Max != vals[len(vals)-1] {
+	if all.P50 != metrics.NearestRank(vals, 50) || all.P99 != metrics.NearestRank(vals, 99) || all.Max != vals[len(vals)-1] {
 		t.Fatalf("All percentiles mismatch: %+v", all)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/annealer"
-	"repro/internal/fleet"
 	"repro/internal/qubo"
 	"repro/internal/rng"
 )
@@ -14,40 +13,41 @@ import (
 const groundTol = 1e-6
 
 // arm is one solver configuration of a sequential test: a prepared
-// fleet.Sampler (so repeated small batches pay Engine.Prepare once, the
-// same economics the dispatcher has) plus the accumulated Bernoulli
-// success counts the bootstrap resamples.
+// annealer.Lease (so repeated small batches pay Engine.Prepare once, the
+// same economics the fleet dispatcher has) plus the accumulated
+// Bernoulli success counts the bootstrap resamples.
 type arm struct {
-	name string
-	dur  float64 // one read's schedule μs, for TTS
-	init []int8
-	s    *fleet.Sampler
-	r    *rng.Source
+	name  string
+	dur   float64 // one read's schedule μs, for TTS
+	init  []int8
+	lease *annealer.Lease
+	r     *rng.Source
 
 	successes int
 	trials    int
 }
 
-// newArm prepares a single-device sampling arm from the environment's
-// anneal configuration.
+// newArm prepares a sampling arm from the environment's anneal
+// configuration.
 func (e *Env) newArm(name string, sc *annealer.Schedule, init []int8, r *rng.Source) (*arm, error) {
 	cfg := e.opts.Config
-	dev := fleet.Device{
+	l, err := annealer.NewLease(annealer.Params{
+		Schedule:             sc,
 		Engine:               cfg.Engine,
 		Profile:              cfg.Profile,
 		SweepsPerMicrosecond: cfg.SweepsPerMicrosecond,
 		ICE:                  cfg.ICE,
-	}
-	s, err := fleet.NewSampler([]fleet.Device{dev}, sc, cfg.Parallelism)
+		Parallelism:          max(cfg.Parallelism, 1),
+	})
 	if err != nil {
 		return nil, fmt.Errorf("validate: arm %s: %w", name, err)
 	}
-	return &arm{name: name, dur: sc.Duration(), init: init, s: s, r: r}, nil
+	return &arm{name: name, dur: sc.Duration(), init: init, lease: l, r: r}, nil
 }
 
 // draw pulls one batch of reads and folds them into the arm's counts.
 func (a *arm) draw(is *qubo.Ising, groundEnergy float64, reads int) error {
-	out, err := a.s.Draw(is, a.init, reads, a.r)
+	out, err := a.lease.Run(is, a.init, reads, a.r)
 	if err != nil {
 		return fmt.Errorf("validate: arm %s: %w", a.name, err)
 	}
