@@ -7,7 +7,7 @@ GO ?= go
 # tighter cap than the local default so the leg stays inside its slot.
 VALIDATE_MAX_READS ?= 30000
 
-.PHONY: check vet build test race race-fleet race-cran race-ensemble fuzz-smoke slo bench-harness cross fmt validate update-golden cover
+.PHONY: check vet build test race race-fleet race-cran race-ensemble fuzz-smoke slo bench-harness cross fmt validate validate-inject update-golden cover
 
 check: vet build test race race-fleet race-cran race-ensemble fuzz-smoke slo bench-harness cross
 
@@ -41,7 +41,7 @@ race-cran:
 # ensemble determinism battery — all under the race detector.
 race-ensemble:
 	$(GO) test -race -count=1 -run 'Ensemble|FuseLLR|RunPreparedMulti|TopKCandidates|PlanArms|SpGrid' \
-		./internal/core/ ./internal/mimo/ ./internal/annealer/ ./internal/fleet/ ./internal/pipeline/
+		./internal/core/ ./internal/mimo/ ./internal/annealer/ ./internal/fleet/
 
 # Run every fuzz target's seed corpus (no open-ended fuzzing): catches
 # regressions on the known-interesting inputs in CI time.
@@ -79,6 +79,20 @@ fmt:
 validate:
 	$(GO) run ./cmd/experiments -validate -check-golden \
 		-validate-max-reads $(VALIDATE_MAX_READS) -drift-report drift-report.json
+
+# Harness self-test: each injected regression must fail the claim gate
+# end to end. The build runs first so a compile error cannot pass for a
+# failing gate.
+VALIDATE_INJECTIONS = ra-degraded reads-slashed fleet-serial cran-single-shard hybrid-routing-off ensemble-collapsed
+
+validate-inject:
+	$(GO) build -o /dev/null ./cmd/experiments
+	@for m in $(VALIDATE_INJECTIONS); do \
+		if $(GO) run ./cmd/experiments -validate -quiet -validate-inject $$m > /dev/null 2>&1; then \
+			echo "validate-inject: $$m passed the claim gate, want a failure"; exit 1; \
+		fi; \
+		echo "validate-inject: $$m fails the claim gate"; \
+	done
 
 # Explicit re-baselining after an intentional model change — review the
 # results/golden/ diff before committing.

@@ -82,9 +82,9 @@ func cranCity(cfg Config, cells int, rate, deadline float64) ([]cran.Request, er
 	}.Generate()
 }
 
-// cranPools builds n shards of the default heterogeneous 2000Q-class
-// pool.
-func cranPools(n int) [][]fleet.Device {
+// CRANPools builds n shards of the default heterogeneous 2000Q-class
+// pool, cranDevicesPerShard devices each.
+func CRANPools(n int) [][]fleet.Device {
 	pools := make([][]fleet.Device, n)
 	for s := range pools {
 		pools[s] = fleet.DefaultDevices(cranDevicesPerShard)
@@ -133,7 +133,7 @@ func RunCRAN(cfg Config, shards, cells int, placement cran.Placement) (*CRANResu
 			return nil, err
 		}
 		out, err := cran.Serve(context.Background(), cran.Config{
-			Shards:    cranPools(shards),
+			Shards:    CRANPools(shards),
 			Placement: placement,
 			Fleet: fleet.Config{
 				BatchMax:         4,
@@ -183,7 +183,7 @@ func RunCRAN(cfg Config, shards, cells int, placement cran.Placement) (*CRANResu
 	var base float64
 	for _, n := range sizes {
 		out, err := cran.Serve(context.Background(), cran.Config{
-			Shards:    cranPools(n),
+			Shards:    CRANPools(n),
 			Placement: placement,
 			Fleet: fleet.Config{
 				BatchMax:         4,

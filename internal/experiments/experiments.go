@@ -123,6 +123,12 @@ func Full() Config {
 	}
 }
 
+// WithDefaults returns c with every unset field at its Quick-scale
+// default (seed 2020, calibrated profile, 30 sweeps/μs, up to 8 workers),
+// so callers that layer their own defaults on a Config (the validation
+// harness) resolve the rest exactly as the figures do.
+func (c Config) WithDefaults() Config { return c.withDefaults() }
+
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 2020

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/instance"
 	"repro/internal/modulation"
+	"repro/internal/rng"
 )
 
 // FleetScalingRow is one fleet size's serving performance on the shared
@@ -36,6 +37,37 @@ type FleetScalingResult struct {
 	Rows    []FleetScalingRow `json:"rows"`
 }
 
+// FleetWorkload builds the fleet-scaling reference workload: `streams`
+// concurrent streams of `perStream` 8-user 16-QAM detection frames,
+// 100 μs apart (a deep backlog), cycling over a 4-instance corpus drawn
+// from seed. Frame q of stream s gets its greedy candidate from
+// root.Split(s*perStream+q).
+func FleetWorkload(seed uint64, streams, perStream int, root *rng.Source) ([]fleet.Request, error) {
+	const interval = 100.0
+	insts, err := instance.Corpus(instance.Spec{Users: 8, Scheme: modulation.QAM16}, seed, 4)
+	if err != nil {
+		return nil, err
+	}
+	var reqs []fleet.Request
+	gs := core.GreedyModule{}
+	for s := 0; s < streams; s++ {
+		for q := 0; q < perStream; q++ {
+			inst := insts[(s+q)%len(insts)]
+			init, err := gs.Initialize(inst.Reduction, root.Split(uint64(s*perStream+q)))
+			if err != nil {
+				return nil, err
+			}
+			reqs = append(reqs, fleet.Request{
+				Stream: s, Seq: q,
+				Arrival:      float64(q) * interval,
+				Problem:      inst.Reduction.Ising,
+				InitialState: init,
+			})
+		}
+	}
+	return reqs, nil
+}
+
 // RunFleetScaling serves the paper's reference serving workload — 8
 // concurrent streams of 8-user 16-QAM detection frames arriving faster
 // than one device drains them — through fleets of 1..maxDevices
@@ -51,31 +83,12 @@ func RunFleetScaling(cfg Config, maxDevices int, policy fleet.Policy) (*FleetSca
 	const (
 		streams   = 8
 		perStream = 6
-		interval  = 100.0 // μs between frames of one stream: a deep backlog
 		reads     = 60
 	)
 
-	insts, err := instance.Corpus(instance.Spec{Users: 8, Scheme: modulation.QAM16},
-		cfg.Seed^0xF1EE, 4)
+	reqs, err := FleetWorkload(cfg.Seed^0xF1EE, streams, perStream, cfg.root())
 	if err != nil {
 		return nil, err
-	}
-	var reqs []fleet.Request
-	gs := core.GreedyModule{}
-	for s := 0; s < streams; s++ {
-		for q := 0; q < perStream; q++ {
-			inst := insts[(s+q)%len(insts)]
-			init, err := gs.Initialize(inst.Reduction, cfg.root().Split(uint64(s*perStream+q)))
-			if err != nil {
-				return nil, err
-			}
-			reqs = append(reqs, fleet.Request{
-				Stream: s, Seq: q,
-				Arrival:      float64(q) * interval,
-				Problem:      inst.Reduction.Ising,
-				InitialState: init,
-			})
-		}
 	}
 
 	sizes := []int{}

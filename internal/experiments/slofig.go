@@ -51,7 +51,7 @@ func RunCRANSLO(cfg Config, shards, cells int, placement cran.Placement) (*CRANS
 	tracer.AddSink(monitor)
 
 	if _, err := cran.Serve(context.Background(), cran.Config{
-		Shards:    cranPools(shards),
+		Shards:    CRANPools(shards),
 		Placement: placement,
 		Fleet: fleet.Config{
 			BatchMax:         4,

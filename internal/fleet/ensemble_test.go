@@ -378,8 +378,8 @@ func TestGroupedRequestsCoalesce(t *testing.T) {
 
 // TestUngroupedByteIdentity: a request set without groups plans and
 // serves byte-identically whether or not the Group field exists — pinned
-// by comparing against KeepSamples-only requests (the grouped flag stays
-// false, so the exemption is dead code for legacy callers).
+// by comparing against KeepSamples-only requests (every frame's group is
+// 0, so the group exemption never fires for legacy callers).
 func TestUngroupedByteIdentity(t *testing.T) {
 	cfg, reqs := determinismScenario(t, true)
 	cfg.Trace = telemetry.NewTracer()

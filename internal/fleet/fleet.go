@@ -543,11 +543,6 @@ type planner struct {
 	// homogeneous QPU runs stay byte-identical to earlier releases.
 	hetero         bool
 	routeFallbacks int
-
-	// grouped marks a request set with ensemble arm groups; the group
-	// exemption in pickFrame is gated on it (same contract as hetero) so
-	// ungrouped request sets plan byte-identically to earlier releases.
-	grouped bool
 }
 
 type leaseKey struct {
@@ -597,9 +592,6 @@ func newPlanner(cfg Config, reqs []Request) (*planner, error) {
 	for _, i := range order {
 		r := reqs[i]
 		f := frame{req: r, stream: dense[r.Stream], sp: r.Sp, tp: r.Tp, reads: r.NumReads, group: r.Group}
-		if r.Group > 0 {
-			pl.grouped = true
-		}
 		if f.sp == 0 {
 			f.sp = cfg.Sp
 		}
@@ -844,8 +836,8 @@ func (pl *planner) routable(fi, dev int) bool {
 // forBatch with frames matching key — a stream already in THAT batch may
 // contribute its next frame too (same-cycle continuation keeps FIFO
 // intact). contOnly restricts the pick to those continuations, plus —
-// for grouped request sets — idle streams whose head frame belongs to
-// ensemble group `group`: a frame's arms are one logical unit of work,
+// when group > 0 — idle streams whose head frame belongs to ensemble
+// group `group`: a frame's arms are one logical unit of work,
 // so coalescing them into the seeding arm's cycle is the same pure
 // amortization as a same-stream continuation.
 func (pl *planner) pickFrame(forBatch int, key schedKey, contOnly bool, dev, group int) int {
@@ -855,7 +847,7 @@ func (pl *planner) pickFrame(forBatch int, key schedKey, contOnly bool, dev, gro
 		}
 		if contOnly {
 			if pl.inflight[s] != forBatch &&
-				!(pl.grouped && group > 0 && pl.inflight[s] == -1 && pl.frames[pl.queues[s][0]].group == group) {
+				!(group > 0 && pl.inflight[s] == -1 && pl.frames[pl.queues[s][0]].group == group) {
 				return -1
 			}
 		} else if pl.inflight[s] != -1 && pl.inflight[s] != forBatch {

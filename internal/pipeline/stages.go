@@ -27,9 +27,6 @@ type DetectionPayload struct {
 	// Source records where the answer came from (quantum-refined,
 	// classical candidate, or classical fallback).
 	Source core.AnswerSource
-	// SoftLLRs is the fused per-spin soft output when the frame was
-	// detected by an EnsembleStage (nil on the single-arm path).
-	SoftLLRs []float64
 	// Degraded reports the quantum stage contributed nothing — the frame
 	// was answered by the classical candidate after a fault or deadline
 	// abort.

@@ -157,7 +157,8 @@ func evalRABeatsFA(e *Env) ([]Estimate, int, error) {
 			e.opts.Resamples, e.opts.Confidence, boot)
 		return []Estimate{gradeAbove("p_star_ratio_ra_over_fa", ci, 1.5)}
 	}
-	return e.sequential([]*arm{raArm, faArm}, is, in.GroundEnergy, 0, judge)
+	arms := []*arm{raArm, faArm}
+	return e.sequential(seqTest{round: e.armRound(arms, is, in.GroundEnergy), judge: judge})
 }
 
 // ratioStat is mean(xs)/mean(ys) with a +Inf guard for a zero
@@ -209,7 +210,7 @@ func evalFreezeErase(e *Env) ([]Estimate, int, error) {
 			gradeAbove("p_peak_minus_p_erased", erase, 0.02),
 		}
 	}
-	return e.sequential(arms, is, in.GroundEnergy, 0, judge)
+	return e.sequential(seqTest{round: e.armRound(arms, is, in.GroundEnergy), judge: judge})
 }
 
 // diffStat is mean(xs) − mean(ys).
@@ -296,8 +297,8 @@ func evalTTSOrdering(e *Env) ([]Estimate, int, error) {
 			gradeBelow("tts_fa_over_fr_upper", faOverFR, 1.4),
 		}
 	}
-	ests, spent, err := e.sequential([]*arm{faArm, frArm, raArm}, is, in.GroundEnergy, probeSpent, judge)
-	return ests, probeSpent + spent, err
+	arms := []*arm{faArm, frArm, raArm}
+	return e.sequential(seqTest{round: e.armRound(arms, is, in.GroundEnergy), judge: judge, spent: probeSpent})
 }
 
 // ttsRatioStat builds the two-sample statistic TTS(durX, p̂x)/TTS(durY,
@@ -353,50 +354,30 @@ func evalFig3Window(e *Env) ([]Estimate, int, error) {
 		}
 		return succ, trials, nil
 	}
-
-	spent, batches := 0, 0
-	for {
-		ss, st, err := pool(smallVars, batches)
+	round := func(k int) (int, error) {
+		ss, st, err := pool(smallVars, k)
 		if err != nil {
-			return nil, spent, err
+			return 0, err
 		}
-		ls, lt, err := pool(largeVars, batches)
+		ls, lt, err := pool(largeVars, k)
 		if err != nil {
-			return nil, spent, err
+			return 0, err
 		}
 		smallSucc, smallTrials = smallSucc+ss, smallTrials+st
 		largeSucc, largeTrials = largeSucc+ls, largeTrials+lt
-		spent += st + lt
-		batches++
-
+		return st + lt, nil
+	}
+	judge := func() []Estimate {
 		small := metrics.BootstrapCI(metrics.BernoulliVector(smallSucc, smallTrials),
 			metrics.Mean, e.opts.Resamples, e.opts.Confidence, boot)
 		large := metrics.BootstrapCI(metrics.BernoulliVector(largeSucc, largeTrials),
 			metrics.Mean, e.opts.Resamples, e.opts.Confidence, boot)
-		ests := []Estimate{
+		return []Estimate{
 			gradeAbove("small_simplified_ratio", small, 0.5),
 			gradeBelow("large_simplified_ratio", large, 0.3),
 		}
-		done := true
-		for i := range ests {
-			ests[i].Batches = batches
-			if ests[i].Verdict == "" {
-				done = false
-			}
-		}
-		if done {
-			return ests, spent, nil
-		}
-		if spent+st+lt > e.opts.MaxReads || batches >= 16 {
-			for i := range ests {
-				if ests[i].Verdict == "" {
-					ests[i].Verdict = Inconclusive
-					ests[i].Stop = "budget-exhausted"
-				}
-			}
-			return ests, spent, nil
-		}
 	}
+	return e.sequential(seqTest{round: round, judge: judge, cap: 16})
 }
 
 // evalFleetSpeedup tests the fleet scheduler's scaling claim: the
@@ -409,7 +390,6 @@ func evalFleetSpeedup(e *Env) ([]Estimate, int, error) {
 	const (
 		streams   = 6
 		perStream = 4
-		interval  = 100.0
 		reads     = 30
 	)
 	devices := e.opts.FleetDevices
@@ -419,29 +399,12 @@ func evalFleetSpeedup(e *Env) ([]Estimate, int, error) {
 	r := e.claimRng("fleet-speedup")
 	boot := r.SplitString("bootstrap")
 
-	replicate := func(rep int) (float64, int, error) {
+	var speedups []float64
+	round := func(rep int) (int, error) {
 		seed := e.opts.Config.Seed ^ uint64(0xF1EE+rep*1009)
-		insts, err := instance.Corpus(instance.Spec{Users: 8, Scheme: modulation.QAM16}, seed, 4)
+		reqs, err := experiments.FleetWorkload(seed, streams, perStream, r.Split(uint64(rep)))
 		if err != nil {
-			return 0, 0, err
-		}
-		var reqs []fleet.Request
-		gs := core.GreedyModule{}
-		wr := r.Split(uint64(rep))
-		for s := 0; s < streams; s++ {
-			for q := 0; q < perStream; q++ {
-				inst := insts[(s+q)%len(insts)]
-				init, err := gs.Initialize(inst.Reduction, wr.Split(uint64(s*perStream+q)))
-				if err != nil {
-					return 0, 0, err
-				}
-				reqs = append(reqs, fleet.Request{
-					Stream: s, Seq: q,
-					Arrival:      float64(q) * interval,
-					Problem:      inst.Reduction.Ising,
-					InitialState: init,
-				})
-			}
+			return 0, err
 		}
 		serve := func(n int) (float64, error) {
 			out, err := fleet.Serve(context.Background(), fleet.Config{
@@ -458,43 +421,23 @@ func evalFleetSpeedup(e *Env) ([]Estimate, int, error) {
 		}
 		base, err := serve(1)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		scaled, err := serve(devices)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		if base == 0 {
-			return 0, 0, fmt.Errorf("validate: single-device fleet served nothing")
+			return 0, fmt.Errorf("validate: single-device fleet served nothing")
 		}
-		return scaled / base, len(reqs) * reads * 2, nil
+		speedups = append(speedups, scaled/base)
+		return len(reqs) * reads * 2, nil
 	}
-
-	var speedups []float64
-	spent, batches := 0, 0
-	const minReplicates, maxReplicates = 3, 6
-	for rep := 0; ; rep++ {
-		sp, reads, err := replicate(rep)
-		if err != nil {
-			return nil, spent, err
-		}
-		speedups = append(speedups, sp)
-		spent += reads
-		if len(speedups) < minReplicates {
-			continue
-		}
-		batches++
+	judge := func() []Estimate {
 		ci := metrics.BootstrapMeanCI(speedups, e.opts.Resamples, e.opts.Confidence, boot)
-		est := gradeAbove(fmt.Sprintf("fleet_speedup_%dx1", devices), ci, 3.0)
-		est.Batches = batches
-		if est.Verdict != "" {
-			return []Estimate{est}, spent, nil
-		}
-		if len(speedups) >= maxReplicates {
-			est.Verdict, est.Stop = Inconclusive, "budget-exhausted"
-			return []Estimate{est}, spent, nil
-		}
+		return []Estimate{gradeAbove(fmt.Sprintf("fleet_speedup_%dx1", devices), ci, 3.0)}
 	}
+	return e.sequential(seqTest{round: round, judge: judge, warmup: replicateWarmup, cap: replicateCap})
 }
 
 // evalHybridRouting tests the heterogeneous-fleet claim: on the mixed
@@ -516,11 +459,12 @@ func evalHybridRouting(e *Env) ([]Estimate, int, error) {
 		router.ForceClass = fleet.ClassClassical
 	}
 
-	replicate := func(rep int) (dq, dc float64, reads int, err error) {
+	var overQPU, overClassical []float64
+	round := func(rep int) (int, error) {
 		seed := e.opts.Config.Seed ^ uint64(0x4B1D+rep*6151)
 		reqs, err := experiments.HybridWorkload(e.opts.Config, seed, 2)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, err
 		}
 		hit := make(map[string]float64, 3)
 		for _, pool := range experiments.HybridPools() {
@@ -530,54 +474,23 @@ func evalHybridRouting(e *Env) ([]Estimate, int, error) {
 			}
 			rep2, err := experiments.ServeHybridPool(e.opts.Config, pool.Devices, pool.Route, rc, seed, reqs)
 			if err != nil {
-				return 0, 0, 0, err
+				return 0, err
 			}
 			hit[pool.Name] = 1 - rep2.DeadlineMissRate
 		}
-		reads = 3 * len(reqs) * experiments.HybridReads
-		return hit["hybrid"] - hit["all-qpu"], hit["hybrid"] - hit["all-classical"], reads, nil
+		overQPU = append(overQPU, hit["hybrid"]-hit["all-qpu"])
+		overClassical = append(overClassical, hit["hybrid"]-hit["all-classical"])
+		return 3 * len(reqs) * experiments.HybridReads, nil
 	}
-
-	var overQPU, overClassical []float64
-	spent, batches := 0, 0
-	const minReplicates, maxReplicates = 3, 6
-	for rep := 0; ; rep++ {
-		dq, dc, reads, err := replicate(rep)
-		if err != nil {
-			return nil, spent, err
-		}
-		overQPU = append(overQPU, dq)
-		overClassical = append(overClassical, dc)
-		spent += reads
-		if len(overQPU) < minReplicates {
-			continue
-		}
-		batches++
+	judge := func() []Estimate {
 		qpuCI := metrics.BootstrapMeanCI(overQPU, e.opts.Resamples, e.opts.Confidence, boot)
 		classicalCI := metrics.BootstrapMeanCI(overClassical, e.opts.Resamples, e.opts.Confidence, boot)
-		ests := []Estimate{
+		return []Estimate{
 			gradeAbove("hybrid_hit_minus_all_qpu", qpuCI, 0.2),
 			gradeAbove("hybrid_hit_minus_all_classical", classicalCI, 0.06),
 		}
-		done := true
-		for i := range ests {
-			ests[i].Batches = batches
-			if ests[i].Verdict == "" {
-				done = false
-			}
-		}
-		if done {
-			return ests, spent, nil
-		}
-		if len(overQPU) >= maxReplicates || spent >= e.opts.MaxReads {
-			for i := range ests {
-				if ests[i].Verdict == "" {
-					ests[i].Verdict, ests[i].Stop = Inconclusive, "budget-exhausted"
-				}
-			}
-			return ests, spent, nil
-		}
 	}
+	return e.sequential(seqTest{round: round, judge: judge, warmup: replicateWarmup, cap: replicateCap})
 }
 
 // evalClassicalBERParity tests the surrogate-quality half of the
@@ -599,7 +512,8 @@ func evalClassicalBERParity(e *Env) ([]Estimate, int, error) {
 	scheme := modulation.QPSK
 	bitsPerFrame := users * scheme.BitsPerSymbol()
 
-	replicate := func(rep int) (diff float64, reads int, err error) {
+	var diffs []float64
+	round := func(rep int) (int, error) {
 		seed := e.opts.Config.Seed ^ uint64(0xBE12+rep*7919)
 		n0 := channel.NoiseVarianceForSNR(snrDB, users)
 		insts, err := instance.Corpus(instance.Spec{
@@ -607,7 +521,7 @@ func evalClassicalBERParity(e *Env) ([]Estimate, int, error) {
 			NoiseVariance: n0,
 		}, seed, frames)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		wr := r.SplitString("replicate").Split(uint64(rep))
 		qErr, cErr := 0, 0
@@ -615,7 +529,7 @@ func evalClassicalBERParity(e *Env) ([]Estimate, int, error) {
 			fr := wr.Split(uint64(fi))
 			out, err := (&core.Hybrid{NumReads: readsEach}).Solve(in.Reduction, fr.SplitString("qpu"))
 			if err != nil {
-				return 0, 0, err
+				return 0, err
 			}
 			qErr += mimo.BitErrors(scheme, out.Symbols, in.Transmitted)
 			cr := fr.SplitString("sa")
@@ -629,34 +543,14 @@ func evalClassicalBERParity(e *Env) ([]Estimate, int, error) {
 			cErr += mimo.BitErrors(scheme, in.Reduction.DecodeSpins(best.Spins), in.Transmitted)
 		}
 		bits := float64(frames * bitsPerFrame)
-		return (float64(cErr) - float64(qErr)) / bits, 2 * frames * readsEach, nil
+		diffs = append(diffs, (float64(cErr)-float64(qErr))/bits)
+		return 2 * frames * readsEach, nil
 	}
-
-	var diffs []float64
-	spent, batches := 0, 0
-	const minReplicates, maxReplicates = 3, 6
-	for rep := 0; ; rep++ {
-		diff, reads, err := replicate(rep)
-		if err != nil {
-			return nil, spent, err
-		}
-		diffs = append(diffs, diff)
-		spent += reads
-		if len(diffs) < minReplicates {
-			continue
-		}
-		batches++
+	judge := func() []Estimate {
 		ci := metrics.BootstrapMeanCI(diffs, e.opts.Resamples, e.opts.Confidence, boot)
-		est := gradeBelow("classical_minus_qpu_ber", ci, 0.02)
-		est.Batches = batches
-		if est.Verdict != "" {
-			return []Estimate{est}, spent, nil
-		}
-		if len(diffs) >= maxReplicates || spent >= e.opts.MaxReads {
-			est.Verdict, est.Stop = Inconclusive, "budget-exhausted"
-			return []Estimate{est}, spent, nil
-		}
+		return []Estimate{gradeBelow("classical_minus_qpu_ber", ci, 0.02)}
 	}
+	return e.sequential(seqTest{round: round, judge: judge, warmup: replicateWarmup, cap: replicateCap})
 }
 
 // evalCRANShardScaling tests the serving tier's scaling claim: a bursty
@@ -670,9 +564,8 @@ func evalClassicalBERParity(e *Env) ([]Estimate, int, error) {
 // tier that stopped sharding (speedup 1) crosses immediately.
 func evalCRANShardScaling(e *Env) ([]Estimate, int, error) {
 	const (
-		shards  = 4
-		devices = 4 // per shard
-		reads   = 4
+		shards = 4
+		reads  = 4
 	)
 	scaled := shards
 	if e.opts.Inject == "cran-single-shard" {
@@ -681,14 +574,8 @@ func evalCRANShardScaling(e *Env) ([]Estimate, int, error) {
 	r := e.claimRng("cran-shard-scaling")
 	boot := r.SplitString("bootstrap")
 
-	pools := func(n int) [][]fleet.Device {
-		ps := make([][]fleet.Device, n)
-		for s := range ps {
-			ps[s] = fleet.DefaultDevices(devices)
-		}
-		return ps
-	}
-	replicate := func(rep int) (float64, int, error) {
+	var speedups []float64
+	round := func(rep int) (int, error) {
 		seed := e.opts.Config.Seed ^ uint64(0xC7A9+rep*7919)
 		reqs, err := cran.Workload{
 			// City-scale cell count: consistent-hash balance tightens with
@@ -703,11 +590,11 @@ func evalCRANShardScaling(e *Env) ([]Estimate, int, error) {
 			Seed:     seed,
 		}.Generate()
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		serve := func(n int) (float64, error) {
 			out, err := cran.Serve(context.Background(), cran.Config{
-				Shards: pools(n),
+				Shards: experiments.CRANPools(n),
 				Fleet:  fleet.Config{BatchMax: 4, StreamQueueBound: 64},
 				Seed:   seed,
 			}, reqs)
@@ -718,43 +605,23 @@ func evalCRANShardScaling(e *Env) ([]Estimate, int, error) {
 		}
 		base, err := serve(1)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		sc, err := serve(scaled)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		if base == 0 {
-			return 0, 0, fmt.Errorf("validate: single-shard tier served nothing")
+			return 0, fmt.Errorf("validate: single-shard tier served nothing")
 		}
-		return sc / base, len(reqs) * reads * 2, nil
+		speedups = append(speedups, sc/base)
+		return len(reqs) * reads * 2, nil
 	}
-
-	var speedups []float64
-	spent, batches := 0, 0
-	const minReplicates, maxReplicates = 3, 6
-	for rep := 0; ; rep++ {
-		sp, reads, err := replicate(rep)
-		if err != nil {
-			return nil, spent, err
-		}
-		speedups = append(speedups, sp)
-		spent += reads
-		if len(speedups) < minReplicates {
-			continue
-		}
-		batches++
+	judge := func() []Estimate {
 		ci := metrics.BootstrapMeanCI(speedups, e.opts.Resamples, e.opts.Confidence, boot)
-		est := gradeAbove(fmt.Sprintf("cran_shard_speedup_%dx1", shards), ci, 2.5)
-		est.Batches = batches
-		if est.Verdict != "" {
-			return []Estimate{est}, spent, nil
-		}
-		if len(speedups) >= maxReplicates {
-			est.Verdict, est.Stop = Inconclusive, "budget-exhausted"
-			return []Estimate{est}, spent, nil
-		}
+		return []Estimate{gradeAbove(fmt.Sprintf("cran_shard_speedup_%dx1", shards), ci, 2.5)}
 	}
+	return e.sequential(seqTest{round: round, judge: judge, warmup: replicateWarmup, cap: replicateCap})
 }
 
 // evalEnsembleRA tests the flexible-parallelism claim (X-ResQ's shape on
@@ -790,12 +657,11 @@ func evalEnsembleRA(e *Env) ([]Estimate, int, error) {
 		batchTrials = 1
 	}
 	var diffs []float64
-	spent, batches, trials := 0, 0, 0
-	for {
+	round := func(int) (int, error) {
 		for t := 0; t < batchTrials; t++ {
-			out, err := det.Solve(in.Reduction, r.SplitString("trial").Split(uint64(trials)))
+			out, err := det.Solve(in.Reduction, r.SplitString("trial").Split(uint64(len(diffs))))
 			if err != nil {
-				return nil, spent, err
+				return 0, err
 			}
 			arm0 := out.Arms[0]
 			alone := core.Reduce(in.Reduction.Ising, [][]int8{arm0.InitialState},
@@ -807,19 +673,12 @@ func evalEnsembleRA(e *Env) ([]Estimate, int, error) {
 				d = 1
 			}
 			diffs = append(diffs, d)
-			trials++
-			spent += arms * readsPerArm
 		}
-		batches++
-		ci := metrics.BootstrapMeanCI(diffs, e.opts.Resamples, e.opts.Confidence, boot)
-		est := gradeAbove("ensemble_minus_single_success", ci, 0.12)
-		est.Batches = batches
-		if est.Verdict != "" {
-			return []Estimate{est}, spent, nil
-		}
-		if spent+arms*readsPerArm*batchTrials > e.opts.MaxReads {
-			est.Verdict, est.Stop = Inconclusive, "budget-exhausted"
-			return []Estimate{est}, spent, nil
-		}
+		return arms * readsPerArm * batchTrials, nil
 	}
+	judge := func() []Estimate {
+		ci := metrics.BootstrapMeanCI(diffs, e.opts.Resamples, e.opts.Confidence, boot)
+		return []Estimate{gradeAbove("ensemble_minus_single_success", ci, 0.12)}
+	}
+	return e.sequential(seqTest{round: round, judge: judge})
 }

@@ -68,42 +68,77 @@ func (a *arm) p() float64 {
 	return float64(a.successes) / float64(a.trials)
 }
 
-// sequential is the SPRT-style sampling loop: every round draws one
-// batch per arm, re-judges the claim's estimates, and stops as soon as
-// every estimate is decided (each CI clear of or across its gate) or
-// continuing would exceed the claim's read budget (minus any reads the
-// claim already spent, e.g. on an oracle probe). Undecided estimates are
-// marked Inconclusive/budget-exhausted. Returns the estimates and the
-// reads drawn by this loop.
-func (e *Env) sequential(arms []*arm, is *qubo.Ising, groundEnergy float64,
-	alreadySpent int, judge func() []Estimate) ([]Estimate, int, error) {
-	batch := e.opts.BatchReads
-	spent := 0
-	batches := 0
-	for {
+// armRound is the round of an arm-based claim: one BatchReads batch
+// per arm.
+func (e *Env) armRound(arms []*arm, is *qubo.Ising, groundEnergy float64) func(int) (int, error) {
+	return func(int) (int, error) {
 		for _, a := range arms {
-			if err := a.draw(is, groundEnergy, batch); err != nil {
-				return nil, spent, err
+			if err := a.draw(is, groundEnergy, e.opts.BatchReads); err != nil {
+				return 0, err
 			}
-			spent += batch
 		}
-		batches++
-		ests := judge()
+		return e.opts.BatchReads * len(arms), nil
+	}
+}
+
+// Replicate claims draw one whole workload replicate per round: the
+// bootstrap needs three replicates before its CI means anything, and six
+// is as many as a CI leg can afford.
+const replicateWarmup, replicateCap = 3, 6
+
+// seqTest is one claim's sequential test. The claim supplies what one
+// round draws and how the draws are judged; sequential owns the stop
+// rule.
+type seqTest struct {
+	// round draws round k (from 0) and returns the reads it spent: one
+	// batch per arm, one corpus round, one replicate, or one trial batch.
+	round func(k int) (int, error)
+	// judge grades everything drawn so far; an empty Verdict is undecided.
+	judge func() []Estimate
+	// warmup is the round after which the judge first runs (0 or 1: after
+	// every round). Earlier rounds are neither judged nor budget-checked.
+	warmup int
+	// cap is the most rounds the test may draw (0: MaxReads alone).
+	cap int
+	// spent is reads drawn before the first round (an oracle probe); they
+	// count against MaxReads and in the returned total.
+	spent int
+}
+
+// sequential is the SPRT-style sampling loop behind every claim: draw a
+// round, and once past the warm-up judge it, stamping each estimate with
+// the number of judged rounds. It stops as soon as every estimate is
+// decided (each CI clear of or across its gate). Otherwise, once the
+// round cap is reached or another round the size of the last one would
+// take the claim past MaxReads, the undecided estimates are marked
+// Inconclusive/budget-exhausted. The first round and the warm-up rounds
+// are always drawn, so a claim can spend more than MaxReads. Returns the
+// estimates and the claim's total reads.
+func (e *Env) sequential(t seqTest) ([]Estimate, int, error) {
+	spent := t.spent
+	first := max(t.warmup, 1)
+	for k := 1; ; k++ {
+		n, err := t.round(k - 1)
+		if err != nil {
+			return nil, spent, err
+		}
+		spent += n
+		if k < first {
+			continue
+		}
+		ests := t.judge()
 		done := true
 		for i := range ests {
-			ests[i].Batches = batches
-			if ests[i].Verdict == "" {
-				done = false
-			}
+			ests[i].Batches = k - first + 1
+			done = done && ests[i].Verdict != ""
 		}
 		if done {
 			return ests, spent, nil
 		}
-		if alreadySpent+spent+batch*len(arms) > e.opts.MaxReads {
+		if (t.cap > 0 && k >= t.cap) || spent+n > e.opts.MaxReads {
 			for i := range ests {
 				if ests[i].Verdict == "" {
-					ests[i].Verdict = Inconclusive
-					ests[i].Stop = "budget-exhausted"
+					ests[i].Verdict, ests[i].Stop = Inconclusive, "budget-exhausted"
 				}
 			}
 			return ests, spent, nil

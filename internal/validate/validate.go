@@ -2,10 +2,10 @@
 // paper's headline observations as typed, machine-checkable Claims and
 // decides each with seeded bootstrap confidence intervals instead of
 // point estimates. Samples are drawn through the same fleet/annealer
-// lease path production frames take, in sequential batches (SPRT-style):
-// a claim keeps drawing anneal reads until its CI clears the gate (pass),
-// crosses it (fail), or the read budget runs out (inconclusive — which
-// gates just as hard as a failure).
+// lease path production frames take, in sequential rounds (SPRT-style):
+// a claim keeps drawing rounds until its CI clears the gate (pass),
+// crosses it (fail), or its round cap or read budget runs out
+// (inconclusive — which gates just as hard as a failure).
 //
 // The second half of the harness is golden-baseline regression: every
 // paper figure is summarized into named metrics with confidence
@@ -17,9 +17,7 @@ package validate
 import (
 	"fmt"
 	"io"
-	"runtime"
 
-	"repro/internal/annealer"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/rng"
@@ -39,13 +37,16 @@ const (
 
 // Options tunes a validation run.
 type Options struct {
-	// Config scales the underlying experiments (zero value: the
-	// validation defaults — seed 2020, calibrated profile, 30 sweeps/μs).
+	// Config scales the underlying experiments (zero value: 3 instances,
+	// 150 reads, the rest as experiments.Config.WithDefaults).
 	Config experiments.Config
 	// BatchReads is the per-arm batch size of the sequential sampler.
 	BatchReads int
-	// MaxReads caps the total reads one claim may draw across all of its
-	// arms — the CI-budget knob. Exhausting it yields Inconclusive.
+	// MaxReads is each claim's read budget, across all of its arms — the
+	// CI-budget knob. A claim stops, undecided estimates Inconclusive,
+	// when another round the size of its last one would pass MaxReads.
+	// The first round and a claim's warm-up rounds are always drawn, so
+	// a tiny budget can still be overspent by those.
 	MaxReads int
 	// Resamples and Confidence parameterize the bootstrap.
 	Resamples  int
@@ -64,29 +65,13 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	c := &o.Config
-	if c.Seed == 0 {
-		c.Seed = 2020
+	if o.Config.Instances <= 0 {
+		o.Config.Instances = 3
 	}
-	if c.Instances <= 0 {
-		c.Instances = 3
+	if o.Config.Reads <= 0 {
+		o.Config.Reads = 150
 	}
-	if c.Reads <= 0 {
-		c.Reads = 150
-	}
-	if c.SweepsPerMicrosecond <= 0 {
-		c.SweepsPerMicrosecond = 30
-	}
-	if c.Profile == nil {
-		prof := annealer.CalibratedProfile()
-		c.Profile = &prof
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = runtime.NumCPU()
-		if c.Parallelism > 8 {
-			c.Parallelism = 8
-		}
-	}
+	o.Config = o.Config.WithDefaults()
 	if o.BatchReads <= 0 {
 		o.BatchReads = 250
 	}
@@ -120,7 +105,8 @@ type Estimate struct {
 	// Stop records why sampling ended for this estimate: "ci-cleared",
 	// "ci-crossed", or "budget-exhausted".
 	Stop string `json:"stop"`
-	// Batches is the number of sequential rounds drawn before stopping.
+	// Batches is the number of rounds the sequential test judged; the
+	// warm-up rounds drawn before the first judgment are not counted.
 	Batches int `json:"batches"`
 }
 
