@@ -405,7 +405,8 @@ func BenchmarkPIMCAnneal32(b *testing.B) {
 // benchmarkEngineAnneal32 times one lockstep group of forward reads on
 // a 32-spin frustrated problem through eng's production kernel.
 func benchmarkEngineAnneal32(b *testing.B, eng Engine) {
-	benchGroup(b, eng, qubo.NewCSR(frustrated(32, 1)))
+	fa, _ := Forward(1, 0.41, 1)
+	benchGroup(b, eng, fa, 100, oneProblem(qubo.NewCSR(frustrated(32, 1)), nil))
 }
 
 // TestParallelismDeterministic: reads are bit-identical regardless of the

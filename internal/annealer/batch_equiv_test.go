@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/instance"
+	"repro/internal/modulation"
 	"repro/internal/qubo"
 	"repro/internal/rng"
 )
@@ -181,6 +183,36 @@ func mixedLanes(t testing.TB, r *rng.Source, n, reads int, reverse bool) lanes {
 	return ln
 }
 
+// uplinkLanes builds the serve-shaped lanes of the uplink-16qam
+// workload: two 8-user 16-QAM frames (32 logical spins each), compiled
+// the way a QPU lease compiles them — clique-embedded onto Chimera and
+// normalized, so most rows are chain rows and idle qubits have empty
+// ones — each started from its greedy-search candidate embedded chain by
+// chain, as the serve loads a reverse anneal. Lanes alternate between
+// the two frames.
+func uplinkLanes(tb testing.TB) lanes {
+	tb.Helper()
+	q := NewQPU2000Q()
+	var ln lanes
+	for _, seed := range []uint64{0xBE9C, 0x5EED} {
+		in, err := instance.Synthesize(instance.Spec{Users: 8, Scheme: modulation.QAM16, Seed: seed})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		logical := in.Reduction.Ising
+		emb, pr, err := q.prepareEmbedded(logical)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ln.prs = append(ln.prs, pr)
+		ln.inits = append(ln.inits, emb.EmbedSpins(qubo.GreedySearchIsing(logical, qubo.OrderDescending)))
+	}
+	if ln.prs[0].N != ln.prs[1].N {
+		tb.Fatal("uplink frames embed at different sizes")
+	}
+	return ln
+}
+
 // TestLockstepMatchesSequential is the lockstep≡sequential equivalence
 // property test: across engines, schedule shapes, problem shapes and
 // group sizes (including partial groups), the production lockstep kernel
@@ -246,6 +278,15 @@ func TestLockstepMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+	// The serve-shaped group: two embedded uplink frames in one 8-lane
+	// group, reverse-annealed at s_p 0.45 from their greedy candidates.
+	t.Run("svmc/uplink-embedded/reads=8/reverse", func(t *testing.T) {
+		sc, err := Reverse(0.45, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLockstepMatches(t, "svmc/uplink-embedded", SVMC{}, sc, prof, uplinkLanes(t), 8, r.Uint64())
+	})
 }
 
 // randomIsing builds a dense-ish random problem with Gaussian couplings.

@@ -62,17 +62,17 @@ type benchSweepConfig struct {
 	Speedup            float64 `json:"speedup"`
 }
 
-// benchGroup times eng's production kernel on pr: one full lockstepWidth
-// group of forward-anneal reads per iteration. It reports ns per
-// read-sweep and returns that figure with the sweep count per read.
-func benchGroup(b *testing.B, eng Engine, pr *qubo.CSR) (nsPerSweep float64, sweeps int) {
+// benchGroup times eng's production kernel on one full lockstepWidth
+// group of ln's reads per iteration, annealed along sc at rate sweeps
+// per μs. It reports ns per read-sweep and returns that figure with the
+// sweep count per read.
+func benchGroup(b *testing.B, eng Engine, sc *Schedule, rate float64, ln lanes) (nsPerSweep float64, sweeps int) {
 	b.Helper()
-	fa, _ := Forward(1, 0.41, 1)
-	sweeps, err := sweepCount(fa, 100)
+	sweeps, err := sweepCount(sc, rate)
 	if err != nil {
 		b.Fatal(err)
 	}
-	kernel, err := eng.Prepare(fa, DWave2000QProfile(), 100)
+	kernel, err := eng.Prepare(sc, DWave2000QProfile(), rate)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,8 +80,9 @@ func benchGroup(b *testing.B, eng Engine, pr *qubo.CSR) (nsPerSweep float64, swe
 	var group [lockstepWidth]BatchRead
 	root := rng.New(1)
 	for j := range group {
+		pr, init := ln.at(j)
 		root.SplitInto(&rngs[j], uint64(j))
-		group[j] = BatchRead{Prog: pr, Out: make([]int8, pr.N), Rng: &rngs[j]}
+		group[j] = BatchRead{Prog: pr, Init: init, Out: make([]int8, pr.N), Rng: &rngs[j]}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -94,23 +95,30 @@ func benchGroup(b *testing.B, eng Engine, pr *qubo.CSR) (nsPerSweep float64, swe
 
 func benchmarkSweep(b *testing.B, eng Engine) {
 	pr := qubo.NewCSR(embeddedBenchIsing(b))
-	nsPerSweep, sweeps := benchGroup(b, eng, pr)
+	fa, _ := Forward(1, 0.41, 1)
+	nsPerSweep, sweeps := benchGroup(b, eng, fa, 100, oneProblem(pr, nil))
+	writeSweepRecord(b, "Annealer"+eng.Name()+"Sweep", eng.Name(), pr.N, sweeps, nsPerSweep, baselineNsPerSweep[eng.Name()])
+}
+
+// writeSweepRecord writes a sweep benchmark's BENCH_*.json record when
+// BENCH_JSON_DIR is set; base is the recorded baseline ns/read-sweep.
+func writeSweepRecord(b *testing.B, name, engine string, spins, sweeps int, nsPerSweep, base float64) {
+	b.Helper()
 	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
-		base := baselineNsPerSweep[eng.Name()]
 		cfg := benchSweepConfig{
-			Engine: eng.Name(), Spins: pr.N, SweepsPerRead: sweeps, ReadsPerGroup: lockstepWidth,
+			Engine: engine, Spins: spins, SweepsPerRead: sweeps, ReadsPerGroup: lockstepWidth,
 			NsPerSweep: nsPerSweep, BaselineNsPerSweep: base,
 		}
 		if base > 0 && nsPerSweep > 0 {
 			cfg.Speedup = base / nsPerSweep
 		}
 		rec := telemetry.BenchRecord{
-			Name:       "Annealer" + eng.Name() + "Sweep",
+			Name:       name,
 			NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 			Iterations: b.N,
 			Config:     cfg,
 			Series: fmt.Sprintf("engine=%s spins=%d reads/group=%d ns/read-sweep=%.0f baseline=%.0f speedup=%.2fx",
-				eng.Name(), pr.N, lockstepWidth, nsPerSweep, base, cfg.Speedup),
+				engine, spins, lockstepWidth, nsPerSweep, base, cfg.Speedup),
 		}
 		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
 			b.Fatal(err)
@@ -120,6 +128,28 @@ func benchmarkSweep(b *testing.B, eng Engine) {
 
 func BenchmarkSVMCSweep(b *testing.B) { benchmarkSweep(b, SVMC{}) }
 func BenchmarkPIMCSweep(b *testing.B) { benchmarkSweep(b, PIMC{Slices: 16}) }
+
+// baselineNsPerReverseSweep is BenchmarkSVMCSweepReverse's ns/read-sweep
+// with the accept path applied in Go after each AVX2 verdict, before the
+// kernel applied its own accepts: the median of five runs on a 2-vCPU
+// Xeon (KVM), Go 1.24.
+const baselineNsPerReverseSweep = 14929
+
+// BenchmarkSVMCSweepReverse times SVMC on the uplink-16qam serve's
+// group shape: two embedded 8-user 16-QAM frames sharing one 8-lane
+// group, reverse-annealed at s_p 0.45 with a 1 μs pause at 30 sweeps/μs
+// from their greedy candidates (uplinkLanes). BenchmarkSVMCSweep's
+// one-problem forward anneal from the superposition is not what the
+// serve runs.
+func BenchmarkSVMCSweepReverse(b *testing.B) {
+	ln := uplinkLanes(b)
+	ra, err := Reverse(0.45, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nsPerSweep, sweeps := benchGroup(b, SVMC{}, ra, 30, ln)
+	writeSweepRecord(b, "AnnealersvmcSweepReverse", "svmc", ln.prs[0].N, sweeps, nsPerSweep, baselineNsPerReverseSweep)
+}
 
 // BenchmarkRun measures a full 32-read batch through the public entry
 // point — normalization, CSR compilation, engine prepare, reads, quench,

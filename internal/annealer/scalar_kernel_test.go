@@ -1,6 +1,7 @@
 package annealer
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/qubo"
@@ -179,4 +180,69 @@ func TestLeaseAccessors(t *testing.T) {
 	if prep.Problem().Equal(is) {
 		t.Fatal("Problem() snapshot aliases the caller's model")
 	}
+}
+
+// TestSVMCReplayMatchesKernelApply pins the Lemire-rejection replay of
+// the SIMD chunk loop — svmcScoreScalar plus the Go apply — to the
+// kernel-applied path: with every chunk step forced through the replay,
+// the group must reproduce the kernel's spins, final RNG states and
+// probe observations bit for bit. The kernel bails to the replay with
+// probability n/2⁶⁴ per lane, so no workload reaches it naturally. The
+// shapes are TestLockstepMatchesSequential's: partial live masks
+// (reads 1, 3, 11), mixed-problem groups, forward and reverse, and the
+// serve-shaped embedded group, every read probed.
+func TestSVMCReplayMatchesKernelApply(t *testing.T) {
+	if !hasBatchSIMD {
+		t.Skip("no SIMD batch path on this host")
+	}
+	defer func() { svmcForceScalar = false }()
+	prof := DWave2000QProfile()
+	r := rng.New(0x4e91a)
+	fwd, err := Forward(1, 0.41, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, err := Reverse(0.55, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, sc *Schedule, ln lanes, reads int) {
+		t.Helper()
+		seed := r.Uint64()
+		kernelLog, replayLog := obsLog{}, obsLog{}
+		svmcForceScalar = false
+		kernelOuts, kernelRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, ln, reads, seed, kernelLog)
+		svmcForceScalar = true
+		replayOuts, replayRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, ln, reads, seed, replayLog)
+		svmcForceScalar = false
+		assertGroupsEqual(t, label, kernelOuts, replayOuts, kernelRngs, replayRngs)
+		assertObservationsEqual(t, label, reads, kernelLog, replayLog)
+	}
+	for _, n := range []int{1, 5, 33} {
+		for _, reads := range []int{1, 3, 8, 11} {
+			for _, sc := range []*Schedule{fwd, rev} {
+				pr := qubo.NewCSR(randomIsing(t, r, n, 0.4))
+				pr.Normalize()
+				var init []int8
+				if sc.StartsClassical() {
+					init = make([]int8, n)
+					for i := range init {
+						init[i] = r.Spin()
+					}
+				}
+				check(fmt.Sprintf("replay/n=%d/reads=%d/reverse=%v", n, reads, sc == rev), sc, oneProblem(pr, init), reads)
+			}
+		}
+	}
+	for _, reads := range []int{8, 11} {
+		for _, sc := range []*Schedule{fwd, rev} {
+			ln := mixedLanes(t, r, 17, reads, sc.StartsClassical())
+			check(fmt.Sprintf("replay/mixed/reads=%d/reverse=%v", reads, sc == rev), sc, ln, reads)
+		}
+	}
+	ra, err := Reverse(0.45, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("replay/uplink-embedded", ra, uplinkLanes(t), 8)
 }

@@ -3,8 +3,10 @@ package annealer
 import (
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/metropolis"
+	"repro/internal/qubo"
 )
 
 // Lockstep SVMC: R reads of equal problem size advance through the sweep
@@ -25,14 +27,19 @@ import (
 // rot[3bi..3bi+2]), so scoring a proposal touches ONE cache line where
 // the column layout took three: with eight resident reads the rotor
 // state overflows L1, and the dE loads were the kernel's largest miss
-// source. Each proposal step is split into two stages:
-// stage 1 draws the proposal (index + angle) and evaluates the trig for
-// every resident read — branch-light, so the FP chains pipeline back to
-// back — and stage 2 scores and applies it, confining the unpredictable
-// accept/reject branches to code the trig no longer waits on. Every read
-// draws from its own stream in exactly the one-read order (index draw,
-// angle draw, then one uniform per uphill proposal), so outcomes are
-// bit-identical to the one-read reference kernel the tests keep.
+// source. On amd64 one AVX2 call (svmcStepx8) runs a whole proposal step
+// for eight reads — draw, trig, score, verdict, and the apply of every
+// decided accept — and Go settles only the rare bracket-undecided lanes.
+// The pure-Go path (TF moves, non-amd64 hosts) splits each step into
+// two stages: stage 1 draws the proposal (index + angle) and evaluates
+// the trig for every resident read — branch-light, so the FP chains
+// pipeline back to back — and stage 2 scores and applies it, confining
+// the unpredictable accept/reject branches to code the trig no longer
+// waits on. Both apply through the same operations (svmcApply is the Go
+// one). Every read draws from its own stream in exactly the one-read
+// order (index draw, angle draw, then one uniform per uphill proposal),
+// so outcomes are bit-identical to the one-read reference kernel the
+// tests keep.
 type svmcBatchScratch struct {
 	rot                []float64 // z, sinT, zField triplets per (read, spin)
 	theta              []float64 // read-major rotor angles, TF-only
@@ -54,9 +61,12 @@ type svmcBatchScratch struct {
 // (the call sits in a loop that runs once per spin per sweep — the
 // marshaling alone was a measurable slice of the sweep). The layout is
 // hard offsets in svmc_simd_amd64.s (TestSVMCStepArgsLayout); accm/exm are
-// OUTPUTS the kernel writes: bit j of accm/exm is lane j's
-// accepted-outright / bracket-undecided verdict. bounds points at
-// metropolis.Bounds, the one exp bracket every Metropolis test reads.
+// OUTPUTS the kernel writes: bit j of accm is lane j's accept the kernel
+// applied, bit j of exm its bracket-undecided verdict. live masks the
+// chunk's real lanes, and offs/cols/w hold each live lane's CSR arrays
+// for the kernel's row walk (lanes may carry different problems).
+// bounds points at metropolis.Bounds, the one exp bracket every
+// Metropolis test reads.
 type svmcStepArgs struct {
 	rs0, rs1, rs2, rs3 *[8]uint64  // +0 +8 +16 +24
 	idx                *[8]uint64  // +32
@@ -67,8 +77,16 @@ type svmcStepArgs struct {
 	nb, negnb          uint64      // +88 +96
 	na2, b2, beta      float64     // +104 +112 +120
 	accm, exm          uint16      // +128 +130 (kernel-written)
+	live               uint16      // +132
 	bounds             *float64    // +136
+	offs, cols         [8]*int32   // +144 +208
+	w                  [8]*float64 // +272
 }
+
+// svmcForceScalar makes every SIMD chunk step take the scalar replay
+// (svmcScoreScalar plus the Go apply); TestSVMCReplayMatchesKernelApply
+// sets it.
+var svmcForceScalar = false
 
 // ensure sizes the scratch for an r-read group of n spins. The per-lane
 // arrays (states, proposal outputs) are rounded up to a multiple of the
@@ -177,8 +195,8 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	}
 	rs0, rs1, rs2, rs3 := st.rs0, st.rs1, st.rs2, st.rs3
 	idx, nsin, ncos, nang := st.idx, st.nsin, st.ncos, st.nang
-	// SIMD padding lanes: any nonzero xoshiro state works — they are
-	// advanced alongside the real lanes and their outputs never read.
+	// SIMD padding lanes: any nonzero xoshiro state works — they may be
+	// advanced alongside the real lanes, and their outputs are never read.
 	rr := len(rs0)
 	for j := r; j < rr; j++ {
 		rs0[j], rs1[j], rs2[j], rs3[j] = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, uint64(j)+1
@@ -203,7 +221,8 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	dEs, uu := st.dE, st.u
 	for ci := range st.args {
 		c := ci * 8
-		*(&st.args[ci]) = svmcStepArgs{
+		a := &st.args[ci]
+		*a = svmcStepArgs{
 			rs0: (*[8]uint64)(rs0[c:]), rs1: (*[8]uint64)(rs1[c:]),
 			rs2: (*[8]uint64)(rs2[c:]), rs3: (*[8]uint64)(rs3[c:]),
 			idx: (*[8]uint64)(idx[c:]),
@@ -212,6 +231,13 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 			dE: (*[8]float64)(dEs[c:]), u: (*[8]float64)(uu[c:]),
 			nb: uint64(n), negnb: lemireThreshold(n), beta: beta,
 			bounds: &metropolis.Bounds[0],
+		}
+		for l := 0; l < 8 && c+l < r; l++ {
+			pr := reads[c+l].Prog
+			a.live |= 1 << uint(l)
+			a.offs[l] = unsafe.SliceData(pr.Offsets)
+			a.cols[l] = unsafe.SliceData(pr.Cols)
+			a.w[l] = unsafe.SliceData(pr.W)
 		}
 	}
 	sweeps := tab.sweeps()
@@ -232,52 +258,34 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 			// step 4-wide — draws, trig, the triplet gather and dE score,
 			// the conditional uphill draw and the exp-bracket verdict —
 			// with the gathers' L2 latency hidden under the polynomial
-			// work. The Go loop below only acts on the verdict masks: the
-			// rare bracket-undecided lanes call math.Exp, accepted lanes
-			// apply the spin update and walk the CSR row. Chunks where a
-			// lane hits the Lemire rejection (probability n/2⁶⁴) replay
-			// through the scalar reference scorer.
+			// work, and then applies every decided accept of a live lane
+			// itself: the rotor write and the walk of the lane's CSR row.
+			// Go settles only the rare bracket-undecided lanes with
+			// math.Exp. Chunks where a lane hits the Lemire rejection
+			// (probability n/2⁶⁴) replay through the scalar reference
+			// scorer, and Go applies their accepts.
 			if useSIMD {
 				for ci := range st.args {
 					a := &st.args[ci]
-					var am, em uint32
-					if svmcStepx8(a) {
-						am, em = uint32(a.accm), uint32(a.exm)
-					} else {
-						am, em = svmcScoreScalar(st, ci*8, nb, negnb, rot, na2, b2, beta)
-					}
-					// Walk only the lanes with something to do — in the
-					// frozen tail of the anneal nearly every proposal
-					// rejects outright and the whole chunk is skipped.
 					c := ci * 8
-					nlive := r - c
-					if nlive > 8 {
-						nlive = 8
-					}
-					live := uint32(1)<<uint(nlive) - 1
-					work := (am | em) & live
-					for work != 0 {
-						jj := uint(work & -work)
-						j := c + bits.TrailingZeros32(work)
-						work &= work - 1
-						accept := am&uint32(jj) != 0
-						if em&uint32(jj) != 0 {
-							accept = metropolis.Exact(uu[j], beta*dEs[j])
+					if svmcForceScalar || !svmcStepx8(a) {
+						am, em := svmcScoreScalar(st, c, nb, negnb, rot, na2, b2, beta)
+						a.accm, a.exm = uint16(am&^em)&a.live, uint16(em)
+						for m := uint32(a.accm); m != 0; m &= m - 1 {
+							j := c + bits.TrailingZeros32(m)
+							svmcApply(st, reads[j].Prog, j, n, false)
 						}
-						if accept {
+					}
+					if probed {
+						for m := uint32(a.accm); m != 0; m &= m - 1 {
+							acc[c+bits.TrailingZeros32(m)]++
+						}
+					}
+					for m := uint32(a.exm & a.live); m != 0; m &= m - 1 {
+						j := c + bits.TrailingZeros32(m)
+						if metropolis.Exact(uu[j], beta*dEs[j]) {
 							acc[j]++
-							bi := int(lan[j]) + 3*int(idx[j])
-							nz := ncos[j]
-							dz := nz - rot[bi]
-							rot[bi] = nz
-							rot[bi+1] = nsin[j]
-							pr := reads[j].Prog
-							cols, w, offs := pr.Cols, pr.W, pr.Offsets
-							i := int(idx[j])
-							base := j * n
-							for kk := offs[i]; kk < offs[i+1]; kk++ {
-								rot[3*(base+int(cols[kk]))+2] += w[kk] * dz
-							}
+							svmcApply(st, reads[j].Prog, j, n, false)
 						}
 					}
 				}
@@ -346,9 +354,6 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 			// Stage 2b: decide and apply. The accept/reject branches live
 			// here, after every read's trig and dE have already retired.
 			for j := 0; j < r; j++ {
-				bi := 3 * (j*n + int(idx[j]))
-				sn := nsin[j]
-				nz := ncos[j]
 				dE := dEs[j]
 				accept := dE <= 0
 				if !accept {
@@ -377,19 +382,7 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 				}
 				if accept {
 					acc[j]++
-					dz := nz - rot[bi]
-					if tf {
-						theta[j*n+int(idx[j])] = nang[j]
-					}
-					rot[bi] = nz
-					rot[bi+1] = sn
-					pr := reads[j].Prog
-					cols, w, offs := pr.Cols, pr.W, pr.Offsets
-					i := int(idx[j])
-					base := j * n
-					for kk := offs[i]; kk < offs[i+1]; kk++ {
-						rot[3*(base+int(cols[kk]))+2] += w[kk] * dz
-					}
+					svmcApply(st, reads[j].Prog, j, n, tf)
 				}
 			}
 		}
@@ -398,6 +391,11 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 		}
 	}
 
+	// The pool keeps the scratch; drop its references to the problems.
+	for ci := range st.args {
+		a := &st.args[ci]
+		a.offs, a.cols, a.w = [8]*int32{}, [8]*int32{}, [8]*float64{}
+	}
 	for j := range reads {
 		reads[j].Rng.SetState(rs0[j], rs1[j], rs2[j], rs3[j])
 		base := j * n
@@ -409,6 +407,30 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 				out[i] = -1
 			}
 		}
+	}
+}
+
+// svmcApply moves lane j to its accepted proposal: the rotor takes the
+// proposed (cos, sin) — and angle, for TF moves — and the change in z
+// is scattered into the lane's local fields along row idx[j] of pr, in
+// row order. svmcStepx8 is the only other applier, for the lanes it
+// decides itself.
+func svmcApply(st *svmcBatchScratch, pr *qubo.CSR, j, n int, tf bool) {
+	i := int(st.idx[j])
+	base := int(st.lanoff[j])
+	rot := st.rot
+	bi := base + 3*i
+	nz := st.ncos[j]
+	dz := nz - rot[bi]
+	rot[bi] = nz
+	rot[bi+1] = st.nsin[j]
+	if tf {
+		st.theta[j*n+i] = st.nang[j]
+	}
+	field := rot[base+2:]
+	cols, w := pr.Cols, pr.W
+	for k := pr.Offsets[i]; k < pr.Offsets[i+1]; k++ {
+		field[3*int(cols[k])] += w[k] * dz
 	}
 }
 
@@ -443,11 +465,13 @@ func svmcStage1Scalar(st *svmcBatchScratch, c0, c1 int, nb, negnb uint64) {
 // svmcScoreScalar is the scalar reference for the full SIMD proposal
 // step over the 8-lane chunk starting at c0: stage 1 plus the dE score,
 // the conditional uphill draw, and the bracket verdict, materialized
-// into the same per-lane arrays and verdict bitmasks svmcStepx8 fills.
-// It replays a chunk whose SIMD call bailed on a Lemire rejection — the
-// kernel stores nothing in that case, so replaying from the untouched
-// states is exact. Padding lanes score against read 0's block through
-// their zero lanoff, mirroring the kernel's in-bounds garbage lanes.
+// into the same per-lane arrays svmcStepx8 fills, with the verdicts as
+// masks: am (accepted outright) and em (bracket-undecided). It applies
+// nothing; the caller applies the accepts. It replays a chunk whose
+// SIMD call bailed on a Lemire rejection — the kernel stores nothing in
+// that case, so replaying from the untouched states is exact. Padding
+// lanes score against read 0's block through their zero lanoff,
+// mirroring the kernel's in-bounds garbage lanes.
 func svmcScoreScalar(st *svmcBatchScratch, c0 int, nb, negnb uint64,
 	rot []float64, na2, b2, beta float64) (am, em uint32) {
 	svmcStage1Scalar(st, c0, c0+8, nb, negnb)

@@ -19,7 +19,9 @@ func TestSVMCStepArgsLayout(t *testing.T) {
 		{"lanoff", unsafe.Offsetof(a.lanoff), 64}, {"dE", unsafe.Offsetof(a.dE), 72},
 		{"nb", unsafe.Offsetof(a.nb), 88}, {"na2", unsafe.Offsetof(a.na2), 104},
 		{"beta", unsafe.Offsetof(a.beta), 120}, {"accm", unsafe.Offsetof(a.accm), 128},
-		{"exm", unsafe.Offsetof(a.exm), 130}, {"bounds", unsafe.Offsetof(a.bounds), 136},
+		{"exm", unsafe.Offsetof(a.exm), 130}, {"live", unsafe.Offsetof(a.live), 132},
+		{"bounds", unsafe.Offsetof(a.bounds), 136}, {"offs", unsafe.Offsetof(a.offs), 144},
+		{"cols", unsafe.Offsetof(a.cols), 208}, {"w", unsafe.Offsetof(a.w), 272},
 	} {
 		if f.got != f.want {
 			t.Errorf("svmcStepArgs.%s at offset %d, svmc_simd_amd64.s assumes %d", f.name, f.got, f.want)

@@ -10,11 +10,12 @@ import (
 // a full proposal step for eight resident reads with 4-wide AVX2
 // vectors — index and angle draws, sinCosPi, the triplet gather of
 // (z, sinθ, field), the dE score, the conditional uphill uniform draw,
-// and the exp-bracket verdict. Every operation is either exact integer
-// arithmetic (xoshiro256++, the Lemire product, the (x>>11)·2⁻⁵³
-// conversion, the fold/swap/sign bit masks, the mask logic) or an
-// IEEE-754 vector mul/add/sub that rounds identically to its scalar
-// counterpart, so the outputs are bit-identical to the scalar path —
+// and the exp-bracket verdict — then applies the decided accepts lane
+// by lane. Every operation is either exact integer arithmetic
+// (xoshiro256++, the Lemire product, the (x>>11)·2⁻⁵³ conversion, the
+// fold/swap/sign bit masks, the mask logic) or an IEEE-754 mul/add/sub
+// (vector or scalar) that rounds identically to its Go counterpart, so
+// the outputs are bit-identical to the scalar path —
 // enforced by TestLockstepMatchesSequential. FMA is never used:
 // contracting a mul+add pair would change the rounding.
 //
@@ -22,16 +23,24 @@ import (
 // for lanes whose dE came out positive — the uphill uniform, exactly
 // the one-read draw order) and fills a.idx, sn, cs, dE (the
 // proposal's energy delta), u (the uphill uniform; garbage for downhill
-// lanes), and the verdict bitmasks a.accm (bit j: lane j accepted
-// outright) and a.exm (bit j: the bracket could not decide and the
-// caller must settle u < exp(−beta·dE) with metropolis.Exact; such
-// lanes' accm bit is meaningless). Lane j's spin triplets live at
-// rot[lanoff[j]+3i]; a padding lane must carry lanoff 0 so its gathers
-// stay in bounds. If any lane's index draw hits the Lemire rejection
-// (probability n/2⁶⁴ per lane), the kernel returns false WITHOUT
-// writing anything — states included — and the caller redoes the step
-// through the scalar reference path. Requires nb < 2³², nonzero states,
-// and AVX2 (hasBatchSIMD).
+// lanes) and a.exm (bit j: the bracket could not decide lane j, and the
+// caller must settle u < exp(−beta·dE) with metropolis.Exact and apply
+// the accept itself). It then applies every decided accept of a lane in
+// a.live, in lane order: the lane's triplet at rot[lanoff[j]+3·idx[j]]
+// takes (cs[j], sn[j]), and dz = cs[j] − z is added to the field of
+// every column of the lane's CSR row idx[j] (a.offs/cols/w[j]), in row
+// order, with the Go apply's expression tree. a.accm reports the lanes
+// it applied (bit j: lane j accepted outright and live); exm lanes are
+// never in it. Lane j's spin triplets live at rot[lanoff[j]+3i]; a
+// padding lane (outside live) must carry lanoff 0 so its gathers stay
+// in bounds, and is never applied. Its state and outputs are
+// unspecified: when no lane of half B (lanes 4–7) is live, the kernel
+// skips that half entirely. If any lane's index
+// draw hits the Lemire rejection (probability n/2⁶⁴ per lane), the
+// kernel returns false WITHOUT writing anything — states included —
+// and the caller redoes the step through the scalar reference path and
+// applies its accepts in Go. Requires nb < 2³², nonzero states, and
+// AVX2 (hasBatchSIMD).
 func svmcStepx8(a *svmcStepArgs) bool
 
 // saStepx8 is the lockstep simulated-annealing step in sa_simd_amd64.s;

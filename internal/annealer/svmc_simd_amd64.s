@@ -133,13 +133,27 @@
 	VADDPD Y7, Y6, Y6                       \
 	VERDICT(OFF, SHIFT)
 
+// SCOREREGS loads the registers SCORE and VERDICT read (see SCORE) and
+// clears the verdict accumulators.
+#define SCOREREGS \
+	MOVQ 56(CX), R13  \
+	MOVQ 64(CX), R14  \
+	MOVQ 136(CX), R15 \
+	MOVQ 72(CX), DX   \
+	MOVQ 80(CX), SI   \
+	XORL DI, DI       \
+	XORL BX, BX
+
 // func svmcStepx8(a *svmcStepArgs) bool
 //
-// The svmcStepArgs field offsets (+0 rs0 … +130 exm) are a hard
+// The svmcStepArgs field offsets (+0 rs0 … +272 w) are a hard
 // contract with the struct definition in svmc_batch.go — the kernel is
 // called once per spin per sweep, and a single struct pointer beats
 // marshaling 17 stack arguments per call. CX holds the struct base for
-// the whole body.
+// the whole body. A chunk whose live lanes all sit in half A (a group's
+// part-filled last chunk of at most four reads) runs half A alone: the
+// padding lanes of half B are neither advanced nor scored, since
+// nothing reads them.
 TEXT ·svmcStepx8(SB), NOSPLIT, $96-9
 	MOVQ a+0(FP), CX
 	MOVQ 0(CX), R8   // rs0
@@ -150,6 +164,18 @@ TEXT ·svmcStepx8(SB), NOSPLIT, $96-9
 	VPBROADCASTQ 88(CX), Y12 // nb
 	VPBROADCASTQ 96(CX), Y13 // negnb
 	VPXOR ·svmcSIMDTab+256(SB), Y13, Y13 // bias negnb for the signed compare
+
+	// Broadcast the scoring scalars to the frame while registers are
+	// cheap; SCORE reads them as VEX memory operands.
+	VPBROADCASTQ 104(CX), Y10 // na2
+	VMOVDQU Y10, (SP)
+	VPBROADCASTQ 112(CX), Y10 // b2
+	VMOVDQU Y10, 32(SP)
+	VPBROADCASTQ 120(CX), Y10 // beta
+	VMOVDQU Y10, 64(SP)
+
+	TESTB $0xF0, 132(CX) // any live lane in half B?
+	JZ   half
 
 	// States: half A (lanes 0–3) in Y0–Y3, half B (lanes 4–7) in Y4–Y7.
 	VMOVDQU (R8), Y0
@@ -174,15 +200,6 @@ TEXT ·svmcStepx8(SB), NOSPLIT, $96-9
 	MOVQ 32(CX), R12 // idx
 	VMOVDQU Y8, (R12)
 	VMOVDQU Y9, 32(R12)
-
-	// Broadcast the scoring scalars to the frame while registers are
-	// cheap; SCORE reads them as VEX memory operands.
-	VPBROADCASTQ 104(CX), Y10 // na2
-	VMOVDQU Y10, (SP)
-	VPBROADCASTQ 112(CX), Y10 // b2
-	VMOVDQU Y10, 32(SP)
-	VPBROADCASTQ 120(CX), Y10 // beta
-	VMOVDQU Y10, 64(SP)
 
 	// Draw 2: the proposal angle. Store the states now — they are final
 	// for downhill lanes, and SCORE re-advances and re-stores the lanes
@@ -209,19 +226,57 @@ TEXT ·svmcStepx8(SB), NOSPLIT, $96-9
 	VMOVUPD Y0, 32(AX)
 	VMOVUPD Y1, 32(DX)
 
-	MOVQ 56(CX), R13 // rot
-	MOVQ 64(CX), R14 // lanoff
-	MOVQ 136(CX), R15 // bounds
-	MOVQ 72(CX), DX // dE
-	MOVQ 80(CX), SI // u
-	XORL DI, DI     // acc bitmask
-	XORL BX, BX     // ex bitmask
-
+	SCOREREGS
 	SCORE(0, 0)
 	SCORE(32, 4)
 
-	MOVW DI, 128(CX) // accm
-	MOVW BX, 130(CX) // exm
+scored:
+	// Apply every decided accept of a live lane: the rotor takes the
+	// proposal's (cos, sin), and dz = nz − z is added to the lane's
+	// fields along its own CSR row, in row order — the same operations,
+	// in the same order, as the Go apply. Undecided lanes are left to
+	// the caller; accm reports the lanes applied here.
+	MOVW BX, 130(CX)        // exm
+	NOTL BX
+	ANDL BX, DI
+	MOVWLZX 132(CX), AX
+	ANDL AX, DI             // applied = acc ∧ ¬ex ∧ live
+	MOVW DI, 128(CX)        // accm
+	MOVQ 40(CX), R8         // sn
+	MOVQ 48(CX), R9         // cs
+apply:
+	TESTL DI, DI
+	JZ   applied
+	BSFL DI, AX             // lane j
+	BTRL AX, DI
+	MOVQ (R12)(AX*8), R10   // i = idx[j]
+	MOVQ (R14)(AX*8), R11   // lanoff[j]
+	LEAQ (R10)(R10*2), BX
+	ADDQ R11, BX            // bi = lanoff + 3i
+	VMOVSD (R9)(AX*8), X0   // nz
+	VSUBSD (R13)(BX*8), X0, X1 // dz = nz − z
+	VMOVSD X0, (R13)(BX*8)
+	VMOVSD (R8)(AX*8), X0
+	VMOVSD X0, 8(R13)(BX*8)
+	MOVQ 144(CX)(AX*8), DX  // offs[j]
+	MOVLQSX (DX)(R10*4), SI // k = offs[i]
+	MOVLQSX 4(DX)(R10*4), DX // end = offs[i+1]
+	CMPQ SI, DX
+	JGE  apply
+	MOVQ 208(CX)(AX*8), R10 // cols[j]
+	MOVQ 272(CX)(AX*8), R15 // w[j]
+	LEAQ 16(R13)(R11*8), R11 // the lane's fields, stride 3
+row:
+	MOVLQSX (R10)(SI*4), BX
+	LEAQ (BX)(BX*2), BX
+	VMULSD (R15)(SI*8), X1, X0
+	VADDSD (R11)(BX*8), X0, X0 // field += w·dz
+	VMOVSD X0, (R11)(BX*8)
+	INCQ SI
+	CMPQ SI, DX
+	JLT  row
+	JMP  apply
+applied:
 	VZEROUPPER
 	MOVB $1, ret+8(FP)
 	RET
@@ -230,6 +285,32 @@ reject:
 	VZEROUPPER
 	MOVB $0, ret+8(FP)
 	RET
+
+half:
+	// The full path above restricted to half A.
+	VMOVDQU (R8), Y0
+	VMOVDQU (R9), Y1
+	VMOVDQU (R10), Y2
+	VMOVDQU (R11), Y3
+	XOSHIRO(Y0, Y1, Y2, Y3, Y8, Y10, Y11)
+	BOUND(Y8, Y12, Y13, Y8, Y14, Y10, Y11)
+	VPTEST Y14, Y14
+	JNZ reject
+	MOVQ 32(CX), R12 // idx
+	VMOVDQU Y8, (R12)
+	XOSHIRO(Y0, Y1, Y2, Y3, Y8, Y10, Y11)
+	VMOVDQU Y0, (R8)
+	VMOVDQU Y1, (R9)
+	VMOVDQU Y2, (R10)
+	VMOVDQU Y3, (R11)
+	MOVQ 40(CX), AX // sn
+	MOVQ 48(CX), DX // cs
+	SINCOSPI(Y8, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y10)
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, (DX)
+	SCOREREGS
+	SCORE(0, 0)
+	JMP scored
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
