@@ -20,9 +20,10 @@ func allocTestIsing(t *testing.T) *qubo.Ising {
 
 // TestRunBatchAllocs pins the steady-state allocation count of a full
 // 32-read Run on the benchmark workload. The lockstep batch kernel
-// shares one pooled struct-of-arrays scratch across all 32 reads, so
-// the remaining allocations are the returned samples plus a handful of
-// compile-time slices — measured at 72. The bound leaves headroom for
+// shares one pooled struct-of-arrays scratch across all 32 reads, and
+// per-read scratch comes from one package pool, so the remaining
+// allocations are the returned samples plus a handful of compile-time
+// slices — measured at 47. The bound leaves headroom for
 // runtime jitter but fails loudly if per-read allocation creeps back in
 // (the pre-batch code cost 556 allocs/op; see BenchmarkRun's committed
 // baseline).
@@ -41,14 +42,14 @@ func TestRunBatchAllocs(t *testing.T) {
 		}
 	})
 	if got > 110 {
-		t.Errorf("32-read Run allocates %.0f objects, want ≤ 110 (steady state is ~72)", got)
+		t.Errorf("32-read Run allocates %.0f objects, want ≤ 110 (steady state is ~47)", got)
 	}
 }
 
 // TestRunPreparedCacheHitAllocs pins what a cache-hit serve costs on the
 // embedded path: RunPrepared against an already-compiled Prepared skips
 // clique embedding, chain-strength scan, physical coefficient layout and
-// CSR normalization, leaving ~37 allocations versus ~4000 for an
+// CSR normalization, leaving ~15 allocations versus ~4000 for an
 // uncached Lease.Run of the same batch. Both sides are pinned so the
 // cache's value and the hit path's cost are each guarded.
 func TestRunPreparedCacheHitAllocs(t *testing.T) {
@@ -74,7 +75,7 @@ func TestRunPreparedCacheHitAllocs(t *testing.T) {
 		}
 	})
 	if hit > 64 {
-		t.Errorf("cache-hit RunPrepared allocates %.0f objects, want ≤ 64 (steady state is ~37)", hit)
+		t.Errorf("cache-hit RunPrepared allocates %.0f objects, want ≤ 64 (steady state is ~15)", hit)
 	}
 	uncached := testing.AllocsPerRun(10, func() {
 		seed++

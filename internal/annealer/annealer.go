@@ -163,14 +163,27 @@ func compactReads(samples []qubo.Sample, faults []readFault) ([]qubo.Sample, Fau
 	return kept, stats
 }
 
-// readScratch is the per-read working set that survives between reads of
-// a run: the RNG streams (split in place instead of allocated), the
-// coefficient clone that per-read noise is programmed into, and the
-// quench's local-field buffer.
+// readScratch is the per-read working set that survives between reads:
+// the RNG streams (split in place instead of allocated), the coefficient
+// clone that per-read noise is programmed into, and the quench's
+// local-field buffer. One package pool serves every run, so a steady
+// stream of runs reuses the same few scratches — and their clone
+// storage — instead of building a pool, and fresh clones, per run.
 type readScratch struct {
 	rr, fr rng.Source
-	prog   *qubo.CSR // lazily cloned from the run's problem on first use
+	prog   *qubo.CSR // re-pointed at each noisy read's problem by program
 	field  []float64
+}
+
+var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
+
+// release returns st to the pool without its clone's references to the
+// last problem's topology, so pooled scratch keeps no problem alive.
+func (st *readScratch) release() {
+	if st.prog != nil {
+		st.prog.Offsets, st.prog.Cols, st.prog.Mirror = nil, nil, nil
+	}
+	readScratchPool.Put(st)
 }
 
 // run is one problem's batch of reads in the run body. pr is the
@@ -184,10 +197,6 @@ type run struct {
 	p   Params
 	r   *rng.Source
 
-	// pool holds readScratch sized to pr. It is a separate object: the
-	// runtime keeps a used pool reachable until the second GC after its
-	// last use, and an embedded pool would pin the run's buffers as long.
-	pool     *sync.Pool
 	samples  []qubo.Sample
 	faults   []readFault
 	spins    []int8 // flat engine readout, NumReads × pr.N
@@ -206,13 +215,14 @@ type readRef struct {
 
 // runAll is the one run body behind every entry point. Each run does its
 // own pre-work (start); then the reads of ALL runs are packed into
-// lockstep groups (packReads) that fan out through parallelFor, and each
-// run's Result or fault is assembled, telemetry included, in run order.
-// Packing cannot change an answer: a read's dynamics depend only on its
-// own stream. All runs must belong to the lease whose compiled kernel
-// this is. A run whose err the caller set is skipped.
-func runAll(runs []*run, kernel BatchReadFunc) {
-	refs, groups := packReads(runs)
+// lockstep groups of the kernel's width (packReads) that fan out through
+// parallelFor, and each run's Result or fault is assembled, telemetry
+// included, in run order. Packing cannot change an answer: a read's
+// dynamics depend only on its own stream. All runs must belong to the
+// lease whose compiled kernel this is. A run whose err the caller set is
+// skipped.
+func runAll(runs []*run, kernel BatchReadFunc, width int) {
+	refs, groups := packReads(runs, width)
 	for _, ru := range runs {
 		if ru.err == nil {
 			ru.err = ru.start()
@@ -231,11 +241,11 @@ func runAll(runs []*run, kernel BatchReadFunc) {
 // packReads lays out the reads of every run without a caller-set error in
 // group order — runs bucketed by physical N in first-appearance order,
 // then runs in order and reads in order within a bucket — and returns the
-// group bounds: group g is refs[groups[g]:groups[g+1]], at most
-// lockstepWidth reads of one N. The layout depends only on each run's N
-// and NumReads, never on an RNG draw: the reads of a run that fails in
-// start keep their slots and are skipped, like timed-out reads.
-func packReads(runs []*run) (refs []readRef, groups []int) {
+// group bounds: group g is refs[groups[g]:groups[g+1]], at most width
+// (≤ maxGroupWidth) reads of one N. The layout depends only on each
+// run's N and NumReads, never on an RNG draw: the reads of a run that
+// fails in start keep their slots and are skipped, like timed-out reads.
+func packReads(runs []*run, width int) (refs []readRef, groups []int) {
 	total := 0
 	for _, ru := range runs {
 		if ru.err == nil {
@@ -243,7 +253,7 @@ func packReads(runs []*run) (refs []readRef, groups []int) {
 		}
 	}
 	refs = make([]readRef, 0, total)
-	groups = make([]int, 0, total/lockstepWidth+len(runs)+1)
+	groups = make([]int, 0, total/width+len(runs)+1)
 	for i, ru := range runs {
 		if ru.err != nil || slices.ContainsFunc(runs[:i], func(prev *run) bool {
 			return prev.err == nil && prev.pr.N == ru.pr.N
@@ -253,7 +263,7 @@ func packReads(runs []*run) (refs []readRef, groups []int) {
 		bucket := len(refs)
 		for _, rb := range runs[i:] {
 			for read := 0; rb.err == nil && rb.pr.N == ru.pr.N && read < rb.p.NumReads; read++ {
-				if (len(refs)-bucket)%lockstepWidth == 0 {
+				if (len(refs)-bucket)%width == 0 {
 					groups = append(groups, len(refs))
 				}
 				refs = append(refs, readRef{rb, read})
@@ -265,9 +275,9 @@ func packReads(runs []*run) (refs []readRef, groups []int) {
 
 // start is a run's pre-work: the reverse-anneal initial-state check and,
 // embedded, its mapping onto the physical qubits; the programming-fault
-// draw; and the scratch pool and read buffers. Flat blocks back the
-// engine readout and, embedded, the unembedded logical samples, so a run
-// performs O(1) allocations regardless of NumReads.
+// draw; and the read buffers. Flat blocks back the engine readout and,
+// embedded, the unembedded logical samples, so a run performs O(1)
+// allocations regardless of NumReads.
 func (ru *run) start() error {
 	p := &ru.p
 	if p.Schedule.StartsClassical() {
@@ -285,7 +295,6 @@ func (ru *run) start() error {
 		return &FaultError{Kind: FaultProgramming}
 	}
 	n, reads := ru.pr.N, p.NumReads
-	ru.pool = &sync.Pool{New: func() any { return &readScratch{field: make([]float64, n)} }}
 	ru.samples = make([]qubo.Sample, reads)
 	ru.faults = make([]readFault, reads)
 	ru.spins = make([]int8, reads*n)
@@ -297,11 +306,11 @@ func (ru *run) start() error {
 }
 
 // program returns the problem a read should run against: the run's
-// compiled problem when no noise applies, or the scratch's pooled
-// coefficient clone with ICE and (when the fault fires) calibration
-// drift programmed in. The noise draw order matches the adjacency-list
-// ICE/drift path: h in spin order (nonzero entries only), then couplings
-// in (i, j), i < j order.
+// compiled problem when no noise applies, or the scratch's coefficient
+// clone, re-pointed at the run's problem, with ICE and (when the fault
+// fires) calibration drift programmed in. The noise draw order matches
+// the adjacency-list ICE/drift path: h in spin order (nonzero entries
+// only), then couplings in (i, j), i < j order.
 func (ru *run) program(st *readScratch, drifted *bool) *qubo.CSR {
 	ice := ru.p.ICE
 	*drifted = ru.p.Faults.driftFires(&st.fr)
@@ -309,10 +318,9 @@ func (ru *run) program(st *readScratch, drifted *bool) *qubo.CSR {
 		return ru.pr
 	}
 	if st.prog == nil {
-		st.prog = ru.pr.CloneCoeffs()
-	} else {
-		st.prog.CopyCoeffsFrom(ru.pr)
+		st.prog = new(qubo.CSR)
 	}
+	ru.pr.CloneCoeffsInto(st.prog)
 	if ice.enabled() {
 		applyGaussianCSR(st.prog, ice.SigmaH, ice.SigmaJ, &st.rr)
 	}
@@ -332,16 +340,16 @@ func (ru *run) program(st *readScratch, drifted *bool) *qubo.CSR {
 // marked in their run's faults and skipped, as are the reads of a run
 // whose programming failed.
 func groupReads(kernel BatchReadFunc, refs []readRef) {
-	var sts [lockstepWidth]*readScratch
-	var group [lockstepWidth]BatchRead
-	var member [lockstepWidth]int
+	var sts [maxGroupWidth]*readScratch
+	var group [maxGroupWidth]BatchRead
+	var member [maxGroupWidth]int
 	ng := 0
 	for k, ref := range refs {
 		ru, read := ref.ru, ref.read
 		if ru.err != nil {
 			continue
 		}
-		st := ru.pool.Get().(*readScratch)
+		st := readScratchPool.Get().(*readScratch)
 		sts[k] = st
 		ru.r.SplitInto(&st.rr, uint64(read))
 		// Split never advances rr: dynamics stay fault-independent.
@@ -351,6 +359,10 @@ func groupReads(kernel BatchReadFunc, refs []readRef) {
 			continue
 		}
 		n := ru.pr.N
+		if cap(st.field) < n {
+			st.field = make([]float64, n)
+		}
+		st.field = st.field[:n]
 		group[ng] = BatchRead{
 			Prog: ru.program(st, &ru.faults[read].drift),
 			Init: ru.p.InitialState,
@@ -370,9 +382,9 @@ func groupReads(kernel BatchReadFunc, refs []readRef) {
 		k := member[g]
 		refs[k].ru.finish(refs[k].read, group[g].Prog, group[g].Out, sts[k])
 	}
-	for k, ref := range refs {
-		if sts[k] != nil {
-			ref.ru.pool.Put(sts[k])
+	for _, st := range sts[:len(refs)] {
+		if st != nil {
+			st.release()
 		}
 	}
 }

@@ -406,7 +406,7 @@ func BenchmarkPIMCAnneal32(b *testing.B) {
 // a 32-spin frustrated problem through eng's production kernel.
 func benchmarkEngineAnneal32(b *testing.B, eng Engine) {
 	fa, _ := Forward(1, 0.41, 1)
-	benchGroup(b, eng, fa, 100, oneProblem(qubo.NewCSR(frustrated(32, 1)), nil))
+	benchGroup(b, eng, fa, 100, oneProblem(qubo.NewCSR(frustrated(32, 1)), nil), groupWidth(eng))
 }
 
 // TestParallelismDeterministic: reads are bit-identical regardless of the

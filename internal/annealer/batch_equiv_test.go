@@ -215,7 +215,10 @@ func uplinkLanes(tb testing.TB) lanes {
 
 // TestLockstepMatchesSequential is the lockstep≡sequential equivalence
 // property test: across engines, schedule shapes, problem shapes and
-// group sizes (including partial groups), the production lockstep kernel
+// group sizes (including partial groups, and SVMC's twelve- and
+// sixteen-read groups: one full 8-lane chunk plus a chunk with only its
+// first half live, and two full chunks; twenty reads span two SVMC
+// kernel blocks), the production lockstep kernel
 // must reproduce the one-read reference kernel bit for bit — same spins,
 // same final RNG state, and with a probe attached the same per-sweep
 // observations for every read. The mixed cases pack lanes of different
@@ -234,7 +237,7 @@ func TestLockstepMatchesSequential(t *testing.T) {
 		{"pimc-p3", PIMC{Slices: 3}},
 	} {
 		for _, n := range []int{1, 5, 33} {
-			for _, reads := range []int{1, 3, 8, 11} {
+			for _, reads := range []int{1, 3, 8, 11, 12, 16, 20} {
 				for _, sched := range []string{"forward", "reverse"} {
 					name := fmt.Sprintf("%s/n=%d/reads=%d/%s", tc.name, n, reads, sched)
 					t.Run(name, func(t *testing.T) {
@@ -261,7 +264,7 @@ func TestLockstepMatchesSequential(t *testing.T) {
 				}
 			}
 		}
-		for _, reads := range []int{8, 11} {
+		for _, reads := range []int{8, 11, 16} {
 			for _, reverse := range []bool{false, true} {
 				name := fmt.Sprintf("%s/mixed/n=17/reads=%d/reverse=%v", tc.name, reads, reverse)
 				t.Run(name, func(t *testing.T) {
@@ -278,15 +281,18 @@ func TestLockstepMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	// The serve-shaped group: two embedded uplink frames in one 8-lane
-	// group, reverse-annealed at s_p 0.45 from their greedy candidates.
-	t.Run("svmc/uplink-embedded/reads=8/reverse", func(t *testing.T) {
-		sc, err := Reverse(0.45, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkLockstepMatches(t, "svmc/uplink-embedded", SVMC{}, sc, prof, uplinkLanes(t), 8, r.Uint64())
-	})
+	// The serve-shaped groups: two embedded uplink frames, reverse-
+	// annealed at s_p 0.45 from their greedy candidates, in an 8-lane
+	// group, in uplink's common 12-read group and in a full 16-read one.
+	for _, reads := range []int{8, 12, 16} {
+		t.Run(fmt.Sprintf("svmc/uplink-embedded/reads=%d/reverse", reads), func(t *testing.T) {
+			sc, err := Reverse(0.45, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLockstepMatches(t, "svmc/uplink-embedded", SVMC{}, sc, prof, uplinkLanes(t), reads, r.Uint64())
+		})
+	}
 }
 
 // randomIsing builds a dense-ish random problem with Gaussian couplings.

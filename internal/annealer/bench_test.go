@@ -62,11 +62,11 @@ type benchSweepConfig struct {
 	Speedup            float64 `json:"speedup"`
 }
 
-// benchGroup times eng's production kernel on one full lockstepWidth
-// group of ln's reads per iteration, annealed along sc at rate sweeps
-// per μs. It reports ns per read-sweep and returns that figure with the
-// sweep count per read.
-func benchGroup(b *testing.B, eng Engine, sc *Schedule, rate float64, ln lanes) (nsPerSweep float64, sweeps int) {
+// benchGroup times eng's production kernel on one group of `reads` of
+// ln's reads per iteration, annealed along sc at rate sweeps per μs. It
+// reports ns per read-sweep and returns that figure with the sweep count
+// per read.
+func benchGroup(b *testing.B, eng Engine, sc *Schedule, rate float64, ln lanes, reads int) (nsPerSweep float64, sweeps int) {
 	b.Helper()
 	sweeps, err := sweepCount(sc, rate)
 	if err != nil {
@@ -76,8 +76,8 @@ func benchGroup(b *testing.B, eng Engine, sc *Schedule, rate float64, ln lanes) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	var rngs [lockstepWidth]rng.Source
-	var group [lockstepWidth]BatchRead
+	rngs := make([]rng.Source, reads)
+	group := make([]BatchRead, reads)
 	root := rng.New(1)
 	for j := range group {
 		pr, init := ln.at(j)
@@ -86,9 +86,9 @@ func benchGroup(b *testing.B, eng Engine, sc *Schedule, rate float64, ln lanes) 
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernel(group[:])
+		kernel(group)
 	}
-	nsPerSweep = float64(b.Elapsed().Nanoseconds()) / float64(b.N*lockstepWidth*sweeps)
+	nsPerSweep = float64(b.Elapsed().Nanoseconds()) / float64(b.N*reads*sweeps)
 	b.ReportMetric(nsPerSweep, "ns/read-sweep")
 	return nsPerSweep, sweeps
 }
@@ -96,17 +96,18 @@ func benchGroup(b *testing.B, eng Engine, sc *Schedule, rate float64, ln lanes) 
 func benchmarkSweep(b *testing.B, eng Engine) {
 	pr := qubo.NewCSR(embeddedBenchIsing(b))
 	fa, _ := Forward(1, 0.41, 1)
-	nsPerSweep, sweeps := benchGroup(b, eng, fa, 100, oneProblem(pr, nil))
-	writeSweepRecord(b, "Annealer"+eng.Name()+"Sweep", eng.Name(), pr.N, sweeps, nsPerSweep, baselineNsPerSweep[eng.Name()])
+	reads := groupWidth(eng)
+	nsPerSweep, sweeps := benchGroup(b, eng, fa, 100, oneProblem(pr, nil), reads)
+	writeSweepRecord(b, "Annealer"+eng.Name()+"Sweep", eng.Name(), pr.N, reads, sweeps, nsPerSweep, baselineNsPerSweep[eng.Name()])
 }
 
 // writeSweepRecord writes a sweep benchmark's BENCH_*.json record when
 // BENCH_JSON_DIR is set; base is the recorded baseline ns/read-sweep.
-func writeSweepRecord(b *testing.B, name, engine string, spins, sweeps int, nsPerSweep, base float64) {
+func writeSweepRecord(b *testing.B, name, engine string, spins, reads, sweeps int, nsPerSweep, base float64) {
 	b.Helper()
 	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
 		cfg := benchSweepConfig{
-			Engine: engine, Spins: spins, SweepsPerRead: sweeps, ReadsPerGroup: lockstepWidth,
+			Engine: engine, Spins: spins, SweepsPerRead: sweeps, ReadsPerGroup: reads,
 			NsPerSweep: nsPerSweep, BaselineNsPerSweep: base,
 		}
 		if base > 0 && nsPerSweep > 0 {
@@ -118,7 +119,7 @@ func writeSweepRecord(b *testing.B, name, engine string, spins, sweeps int, nsPe
 			Iterations: b.N,
 			Config:     cfg,
 			Series: fmt.Sprintf("engine=%s spins=%d reads/group=%d ns/read-sweep=%.0f baseline=%.0f speedup=%.2fx",
-				engine, spins, lockstepWidth, nsPerSweep, base, cfg.Speedup),
+				engine, spins, reads, nsPerSweep, base, cfg.Speedup),
 		}
 		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
 			b.Fatal(err)
@@ -130,25 +131,34 @@ func BenchmarkSVMCSweep(b *testing.B) { benchmarkSweep(b, SVMC{}) }
 func BenchmarkPIMCSweep(b *testing.B) { benchmarkSweep(b, PIMC{Slices: 16}) }
 
 // baselineNsPerReverseSweep is BenchmarkSVMCSweepReverse's ns/read-sweep
-// with the accept path applied in Go after each AVX2 verdict, before the
-// kernel applied its own accepts: the median of five runs on a 2-vCPU
-// Xeon (KVM), Go 1.24.
-const baselineNsPerReverseSweep = 14929
+// before the kernel ran whole sweeps over sixteen-read groups: an 8-read
+// group with one kernel call per proposal step, median of five runs
+// alternating with the sixteen-read kernel on a 2-vCPU Xeon (KVM),
+// Go 1.24.
+const baselineNsPerReverseSweep = 12405
 
 // BenchmarkSVMCSweepReverse times SVMC on the uplink-16qam serve's
-// group shape: two embedded 8-user 16-QAM frames sharing one 8-lane
-// group, reverse-annealed at s_p 0.45 with a 1 μs pause at 30 sweeps/μs
-// from their greedy candidates (uplinkLanes). BenchmarkSVMCSweep's
+// group shape: two embedded 8-user 16-QAM frames sharing one group,
+// reverse-annealed at s_p 0.45 with a 1 μs pause at 30 sweeps/μs from
+// their greedy candidates (uplinkLanes). BenchmarkSVMCSweep's
 // one-problem forward anneal from the superposition is not what the
-// serve runs.
+// serve runs. reads=16 is SVMC's full group and the recorded case;
+// reads=12 is uplink's common group (a batch averages 1.48 frames of
+// 12 reads): one full chunk plus a chunk with only its first half live.
 func BenchmarkSVMCSweepReverse(b *testing.B) {
 	ln := uplinkLanes(b)
 	ra, err := Reverse(0.45, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	nsPerSweep, sweeps := benchGroup(b, SVMC{}, ra, 30, ln)
-	writeSweepRecord(b, "AnnealersvmcSweepReverse", "svmc", ln.prs[0].N, sweeps, nsPerSweep, baselineNsPerReverseSweep)
+	for _, reads := range []int{svmcGroupWidth, 12} {
+		b.Run(fmt.Sprintf("reads=%d", reads), func(b *testing.B) {
+			nsPerSweep, sweeps := benchGroup(b, SVMC{}, ra, 30, ln, reads)
+			if reads == svmcGroupWidth {
+				writeSweepRecord(b, "AnnealersvmcSweepReverse", "svmc", ln.prs[0].N, reads, sweeps, nsPerSweep, baselineNsPerReverseSweep)
+			}
+		})
+	}
 }
 
 // BenchmarkRun measures a full 32-read batch through the public entry

@@ -86,12 +86,41 @@ type BatchRead struct {
 // nothing beyond probe observations.
 type BatchReadFunc func(reads []BatchRead)
 
-// lockstepWidth is the number of reads resident in one lockstep group.
+// lockstepWidth is the number of reads resident in one PIMC lockstep
+// group, and the lane count of the SA group (SimulatedAnnealingGroup).
 // Eight reads give the out-of-order core enough independent RNG/trig/
-// field dependency chains to hide each chain's latency while the group's
-// struct-of-arrays spin state still fits comfortably in L2 for the
-// paper's embedded problem sizes.
+// field dependency chains to hide each chain's latency while the
+// group's spin state still fits comfortably in L2 for the paper's
+// embedded problem sizes. PIMC runs a group's reads one after another,
+// so a wider group buys it nothing, and the SA kernel's argument block
+// and assembly are laid out for eight lanes.
 const lockstepWidth = 8
+
+// svmcGroupWidth is the number of reads resident in one SVMC lockstep
+// group. An SVMC proposal step is latency-bound: the chain draw →
+// sinCosPi → dE → bracket verdict, plus the apply's data-dependent
+// branches, retires at about one instruction per cycle. The AVX2 kernel
+// scores every 4-lane half of two 8-lane chunks before it applies any
+// accept, and staggers the two chunks' applies, so sixteen reads put
+// twice the independent chains in flight per step: on the same kernel
+// BenchmarkSVMCSweepReverse measured ~15% fewer ns per read-sweep at 16
+// reads than at 8 (9,642 against 11,397, medians of eight interleaved
+// runs on a 2-vCPU Xeon). Sixteen reads of the 512-qubit embedded
+// uplink problem hold 256 KB of rotor state, inside L2.
+const svmcGroupWidth = 16
+
+// maxGroupWidth is the widest group any engine declares.
+const maxGroupWidth = svmcGroupWidth
+
+// groupWidth is the number of reads the run body packs into one group
+// of eng's kernel. It never changes an answer — each read draws only
+// from its own stream — only how many reads share a kernel call.
+func groupWidth(eng Engine) int {
+	if _, ok := eng.(SVMC); ok {
+		return svmcGroupWidth
+	}
+	return lockstepWidth
+}
 
 // sweepTable is the batch-shared sweep program: for each Monte-Carlo
 // sweep, the schedule time, anneal fraction and energy scales every read

@@ -18,11 +18,12 @@ import (
 // Lease is a prepared session on one simulated device: a validated
 // Params template plus the engine's batch-invariant compiled kernel.
 // A lease is safe for concurrent Run calls — the compiled program is
-// read-only and per-read scratch is pooled per batch — so an execution
+// read-only and per-read scratch is pooled — so an execution
 // layer may run batches of the same device on multiple workers.
 type Lease struct {
 	p      Params
 	kernel BatchReadFunc
+	width  int // reads per lockstep group of kernel (groupWidth)
 	qpu    *QPU
 }
 
@@ -40,7 +41,7 @@ func NewLease(p Params) (*Lease, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Lease{p: p, kernel: kernel}, nil
+	return &Lease{p: p, kernel: kernel, width: groupWidth(p.Engine)}, nil
 }
 
 // Lease returns a prepared session whose runs take the full hardware

@@ -50,7 +50,7 @@ func (l *Lease) RunPreparedMulti(runs []PreparedRun) (results []*Result, errs []
 		}
 		rs[i] = l.preparedRun(ru.Prep, ru.InitialState, ru.NumReads, ru.Rng)
 	}
-	runAll(rs, l.kernel)
+	runAll(rs, l.kernel, l.width)
 	results = make([]*Result, len(runs))
 	errs = make([]error, len(runs))
 	for i, ru := range rs {

@@ -188,39 +188,57 @@ func TestRunPreparedMultiTelemetry(t *testing.T) {
 	}
 }
 
-// TestPackReadsGroups pins the packing rule: runs bucketed by physical N
-// in first-appearance order, runs then reads in order within a bucket,
-// groups of at most lockstepWidth that never span two sizes, and runs
-// with an argument error left out.
+// TestPackReadsGroups pins the packing rule at both group widths the
+// engines declare (PIMC's eight, SVMC's sixteen): runs bucketed by
+// physical N in first-appearance order, runs then reads in order within
+// a bucket, groups of at most the width that never span two sizes, and
+// runs with an argument error left out.
 func TestPackReadsGroups(t *testing.T) {
 	mk := func(n, reads int) *run {
 		return &run{pr: &qubo.CSR{N: n}, p: Params{NumReads: reads}}
 	}
 	bad := mk(5, 3)
 	bad.err = fmt.Errorf("argument error")
-	runs := []*run{mk(5, 3), mk(7, 9), bad, mk(5, 6), mk(7, 1)}
-	refs, groups := packReads(runs)
+	runs := []*run{mk(5, 3), mk(7, 9), bad, mk(5, 6), mk(7, 1), mk(5, 10)}
 	type ref struct{ run, read int }
 	idx := map[*run]int{}
 	for i, ru := range runs {
 		idx[ru] = i
 	}
-	var got [][]ref
-	for g := 0; g+1 < len(groups); g++ {
-		var grp []ref
-		for _, r := range refs[groups[g]:groups[g+1]] {
-			grp = append(grp, ref{idx[r.ru], r.read})
+	for _, tc := range []struct {
+		width int
+		want  [][]ref
+	}{
+		{lockstepWidth, [][]ref{
+			{{0, 0}, {0, 1}, {0, 2}, {3, 0}, {3, 1}, {3, 2}, {3, 3}, {3, 4}},
+			{{3, 5}, {5, 0}, {5, 1}, {5, 2}, {5, 3}, {5, 4}, {5, 5}, {5, 6}},
+			{{5, 7}, {5, 8}, {5, 9}},
+			{{1, 0}, {1, 1}, {1, 2}, {1, 3}, {1, 4}, {1, 5}, {1, 6}, {1, 7}},
+			{{1, 8}, {4, 0}},
+		}},
+		{svmcGroupWidth, [][]ref{
+			{{0, 0}, {0, 1}, {0, 2}, {3, 0}, {3, 1}, {3, 2}, {3, 3}, {3, 4}, {3, 5},
+				{5, 0}, {5, 1}, {5, 2}, {5, 3}, {5, 4}, {5, 5}, {5, 6}},
+			{{5, 7}, {5, 8}, {5, 9}},
+			{{1, 0}, {1, 1}, {1, 2}, {1, 3}, {1, 4}, {1, 5}, {1, 6}, {1, 7}, {1, 8}, {4, 0}},
+		}},
+	} {
+		refs, groups := packReads(runs, tc.width)
+		var got [][]ref
+		for g := 0; g+1 < len(groups); g++ {
+			var grp []ref
+			for _, r := range refs[groups[g]:groups[g+1]] {
+				grp = append(grp, ref{idx[r.ru], r.read})
+			}
+			got = append(got, grp)
 		}
-		got = append(got, grp)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("width %d: packed groups %v, want %v", tc.width, got, tc.want)
+		}
 	}
-	want := [][]ref{
-		{{0, 0}, {0, 1}, {0, 2}, {3, 0}, {3, 1}, {3, 2}, {3, 3}, {3, 4}},
-		{{3, 5}},
-		{{1, 0}, {1, 1}, {1, 2}, {1, 3}, {1, 4}, {1, 5}, {1, 6}, {1, 7}},
-		{{1, 8}, {4, 0}},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("packed groups %v, want %v", got, want)
+	if groupWidth(SVMC{}) != svmcGroupWidth || groupWidth(SVMC{TFMoves: true}) != svmcGroupWidth ||
+		groupWidth(PIMC{Slices: 8}) != lockstepWidth {
+		t.Fatal("engines declare the wrong group widths")
 	}
 }
 

@@ -79,7 +79,7 @@ func (l *Lease) RunPrepared(prep *Prepared, init []int8, numReads int, r *rng.So
 		return nil, fmt.Errorf("annealer: prepared problem does not belong to this lease")
 	}
 	ru := l.preparedRun(prep, init, numReads, r)
-	runAll([]*run{ru}, l.kernel)
+	runAll([]*run{ru}, l.kernel, l.width)
 	return ru.res, ru.err
 }
 

@@ -95,12 +95,12 @@ func TestScalarScoreReplay(t *testing.T) {
 		r := rng.New(0x5c0e)
 		for j := 0; j < reads; j++ {
 			st.rs0[j], st.rs1[j], st.rs2[j], st.rs3[j] = r.Uint64()|1, r.Uint64(), r.Uint64(), r.Uint64()
-			st.lanoff[j] = uint64(3 * n * j)
+			st.lanoff[j] = uint64(4 * n * j)
 			for i := 0; i < n; i++ {
 				sn, cs := sinCosPi(r.Float64())
-				st.rot[3*(n*j+i)] = cs
-				st.rot[3*(n*j+i)+1] = sn
-				st.rot[3*(n*j+i)+2] = r.NormFloat64()
+				st.rot[4*(n*j+i)] = cs
+				st.rot[4*(n*j+i)+1] = sn
+				st.rot[4*(n*j+i)+2] = r.NormFloat64()
 			}
 		}
 		return st
@@ -182,31 +182,83 @@ func TestLeaseAccessors(t *testing.T) {
 	}
 }
 
-// TestSVMCReplayMatchesKernelApply pins the Lemire-rejection replay of
-// the SIMD chunk loop — svmcScoreScalar plus the Go apply — to the
-// kernel-applied path: with every chunk step forced through the replay,
-// the group must reproduce the kernel's spins, final RNG states and
-// probe observations bit for bit. The kernel bails to the replay with
+// TestSVMCReplayMatchesKernelApply pins the scalar replay of the SIMD
+// sweep loop — svmcScoreScalar plus the Go apply — to the kernel-applied
+// path: with every proposal step forced through the replay, the group
+// must reproduce the kernel's spins, final RNG states and probe
+// observations bit for bit. The kernel bails to the replay with
 // probability n/2⁶⁴ per lane, so no workload reaches it naturally. The
 // shapes are TestLockstepMatchesSequential's: partial live masks
-// (reads 1, 3, 11), mixed-problem groups, forward and reverse, and the
-// serve-shaped embedded group, every read probed.
+// (reads 1, 3, 11, 12), mixed-problem groups, forward and reverse, and
+// the serve-shaped embedded group, every read probed.
 func TestSVMCReplayMatchesKernelApply(t *testing.T) {
 	if !hasBatchSIMD {
 		t.Skip("no SIMD batch path on this host")
 	}
 	defer func() { svmcForceScalar = false }()
-	prof := DWave2000QProfile()
 	r := rng.New(0x4e91a)
-	fwd, err := Forward(1, 0.41, 1)
+	check := kernelReplayCheck(t, r)
+	fwd, rev := fwdRev(t)
+	for _, n := range []int{1, 5, 33} {
+		for _, reads := range []int{1, 3, 8, 11, 12, 16} {
+			for _, sc := range []*Schedule{fwd, rev} {
+				check(fmt.Sprintf("replay/n=%d/reads=%d/reverse=%v", n, reads, sc == rev), sc, oneRandomProblem(t, r, n, sc), reads)
+			}
+		}
+	}
+	for _, reads := range []int{8, 11, 16} {
+		for _, sc := range []*Schedule{fwd, rev} {
+			ln := mixedLanes(t, r, 17, reads, sc.StartsClassical())
+			check(fmt.Sprintf("replay/mixed/reads=%d/reverse=%v", reads, sc == rev), sc, ln, reads)
+		}
+	}
+	ra, err := Reverse(0.45, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := Reverse(0.55, 0.6)
+	check("replay/uplink-embedded", ra, uplinkLanes(t), 8)
+}
+
+// TestSVMCKernelExitsMatchReplay drives the kernel's early exits with
+// the Lemire threshold raised so one index draw in sixteen is rejected:
+// a rejection in chunk 0 (nothing of the step stored), a rejection in
+// chunk 1 after chunk 0 has drawn, scored and applied its step, and —
+// at the real bracket's rate — the mid-sweep undecided exit, each
+// followed by a resume at the next step. Under the same hook the kernel
+// must match the scalar replay of every step bit for bit: spins, final
+// RNG states and probe observations, on one- and two-chunk groups.
+func TestSVMCKernelExitsMatchReplay(t *testing.T) {
+	if !hasBatchSIMD {
+		t.Skip("no SIMD batch path on this host")
+	}
+	saved := svmcLemireThreshold
+	defer func() { svmcLemireThreshold, svmcForceScalar = saved, false }()
+	svmcLemireThreshold = func(int) uint64 { return 1 << 60 }
+	r := rng.New(0xe817)
+	check := kernelReplayCheck(t, r)
+	fwd, rev := fwdRev(t)
+	for _, reads := range []int{4, 8, 11, 12, 16} {
+		for _, sc := range []*Schedule{fwd, rev} {
+			check(fmt.Sprintf("exits/n=33/reads=%d/reverse=%v", reads, sc == rev), sc, oneRandomProblem(t, r, 33, sc), reads)
+		}
+	}
+	ln := mixedLanes(t, r, 17, 16, true)
+	check("exits/mixed/reads=16/reverse", rev, ln, 16)
+	ra, err := Reverse(0.45, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(label string, sc *Schedule, ln lanes, reads int) {
+	for _, reads := range []int{12, 16} {
+		check(fmt.Sprintf("exits/uplink-embedded/reads=%d", reads), ra, uplinkLanes(t), reads)
+	}
+}
+
+// kernelReplayCheck returns a check that runs one probed group through
+// the SIMD kernel and again with every step forced through the scalar
+// replay, requiring identical spins, final RNG states and observations.
+func kernelReplayCheck(t *testing.T, r *rng.Source) func(label string, sc *Schedule, ln lanes, reads int) {
+	prof := DWave2000QProfile()
+	return func(label string, sc *Schedule, ln lanes, reads int) {
 		t.Helper()
 		seed := r.Uint64()
 		kernelLog, replayLog := obsLog{}, obsLog{}
@@ -218,31 +270,36 @@ func TestSVMCReplayMatchesKernelApply(t *testing.T) {
 		assertGroupsEqual(t, label, kernelOuts, replayOuts, kernelRngs, replayRngs)
 		assertObservationsEqual(t, label, reads, kernelLog, replayLog)
 	}
-	for _, n := range []int{1, 5, 33} {
-		for _, reads := range []int{1, 3, 8, 11} {
-			for _, sc := range []*Schedule{fwd, rev} {
-				pr := qubo.NewCSR(randomIsing(t, r, n, 0.4))
-				pr.Normalize()
-				var init []int8
-				if sc.StartsClassical() {
-					init = make([]int8, n)
-					for i := range init {
-						init[i] = r.Spin()
-					}
-				}
-				check(fmt.Sprintf("replay/n=%d/reads=%d/reverse=%v", n, reads, sc == rev), sc, oneProblem(pr, init), reads)
-			}
-		}
-	}
-	for _, reads := range []int{8, 11} {
-		for _, sc := range []*Schedule{fwd, rev} {
-			ln := mixedLanes(t, r, 17, reads, sc.StartsClassical())
-			check(fmt.Sprintf("replay/mixed/reads=%d/reverse=%v", reads, sc == rev), sc, ln, reads)
-		}
-	}
-	ra, err := Reverse(0.45, 1)
+}
+
+// fwdRev returns the forward and reverse schedules the replay tests
+// anneal along.
+func fwdRev(t *testing.T) (fwd, rev *Schedule) {
+	t.Helper()
+	fwd, err := Forward(1, 0.41, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("replay/uplink-embedded", ra, uplinkLanes(t), 8)
+	rev, err = Reverse(0.55, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fwd, rev
+}
+
+// oneRandomProblem is the lane assignment of a one-problem group on a
+// random normalized n-spin problem, with a random initial state when sc
+// starts classical.
+func oneRandomProblem(t *testing.T, r *rng.Source, n int, sc *Schedule) lanes {
+	t.Helper()
+	pr := qubo.NewCSR(randomIsing(t, r, n, 0.4))
+	pr.Normalize()
+	var init []int8
+	if sc.StartsClassical() {
+		init = make([]int8, n)
+		for i := range init {
+			init[i] = r.Spin()
+		}
+	}
+	return oneProblem(pr, init)
 }

@@ -20,16 +20,19 @@ import (
 // may belong to different problems.
 //
 // Per-read state is struct-of-arrays in read-major contiguous blocks:
-// read j's rotor caches live at [j*n, (j+1)*n) (theta only materializes
-// for TF moves, the one variant that reads it). The three per-spin
-// quantities the accept test reads together — z, sin θ, and the local
-// field — are interleaved as triplets in one flat rot array (spin bi at
-// rot[3bi..3bi+2]), so scoring a proposal touches ONE cache line where
-// the column layout took three: with eight resident reads the rotor
-// state overflows L1, and the dE loads were the kernel's largest miss
-// source. On amd64 one AVX2 call (svmcStepx8) runs a whole proposal step
-// for eight reads — draw, trig, score, verdict, and the apply of every
-// decided accept — and Go settles only the rare bracket-undecided lanes.
+// read j's rotor caches live at [j*n, (j+1)*n). The quantities the accept
+// test reads together — z, sin θ, and the local field — are interleaved
+// with the rotor angle (TF moves only; padding otherwise) as one 32-byte
+// quadruple per spin in a flat rot array (spin bi at rot[4bi..4bi+3]), so
+// scoring a proposal touches ONE cache line where the column layout took
+// three, and no quadruple straddles a line the way a 24-byte triplet
+// stride let one in four do: with sixteen resident reads the rotor state
+// overflows L1, and the dE loads are the kernel's largest miss source.
+// On amd64 one AVX2 call (svmcStepx8) runs a whole sweep for up to
+// sixteen reads — per proposal step the draws, trig, score and verdict
+// of every live 4-lane half, then the apply of every decided accept —
+// and returns to Go only when a lane needs it: a bracket-undecided lane
+// for Go to settle, or a Lemire rejection for Go to replay.
 // The pure-Go path (TF moves, non-amd64 hosts) splits each step into
 // two stages: stage 1 draws the proposal (index + angle) and evaluates
 // the trig for every resident read — branch-light, so the FP chains
@@ -41,69 +44,78 @@ import (
 // so outcomes are bit-identical to the one-read reference kernel the
 // tests keep.
 type svmcBatchScratch struct {
-	rot                []float64 // z, sinT, zField triplets per (read, spin)
-	theta              []float64 // read-major rotor angles, TF-only
+	rot                []float64 // z, sinT, zField, theta (TF only) quadruples per (read, spin)
 	rs0, rs1, rs2, rs3 []uint64  // per-read xoshiro256++ state
 	idx                []uint64  // stage-1 proposal index per read
 	nsin, ncos         []float64 // stage-1 proposal trig per read
 	nang               []float64 // stage-1 proposal angle (TF only)
 	dE                 []float64 // stage-2 proposal energy delta per read
 	u                  []float64 // stage-2 uphill uniform per read (SIMD)
-	lanoff             []uint64  // per-lane rot offset 3·j·n (0 for padding)
+	lanoff             []uint64  // per-lane rot offset 4·j·n (0 for padding)
 	accepted           []int     // per-lane accepts this sweep (read by probes)
 	probeSpins         []int8    // one lane's projected state (probed reads only)
 	args               []svmcStepArgs
 }
 
-// svmcStepArgs is the 8-lane SIMD kernel's argument block: one chunk's
-// array pointers and scalars at fixed offsets, so each per-proposal
-// kernel call marshals a single pointer instead of 17 stack arguments
-// (the call sits in a loop that runs once per spin per sweep — the
-// marshaling alone was a measurable slice of the sweep). The layout is
-// hard offsets in svmc_simd_amd64.s (TestSVMCStepArgsLayout); accm/exm are
-// OUTPUTS the kernel writes: bit j of accm is lane j's accept the kernel
-// applied, bit j of exm its bracket-undecided verdict. live masks the
-// chunk's real lanes, and offs/cols/w hold each live lane's CSR arrays
-// for the kernel's row walk (lanes may carry different problems).
-// bounds points at metropolis.Bounds, the one exp bracket every
-// Metropolis test reads.
+// svmcStepArgs is the SIMD kernel's argument block for up to sixteen
+// lanes — two 8-lane chunks of four-lane halves: array pointers and
+// scalars at fixed offsets, so a kernel call marshals a single pointer.
+// The layout is hard offsets in svmc_simd_amd64.s
+// (TestSVMCStepArgsLayout). k is the proposal step the kernel starts at
+// and, when it stops early, the step it stopped at; exm (bit j: lane j's
+// bracket-undecided verdict at that step) and rej (the first chunk that
+// did not run that step, 2 when both ran) are OUTPUTS. live masks the
+// real lanes, acc counts each lane's accepts the kernel applied, and
+// offs/cols/w hold each live lane's CSR arrays for the kernel's row walk
+// (lanes may carry different problems). bounds points at
+// metropolis.Bounds, the one exp bracket every Metropolis test reads.
 type svmcStepArgs struct {
-	rs0, rs1, rs2, rs3 *[8]uint64  // +0 +8 +16 +24
-	idx                *[8]uint64  // +32
-	sn, cs             *[8]float64 // +40 +48
-	rot                *float64    // +56
-	lanoff             *[8]uint64  // +64
-	dE, u              *[8]float64 // +72 +80
-	nb, negnb          uint64      // +88 +96
-	na2, b2, beta      float64     // +104 +112 +120
-	accm, exm          uint16      // +128 +130 (kernel-written)
-	live               uint16      // +132
-	bounds             *float64    // +136
-	offs, cols         [8]*int32   // +144 +208
-	w                  [8]*float64 // +272
+	rs0, rs1, rs2, rs3 *[svmcGroupWidth]uint64  // +0 +8 +16 +24
+	idx                *[svmcGroupWidth]uint64  // +32
+	sn, cs             *[svmcGroupWidth]float64 // +40 +48
+	rot                *float64                 // +56
+	lanoff             *[svmcGroupWidth]uint64  // +64
+	dE, u              *[svmcGroupWidth]float64 // +72 +80
+	nb, negnb          uint64                   // +88 +96
+	na2, b2, beta      float64                  // +104 +112 +120
+	k                  uint64                   // +128 (in/out)
+	exm                uint16                   // +136 (kernel-written)
+	live               uint16                   // +138
+	rej                uint16                   // +140 (kernel-written)
+	bounds             *float64                 // +144
+	acc                *[svmcGroupWidth]int     // +152
+	offs, cols         [svmcGroupWidth]*int32   // +160 +288
+	w                  [svmcGroupWidth]*float64 // +416
 }
 
-// svmcForceScalar makes every SIMD chunk step take the scalar replay
+// svmcChunks is the number of 8-lane chunks in one svmcStepArgs block.
+const svmcChunks = svmcGroupWidth / 8
+
+// svmcForceScalar makes every SIMD proposal step take the scalar replay
 // (svmcScoreScalar plus the Go apply); TestSVMCReplayMatchesKernelApply
-// sets it.
+// and TestSVMCKernelExitsMatchReplay set it.
 var svmcForceScalar = false
+
+// svmcLemireThreshold is the bounded index draw's rejection threshold
+// for n spins. TestSVMCKernelExitsMatchReplay raises it so the kernel's
+// rejection exit, which real thresholds reach with probability n/2⁶⁴
+// per draw, fires on a large share of steps.
+var svmcLemireThreshold = lemireThreshold
 
 // ensure sizes the scratch for an r-read group of n spins. The per-lane
 // arrays (states, proposal outputs) are rounded up to a multiple of the
-// 8-lane SIMD chunk; lanes beyond r are padding the SIMD kernel can
-// advance harmlessly (stage 2 and the epilogue only walk j < r).
+// sixteen-lane kernel block; lanes beyond r are padding the SIMD kernel
+// can advance harmlessly (stage 2 and the epilogue only walk j < r).
 func (st *svmcBatchScratch) ensure(r, n int) {
-	if cap(st.rot) < 3*r*n {
-		st.rot = make([]float64, 3*r*n)
-		st.theta = make([]float64, r*n)
+	if cap(st.rot) < 4*r*n {
+		st.rot = make([]float64, 4*r*n)
 	}
-	st.rot = st.rot[:3*r*n]
-	st.theta = st.theta[:r*n]
+	st.rot = st.rot[:4*r*n]
 	if cap(st.probeSpins) < n {
 		st.probeSpins = make([]int8, n)
 	}
 	st.probeSpins = st.probeSpins[:n]
-	rr := (r + 7) &^ 7
+	rr := (r + svmcGroupWidth - 1) &^ (svmcGroupWidth - 1)
 	if cap(st.rs0) < rr {
 		st.rs0 = make([]uint64, rr)
 		st.rs1 = make([]uint64, rr)
@@ -117,7 +129,7 @@ func (st *svmcBatchScratch) ensure(r, n int) {
 		st.u = make([]float64, rr)
 		st.lanoff = make([]uint64, rr)
 		st.accepted = make([]int, rr)
-		st.args = make([]svmcStepArgs, rr/8)
+		st.args = make([]svmcStepArgs, rr/svmcGroupWidth)
 	}
 	st.rs0 = st.rs0[:rr]
 	st.rs1 = st.rs1[:rr]
@@ -131,7 +143,7 @@ func (st *svmcBatchScratch) ensure(r, n int) {
 	st.u = st.u[:rr]
 	st.lanoff = st.lanoff[:rr]
 	st.accepted = st.accepted[:rr]
-	st.args = st.args[:rr/8]
+	st.args = st.args[:rr/svmcGroupWidth]
 }
 
 // svmcBatchRead evolves one lockstep group. Reads must share the problem
@@ -143,7 +155,7 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	r := len(reads)
 	n := reads[0].Prog.N
 	st.ensure(r, n)
-	rot, theta := st.rot, st.theta
+	rot := st.rot
 	tf := scale != nil
 	acc := st.accepted
 	probed := false
@@ -158,26 +170,20 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 		if prog.startsClassical {
 			for i, s := range reads[j].Init {
 				if s > 0 {
-					if tf {
-						theta[base+i] = 0
-					}
-					rot[3*(base+i)] = 1
-					rot[3*(base+i)+1] = 0
+					rot[4*(base+i)] = 1
+					rot[4*(base+i)+1] = 0
+					rot[4*(base+i)+3] = 0
 				} else {
-					if tf {
-						theta[base+i] = math.Pi
-					}
-					rot[3*(base+i)] = -1
-					rot[3*(base+i)+1] = sinPi
+					rot[4*(base+i)] = -1
+					rot[4*(base+i)+1] = sinPi
+					rot[4*(base+i)+3] = math.Pi
 				}
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				if tf {
-					theta[base+i] = math.Pi / 2
-				}
-				rot[3*(base+i)] = 0
-				rot[3*(base+i)+1] = 1
+				rot[4*(base+i)] = 0
+				rot[4*(base+i)+1] = 1
+				rot[4*(base+i)+3] = math.Pi / 2
 			}
 		}
 		pr := reads[j].Prog
@@ -185,16 +191,15 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 		for i := 0; i < n; i++ {
 			f := pr.H[i]
 			for k := offs[i]; k < offs[i+1]; k++ {
-				f += w[k] * rot[3*(base+int(cols[k]))]
+				f += w[k] * rot[4*(base+int(cols[k]))]
 			}
-			rot[3*(base+i)+2] = f
+			rot[4*(base+i)+2] = f
 		}
 		st.rs0[j], st.rs1[j], st.rs2[j], st.rs3[j] = reads[j].Rng.State()
 		acc[j] = 0
 		probed = probed || reads[j].Probe != nil
 	}
 	rs0, rs1, rs2, rs3 := st.rs0, st.rs1, st.rs2, st.rs3
-	idx, nsin, ncos, nang := st.idx, st.nsin, st.ncos, st.nang
 	// SIMD padding lanes: any nonzero xoshiro state works — they may be
 	// advanced alongside the real lanes, and their outputs are never read.
 	rr := len(rs0)
@@ -203,36 +208,35 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	}
 
 	nb := uint64(n)
-	negnb := lemireThreshold(n)
+	negnb := svmcLemireThreshold(n)
 	// The AVX2 kernel covers the default (global-move) proposal; TF moves
 	// branch on the gate draw and read theta, so they stay scalar. The
 	// nb bound is the 32-bit limb decomposition's precondition.
 	useSIMD := hasBatchSIMD && !tf && nb <= 0xFFFFFFFF
-	// Per-lane rot offsets for the kernel's triplet gathers; padding
-	// lanes alias read 0's block so their (masked-off, never-read)
-	// gathers stay inside the allocation.
+	// Per-lane rot offsets for the kernel's quadruple loads; padding
+	// lanes alias read 0's block so their (never-read) loads stay inside
+	// the allocation.
 	lan := st.lanoff
 	for j := 0; j < r; j++ {
-		lan[j] = uint64(3 * j * n)
+		lan[j] = uint64(4 * j * n)
 	}
 	for j := r; j < rr; j++ {
 		lan[j] = 0
 	}
-	dEs, uu := st.dE, st.u
 	for ci := range st.args {
-		c := ci * 8
+		c := ci * svmcGroupWidth
 		a := &st.args[ci]
 		*a = svmcStepArgs{
-			rs0: (*[8]uint64)(rs0[c:]), rs1: (*[8]uint64)(rs1[c:]),
-			rs2: (*[8]uint64)(rs2[c:]), rs3: (*[8]uint64)(rs3[c:]),
-			idx: (*[8]uint64)(idx[c:]),
-			sn:  (*[8]float64)(nsin[c:]), cs: (*[8]float64)(ncos[c:]),
-			rot: &rot[0], lanoff: (*[8]uint64)(lan[c:]),
-			dE: (*[8]float64)(dEs[c:]), u: (*[8]float64)(uu[c:]),
-			nb: uint64(n), negnb: lemireThreshold(n), beta: beta,
-			bounds: &metropolis.Bounds[0],
+			rs0: (*[svmcGroupWidth]uint64)(rs0[c:]), rs1: (*[svmcGroupWidth]uint64)(rs1[c:]),
+			rs2: (*[svmcGroupWidth]uint64)(rs2[c:]), rs3: (*[svmcGroupWidth]uint64)(rs3[c:]),
+			idx: (*[svmcGroupWidth]uint64)(st.idx[c:]),
+			sn:  (*[svmcGroupWidth]float64)(st.nsin[c:]), cs: (*[svmcGroupWidth]float64)(st.ncos[c:]),
+			rot: &rot[0], lanoff: (*[svmcGroupWidth]uint64)(lan[c:]),
+			dE: (*[svmcGroupWidth]float64)(st.dE[c:]), u: (*[svmcGroupWidth]float64)(st.u[c:]),
+			nb: nb, negnb: negnb, beta: beta,
+			bounds: &metropolis.Bounds[0], acc: (*[svmcGroupWidth]int)(acc[c:]),
 		}
-		for l := 0; l < 8 && c+l < r; l++ {
+		for l := 0; l < svmcGroupWidth && c+l < r; l++ {
 			pr := reads[c+l].Prog
 			a.live |= 1 << uint(l)
 			a.offs[l] = unsafe.SliceData(pr.Offsets)
@@ -244,147 +248,33 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	for sweep := 0; sweep < sweeps; sweep++ {
 		na2 := -tab.a[sweep] / 2
 		b2 := tab.b[sweep] / 2
-		sc := 1.0
-		if tf {
-			sc = scale[sweep]
-		}
 		if useSIMD {
+			// One kernel call runs the sweep's n proposal steps for every
+			// live half of the block. It stops early only at a step where
+			// Go must act — a bracket-undecided lane, or a chunk whose
+			// index draw hit the Lemire rejection (probability n/2⁶⁴ per
+			// lane) — and resumes at the next step once Go has finished
+			// that one.
 			for ci := range st.args {
-				st.args[ci].na2, st.args[ci].b2 = na2, b2
-			}
-		}
-		for k := 0; k < n; k++ {
-			// Stage 1+2 on amd64: the AVX2 kernel runs the whole proposal
-			// step 4-wide — draws, trig, the triplet gather and dE score,
-			// the conditional uphill draw and the exp-bracket verdict —
-			// with the gathers' L2 latency hidden under the polynomial
-			// work, and then applies every decided accept of a live lane
-			// itself: the rotor write and the walk of the lane's CSR row.
-			// Go settles only the rare bracket-undecided lanes with
-			// math.Exp. Chunks where a lane hits the Lemire rejection
-			// (probability n/2⁶⁴) replay through the scalar reference
-			// scorer, and Go applies their accepts.
-			if useSIMD {
-				for ci := range st.args {
-					a := &st.args[ci]
-					c := ci * 8
-					if svmcForceScalar || !svmcStepx8(a) {
-						am, em := svmcScoreScalar(st, c, nb, negnb, rot, na2, b2, beta)
-						a.accm, a.exm = uint16(am&^em)&a.live, uint16(em)
-						for m := uint32(a.accm); m != 0; m &= m - 1 {
-							j := c + bits.TrailingZeros32(m)
-							svmcApply(st, reads[j].Prog, j, n, false)
+				a := &st.args[ci]
+				a.na2, a.b2 = na2, b2
+				for a.k = 0; a.k < nb; a.k++ {
+					from := 0
+					if !svmcForceScalar {
+						if svmcStepx8(a) {
+							break
 						}
+						from = int(a.rej)
 					}
-					if probed {
-						for m := uint32(a.accm); m != 0; m &= m - 1 {
-							acc[c+bits.TrailingZeros32(m)]++
-						}
-					}
-					for m := uint32(a.exm & a.live); m != 0; m &= m - 1 {
-						j := c + bits.TrailingZeros32(m)
-						if metropolis.Exact(uu[j], beta*dEs[j]) {
-							acc[j]++
-							svmcApply(st, reads[j].Prog, j, n, false)
-						}
-					}
-				}
-				continue
-			}
-			// Stage 1 (non-SIMD): draw every resident read's proposal and
-			// evaluate its trig. No data-dependent branches on the default
-			// path (the Lemire rejection loop retries with probability
-			// n/2⁶⁴), so the R sinCosPi chains overlap freely.
-			if !tf {
-				svmcStage1Scalar(st, 0, r, nb, negnb)
-			} else {
-				// TF proposals draw index, gate, then angle — exactly the
-				// one-read order — and need the current rotor angle for
-				// local moves, so theta is live here.
-				for j := 0; j < r; j++ {
-					s0, s1, s2, s3 := rs0[j], rs1[j], rs2[j], rs3[j]
-					var x uint64
-					x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
-					hi, lo := bits.Mul64(x, nb)
-					for lo < negnb {
-						x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
-						hi, lo = bits.Mul64(x, nb)
-					}
-					i := int(hi)
-					x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
-					global := float64(x>>11)*(1.0/(1<<53)) < sc
-					var nt, sinNt, nz float64
-					x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
-					if global {
-						u := float64(x>>11) * (1.0 / (1 << 53))
-						nt = math.Pi * u
-						sinNt, nz = sinCosPi(u)
-					} else {
-						nt = theta[j*n+i] + (2*(float64(x>>11)*(1.0/(1<<53)))-1)*math.Pi*sc
-						if nt < 0 {
-							nt = -nt
-						}
-						if nt > math.Pi {
-							nt = 2*math.Pi - nt
-						}
-						u := nt * (1 / math.Pi)
-						if u > 1 {
-							u = 1 // guard the π·(1/π) rounding at nt = π
-						}
-						sinNt, nz = sinCosPi(u)
-					}
-					rs0[j], rs1[j], rs2[j], rs3[j] = s0, s1, s2, s3
-					idx[j] = hi
-					nang[j] = nt
-					nsin[j], ncos[j] = sinNt, nz
+					svmcFinishStep(st, reads, a, ci*svmcGroupWidth, from)
 				}
 			}
-			// Stage 2a: score every resident read branch-free. Split from
-			// the decision loop below so all R triplet loads issue and
-			// retire before the first unpredictable accept branch — a
-			// mispredict there would otherwise flush the speculated loads
-			// of every later read and serialize the misses.
-			dEs := st.dE
-			for j := 0; j < r; j++ {
-				bi := 3 * (j*n + int(idx[j]))
-				// One triplet load — same expression tree as the reference
-				// kernel, so the rounding is identical.
-				dEs[j] = na2*(nsin[j]-rot[bi+1]) + b2*(ncos[j]-rot[bi])*rot[bi+2]
+		} else {
+			sc := 1.0
+			if tf {
+				sc = scale[sweep]
 			}
-			// Stage 2b: decide and apply. The accept/reject branches live
-			// here, after every read's trig and dE have already retired.
-			for j := 0; j < r; j++ {
-				dE := dEs[j]
-				accept := dE <= 0
-				if !accept {
-					s0, s1, s2, s3 := rs0[j], rs1[j], rs2[j], rs3[j]
-					var x uint64
-					x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
-					rs0[j], rs1[j], rs2[j], rs3[j] = s0, s1, s2, s3
-					u := float64(x>>11) * (1.0 / (1 << 53))
-					xx := beta * dE
-					// metropolis.Bracket, unrolled branchlessly: the outcome of
-					// u < exp(−xx) is a coin flip the branch predictor
-					// cannot learn, so resolve both bracket compares as
-					// flags (one cache line, loads issued unconditionally)
-					// and branch only for the rare inside-the-bracket case.
-					// Decision-identical to metropolis.Accept on every input.
-					k := uint(xx * metropolis.GridStep)
-					if k < metropolis.GridMax {
-						acc := u < metropolis.Bounds[2*k+1]
-						if acc != (u < metropolis.Bounds[2*k]) {
-							acc = metropolis.Exact(u, xx)
-						}
-						accept = acc
-					} else {
-						accept = u < 0x1p-53 && metropolis.Exact(u, xx)
-					}
-				}
-				if accept {
-					acc[j]++
-					svmcApply(st, reads[j].Prog, j, n, tf)
-				}
-			}
+			svmcSweepStaged(st, reads, n, na2, b2, beta, tf, sc)
 		}
 		if probed {
 			svmcObserveSweep(tab, sweep, n, reads, rot, st)
@@ -394,17 +284,156 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	// The pool keeps the scratch; drop its references to the problems.
 	for ci := range st.args {
 		a := &st.args[ci]
-		a.offs, a.cols, a.w = [8]*int32{}, [8]*int32{}, [8]*float64{}
+		a.offs, a.cols, a.w = [svmcGroupWidth]*int32{}, [svmcGroupWidth]*int32{}, [svmcGroupWidth]*float64{}
 	}
 	for j := range reads {
 		reads[j].Rng.SetState(rs0[j], rs1[j], rs2[j], rs3[j])
 		base := j * n
 		out := reads[j].Out
 		for i := 0; i < n; i++ {
-			if rot[3*(base+i)] >= 0 {
+			if rot[4*(base+i)] >= 0 {
 				out[i] = 1
 			} else {
 				out[i] = -1
+			}
+		}
+	}
+}
+
+// svmcFinishStep completes proposal step a.k of the kernel block whose
+// lanes start at c, where the kernel stopped: chunks from `from` on did
+// not run the step, so they replay it through the scalar reference
+// scorer and Go applies their accepts; then every live bracket-undecided
+// lane of the step is settled with metropolis.Exact.
+func svmcFinishStep(st *svmcBatchScratch, reads []BatchRead, a *svmcStepArgs, c, from int) {
+	for ch := from; ch < svmcChunks; ch++ {
+		shift := uint(8 * ch)
+		live := uint32(a.live>>shift) & 0xFF
+		if live == 0 {
+			continue // the kernel skips a chunk with no live lane too
+		}
+		c0 := c + 8*ch
+		am, em := svmcScoreScalar(st, c0, a.nb, a.negnb, st.rot, a.na2, a.b2, a.beta)
+		a.exm = a.exm&^(0xFF<<shift) | uint16(em)<<shift
+		for m := am &^ em & live; m != 0; m &= m - 1 {
+			j := c0 + bits.TrailingZeros32(m)
+			st.accepted[j]++
+			svmcApply(st, reads[j].Prog, j, false)
+		}
+	}
+	for m := uint32(a.exm & a.live); m != 0; m &= m - 1 {
+		j := c + bits.TrailingZeros32(m)
+		if metropolis.Exact(st.u[j], a.beta*st.dE[j]) {
+			st.accepted[j]++
+			svmcApply(st, reads[j].Prog, j, false)
+		}
+	}
+}
+
+// svmcSweepStaged is one sweep of the pure-Go staged kernel over every
+// read of the group: for each of the n proposal steps, stage 1 draws
+// every read's proposal and evaluates its trig, and stage 2 scores,
+// decides and applies it. sc is the sweep's TF proposal width (read
+// only for TF moves).
+func svmcSweepStaged(st *svmcBatchScratch, reads []BatchRead, n int, na2, b2, beta float64, tf bool, sc float64) {
+	r := len(reads)
+	nb, negnb := uint64(n), svmcLemireThreshold(n)
+	rot := st.rot
+	rs0, rs1, rs2, rs3 := st.rs0, st.rs1, st.rs2, st.rs3
+	idx, nsin, ncos, nang := st.idx, st.nsin, st.ncos, st.nang
+	for k := 0; k < n; k++ {
+		// Stage 1: draw every resident read's proposal and evaluate its
+		// trig. No data-dependent branches on the default path (the
+		// Lemire rejection loop retries with probability n/2⁶⁴), so the
+		// R sinCosPi chains overlap freely.
+		if !tf {
+			svmcStage1Scalar(st, 0, r, nb, negnb)
+		} else {
+			// TF proposals draw index, gate, then angle — exactly the
+			// one-read order — and need the current rotor angle for
+			// local moves, so theta is live here.
+			for j := 0; j < r; j++ {
+				s0, s1, s2, s3 := rs0[j], rs1[j], rs2[j], rs3[j]
+				var x uint64
+				x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+				hi, lo := bits.Mul64(x, nb)
+				for lo < negnb {
+					x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+					hi, lo = bits.Mul64(x, nb)
+				}
+				i := int(hi)
+				x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+				global := float64(x>>11)*(1.0/(1<<53)) < sc
+				var nt, sinNt, nz float64
+				x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+				if global {
+					u := float64(x>>11) * (1.0 / (1 << 53))
+					nt = math.Pi * u
+					sinNt, nz = sinCosPi(u)
+				} else {
+					nt = rot[4*(j*n+i)+3] + (2*(float64(x>>11)*(1.0/(1<<53)))-1)*math.Pi*sc
+					if nt < 0 {
+						nt = -nt
+					}
+					if nt > math.Pi {
+						nt = 2*math.Pi - nt
+					}
+					u := nt * (1 / math.Pi)
+					if u > 1 {
+						u = 1 // guard the π·(1/π) rounding at nt = π
+					}
+					sinNt, nz = sinCosPi(u)
+				}
+				rs0[j], rs1[j], rs2[j], rs3[j] = s0, s1, s2, s3
+				idx[j] = hi
+				nang[j] = nt
+				nsin[j], ncos[j] = sinNt, nz
+			}
+		}
+		// Stage 2a: score every resident read branch-free. Split from
+		// the decision loop below so all R quadruple loads issue and
+		// retire before the first unpredictable accept branch — a
+		// mispredict there would otherwise flush the speculated loads
+		// of every later read and serialize the misses.
+		dEs := st.dE
+		for j := 0; j < r; j++ {
+			bi := 4 * (j*n + int(idx[j]))
+			// One quadruple load — same expression tree as the reference
+			// kernel, so the rounding is identical.
+			dEs[j] = na2*(nsin[j]-rot[bi+1]) + b2*(ncos[j]-rot[bi])*rot[bi+2]
+		}
+		// Stage 2b: decide and apply. The accept/reject branches live
+		// here, after every read's trig and dE have already retired.
+		for j := 0; j < r; j++ {
+			dE := dEs[j]
+			accept := dE <= 0
+			if !accept {
+				s0, s1, s2, s3 := rs0[j], rs1[j], rs2[j], rs3[j]
+				var x uint64
+				x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+				rs0[j], rs1[j], rs2[j], rs3[j] = s0, s1, s2, s3
+				u := float64(x>>11) * (1.0 / (1 << 53))
+				xx := beta * dE
+				// metropolis.Bracket, unrolled branchlessly: the outcome of
+				// u < exp(−xx) is a coin flip the branch predictor
+				// cannot learn, so resolve both bracket compares as
+				// flags (one cache line, loads issued unconditionally)
+				// and branch only for the rare inside-the-bracket case.
+				// Decision-identical to metropolis.Accept on every input.
+				k := uint(xx * metropolis.GridStep)
+				if k < metropolis.GridMax {
+					acc := u < metropolis.Bounds[2*k+1]
+					if acc != (u < metropolis.Bounds[2*k]) {
+						acc = metropolis.Exact(u, xx)
+					}
+					accept = acc
+				} else {
+					accept = u < 0x1p-53 && metropolis.Exact(u, xx)
+				}
+			}
+			if accept {
+				st.accepted[j]++
+				svmcApply(st, reads[j].Prog, j, tf)
 			}
 		}
 	}
@@ -415,22 +444,22 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 // is scattered into the lane's local fields along row idx[j] of pr, in
 // row order. svmcStepx8 is the only other applier, for the lanes it
 // decides itself.
-func svmcApply(st *svmcBatchScratch, pr *qubo.CSR, j, n int, tf bool) {
+func svmcApply(st *svmcBatchScratch, pr *qubo.CSR, j int, tf bool) {
 	i := int(st.idx[j])
 	base := int(st.lanoff[j])
 	rot := st.rot
-	bi := base + 3*i
+	bi := base + 4*i
 	nz := st.ncos[j]
 	dz := nz - rot[bi]
 	rot[bi] = nz
 	rot[bi+1] = st.nsin[j]
 	if tf {
-		st.theta[j*n+i] = st.nang[j]
+		rot[bi+3] = st.nang[j]
 	}
 	field := rot[base+2:]
 	cols, w := pr.Cols, pr.W
 	for k := pr.Offsets[i]; k < pr.Offsets[i+1]; k++ {
-		field[3*int(cols[k])] += w[k] * dz
+		field[4*int(cols[k])] += w[k] * dz
 	}
 }
 
@@ -476,7 +505,7 @@ func svmcScoreScalar(st *svmcBatchScratch, c0 int, nb, negnb uint64,
 	rot []float64, na2, b2, beta float64) (am, em uint32) {
 	svmcStage1Scalar(st, c0, c0+8, nb, negnb)
 	for j := c0; j < c0+8; j++ {
-		bi := int(st.lanoff[j]) + 3*int(st.idx[j])
+		bi := int(st.lanoff[j]) + 4*int(st.idx[j])
 		dE := na2*(st.nsin[j]-rot[bi+1]) + b2*(st.ncos[j]-rot[bi])*rot[bi+2]
 		st.dE[j] = dE
 		bit := uint32(1) << uint(j-c0)
@@ -509,7 +538,7 @@ func svmcObserveSweep(tab *sweepTable, sweep, n int, reads []BatchRead, rot []fl
 		if probe := reads[j].Probe; probe != nil {
 			base := j * n
 			for i := range spins {
-				if rot[3*(base+i)] >= 0 {
+				if rot[4*(base+i)] >= 0 {
 					spins[i] = 1
 				} else {
 					spins[i] = -1

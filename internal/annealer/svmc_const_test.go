@@ -18,10 +18,16 @@ func TestSVMCStepArgsLayout(t *testing.T) {
 		{"sn", unsafe.Offsetof(a.sn), 40}, {"rot", unsafe.Offsetof(a.rot), 56},
 		{"lanoff", unsafe.Offsetof(a.lanoff), 64}, {"dE", unsafe.Offsetof(a.dE), 72},
 		{"nb", unsafe.Offsetof(a.nb), 88}, {"na2", unsafe.Offsetof(a.na2), 104},
-		{"beta", unsafe.Offsetof(a.beta), 120}, {"accm", unsafe.Offsetof(a.accm), 128},
-		{"exm", unsafe.Offsetof(a.exm), 130}, {"live", unsafe.Offsetof(a.live), 132},
-		{"bounds", unsafe.Offsetof(a.bounds), 136}, {"offs", unsafe.Offsetof(a.offs), 144},
-		{"cols", unsafe.Offsetof(a.cols), 208}, {"w", unsafe.Offsetof(a.w), 272},
+		{"beta", unsafe.Offsetof(a.beta), 120}, {"k", unsafe.Offsetof(a.k), 128},
+		{"exm", unsafe.Offsetof(a.exm), 136}, {"live", unsafe.Offsetof(a.live), 138},
+		{"rej", unsafe.Offsetof(a.rej), 140}, {"bounds", unsafe.Offsetof(a.bounds), 144},
+		{"acc", unsafe.Offsetof(a.acc), 152}, {"offs", unsafe.Offsetof(a.offs), 160},
+		{"cols", unsafe.Offsetof(a.cols), 288}, {"w", unsafe.Offsetof(a.w), 416},
+		{"size", unsafe.Sizeof(a), 544},
+		// The kernel indexes the 16-lane arrays by lane and sizes k, exm,
+		// live, rej and the acc counters by these widths.
+		{"lanes", uintptr(len(a.rs0)), 16}, {"k-width", unsafe.Sizeof(a.k), 8},
+		{"live-width", unsafe.Sizeof(a.live), 2}, {"acc-width", unsafe.Sizeof(a.acc[0]), 8},
 	} {
 		if f.got != f.want {
 			t.Errorf("svmcStepArgs.%s at offset %d, svmc_simd_amd64.s assumes %d", f.name, f.got, f.want)

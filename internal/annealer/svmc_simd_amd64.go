@@ -6,41 +6,50 @@ import (
 	"repro/internal/metropolis"
 )
 
-// The lockstep SVMC proposal kernel in svmc_simd_amd64.s: one call runs
-// a full proposal step for eight resident reads with 4-wide AVX2
-// vectors — index and angle draws, sinCosPi, the triplet gather of
-// (z, sinθ, field), the dE score, the conditional uphill uniform draw,
-// and the exp-bracket verdict — then applies the decided accepts lane
-// by lane. Every operation is either exact integer arithmetic
+// The lockstep SVMC kernel in svmc_simd_amd64.s: one call runs the
+// proposal steps of one sweep for up to sixteen resident reads — two
+// 8-lane chunks, each two 4-wide AVX2 halves. Per step and chunk with a
+// live lane it runs the index and angle draws, sinCosPi, the load of
+// (z, sinθ, field), the dE score, the conditional uphill uniform draw
+// and the exp-bracket verdict, and then applies the decided accepts
+// lane by lane. Every operation is either exact integer arithmetic
 // (xoshiro256++, the Lemire product, the (x>>11)·2⁻⁵³ conversion, the
 // fold/swap/sign bit masks, the mask logic) or an IEEE-754 mul/add/sub
 // (vector or scalar) that rounds identically to its Go counterpart, so
-// the outputs are bit-identical to the scalar path —
-// enforced by TestLockstepMatchesSequential. FMA is never used:
-// contracting a mul+add pair would change the rounding.
+// the outputs are bit-identical to the scalar path — enforced by
+// TestLockstepMatchesSequential. FMA is never used: contracting a
+// mul+add pair would change the rounding.
 //
-// svmcStepx8 advances a.rs0..rs3 (index draw, angle draw, and — only
-// for lanes whose dE came out positive — the uphill uniform, exactly
-// the one-read draw order) and fills a.idx, sn, cs, dE (the
-// proposal's energy delta), u (the uphill uniform; garbage for downhill
-// lanes) and a.exm (bit j: the bracket could not decide lane j, and the
-// caller must settle u < exp(−beta·dE) with metropolis.Exact and apply
-// the accept itself). It then applies every decided accept of a lane in
-// a.live, in lane order: the lane's triplet at rot[lanoff[j]+3·idx[j]]
-// takes (cs[j], sn[j]), and dz = cs[j] − z is added to the field of
-// every column of the lane's CSR row idx[j] (a.offs/cols/w[j]), in row
-// order, with the Go apply's expression tree. a.accm reports the lanes
-// it applied (bit j: lane j accepted outright and live); exm lanes are
-// never in it. Lane j's spin triplets live at rot[lanoff[j]+3i]; a
-// padding lane (outside live) must carry lanoff 0 so its gathers stay
-// in bounds, and is never applied. Its state and outputs are
-// unspecified: when no lane of half B (lanes 4–7) is live, the kernel
-// skips that half entirely. If any lane's index
-// draw hits the Lemire rejection (probability n/2⁶⁴ per lane), the
-// kernel returns false WITHOUT writing anything — states included —
-// and the caller redoes the step through the scalar reference path and
-// applies its accepts in Go. Requires nb < 2³², nonzero states, and
-// AVX2 (hasBatchSIMD).
+// svmcStepx8 runs steps a.k, a.k+1, … of the sweep, one per spin, up to
+// a.nb−1. At each step it advances every live chunk's a.rs0..rs3 (index
+// draw, angle draw, and — only for lanes whose dE came out positive —
+// the uphill uniform, exactly the one-read draw order) and fills a.idx,
+// sn, cs, dE (the proposal's energy delta) and u (the uphill uniform;
+// garbage for downhill lanes). It applies every decided accept of a
+// lane in a.live: the lane's quadruple at rot[lanoff[j]+4·idx[j]] takes
+// (cs[j], sn[j]), and dz = cs[j] − z is added to the field of every
+// column of the lane's CSR row idx[j] (a.offs/cols/w[j]), in row order,
+// with the Go apply's expression tree; a.acc[j] counts the accepts it
+// applies. It returns true once the sweep is done (a.k = a.nb). It
+// returns false with a.k at a step the caller must finish, in one of
+// two cases, and the caller then resumes the sweep at a.k+1:
+//   - Undecided (a.rej = 2): the bracket could not decide the live lanes
+//     in a.exm (bit j: lane j). Every decided accept of the step is
+//     applied; the caller settles u < exp(−beta·dE) for those lanes with
+//     metropolis.Exact and applies their accepts itself.
+//   - Rejected (a.rej = c): chunk c's index draw hit the Lemire rejection
+//     (probability n/2⁶⁴ per lane). Chunk c and any chunk after it wrote
+//     nothing for the step — states included — so the caller replays
+//     them through the scalar reference path (svmcScoreScalar) and
+//     applies their accepts. Chunks before c ran the step: their decided
+//     accepts are applied and a.exm holds their undecided lanes.
+//
+// Lane j's spin quadruples live at rot[lanoff[j]+4i]; a padding lane
+// (outside live) must carry lanoff 0 so its loads stay in bounds, and
+// is never applied. Its state and outputs are unspecified: the kernel
+// skips a chunk with no live lane, and the second half of a chunk with
+// no live lane there. Requires nb < 2³², nonzero states, and AVX2
+// (hasBatchSIMD).
 func svmcStepx8(a *svmcStepArgs) bool
 
 // saStepx8 is the lockstep simulated-annealing step in sa_simd_amd64.s;

@@ -1,4 +1,4 @@
-// AVX2 lockstep SVMC proposal kernel. See svmc_simd_amd64.go for the
+// AVX2 lockstep SVMC sweep kernel. See svmc_simd_amd64.go for the
 // contract. Everything here is either exact integer arithmetic or an
 // IEEE-754 vector op whose 4-lane rounding matches the scalar op bit
 // for bit; FMA is deliberately absent (it would contract mul+add pairs
@@ -102,25 +102,39 @@
 // acc/ex bitmasks. AX and Y0–Y8/X2 are clobbered. With the operand
 // convention "op A, B, C ⇒ C = B op A":
 //
-//  1. gi = lanoff + 3·idx; gather the spin triplet zv = rot[gi],
-//     sT = rot[gi+1], fv = rot[gi+2] (each gather needs a fresh
-//     all-ones mask — the instruction clears its mask register).
+//  1. For each lane l of the half, gi = lanoff + 4·idx addresses its
+//     32-byte (z, sin θ, field, θ) quadruple, which never straddles a
+//     cache line. Two 16-byte loads per lane, paired across lanes
+//     (l, l+2) and (l+1, l+3) into the two 128-bit halves of a YMM
+//     register, and three unpacks transpose them into zv = rot[gi],
+//     sT = rot[gi+1], fv = rot[gi+2]; plain loads are on the chain to
+//     the verdict for less time than three gathers would be.
 //  2. dE = na2·(sn−sT) + (b2·(cs−zv))·fv into Y6, the scalar
 //     expression tree op for op.
 #define SCORE(OFF, SHIFT) \
-	VMOVDQU OFF(R12), Y1                    \
-	VPSLLQ $1, Y1, Y2                       \
-	VPADDQ Y2, Y1, Y1                       \
-	VPADDQ OFF(R14), Y1, Y1                 \
-	VPCMPEQQ Y2, Y2, Y2                     \
-	VXORPD Y3, Y3, Y3                       \
-	VGATHERQPD Y2, (R13)(Y1*8), Y3          \
-	VPCMPEQQ Y2, Y2, Y2                     \
-	VXORPD Y4, Y4, Y4                       \
-	VGATHERQPD Y2, 8(R13)(Y1*8), Y4         \
-	VPCMPEQQ Y2, Y2, Y2                     \
-	VXORPD Y5, Y5, Y5                       \
-	VGATHERQPD Y2, 16(R13)(Y1*8), Y5        \
+	MOVQ OFF(R12), AX                       \
+	SHLQ $2, AX                             \
+	ADDQ OFF(R14), AX                       \
+	VMOVUPD (R13)(AX*8), X1                 \
+	VMOVUPD 16(R13)(AX*8), X6               \
+	MOVQ OFF+16(R12), AX                    \
+	SHLQ $2, AX                             \
+	ADDQ OFF+16(R14), AX                    \
+	VINSERTF128 $1, (R13)(AX*8), Y1, Y1     \
+	VINSERTF128 $1, 16(R13)(AX*8), Y6, Y6   \
+	MOVQ OFF+8(R12), AX                     \
+	SHLQ $2, AX                             \
+	ADDQ OFF+8(R14), AX                     \
+	VMOVUPD (R13)(AX*8), X2                 \
+	VMOVUPD 16(R13)(AX*8), X7               \
+	MOVQ OFF+24(R12), AX                    \
+	SHLQ $2, AX                             \
+	ADDQ OFF+24(R14), AX                    \
+	VINSERTF128 $1, (R13)(AX*8), Y2, Y2     \
+	VINSERTF128 $1, 16(R13)(AX*8), Y7, Y7   \
+	VUNPCKLPD Y2, Y1, Y3                    \
+	VUNPCKHPD Y2, Y1, Y4                    \
+	VUNPCKLPD Y7, Y6, Y5                    \
 	MOVQ 40(CX), AX                         \
 	VMOVUPD OFF(AX), Y6                     \
 	MOVQ 48(CX), AX                         \
@@ -133,184 +147,267 @@
 	VADDPD Y7, Y6, Y6                       \
 	VERDICT(OFF, SHIFT)
 
-// SCOREREGS loads the registers SCORE and VERDICT read (see SCORE) and
-// clears the verdict accumulators.
+// SCOREREGS loads the registers SCORE and VERDICT read (see SCORE).
 #define SCOREREGS \
 	MOVQ 56(CX), R13  \
 	MOVQ 64(CX), R14  \
-	MOVQ 136(CX), R15 \
+	MOVQ 144(CX), R15 \
 	MOVQ 72(CX), DX   \
-	MOVQ 80(CX), SI   \
-	XORL DI, DI       \
-	XORL BX, BX
+	MOVQ 80(CX), SI
+
+// CHUNK runs the proposal step through the verdict for the 8-lane chunk
+// whose halves sit at byte offsets OA and OB of every per-lane array,
+// ORing the verdict bits in at SA and SB. R8–R11 hold the state arrays.
+// Draw 1 is the proposal index: until the Lemire check clears, nothing
+// may be stored — a chunk that rejects jumps to REJ with its memory
+// untouched. Draw 2 is the proposal angle; the states are stored after
+// it, final for downhill lanes (VERDICT re-advances and re-stores the
+// lanes whose uphill test consumes a third draw).
+#define CHUNK(OA, OB, SA, SB, REJ) \
+	VMOVDQU OA(R8), Y0                       \
+	VMOVDQU OB(R8), Y4                       \
+	VMOVDQU OA(R9), Y1                       \
+	VMOVDQU OB(R9), Y5                       \
+	VMOVDQU OA(R10), Y2                      \
+	VMOVDQU OB(R10), Y6                      \
+	VMOVDQU OA(R11), Y3                      \
+	VMOVDQU OB(R11), Y7                      \
+	XOSHIRO(Y0, Y1, Y2, Y3, Y8, Y10, Y11)    \
+	XOSHIRO(Y4, Y5, Y6, Y7, Y9, Y10, Y11)    \
+	BOUND(Y8, Y12, Y13, Y8, Y14, Y10, Y11)   \
+	BOUND(Y9, Y12, Y13, Y9, Y15, Y10, Y11)   \
+	VPOR   Y15, Y14, Y14                     \
+	VPTEST Y14, Y14                          \
+	JNZ    REJ                               \
+	MOVQ 32(CX), R12                         \
+	VMOVDQU Y8, OA(R12)                      \
+	VMOVDQU Y9, OB(R12)                      \
+	XOSHIRO(Y0, Y1, Y2, Y3, Y8, Y10, Y11)    \
+	XOSHIRO(Y4, Y5, Y6, Y7, Y9, Y10, Y11)    \
+	VMOVDQU Y0, OA(R8)                       \
+	VMOVDQU Y4, OB(R8)                       \
+	VMOVDQU Y1, OA(R9)                       \
+	VMOVDQU Y5, OB(R9)                       \
+	VMOVDQU Y2, OA(R10)                      \
+	VMOVDQU Y6, OB(R10)                      \
+	VMOVDQU Y3, OA(R11)                      \
+	VMOVDQU Y7, OB(R11)                      \
+	MOVQ 40(CX), AX                          \
+	MOVQ 48(CX), DX                          \
+	SINCOSPI(Y8, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y10) \
+	VMOVUPD Y0, OA(AX)                       \
+	VMOVUPD Y1, OA(DX)                       \
+	SINCOSPI(Y9, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y10) \
+	VMOVUPD Y0, OB(AX)                       \
+	VMOVUPD Y1, OB(DX)                       \
+	SCOREREGS                                \
+	SCORE(OA, SA)                            \
+	SCORE(OB, SB)
+
+// HALF is CHUNK restricted to the half at OA: a chunk whose live lanes
+// all sit in its first half runs that half alone, and the padding lanes
+// of its second half are neither advanced nor scored, since nothing
+// reads them.
+#define HALF(OA, SA, REJ) \
+	VMOVDQU OA(R8), Y0                       \
+	VMOVDQU OA(R9), Y1                       \
+	VMOVDQU OA(R10), Y2                      \
+	VMOVDQU OA(R11), Y3                      \
+	XOSHIRO(Y0, Y1, Y2, Y3, Y8, Y10, Y11)    \
+	BOUND(Y8, Y12, Y13, Y8, Y14, Y10, Y11)   \
+	VPTEST Y14, Y14                          \
+	JNZ    REJ                               \
+	MOVQ 32(CX), R12                         \
+	VMOVDQU Y8, OA(R12)                      \
+	XOSHIRO(Y0, Y1, Y2, Y3, Y8, Y10, Y11)    \
+	VMOVDQU Y0, OA(R8)                       \
+	VMOVDQU Y1, OA(R9)                       \
+	VMOVDQU Y2, OA(R10)                      \
+	VMOVDQU Y3, OA(R11)                      \
+	MOVQ 40(CX), AX                          \
+	MOVQ 48(CX), DX                          \
+	SINCOSPI(Y8, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y10) \
+	VMOVUPD Y0, OA(AX)                       \
+	VMOVUPD Y1, OA(DX)                       \
+	SCOREREGS                                \
+	SCORE(OA, SA)
+
+// APPLY applies the decided accepts of the lanes in DI, in lane order:
+// the rotor takes the proposal's (cos, sin), and dz = nz − z is added to
+// the lane's fields along its own CSR row, in row order — the same
+// operations, in the same order, as the Go apply — and the lane's
+// accept count is bumped. LOOP, ROW and DONE name the expansion's
+// labels; it falls through at DONE. Needs CX; clobbers AX, BX, DX, SI,
+// DI, R8–R15 and X0/X1.
+#define APPLY(LOOP, ROW, DONE) \
+	MOVQ 40(CX), R8              \
+	MOVQ 48(CX), R9              \
+	MOVQ 32(CX), R12             \
+	MOVQ 56(CX), R13             \
+	MOVQ 64(CX), R14             \
+LOOP:                                \
+	TESTL DI, DI                 \
+	JZ    DONE                   \
+	BSFL  DI, AX                 \
+	BTRL  AX, DI                 \
+	MOVQ  152(CX), DX            \
+	INCQ  (DX)(AX*8)             \
+	MOVQ  (R12)(AX*8), R10       \
+	MOVQ  (R14)(AX*8), R11       \
+	LEAQ  (R11)(R10*4), BX       \
+	VMOVSD (R9)(AX*8), X0        \
+	VSUBSD (R13)(BX*8), X0, X1   \
+	VMOVSD X0, (R13)(BX*8)       \
+	VMOVSD (R8)(AX*8), X0        \
+	VMOVSD X0, 8(R13)(BX*8)      \
+	MOVQ  160(CX)(AX*8), DX      \
+	MOVLQSX (DX)(R10*4), SI      \
+	MOVLQSX 4(DX)(R10*4), DX     \
+	CMPQ  SI, DX                 \
+	JGE   LOOP                   \
+	MOVQ  288(CX)(AX*8), R10     \
+	MOVQ  416(CX)(AX*8), R15     \
+	LEAQ  16(R13)(R11*8), R11    \
+ROW:                                 \
+	MOVLQSX (R10)(SI*4), BX      \
+	SHLQ  $2, BX                 \
+	VMULSD (R15)(SI*8), X1, X0   \
+	VADDSD (R11)(BX*8), X0, X0   \
+	VMOVSD X0, (R11)(BX*8)       \
+	INCQ  SI                     \
+	CMPQ  SI, DX                 \
+	JLT   ROW                    \
+	JMP   LOOP                   \
+DONE:
+
+// APPLIED turns the verdict bits in DI (acc) and BX (ex) into the lanes
+// to apply, acc ∧ ¬ex ∧ live, in DI. Clobbers AX and BX.
+#define APPLIED \
+	NOTL    BX           \
+	ANDL    BX, DI       \
+	MOVWLZX 138(CX), AX  \
+	ANDL    AX, DI
 
 // func svmcStepx8(a *svmcStepArgs) bool
 //
-// The svmcStepArgs field offsets (+0 rs0 … +272 w) are a hard
-// contract with the struct definition in svmc_batch.go — the kernel is
-// called once per spin per sweep, and a single struct pointer beats
-// marshaling 17 stack arguments per call. CX holds the struct base for
-// the whole body. A chunk whose live lanes all sit in half A (a group's
-// part-filled last chunk of at most four reads) runs half A alone: the
-// padding lanes of half B are neither advanced nor scored, since
-// nothing reads them.
-TEXT ·svmcStepx8(SB), NOSPLIT, $96-9
+// The svmcStepArgs field offsets (+0 rs0 … +416 w) are a hard contract
+// with the struct definition in svmc_batch.go; CX holds the struct base
+// for the whole body. One call runs proposal steps a.k, a.k+1, … of a
+// sweep over two 8-lane chunks (lanes 0–7 and 8–15); a chunk with no
+// live lane is skipped, and a chunk whose live lanes all sit in its
+// first half runs that half alone. Every chunk is drawn, scored and
+// decided before any of its accepts is applied, and the chunks' applies
+// are staggered: step k runs chunk 0's chain, then chunk 1's apply of
+// step k−1, then chunk 1's chain, then chunk 0's apply of step k. The
+// lanes are independent, so the order is invisible in the results, but
+// the apply's data-dependent branches no longer flush the other chunk's
+// draw → trig → score → verdict chain: it is older than them and keeps
+// running. Y12/Y13 (nb, negnb) and the frame's na2/b2/beta broadcasts
+// stay loaded across steps; the frame also holds chunk 1's pending
+// apply mask (96), chunk 0's (104) and the step's undecided lanes (112).
+TEXT ·svmcStepx8(SB), NOSPLIT, $128-9
 	MOVQ a+0(FP), CX
-	MOVQ 0(CX), R8   // rs0
-	MOVQ 8(CX), R9   // rs1
-	MOVQ 16(CX), R10 // rs2
-	MOVQ 24(CX), R11 // rs3
 
 	VPBROADCASTQ 88(CX), Y12 // nb
 	VPBROADCASTQ 96(CX), Y13 // negnb
 	VPXOR ·svmcSIMDTab+256(SB), Y13, Y13 // bias negnb for the signed compare
 
-	// Broadcast the scoring scalars to the frame while registers are
-	// cheap; SCORE reads them as VEX memory operands.
+	// Broadcast the scoring scalars to the frame; SCORE reads them as
+	// VEX memory operands.
 	VPBROADCASTQ 104(CX), Y10 // na2
 	VMOVDQU Y10, (SP)
 	VPBROADCASTQ 112(CX), Y10 // b2
 	VMOVDQU Y10, 32(SP)
 	VPBROADCASTQ 120(CX), Y10 // beta
 	VMOVDQU Y10, 64(SP)
+	MOVQ $0, 96(SP)          // no chunk-1 apply pending
 
-	TESTB $0xF0, 132(CX) // any live lane in half B?
-	JZ   half
+step:
+	MOVQ 0(CX), R8   // rs0
+	MOVQ 8(CX), R9   // rs1
+	MOVQ 16(CX), R10 // rs2
+	MOVQ 24(CX), R11 // rs3
+	XORL DI, DI      // acc mask
+	XORL BX, BX      // ex mask
+	TESTB $0xF0, 138(CX) // any live lane in lanes 4–7?
+	JZ    half0
+	CHUNK(0, 32, 0, 4, reject0)
+	JMP   chain0
+half0:
+	HALF(0, 0, reject0)
+chain0:
+	MOVQ BX, 112(SP)
+	APPLIED
+	MOVQ DI, 104(SP)         // chunk 0's lanes to apply at step k
 
-	// States: half A (lanes 0–3) in Y0–Y3, half B (lanes 4–7) in Y4–Y7.
-	VMOVDQU (R8), Y0
-	VMOVDQU 32(R8), Y4
-	VMOVDQU (R9), Y1
-	VMOVDQU 32(R9), Y5
-	VMOVDQU (R10), Y2
-	VMOVDQU 32(R10), Y6
-	VMOVDQU (R11), Y3
-	VMOVDQU 32(R11), Y7
+	MOVWLZX 138(CX), AX
+	TESTL $0xFF00, AX        // any live lane in lanes 8–15?
+	JZ    chain1
+	MOVQ 96(SP), DI          // chunk 1's accepts of step k−1
+	APPLY(pend, pendrow, pended)
+	MOVQ 0(CX), R8
+	MOVQ 8(CX), R9
+	MOVQ 16(CX), R10
+	MOVQ 24(CX), R11
+	XORL DI, DI
+	XORL BX, BX
+	TESTB $0xF0, 139(CX)     // any live lane in lanes 12–15?
+	JZ    half1
+	CHUNK(64, 96, 8, 12, reject1)
+	JMP   scored1
+half1:
+	HALF(64, 8, reject1)
+scored1:
+	ORQ  BX, 112(SP)
+	APPLIED
+	MOVQ DI, 96(SP)          // chunk 1's lanes to apply, after chunk 0's next chain
 
-	// Draw 1: the proposal index. Until the Lemire check clears, nothing
-	// may be stored — a rejecting call must leave all memory untouched.
-	XOSHIRO(Y0, Y1, Y2, Y3, Y8, Y10, Y11)
-	XOSHIRO(Y4, Y5, Y6, Y7, Y9, Y10, Y11)
-	BOUND(Y8, Y12, Y13, Y8, Y14, Y10, Y11)
-	BOUND(Y9, Y12, Y13, Y9, Y15, Y10, Y11)
-	VPOR   Y15, Y14, Y14
-	VPTEST Y14, Y14
-	JNZ reject
+chain1:
+	MOVQ 104(SP), DI
+	APPLY(own, ownrow, owned)
+	MOVQ 112(SP), AX
+	MOVWLZX 138(CX), BX
+	ANDL BX, AX
+	JNZ  undecided           // an undecided live lane: Go settles it
+	MOVQ 128(CX), AX
+	INCQ AX
+	MOVQ AX, 128(CX)
+	CMPQ AX, 88(CX)
+	JB   step
+	MOVB $1, ret+8(FP)       // the sweep is done
+	JMP  drain
 
-	MOVQ 32(CX), R12 // idx
-	VMOVDQU Y8, (R12)
-	VMOVDQU Y9, 32(R12)
-
-	// Draw 2: the proposal angle. Store the states now — they are final
-	// for downhill lanes, and SCORE re-advances and re-stores the lanes
-	// whose uphill test consumes a third draw.
-	XOSHIRO(Y0, Y1, Y2, Y3, Y8, Y10, Y11)
-	XOSHIRO(Y4, Y5, Y6, Y7, Y9, Y10, Y11)
-	VMOVDQU Y0, (R8)
-	VMOVDQU Y4, 32(R8)
-	VMOVDQU Y1, (R9)
-	VMOVDQU Y5, 32(R9)
-	VMOVDQU Y2, (R10)
-	VMOVDQU Y6, 32(R10)
-	VMOVDQU Y3, (R11)
-	VMOVDQU Y7, 32(R11)
-
-	MOVQ 40(CX), AX // sn
-	MOVQ 48(CX), DX // cs (DX is free until SCORE needs it for dE)
-
-	SINCOSPI(Y8, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y10)
-	VMOVUPD Y0, (AX)
-	VMOVUPD Y1, (DX)
-
-	SINCOSPI(Y9, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y10)
-	VMOVUPD Y0, 32(AX)
-	VMOVUPD Y1, 32(DX)
-
-	SCOREREGS
-	SCORE(0, 0)
-	SCORE(32, 4)
-
-scored:
-	// Apply every decided accept of a live lane: the rotor takes the
-	// proposal's (cos, sin), and dz = nz − z is added to the lane's
-	// fields along its own CSR row, in row order — the same operations,
-	// in the same order, as the Go apply. Undecided lanes are left to
-	// the caller; accm reports the lanes applied here.
-	MOVW BX, 130(CX)        // exm
-	NOTL BX
-	ANDL BX, DI
-	MOVWLZX 132(CX), AX
-	ANDL AX, DI             // applied = acc ∧ ¬ex ∧ live
-	MOVW DI, 128(CX)        // accm
-	MOVQ 40(CX), R8         // sn
-	MOVQ 48(CX), R9         // cs
-apply:
-	TESTL DI, DI
-	JZ   applied
-	BSFL DI, AX             // lane j
-	BTRL AX, DI
-	MOVQ (R12)(AX*8), R10   // i = idx[j]
-	MOVQ (R14)(AX*8), R11   // lanoff[j]
-	LEAQ (R10)(R10*2), BX
-	ADDQ R11, BX            // bi = lanoff + 3i
-	VMOVSD (R9)(AX*8), X0   // nz
-	VSUBSD (R13)(BX*8), X0, X1 // dz = nz − z
-	VMOVSD X0, (R13)(BX*8)
-	VMOVSD (R8)(AX*8), X0
-	VMOVSD X0, 8(R13)(BX*8)
-	MOVQ 144(CX)(AX*8), DX  // offs[j]
-	MOVLQSX (DX)(R10*4), SI // k = offs[i]
-	MOVLQSX 4(DX)(R10*4), DX // end = offs[i+1]
-	CMPQ SI, DX
-	JGE  apply
-	MOVQ 208(CX)(AX*8), R10 // cols[j]
-	MOVQ 272(CX)(AX*8), R15 // w[j]
-	LEAQ 16(R13)(R11*8), R11 // the lane's fields, stride 3
-row:
-	MOVLQSX (R10)(SI*4), BX
-	LEAQ (BX)(BX*2), BX
-	VMULSD (R15)(SI*8), X1, X0
-	VADDSD (R11)(BX*8), X0, X0 // field += w·dz
-	VMOVSD X0, (R11)(BX*8)
-	INCQ SI
-	CMPQ SI, DX
-	JLT  row
-	JMP  apply
-applied:
-	VZEROUPPER
-	MOVB $1, ret+8(FP)
-	RET
-
-reject:
-	VZEROUPPER
+undecided:
+	MOVW AX, 136(CX)         // exm
+	MOVW $2, 140(CX)         // rej: both chunks ran the step
 	MOVB $0, ret+8(FP)
+
+drain:
+	// Apply chunk 1's pending accepts before returning, so the caller
+	// sees every lane at the same step.
+	MOVQ 96(SP), DI
+drainlanes:
+	APPLY(fin, finrow, fined)
+	VZEROUPPER
 	RET
 
-half:
-	// The full path above restricted to half A.
-	VMOVDQU (R8), Y0
-	VMOVDQU (R9), Y1
-	VMOVDQU (R10), Y2
-	VMOVDQU (R11), Y3
-	XOSHIRO(Y0, Y1, Y2, Y3, Y8, Y10, Y11)
-	BOUND(Y8, Y12, Y13, Y8, Y14, Y10, Y11)
-	VPTEST Y14, Y14
-	JNZ reject
-	MOVQ 32(CX), R12 // idx
-	VMOVDQU Y8, (R12)
-	XOSHIRO(Y0, Y1, Y2, Y3, Y8, Y10, Y11)
-	VMOVDQU Y0, (R8)
-	VMOVDQU Y1, (R9)
-	VMOVDQU Y2, (R10)
-	VMOVDQU Y3, (R11)
-	MOVQ 40(CX), AX // sn
-	MOVQ 48(CX), DX // cs
-	SINCOSPI(Y8, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y10)
-	VMOVUPD Y0, (AX)
-	VMOVUPD Y1, (DX)
-	SCOREREGS
-	SCORE(0, 0)
-	JMP scored
+reject0:
+	// Chunk 0 rejected before storing anything, so chunk 1 has not run
+	// the step either; its accepts of step k−1 are still pending.
+	MOVW $0, 136(CX)
+	MOVW $0, 140(CX)
+	MOVB $0, ret+8(FP)
+	JMP  drain
+
+reject1:
+	// Chunk 1 rejected before storing anything, after applying its
+	// accepts of step k−1; chunk 0 ran step k and still applies.
+	MOVQ 112(SP), AX
+	MOVW AX, 136(CX)         // exm: chunk 0's undecided lanes
+	MOVW $1, 140(CX)
+	MOVB $0, ret+8(FP)
+	MOVQ 104(SP), DI
+	JMP  drainlanes
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1

@@ -7,7 +7,7 @@ import "math"
 // walk contiguous memory instead of chasing []Coupling slice headers. It
 // is compiled once per batch (NewCSR) and shared read-only across every
 // read; per-read coefficient noise (ICE, calibration drift) works on a
-// CloneCoeffs copy that shares the immutable topology arrays.
+// CloneCoeffsInto copy that shares the immutable topology arrays.
 //
 // Rows are sorted by column, and each undirected coupling appears twice
 // (once per endpoint); Mirror links the two halves so symmetric weight
@@ -144,22 +144,16 @@ func (c *CSR) Normalize() float64 {
 	return inv
 }
 
-// CloneCoeffs returns a copy sharing the immutable topology arrays
-// (Offsets, Cols, Mirror) with fresh H/W/Offset storage — the per-read
-// programmable surface for coefficient noise.
-func (c *CSR) CloneCoeffs() *CSR {
-	out := *c
-	out.H = append([]float64(nil), c.H...)
-	out.W = append([]float64(nil), c.W...)
-	return &out
-}
-
-// CopyCoeffsFrom resets the coefficients to src's (same topology assumed),
-// reusing the receiver's storage — how pooled clones are re-programmed.
-func (c *CSR) CopyCoeffsFrom(src *CSR) {
-	copy(c.H, src.H)
-	copy(c.W, src.W)
-	c.Offset = src.Offset
+// CloneCoeffsInto makes dst a copy of c that shares the immutable
+// topology arrays (Offsets, Cols, Mirror) and holds H/W in dst's own
+// storage, reused when it is large enough — the per-read programmable
+// surface for coefficient noise, re-pointed at each read's problem. It
+// returns dst.
+func (c *CSR) CloneCoeffsInto(dst *CSR) *CSR {
+	h, w := append(dst.H[:0], c.H...), append(dst.W[:0], c.W...)
+	*dst = *c
+	dst.H, dst.W = h, w
+	return dst
 }
 
 // Energy evaluates E(s) for spins in {−1,+1}, counting each undirected

@@ -170,8 +170,9 @@ func TestIsingContentHashAndEqual(t *testing.T) {
 }
 
 // TestCSRCoefficientPooling covers the re-programming surface used for
-// per-read coefficient noise: CloneCoeffs shares topology but not
-// coefficients; CopyCoeffsFrom restores them in place.
+// per-read coefficient noise: CloneCoeffsInto shares topology but not
+// coefficients, and re-cloning into a used clone restores them in its
+// own storage.
 func TestCSRCoefficientPooling(t *testing.T) {
 	is := randomDenseIsing(rng.New(46), 8, 0.7)
 	c := qubo.NewCSR(is)
@@ -181,7 +182,11 @@ func TestCSRCoefficientPooling(t *testing.T) {
 	}
 	want := c.Energy(spins)
 
-	clone := c.CloneCoeffs()
+	clone := c.CloneCoeffsInto(new(qubo.CSR))
+	if &clone.Cols[0] != &c.Cols[0] || &clone.W[0] == &c.W[0] {
+		t.Fatal("clone must share topology and own its coefficients")
+	}
+	h, w := &clone.H[0], &clone.W[0]
 	for i := range clone.H {
 		clone.H[i] += 0.25
 	}
@@ -195,9 +200,11 @@ func TestCSRCoefficientPooling(t *testing.T) {
 	if clone.Energy(spins) == want {
 		t.Fatal("clone coefficients did not change its energy")
 	}
-	clone.CopyCoeffsFrom(c)
+	if c.CloneCoeffsInto(clone) != clone || &clone.H[0] != h || &clone.W[0] != w {
+		t.Fatal("re-cloning did not reuse the clone's coefficient storage")
+	}
 	if got := clone.Energy(spins); got != want {
-		t.Fatalf("CopyCoeffsFrom did not restore energy: %v vs %v", got, want)
+		t.Fatalf("re-cloning did not restore energy: %v vs %v", got, want)
 	}
 }
 
