@@ -40,7 +40,7 @@ func main() {
 		tp       = flag.Float64("tp", 1, "pause time t_p (μs)")
 		reads    = flag.Int("reads", 500, "number of anneal reads N_s")
 		engine   = flag.String("engine", "svmc", "dynamics engine: svmc|svmc-tf|pimc")
-		embed    = flag.Bool("embed", false, "run through the Chimera-embedded QPU model")
+		embed    = flag.Bool("embed", false, "anneal the Chimera-embedded physical problem: the QPU model with chain dynamics and broken-chain accounting")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		ice      = flag.Bool("ice", false, "apply 2000Q-typical control-error noise")
 		plot     = flag.Bool("plot", false, "render the anneal schedule (Figure 5 style)")
@@ -120,7 +120,9 @@ func main() {
 	r := rng.New(*seed ^ 0x5117)
 	var res *annealer.Result
 	if *embed {
-		res, err = annealer.NewQPU2000Q().Run(is, params, r)
+		q := annealer.NewQPU2000Q()
+		q.Chains = true
+		res, err = q.Run(is, params, r)
 	} else {
 		res, err = annealer.Run(is, params, r)
 	}

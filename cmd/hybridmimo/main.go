@@ -58,7 +58,7 @@ func main() {
 		reads   = flag.Int("reads", 200, "anneal reads for quantum solvers")
 		sp      = flag.Float64("sp", 0.45, "RA switch/pause location")
 		sweep   = flag.Bool("sweep", false, "sweep s_p and report the best operating point")
-		embed   = flag.Bool("embed", false, "run anneals through the Chimera-embedded QPU model")
+		embed   = flag.Bool("embed", false, "run anneals on the Chimera-embedded physical problem: the QPU model with chain dynamics")
 		verbose = flag.Bool("v", false, "print per-sample details")
 
 		faultProg     = flag.Float64("fault-prog", 0, "QPU programming-failure probability per call")
@@ -107,6 +107,7 @@ func main() {
 	cfg.Profile = &prof
 	if *embed {
 		cfg.QPU = annealer.NewQPU2000Q()
+		cfg.QPU.Chains = true
 	}
 	cfg.Faults = annealer.FaultModel{
 		ProgrammingFailureRate: *faultProg,

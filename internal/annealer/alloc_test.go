@@ -47,7 +47,7 @@ func TestRunBatchAllocs(t *testing.T) {
 }
 
 // TestRunPreparedCacheHitAllocs pins what a cache-hit serve costs on the
-// embedded path: RunPrepared against an already-compiled Prepared skips
+// chain path: RunPrepared against an already-compiled Prepared skips
 // clique embedding, chain-strength scan, physical coefficient layout and
 // CSR normalization, leaving ~15 allocations versus ~4000 for an
 // uncached Lease.Run of the same batch. Both sides are pinned so the
@@ -56,7 +56,7 @@ func TestRunPreparedCacheHitAllocs(t *testing.T) {
 	is := allocTestIsing(t)
 	fa, _ := Forward(1, 0.41, 1)
 	p := Params{Schedule: fa, NumReads: 32, SweepsPerMicrosecond: 30}
-	l, err := NewQPU2000Q().Lease(p)
+	l, err := chainQPU().Lease(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,5 +85,46 @@ func TestRunPreparedCacheHitAllocs(t *testing.T) {
 	})
 	if uncached < 10*hit {
 		t.Errorf("uncached Lease.Run allocates %.0f objects vs %.0f on a hit; the compile the cache elides has shrunk below 10× — re-baseline these pins", uncached, hit)
+	}
+}
+
+// TestLogicalLeaseAllocs pins the serve's own path, a default QPU lease
+// running the logical problem: a cache hit allocates ~13 objects, and an
+// uncached Lease.Run adds only the logical CSR compile (~20 in all) —
+// there is no embedding left for the cache to elide, so both sides get
+// an absolute bound rather than a ratio.
+func TestLogicalLeaseAllocs(t *testing.T) {
+	is := allocTestIsing(t)
+	fa, _ := Forward(1, 0.41, 1)
+	p := Params{Schedule: fa, NumReads: 32, SweepsPerMicrosecond: 30}
+	l, err := NewQPU2000Q().Lease(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := l.PrepareProblem(is)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed uint64
+	if _, err := l.RunPrepared(prep, nil, 32, rng.New(1)); err != nil { // warm pools
+		t.Fatal(err)
+	}
+	hit := testing.AllocsPerRun(10, func() {
+		seed++
+		if _, err := l.RunPrepared(prep, nil, 32, rng.New(seed)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hit > 64 {
+		t.Errorf("logical cache-hit RunPrepared allocates %.0f objects, want ≤ 64 (steady state is ~13)", hit)
+	}
+	uncached := testing.AllocsPerRun(10, func() {
+		seed++
+		if _, err := l.Run(is, nil, 32, rng.New(seed)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if uncached > 80 {
+		t.Errorf("logical uncached Lease.Run allocates %.0f objects, want ≤ 80 (steady state is ~20)", uncached)
 	}
 }

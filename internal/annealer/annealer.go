@@ -508,15 +508,29 @@ func bestSample(samples []qubo.Sample) qubo.Sample {
 	return best
 }
 
-// QPU couples the anneal simulation to the Chimera hardware model: logical
-// problems are minor-embedded as cliques, run on the physical graph, and
-// unembedded by majority vote — the full path a problem takes through the
-// 2000Q.
+// QPU couples the anneal simulation to the Chimera hardware model. By
+// default a QPU runs the logical problem and keeps what the hardware
+// honestly charges: the clique capacity of its Chimera graph
+// (MaxProblemSize), the programming and readout overheads of its service
+// time, and the matching span layout. With Chains set it takes the full
+// path a problem takes through the 2000Q instead: clique minor-embedding,
+// the anneal on the physical graph, majority-vote unembedding.
+//
+// Chain dynamics are an opt-in because the surrogate engines move one
+// spin at a time: a ferromagnetic chain never flips as a unit, so an
+// embedded reverse anneal returns its initial state unchanged and the
+// serve would pay for simulating idle chains (EXPERIMENTS.md, "Chimera
+// embedding").
 type QPU struct {
 	// Grid is the Chimera dimension (16 for the 2000Q).
 	Grid int
+	// Chains runs the anneal on the clique-embedded physical problem
+	// (chain dynamics, broken-chain accounting, majority-vote unembedding)
+	// instead of the logical one. The embedding ablation and the CLIs'
+	// -embed flags set it; serving leaves it off.
+	Chains bool
 	// ChainStrength overrides the ferromagnetic chain coupling; 0 means
-	// chimera.RecommendedChainStrength per problem.
+	// chimera.RecommendedChainStrength per problem. Read only with Chains.
 	ChainStrength float64
 	// ProgrammingTime and ReadoutTime (μs) model the per-call and
 	// per-read device overheads used by the pipeline experiments
@@ -539,13 +553,16 @@ func (q *QPU) ServiceTime(sc *Schedule, numReads int) float64 {
 	return q.ProgrammingTime + float64(numReads)*(sc.Duration()+q.ReadoutTime)
 }
 
-// Run embeds the logical problem onto the smallest sufficient Chimera
-// region (bounded by Grid), anneals the physical problem, and unembeds
-// each read. Sample energies are logical-problem energies.
+// Run is Lease(p).Run on the logical problem: it rejects problems beyond
+// MaxProblemSize and lays trace spans out with the QPU's overheads. With
+// Chains it embeds the problem onto the smallest sufficient Chimera region
+// (bounded by Grid), anneals the physical problem, and unembeds each read.
+// Sample energies are logical-problem energies either way.
 //
-// Injected faults behave as in the logical Run; chain-break storms corrupt
-// the PHYSICAL readout, so majority-vote unembedding partially heals them
-// — chain redundancy is a storm mitigation the logical path lacks.
+// Injected faults behave as in the logical Run; with Chains, chain-break
+// storms corrupt the PHYSICAL readout, so majority-vote unembedding
+// partially heals them — chain redundancy is a storm mitigation the
+// logical path lacks.
 func (q *QPU) Run(logical *qubo.Ising, p Params, r *rng.Source) (*Result, error) {
 	l, err := q.Lease(p)
 	if err != nil {
@@ -564,14 +581,23 @@ func (q *QPU) withTiming(p Params) Params {
 	return p
 }
 
-// prepareEmbedded performs the per-problem compile of the embedded path:
+// checkCapacity rejects a problem too large to clique-embed on the QPU's
+// graph — the capacity limit every QPU lease enforces, chains or not.
+func (q *QPU) checkCapacity(logical *qubo.Ising) error {
+	if logical.N > q.MaxProblemSize() {
+		return fmt.Errorf("annealer: %d variables exceed QPU clique capacity %d", logical.N, q.MaxProblemSize())
+	}
+	return nil
+}
+
+// prepareEmbedded performs the per-problem compile of the chain path:
 // clique embedding onto the smallest sufficient Chimera region, chain
 // strength, physical coefficients, CSR compile, normalization. The
 // result depends only on (QPU, problem), so Lease.PrepareProblem caches
 // it across calls.
 func (q *QPU) prepareEmbedded(logical *qubo.Ising) (*chimera.Embedding, *qubo.CSR, error) {
-	if logical.N > q.MaxProblemSize() {
-		return nil, nil, fmt.Errorf("annealer: %d variables exceed QPU clique capacity %d", logical.N, q.MaxProblemSize())
+	if err := q.checkCapacity(logical); err != nil {
+		return nil, nil, err
 	}
 	m := chimera.MinGridFor(logical.N)
 	if m > q.Grid {

@@ -326,7 +326,7 @@ func TestICEDegradesSuccess(t *testing.T) {
 func TestQPUEmbeddedRun(t *testing.T) {
 	is := frustrated(8, 43)
 	g := groundOf(t, is)
-	qpu := NewQPU2000Q()
+	qpu := chainQPU()
 	fa, _ := Forward(1, 0.41, 1)
 	res, err := qpu.Run(is, Params{Schedule: fa, NumReads: 20, SweepsPerMicrosecond: 60}, rng.New(47))
 	if err != nil {
@@ -362,6 +362,9 @@ func TestQPUCapacityAndServiceTime(t *testing.T) {
 	fa, _ := Forward(1, 0.41, 1)
 	if _, err := qpu.Run(qubo.NewIsing(65), Params{Schedule: fa}, rng.New(1)); err == nil {
 		t.Fatal("overcapacity problem accepted")
+	}
+	if _, err := chainQPU().Run(qubo.NewIsing(65), Params{Schedule: fa}, rng.New(1)); err == nil {
+		t.Fatal("overcapacity problem accepted with chains")
 	}
 	st := qpu.ServiceTime(fa, 100)
 	want := 10_000 + 100*(fa.Duration()+123)

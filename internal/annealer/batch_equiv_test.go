@@ -183,14 +183,16 @@ func mixedLanes(t testing.TB, r *rng.Source, n, reads int, reverse bool) lanes {
 	return ln
 }
 
-// uplinkLanes builds the serve-shaped lanes of the uplink-16qam
-// workload: two 8-user 16-QAM frames (32 logical spins each), compiled
-// the way a QPU lease compiles them — clique-embedded onto Chimera and
-// normalized, so most rows are chain rows and idle qubits have empty
-// ones — each started from its greedy-search candidate embedded chain by
-// chain, as the serve loads a reverse anneal. Lanes alternate between
-// the two frames.
-func uplinkLanes(tb testing.TB) lanes {
+// uplinkLanes builds the lanes of the uplink-16qam workload: two 8-user
+// 16-QAM frames (32 logical spins each), each started from its
+// greedy-search candidate as the serve loads a reverse anneal. Logical
+// lanes are compiled the way a default QPU lease serves them: the
+// 32-spin CSR, normalized. Embedded lanes are compiled the way a chain
+// lease does — clique-embedded onto Chimera and normalized, so most rows
+// are chain rows and idle qubits have empty ones — and start from the
+// candidate embedded chain by chain. Lanes alternate between the two
+// frames.
+func uplinkLanes(tb testing.TB, embedded bool) lanes {
 	tb.Helper()
 	q := NewQPU2000Q()
 	var ln lanes
@@ -200,12 +202,20 @@ func uplinkLanes(tb testing.TB) lanes {
 			tb.Fatal(err)
 		}
 		logical := in.Reduction.Ising
+		cand := qubo.GreedySearchIsing(logical, qubo.OrderDescending)
+		if !embedded {
+			pr := qubo.NewCSR(logical)
+			pr.Normalize()
+			ln.prs = append(ln.prs, pr)
+			ln.inits = append(ln.inits, cand)
+			continue
+		}
 		emb, pr, err := q.prepareEmbedded(logical)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		ln.prs = append(ln.prs, pr)
-		ln.inits = append(ln.inits, emb.EmbedSpins(qubo.GreedySearchIsing(logical, qubo.OrderDescending)))
+		ln.inits = append(ln.inits, emb.EmbedSpins(cand))
 	}
 	if ln.prs[0].N != ln.prs[1].N {
 		tb.Fatal("uplink frames embed at different sizes")
@@ -281,17 +291,22 @@ func TestLockstepMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	// The serve-shaped groups: two embedded uplink frames, reverse-
-	// annealed at s_p 0.45 from their greedy candidates, in an 8-lane
-	// group, in uplink's common 12-read group and in a full 16-read one.
-	for _, reads := range []int{8, 12, 16} {
-		t.Run(fmt.Sprintf("svmc/uplink-embedded/reads=%d/reverse", reads), func(t *testing.T) {
-			sc, err := Reverse(0.45, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkLockstepMatches(t, "svmc/uplink-embedded", SVMC{}, sc, prof, uplinkLanes(t), reads, r.Uint64())
-		})
+	// The serve-shaped groups: two uplink frames, reverse-annealed at
+	// s_p 0.45 from their greedy candidates, in an 8-lane group, in
+	// uplink's common 12-read group and in a full 16-read one — on the
+	// 32-spin logical problem a default QPU lease serves and on the
+	// clique-embedded one a chain lease runs.
+	for _, path := range []string{"embedded", "logical"} {
+		for _, reads := range []int{8, 12, 16} {
+			label := "svmc/uplink-" + path
+			t.Run(fmt.Sprintf("%s/reads=%d/reverse", label, reads), func(t *testing.T) {
+				sc, err := Reverse(0.45, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkLockstepMatches(t, label, SVMC{}, sc, prof, uplinkLanes(t, path == "embedded"), reads, r.Uint64())
+			})
+		}
 	}
 }
 

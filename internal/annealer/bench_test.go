@@ -15,10 +15,12 @@ import (
 
 // The hot-path benchmarks run the paper's reference workload: the 8-user
 // 16-QAM detection instance (32 logical spins), clique-embedded onto
-// Chimera and normalized — the physical problem an anneal batch actually
-// sweeps. Set BENCH_JSON_DIR to record machine-readable BENCH_*.json
-// results; each record carries the pre-CSR baseline measured on the same
-// workload so the speedup is tracked across PRs.
+// Chimera and normalized — the physical problem a chain lease (QPU.Chains,
+// the embedding ablation) sweeps; BenchmarkLeaseServe16QAM times the
+// logical problem the serve runs. Set BENCH_JSON_DIR to record
+// machine-readable BENCH_*.json results; each record carries the pre-CSR
+// baseline measured on the same workload so the speedup is tracked
+// across PRs.
 
 // baselineNsPerSweep holds the ns/sweep of the adjacency-list engines
 // before the CSR/sweep-table/pooling restructuring (same instance, same
@@ -137,16 +139,16 @@ func BenchmarkPIMCSweep(b *testing.B) { benchmarkSweep(b, PIMC{Slices: 16}) }
 // Go 1.24.
 const baselineNsPerReverseSweep = 12405
 
-// BenchmarkSVMCSweepReverse times SVMC on the uplink-16qam serve's
-// group shape: two embedded 8-user 16-QAM frames sharing one group,
-// reverse-annealed at s_p 0.45 with a 1 μs pause at 30 sweeps/μs from
-// their greedy candidates (uplinkLanes). BenchmarkSVMCSweep's
-// one-problem forward anneal from the superposition is not what the
-// serve runs. reads=16 is SVMC's full group and the recorded case;
+// BenchmarkSVMCSweepReverse times SVMC on the uplink-16qam group shape
+// as a chain lease runs it: two embedded 8-user 16-QAM frames sharing
+// one group, reverse-annealed at s_p 0.45 with a 1 μs pause at 30
+// sweeps/μs from their greedy candidates (uplinkLanes). The serve itself
+// anneals the 32-spin logical problem (BenchmarkLeaseServe16QAM).
+// reads=16 is SVMC's full group and the recorded case;
 // reads=12 is uplink's common group (a batch averages 1.48 frames of
 // 12 reads): one full chunk plus a chunk with only its first half live.
 func BenchmarkSVMCSweepReverse(b *testing.B) {
-	ln := uplinkLanes(b)
+	ln := uplinkLanes(b, true)
 	ra, err := Reverse(0.45, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -195,7 +197,7 @@ func BenchmarkRun(b *testing.B) {
 }
 
 // BenchmarkLeasePreparedHit measures what a serving tier pays per frame
-// once the prepared-problem cache is warm: RunPrepared on an embedded
+// once the prepared-problem cache is warm: RunPrepared on a chain
 // lease against an already-compiled Prepared, skipping clique
 // embedding, chain strength, physical layout and normalization. Compare
 // against BenchmarkLeaseRunUncached for the compile the cache elides.
@@ -207,7 +209,7 @@ func BenchmarkLeasePreparedHit(b *testing.B) {
 	is := in.Reduction.Ising
 	fa, _ := Forward(1, 0.41, 1)
 	p := Params{Schedule: fa, NumReads: 32, SweepsPerMicrosecond: 30}
-	l, err := NewQPU2000Q().Lease(p)
+	l, err := chainQPU().Lease(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func BenchmarkLeaseRunUncached(b *testing.B) {
 	}
 	is := in.Reduction.Ising
 	fa, _ := Forward(1, 0.41, 1)
-	l, err := NewQPU2000Q().Lease(Params{Schedule: fa, NumReads: 32, SweepsPerMicrosecond: 30})
+	l, err := chainQPU().Lease(Params{Schedule: fa, NumReads: 32, SweepsPerMicrosecond: 30})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -282,9 +284,9 @@ func BenchmarkRunICEFaults(b *testing.B) {
 }
 
 // BenchmarkRunPreparedMulti measures one fleet batch of the
-// ensemble-coded serving workload: 4 ensemble arms × 4 reads of reverse
-// anneal (s_p = 0.45, 1 μs pause, 30 sweeps/μs) on the embedded 4-user
-// 16-QAM detection problem, each arm from its own candidate, in one
+// ensemble-coded batch shape: 4 ensemble arms × 4 reads of reverse
+// anneal (s_p = 0.45, 1 μs pause, 30 sweeps/μs) on a chain lease's
+// embedded 4-user 16-QAM detection problem, each arm from its own candidate, in one
 // multi-run call — the 16 reads fill two full lockstep groups where
 // per-arm calls would run four half-empty ones.
 func BenchmarkRunPreparedMulti(b *testing.B) {
@@ -297,7 +299,7 @@ func BenchmarkRunPreparedMulti(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := NewQPU2000Q().Lease(Params{Schedule: ra, NumReads: 4, SweepsPerMicrosecond: 30})
+	l, err := chainQPU().Lease(Params{Schedule: ra, NumReads: 4, SweepsPerMicrosecond: 30})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestProgrammingFailureIsTyped(t *testing.T) {
 		t.Fatalf("error %v is not a programming FaultError", err)
 	}
 	// The embedded path surfaces the same typed error.
-	_, err = NewQPU2000Q().Run(is, Params{Schedule: fa, NumReads: 5, SweepsPerMicrosecond: 50,
+	_, err = chainQPU().Run(is, Params{Schedule: fa, NumReads: 5, SweepsPerMicrosecond: 50,
 		Faults: FaultModel{ProgrammingFailureRate: 1}}, rng.New(3))
 	if fe, ok := AsFault(err); !ok || fe.Kind != FaultProgramming {
 		t.Fatalf("QPU error %v is not a programming FaultError", err)
@@ -238,7 +238,7 @@ func TestParallelismDeterministicWithFaults(t *testing.T) {
 func TestQPUFaultPath(t *testing.T) {
 	is := frustrated(8, 41)
 	fa, _ := Forward(1, 0.41, 1)
-	qpu := NewQPU2000Q()
+	qpu := chainQPU()
 	res, err := qpu.Run(is, Params{Schedule: fa, NumReads: 20, SweepsPerMicrosecond: 50,
 		Faults: FaultModel{ReadTimeoutRate: 0.3, ChainBreakStormRate: 0.3}}, rng.New(43))
 	if err != nil {

@@ -44,9 +44,13 @@ func NewLease(p Params) (*Lease, error) {
 	return &Lease{p: p, kernel: kernel, width: groupWidth(p.Engine)}, nil
 }
 
-// Lease returns a prepared session whose runs take the full hardware
-// path: minor-embedding onto the QPU's Chimera graph, physical anneal,
-// majority-vote unembedding.
+// Lease returns a prepared session on the QPU. Its runs anneal the
+// logical problem — bit-identical to NewLease(p) with the same RNG — but
+// reject problems beyond MaxProblemSize, charge the QPU's programming and
+// readout in ServiceMicros, and lay trace spans out with them. With
+// q.Chains set, runs take the full hardware path instead: minor-embedding
+// onto the QPU's Chimera graph, physical anneal, majority-vote
+// unembedding.
 func (q *QPU) Lease(p Params) (*Lease, error) {
 	l, err := NewLease(p)
 	if err != nil {
@@ -59,8 +63,10 @@ func (q *QPU) Lease(p Params) (*Lease, error) {
 // Schedule returns the anneal program the lease was prepared for.
 func (l *Lease) Schedule() *Schedule { return l.p.Schedule }
 
-// Embedded reports whether runs take the Chimera-embedded QPU path.
-func (l *Lease) Embedded() bool { return l.qpu != nil }
+// Embedded reports whether runs take the Chimera-embedded chain path (a
+// QPU lease with QPU.Chains set). A default QPU lease is not embedded: it
+// models the QPU's capacity and clock but anneals the logical problem.
+func (l *Lease) Embedded() bool { return l.qpu != nil && l.qpu.Chains }
 
 // Faults returns the fault model runs are subject to.
 func (l *Lease) Faults() FaultModel { return l.p.Faults }

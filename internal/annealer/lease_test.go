@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/instance"
 	"repro/internal/modulation"
+	"repro/internal/qubo"
 	"repro/internal/rng"
 )
 
@@ -59,6 +60,14 @@ func TestLeaseRunMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// chainQPU is the paper's device with chain dynamics opted in: leases
+// and runs on it take the clique-embedded physical path.
+func chainQPU() *QPU {
+	q := NewQPU2000Q()
+	q.Chains = true
+	return q
+}
+
 // The embedded path through a QPU lease must match QPU.Run exactly too.
 func TestQPULeaseMatchesQPURun(t *testing.T) {
 	in := leaseTestIsing(t)
@@ -67,7 +76,7 @@ func TestQPULeaseMatchesQPURun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewQPU2000Q()
+	q := chainQPU()
 	p := Params{Schedule: sc, NumReads: 8, SweepsPerMicrosecond: 30}
 	direct, err := q.Run(is, p, rng.New(11))
 	if err != nil {
@@ -89,6 +98,77 @@ func TestQPULeaseMatchesQPURun(t *testing.T) {
 	}
 	if direct.BrokenChainRate != leased.BrokenChainRate {
 		t.Fatalf("broken-chain rate diverges: %g vs %g", direct.BrokenChainRate, leased.BrokenChainRate)
+	}
+}
+
+// TestQPULeaseRunsLogicalProblem pins the default QPU lease: on the
+// serve's shape (an 8-user 16-QAM frame reverse-annealed from its greedy
+// candidate, with ICE and soft faults) its samples are bit-identical to a
+// logical NewLease with the same Params and RNG, through Run, RunPrepared
+// and QPU.Run alike — yet it still charges the QPU's programming and
+// readout and rejects problems beyond the clique capacity.
+func TestQPULeaseRunsLogicalProblem(t *testing.T) {
+	in, err := instance.Synthesize(instance.Spec{Users: 8, Scheme: modulation.QAM16, Seed: 0xBE9C})
+	if err != nil {
+		t.Fatal(err)
+	}
+	is := in.Reduction.Ising
+	init := qubo.GreedySearchIsing(is, qubo.OrderDescending)
+	sc, err := Reverse(0.45, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{
+		Schedule: sc, InitialState: init, NumReads: 12, SweepsPerMicrosecond: 30,
+		ICE:    DWave2000QICE(),
+		Faults: FaultModel{ReadTimeoutRate: 0.1, ChainBreakStormRate: 0.1, CalibrationDriftRate: 0.1},
+	}
+	q := NewQPU2000Q()
+	ql, err := q.Lease(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ql.Embedded() {
+		t.Fatal("default QPU lease reports chain dynamics")
+	}
+	ll, err := NewLease(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ll.Run(is, init, 12, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := ql.PrepareProblem(is)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() (*Result, error){
+		"Lease.Run":   func() (*Result, error) { return ql.Run(is, init, 12, rng.New(5)) },
+		"RunPrepared": func() (*Result, error) { return ql.RunPrepared(prep, init, 12, rng.New(5)) },
+		"QPU.Run":     func() (*Result, error) { return q.Run(is, p, rng.New(5)) },
+	} {
+		got, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.Samples, got.Samples) || want.Faults != got.Faults {
+			t.Fatalf("%s on the default QPU lease diverges from the logical lease", name)
+		}
+		if got.BrokenChainRate != 0 {
+			t.Fatalf("%s: broken-chain rate %g without chains", name, got.BrokenChainRate)
+		}
+	}
+	if got, bare := ql.ServiceMicros(12), ll.ServiceMicros(12); got != q.ServiceTime(sc, 12) ||
+		got != bare+q.ProgrammingTime+12*q.ReadoutTime {
+		t.Fatalf("QPU lease ServiceMicros = %g, want %g anneal + programming + readout", got, bare)
+	}
+	over := qubo.NewIsing(q.MaxProblemSize() + 1)
+	if _, err := ql.Run(over, nil, 1, rng.New(1)); err == nil {
+		t.Fatal("default QPU lease ran a problem beyond its clique capacity")
+	}
+	if _, err := ql.PrepareProblem(over); err == nil {
+		t.Fatal("default QPU lease prepared a problem beyond its clique capacity")
 	}
 }
 

@@ -56,8 +56,8 @@ func multiTestRuns(preps []*Prepared, seeds []uint64) []PreparedRun {
 // TestRunPreparedMultiMatchesSequential: packing runs into shared
 // lockstep groups cannot change an answer — every run's result (or
 // fault) must reflect.DeepEqual the standalone RunPrepared call with the
-// same (prep, init, reads, rng), on both the logical and the embedded
-// paths, across mixed problem sizes, read counts straddling group edges,
+// same (prep, init, reads, rng), on the logical, the chain-embedded and
+// the default (logical) QPU lease paths, across mixed problem sizes, read counts straddling group edges,
 // ICE, every soft fault plus programming failures, and parallelism 1
 // and 4.
 func TestRunPreparedMultiMatchesSequential(t *testing.T) {
@@ -71,7 +71,7 @@ func TestRunPreparedMultiMatchesSequential(t *testing.T) {
 		"faulty": {ProgrammingFailureRate: 0.3, ReadTimeoutRate: 0.25,
 			ChainBreakStormRate: 0.2, CalibrationDriftRate: 0.2},
 	}
-	for _, path := range []string{"logical", "embedded"} {
+	for _, path := range []string{"logical", "embedded", "qpu-logical"} {
 		t.Run(path, func(t *testing.T) {
 			for fname, fm := range faults {
 				for _, par := range []int{1, 4} {
@@ -80,7 +80,10 @@ func TestRunPreparedMultiMatchesSequential(t *testing.T) {
 						ICE: ICE{SigmaH: 0.02, SigmaJ: 0.01}, Faults: fm, Parallelism: par,
 					}
 					l, err := NewLease(p)
-					if path == "embedded" {
+					switch path {
+					case "embedded":
+						l, err = chainQPU().Lease(p)
+					case "qpu-logical":
 						l, err = NewQPU2000Q().Lease(p)
 					}
 					if err != nil {
@@ -124,7 +127,8 @@ func TestRunPreparedMultiMatchesSequential(t *testing.T) {
 // TestRunPreparedMultiTelemetry: with a tracer and a registry attached,
 // one multi-run call emits the same trace (in telemetry.SortRecords
 // order) and the same metric exposition as the standalone calls in run
-// order.
+// order. The lease runs chains, so chain-break storms reach the physical
+// readout.
 func TestRunPreparedMultiTelemetry(t *testing.T) {
 	problems := multiTestProblems(t)
 	sc, err := Reverse(0.45, 1)
@@ -143,7 +147,7 @@ func TestRunPreparedMultiTelemetry(t *testing.T) {
 			Faults: FaultModel{ProgrammingFailureRate: 0.2, ReadTimeoutRate: 0.25,
 				ChainBreakStormRate: 0.2, CalibrationDriftRate: 0.2},
 		}
-		if s.l, err = NewQPU2000Q().Lease(p); err != nil {
+		if s.l, err = chainQPU().Lease(p); err != nil {
 			t.Fatal(err)
 		}
 		return s

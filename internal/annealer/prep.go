@@ -28,8 +28,8 @@ import (
 )
 
 // Prepared is one problem compiled for one lease: the normalized CSR of
-// the problem the engine actually sweeps (physical for embedded leases)
-// plus, on the QPU path, the minor embedding. It is immutable after
+// the problem the engine actually sweeps (physical for chain leases)
+// plus, on the chain path, the minor embedding. It is immutable after
 // PrepareProblem and safe for concurrent RunPrepared calls.
 type Prepared struct {
 	l   *Lease
@@ -44,7 +44,8 @@ type Prepared struct {
 func (p *Prepared) Problem() *qubo.Ising { return p.is }
 
 // PrepareProblem compiles is for this lease: CSR + normalization, plus
-// embedding and physical coefficients when the lease is QPU-backed. The
+// embedding and physical coefficients when the lease runs chains. A QPU
+// lease rejects a problem beyond the QPU's clique capacity here. The
 // snapshot it keeps is a deep copy, so later mutation of is cannot
 // desynchronize a cached entry from its compiled artifacts.
 func (l *Lease) PrepareProblem(is *qubo.Ising) (*Prepared, error) {
@@ -58,16 +59,21 @@ func (l *Lease) compile(is *qubo.Ising) (*Prepared, error) {
 		return nil, fmt.Errorf("annealer: empty problem")
 	}
 	prep := &Prepared{l: l, is: is}
-	if l.qpu != nil {
+	if l.Embedded() {
 		emb, pr, err := l.qpu.prepareEmbedded(is)
 		if err != nil {
 			return nil, err
 		}
 		prep.emb, prep.pr = emb, pr
-	} else {
-		prep.pr = qubo.NewCSR(is)
-		prep.pr.Normalize()
+		return prep, nil
 	}
+	if l.qpu != nil {
+		if err := l.qpu.checkCapacity(is); err != nil {
+			return nil, err
+		}
+	}
+	prep.pr = qubo.NewCSR(is)
+	prep.pr.Normalize()
 	return prep, nil
 }
 

@@ -24,8 +24,9 @@ func prepTestProblems(t *testing.T, count int) []*qubo.Ising {
 }
 
 // RunPrepared must be bit-identical to Lease.Run — the prepared form
-// only skips the per-call compile — on both the logical and the
-// embedded (QPU) paths, and for repeated runs of one Prepared.
+// only skips the per-call compile — on the logical, the chain-embedded
+// QPU and the default (logical) QPU lease paths, and for repeated runs
+// of one Prepared.
 func TestRunPreparedMatchesRun(t *testing.T) {
 	is := prepTestProblems(t, 1)[0]
 	sc, err := Reverse(0.45, 1)
@@ -47,10 +48,14 @@ func TestRunPreparedMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	leases["logical"] = l
-	if l, err = NewQPU2000Q().Lease(p); err != nil {
+	if l, err = chainQPU().Lease(p); err != nil {
 		t.Fatal(err)
 	}
 	leases["embedded"] = l
+	if l, err = NewQPU2000Q().Lease(p); err != nil {
+		t.Fatal(err)
+	}
+	leases["qpu-logical"] = l
 	for name, l := range leases {
 		t.Run(name, func(t *testing.T) {
 			direct, err := l.Run(is, init, 10, rng.New(3))

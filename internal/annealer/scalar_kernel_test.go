@@ -190,7 +190,7 @@ func TestLeaseAccessors(t *testing.T) {
 // probability n/2⁶⁴ per lane, so no workload reaches it naturally. The
 // shapes are TestLockstepMatchesSequential's: partial live masks
 // (reads 1, 3, 11, 12), mixed-problem groups, forward and reverse, and
-// the serve-shaped embedded group, every read probed.
+// the serve-shaped logical and embedded groups, every read probed.
 func TestSVMCReplayMatchesKernelApply(t *testing.T) {
 	if !hasBatchSIMD {
 		t.Skip("no SIMD batch path on this host")
@@ -216,7 +216,8 @@ func TestSVMCReplayMatchesKernelApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("replay/uplink-embedded", ra, uplinkLanes(t), 8)
+	check("replay/uplink-embedded", ra, uplinkLanes(t, true), 8)
+	check("replay/uplink-logical", ra, uplinkLanes(t, false), 12)
 }
 
 // TestSVMCKernelExitsMatchReplay drives the kernel's early exits with
@@ -249,7 +250,7 @@ func TestSVMCKernelExitsMatchReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, reads := range []int{12, 16} {
-		check(fmt.Sprintf("exits/uplink-embedded/reads=%d", reads), ra, uplinkLanes(t), reads)
+		check(fmt.Sprintf("exits/uplink-embedded/reads=%d", reads), ra, uplinkLanes(t, true), reads)
 	}
 }
 

@@ -20,6 +20,11 @@ type Arm struct {
 	// Fault marks an unhealthy arm; its Best is ignored. On an answer it
 	// is the first arm fault when no arm was healthy (nil otherwise).
 	Fault error
+	// Gain is set on an answer only: an arm won with a best strictly
+	// below every classical candidate. Ties go to the arm, so Source alone
+	// cannot tell an arm that improved on its candidate from one that
+	// echoed it; Gain can.
+	Gain bool
 }
 
 // Reduce is the hybrid structure's answer rule (§2, §4.1) and the only
@@ -32,6 +37,9 @@ type Arm struct {
 //     returns worse than its classical half;
 //  3. with no healthy arm, the lowest-energy candidate (earliest on ties)
 //     answers as AnswerClassicalFallback with the first arm fault.
+//
+// The answer's Gain reports whether rung 1's winner is strictly below
+// every candidate (vacuously so with no candidates).
 //
 // A winning arm's sample is returned as is; a winning candidate's spins
 // are copied, so the answer never aliases a candidate. Reduce neither
@@ -57,8 +65,13 @@ func Reduce(is *qubo.Ising, candidates [][]int8, arms []Arm) Arm {
 		a.Source, a.Fault = AnswerClassicalFallback, firstFault
 	}
 	win, winE := -1, a.Best.Energy
+	a.Gain = healthy
 	for c, s := range candidates {
-		if e := is.Energy(s); e < winE || !healthy && win < 0 {
+		e := is.Energy(s)
+		if e <= a.Best.Energy {
+			a.Gain = false
+		}
+		if e < winE || !healthy && win < 0 {
 			win, winE = c, e
 		}
 	}

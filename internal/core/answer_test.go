@@ -14,7 +14,8 @@ import (
 // against a direct reading of its rule: the answer is no worse than any
 // healthy arm or candidate, the fallback rung is taken iff no arm is
 // healthy, ties go to the earliest arm and then the earliest candidate,
-// and a winning candidate is copied rather than aliased.
+// a winning candidate is copied rather than aliased, and Gain is set iff
+// a healthy arm is strictly below every candidate.
 func TestReduceLadderProperties(t *testing.T) {
 	r := rng.New(12)
 	spins := func(n int) []int8 {
@@ -66,6 +67,9 @@ func TestReduceLadderProperties(t *testing.T) {
 			}
 		}
 		candE := is.Energy(cands[wantCand])
+		if want := wantArm >= 0 && arms[wantArm].Best.Energy < candE; ans.Gain != want {
+			t.Fatalf("trial %d: gain %v, want %v (answer %g, best candidate %g)", trial, ans.Gain, want, ans.Best.Energy, candE)
+		}
 		for i, a := range arms {
 			if a.Fault == nil && ans.Best.Energy > a.Best.Energy {
 				t.Fatalf("trial %d: answer %g worse than healthy arm %d (%g)", trial, ans.Best.Energy, i, a.Best.Energy)
@@ -118,8 +122,8 @@ func TestReduceSingleArmAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Fatalf("arm-wins Reduce allocated %v times per call", got)
 	}
-	if ans.Source != AnswerQuantum {
-		t.Fatalf("source %v, want quantum", ans.Source)
+	if ans.Source != AnswerQuantum || !ans.Gain {
+		t.Fatalf("source %v gain %v, want a quantum gain", ans.Source, ans.Gain)
 	}
 }
 

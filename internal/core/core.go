@@ -137,7 +137,9 @@ type AnnealConfig struct {
 	// Faults injects hard device failures (programming failures, read
 	// timeouts, chain-break storms, calibration drift).
 	Faults annealer.FaultModel
-	// QPU, when set, routes every anneal through Chimera embedding.
+	// QPU, when set, runs every anneal through QPU.Run: the QPU's
+	// capacity check and span timing on the logical problem, or the
+	// Chimera-embedded chain path when QPU.Chains is set.
 	QPU *annealer.QPU
 	// Parallelism fans anneal reads across goroutines (deterministic at
 	// any level; default sequential).
@@ -170,7 +172,7 @@ func (c AnnealConfig) params(sc *annealer.Schedule, init []int8, reads int) anne
 	}
 }
 
-// run dispatches to the embedded QPU or the logical sampler.
+// run dispatches to the QPU model or the bare logical sampler.
 func (c AnnealConfig) run(is *qubo.Ising, p annealer.Params, r *rng.Source) (*annealer.Result, error) {
 	if c.QPU != nil {
 		return c.QPU.Run(is, p, r)
@@ -248,6 +250,10 @@ type Outcome struct {
 	// Source records whether the answer is quantum-refined, the classical
 	// candidate, or a classical fallback after a quantum fault.
 	Source AnswerSource
+	// Gain reports that the answer strictly beat every classical
+	// candidate (Reduce's Gain): the anneal improved on its classical
+	// half rather than echoing it.
+	Gain bool
 	// Fault is the quantum-stage fault a degraded solve recovered from
 	// (nil unless Source is AnswerClassicalFallback).
 	Fault error

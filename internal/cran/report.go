@@ -54,6 +54,10 @@ type Report struct {
 	P99QueueMicros    float64 `json:"p99_queue_us"`
 	DeadlineMissRate  float64 `json:"deadline_miss_rate"`
 	ShedRate          float64 `json:"shed_rate"`
+	// QuantumGainShare is fleet.Report's figure over the whole tier: the
+	// share of frames answered by a quantum strict improvement on their
+	// candidate.
+	QuantumGainShare float64 `json:"quantum_gain_share"`
 
 	ShardRows []ShardStats `json:"shard_rows"`
 }
@@ -93,9 +97,12 @@ func (rt *router) report(res *Result) Report {
 
 	var latencies, queues []float64
 	var latSum float64
-	misses := 0
+	misses, gains := 0, 0
 	for i := range res.Outcomes {
 		o := &res.Outcomes[i]
+		if o.Frame.QuantumGain() {
+			gains++
+		}
 		cells[o.Cell] = true
 		streams[StreamID(o.Cell, o.UE)] = true
 		if o.Frame.Finish > rep.MakespanMicros {
@@ -138,6 +145,7 @@ func (rt *router) report(res *Result) Report {
 	if rep.Frames > 0 {
 		rep.DeadlineMissRate = float64(misses) / float64(rep.Frames)
 		rep.ShedRate = float64(rep.Shed) / float64(rep.Frames)
+		rep.QuantumGainShare = float64(gains) / float64(rep.Frames)
 	}
 	if rep.MakespanMicros > 0 {
 		rep.ThroughputPerSecond = float64(rep.Served) / rep.MakespanMicros * 1e6
@@ -160,6 +168,7 @@ func (r Report) WriteTable(w io.Writer) error {
 		r.MeanLatencyMicros, r.P50LatencyMicros, r.P99LatencyMicros)
 	fmt.Fprintf(tw, "queueing\tp99 %.0f µs\n", r.P99QueueMicros)
 	fmt.Fprintf(tw, "deadline misses\t%.1f%%\n", 100*r.DeadlineMissRate)
+	fmt.Fprintf(tw, "quantum gain\t%.1f%% of frames beat their candidate\n", 100*r.QuantumGainShare)
 	fmt.Fprintln(tw)
 	fmt.Fprintln(tw, "shard\tcells\tdevices\tframes\tserved\tshed\tutilization")
 	for _, s := range r.ShardRows {

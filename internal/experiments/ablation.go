@@ -184,6 +184,7 @@ func RunDeviceAblation(cfg Config) (*DeviceAblation, error) {
 
 	res := &DeviceAblation{Users: users}
 	qpu := annealer.NewQPU2000Q()
+	qpu.Chains = true
 	for vi, v := range variants {
 		row := DeviceAblationRow{Variant: v.name}
 		r := root.Split(uint64(vi))

@@ -11,7 +11,9 @@ import (
 // between the calibrated and stock hardware profiles, carry slightly
 // different programming/readout overheads and clock rates (no two
 // deployed devices are identical), and the odd devices run with
-// device-typical ICE control error.
+// device-typical ICE control error. Each device's QPU keeps Chains off:
+// frames anneal as logical problems, charged the QPU's programming and
+// readout and held to its clique capacity.
 func DefaultDevices(n int) []Device {
 	devs := make([]Device, n)
 	for i := range devs {

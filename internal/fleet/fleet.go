@@ -98,8 +98,10 @@ type Device struct {
 	// Classical tunes a classical backend (zero value: defaults). Ignored
 	// for BackendQPUSim.
 	Classical ClassicalParams
-	// QPU, when set, runs frames through Chimera embedding and charges
-	// its programming/readout overheads in the timing model.
+	// QPU, when set, charges its programming/readout overheads in the
+	// timing model and rejects frames beyond its clique capacity; the
+	// anneal runs the logical problem unless QPU.Chains opts into the
+	// Chimera-embedded chain dynamics.
 	QPU *annealer.QPU
 	// Engine simulates the quantum dynamics (default annealer.SVMC).
 	Engine annealer.Engine
@@ -238,11 +240,18 @@ type Outcome struct {
 	// device fault).
 	Source core.AnswerSource `json:"source"`
 	Best   qubo.Sample       `json:"best"`
+	// Gain marks an answer that strictly beat the frame's classical
+	// candidate (core.Arm.Gain); shed and faulted frames never gain.
+	Gain bool `json:"gain,omitempty"`
 	// Samples holds the frame's raw anneal reads, only when the request
 	// set KeepSamples (ensemble fusion needs them; plain serving drops
 	// them to keep results small).
 	Samples []qubo.Sample `json:"samples,omitempty"`
 }
+
+// QuantumGain reports a quantum answer that strictly beat the frame's
+// classical candidate — the frames Report.QuantumGainShare counts.
+func (o *Outcome) QuantumGain() bool { return o.Gain && o.Source == core.AnswerQuantum }
 
 // Result is one Serve call's full output.
 type Result struct {
@@ -1364,7 +1373,7 @@ func (pl *planner) runBatch(bi int) error {
 			}
 		}
 		ans := core.Reduce(f.req.Problem, [][]int8{f.req.InitialState}, []core.Arm{arm})
-		o.Best, o.Source = ans.Best, ans.Source
+		o.Best, o.Source, o.Gain = ans.Best, ans.Source, ans.Gain
 		pl.annealStats(f, o, res)
 	}
 	return nil
@@ -1387,7 +1396,7 @@ func (pl *planner) runClassicalBatch(bi int) error {
 			return fmt.Errorf("fleet: device %d (%s): %w", b.dev, d.Backend, err)
 		}
 		ans := core.Reduce(f.req.Problem, [][]int8{f.req.InitialState}, []core.Arm{{Best: best, Source: core.AnswerClassicalSolver}})
-		o.Best, o.Source = ans.Best, ans.Source
+		o.Best, o.Source, o.Gain = ans.Best, ans.Source, ans.Gain
 		pl.classicalStats(f, o, meanE, d.Backend)
 	}
 	return nil

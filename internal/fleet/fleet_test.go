@@ -477,3 +477,42 @@ func TestParsePolicy(t *testing.T) {
 
 func nan() float64 { return math.NaN() }
 func inf() float64 { return math.Inf(1) }
+
+// TestServeDefaultDevicesImprovesCandidates is the regression test for
+// the frozen serve: 40 frames of 8-user 16-QAM, each reverse-annealed
+// for 12 reads from its greedy candidate on DefaultDevices(2) (QPU
+// leases: calibrated and stock profiles, ICE on device 1). Run on the
+// clique-embedded problem, single-spin dynamics never flip a chain and
+// every answer only echoes its candidate; on the logical problem the
+// best read strictly beats the candidate on nearly every frame.
+func TestServeDefaultDevicesImprovesCandidates(t *testing.T) {
+	const frames = 40
+	reqs := make([]Request, frames)
+	for i := range reqs {
+		in, err := instance.Synthesize(instance.Spec{Users: 8, Scheme: modulation.QAM16, Seed: 0x6A1E + uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		is := in.Reduction.Ising
+		reqs[i] = Request{
+			Stream: i % 4, Seq: i / 4, Arrival: float64(i) * 2000,
+			Problem: is, InitialState: qubo.GreedySearchIsing(is, qubo.OrderDescending),
+		}
+	}
+	res, err := Serve(context.Background(), Config{Devices: DefaultDevices(2), NumReads: 12, Seed: 3}, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gains := 0
+	for _, o := range res.Outcomes {
+		if o.QuantumGain() {
+			gains++
+		}
+	}
+	if gains < 3*frames/4 {
+		t.Fatalf("%d of %d served answers beat their greedy candidate, want ≥ %d: the quantum half is not refining", gains, frames, 3*frames/4)
+	}
+	if want := float64(gains) / frames; res.Report.QuantumGainShare != want {
+		t.Fatalf("report quantum-gain share %g, outcomes %g", res.Report.QuantumGainShare, want)
+	}
+}

@@ -72,6 +72,11 @@ type Report struct {
 	P99LatencyMicros  float64 `json:"p99_latency_us"`
 	P99QueueMicros    float64 `json:"p99_queue_us"`
 	DeadlineMissRate  float64 `json:"deadline_miss_rate"`
+	// QuantumGainShare is the share of frames whose answer is quantum and
+	// strictly beat the frame's classical candidate (Outcome.Gain). A
+	// quantum answer that only ties its candidate does not count, so this
+	// is the quantum half's own contribution to answer quality.
+	QuantumGainShare float64 `json:"quantum_gain_share"`
 	// PrepCache reports the prepared-problem cache's warm-pass counters
 	// (all zero when Config.PrepCacheSize < 0 disabled it).
 	PrepCache annealer.PrepCacheStats `json:"prep_cache"`
@@ -96,9 +101,12 @@ func (pl *planner) report() Report {
 	var latencies, queues []float64
 	perStream := map[int]*StreamStats{}
 	var latSum float64
-	misses := 0
+	misses, gains := 0, 0
 	for i := range pl.outcomes {
 		o := &pl.outcomes[i]
+		if o.QuantumGain() {
+			gains++
+		}
 		ss := perStream[o.Stream]
 		if ss == nil {
 			ss = &StreamStats{Stream: o.Stream}
@@ -132,6 +140,7 @@ func (pl *planner) report() Report {
 	rep.P99QueueMicros = metrics.NearestRank(queues, 99)
 	if rep.Frames > 0 {
 		rep.DeadlineMissRate = float64(misses) / float64(rep.Frames)
+		rep.QuantumGainShare = float64(gains) / float64(rep.Frames)
 	}
 	if rep.MakespanMicros > 0 {
 		rep.ThroughputPerSecond = float64(rep.Served) / rep.MakespanMicros * 1e6
@@ -212,6 +221,7 @@ func (r Report) WriteTable(w io.Writer) error {
 		r.MeanLatencyMicros, r.P50LatencyMicros, r.P99LatencyMicros)
 	fmt.Fprintf(tw, "queueing\tp99 %.0f µs\n", r.P99QueueMicros)
 	fmt.Fprintf(tw, "deadline misses\t%.1f%%\n", 100*r.DeadlineMissRate)
+	fmt.Fprintf(tw, "quantum gain\t%.1f%% of frames beat their candidate\n", 100*r.QuantumGainShare)
 	fmt.Fprintln(tw)
 	fmt.Fprintln(tw, "device\tbatches\tframes\tbusy µs\tutilization")
 	for _, d := range r.Devices {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -49,6 +50,17 @@ func checkSurfaces(t *testing.T, label string, rep surfaceFigures, m *Monitor, t
 	}
 }
 
+// gainShare is the share of outcomes a report's QuantumGainShare must
+// equal: quantum answers strictly below their candidate, over all frames.
+func gainShare(outcomes []fleet.Outcome) (share float64, gains int) {
+	for i := range outcomes {
+		if outcomes[i].QuantumGain() {
+			gains++
+		}
+	}
+	return float64(gains) / float64(len(outcomes)), gains
+}
+
 // rankSensitive reports whether n sorted latencies put the half-up p99
 // rank round(0.99·n) and the nearest rank ⌈0.99·n⌉ on different values,
 // so a surface on either rule would disagree with one on the other.
@@ -64,11 +76,22 @@ func rankSensitive(lat []float64) bool {
 // rank rounding matters, and requires fleet.Report / cran.Report, the
 // live SLO dashboard and an offline slo.Analyze of the exported trace
 // to report the same served and shed counts, shed rate, p50, p99 and
-// p99 queueing delay.
+// p99 queueing delay. Both reports must also give one quantum-gain
+// share: fleet.Report's is its outcomes' share, and cran.Report's is its
+// outcomes' share and the frame-weighted sum of its shards' fleet
+// reports (router-shed frames never gain).
 func TestCrossSurfaceAgreement(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	probs := testProblems(t)
-	sensitive, shedding := 0, 0
+	sensitive, shedding, gaining, echoing := 0, 0, 0, 0
+	countGains := func(frames, gains int) {
+		if gains > 0 {
+			gaining++
+		}
+		if gains < frames {
+			echoing++
+		}
+	}
 
 	for run := 0; run < 10; run++ {
 		streams := 2 + r.Intn(4)
@@ -112,6 +135,11 @@ func TestCrossSurfaceAgreement(t *testing.T) {
 		// fleet.Report carries no shed rate; the dashboard's is Shed/Frames.
 		checkSurfaces(t, label, surfaceFigures{rep.Served, rep.Shed, float64(rep.Shed) / float64(rep.Frames),
 			rep.P50LatencyMicros, rep.P99LatencyMicros, rep.P99QueueMicros}, m, tr, cfg)
+		share, gains := gainShare(res.Outcomes)
+		if rep.QuantumGainShare != share {
+			t.Errorf("%s: report quantum-gain share %g, outcomes %g", label, rep.QuantumGainShare, share)
+		}
+		countGains(rep.Frames, gains)
 
 		var lat []float64
 		for _, o := range res.Outcomes {
@@ -180,6 +208,22 @@ func TestCrossSurfaceAgreement(t *testing.T) {
 		label := fmt.Sprintf("cran run %d (%d served, %d shed)", run, rep.Served, rep.Shed)
 		checkSurfaces(t, label, surfaceFigures{rep.Served, rep.Shed, rep.ShedRate,
 			rep.P50LatencyMicros, rep.P99LatencyMicros, rep.P99QueueMicros}, m, tr, cfg)
+		frames := make([]fleet.Outcome, len(res.Outcomes))
+		for i, o := range res.Outcomes {
+			frames[i] = o.Frame
+		}
+		share, gains := gainShare(frames)
+		if rep.QuantumGainShare != share {
+			t.Errorf("%s: report quantum-gain share %g, outcomes %g", label, rep.QuantumGainShare, share)
+		}
+		shardGains := 0.0
+		for _, sr := range res.ShardReports {
+			shardGains += sr.QuantumGainShare * float64(sr.Frames)
+		}
+		if math.Round(shardGains) != float64(gains) {
+			t.Errorf("%s: shard reports count %g quantum gains, tier report %d", label, shardGains, gains)
+		}
+		countGains(rep.Frames, gains)
 
 		var lat []float64
 		for _, o := range res.Outcomes {
@@ -198,8 +242,10 @@ func TestCrossSurfaceAgreement(t *testing.T) {
 
 	// Without runs where the two rank rules pick different values, or
 	// runs that shed, the comparisons above could not catch a surface
-	// that rounds ranks or counts shed frames its own way.
-	if sensitive < 4 || shedding < 10 {
-		t.Fatalf("%d of 20 runs rank-sensitive, %d shedding; the battery has no teeth", sensitive, shedding)
+	// that rounds ranks or counts shed frames its own way; without runs
+	// where some answers gain and some echo, one that miscounts gains.
+	if sensitive < 4 || shedding < 10 || gaining < 10 || echoing < 10 {
+		t.Fatalf("of 20 runs %d rank-sensitive, %d shedding, %d gaining, %d echoing; the battery has no teeth",
+			sensitive, shedding, gaining, echoing)
 	}
 }
