@@ -15,6 +15,12 @@ import (
 	"repro/internal/telemetry"
 )
 
+// baselineNsPerServeFrame is BenchmarkLeaseServe16QAM's ns/frame when a
+// QPU lease still ran every frame on the clique-embedded problem: the
+// median of five runs alternating with the logical lease on a 2-vCPU
+// Xeon (KVM), Go 1.24. None of that lease's frames beat the candidate.
+const baselineNsPerServeFrame = 6904156
+
 // BenchmarkLeaseServe16QAM times one frame of the uplink-16qam serve as a
 // fleet device runs it: an 8-user 16-QAM frame (32 logical spins) on a
 // fresh channel, reverse-annealed for 12 reads at the fleet's default
@@ -75,10 +81,11 @@ func BenchmarkLeaseServe16QAM(b *testing.B) {
 				"engine": "svmc", "reads": reads, "spins": problems[0].N, "path": "qpu-logical",
 				"schedule": "reverse s_p=0.45 pause=1us", "candidate": "greedy",
 				"device": "fleet.DefaultDevices[0]", "beats_candidate_share": share,
+				"baseline_ns_per_frame": baselineNsPerServeFrame, "speedup": baselineNsPerServeFrame / nsPerFrame,
 				"host": fmt.Sprintf("%s/%s, %d CPUs, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version()),
 			},
-			Series: fmt.Sprintf("reads=%d spins=%d ns/frame=%.0f beats-candidate=%.3f",
-				reads, problems[0].N, nsPerFrame, share),
+			Series: fmt.Sprintf("reads=%d spins=%d ns/frame=%.0f baseline=%d speedup=%.2fx beats-candidate=%.3f",
+				reads, problems[0].N, nsPerFrame, baselineNsPerServeFrame, baselineNsPerServeFrame/nsPerFrame, share),
 		}
 		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
 			b.Fatal(err)

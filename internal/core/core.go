@@ -250,10 +250,6 @@ type Outcome struct {
 	// Source records whether the answer is quantum-refined, the classical
 	// candidate, or a classical fallback after a quantum fault.
 	Source AnswerSource
-	// Gain reports that the answer strictly beat every classical
-	// candidate (Reduce's Gain): the anneal improved on its classical
-	// half rather than echoing it.
-	Gain bool
 	// Fault is the quantum-stage fault a degraded solve recovered from
 	// (nil unless Source is AnswerClassicalFallback).
 	Fault error

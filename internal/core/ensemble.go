@@ -450,7 +450,7 @@ func (c AnnealConfig) runArms(red *mimo.Reduction, cands [][]int8, grid []float6
 		out.ScheduleDuration = firstDuration
 	}
 	ans := Reduce(red.Ising, cands, reduced)
-	out.Best, out.Source, out.Fault, out.Gain = ans.Best, ans.Source, ans.Fault, ans.Gain
+	out.Best, out.Source, out.Fault = ans.Best, ans.Source, ans.Fault
 	out.InitialState, out.InitialEnergy = cands[0], out.Arms[0].InitialEnergy
 	out.Symbols = red.DecodeSpins(out.Best.Spins)
 	c.recordAnswerSource(out.Source)

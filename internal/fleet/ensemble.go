@@ -54,8 +54,6 @@ type EnsembleOutcome struct {
 	// healthy arms (neither shed nor faulted) and every candidate.
 	Best   qubo.Sample       `json:"best"`
 	Source core.AnswerSource `json:"source"`
-	// Gain marks a hard answer strictly below every candidate.
-	Gain bool `json:"gain,omitempty"`
 	// FusedLLRs is the per-spin soft output over every surviving arm's
 	// reads (nil when every arm was shed or faulted).
 	FusedLLRs []float64 `json:"fused_llrs,omitempty"`
@@ -177,7 +175,7 @@ func ServeEnsemble(ctx context.Context, cfg EnsembleConfig, frames []EnsembleFra
 			}
 		}
 		ans := core.Reduce(f.Problem, f.Candidates, healthy)
-		eo.Best, eo.Source, eo.Gain = ans.Best, ans.Source, ans.Gain
+		eo.Best, eo.Source = ans.Best, ans.Source
 		if len(pooled) > 0 {
 			if llrs, err := mimo.FuseLLRs(pooled, cfg.Beta, 0); err == nil {
 				eo.FusedLLRs = llrs
