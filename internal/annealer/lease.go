@@ -73,8 +73,9 @@ func (l *Lease) Faults() FaultModel { return l.p.Faults }
 
 // ServiceMicros returns the modelled wall-clock μs one Run call of
 // numReads reads occupies the device: the leased QPU's programming and
-// readout overheads around the anneal time, or the bare anneal time for
-// a logical lease (numReads ≤ 0 uses the lease default).
+// readout overheads around the anneal time (with or without chains), or
+// the bare anneal time for a NewLease lease (numReads ≤ 0 uses the lease
+// default).
 func (l *Lease) ServiceMicros(numReads int) float64 {
 	if numReads <= 0 {
 		numReads = l.p.NumReads
