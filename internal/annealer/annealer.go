@@ -519,8 +519,8 @@ func bestSample(samples []qubo.Sample) qubo.Sample {
 // Chain dynamics are an opt-in because the surrogate engines move one
 // spin at a time: a ferromagnetic chain never flips as a unit, so an
 // embedded reverse anneal returns its initial state unchanged and the
-// serve would pay for simulating idle chains (EXPERIMENTS.md, "Chimera
-// embedding").
+// serve would pay for simulating idle chains (EXPERIMENTS.md, "Serving on
+// the logical problem").
 type QPU struct {
 	// Grid is the Chimera dimension (16 for the 2000Q).
 	Grid int

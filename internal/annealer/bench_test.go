@@ -3,6 +3,7 @@ package annealer
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/chimera"
@@ -259,6 +260,84 @@ func BenchmarkLeaseRunUncached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := l.Run(is, nil, 32, rng.New(uint64(i)+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// baselineNsPerServeFrame is BenchmarkLeaseServe16QAM's ns/frame when a
+// QPU lease still ran every frame on the clique-embedded problem: the
+// median of three runs alternating with the logical lease on a 2-vCPU
+// Xeon (KVM), Go 1.24, in the hour the committed record was taken (the
+// host's speed drifts by up to 50% between hours). None of that lease's
+// frames beat the candidate.
+const baselineNsPerServeFrame = 10999670
+
+// BenchmarkLeaseServe16QAM times one frame of the uplink-16qam serve as a
+// fleet device runs it: an 8-user 16-QAM frame (32 logical spins) on a
+// fresh channel, reverse-annealed for 12 reads at the fleet's default
+// s_p 0.45 with a 1 μs pause from its greedy candidate, through Lease.Run
+// on a default QPU lease, so the anneal runs the logical problem and each
+// frame pays its own compile, as the workload's never-hitting
+// prepared-problem cache does. The device is fleet.DefaultDevices[0]:
+// the nominal 2000Q, the calibrated profile, 30 sweeps/μs and no ICE.
+// The frames cycle through 32 channel draws. The record also carries the
+// share of frames whose best read strictly beats the candidate: the
+// answer the serve's quantum arm adds.
+func BenchmarkLeaseServe16QAM(b *testing.B) {
+	const frames, reads = 32, 12
+	prof := CalibratedProfile()
+	ra, err := Reverse(0.45, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := NewQPU2000Q().Lease(Params{Schedule: ra, NumReads: reads, Profile: &prof, SweepsPerMicrosecond: 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	problems := make([]*qubo.Ising, frames)
+	cands := make([][]int8, frames)
+	for i := range problems {
+		in, err := instance.Synthesize(instance.Spec{Users: 8, Scheme: modulation.QAM16, Seed: 0x5E7E + uint64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		problems[i] = in.Reduction.Ising
+		cands[i] = qubo.GreedySearchIsing(problems[i], qubo.OrderDescending)
+	}
+	beats := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := i % frames
+		res, err := l.Run(problems[f], cands[f], reads, rng.New(uint64(i)+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Best.Energy < problems[f].Energy(cands[f])-1e-9 {
+			beats++
+		}
+	}
+	b.StopTimer()
+	share := float64(beats) / float64(b.N)
+	b.ReportMetric(share, "beats-candidate/frame")
+	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
+		nsPerFrame := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		rec := telemetry.BenchRecord{
+			Name:       "AnnealerLeaseServe16QAM",
+			NsPerOp:    nsPerFrame,
+			Iterations: b.N,
+			Config: map[string]any{
+				"engine": "svmc", "reads": reads, "spins": problems[0].N, "path": "qpu-logical",
+				"schedule": "reverse s_p=0.45 pause=1us", "candidate": "greedy",
+				"device": "fleet.DefaultDevices[0]", "beats_candidate_share": share,
+				"baseline_ns_per_frame": baselineNsPerServeFrame, "speedup": baselineNsPerServeFrame / nsPerFrame,
+				"host": fmt.Sprintf("%s/%s, %d CPUs, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version()),
+			},
+			Series: fmt.Sprintf("reads=%d spins=%d ns/frame=%.0f baseline=%d speedup=%.2fx beats-candidate=%.3f",
+				reads, problems[0].N, nsPerFrame, baselineNsPerServeFrame, baselineNsPerServeFrame/nsPerFrame, share),
+		}
+		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
 			b.Fatal(err)
 		}
 	}

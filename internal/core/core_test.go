@@ -292,17 +292,27 @@ func TestGroundWitnessSmall(t *testing.T) {
 }
 
 // TestHybridOnEmbeddedQPU exercises the full path through Chimera
-// embedding.
+// embedding (QPU.Chains), and beside it the default QPU, which anneals
+// the logical problem.
 func TestHybridOnEmbeddedQPU(t *testing.T) {
 	inst := testInstance(t, modulation.QPSK, 3, 89) // 12 spins → C_3 region
-	cfg := fastCfg()
-	cfg.QPU = annealer.NewQPU2000Q()
-	h := &Hybrid{NumReads: 15, Config: cfg}
-	out, err := h.Solve(inst.Reduction, rng.New(97))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Best.Energy > inst.GroundEnergy+2.0 {
-		t.Fatalf("embedded hybrid best %v far above ground %v", out.Best.Energy, inst.GroundEnergy)
+	for _, chains := range []bool{true, false} {
+		name := "logical"
+		if chains {
+			name = "chains"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := fastCfg()
+			cfg.QPU = annealer.NewQPU2000Q()
+			cfg.QPU.Chains = chains
+			h := &Hybrid{NumReads: 15, Config: cfg}
+			out, err := h.Solve(inst.Reduction, rng.New(97))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Best.Energy > inst.GroundEnergy+2.0 {
+				t.Fatalf("%s hybrid best %v far above ground %v", name, out.Best.Energy, inst.GroundEnergy)
+			}
+		})
 	}
 }

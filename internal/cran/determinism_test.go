@@ -13,16 +13,18 @@ import (
 )
 
 // determinismScenario is a busy 3-shard tier over mixed device pools —
-// logical, embedded-QPU, and noisy devices — with one shard dying
-// mid-run (failover in play) and backpressure enabled, serving a
-// generated city workload with bursty diurnal arrivals.
+// logical, embedded-QPU (chain dynamics on), and noisy devices — with one
+// shard dying mid-run (failover in play) and backpressure enabled,
+// serving a generated city workload with bursty diurnal arrivals.
 func determinismScenario(t testing.TB, faults bool) (Config, []Request) {
 	t.Helper()
 	prof := annealer.CalibratedProfile()
+	qpu := annealer.NewQPU2000Q()
+	qpu.Chains = true
 	shards := [][]fleet.Device{
 		{
 			{SweepsPerMicrosecond: 30},
-			{QPU: annealer.NewQPU2000Q(), Profile: &prof, SweepsPerMicrosecond: 30},
+			{QPU: qpu, Profile: &prof, SweepsPerMicrosecond: 30},
 		},
 		{
 			{SweepsPerMicrosecond: 30, FailAt: 20_000},

@@ -100,7 +100,7 @@ func (rt *router) report(res *Result) Report {
 	misses, gains := 0, 0
 	for i := range res.Outcomes {
 		o := &res.Outcomes[i]
-		if o.Frame.QuantumGain() {
+		if o.Frame.Gain {
 			gains++
 		}
 		cells[o.Cell] = true

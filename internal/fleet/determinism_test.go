@@ -11,14 +11,16 @@ import (
 )
 
 // determinismScenario is a moderately busy mixed fleet: a logical device,
-// an embedded QPU device, and a noisy device, serving 4 streams of 5
-// frames with retries and deadline pressure in play.
+// an embedded QPU device (chain dynamics on), and a noisy device, serving
+// 4 streams of 5 frames with retries and deadline pressure in play.
 func determinismScenario(t testing.TB, faults bool) (Config, []Request) {
 	t.Helper()
 	prof := annealer.CalibratedProfile()
+	qpu := annealer.NewQPU2000Q()
+	qpu.Chains = true
 	devs := []Device{
 		{SweepsPerMicrosecond: 30},
-		{QPU: annealer.NewQPU2000Q(), Profile: &prof, SweepsPerMicrosecond: 30},
+		{QPU: qpu, Profile: &prof, SweepsPerMicrosecond: 30},
 		{SweepsPerMicrosecond: 30, ICE: annealer.DWave2000QICE()},
 	}
 	if faults {

@@ -240,18 +240,15 @@ type Outcome struct {
 	// device fault).
 	Source core.AnswerSource `json:"source"`
 	Best   qubo.Sample       `json:"best"`
-	// Gain marks an answer that strictly beat the frame's classical
-	// candidate (core.Arm.Gain); shed and faulted frames never gain.
+	// Gain marks a quantum answer that strictly beat the frame's
+	// classical candidate (core.Arm.Gain); shed, faulted and
+	// classical-backend frames never gain.
 	Gain bool `json:"gain,omitempty"`
 	// Samples holds the frame's raw anneal reads, only when the request
 	// set KeepSamples (ensemble fusion needs them; plain serving drops
 	// them to keep results small).
 	Samples []qubo.Sample `json:"samples,omitempty"`
 }
-
-// QuantumGain reports a quantum answer that strictly beat the frame's
-// classical candidate — the frames Report.QuantumGainShare counts.
-func (o *Outcome) QuantumGain() bool { return o.Gain && o.Source == core.AnswerQuantum }
 
 // Result is one Serve call's full output.
 type Result struct {
@@ -1396,7 +1393,7 @@ func (pl *planner) runClassicalBatch(bi int) error {
 			return fmt.Errorf("fleet: device %d (%s): %w", b.dev, d.Backend, err)
 		}
 		ans := core.Reduce(f.req.Problem, [][]int8{f.req.InitialState}, []core.Arm{{Best: best, Source: core.AnswerClassicalSolver}})
-		o.Best, o.Source, o.Gain = ans.Best, ans.Source, ans.Gain
+		o.Best, o.Source = ans.Best, ans.Source
 		pl.classicalStats(f, o, meanE, d.Backend)
 	}
 	return nil

@@ -505,7 +505,7 @@ func TestServeDefaultDevicesImprovesCandidates(t *testing.T) {
 	}
 	gains := 0
 	for _, o := range res.Outcomes {
-		if o.QuantumGain() {
+		if o.Gain {
 			gains++
 		}
 	}

@@ -11,15 +11,17 @@ import (
 )
 
 // heteroScenario mirrors determinismScenario for a mixed-backend pool
-// under hybrid routing: two QPUs (one embedded, one noisy), a
-// parallel-tempering worker that dies mid-run, a simulated-annealing
-// worker, and a QAOA worker, serving the mixed easy/hard workload with
-// deadline pressure and retries in play.
+// under hybrid routing: two QPUs (one embedded with chain dynamics on,
+// one noisy), a parallel-tempering worker that dies mid-run, a
+// simulated-annealing worker, and a QAOA worker, serving the mixed
+// easy/hard workload with deadline pressure and retries in play.
 func heteroScenario(t testing.TB, faults bool) (Config, []Request) {
 	t.Helper()
 	prof := annealer.CalibratedProfile()
+	qpu := annealer.NewQPU2000Q()
+	qpu.Chains = true
 	devs := []Device{
-		{QPU: annealer.NewQPU2000Q(), Profile: &prof, SweepsPerMicrosecond: 30},
+		{QPU: qpu, Profile: &prof, SweepsPerMicrosecond: 30},
 		{SweepsPerMicrosecond: 30, ICE: annealer.DWave2000QICE()},
 		{Backend: BackendParallelTempering, FailAt: 60_000},
 		{Backend: BackendSimulatedAnnealing},

@@ -104,7 +104,7 @@ func (pl *planner) report() Report {
 	misses, gains := 0, 0
 	for i := range pl.outcomes {
 		o := &pl.outcomes[i]
-		if o.QuantumGain() {
+		if o.Gain {
 			gains++
 		}
 		ss := perStream[o.Stream]

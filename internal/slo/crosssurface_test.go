@@ -54,7 +54,7 @@ func checkSurfaces(t *testing.T, label string, rep surfaceFigures, m *Monitor, t
 // equal: quantum answers strictly below their candidate, over all frames.
 func gainShare(outcomes []fleet.Outcome) (share float64, gains int) {
 	for i := range outcomes {
-		if outcomes[i].QuantumGain() {
+		if outcomes[i].Gain {
 			gains++
 		}
 	}
