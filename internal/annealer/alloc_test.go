@@ -46,12 +46,13 @@ func TestRunBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestRunPreparedCacheHitAllocs pins what a cache-hit serve costs on the
-// chain path: RunPrepared against an already-compiled Prepared skips
-// clique embedding, chain-strength scan, physical coefficient layout and
-// CSR normalization, leaving ~15 allocations versus ~4000 for an
-// uncached Lease.Run of the same batch. Both sides are pinned so the
-// cache's value and the hit path's cost are each guarded.
+// TestRunPreparedCacheHitAllocs pins what a run against a shared
+// Prepared costs on the chain path: RunPrepared against an
+// already-compiled Prepared skips clique embedding, chain-strength scan,
+// physical coefficient layout and CSR normalization, leaving ~15
+// allocations versus ~4000 for a Lease.Run of the same batch, which
+// compiles. Both sides are pinned so the value of sharing a Prepared and
+// the prepared path's cost are each guarded.
 func TestRunPreparedCacheHitAllocs(t *testing.T) {
 	is := allocTestIsing(t)
 	fa, _ := Forward(1, 0.41, 1)
@@ -89,10 +90,10 @@ func TestRunPreparedCacheHitAllocs(t *testing.T) {
 }
 
 // TestLogicalLeaseAllocs pins the serve's own path, a default QPU lease
-// running the logical problem: a cache hit allocates ~13 objects, and an
-// uncached Lease.Run adds only the logical CSR compile (~20 in all) —
-// there is no embedding left for the cache to elide, so both sides get
-// an absolute bound rather than a ratio.
+// running the logical problem: a run against a shared Prepared allocates
+// ~13 objects, and a Lease.Run adds only the logical CSR compile (~20 in
+// all) — there is no embedding left to skip, so both sides get an
+// absolute bound rather than a ratio.
 func TestLogicalLeaseAllocs(t *testing.T) {
 	is := allocTestIsing(t)
 	fa, _ := Forward(1, 0.41, 1)

@@ -593,8 +593,8 @@ func (q *QPU) checkCapacity(logical *qubo.Ising) error {
 // prepareEmbedded performs the per-problem compile of the chain path:
 // clique embedding onto the smallest sufficient Chimera region, chain
 // strength, physical coefficients, CSR compile, normalization. The
-// result depends only on (QPU, problem), so Lease.PrepareProblem caches
-// it across calls.
+// result depends only on (QPU, problem); Lease.PrepareProblem returns it
+// as a Prepared that any number of runs can share.
 func (q *QPU) prepareEmbedded(logical *qubo.Ising) (*chimera.Embedding, *qubo.CSR, error) {
 	if err := q.checkCapacity(logical); err != nil {
 		return nil, nil, err

@@ -197,11 +197,12 @@ func BenchmarkRun(b *testing.B) {
 	}
 }
 
-// BenchmarkLeasePreparedHit measures what a serving tier pays per frame
-// once the prepared-problem cache is warm: RunPrepared on a chain
-// lease against an already-compiled Prepared, skipping clique
-// embedding, chain strength, physical layout and normalization. Compare
-// against BenchmarkLeaseRunUncached for the compile the cache elides.
+// BenchmarkLeasePreparedHit measures what a run pays against a Prepared
+// it shares with others (an ensemble arm after the first): RunPrepared
+// on a chain lease against an already-compiled Prepared, skipping
+// clique embedding, chain strength, physical layout and normalization.
+// Compare against BenchmarkLeaseRunUncached for the compile sharing
+// skips.
 func BenchmarkLeasePreparedHit(b *testing.B) {
 	in, err := instance.Synthesize(instance.Spec{Users: 8, Scheme: modulation.QAM16, Seed: 0xBE9C})
 	if err != nil {
@@ -244,7 +245,7 @@ func BenchmarkLeasePreparedHit(b *testing.B) {
 
 // BenchmarkLeaseRunUncached is BenchmarkLeasePreparedHit's control: the
 // same embedded batch through Lease.Run, recompiling the problem every
-// call the way a cache miss (or cache-off serve) does.
+// call the way a run that shares no Prepared does.
 func BenchmarkLeaseRunUncached(b *testing.B) {
 	in, err := instance.Synthesize(instance.Spec{Users: 8, Scheme: modulation.QAM16, Seed: 0xBE9C})
 	if err != nil {
@@ -278,8 +279,8 @@ const baselineNsPerServeFrame = 10999670
 // fresh channel, reverse-annealed for 12 reads at the fleet's default
 // s_p 0.45 with a 1 μs pause from its greedy candidate, through Lease.Run
 // on a default QPU lease, so the anneal runs the logical problem and each
-// frame pays its own compile, as the workload's never-hitting
-// prepared-problem cache does. The device is fleet.DefaultDevices[0]:
+// frame pays its own compile, as every frame of the workload does: each
+// has a fresh channel, so no frame shares a Prepared. The device is fleet.DefaultDevices[0]:
 // the nominal 2000Q, the calibrated profile, 30 sweeps/μs and no ICE.
 // The frames cycle through 32 channel draws. The record also carries the
 // share of frames whose best read strictly beats the candidate: the

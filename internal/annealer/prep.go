@@ -1,26 +1,22 @@
-// Prepared problems and the prepared-problem cache. A Lease already
-// amortizes Params validation and the engine's sweep-program compile
-// across calls; what it still pays per Run is the per-PROBLEM compile —
-// clique embedding, chain strength, physical coefficients, CSR layout,
-// normalization. The paper's serving workload re-submits the same
-// (channel, modulation) detection instances across frames, so that
-// compile is highly redundant: PrepareProblem hoists it into a reusable
-// Prepared, RunPrepared runs a batch against one, and PrepCache is the
-// LRU a serving tier (internal/fleet) puts in front of PrepareProblem,
-// keyed by (lease, problem content hash) with verified hits.
+// Prepared problems. A Lease already amortizes Params validation and
+// the engine's sweep-program compile across calls; what it still pays
+// per Run is the per-PROBLEM compile — CSR layout and normalization,
+// plus clique embedding, chain strength and physical coefficients on
+// the chain path. PrepareProblem hoists that compile into a Prepared,
+// and RunPrepared / RunPreparedMulti run any number of reads against
+// one. A serving tier shares a Prepared among the runs that carry the
+// same problem — the arms of one ensemble frame (internal/core's
+// runArms, internal/fleet's runBatch) — and compiles every other
+// problem once, where it runs.
 //
-// Correctness is structural: a Prepared holds exactly the artifacts the
-// uncached path would recompute — byte for byte, since the compile is
+// Correctness is structural: a Prepared holds exactly the artifacts
+// Lease.Run would recompute — byte for byte, since the compile is
 // deterministic — and they are read-only during runs, so RunPrepared is
-// bit-identical to Run and cache hits can never change an answer, only
-// skip work. A hash collision is caught by full-content verification
-// and falls back to a fresh compile.
+// bit-identical to Run and sharing one can never change an answer.
 package annealer
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
 
 	"repro/internal/chimera"
 	"repro/internal/qubo"
@@ -33,7 +29,7 @@ import (
 // PrepareProblem and safe for concurrent RunPrepared calls.
 type Prepared struct {
 	l   *Lease
-	is  *qubo.Ising // private snapshot of the problem, for hit verification
+	is  *qubo.Ising // private snapshot of the problem
 	pr  *qubo.CSR
 	emb *chimera.Embedding
 }
@@ -47,7 +43,7 @@ func (p *Prepared) Problem() *qubo.Ising { return p.is }
 // embedding and physical coefficients when the lease runs chains. A QPU
 // lease rejects a problem beyond the QPU's clique capacity here. The
 // snapshot it keeps is a deep copy, so later mutation of is cannot
-// desynchronize a cached entry from its compiled artifacts.
+// desynchronize the Prepared from its compiled artifacts.
 func (l *Lease) PrepareProblem(is *qubo.Ising) (*Prepared, error) {
 	return l.compile(is.Clone())
 }
@@ -97,98 +93,4 @@ func (l *Lease) preparedRun(prep *Prepared, init []int8, numReads int, r *rng.So
 		p = l.qpu.withTiming(p)
 	}
 	return &run{is: prep.is, emb: prep.emb, pr: prep.pr, p: p, r: r, err: err}
-}
-
-// PrepCacheStats is a point-in-time snapshot of a cache's counters.
-// Hits are verified hits; Collisions count lookups whose hash matched a
-// resident entry with different content (served by a fresh, uncached
-// compile); Misses led to a compile that was then inserted.
-type PrepCacheStats struct {
-	Hits, Misses, Evictions, Collisions uint64
-}
-
-// PrepCache is an LRU of Prepared problems keyed by (lease, problem
-// content hash). It is safe for concurrent use, but a serving tier that
-// needs deterministic eviction (and therefore deterministic counters)
-// at any worker count should drive it from a single-threaded planning
-// pass — see internal/fleet's execute pre-pass.
-type PrepCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	byKey map[prepKey]*list.Element
-	stats PrepCacheStats
-}
-
-type prepKey struct {
-	l    *Lease
-	hash uint64
-}
-
-type prepEntry struct {
-	key  prepKey
-	prep *Prepared
-}
-
-// NewPrepCache returns a cache retaining at most capacity prepared
-// problems (capacity ≥ 1).
-func NewPrepCache(capacity int) *PrepCache {
-	if capacity < 1 {
-		panic("annealer: prep cache capacity must be ≥ 1")
-	}
-	return &PrepCache{cap: capacity, ll: list.New(), byKey: make(map[prepKey]*list.Element)}
-}
-
-// Get returns the lease's prepared form of is, compiling on miss and
-// inserting the result. A hit is trusted only after full content
-// verification against the entry's snapshot; a hash collision compiles
-// fresh without touching the resident entry.
-func (c *PrepCache) Get(l *Lease, is *qubo.Ising) (*Prepared, error) {
-	k := prepKey{l, is.ContentHash()}
-	c.mu.Lock()
-	if el, ok := c.byKey[k]; ok {
-		e := el.Value.(*prepEntry)
-		if e.prep.is.Equal(is) {
-			c.ll.MoveToFront(el)
-			c.stats.Hits++
-			c.mu.Unlock()
-			return e.prep, nil
-		}
-		c.stats.Collisions++
-		c.mu.Unlock()
-		return l.PrepareProblem(is)
-	}
-	c.stats.Misses++
-	c.mu.Unlock()
-
-	prep, err := l.PrepareProblem(is)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if _, ok := c.byKey[k]; !ok {
-		for len(c.byKey) >= c.cap {
-			oldest := c.ll.Back()
-			c.ll.Remove(oldest)
-			delete(c.byKey, oldest.Value.(*prepEntry).key)
-			c.stats.Evictions++
-		}
-		c.byKey[k] = c.ll.PushFront(&prepEntry{key: k, prep: prep})
-	}
-	c.mu.Unlock()
-	return prep, nil
-}
-
-// Stats returns a snapshot of the cache counters.
-func (c *PrepCache) Stats() PrepCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// Len returns the number of resident entries.
-func (c *PrepCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byKey)
 }

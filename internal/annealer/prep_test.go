@@ -140,127 +140,10 @@ func TestPreparedSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// Cache behavior: verified hits, misses on first sight, LRU eviction at
-// capacity, and recency updates on hit.
-func TestPrepCacheHitMissEvict(t *testing.T) {
-	ps := prepTestProblems(t, 3)
-	sc, err := Forward(1, 0.41, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLease(Params{Schedule: sc, SweepsPerMicrosecond: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewPrepCache(2)
-	first, err := c.Get(l, ps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := c.Get(l, ps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != again {
-		t.Fatal("second lookup of the same problem must return the cached Prepared")
-	}
-	if _, err := c.Get(l, ps[1]); err != nil {
-		t.Fatal(err)
-	}
-	// Touch ps[0] so ps[1] is LRU, then insert ps[2] to evict it.
-	if _, err := c.Get(l, ps[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(l, ps[2]); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c.Get(l, ps[0]); err != nil || got != first {
-		t.Fatalf("recently used entry was evicted (err %v)", err)
-	}
-	if _, err := c.Get(l, ps[1]); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	want := PrepCacheStats{Hits: 3, Misses: 4, Evictions: 2}
-	if st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.Len())
-	}
-	// Distinct leases must not share entries even for the same problem.
-	l2, err := NewLease(Params{Schedule: sc, SweepsPerMicrosecond: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := c.Get(l2, ps[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Misses != want.Misses+1 {
-		t.Fatalf("same problem under a different lease must miss; stats %+v", st)
-	}
-	if other.l != l2 {
-		t.Fatal("cross-lease lookup returned another lease's Prepared")
-	}
-}
-
-// A hash collision — same 64-bit content hash, different problem — must
-// fall back to a fresh compile for the requester and leave the resident
-// entry untouched. Real collisions are not constructible on demand, so
-// the test plants one directly in the cache's internal map.
-func TestPrepCacheCollisionFallback(t *testing.T) {
-	ps := prepTestProblems(t, 2)
-	sc, err := Forward(1, 0.41, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLease(Params{Schedule: sc, SweepsPerMicrosecond: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewPrepCache(4)
-	resident, err := l.PrepareProblem(ps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Register ps[0]'s compile under ps[1]'s hash: Get(ps[1]) now sees a
-	// hash hit whose content verification must fail.
-	k := prepKey{l, ps[1].ContentHash()}
-	c.byKey[k] = c.ll.PushFront(&prepEntry{key: k, prep: resident})
-	got, err := c.Get(l, ps[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == resident {
-		t.Fatal("collision served the resident entry's artifacts")
-	}
-	if !got.is.Equal(ps[1]) {
-		t.Fatal("collision fallback compiled the wrong problem")
-	}
-	if st := c.Stats(); st.Collisions != 1 || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want exactly one collision and no hits", st)
-	}
-	if el, ok := c.byKey[k]; !ok || el.Value.(*prepEntry).prep != resident {
-		t.Fatal("collision displaced the resident entry")
-	}
-	// The colliding problem still runs correctly through its fallback.
-	direct, err := l.Run(ps[1], nil, 3, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCache, err := l.RunPrepared(got, nil, 3, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct.Samples, viaCache.Samples) {
-		t.Fatal("collision fallback produced different samples")
-	}
-}
-
-// ContentHash/Equal are the cache's correctness foundation: equal
-// content hashes equal, and any content difference — field value, edge
-// weight, topology, offset — breaks both.
+// ContentHash/Equal identify a problem by content (perfbench's trace
+// replay dedups compiles with them): equal content hashes equal, and any
+// content difference — field value, edge weight, topology, offset —
+// breaks both.
 func TestIsingContentHashEqual(t *testing.T) {
 	base := prepTestProblems(t, 1)[0]
 	same := base.Clone()

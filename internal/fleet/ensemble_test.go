@@ -32,10 +32,9 @@ func ensembleCandidates(p *qubo.Ising, k int) [][]int8 {
 // ensembleScenario: 3 streams × 3 frames fanned into 2×2 arms over the
 // mixed 3-device pool, busy enough for arm batching, retries, and
 // deadline pressure to all engage.
-func ensembleScenario(t testing.TB, faults bool, prepCache int) (EnsembleConfig, []EnsembleFrame) {
+func ensembleScenario(t testing.TB, faults bool) (EnsembleConfig, []EnsembleFrame) {
 	t.Helper()
 	fc, _ := determinismScenario(t, faults)
-	fc.PrepCacheSize = prepCache
 	probs := testProblems(t)
 	var frames []EnsembleFrame
 	for s := 0; s < 3; s++ {
@@ -56,9 +55,9 @@ func ensembleScenario(t testing.TB, faults bool, prepCache int) (EnsembleConfig,
 
 // ensembleArtifacts returns the export surfaces the ensemble determinism
 // contract covers: marshaled fused outcomes and the trace JSONL.
-func ensembleArtifacts(t testing.TB, workers int, faults bool, prepCache int) (outcomes, trace []byte) {
+func ensembleArtifacts(t testing.TB, workers int, faults bool) (outcomes, trace []byte) {
 	t.Helper()
-	cfg, frames := ensembleScenario(t, faults, prepCache)
+	cfg, frames := ensembleScenario(t, faults)
 	cfg.Fleet.Workers = workers
 	cfg.Fleet.Trace = telemetry.NewTracer()
 	res, err := ServeEnsemble(context.Background(), cfg, frames)
@@ -78,9 +77,9 @@ func ensembleArtifacts(t testing.TB, workers int, faults bool, prepCache int) (o
 
 // TestEnsembleDeterminism is the gating regression battery for ensemble
 // serving: fused outcomes and exported traces must be bit-identical at
-// worker counts 1/4/16, with faults off and on, and with the prepared-
-// problem cache on and off — the TestCRANDeterminism pattern one tier
-// down.
+// worker counts 1/4/16, with faults off and on — the TestCRANDeterminism
+// pattern one tier down. TestEnsemblePreparedSharing covers shared
+// against unshared compiles.
 func TestEnsembleDeterminism(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		fname := "faults-off"
@@ -88,30 +87,116 @@ func TestEnsembleDeterminism(t *testing.T) {
 			fname = "faults-on"
 		}
 		t.Run(fname, func(t *testing.T) {
-			refOut, refTrace := ensembleArtifacts(t, 1, faults, 64)
+			refOut, refTrace := ensembleArtifacts(t, 1, faults)
 			if len(refTrace) == 0 {
 				t.Fatal("trace export is empty")
 			}
-			cases := []struct {
-				label     string
-				workers   int
-				prepCache int
-			}{
-				{"workers=4", 4, 64},
-				{"workers=16", 16, 64},
-				{"prep-cache-off", 1, -1},
-				{"workers=16+prep-cache-off", 16, -1},
-			}
-			for _, tc := range cases {
-				out, trace := ensembleArtifacts(t, tc.workers, faults, tc.prepCache)
+			for _, workers := range []int{4, 16} {
+				out, trace := ensembleArtifacts(t, workers, faults)
 				if !bytes.Equal(out, refOut) {
-					t.Fatalf("fused outcomes diverge at %s", tc.label)
+					t.Fatalf("fused outcomes diverge at %d workers", workers)
 				}
 				if !bytes.Equal(trace, refTrace) {
-					t.Fatalf("trace export diverges at %s", tc.label)
+					t.Fatalf("trace export diverges at %d workers", workers)
 				}
 			}
 		})
+	}
+}
+
+// armRequests fans frames out into per-arm fleet requests the way
+// ServeEnsemble does. With clone set, every arm carries its own copy of
+// its frame's problem instead of the shared pointer.
+func armRequests(cfg EnsembleConfig, frames []EnsembleFrame, clone bool) []Request {
+	arms := core.PlanArms(len(frames[0].Candidates), len(cfg.SpGrid))
+	var reqs []Request
+	for i, f := range frames {
+		for ai, a := range arms {
+			p := f.Problem
+			if clone {
+				p = p.Clone()
+			}
+			reqs = append(reqs, Request{
+				Stream: f.Stream*len(arms) + ai, Seq: f.Seq,
+				Arrival: f.Arrival, Deadline: f.Deadline,
+				Problem:      p,
+				InitialState: f.Candidates[a.Candidate],
+				Sp:           cfg.SpGrid[a.SpIndex],
+				Tp:           cfg.Tp,
+				NumReads:     cfg.ReadsPerArm,
+				Group:        i + 1,
+				KeepSamples:  true,
+			})
+		}
+	}
+	return reqs
+}
+
+// TestEnsemblePreparedSharing pins the fleet's compile sharing: arms of
+// one frame batched together run against one Prepared when they carry
+// the same *qubo.Ising, and each compile their own when every arm holds
+// a clone. Sharing can only skip compiles, so outcomes and trace must be
+// byte-identical either way. The counters are a function of the plan:
+// Hits+Misses is every arm served on the anneal path, a cloned serve
+// never hits, the metrics mirror the report, and none of it moves with
+// the worker count.
+func TestEnsemblePreparedSharing(t *testing.T) {
+	cfg, frames := ensembleScenario(t, true)
+	var refOut, refTrace []byte
+	for _, clone := range []bool{false, true} {
+		var refStats *PrepStats
+		for _, workers := range []int{1, 4, 16} {
+			fc := cfg.Fleet
+			fc.Workers = workers
+			fc.Trace = telemetry.NewTracer()
+			reg := telemetry.NewRegistry()
+			fc.Metrics = reg
+			res, err := Serve(context.Background(), fc, armRequests(cfg, frames, clone))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := json.Marshal(res.Outcomes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := fc.Trace.WriteJSONL(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if refOut == nil {
+				refOut, refTrace = out, buf.Bytes()
+			} else if !bytes.Equal(out, refOut) || !bytes.Equal(buf.Bytes(), refTrace) {
+				t.Fatalf("clone=%v, %d workers: outcomes or trace diverge from the shared serve at 1 worker", clone, workers)
+			}
+
+			st := res.Report.PrepCache
+			annealed := 0
+			for _, o := range res.Outcomes {
+				if !o.Shed && !fc.Devices[o.Device].Backend.Classical() {
+					annealed++
+				}
+			}
+			if st.Hits+st.Misses != uint64(annealed) {
+				t.Fatalf("clone=%v: %+v counts %d compiles and reuses, want the %d annealed arms", clone, st, st.Hits+st.Misses, annealed)
+			}
+			if clone && st.Hits != 0 {
+				t.Fatalf("cloned arms shared a compile: %+v", st)
+			}
+			if !clone && st.Hits == 0 {
+				t.Fatalf("no arm shared its frame's compile: %+v", st)
+			}
+			if got := reg.Counter("fleet_prep_cache_hits_total").Value(); got != float64(st.Hits) {
+				t.Fatalf("hits metric %v, report %d", got, st.Hits)
+			}
+			if got := reg.Counter("fleet_prep_cache_misses_total").Value(); got != float64(st.Misses) {
+				t.Fatalf("misses metric %v, report %d", got, st.Misses)
+			}
+			if refStats == nil {
+				refStats = &st
+			} else if st != *refStats {
+				t.Fatalf("clone=%v: counters vary with worker count: %+v vs %+v", clone, st, *refStats)
+			}
+		}
 	}
 }
 
@@ -119,7 +204,7 @@ func TestEnsembleDeterminism(t *testing.T) {
 // path that ignored its seed would pass the identity battery with
 // canned results.
 func TestEnsembleSeedSensitivity(t *testing.T) {
-	cfg, frames := ensembleScenario(t, true, 64)
+	cfg, frames := ensembleScenario(t, true)
 	a, err := ServeEnsemble(context.Background(), cfg, frames)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +226,7 @@ func TestEnsembleSeedSensitivity(t *testing.T) {
 // (candidate, s_p) pair served exactly once per frame, fused LLRs over
 // every spin, and a hard answer no worse than any arm or candidate.
 func TestServeEnsembleShape(t *testing.T) {
-	cfg, frames := ensembleScenario(t, false, 64)
+	cfg, frames := ensembleScenario(t, false)
 	res, err := ServeEnsemble(context.Background(), cfg, frames)
 	if err != nil {
 		t.Fatal(err)

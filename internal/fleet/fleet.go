@@ -175,16 +175,6 @@ type Config struct {
 	// Workers is the execute-phase goroutine count (default
 	// min(GOMAXPROCS, 8)). It cannot affect results.
 	Workers int
-	// PrepCacheSize bounds the prepared-problem LRU (annealer.PrepCache)
-	// that reuses each (device lease, problem)'s compiled embedding +
-	// normalized CSR across the run's repeated detection instances
-	// (default 64; −1 disables). The cache is warmed by a
-	// single-threaded pre-pass in planned batch order, so its hit/miss/
-	// eviction sequence — and therefore every answer — is bit-identical
-	// at any worker count; hits only skip recompiling artifacts the
-	// uncached path (each frame compiled by its worker) would rebuild
-	// identically.
-	PrepCacheSize int
 	// ShardLabel, when non-empty, tags every trace record and metric
 	// series this Serve emits with a shard="..." attribute/label. It is
 	// the shard-facing seam for the C-RAN tier (internal/cran): shards
@@ -387,9 +377,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Workers < 1 {
 		return cfg, fmt.Errorf("fleet: workers %d < 1", cfg.Workers)
 	}
-	if cfg.PrepCacheSize == 0 {
-		cfg.PrepCacheSize = 64
-	}
 	if cfg.DeviceHealth != nil {
 		if len(cfg.DeviceHealth) != len(cfg.Devices) {
 			return cfg, fmt.Errorf("fleet: %d health scores for %d devices", len(cfg.DeviceHealth), len(cfg.Devices))
@@ -539,8 +526,7 @@ type planner struct {
 
 	schedules map[schedKey]*annealer.Schedule
 	leases    map[leaseKey]*annealer.Lease
-	preps     []*annealer.Prepared // per frame, from the execute pre-pass; nil entries compile in the worker
-	prepStats annealer.PrepCacheStats
+	prepStats PrepStats
 
 	retries int
 
@@ -1243,9 +1229,10 @@ func (pl *planner) execute(ctx context.Context) error {
 			jobs = append(jobs, i)
 		}
 	}
-	// Compile every lease up front (deterministic order, fail fast).
-	// Classical backends run without leases — their solvers need no
-	// compiled embedding or schedule.
+	// Compile every lease up front (deterministic order, fail fast) and
+	// count the problem compiles runBatch will make, which prepOwner fixes
+	// from the plan alone. Classical backends run without leases — their
+	// solvers need no compiled embedding or schedule.
 	for _, bi := range jobs {
 		b := &pl.batches[bi]
 		if pl.cfg.Devices[b.dev].Backend.Classical() {
@@ -1254,37 +1241,17 @@ func (pl *planner) execute(ctx context.Context) error {
 		if _, err := pl.lease(b.dev, b.key); err != nil {
 			return err
 		}
+		for k := range b.frames {
+			if pl.prepOwner(b, k) == k {
+				pl.prepStats.Misses++
+			} else {
+				pl.prepStats.Hits++
+			}
+		}
 	}
-	// Prepared-problem pre-pass: warm the cache single-threaded in
-	// planned batch order, so the LRU's hit/miss/eviction sequence is a
-	// pure function of the plan — workers below never touch the cache,
-	// only the per-frame Prepared pointers fixed here. An evicted-then-
-	// reused problem simply compiles again; either way each frame runs
-	// artifacts byte-identical to the uncached compile.
-	pl.preps = make([]*annealer.Prepared, len(pl.frames))
-	if pl.cfg.PrepCacheSize > 0 {
-		cache := annealer.NewPrepCache(pl.cfg.PrepCacheSize)
-		for _, bi := range jobs {
-			b := &pl.batches[bi]
-			if pl.cfg.Devices[b.dev].Backend.Classical() {
-				continue
-			}
-			l := pl.leases[leaseKey{b.dev, b.key}]
-			for _, fi := range b.frames {
-				prep, err := cache.Get(l, pl.frames[fi].req.Problem)
-				if err != nil {
-					return err
-				}
-				pl.preps[fi] = prep
-			}
-		}
-		pl.prepStats = cache.Stats()
-		if pl.cfg.Metrics != nil {
-			pl.cfg.Metrics.Counter("fleet_prep_cache_hits_total", pl.mlabels()...).Add(float64(pl.prepStats.Hits))
-			pl.cfg.Metrics.Counter("fleet_prep_cache_misses_total", pl.mlabels()...).Add(float64(pl.prepStats.Misses))
-			pl.cfg.Metrics.Counter("fleet_prep_cache_evictions_total", pl.mlabels()...).Add(float64(pl.prepStats.Evictions))
-			pl.cfg.Metrics.Counter("fleet_prep_cache_collisions_total", pl.mlabels()...).Add(float64(pl.prepStats.Collisions))
-		}
+	if pl.cfg.Metrics != nil {
+		pl.cfg.Metrics.Counter("fleet_prep_cache_hits_total", pl.mlabels()...).Add(float64(pl.prepStats.Hits))
+		pl.cfg.Metrics.Counter("fleet_prep_cache_misses_total", pl.mlabels()...).Add(float64(pl.prepStats.Misses))
 	}
 	ch := make(chan int)
 	var wg sync.WaitGroup
@@ -1320,11 +1287,25 @@ func (pl *planner) execute(ctx context.Context) error {
 	return firstErr
 }
 
+// prepOwner returns the position in b.frames of the first frame that
+// carries frame k's problem. Frames of one batch with the same
+// *qubo.Ising — the arms of one ensemble frame — run against that
+// frame's compile, as core's runArms shares one per grid entry; every
+// other frame compiles its own. Sharing is a pure function of the plan.
+func (pl *planner) prepOwner(b *plannedBatch, k int) int {
+	is := pl.frames[b.frames[k]].req.Problem
+	for j, fj := range b.frames[:k] {
+		if pl.frames[fj].req.Problem == is {
+			return j
+		}
+	}
+	return k
+}
+
 // runBatch anneals one planned batch's frames through the device lease
 // in one multi-run call, so the frames' reads share lockstep groups, or
-// hands the batch to its classical solver. Frames run against their
-// pre-pass Prepared; with the cache disabled each frame compiles its own,
-// which is bit-identical.
+// hands the batch to its classical solver. A compile is bit-identical
+// however many frames share it (prepOwner).
 func (pl *planner) runBatch(bi int) error {
 	b := &pl.batches[bi]
 	if pl.cfg.Devices[b.dev].Backend.Classical() {
@@ -1334,7 +1315,7 @@ func (pl *planner) runBatch(bi int) error {
 	runs := make([]annealer.PreparedRun, len(b.frames))
 	for k, fi := range b.frames {
 		f := &pl.frames[fi]
-		prep := pl.preps[fi]
+		prep := runs[pl.prepOwner(b, k)].Prep
 		if prep == nil {
 			var err error
 			if prep, err = l.PrepareProblem(f.req.Problem); err != nil {

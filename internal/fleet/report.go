@@ -6,7 +6,6 @@ import (
 	"sort"
 	"text/tabwriter"
 
-	"repro/internal/annealer"
 	"repro/internal/metrics"
 )
 
@@ -46,6 +45,11 @@ type StreamStats struct {
 	MeanLatency    float64 `json:"mean_latency_us"`
 }
 
+// PrepStats counts one Serve's problem compiles on the anneal path.
+type PrepStats struct {
+	Hits, Misses uint64
+}
+
 // Report summarizes one Serve call.
 type Report struct {
 	Policy string `json:"policy"`
@@ -77,9 +81,10 @@ type Report struct {
 	// quantum answer that only ties its candidate does not count, so this
 	// is the quantum half's own contribution to answer quality.
 	QuantumGainShare float64 `json:"quantum_gain_share"`
-	// PrepCache reports the prepared-problem cache's warm-pass counters
-	// (all zero when Config.PrepCacheSize < 0 disabled it).
-	PrepCache annealer.PrepCacheStats `json:"prep_cache"`
+	// PrepCache counts the anneal path's problem compiles: Misses is
+	// compiles made, Hits is frames that ran against a batch-mate's
+	// compile of the same problem.
+	PrepCache PrepStats `json:"prep_cache"`
 
 	Devices []DeviceStats `json:"devices"`
 	// Backends is per-backend-kind accounting (nil for homogeneous pools).

@@ -131,9 +131,10 @@ func TestSurrogatesDeterministic(t *testing.T) {
 	}
 }
 
-// TestIsingContentHashAndEqual pins the cache-key contract the fleet's
-// prepared-problem cache relies on: equal content hashes equal, and any
-// content mutation flips Equal (and, in practice, the hash).
+// TestIsingContentHashAndEqual pins the content-identity contract
+// perfbench's trace replay relies on to dedup compiles, its remaining
+// consumer: equal content hashes equal, and any content mutation flips
+// Equal (and, in practice, the hash).
 func TestIsingContentHashAndEqual(t *testing.T) {
 	base := randomDenseIsing(rng.New(45), 6, 1.0)
 	clone := base.Clone()

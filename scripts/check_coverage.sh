@@ -9,26 +9,26 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 floors='
-repro/internal/annealer 91
+repro/internal/annealer 94
 repro/internal/channel 87
 repro/internal/chimera 92
-repro/internal/cli 55
+repro/internal/cli 56
 repro/internal/coding 93
-repro/internal/core 86
+repro/internal/core 87
 repro/internal/cran 94
 repro/internal/experiments 84
 repro/internal/fleet 94
-repro/internal/instance 84
+repro/internal/instance 91
 repro/internal/linalg 90
 repro/internal/metrics 94
 repro/internal/metropolis 98
 repro/internal/mimo 93
 repro/internal/modulation 94
-repro/internal/pipeline 91
+repro/internal/pipeline 92
 repro/internal/qaoa 95
 repro/internal/qubo 93
 repro/internal/rng 91
-repro/internal/slo 83
+repro/internal/slo 84
 repro/internal/telemetry 92
 repro/internal/validate 55
 '
