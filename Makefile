@@ -37,10 +37,10 @@ race-cran:
 	$(GO) test -race -count=1 -run TestCrossSurfaceAgreement ./internal/slo/
 
 # Flexible-parallelism ensemble lock: the K×G arm planner and grouped
-# batching, multi-initial-state prepared runs, fusion purity, and the
+# batching, multi-initial-state multi-runs and their compile sharing, fusion purity, and the
 # ensemble determinism battery — all under the race detector.
 race-ensemble:
-	$(GO) test -race -count=1 -run 'Ensemble|FuseLLR|RunPreparedMulti|TopKCandidates|PlanArms|SpGrid' \
+	$(GO) test -race -count=1 -run 'Ensemble|FuseLLR|RunMulti|TopKCandidates|PlanArms|SpGrid' \
 		./internal/core/ ./internal/mimo/ ./internal/annealer/ ./internal/fleet/
 
 # Run every fuzz target's seed corpus (no open-ended fuzzing): catches

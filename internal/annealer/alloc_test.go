@@ -129,3 +129,25 @@ func TestLogicalLeaseAllocs(t *testing.T) {
 		t.Errorf("logical uncached Lease.Run allocates %.0f objects, want ≤ 80 (steady state is ~20)", uncached)
 	}
 }
+
+// TestPrepareProblemAllocs pins the logical compile on the serve's
+// 32-spin problem: the CSR layout and its normalization, about 7
+// allocations. PrepareProblem keeps the caller's problem rather than a
+// deep copy (which alone cost 35 allocations here), so a frame's compile
+// stays this small.
+func TestPrepareProblemAllocs(t *testing.T) {
+	is := allocTestIsing(t)
+	fa, _ := Forward(1, 0.41, 1)
+	l, err := NewQPU2000Q().Lease(Params{Schedule: fa, NumReads: 32, SweepsPerMicrosecond: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := l.PrepareProblem(is); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 7 {
+		t.Errorf("PrepareProblem allocates %.0f objects on a %d-spin problem, want ≤ 7", got, is.N)
+	}
+}

@@ -521,6 +521,10 @@ func bestSample(samples []qubo.Sample) qubo.Sample {
 // embedded reverse anneal returns its initial state unchanged and the
 // serve would pay for simulating idle chains (EXPERIMENTS.md, "Serving on
 // the logical problem").
+//
+// A nil *QPU is the bare logical sampler: (*QPU)(nil).Lease is NewLease
+// and (*QPU)(nil).Run is Run, so a caller holding an optional device
+// (core.AnnealConfig.QPU, fleet.Device.QPU) calls them without a branch.
 type QPU struct {
 	// Grid is the Chimera dimension (16 for the 2000Q).
 	Grid int
@@ -529,9 +533,6 @@ type QPU struct {
 	// instead of the logical one. The embedding ablation and the CLIs'
 	// -embed flags set it; serving leaves it off.
 	Chains bool
-	// ChainStrength overrides the ferromagnetic chain coupling; 0 means
-	// chimera.RecommendedChainStrength per problem. Read only with Chains.
-	ChainStrength float64
 	// ProgrammingTime and ReadoutTime (μs) model the per-call and
 	// per-read device overheads used by the pipeline experiments
 	// (defaults: 10 ms programming, 123 μs readout, 2000Q-typical).
@@ -554,7 +555,8 @@ func (q *QPU) ServiceTime(sc *Schedule, numReads int) float64 {
 }
 
 // Run is Lease(p).Run on the logical problem: it rejects problems beyond
-// MaxProblemSize and lays trace spans out with the QPU's overheads. With
+// MaxProblemSize and lays trace spans out with the QPU's overheads; on a
+// nil QPU it is Run, with no capacity check or device overheads. With
 // Chains it embeds the problem onto the smallest sufficient Chimera region
 // (bounded by Grid), anneals the physical problem, and unembeds each read.
 // Sample energies are logical-problem energies either way.
@@ -608,11 +610,7 @@ func (q *QPU) prepareEmbedded(logical *qubo.Ising) (*chimera.Embedding, *qubo.CS
 	if err != nil {
 		return nil, nil, err
 	}
-	cs := q.ChainStrength
-	if cs == 0 {
-		cs = chimera.RecommendedChainStrength(logical)
-	}
-	phys, err := emb.EmbedIsing(logical, cs)
+	phys, err := emb.EmbedIsing(logical, chimera.RecommendedChainStrength(logical))
 	if err != nil {
 		return nil, nil, err
 	}

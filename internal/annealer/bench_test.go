@@ -363,13 +363,14 @@ func BenchmarkRunICEFaults(b *testing.B) {
 	}
 }
 
-// BenchmarkRunPreparedMulti measures one fleet batch of the
-// ensemble-coded batch shape: 4 ensemble arms × 4 reads of reverse
-// anneal (s_p = 0.45, 1 μs pause, 30 sweeps/μs) on a chain lease's
-// embedded 4-user 16-QAM detection problem, each arm from its own candidate, in one
-// multi-run call — the 16 reads fill two full lockstep groups where
-// per-arm calls would run four half-empty ones.
-func BenchmarkRunPreparedMulti(b *testing.B) {
+// BenchmarkRunMulti measures one fleet batch of the ensemble-coded
+// batch shape: 4 ensemble arms × 4 reads of reverse anneal (s_p = 0.45,
+// 1 μs pause, 30 sweeps/μs) on the serve's default QPU lease, which
+// anneals the logical 16-spin 4-user 16-QAM detection problem. Each arm
+// starts from its own candidate and all four carry the same problem, so
+// the one multi-run call compiles it once and its 16 reads fill one full
+// lockstep group where per-arm calls would run four quarter-full ones.
+func BenchmarkRunMulti(b *testing.B) {
 	in, err := instance.Synthesize(instance.Spec{Users: 4, Scheme: modulation.QAM16, Seed: 0xE45E})
 	if err != nil {
 		b.Fatal(err)
@@ -379,11 +380,7 @@ func BenchmarkRunPreparedMulti(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := chainQPU().Lease(Params{Schedule: ra, NumReads: 4, SweepsPerMicrosecond: 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	prep, err := l.PrepareProblem(is)
+	l, err := NewQPU2000Q().Lease(Params{Schedule: ra, NumReads: 4, SweepsPerMicrosecond: 30})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -396,26 +393,26 @@ func BenchmarkRunPreparedMulti(b *testing.B) {
 			inits[a][i] = cand.Spin()
 		}
 	}
-	runs := make([]PreparedRun, arms)
+	runs := make([]MultiRun, arms)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for a := range runs {
-			runs[a] = PreparedRun{Prep: prep, InitialState: inits[a], NumReads: 4, Rng: rng.New(uint64(i*arms + a + 1))}
+			runs[a] = MultiRun{Problem: is, InitialState: inits[a], NumReads: 4, Rng: rng.New(uint64(i*arms + a + 1))}
 		}
-		if _, errs, err := l.RunPreparedMulti(runs); err != nil || errs[0] != nil {
+		if _, errs, err := l.RunMulti(runs); err != nil || errs[0] != nil {
 			b.Fatal(err, errs[0])
 		}
 	}
 	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
 		rec := telemetry.BenchRecord{
-			Name:       "AnnealerRunPreparedMulti4x4",
+			Name:       "AnnealerRunMulti4x4",
 			NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 			Iterations: b.N,
 			Config: map[string]any{
-				"engine": "svmc", "arms": arms, "reads_per_arm": 4, "spins": prep.pr.N, "path": "embedded-multi-run",
+				"engine": "svmc", "arms": arms, "reads_per_arm": 4, "spins": is.N, "path": "qpu-logical-multi-run",
 			},
-			Series: fmt.Sprintf("arms=%d reads/arm=4 spins=%d ns/op=%.0f", arms, prep.pr.N,
+			Series: fmt.Sprintf("arms=%d reads/arm=4 spins=%d ns/op=%.0f", arms, is.N,
 				float64(b.Elapsed().Nanoseconds())/float64(b.N)),
 		}
 		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {

@@ -22,7 +22,7 @@ import (
 // every read of a batch — and returns the engine's one production kernel,
 // a BatchReadFunc that evolves groups of reads in lockstep. Run calls
 // Prepare once per batch (a Lease once per session) and fans groups of
-// reads — from one run or, through RunPreparedMulti, many — out to the
+// reads — from one run or, through RunMulti, many — out to the
 // kernel, so the per-sweep trigonometry/transcendentals
 // are paid once per batch instead of once per read. Probed and unprobed
 // reads run through the same kernel.

@@ -50,7 +50,8 @@ func NewLease(p Params) (*Lease, error) {
 // readout in ServiceMicros, and lay trace spans out with them. With
 // q.Chains set, runs take the full hardware path instead: minor-embedding
 // onto the QPU's Chimera graph, physical anneal, majority-vote
-// unembedding.
+// unembedding. On a nil QPU it is NewLease(p): a plain logical lease
+// with no capacity check and no device overheads.
 func (q *QPU) Lease(p Params) (*Lease, error) {
 	l, err := NewLease(p)
 	if err != nil {
@@ -92,7 +93,7 @@ func (l *Lease) ServiceMicros(numReads int) float64 {
 // RNG — the lease only amortizes validation and Prepare, it never
 // changes the dynamics.
 func (l *Lease) Run(is *qubo.Ising, init []int8, numReads int, r *rng.Source) (*Result, error) {
-	prep, err := l.compile(is)
+	prep, err := l.PrepareProblem(is)
 	if err != nil {
 		return nil, err
 	}

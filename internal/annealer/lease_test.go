@@ -101,6 +101,45 @@ func TestQPULeaseMatchesQPURun(t *testing.T) {
 	}
 }
 
+// TestNilQPUIsBareSampler pins what lets callers holding an optional
+// device skip the nil branch: a nil *QPU's Lease is NewLease — same
+// samples, bare anneal service time, no chains, no capacity limit — and
+// its Run is Run.
+func TestNilQPUIsBareSampler(t *testing.T) {
+	is := leaseTestIsing(t).Reduction.Ising
+	sc, err := Forward(1, 0.41, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{Schedule: sc, NumReads: 8, SweepsPerMicrosecond: 30, ICE: ICE{SigmaH: 0.02}}
+	var q *QPU
+	want, err := Run(is, p, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := q.Run(is, p, rng.New(3))
+	if err != nil || !reflect.DeepEqual(want, got) {
+		t.Fatalf("nil QPU.Run diverges from Run (err %v)", err)
+	}
+	nl, err := q.Lease(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := NewLease(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nl.Embedded() || nl.ServiceMicros(8) != bare.ServiceMicros(8) {
+		t.Fatal("nil QPU lease is not a bare lease")
+	}
+	if got, err = nl.Run(is, nil, 8, rng.New(3)); err != nil || !reflect.DeepEqual(want, got) {
+		t.Fatalf("nil QPU lease diverges from Run (err %v)", err)
+	}
+	if _, err := nl.PrepareProblem(qubo.NewIsing(NewQPU2000Q().MaxProblemSize() + 1)); err != nil {
+		t.Fatalf("nil QPU lease applied a capacity limit: %v", err)
+	}
+}
+
 // TestQPULeaseRunsLogicalProblem pins the default QPU lease: on the
 // serve's shape (an 8-user 16-QAM frame reverse-annealed from its greedy
 // candidate, with ICE and soft faults) its samples are bit-identical to a

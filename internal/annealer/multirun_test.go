@@ -36,31 +36,32 @@ func multiTestProblems(t *testing.T) []*qubo.Ising {
 	return out
 }
 
-// multiTestRuns builds a batch of runs over preps whose read counts
-// (1, 3, 4, 5, 12) straddle the lockstep group edges, each with its own
-// initial state and stream seed.
-func multiTestRuns(preps []*Prepared, seeds []uint64) []PreparedRun {
+// multiTestRuns builds a batch of runs cycling over problems — so the
+// batch repeats problem pointers as well as mixing distinct ones — whose
+// read counts (1, 3, 4, 5, 12) straddle the lockstep group edges, each
+// with its own initial state and stream seed.
+func multiTestRuns(problems []*qubo.Ising, seeds []uint64) []MultiRun {
 	counts := []int{1, 3, 4, 5, 12}
-	runs := make([]PreparedRun, len(seeds))
+	runs := make([]MultiRun, len(seeds))
 	for i := range runs {
-		prep := preps[i%len(preps)]
-		init := make([]int8, prep.Problem().N)
+		is := problems[i%len(problems)]
+		init := make([]int8, is.N)
 		for k := range init {
 			init[k] = int8(1 - 2*((k*(i+1)+i)/3%2))
 		}
-		runs[i] = PreparedRun{Prep: prep, InitialState: init, NumReads: counts[i%len(counts)], Rng: rng.New(seeds[i])}
+		runs[i] = MultiRun{Problem: is, InitialState: init, NumReads: counts[i%len(counts)], Rng: rng.New(seeds[i])}
 	}
 	return runs
 }
 
-// TestRunPreparedMultiMatchesSequential: packing runs into shared
-// lockstep groups cannot change an answer — every run's result (or
-// fault) must reflect.DeepEqual the standalone RunPrepared call with the
-// same (prep, init, reads, rng), on the logical, the chain-embedded and
-// the default (logical) QPU lease paths, across mixed problem sizes, read counts straddling group edges,
-// ICE, every soft fault plus programming failures, and parallelism 1
-// and 4.
-func TestRunPreparedMultiMatchesSequential(t *testing.T) {
+// TestRunMultiMatchesSequential: packing runs into shared lockstep
+// groups and sharing compiles cannot change an answer — every run's
+// result (or fault) must reflect.DeepEqual the standalone Lease.Run call
+// with the same (problem, init, reads, rng), on the logical, the
+// chain-embedded and the default (logical) QPU lease paths, across mixed
+// problem sizes, read counts straddling group edges, ICE, every soft
+// fault plus programming failures, and parallelism 1 and 4.
+func TestRunMultiMatchesSequential(t *testing.T) {
 	problems := multiTestProblems(t)
 	sc, err := Reverse(0.45, 1)
 	if err != nil {
@@ -89,26 +90,20 @@ func TestRunPreparedMultiMatchesSequential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					preps := make([]*Prepared, len(problems))
-					for i, is := range problems {
-						if preps[i], err = l.PrepareProblem(is); err != nil {
-							t.Fatal(err)
-						}
-					}
 					seeds := make([]uint64, 10)
 					for i := range seeds {
 						seeds[i] = 100 + uint64(i)
 					}
-					runs := multiTestRuns(preps, seeds)
-					results, errs, err := l.RunPreparedMulti(runs)
+					runs := multiTestRuns(problems, seeds)
+					results, errs, err := l.RunMulti(runs)
 					if err != nil {
 						t.Fatal(err)
 					}
 					faulted := 0
 					for i, ru := range runs {
-						want, wantErr := l.RunPrepared(ru.Prep, ru.InitialState, ru.NumReads, rng.New(seeds[i]))
+						want, wantErr := l.Run(ru.Problem, ru.InitialState, ru.NumReads, rng.New(seeds[i]))
 						if !reflect.DeepEqual(want, results[i]) || !reflect.DeepEqual(wantErr, errs[i]) {
-							t.Fatalf("%s/%s/par=%d run %d diverges from standalone RunPrepared (err %v vs %v)",
+							t.Fatalf("%s/%s/par=%d run %d diverges from standalone Lease.Run (err %v vs %v)",
 								path, fname, par, i, errs[i], wantErr)
 						}
 						if errs[i] != nil {
@@ -124,12 +119,74 @@ func TestRunPreparedMultiMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunPreparedMultiTelemetry: with a tracer and a registry attached,
-// one multi-run call emits the same trace (in telemetry.SortRecords
-// order) and the same metric exposition as the standalone calls in run
-// order. The lease runs chains, so chain-break storms reach the physical
+// TestRunMultiSharesCompiles: a batch that mixes repeated problem
+// pointers, distinct problems, and a content-equal copy of one of them
+// compiles each distinct POINTER exactly once — runs share compiled
+// artifacts iff they carry the same *qubo.Ising — and every run still
+// reflect.DeepEquals its standalone Lease.Run call.
+func TestRunMultiSharesCompiles(t *testing.T) {
+	problems := multiTestProblems(t)
+	problems = append(problems, problems[1].Clone()) // equal content, own pointer
+	sc, err := Reverse(0.45, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"logical", "embedded"} {
+		t.Run(path, func(t *testing.T) {
+			p := Params{Schedule: sc, NumReads: 4, SweepsPerMicrosecond: 30, ICE: ICE{SigmaH: 0.02}}
+			l, err := NewLease(p)
+			if path == "embedded" {
+				l, err = chainQPU().Lease(p)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Problems 3, 1, 4 (1's copy), 1, 0, 3, 1, 0: repeats both
+			// adjacent to and apart from their first appearance.
+			var ordered []*qubo.Ising
+			seeds := make([]uint64, 8)
+			for i, pi := range []int{3, 1, 4, 1, 0, 3, 1, 0} {
+				ordered = append(ordered, problems[pi])
+				seeds[i] = 40 + uint64(i)
+			}
+			runs := multiTestRuns(ordered, seeds)
+			rs, err := l.multiRuns(runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compiles := map[*qubo.CSR]bool{}
+			for i := range rs {
+				compiles[rs[i].pr] = true
+				for j := range rs {
+					if shared := rs[i].pr == rs[j].pr; shared != (runs[i].Problem == runs[j].Problem) {
+						t.Fatalf("runs %d and %d: shared compile %v, same problem pointer %v",
+							i, j, shared, runs[i].Problem == runs[j].Problem)
+					}
+				}
+			}
+			if len(compiles) != 4 {
+				t.Fatalf("%d compiles for 4 distinct problem pointers", len(compiles))
+			}
+			results, errs, err := l.RunMulti(runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ru := range runs {
+				want, wantErr := l.Run(ru.Problem, ru.InitialState, ru.NumReads, rng.New(seeds[i]))
+				if !reflect.DeepEqual(want, results[i]) || !reflect.DeepEqual(wantErr, errs[i]) {
+					t.Fatalf("run %d diverges from standalone Lease.Run (err %v vs %v)", i, errs[i], wantErr)
+				}
+			}
+		})
+	}
+}
+
+// TestRunMultiTelemetry: with a tracer and a registry attached, one
+// multi-run call emits the same trace (in telemetry.SortRecords order)
+// and the same metric exposition as the standalone calls in run order.
+// The lease runs chains, so chain-break storms reach the physical
 // readout.
-func TestRunPreparedMultiTelemetry(t *testing.T) {
+func TestRunMultiTelemetry(t *testing.T) {
 	problems := multiTestProblems(t)
 	sc, err := Reverse(0.45, 1)
 	if err != nil {
@@ -153,21 +210,12 @@ func TestRunPreparedMultiTelemetry(t *testing.T) {
 		return s
 	}
 	multi, seq := build(), build()
-	prep := func(l *Lease) []*Prepared {
-		preps := make([]*Prepared, len(problems))
-		for i, is := range problems {
-			if preps[i], err = l.PrepareProblem(is); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return preps
-	}
 	seeds := []uint64{7, 8, 9, 10, 11, 12, 13}
-	if _, _, err := multi.l.RunPreparedMulti(multiTestRuns(prep(multi.l), seeds)); err != nil {
+	if _, _, err := multi.l.RunMulti(multiTestRuns(problems, seeds)); err != nil {
 		t.Fatal(err)
 	}
-	for _, ru := range multiTestRuns(prep(seq.l), seeds) {
-		seq.l.RunPrepared(ru.Prep, ru.InitialState, ru.NumReads, ru.Rng) //nolint:errcheck // faults are expected
+	for _, ru := range multiTestRuns(problems, seeds) {
+		seq.l.Run(ru.Problem, ru.InitialState, ru.NumReads, ru.Rng) //nolint:errcheck // faults are expected
 	}
 	var a, b bytes.Buffer
 	if err := multi.tr.WriteJSONL(&a); err != nil {
@@ -246,9 +294,9 @@ func TestPackReadsGroups(t *testing.T) {
 	}
 }
 
-// TestRunPreparedMultiIsolatesArmFaults: a faulted arm reports its error
-// in errs without aborting the batch or poisoning its neighbours.
-func TestRunPreparedMultiIsolatesArmFaults(t *testing.T) {
+// TestRunMultiIsolatesArmFaults: a faulted arm reports its error in
+// errs without aborting the batch or poisoning its neighbours.
+func TestRunMultiIsolatesArmFaults(t *testing.T) {
 	is := prepTestProblems(t, 1)[0]
 	sc, err := Reverse(0.45, 1)
 	if err != nil {
@@ -261,19 +309,15 @@ func TestRunPreparedMultiIsolatesArmFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := l.PrepareProblem(is)
-	if err != nil {
-		t.Fatal(err)
-	}
 	init := make([]int8, is.N)
 	for i := range init {
 		init[i] = 1
 	}
-	runs := make([]PreparedRun, 16)
+	runs := make([]MultiRun, 16)
 	for i := range runs {
-		runs[i] = PreparedRun{Prep: prep, InitialState: init, NumReads: 5, Rng: rng.New(uint64(i))}
+		runs[i] = MultiRun{Problem: is, InitialState: init, NumReads: 5, Rng: rng.New(uint64(i))}
 	}
-	results, errs, err := l.RunPreparedMulti(runs)
+	results, errs, err := l.RunMulti(runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,24 +343,16 @@ func TestRunPreparedMultiIsolatesArmFaults(t *testing.T) {
 	}
 }
 
-// TestRunPreparedMultiValidates: foreign or missing prepared problems,
-// empty batches and nil RNG streams are rejected up front.
-func TestRunPreparedMultiValidates(t *testing.T) {
+// TestRunMultiValidates: missing problems, empty batches, nil RNG
+// streams and problems that do not compile for the lease are rejected
+// up front.
+func TestRunMultiValidates(t *testing.T) {
 	is := prepTestProblems(t, 1)[0]
 	sc, err := Reverse(0.45, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{Schedule: sc, NumReads: 5, SweepsPerMicrosecond: 30}
-	l1, err := NewLease(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := NewLease(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := l1.PrepareProblem(is)
+	l, err := NewQPU2000Q().Lease(Params{Schedule: sc, NumReads: 5, SweepsPerMicrosecond: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,27 +360,34 @@ func TestRunPreparedMultiValidates(t *testing.T) {
 	for i := range init {
 		init[i] = 1
 	}
-	good := PreparedRun{Prep: prep, InitialState: init, NumReads: 5, Rng: rng.New(1)}
-	if _, _, err := l2.RunPreparedMulti([]PreparedRun{good}); err == nil {
-		t.Fatal("foreign prepared problem accepted")
+	good := MultiRun{Problem: is, InitialState: init, NumReads: 5, Rng: rng.New(1)}
+	noProblem := good
+	noProblem.Problem = nil
+	if _, _, err := l.RunMulti([]MultiRun{good, noProblem}); err == nil {
+		t.Fatal("nil problem accepted")
 	}
-	noPrep := good
-	noPrep.Prep = nil
-	if _, _, err := l1.RunPreparedMulti([]PreparedRun{good, noPrep}); err == nil {
-		t.Fatal("nil prepared problem accepted")
-	}
-	if _, _, err := l1.RunPreparedMulti(nil); err == nil {
+	if _, _, err := l.RunMulti(nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
 	noRng := good
 	noRng.Rng = nil
-	if _, _, err := l1.RunPreparedMulti([]PreparedRun{noRng}); err == nil {
+	if _, _, err := l.RunMulti([]MultiRun{noRng}); err == nil {
 		t.Fatal("nil rng stream accepted")
+	}
+	for name, bad := range map[string]*qubo.Ising{
+		"empty":         qubo.NewIsing(0),
+		"over-capacity": qubo.NewIsing(NewQPU2000Q().MaxProblemSize() + 1),
+	} {
+		badRun := good
+		badRun.Problem = bad
+		if _, _, err := l.RunMulti([]MultiRun{good, badRun}); err == nil {
+			t.Fatalf("%s problem accepted", name)
+		}
 	}
 	// A read count past MaxReads is a per-run error, not a batch abort.
 	huge := good
 	huge.NumReads = MaxReads + 1
-	results, errs, err := l1.RunPreparedMulti([]PreparedRun{huge, good})
+	results, errs, err := l.RunMulti([]MultiRun{huge, good})
 	if err != nil || errs[0] == nil || results[0] != nil || errs[1] != nil || results[1] == nil {
 		t.Fatalf("oversized run: err %v, errs %v", err, errs)
 	}

@@ -2,12 +2,12 @@
 // the engine's sweep-program compile across calls; what it still pays
 // per Run is the per-PROBLEM compile — CSR layout and normalization,
 // plus clique embedding, chain strength and physical coefficients on
-// the chain path. PrepareProblem hoists that compile into a Prepared,
-// and RunPrepared / RunPreparedMulti run any number of reads against
-// one. A serving tier shares a Prepared among the runs that carry the
-// same problem — the arms of one ensemble frame (internal/core's
-// runArms, internal/fleet's runBatch) — and compiles every other
-// problem once, where it runs.
+// the chain path. PrepareProblem is that compile, the only one: Run
+// pays it per call, RunPrepared runs any number of reads against one
+// Prepared, and RunMulti compiles each distinct problem of its batch
+// once and shares the Prepared among the runs that carry it — the arms
+// of one ensemble frame (internal/core's runArms) or the batch-mates of
+// one fleet batch (internal/fleet's runBatch).
 //
 // Correctness is structural: a Prepared holds exactly the artifacts
 // Lease.Run would recompute — byte for byte, since the compile is
@@ -29,28 +29,22 @@ import (
 // PrepareProblem and safe for concurrent RunPrepared calls.
 type Prepared struct {
 	l   *Lease
-	is  *qubo.Ising // private snapshot of the problem
+	is  *qubo.Ising
 	pr  *qubo.CSR
 	emb *chimera.Embedding
 }
 
-// Problem returns the prepared problem's private snapshot. Mutating it
-// would desynchronize it from the compiled artifacts — treat as
-// read-only.
+// Problem returns the problem the Prepared was compiled from — the
+// caller's own *qubo.Ising, not a copy.
 func (p *Prepared) Problem() *qubo.Ising { return p.is }
 
 // PrepareProblem compiles is for this lease: CSR + normalization, plus
 // embedding and physical coefficients when the lease runs chains. A QPU
 // lease rejects a problem beyond the QPU's clique capacity here. The
-// snapshot it keeps is a deep copy, so later mutation of is cannot
-// desynchronize the Prepared from its compiled artifacts.
+// Prepared keeps is itself, not a copy: the caller must not mutate is
+// while the Prepared is in use, or its runs would mix the new
+// coefficients (sample energies) with the old compile (dynamics).
 func (l *Lease) PrepareProblem(is *qubo.Ising) (*Prepared, error) {
-	return l.compile(is.Clone())
-}
-
-// compile is PrepareProblem without the snapshot copy, for a one-call
-// Prepared whose problem cannot change while it runs (Lease.Run).
-func (l *Lease) compile(is *qubo.Ising) (*Prepared, error) {
 	if is.N == 0 {
 		return nil, fmt.Errorf("annealer: empty problem")
 	}

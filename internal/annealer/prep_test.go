@@ -110,36 +110,6 @@ func TestRunPreparedWrongLease(t *testing.T) {
 	}
 }
 
-// PrepareProblem snapshots the problem: mutating the caller's Ising
-// after preparing must not desynchronize the compiled artifacts.
-func TestPreparedSnapshotIsolation(t *testing.T) {
-	is := prepTestProblems(t, 1)[0]
-	sc, err := Forward(1, 0.41, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLease(Params{Schedule: sc, SweepsPerMicrosecond: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := l.PrepareProblem(is)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := l.RunPrepared(prep, nil, 4, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	is.H[0] += 100 // caller mutates after preparing
-	got, err := l.RunPrepared(prep, nil, 4, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Samples, got.Samples) {
-		t.Fatal("mutating the source problem changed a prepared run")
-	}
-}
-
 // ContentHash/Equal identify a problem by content (perfbench's trace
 // replay dedups compiles with them): equal content hashes equal, and any
 // content difference — field value, edge weight, topology, offset —

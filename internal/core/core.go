@@ -137,9 +137,11 @@ type AnnealConfig struct {
 	// Faults injects hard device failures (programming failures, read
 	// timeouts, chain-break storms, calibration drift).
 	Faults annealer.FaultModel
-	// QPU, when set, runs every anneal through QPU.Run: the QPU's
+	// QPU, when set, runs every anneal through a QPU lease: the QPU's
 	// capacity check and span timing on the logical problem, or the
-	// Chimera-embedded chain path when QPU.Chains is set.
+	// Chimera-embedded chain path when QPU.Chains is set. Nil runs the
+	// bare logical sampler (a nil *QPU's Lease and Run are NewLease and
+	// annealer.Run).
 	QPU *annealer.QPU
 	// Parallelism fans anneal reads across goroutines (deterministic at
 	// any level; default sequential).
@@ -170,14 +172,6 @@ func (c AnnealConfig) params(sc *annealer.Schedule, init []int8, reads int) anne
 		Probe:                c.Probe,
 		Timing:               c.Timing,
 	}
-}
-
-// run dispatches to the QPU model or the bare logical sampler.
-func (c AnnealConfig) run(is *qubo.Ising, p annealer.Params, r *rng.Source) (*annealer.Result, error) {
-	if c.QPU != nil {
-		return c.QPU.Run(is, p, r)
-	}
-	return annealer.Run(is, p, r)
 }
 
 // recordAnswerSource publishes where a solve's answer came from — the

@@ -102,7 +102,7 @@ func (d *Decomposition) SolveIsing(is *qubo.Ising, n int, init func(*rng.Source)
 			if err != nil {
 				return nil, err
 			}
-			res, err := d.Config.run(sub.Ising,
+			res, err := d.Config.QPU.Run(sub.Ising,
 				d.Config.params(sc, sub.Extract(cur), reads),
 				r.SplitString(fmt.Sprintf("round%d/block%d", round, bi)))
 			if err != nil {

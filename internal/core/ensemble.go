@@ -326,10 +326,10 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 
 // runArms is the reverse-anneal detection path every RA solver shares.
 // It runs the PlanArms(len(cands), len(grid)) arm plan — one lease and
-// one prepared problem per grid entry, so the per-problem compile is paid
-// G times, not K×G, and each entry's arms run as one multi-initial-state
-// batch — then hands the arms to Reduce for the hard answer. Hybrid is
-// the one-candidate, one-entry plan, whose lone arm runs unprepared.
+// one multi-run call per grid entry, whose arms all carry red.Ising, so
+// the per-problem compile is paid G times, not K×G — then hands the arms
+// to Reduce for the hard answer. Hybrid is the one-candidate, one-entry
+// plan.
 //
 // Arm 0 runs on r's "quantum" stream (the single-RA anchor), every
 // further arm on its own "ensemble/arm" split. With fallback a faulted
@@ -354,18 +354,12 @@ func (c AnnealConfig) runArms(red *mimo.Reduction, cands [][]int8, grid []float6
 		if g == 0 {
 			firstDuration = sc.Duration()
 		}
-		p := c.params(sc, nil, reads)
-		var l *annealer.Lease
-		if c.QPU != nil {
-			l, err = c.QPU.Lease(p)
-		} else {
-			l, err = annealer.NewLease(p)
-		}
+		l, err := c.QPU.Lease(c.params(sc, nil, reads))
 		if err != nil {
 			return nil, err
 		}
 		var idx []int
-		var runs []annealer.PreparedRun
+		var runs []annealer.MultiRun
 		for i, a := range arms {
 			if a.SpIndex != g {
 				continue
@@ -375,26 +369,14 @@ func (c AnnealConfig) runArms(red *mimo.Reduction, cands [][]int8, grid []float6
 				armRng = r.SplitString("quantum")
 			}
 			idx = append(idx, i)
-			runs = append(runs, annealer.PreparedRun{
+			runs = append(runs, annealer.MultiRun{
+				Problem:      red.Ising,
 				InitialState: cands[a.Candidate],
 				NumReads:     reads,
 				Rng:          armRng,
 			})
 		}
-		if len(runs) == 1 {
-			// A lone arm shares its compile with nothing: run it
-			// unprepared (bit-identical) and skip the Ising snapshot.
-			results[idx[0]], armErrs[idx[0]] = l.Run(red.Ising, runs[0].InitialState, reads, runs[0].Rng)
-			continue
-		}
-		prep, err := l.PrepareProblem(red.Ising)
-		if err != nil {
-			return nil, err
-		}
-		for j := range runs {
-			runs[j].Prep = prep
-		}
-		res, errs, err := l.RunPreparedMulti(runs)
+		res, errs, err := l.RunMulti(runs)
 		if err != nil {
 			return nil, err
 		}

@@ -112,18 +112,7 @@ func (f *ForwardSolver) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, err
 	if err != nil {
 		return nil, err
 	}
-	res, err := f.Config.run(red.Ising, f.Config.params(sc, nil, reads), r)
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{
-		Symbols:          red.DecodeSpins(res.Best.Spins),
-		Best:             res.Best,
-		Samples:          res.Samples,
-		AnnealTime:       res.TotalAnnealTime,
-		ScheduleDuration: res.ScheduleDuration,
-		BrokenChainRate:  res.BrokenChainRate,
-	}, nil
+	return f.Config.anneal(red, sc, reads, r)
 }
 
 // ForwardReverseSolver runs the single-step FR schedule — the second
@@ -169,7 +158,13 @@ func (f *ForwardReverseSolver) Solve(red *mimo.Reduction, r *rng.Source) (*Outco
 	if err != nil {
 		return nil, err
 	}
-	res, err := f.Config.run(red.Ising, f.Config.params(sc, nil, reads), r)
+	return f.Config.anneal(red, sc, reads, r)
+}
+
+// anneal is the fully quantum schemes' shared tail: one batch of reads
+// of red under sc, wrapped as an Outcome.
+func (c AnnealConfig) anneal(red *mimo.Reduction, sc *annealer.Schedule, reads int, r *rng.Source) (*Outcome, error) {
+	res, err := c.QPU.Run(red.Ising, c.params(sc, nil, reads), r)
 	if err != nil {
 		return nil, err
 	}

@@ -69,7 +69,7 @@ func SweepSp(red *mimo.Reduction, init []int8, groundEnergy float64, sps []float
 		if err != nil {
 			return nil, err
 		}
-		run, err := cfg.run(red.Ising, cfg.params(sc, init, reads), r.Split(uint64(i)))
+		run, err := cfg.QPU.Run(red.Ising, cfg.params(sc, init, reads), r.Split(uint64(i)))
 		if err != nil {
 			return nil, err
 		}

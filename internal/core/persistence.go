@@ -86,7 +86,7 @@ func (s *SamplePersistence) SolveIsing(is *qubo.Ising, r *rng.Source) (*Outcome,
 	haveBest := false
 
 	for round := 0; round < rounds && cur.N > 0; round++ {
-		res, err := s.Config.run(cur, s.Config.params(sc, nil, reads), r.Split(uint64(round)))
+		res, err := s.Config.QPU.Run(cur, s.Config.params(sc, nil, reads), r.Split(uint64(round)))
 		if err != nil {
 			return nil, err
 		}

@@ -129,7 +129,7 @@ func (c *CoProcessing) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, erro
 		ScheduleDuration: sc.Duration(),
 	}
 	for round := 0; round < rounds; round++ {
-		res, err := c.Config.run(red.Ising, c.Config.params(sc, cur.Spins, reads), r.Split(uint64(round)))
+		res, err := c.Config.QPU.Run(red.Ising, c.Config.params(sc, cur.Spins, reads), r.Split(uint64(round)))
 		if err != nil {
 			return nil, err
 		}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -65,7 +66,8 @@ type Request struct {
 	Arrival float64
 	// Deadline is the latency budget in μs after Arrival (0: none).
 	Deadline float64
-	// Problem is the reduced detection problem.
+	// Problem is the reduced detection problem. Serve compiles and reads
+	// it in place, so it must not change until Serve returns.
 	Problem *qubo.Ising
 	// InitialState is the classical candidate (len == Problem.N); it
 	// seeds the reverse anneal and is the shed/fallback answer.
@@ -664,13 +666,7 @@ func (pl *planner) lease(dev int, k schedKey) (*annealer.Lease, error) {
 		Faults:               d.Faults.WithoutProgrammingFailures(),
 		Parallelism:          1,
 	}
-	var l *annealer.Lease
-	var err error
-	if d.QPU != nil {
-		l, err = d.QPU.Lease(p)
-	} else {
-		l, err = annealer.NewLease(p)
-	}
+	l, err := d.QPU.Lease(p)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: device %d: %w", dev, err)
 	}
@@ -1230,9 +1226,11 @@ func (pl *planner) execute(ctx context.Context) error {
 		}
 	}
 	// Compile every lease up front (deterministic order, fail fast) and
-	// count the problem compiles runBatch will make, which prepOwner fixes
-	// from the plan alone. Classical backends run without leases — their
-	// solvers need no compiled embedding or schedule.
+	// count the problem compiles runBatch's multi-run calls will make —
+	// RunMulti compiles each distinct *qubo.Ising of a batch once, so a
+	// frame whose problem a batch-mate before it carries is a hit. The
+	// plan alone fixes the counts. Classical backends run without leases
+	// — their solvers need no compiled embedding or schedule.
 	for _, bi := range jobs {
 		b := &pl.batches[bi]
 		if pl.cfg.Devices[b.dev].Backend.Classical() {
@@ -1241,11 +1239,12 @@ func (pl *planner) execute(ctx context.Context) error {
 		if _, err := pl.lease(b.dev, b.key); err != nil {
 			return err
 		}
-		for k := range b.frames {
-			if pl.prepOwner(b, k) == k {
-				pl.prepStats.Misses++
-			} else {
+		for k, fi := range b.frames {
+			is := pl.frames[fi].req.Problem
+			if slices.ContainsFunc(b.frames[:k], func(fj int) bool { return pl.frames[fj].req.Problem == is }) {
 				pl.prepStats.Hits++
+			} else {
+				pl.prepStats.Misses++
 			}
 		}
 	}
@@ -1287,48 +1286,27 @@ func (pl *planner) execute(ctx context.Context) error {
 	return firstErr
 }
 
-// prepOwner returns the position in b.frames of the first frame that
-// carries frame k's problem. Frames of one batch with the same
-// *qubo.Ising — the arms of one ensemble frame — run against that
-// frame's compile, as core's runArms shares one per grid entry; every
-// other frame compiles its own. Sharing is a pure function of the plan.
-func (pl *planner) prepOwner(b *plannedBatch, k int) int {
-	is := pl.frames[b.frames[k]].req.Problem
-	for j, fj := range b.frames[:k] {
-		if pl.frames[fj].req.Problem == is {
-			return j
-		}
-	}
-	return k
-}
-
 // runBatch anneals one planned batch's frames through the device lease
-// in one multi-run call, so the frames' reads share lockstep groups, or
-// hands the batch to its classical solver. A compile is bit-identical
-// however many frames share it (prepOwner).
+// in one multi-run call, so the frames' reads share lockstep groups and
+// frames carrying the same *qubo.Ising — the arms of one ensemble
+// frame — share one problem compile, or hands the batch to its
+// classical solver.
 func (pl *planner) runBatch(bi int) error {
 	b := &pl.batches[bi]
 	if pl.cfg.Devices[b.dev].Backend.Classical() {
 		return pl.runClassicalBatch(bi)
 	}
 	l := pl.leases[leaseKey{b.dev, b.key}]
-	runs := make([]annealer.PreparedRun, len(b.frames))
+	runs := make([]annealer.MultiRun, len(b.frames))
 	for k, fi := range b.frames {
 		f := &pl.frames[fi]
-		prep := runs[pl.prepOwner(b, k)].Prep
-		if prep == nil {
-			var err error
-			if prep, err = l.PrepareProblem(f.req.Problem); err != nil {
-				return err
-			}
-		}
 		key := uint64(f.req.Stream)<<32 | uint64(f.req.Seq)
-		runs[k] = annealer.PreparedRun{
-			Prep: prep, InitialState: f.req.InitialState, NumReads: f.reads,
+		runs[k] = annealer.MultiRun{
+			Problem: f.req.Problem, InitialState: f.req.InitialState, NumReads: f.reads,
 			Rng: rng.New(pl.cfg.Seed).SplitString("fleet/frame").Split(key).Split(uint64(pl.outcomes[fi].Attempts)),
 		}
 	}
-	results, errs, err := l.RunPreparedMulti(runs)
+	results, errs, err := l.RunMulti(runs)
 	if err != nil {
 		return err
 	}

@@ -298,7 +298,7 @@ func (p *Pipeline) Schedule(frames []*Frame) (*Report, error) {
 		}
 	}
 	if n > 0 {
-		rep.MeanLatency = mean(latencies)
+		rep.MeanLatency = metrics.Mean(latencies)
 		sort.Float64s(latencies)
 		rep.P95Latency = metrics.NearestRank(latencies, 95)
 		rep.DeadlineMissRate = float64(missed) / float64(n)
@@ -371,12 +371,4 @@ func max2(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-func mean(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
