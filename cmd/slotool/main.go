@@ -46,6 +46,19 @@ func main() {
 	if *trace == "" {
 		log.Fatalf("-trace is required (see -h)")
 	}
+	if *top < 0 {
+		log.Fatalf("-top %d: want a frame count ≥ 0", *top)
+	}
+	if *slide < 1 {
+		log.Fatalf("-slide %d: want at least 1 tick", *slide)
+	}
+	if *tick <= 0 {
+		log.Fatalf("-tick %g: want a positive width", *tick)
+	}
+	topSlow := *top
+	if topSlow == 0 {
+		topSlow = -1 // slo.Config reads 0 as its default, negative as none
+	}
 
 	in := os.Stdin
 	if *trace != "-" {
@@ -96,7 +109,7 @@ func main() {
 		TickMicros: *tick,
 		SlideTicks: *slide,
 		Specs:      specs,
-		TopSlow:    *top,
+		TopSlow:    topSlow,
 	})
 	if err != nil {
 		log.Fatalf("%v", err)

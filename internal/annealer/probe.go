@@ -53,20 +53,22 @@ func (rp readProbe) ObserveSweep(ob SweepObservation) {
 	rp.p.ObserveSweep(ob)
 }
 
+// sampleEvery thins MetricsProbe's trace events to every k-th sweep;
+// its histograms always see every observed sweep.
+const sampleEvery = 64
+
 // MetricsProbe is the standard Probe: it aggregates sweep observations
 // into a telemetry registry (acceptance-rate and energy histograms) and
 // optionally records a downsampled s(t)/energy trajectory as trace
 // events. Both sinks are nil-safe, so either half can be wired alone.
 type MetricsProbe struct {
-	// Trace receives "sweep" events (one per SampleEvery sweeps per read)
-	// with the schedule time, s(t), energy, and acceptance counts.
+	// Trace receives "sweep" events (one per sampleEvery sweeps per read,
+	// plus each read's last sweep) with the schedule time, s(t), energy,
+	// and acceptance counts.
 	Trace *telemetry.Tracer
 	// Metrics receives annealer_sweep_acceptance_rate and
 	// annealer_sweep_energy histograms plus an observation counter.
 	Metrics *telemetry.Registry
-	// SampleEvery thins trace events to every k-th sweep (default 64;
-	// histograms always see every observed sweep).
-	SampleEvery int
 	// Engine labels the metrics series (e.g. "svmc", "pimc").
 	Engine string
 }
@@ -84,11 +86,7 @@ func (mp *MetricsProbe) ObserveSweep(ob SweepObservation) {
 		// the fixed [-100, 100) window covers every paper-scale problem.
 		mp.Metrics.Histogram("annealer_sweep_energy", -100, 100, 40, label).Observe(ob.Energy)
 	}
-	every := mp.SampleEvery
-	if every <= 0 {
-		every = 64
-	}
-	if mp.Trace != nil && (ob.Sweep%every == 0 || ob.Sweep == ob.TotalSweeps-1) {
+	if mp.Trace != nil && (ob.Sweep%sampleEvery == 0 || ob.Sweep == ob.TotalSweeps-1) {
 		attrs := telemetry.Attrs{
 			"read": ob.Read, "sweep": ob.Sweep, "s": ob.S,
 			"energy": ob.Energy, "accepted": ob.Accepted, "proposed": ob.Proposed,

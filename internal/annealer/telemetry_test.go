@@ -21,7 +21,7 @@ func instrumented(p Params) (Params, *telemetry.Tracer, *telemetry.Registry) {
 	reg := telemetry.NewRegistry()
 	p.Trace = tr
 	p.Metrics = reg
-	p.Probe = &MetricsProbe{Trace: tr, Metrics: reg, Engine: "test", SampleEvery: 16}
+	p.Probe = &MetricsProbe{Trace: tr, Metrics: reg, Engine: "test"}
 	return p, tr, reg
 }
 

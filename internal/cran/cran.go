@@ -91,9 +91,6 @@ type Config struct {
 	Shards [][]fleet.Device
 	// Placement selects the cell-placement policy (default PlacementHash).
 	Placement Placement
-	// VirtualNodes is the consistent-hash ring's per-shard point count
-	// (default 64; see ring's documented balance bound).
-	VirtualNodes int
 	// Fleet is the per-shard dispatcher template: policy, anneal
 	// defaults, batching, queue bounds, and per-shard Workers all apply
 	// to every shard. Devices, Seed, ShardLabel, Trace, and Metrics are
@@ -109,17 +106,6 @@ type Config struct {
 	// estimate by reads·EstReadMicros/len(devices). It is a routing
 	// estimate only — actual timing is fixed by the shard's own plan.
 	EstReadMicros float64
-	// ShardHealth optionally biases load-aware placement with per-shard
-	// health scores in [0, 1] (e.g. from a previous run's SLO monitor,
-	// internal/slo): a shard's estimated load is divided by its health,
-	// so degraded shards attract proportionally fewer cells, and a score
-	// of 0 excludes the shard from new placements entirely (it still
-	// serves cells already placed on it). Must be nil or have one entry
-	// per shard. Nil — the default — keeps placement identical to a
-	// health-blind router; a regression test pins that. Scores are static
-	// routing inputs, never fed back from the run being served, so the
-	// route phase stays a pure function of (cfg, reqs).
-	ShardHealth []float64
 	// Seed roots every RNG stream; shard i serves under an independent
 	// seed split from (Seed, i).
 	Seed uint64
@@ -199,22 +185,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if !cfg.Placement.valid() {
 		return cfg, fmt.Errorf("cran: unknown placement %d", int(cfg.Placement))
-	}
-	if cfg.VirtualNodes == 0 {
-		cfg.VirtualNodes = 64
-	}
-	if cfg.VirtualNodes < 1 {
-		return cfg, fmt.Errorf("cran: virtual nodes %d < 1", cfg.VirtualNodes)
-	}
-	if cfg.ShardHealth != nil {
-		if len(cfg.ShardHealth) != len(cfg.Shards) {
-			return cfg, fmt.Errorf("cran: %d shard health scores for %d shards", len(cfg.ShardHealth), len(cfg.Shards))
-		}
-		for i, h := range cfg.ShardHealth {
-			if math.IsNaN(h) || h < 0 || h > 1 {
-				return cfg, fmt.Errorf("cran: shard %d health %g outside [0, 1]", i, h)
-			}
-		}
 	}
 	if cfg.AdmitQueueMicros < 0 || math.IsNaN(cfg.AdmitQueueMicros) {
 		return cfg, fmt.Errorf("cran: bad admit queue bound %g", cfg.AdmitQueueMicros)
@@ -318,7 +288,7 @@ func Serve(ctx context.Context, cfg Config, reqs []Request) (*Result, error) {
 
 	rt := &router{
 		cfg:        cfg,
-		ring:       buildRing(len(cfg.Shards), cfg.VirtualNodes, cfg.Seed),
+		ring:       buildRing(len(cfg.Shards), virtualNodes, cfg.Seed),
 		deadAt:     make([]float64, len(cfg.Shards)),
 		cells:      make(map[int]*cellState),
 		estDrain:   make([]float64, len(cfg.Shards)),
@@ -405,7 +375,7 @@ func (rt *router) route(reqs []Request, outcomes []Outcome) {
 			reads = rt.cfg.Fleet.NumReads
 		}
 		if reads == 0 {
-			reads = 50 // fleet's default read count
+			reads = fleet.DefaultNumReads
 		}
 		cost := float64(reads) * rt.cfg.EstReadMicros / float64(len(rt.cfg.Shards[s]))
 		if rt.estDrain[s] < r.Arrival {
@@ -485,27 +455,13 @@ func (rt *router) failOver(cs *cellState, cell int, t float64) *cellState {
 
 // leastLoadedLive returns the live shard with the least estimated load
 // (ties to the lowest index), skipping `not`; −1 when none is live.
-// With ShardHealth set, load is health-weighted: estLoad/health, so a
-// half-healthy shard looks twice as loaded, and a zero-health shard is
-// infinitely loaded (placed on only when every live shard is at zero
-// health). Without ShardHealth the comparison is the plain estimate.
 func (rt *router) leastLoadedLive(t float64, not int) int {
-	load := func(s int) float64 {
-		if rt.cfg.ShardHealth == nil {
-			return rt.estLoad[s]
-		}
-		h := rt.cfg.ShardHealth[s]
-		if h <= 0 {
-			return math.Inf(1)
-		}
-		return rt.estLoad[s] / h
-	}
 	best := -1
 	for s := range rt.cfg.Shards {
 		if s == not || rt.deadAt[s] <= t {
 			continue
 		}
-		if best < 0 || load(s) < load(best) {
+		if best < 0 || rt.estLoad[s] < rt.estLoad[best] {
 			best = s
 		}
 	}

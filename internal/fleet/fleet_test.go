@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"math"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -184,35 +183,6 @@ func TestStreamMeanLatencyOverServedFrames(t *testing.T) {
 	}
 }
 
-func TestShedFleetOverload(t *testing.T) {
-	probs := testProblems(t)
-	var reqs []Request
-	for s := 0; s < 4; s++ {
-		p := probs[s%len(probs)]
-		reqs = append(reqs, Request{
-			Stream: s, Seq: 0, Problem: p, InitialState: make([]int8, p.N),
-		})
-		for i := range reqs[len(reqs)-1].InitialState {
-			reqs[len(reqs)-1].InitialState[i] = -1
-		}
-	}
-	res, err := Serve(context.Background(), Config{
-		Devices: logicalDevices(1), NumReads: 4, BatchMax: 1, FleetQueueBound: 2, Seed: 1,
-	}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reasons []string
-	for _, o := range res.Outcomes {
-		if o.Shed {
-			reasons = append(reasons, o.ShedReason)
-		}
-	}
-	if len(reasons) != 1 || reasons[0] != ShedFleetOverload {
-		t.Fatalf("shed reasons %v, want one %q", reasons, ShedFleetOverload)
-	}
-}
-
 func TestShedDeadlineExpired(t *testing.T) {
 	reqs := uniformRequests(t, 1, 2, 0, 10) // 10 μs budget, service ≫ 10 μs
 	res, err := Serve(context.Background(), Config{
@@ -236,7 +206,7 @@ func TestRetriesExhausted(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reqs := uniformRequests(t, 2, 2, 0, 0)
 	res, err := Serve(context.Background(), Config{
-		Devices: devs, NumReads: 4, MaxAttempts: 2, Seed: 1, Metrics: reg,
+		Devices: devs, NumReads: 4, Seed: 1, Metrics: reg,
 	}, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -405,61 +375,16 @@ func TestConfigValidation(t *testing.T) {
 		{Devices: logicalDevices(1), Policy: Policy(99)},
 		{Devices: logicalDevices(1), BatchMax: -1},
 		{Devices: logicalDevices(1), StreamQueueBound: -1},
-		{Devices: logicalDevices(1), FleetQueueBound: -1},
-		{Devices: logicalDevices(1), MaxAttempts: -1},
 		{Devices: logicalDevices(1), Workers: -1},
 		{Devices: logicalDevices(1), Sp: 2},
 		{Devices: logicalDevices(1), NumReads: -1},
 		{Devices: []Device{{SweepsPerMicrosecond: -1}}},
 		{Devices: []Device{{Faults: annealer.FaultModel{ReadTimeoutRate: 2}}}},
-		{Devices: logicalDevices(2), DeviceHealth: []float64{1}},
-		{Devices: logicalDevices(2), DeviceHealth: []float64{1, 1.5}},
-		{Devices: logicalDevices(2), DeviceHealth: []float64{1, nan()}},
 	}
 	for i, cfg := range bads {
 		if _, err := Serve(context.Background(), cfg, reqs); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
-	}
-}
-
-// TestDeviceHealthRouting: nil health and uniform all-ones health must
-// schedule bit-identically (the knob is off by default), while a
-// degraded score must steer load away from that device whenever the
-// scheduler has a real choice.
-func TestDeviceHealthRouting(t *testing.T) {
-	// Two streams over three devices: every arrival tick leaves the
-	// least-loaded pick a non-forced choice.
-	reqs := uniformRequests(t, 2, 9, 100, 0)
-	run := func(health []float64) *Result {
-		res, err := Serve(context.Background(), Config{
-			Devices: logicalDevices(3), NumReads: 4, Seed: 11, DeviceHealth: health,
-		}, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	count := func(res *Result, dev int) int {
-		n := 0
-		for i := range res.Outcomes {
-			if res.Outcomes[i].Device == dev {
-				n++
-			}
-		}
-		return n
-	}
-	base := run(nil)
-	if !reflect.DeepEqual(base.Outcomes, run([]float64{1, 1, 1}).Outcomes) {
-		t.Fatal("uniform health changed scheduling")
-	}
-	if biased := run([]float64{1, 0.05, 1}); count(biased, 1) >= count(base, 1) {
-		t.Fatalf("device 1 load did not drop under health 0.05: base %d, biased %d",
-			count(base, 1), count(biased, 1))
-	}
-	if drained := run([]float64{1, 0, 1}); count(drained, 1) >= count(base, 1) {
-		t.Fatalf("zero-health device still attracts load: base %d, drained %d",
-			count(base, 1), count(drained, 1))
 	}
 }
 

@@ -37,7 +37,6 @@ func TestHybridStressRace(t *testing.T) {
 				NumReads:         4,
 				BatchMax:         3,
 				StreamQueueBound: 4,
-				FleetQueueBound:  24,
 				Workers:          8,
 				Seed:             uint64(run + 1),
 				Trace:            tracer,

@@ -91,8 +91,7 @@ func TestInvariantsUnderLoadAndFaults(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			cfg, reqs := determinismScenario(t, true)
 			cfg.Policy = policy
-			cfg.StreamQueueBound = 3
-			cfg.FleetQueueBound = 8
+			cfg.StreamQueueBound = 2
 			res, err := Serve(context.Background(), cfg, reqs)
 			if err != nil {
 				t.Fatal(err)
@@ -196,8 +195,7 @@ func FuzzFleetSchedule(f *testing.F) {
 			Policy:           pol,
 			NumReads:         2,
 			BatchMax:         int(seed)%3 + 1,
-			StreamQueueBound: 3,
-			FleetQueueBound:  12,
+			StreamQueueBound: 2,
 			Seed:             seed,
 		}
 		res, err := Serve(context.Background(), cfg, reqs)

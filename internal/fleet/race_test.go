@@ -36,8 +36,7 @@ func TestFleetStressRace(t *testing.T) {
 				Policy:           PolicyEDF,
 				NumReads:         4,
 				BatchMax:         3,
-				StreamQueueBound: 4,
-				FleetQueueBound:  24,
+				StreamQueueBound: 3,
 				Workers:          8,
 				Seed:             uint64(run + 1),
 				Trace:            tracer,

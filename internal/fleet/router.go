@@ -76,38 +76,26 @@ func (p RoutePolicy) valid() bool {
 	return p >= RouteAny && p <= RouteHybrid
 }
 
-// RouterConfig tunes hybrid routing. The zero value takes defaults.
+// Hybrid routing's split points.
+const (
+	// hardnessThreshold splits easy from hard instances on the [0,1]
+	// Hardness scale; frames at or below it are classical candidates. It
+	// sits above the density term's full weight at small sizes: even a
+	// fully dense instance scores below it up to ~10 spins, so
+	// cheap-to-solve dense small frames stay classical and only genuinely
+	// large instances rank as hard.
+	hardnessThreshold = 0.6
+	// slackFactor is the safety margin on the modelled classical service
+	// time: a frame only routes classical when its deadline leaves at
+	// least slackFactor× the estimate.
+	slackFactor = 2
+)
+
+// RouterConfig tunes hybrid routing. The zero value scores every frame.
 type RouterConfig struct {
-	// HardnessThreshold splits easy from hard instances on the [0,1]
-	// Hardness scale (default 0.6). Frames at or below the threshold are
-	// classical candidates. The default sits above the density term's
-	// full weight at small sizes: even a fully dense instance scores
-	// below it up to ~10 spins, so cheap-to-solve dense small frames stay
-	// classical and only genuinely large instances rank as hard.
-	HardnessThreshold float64
-	// SlackFactor is the safety margin on the modelled classical service
-	// time (default 2): a frame only routes classical when its deadline
-	// leaves at least SlackFactor× the estimate.
-	SlackFactor float64
-	// ClassicalEstimate is the ClassicalParams used to estimate classical
-	// service time for the slack test. Zero value = defaults; routing uses
-	// the SA model (the cheapest surrogate) as the class-wide estimate.
-	ClassicalEstimate ClassicalParams
 	// ForceClass, when non-zero, overrides scoring and pins every frame to
 	// the given class — the "hybrid-routing-off" failure injection.
 	ForceClass BackendClass
-}
-
-// withDefaults fills the zero fields.
-func (rc RouterConfig) withDefaults() RouterConfig {
-	if rc.HardnessThreshold == 0 {
-		rc.HardnessThreshold = 0.6
-	}
-	if rc.SlackFactor == 0 {
-		rc.SlackFactor = 2
-	}
-	rc.ClassicalEstimate = rc.ClassicalEstimate.withDefaults()
-	return rc
 }
 
 // Hardness scores an instance on [0,1]: 0.6 weight on problem size
@@ -136,7 +124,8 @@ type RouteDecision struct {
 	// Hardness is the instance's score on the [0,1] scale.
 	Hardness float64
 	// ClassicalMicros is the modelled classical service time used for the
-	// deadline-slack test.
+	// deadline-slack test: the SA model (the cheapest surrogate) plus its
+	// setup overhead, as the class-wide estimate.
 	ClassicalMicros float64
 }
 
@@ -146,20 +135,19 @@ type RouteDecision struct {
 // from ClassClassical to ClassQuantum, never the reverse, because the
 // deadline appears in exactly one test and only on the ≥ side.
 func (rc RouterConfig) Route(is *qubo.Ising, deadlineMicros float64, reads int) RouteDecision {
-	rc = rc.withDefaults()
 	d := RouteDecision{
 		Hardness:        Hardness(is),
-		ClassicalMicros: classicalServiceMicros(BackendSimulatedAnnealing, rc.ClassicalEstimate, is, reads) + rc.ClassicalEstimate.SetupMicros,
+		ClassicalMicros: classicalServiceMicros(BackendSimulatedAnnealing, is, reads) + serving.setupMicros,
 	}
 	if rc.ForceClass != ClassAny {
 		d.Class = rc.ForceClass
 		return d
 	}
-	if d.Hardness > rc.HardnessThreshold {
+	if d.Hardness > hardnessThreshold {
 		d.Class = ClassQuantum
 		return d
 	}
-	if deadlineMicros > 0 && deadlineMicros < rc.SlackFactor*d.ClassicalMicros {
+	if deadlineMicros > 0 && deadlineMicros < slackFactor*d.ClassicalMicros {
 		d.Class = ClassQuantum
 		return d
 	}

@@ -32,10 +32,9 @@ func TestHardnessScale(t *testing.T) {
 	if easy >= hard {
 		t.Fatalf("6-spin QPSK (%g) not easier than 32-spin 16QAM (%g)", easy, hard)
 	}
-	// The default threshold must actually split the two workload classes.
-	def := RouterConfig{}.withDefaults()
-	if easy > def.HardnessThreshold || hard <= def.HardnessThreshold {
-		t.Fatalf("default threshold %g does not separate easy %g from hard %g", def.HardnessThreshold, easy, hard)
+	// The threshold must actually split the two workload classes.
+	if easy > hardnessThreshold || hard <= hardnessThreshold {
+		t.Fatalf("threshold %g does not separate easy %g from hard %g", hardnessThreshold, easy, hard)
 	}
 }
 

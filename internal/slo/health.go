@@ -7,31 +7,17 @@ import (
 	"repro/internal/metrics"
 )
 
-// HealthConfig tunes per-device health scoring.
-type HealthConfig struct {
-	// Alpha is the EWMA smoothing factor in (0, 1] (default 0.2).
-	Alpha float64
-	// ZMax is the robust z-score at which a device's score reaches 0
-	// (default 4). A device is Suspect at z ≥ ZMax/2.
-	ZMax float64
-	// MinFrames is the per-device frame count below which the device is
-	// scored 1.0 unconditionally — too little evidence to indict
-	// (default 8).
-	MinFrames int
-}
-
-func (hc HealthConfig) withDefaults() HealthConfig {
-	if hc.Alpha == 0 {
-		hc.Alpha = 0.2
-	}
-	if hc.ZMax == 0 {
-		hc.ZMax = 4
-	}
-	if hc.MinFrames == 0 {
-		hc.MinFrames = 8
-	}
-	return hc
-}
+// Health scoring's constants.
+const (
+	// healthAlpha is the EWMA smoothing factor.
+	healthAlpha = 0.2
+	// healthZMax is the robust z-score at which a device's score reaches
+	// 0. A device is Suspect at z ≥ healthZMax/2.
+	healthZMax = 4
+	// healthMinFrames is the per-device frame count below which the
+	// device is scored 1.0 unconditionally: too little evidence to indict.
+	healthMinFrames = 8
+)
 
 // AnnealObs is one frame's anneal-quality observation, extracted from a
 // "fleet/anneal-stats" trace event.
@@ -65,10 +51,10 @@ type DeviceHealth struct {
 	// device".
 	ZResidual   float64 `json:"z_residual"`
 	ZChainBreak float64 `json:"z_chain_break"`
-	// Score ∈ [0, 1]: 1 healthy, 0 fully indicted. Feedable to
-	// fleet.Config.DeviceHealth / cran.Config.ShardHealth on a LATER run.
+	// Score ∈ [0, 1]: 1 healthy, 0 fully indicted. A dashboard
+	// diagnostic only: no scheduler reads it.
 	Score float64 `json:"score"`
-	// Suspect marks devices at z ≥ ZMax/2 on either signal.
+	// Suspect marks devices at z ≥ healthZMax/2 on either signal.
 	Suspect bool `json:"suspect,omitempty"`
 }
 
@@ -78,8 +64,7 @@ type DeviceHealth struct {
 // cannot change a score. Scoring is relative within each shard's fleet:
 // a device is unhealthy when its smoothed residual or chain-break rate
 // is a robust outlier against the shard's median.
-func ScoreDevices(obs []AnnealObs, hc HealthConfig) []DeviceHealth {
-	hc = hc.withDefaults()
+func ScoreDevices(obs []AnnealObs) []DeviceHealth {
 	sorted := append([]AnnealObs(nil), obs...)
 	sort.Slice(sorted, func(a, b int) bool {
 		if sorted[a].At != sorted[b].At {
@@ -120,8 +105,8 @@ func ScoreDevices(obs []AnnealObs, hc HealthConfig) []DeviceHealth {
 		if h.Frames == 0 {
 			h.EWMAResidual, h.EWMAChainBreak = res, cbr
 		} else {
-			h.EWMAResidual += hc.Alpha * (res - h.EWMAResidual)
-			h.EWMAChainBreak += hc.Alpha * (cbr - h.EWMAChainBreak)
+			h.EWMAResidual += healthAlpha * (res - h.EWMAResidual)
+			h.EWMAChainBreak += healthAlpha * (cbr - h.EWMAChainBreak)
 		}
 		h.Frames++
 	}
@@ -145,9 +130,9 @@ func ScoreDevices(obs []AnnealObs, hc HealthConfig) []DeviceHealth {
 			h.ZResidual = robustZ(h.EWMAResidual, resMed, resMAD)
 			h.ZChainBreak = robustZ(h.EWMAChainBreak, cbrMed, cbrMAD)
 			z := math.Max(h.ZResidual, h.ZChainBreak)
-			h.Score = clamp01(1 - math.Max(0, z)/hc.ZMax)
-			h.Suspect = z >= hc.ZMax/2
-			if h.Frames < hc.MinFrames {
+			h.Score = clamp01(1 - math.Max(0, z)/healthZMax)
+			h.Suspect = z >= healthZMax/2
+			if h.Frames < healthMinFrames {
 				h.Score, h.Suspect = 1, false
 			}
 		}
@@ -156,22 +141,6 @@ func ScoreDevices(obs []AnnealObs, hc HealthConfig) []DeviceHealth {
 	out := make([]DeviceHealth, 0, len(order))
 	for _, k := range order {
 		out = append(out, *acc[k])
-	}
-	return out
-}
-
-// Scores flattens a single-shard health report into the []float64 shape
-// fleet.Config.DeviceHealth takes: one entry per device index in
-// [0, nDevices), defaulting to 1 for devices the trace never saw.
-func Scores(hs []DeviceHealth, nDevices int) []float64 {
-	out := make([]float64, nDevices)
-	for i := range out {
-		out[i] = 1
-	}
-	for _, h := range hs {
-		if h.Device >= 0 && h.Device < nDevices {
-			out[h.Device] = h.Score
-		}
 	}
 	return out
 }

@@ -19,16 +19,14 @@ type Config struct {
 	// Specs are the SLOs to evaluate (empty: SLIs only, no alerts).
 	// DefaultSpecs(deadline) is the serving tier's standard set.
 	Specs []Spec
-	// Health tunes device health scoring.
-	Health HealthConfig
-	// UEsPerCell recovers the cell id from a packed fleet stream id
-	// (cell = stream / UEsPerCell; default 1024, matching cran.StreamID).
-	// Set negative to disable per-cell tables.
-	UEsPerCell int
 	// TopSlow is how many slowest frames the dashboard details
-	// (default 10).
+	// (default 10; negative: none).
 	TopSlow int
 }
+
+// uesPerCell recovers the cell id from a packed fleet stream id
+// (cell = stream / uesPerCell), matching cran.StreamID.
+const uesPerCell = 1024
 
 func (c Config) withDefaults() (Config, error) {
 	if c.TickMicros == 0 {
@@ -42,9 +40,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SlideTicks < 1 {
 		return c, fmt.Errorf("slo: slide ticks %d < 1", c.SlideTicks)
-	}
-	if c.UEsPerCell == 0 {
-		c.UEsPerCell = 1024
 	}
 	if c.TopSlow == 0 {
 		c.TopSlow = 10
@@ -311,16 +306,14 @@ func (a *analysis) ingest(r telemetry.Record) {
 			a.tierQueue.Observe(r.T1, q)
 			a.seriesFor(a.shardQueue, shard).Observe(r.T1, q)
 		}
-		if a.cfg.UEsPerCell > 0 {
-			if stream, ok := attrInt(r.Attrs, "stream"); ok {
-				cell := stream / a.cfg.UEsPerCell
-				s := a.cellLat[cell]
-				if s == nil {
-					s = NewSeries(a.cfg.TickMicros)
-					a.cellLat[cell] = s
-				}
-				s.Observe(r.T1, lat)
+		if stream, ok := attrInt(r.Attrs, "stream"); ok {
+			cell := stream / uesPerCell
+			s := a.cellLat[cell]
+			if s == nil {
+				s = NewSeries(a.cfg.TickMicros)
+				a.cellLat[cell] = s
 			}
+			s.Observe(r.T1, lat)
 		}
 		a.tier.served++
 		a.scope(shard).served++
@@ -497,7 +490,7 @@ func (a *analysis) snapshot(recs []telemetry.Record) (*Snapshot, error) {
 		snap.Utilization = append(snap.Utilization, du)
 	}
 
-	snap.Devices = ScoreDevices(a.annealObs, a.cfg.Health)
+	snap.Devices = ScoreDevices(a.annealObs)
 	snap.Frames = CriticalPaths(recs)
 
 	// Burn-rate alerting: each spec over each scope it expanded to.

@@ -243,88 +243,6 @@ func TestCriticalPathTilesLatency(t *testing.T) {
 	}
 }
 
-// TestHealthRoutingOffIsIdentical: DeviceHealth nil and DeviceHealth of
-// all-ones must schedule identically (the flag is off by default and
-// uniform health divides busy time by 1 everywhere).
-func TestHealthRoutingOffIsIdentical(t *testing.T) {
-	// Two streams over three devices: each arrival tick leaves the
-	// scheduler a real choice (with streams == devices every device gets
-	// a forced pick and health weighting cannot show up).
-	reqs := uniformRequests(t, 2, 9, 100, 0)
-	run := func(health []float64) *fleet.Result {
-		res, err := fleet.Serve(context.Background(), fleet.Config{
-			Devices: logicalDevices(3), NumReads: 4, Seed: 11, DeviceHealth: health,
-		}, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run(nil)
-	uniform := run([]float64{1, 1, 1})
-	if !reflect.DeepEqual(base.Outcomes, uniform.Outcomes) {
-		t.Fatal("uniform health changed scheduling")
-	}
-
-	// A degraded device must attract less work when routing is enabled.
-	biased := run([]float64{1, 0.05, 1})
-	count := func(res *fleet.Result, dev int) int {
-		n := 0
-		for i := range res.Outcomes {
-			if res.Outcomes[i].Device == dev {
-				n++
-			}
-		}
-		return n
-	}
-	if count(biased, 1) >= count(base, 1) {
-		t.Fatalf("device 1 load did not drop under health 0.05: base %d, biased %d",
-			count(base, 1), count(biased, 1))
-	}
-}
-
-// TestShardHealthRoutingOffIsIdentical: the cran-level analogue under
-// load-aware placement.
-func TestShardHealthRoutingOffIsIdentical(t *testing.T) {
-	probs := testProblems(t)
-	var reqs []cran.Request
-	for cell := 0; cell < 6; cell++ {
-		p := probs[cell%len(probs)]
-		init := make([]int8, p.N)
-		for i := range init {
-			init[i] = 1
-		}
-		reqs = append(reqs, cran.Request{
-			Cell: cell, UE: 0, Seq: 0,
-			Arrival: float64(cell) * 40, Problem: p, InitialState: init,
-		})
-	}
-	run := func(health []float64) *cran.Result {
-		res, err := cran.Serve(context.Background(), cran.Config{
-			Shards:    [][]fleet.Device{logicalDevices(1), logicalDevices(1)},
-			Placement: cran.PlacementLoadAware,
-			Fleet:     fleet.Config{NumReads: 4},
-			Seed:      3, ShardHealth: health,
-		}, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run(nil)
-	uniform := run([]float64{1, 1})
-	if !reflect.DeepEqual(base.Outcomes, uniform.Outcomes) {
-		t.Fatal("uniform shard health changed placement")
-	}
-	// With shard 1 at zero health every cell must land on shard 0.
-	drained := run([]float64{1, 0})
-	for _, o := range drained.Outcomes {
-		if o.Shard != 0 {
-			t.Fatalf("cell %d placed on drained shard %d", o.Cell, o.Shard)
-		}
-	}
-}
-
 // driftRequests builds a two-phase load: a light warmup, then a burst
 // arriving faster than the pool drains, pushing queue delay (and thus
 // latency) far past the warmup level.
@@ -412,15 +330,34 @@ func TestDriftInjectionSelfTest(t *testing.T) {
 	if !fired {
 		t.Fatalf("p99 alert never fired; alerts: %+v, tier %+v", snap.Alerts, snap.Tier)
 	}
+}
 
-	// And the scores feed the next run's scheduler as plain numbers.
-	scores := Scores(snap.Devices, 3)
-	if scores[1] >= scores[0] || scores[1] >= scores[2] {
-		t.Fatalf("score vector does not single out device 1: %v", scores)
+// TestCellBucketingMatchesCranStreamID pins the monitor's stream→cell
+// decoding to cran's stream packing: every frame span lands in the
+// per-cell table of the cell its packed stream id came from.
+func TestCellBucketingMatchesCranStreamID(t *testing.T) {
+	if uesPerCell != cran.MaxUEsPerCell {
+		t.Fatalf("cell bucketing divides by %d, cran packs %d UEs per cell", uesPerCell, cran.MaxUEsPerCell)
 	}
-	if _, err := fleet.Serve(context.Background(), fleet.Config{
-		Devices: devs, NumReads: 4, Seed: 17, DeviceHealth: scores,
-	}, reqs); err != nil {
-		t.Fatalf("health-aware rerun failed: %v", err)
+	cells := []int{0, 3, 7}
+	var recs []telemetry.Record
+	for i, cell := range cells {
+		for _, ue := range []int{0, cran.MaxUEsPerCell - 1} {
+			recs = append(recs, telemetry.Record{
+				Type: "span", Name: "fleet/frame", T0: float64(10 * i), T1: float64(10*i + 5),
+				Attrs: telemetry.Attrs{"stream": cran.StreamID(cell, ue), "seq": 0},
+			})
+		}
+	}
+	snap, err := Analyze(recs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, c := range snap.Cells {
+		got = append(got, c.Cell)
+	}
+	if !reflect.DeepEqual(got, cells) {
+		t.Fatalf("per-cell table lists cells %v, want %v", got, cells)
 	}
 }

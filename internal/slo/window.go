@@ -7,9 +7,8 @@
 //
 // Determinism contract: the package is a pure consumer. It holds no
 // locks the emitters contend on beyond a buffer append, consumes no RNG,
-// and never feeds back into a running Serve call — health scores are
-// published as plain numbers a *subsequent* run's config may consult
-// (fleet.Config.DeviceHealth, cran.Config.ShardHealth). Records arrive
+// and never feeds back into a Serve call — health scores are a dashboard
+// diagnostic that no scheduler reads. Records arrive
 // in host-scheduling order from parallel emitters, so every aggregate
 // here is order-insensitive by construction: window buckets accumulate
 // commutatively and sort their values at finalize, and the analysis pass

@@ -15,7 +15,7 @@ repro/internal/chimera 92
 repro/internal/cli 56
 repro/internal/coding 93
 repro/internal/core 87
-repro/internal/cran 94
+repro/internal/cran 95
 repro/internal/experiments 84
 repro/internal/fleet 94
 repro/internal/instance 91
