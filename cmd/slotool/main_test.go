@@ -1,28 +1,27 @@
 package main
 
 import (
-	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestMain lets a test re-execute this binary as slotool itself: with
-// SLOTOOL_RUN_MAIN set, the process runs main on its own arguments.
-func TestMain(m *testing.M) {
-	if os.Getenv("SLOTOOL_RUN_MAIN") == "1" {
-		main()
-		os.Exit(0)
+// buildSlotool compiles the command into a temporary directory.
+func buildSlotool(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "slotool")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	os.Exit(m.Run())
+	return bin
 }
 
-// slotool runs the command on the committed trace fixture with extra
+// slotool runs the binary on the committed trace fixture with extra
 // flags and returns its stdout and whether it exited cleanly.
-func slotool(t *testing.T, args ...string) (string, bool) {
+func slotool(t *testing.T, bin string, args ...string) (string, bool) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], append([]string{"-trace", "../../internal/slo/testdata/trace_small.jsonl", "-quiet"}, args...)...)
-	cmd.Env = append(os.Environ(), "SLOTOOL_RUN_MAIN=1")
+	cmd := exec.Command(bin, append([]string{"-trace", "../../internal/slo/testdata/trace_small.jsonl", "-quiet"}, args...)...)
 	out, err := cmd.Output()
 	if _, exited := err.(*exec.ExitError); err != nil && !exited {
 		t.Fatal(err)
@@ -31,16 +30,17 @@ func slotool(t *testing.T, args ...string) (string, bool) {
 }
 
 func TestTopSlowFlag(t *testing.T) {
-	out, ok := slotool(t)
+	bin := buildSlotool(t)
+	out, ok := slotool(t, bin)
 	if !ok || !strings.Contains(out, "== top 10 slow frames") {
 		t.Fatalf("default run: ok=%v, no top-10 table in\n%s", ok, out)
 	}
-	out, ok = slotool(t, "-top", "0")
+	out, ok = slotool(t, bin, "-top", "0")
 	if !ok || strings.Contains(out, "slow frames") {
 		t.Fatalf("-top 0: ok=%v, want no slow-frame table in\n%s", ok, out)
 	}
 	for _, bad := range [][]string{{"-top", "-1"}, {"-slide", "-1"}, {"-slide", "0"}, {"-tick", "0"}} {
-		if out, ok := slotool(t, bad...); ok {
+		if out, ok := slotool(t, bin, bad...); ok {
 			t.Fatalf("%v accepted:\n%s", bad, out)
 		}
 	}
