@@ -51,11 +51,12 @@ fuzz-smoke:
 # SLO monitoring gate: the uncached monitor/alerting/health suite (this
 # battery pins the no-perturbation and live==offline determinism
 # contracts), a slotool smoke run over the committed trace fixture, and
-# one iteration of the analysis benchmark so it cannot bitrot.
+# one iteration of the analysis and JSONL export benchmarks so they
+# cannot bitrot.
 slo:
 	$(GO) test -count=1 ./internal/slo/
 	$(GO) run ./cmd/slotool -trace internal/slo/testdata/trace_small.jsonl -quiet > /dev/null
-	$(GO) test -run '^$$' -bench BenchmarkAnalyze -benchtime=1x ./internal/slo/
+	$(GO) test -run '^$$' -bench 'BenchmarkAnalyze|BenchmarkWriteJSONL' -benchtime=1x ./internal/slo/
 
 # The benchmark harness is its own module, so the root `go test ./...`
 # never builds it; vet and test it here so an API change that breaks the

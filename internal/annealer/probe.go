@@ -87,13 +87,14 @@ func (mp *MetricsProbe) ObserveSweep(ob SweepObservation) {
 		mp.Metrics.Histogram("annealer_sweep_energy", -100, 100, 40, label).Observe(ob.Energy)
 	}
 	if mp.Trace != nil && (ob.Sweep%sampleEvery == 0 || ob.Sweep == ob.TotalSweeps-1) {
-		attrs := telemetry.Attrs{
-			"read": ob.Read, "sweep": ob.Sweep, "s": ob.S,
-			"energy": ob.Energy, "accepted": ob.Accepted, "proposed": ob.Proposed,
-		}
+		attrs := make(telemetry.Attrs, 0, 7)
+		attrs = append(attrs,
+			telemetry.Int("accepted", ob.Accepted), telemetry.Float("energy", ob.Energy),
+			telemetry.Int("proposed", ob.Proposed), telemetry.Int("read", ob.Read))
 		if ob.ReplicaEnergies != nil {
-			attrs["replica_energies"] = append([]float64(nil), ob.ReplicaEnergies...)
+			attrs = append(attrs, telemetry.Floats("replica_energies", append([]float64(nil), ob.ReplicaEnergies...)))
 		}
+		attrs = append(attrs, telemetry.Float("s", ob.S), telemetry.Int("sweep", ob.Sweep))
 		mp.Trace.Event("sweep", ob.TimeMicros, attrs)
 	}
 }
@@ -130,44 +131,47 @@ func (p Params) emitBatchTelemetry(res *Result, faults []readFault) {
 		}
 		t := prog
 		for read, f := range faults {
-			attrs := telemetry.Attrs{"read": read}
-			if f.timeout {
-				attrs["fault"] = "read-timeout"
-			}
-			if f.storm {
-				attrs["storm"] = true
-			}
+			attrs := make(telemetry.Attrs, 0, 4)
 			if f.drift {
-				attrs["drift"] = true
+				attrs = append(attrs, telemetry.Bool("drift", true))
+			}
+			if f.timeout {
+				attrs = append(attrs, telemetry.String("fault", "read-timeout"))
+			}
+			attrs = append(attrs, telemetry.Int("read", read))
+			if f.storm {
+				attrs = append(attrs, telemetry.Bool("storm", true))
 			}
 			p.Trace.Span("qpu/anneal", t, t+res.ScheduleDuration, attrs)
 			t += res.ScheduleDuration
 			if readout > 0 {
-				p.Trace.Span("qpu/readout", t, t+readout, telemetry.Attrs{"read": read})
+				p.Trace.Span("qpu/readout", t, t+readout, telemetry.Attrs{telemetry.Int("read", read)})
 				t += readout
 			}
 		}
 		// Batch summary at the batch's (relative-clock) end: read yield,
 		// fault tallies, and the surviving-sample energy statistics the SLO
 		// monitor's device health scoring keys off.
-		stats := telemetry.Attrs{
-			"issued":   len(faults),
-			"survived": len(res.Samples),
-			"timeouts": res.Faults.ReadTimeouts,
-			"storms":   res.Faults.ChainBreakStorms,
-			"drifts":   res.Faults.CalibrationDrifts,
-		}
-		if len(res.Samples) > 0 {
-			sum, best := 0.0, math.Inf(1)
-			for _, s := range res.Samples {
-				sum += s.Energy
-				if s.Energy < best {
-					best = s.Energy
-				}
+		survived := len(res.Samples)
+		sum, best := 0.0, math.Inf(1)
+		for _, s := range res.Samples {
+			sum += s.Energy
+			if s.Energy < best {
+				best = s.Energy
 			}
-			stats["mean_energy"] = sum / float64(len(res.Samples))
-			stats["best_energy"] = best
 		}
+		stats := make(telemetry.Attrs, 0, 7)
+		if survived > 0 {
+			stats = append(stats, telemetry.Float("best_energy", best))
+		}
+		stats = append(stats, telemetry.Int("drifts", res.Faults.CalibrationDrifts), telemetry.Int("issued", len(faults)))
+		if survived > 0 {
+			stats = append(stats, telemetry.Float("mean_energy", sum/float64(survived)))
+		}
+		stats = append(stats,
+			telemetry.Int("storms", res.Faults.ChainBreakStorms),
+			telemetry.Int("survived", survived),
+			telemetry.Int("timeouts", res.Faults.ReadTimeouts))
 		p.Trace.Event("qpu/batch-stats", t, stats)
 	}
 	if p.Metrics != nil {
@@ -196,7 +200,9 @@ func emitFaultCounters(reg *telemetry.Registry, fs FaultStats) {
 // all reads lost) to both sinks.
 func (p Params) emitHardFault(kind FaultKind) {
 	name := kind.String()
-	p.Trace.Event("fault", 0, telemetry.Attrs{"kind": name})
+	if p.Trace != nil {
+		p.Trace.Event("fault", 0, telemetry.Attrs{telemetry.String("kind", name)})
+	}
 	if p.Metrics != nil {
 		p.Metrics.Counter("annealer_faults_total", telemetry.Label{Key: "kind", Value: name}).Inc()
 	}

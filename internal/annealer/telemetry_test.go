@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 )
 
 // instrumented returns Params with every telemetry hook wired.
@@ -55,6 +56,7 @@ func TestTracedRunBitIdentical(t *testing.T) {
 			if tr.Len() == 0 || reg.Counter("annealer_reads_issued_total").Value() != 16 {
 				t.Fatalf("%s par=%d: telemetry not actually collected", engine.Name(), par)
 			}
+			telemetrytest.CheckTrace(t, tr)
 		}
 	}
 }
@@ -107,6 +109,7 @@ func TestSpanDurationsSumToServiceTime(t *testing.T) {
 	if res.Faults.ReadTimeouts == 0 {
 		t.Fatal("want some injected timeouts for this pin; raise the rate")
 	}
+	telemetrytest.CheckTrace(t, tr)
 	var sum float64
 	counts := map[string]int{}
 	for _, r := range tr.Records() {

@@ -140,11 +140,13 @@ func TestTelemetrySLOReport(t *testing.T) {
 	}
 	// A minimal served frame so the dashboard has service levels.
 	tel.Tracer.Span("fleet/frame", 0, 50, telemetry.Attrs{
-		"stream": 0, "seq": 0, "device": 0, "batch": 0, "attempts": 1,
-		"queue_us": 5.0, "reads": 4,
+		telemetry.Int("stream", 0), telemetry.Int("seq", 0), telemetry.Int("device", 0),
+		telemetry.Int("batch", 0), telemetry.Int("attempts", 1),
+		telemetry.Float("queue_us", 5), telemetry.Int("reads", 4),
 	})
 	tel.Tracer.Event("fleet/answer", 50, telemetry.Attrs{
-		"stream": 0, "seq": 0, "device": 0, "source": "quantum",
+		telemetry.Int("stream", 0), telemetry.Int("seq", 0), telemetry.Int("device", 0),
+		telemetry.String("source", "quantum"),
 	})
 	if tel.Monitor.Len() != 2 {
 		t.Fatalf("monitor buffered %d records, want 2", tel.Monitor.Len())

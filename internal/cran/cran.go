@@ -444,9 +444,12 @@ func (rt *router) failOver(cs *cellState, cell int, t float64) *cellState {
 	cs.epoch++
 	rt.failovers++
 	rt.records = append(rt.records, PlacementRecord{Cell: cell, Epoch: cs.epoch, Shard: next, SinceMicros: t})
-	rt.cfg.Trace.Event("cran/failover", t, telemetry.Attrs{
-		"cell": cell, "epoch": cs.epoch, "from": from, "to": next,
-	})
+	if rt.cfg.Trace != nil {
+		rt.cfg.Trace.Event("cran/failover", t, telemetry.Attrs{
+			telemetry.Int("cell", cell), telemetry.Int("epoch", cs.epoch),
+			telemetry.Int("from", from), telemetry.Int("to", next),
+		})
+	}
 	if rt.cfg.Metrics != nil {
 		rt.cfg.Metrics.Counter("cran_failovers_total").Inc()
 	}
@@ -491,9 +494,12 @@ func (rt *router) shed(i int, r Request, reason string, outcomes []Outcome) {
 		Cell: r.Cell, UE: r.UE, Seq: r.Seq,
 		Shard: -1, RouterShed: true, Frame: o,
 	}
-	rt.cfg.Trace.Event("cran/router-shed", r.Arrival, telemetry.Attrs{
-		"cell": r.Cell, "ue": r.UE, "seq": r.Seq, "reason": reason,
-	})
+	if rt.cfg.Trace != nil {
+		rt.cfg.Trace.Event("cran/router-shed", r.Arrival, telemetry.Attrs{
+			telemetry.Int("cell", r.Cell), telemetry.String("reason", reason),
+			telemetry.Int("seq", r.Seq), telemetry.Int("ue", r.UE),
+		})
+	}
 	if rt.cfg.Metrics != nil {
 		rt.cfg.Metrics.Counter("cran_router_shed_total",
 			telemetry.Label{Key: "reason", Value: reason}).Inc()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/annealer"
 	"repro/internal/fleet"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 )
 
 // determinismScenario is a busy 3-shard tier over mixed device pools —
@@ -102,6 +103,7 @@ func tierArtifacts(t testing.TB, workers, shardWorkers int, perm []int, faults b
 	if err != nil {
 		t.Fatal(err)
 	}
+	telemetrytest.CheckTrace(t, cfg.Trace)
 	var buf bytes.Buffer
 	if err := cfg.Trace.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/annealer"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 )
 
 // determinismScenario is a moderately busy mixed fleet: a logical device,
@@ -52,6 +53,7 @@ func serveArtifacts(t testing.TB, workers int, faults bool) (outcomes, trace []b
 	if err != nil {
 		t.Fatal(err)
 	}
+	telemetrytest.CheckTrace(t, cfg.Trace)
 	var buf bytes.Buffer
 	if err := cfg.Trace.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)

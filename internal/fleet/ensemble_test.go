@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/qubo"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 )
 
 // ensembleCandidates builds k deterministic distinct candidates for p.
@@ -68,6 +69,7 @@ func ensembleArtifacts(t testing.TB, workers int, faults bool) (outcomes, trace 
 	if err != nil {
 		t.Fatal(err)
 	}
+	telemetrytest.CheckTrace(t, cfg.Fleet.Trace)
 	var buf bytes.Buffer
 	if err := cfg.Fleet.Trace.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)

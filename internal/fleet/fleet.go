@@ -629,20 +629,30 @@ func (pl *planner) lease(dev int, k schedKey) (*annealer.Lease, error) {
 	return l, nil
 }
 
-// tattrs injects the shard label into a trace record's attributes.
-func (pl *planner) tattrs(a telemetry.Attrs) telemetry.Attrs {
-	if pl.cfg.ShardLabel != "" {
-		a["shard"] = pl.cfg.ShardLabel
+// tattrs builds a trace record's attributes from as, which is in key
+// order, inserting the shard label in its place so the tracer has
+// nothing to sort. Call it only when the tracer is non-nil.
+func (pl *planner) tattrs(as ...telemetry.Attr) telemetry.Attrs {
+	out := make(telemetry.Attrs, 0, len(as)+1)
+	if pl.cfg.ShardLabel == "" {
+		return append(out, as...)
 	}
-	return a
+	i := 0
+	for i < len(as) && as[i].Key < "shard" {
+		i++
+	}
+	out = append(append(out, as[:i]...), telemetry.String("shard", pl.cfg.ShardLabel))
+	return append(out, as[i:]...)
 }
 
-// mlabels appends the shard label to a metric series' labels.
+// mlabels appends the shard label to a metric series' labels. Callers
+// pass at most three and hand the result straight to the registry, so
+// the copy stays on the caller's stack.
 func (pl *planner) mlabels(ls ...telemetry.Label) []telemetry.Label {
-	if pl.cfg.ShardLabel != "" {
-		ls = append(ls, telemetry.Label{Key: "shard", Value: pl.cfg.ShardLabel})
+	if pl.cfg.ShardLabel == "" {
+		return ls
 	}
-	return ls
+	return append(append(make([]telemetry.Label, 0, 4), ls...), telemetry.Label{Key: "shard", Value: pl.cfg.ShardLabel})
 }
 
 // deviceDown reports whether the device refuses new work at time t.
@@ -678,7 +688,9 @@ func (pl *planner) simulate() {
 	for dev := range pl.cfg.Devices {
 		if f := pl.cfg.Devices[dev].FailAt; f > 0 && !pl.downEmitted[dev] {
 			pl.downEmitted[dev] = true
-			pl.cfg.Trace.Event("fleet/device-down", f, pl.tattrs(telemetry.Attrs{"device": dev}))
+			if pl.cfg.Trace != nil {
+				pl.cfg.Trace.Event("fleet/device-down", f, pl.tattrs(telemetry.Int("device", dev)))
+			}
 		}
 	}
 }
@@ -693,10 +705,12 @@ func (pl *planner) admit(fi int) {
 	pl.queues[f.stream] = append(pl.queues[f.stream], fi)
 	pl.queued++
 	if pl.cfg.Route == RouteHybrid {
-		pl.cfg.Trace.Event("fleet/route", f.req.Arrival, pl.tattrs(telemetry.Attrs{
-			"stream": f.req.Stream, "seq": f.req.Seq,
-			"class": f.class.String(), "hardness": f.hardness,
-		}))
+		if pl.cfg.Trace != nil {
+			pl.cfg.Trace.Event("fleet/route", f.req.Arrival, pl.tattrs(
+				telemetry.String("class", f.class.String()), telemetry.Float("hardness", f.hardness),
+				telemetry.Int("seq", f.req.Seq), telemetry.Int("stream", f.req.Stream),
+			))
+		}
 		if pl.cfg.Metrics != nil {
 			pl.cfg.Metrics.Counter("fleet_routed_total",
 				pl.mlabels(telemetry.Label{Key: "class", Value: f.class.String()})...).Inc()
@@ -721,7 +735,10 @@ func (pl *planner) shed(fi int, reason string, t float64) {
 	o.DeadlineMissed = o.Finish > f.absDeadline
 	ans := core.Reduce(f.req.Problem, [][]int8{f.req.InitialState}, nil)
 	o.Best, o.Source = ans.Best, ans.Source
-	pl.cfg.Trace.Event("fleet/shed", t, pl.tattrs(telemetry.Attrs{"stream": f.req.Stream, "seq": f.req.Seq, "reason": reason}))
+	if pl.cfg.Trace != nil {
+		pl.cfg.Trace.Event("fleet/shed", t, pl.tattrs(
+			telemetry.String("reason", reason), telemetry.Int("seq", f.req.Seq), telemetry.Int("stream", f.req.Stream)))
+	}
 	if o.DeadlineMissed {
 		pl.deadlineMiss(fi, o.Finish)
 	}
@@ -732,7 +749,9 @@ func (pl *planner) shed(fi int, reason string, t float64) {
 
 func (pl *planner) deadlineMiss(fi int, at float64) {
 	f := &pl.frames[fi]
-	pl.cfg.Trace.Event("fleet/deadline-miss", at, pl.tattrs(telemetry.Attrs{"stream": f.req.Stream, "seq": f.req.Seq}))
+	if pl.cfg.Trace != nil {
+		pl.cfg.Trace.Event("fleet/deadline-miss", at, pl.tattrs(telemetry.Int("seq", f.req.Seq), telemetry.Int("stream", f.req.Stream)))
+	}
 	if pl.cfg.Metrics != nil {
 		pl.cfg.Metrics.Counter("fleet_deadline_misses_total", pl.mlabels()...).Inc()
 		pl.cfg.Metrics.Counter("fleet_stream_deadline_misses_total",
@@ -919,9 +938,12 @@ func (pl *planner) rerouteStranded() {
 			}
 			f := &pl.frames[fi]
 			if f.class != ClassAny && liveCompatible(fi, false) {
-				pl.cfg.Trace.Event("fleet/route-fallback", pl.clock, pl.tattrs(telemetry.Attrs{
-					"stream": f.req.Stream, "seq": f.req.Seq, "from": f.class.String(),
-				}))
+				if pl.cfg.Trace != nil {
+					pl.cfg.Trace.Event("fleet/route-fallback", pl.clock, pl.tattrs(
+						telemetry.String("from", f.class.String()),
+						telemetry.Int("seq", f.req.Seq), telemetry.Int("stream", f.req.Stream),
+					))
+				}
 				if pl.cfg.Metrics != nil {
 					pl.cfg.Metrics.Counter("fleet_route_fallbacks_total",
 						pl.mlabels(telemetry.Label{Key: "from", Value: f.class.String()})...).Inc()
@@ -1049,7 +1071,9 @@ func (pl *planner) launch(dev, seed int) {
 	cursor := pl.clock + prog
 	if b.faulted {
 		b.finish = cursor
-		pl.cfg.Trace.Event("fleet/device-fault", pl.clock, pl.tattrs(telemetry.Attrs{"device": dev, "batch": id}))
+		if pl.cfg.Trace != nil {
+			pl.cfg.Trace.Event("fleet/device-fault", pl.clock, pl.tattrs(telemetry.Int("batch", id), telemetry.Int("device", dev)))
+		}
 	} else {
 		for _, fi := range b.frames {
 			f := &pl.frames[fi]
@@ -1082,17 +1106,23 @@ func (pl *planner) launch(dev, seed int) {
 	// offline analyzer (cmd/slotool) can attribute each frame's time to
 	// program / batch-wait / anneal / readout without re-deriving the
 	// device model.
-	battrs := telemetry.Attrs{
-		"device": dev, "batch": id, "frames": len(b.frames), "faulted": b.faulted,
-		"prog_us": prog, "anneal_us": sc.Duration(), "readout_us": readout, "reads": batchReads,
+	if pl.cfg.Trace != nil {
+		battrs := make([]telemetry.Attr, 0, 9)
+		if classical {
+			// Classical cycles have no anneal schedule: their time is solver
+			// compute, announced by the backend attribute.
+			battrs = append(battrs, telemetry.Float("anneal_us", 0), telemetry.String("backend", d.Backend.String()))
+		} else {
+			battrs = append(battrs, telemetry.Float("anneal_us", sc.Duration()))
+		}
+		battrs = append(battrs,
+			telemetry.Int("batch", id), telemetry.Int("device", dev),
+			telemetry.Bool("faulted", b.faulted), telemetry.Int("frames", len(b.frames)),
+			telemetry.Float("prog_us", prog), telemetry.Float("readout_us", readout),
+			telemetry.Int("reads", batchReads),
+		)
+		pl.cfg.Trace.Span("fleet/batch", b.start, b.finish, pl.tattrs(battrs...))
 	}
-	if classical {
-		// Classical cycles have no anneal schedule: their time is solver
-		// compute, announced by the backend attribute.
-		battrs["anneal_us"] = 0.0
-		battrs["backend"] = d.Backend.String()
-	}
-	pl.cfg.Trace.Span("fleet/batch", b.start, b.finish, pl.tattrs(battrs))
 	if pl.cfg.Metrics != nil {
 		pl.cfg.Metrics.Counter("fleet_batches_total", pl.mlabels()...).Inc()
 		if b.faulted {
@@ -1116,11 +1146,14 @@ func (pl *planner) complete(batchID int) {
 			f := &pl.frames[fi]
 			o := &pl.outcomes[fi]
 			o.DeadlineMissed = o.Finish > f.absDeadline
-			pl.cfg.Trace.Span("fleet/frame", f.req.Arrival, o.Finish, pl.tattrs(telemetry.Attrs{
-				"stream": f.req.Stream, "seq": f.req.Seq, "device": o.Device,
-				"batch": batchID, "attempts": o.Attempts,
-				"queue_us": o.QueueMicros, "reads": f.reads,
-			}))
+			if pl.cfg.Trace != nil {
+				pl.cfg.Trace.Span("fleet/frame", f.req.Arrival, o.Finish, pl.tattrs(
+					telemetry.Int("attempts", o.Attempts), telemetry.Int("batch", batchID),
+					telemetry.Int("device", o.Device), telemetry.Float("queue_us", o.QueueMicros),
+					telemetry.Int("reads", f.reads), telemetry.Int("seq", f.req.Seq),
+					telemetry.Int("stream", f.req.Stream),
+				))
+			}
 			if o.DeadlineMissed {
 				pl.deadlineMiss(fi, o.Finish)
 			}
@@ -1305,14 +1338,15 @@ func (pl *planner) classicalStats(f *frame, o *Outcome, meanE float64, kind Back
 		return
 	}
 	candE := f.req.Problem.Energy(f.req.InitialState)
-	pl.cfg.Trace.Event("fleet/anneal-stats", o.Finish, pl.tattrs(telemetry.Attrs{
-		"device": o.Device, "batch": o.Batch,
-		"stream": f.req.Stream, "seq": f.req.Seq,
-		"reads": f.reads, "cand_energy": candE,
-		"survived": f.reads, "mean_energy": meanE, "best_energy": o.Best.Energy,
-		"chain_break_rate": 0.0, "timeouts": 0, "storms": 0, "drifts": 0,
-		"backend": kind.String(),
-	}))
+	pl.cfg.Trace.Event("fleet/anneal-stats", o.Finish, pl.tattrs(
+		telemetry.String("backend", kind.String()), telemetry.Int("batch", o.Batch),
+		telemetry.Float("best_energy", o.Best.Energy), telemetry.Float("cand_energy", candE),
+		telemetry.Float("chain_break_rate", 0), telemetry.Int("device", o.Device),
+		telemetry.Int("drifts", 0), telemetry.Float("mean_energy", meanE),
+		telemetry.Int("reads", f.reads), telemetry.Int("seq", f.req.Seq),
+		telemetry.Int("storms", 0), telemetry.Int("stream", f.req.Stream),
+		telemetry.Int("survived", f.reads), telemetry.Int("timeouts", 0),
+	))
 }
 
 // annealStats publishes one frame's anneal-quality event — the raw
@@ -1327,27 +1361,28 @@ func (pl *planner) annealStats(f *frame, o *Outcome, res *annealer.Result) {
 		return
 	}
 	candE := f.req.Problem.Energy(f.req.InitialState)
-	attrs := telemetry.Attrs{
-		"device": o.Device, "batch": o.Batch,
-		"stream": f.req.Stream, "seq": f.req.Seq,
-		"reads": f.reads, "cand_energy": candE,
+	if res == nil {
+		pl.cfg.Trace.Event("fleet/anneal-stats", o.Finish, pl.tattrs(
+			telemetry.Int("batch", o.Batch), telemetry.Float("cand_energy", candE),
+			telemetry.Int("device", o.Device), telemetry.Int("reads", f.reads),
+			telemetry.Int("seq", f.req.Seq), telemetry.Int("stream", f.req.Stream),
+			telemetry.Int("survived", 0),
+		))
+		return
 	}
-	if res != nil {
-		var sum float64
-		for _, s := range res.Samples {
-			sum += s.Energy
-		}
-		attrs["survived"] = len(res.Samples)
-		attrs["mean_energy"] = sum / float64(len(res.Samples))
-		attrs["best_energy"] = res.Best.Energy
-		attrs["chain_break_rate"] = res.BrokenChainRate
-		attrs["timeouts"] = res.Faults.ReadTimeouts
-		attrs["storms"] = res.Faults.ChainBreakStorms
-		attrs["drifts"] = res.Faults.CalibrationDrifts
-	} else {
-		attrs["survived"] = 0
+	var sum float64
+	for _, s := range res.Samples {
+		sum += s.Energy
 	}
-	pl.cfg.Trace.Event("fleet/anneal-stats", o.Finish, pl.tattrs(attrs))
+	pl.cfg.Trace.Event("fleet/anneal-stats", o.Finish, pl.tattrs(
+		telemetry.Int("batch", o.Batch), telemetry.Float("best_energy", res.Best.Energy),
+		telemetry.Float("cand_energy", candE), telemetry.Float("chain_break_rate", res.BrokenChainRate),
+		telemetry.Int("device", o.Device), telemetry.Int("drifts", res.Faults.CalibrationDrifts),
+		telemetry.Float("mean_energy", sum/float64(len(res.Samples))), telemetry.Int("reads", f.reads),
+		telemetry.Int("seq", f.req.Seq), telemetry.Int("storms", res.Faults.ChainBreakStorms),
+		telemetry.Int("stream", f.req.Stream), telemetry.Int("survived", len(res.Samples)),
+		telemetry.Int("timeouts", res.Faults.ReadTimeouts),
+	))
 }
 
 // finishTelemetry emits the post-execution aggregates in deterministic
@@ -1359,15 +1394,17 @@ func (pl *planner) finishTelemetry() {
 		// classical-fallback) is the availability SLI's raw event stream.
 		for i := range pl.outcomes {
 			o := &pl.outcomes[i]
-			attrs := telemetry.Attrs{
-				"stream": o.Stream, "seq": o.Seq, "device": o.Device,
-				"source": o.Source.String(),
-			}
+			as := make([]telemetry.Attr, 0, 6)
+			as = append(as, telemetry.Int("device", o.Device))
 			if o.Shed {
-				attrs["shed"] = true
-				attrs["reason"] = o.ShedReason
+				as = append(as, telemetry.String("reason", o.ShedReason))
 			}
-			pl.cfg.Trace.Event("fleet/answer", o.Finish, pl.tattrs(attrs))
+			as = append(as, telemetry.Int("seq", o.Seq))
+			if o.Shed {
+				as = append(as, telemetry.Bool("shed", true))
+			}
+			as = append(as, telemetry.String("source", o.Source.String()), telemetry.Int("stream", o.Stream))
+			pl.cfg.Trace.Event("fleet/answer", o.Finish, pl.tattrs(as...))
 		}
 	}
 	if pl.cfg.Metrics == nil {

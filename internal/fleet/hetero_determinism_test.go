@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/annealer"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 )
 
 // heteroScenario mirrors determinismScenario for a mixed-backend pool
@@ -59,6 +60,7 @@ func heteroArtifacts(t testing.TB, workers int, faults bool) (outcomes, trace []
 	if err != nil {
 		t.Fatal(err)
 	}
+	telemetrytest.CheckTrace(t, cfg.Trace)
 	var buf bytes.Buffer
 	if err := cfg.Trace.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)

@@ -322,24 +322,28 @@ func (p *Pipeline) emitTelemetry(frames []*Frame, rep *Report) {
 		return
 	}
 	last := len(p.Stages) - 1
-	for _, ft := range rep.Frames {
-		for st := range p.Stages {
-			attrs := telemetry.Attrs{"frame": ft.Seq}
-			if ft.Attempts > 1 && st == last {
-				attrs["attempts"] = ft.Attempts
+	if p.Trace != nil {
+		for _, ft := range rep.Frames {
+			for st := range p.Stages {
+				attrs := make(telemetry.Attrs, 0, 4)
+				if ft.Attempts > 1 && st == last {
+					attrs = append(attrs, telemetry.Int("attempts", ft.Attempts))
+				}
+				if ft.FellBack && st == last {
+					attrs = append(attrs, telemetry.Bool("fellback", true))
+				}
+				attrs = append(attrs, telemetry.Int("frame", ft.Seq))
+				if st == last {
+					attrs = append(attrs, telemetry.Float("latency_us", ft.Latency))
+				}
+				p.Trace.Span("stage/"+rep.StageNames[st], ft.Start[st], ft.Finish[st], attrs)
 			}
-			if ft.FellBack && st == last {
-				attrs["fellback"] = true
+			if ft.Missed {
+				p.Trace.Event("deadline-miss", ft.Finish[last], telemetry.Attrs{
+					telemetry.Float("deadline_us", ft.Deadline), telemetry.Int("frame", ft.Seq),
+					telemetry.Float("latency_us", ft.Latency),
+				})
 			}
-			if st == last {
-				attrs["latency_us"] = ft.Latency
-			}
-			p.Trace.Span("stage/"+rep.StageNames[st], ft.Start[st], ft.Finish[st], attrs)
-		}
-		if ft.Missed {
-			p.Trace.Event("deadline-miss", ft.Finish[last], telemetry.Attrs{
-				"frame": ft.Seq, "latency_us": ft.Latency, "deadline_us": ft.Deadline,
-			})
 		}
 	}
 	if reg := p.Metrics; reg != nil {

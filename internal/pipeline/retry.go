@@ -85,18 +85,24 @@ func (rt *Retry) Process(f *Frame) (float64, error) {
 		}
 		if !rt.DisableDeadlineAbort && f.Deadline > 0 && f.ServiceSoFar()+charged >= f.Deadline {
 			reason = "deadline"
-			rt.Trace.Event("retry/abort", f.ServiceSoFar()+charged, telemetry.Attrs{
-				"frame": f.Seq, "attempt": attempt, "deadline_us": f.Deadline,
-			})
+			if rt.Trace != nil {
+				rt.Trace.Event("retry/abort", f.ServiceSoFar()+charged, telemetry.Attrs{
+					telemetry.Int("attempt", attempt), telemetry.Float("deadline_us", f.Deadline),
+					telemetry.Int("frame", f.Seq),
+				})
+			}
 			break
 		}
 		f.Attempt = attempt
 		f.Stats.Attempts++
 		if attempt > 0 {
 			f.Stats.Retries++
-			rt.Trace.Event("retry/attempt", f.ServiceSoFar()+charged, telemetry.Attrs{
-				"frame": f.Seq, "attempt": attempt, "stage": rt.Stage.Name(),
-			})
+			if rt.Trace != nil {
+				rt.Trace.Event("retry/attempt", f.ServiceSoFar()+charged, telemetry.Attrs{
+					telemetry.Int("attempt", attempt), telemetry.Int("frame", f.Seq),
+					telemetry.String("stage", rt.Stage.Name()),
+				})
+			}
 		}
 		micros, err := rt.Stage.Process(f)
 		f.Attempt = 0
@@ -106,9 +112,12 @@ func (rt *Retry) Process(f *Frame) (float64, error) {
 		}
 		lastErr = err
 		f.Stats.FaultedAttempts++
-		rt.Trace.Event("retry/fault", f.ServiceSoFar()+charged, telemetry.Attrs{
-			"frame": f.Seq, "attempt": attempt, "error": err.Error(),
-		})
+		if rt.Trace != nil {
+			rt.Trace.Event("retry/fault", f.ServiceSoFar()+charged, telemetry.Attrs{
+				telemetry.Int("attempt", attempt), telemetry.String("error", err.Error()),
+				telemetry.Int("frame", f.Seq),
+			})
+		}
 	}
 	if reason == "" {
 		reason = "retries-exhausted"
@@ -125,8 +134,11 @@ func (rt *Retry) Process(f *Frame) (float64, error) {
 	}
 	f.Stats.FellBack = true
 	f.Stats.FallbackReason = reason
-	rt.Trace.Event("retry/fallback", f.ServiceSoFar()+charged+micros, telemetry.Attrs{
-		"frame": f.Seq, "reason": reason, "fallback": rt.Fallback.Name(),
-	})
+	if rt.Trace != nil {
+		rt.Trace.Event("retry/fallback", f.ServiceSoFar()+charged+micros, telemetry.Attrs{
+			telemetry.String("fallback", rt.Fallback.Name()), telemetry.Int("frame", f.Seq),
+			telemetry.String("reason", reason),
+		})
+	}
 	return charged + micros, nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 )
 
 func TestTracedScheduleIdenticalReport(t *testing.T) {
@@ -54,6 +55,7 @@ func TestStageSpansMatchSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	telemetrytest.CheckTrace(t, tr)
 
 	// Index spans by (name, frame) and compare to the recurrence.
 	type key struct {
@@ -65,7 +67,11 @@ func TestStageSpansMatchSchedule(t *testing.T) {
 	for _, r := range tr.Records() {
 		switch {
 		case strings.HasPrefix(r.Name, "stage/"):
-			spans[key{r.Name, r.Attrs["frame"].(int)}] = r
+			frame, ok := r.Attrs.Int("frame")
+			if !ok {
+				t.Fatalf("%s span without a frame attribute", r.Name)
+			}
+			spans[key{r.Name, frame}] = r
 		case r.Name == "deadline-miss":
 			misses++
 		}
@@ -126,6 +132,7 @@ func TestRetryEventsAndCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	telemetrytest.CheckTrace(t, tr)
 	// Frame 0 recovers on its 2nd attempt; frame 2 exhausts 3 attempts and
 	// falls back; frames 1 and 3 pass clean.
 	names := map[string]int{}

@@ -49,41 +49,67 @@ type batchInfo struct {
 // fall back to a queue+service split using only the frame span's own
 // attributes. Output is sorted by (Shard, Stream, Seq).
 func CriticalPaths(records []telemetry.Record) []FramePath {
-	type bkey struct {
-		shard string
-		batch int
-	}
-	batches := make(map[bkey]batchInfo)
-	for _, r := range records {
-		if r.Type != "span" || r.Name != "fleet/batch" {
-			continue
-		}
-		shard, _ := attrString(r.Attrs, "shard")
-		id, ok := attrInt(r.Attrs, "batch")
-		if !ok {
-			continue
-		}
-		prog, _ := attrNum(r.Attrs, "prog_us")
-		anneal, _ := attrNum(r.Attrs, "anneal_us")
-		readout, _ := attrNum(r.Attrs, "readout_us")
-		batches[bkey{shard, id}] = batchInfo{
-			t0: r.T0, t1: r.T1, prog: prog, anneal: anneal, readout: readout, ok: true,
+	var c critPaths
+	for i := range records {
+		if r := &records[i]; r.Type == "span" {
+			switch r.Name {
+			case "fleet/batch":
+				c.batch(r)
+			case "fleet/frame":
+				c.frame(r)
+			}
 		}
 	}
+	return c.paths()
+}
 
+type batchKey struct {
+	shard string
+	batch int
+}
+
+// critPaths collects what a critical path joins as the records go by:
+// each fleet/batch span's timing by (shard, batch), and the fleet/frame
+// spans themselves, which must stay in place until paths is called.
+type critPaths struct {
+	batches map[batchKey]batchInfo
+	frames  []*telemetry.Record
+}
+
+func (c *critPaths) batch(r *telemetry.Record) {
+	shard, _ := r.Attrs.Str("shard")
+	id, ok := r.Attrs.Int("batch")
+	if !ok {
+		return
+	}
+	prog, _ := r.Attrs.Num("prog_us")
+	anneal, _ := r.Attrs.Num("anneal_us")
+	readout, _ := r.Attrs.Num("readout_us")
+	if c.batches == nil {
+		c.batches = make(map[batchKey]batchInfo)
+	}
+	c.batches[batchKey{shard, id}] = batchInfo{
+		t0: r.T0, t1: r.T1, prog: prog, anneal: anneal, readout: readout, ok: true,
+	}
+}
+
+func (c *critPaths) frame(r *telemetry.Record) { c.frames = append(c.frames, r) }
+
+// paths joins every collected frame with its batch.
+func (c *critPaths) paths() []FramePath {
 	var out []FramePath
-	for _, r := range records {
-		if r.Type != "span" || r.Name != "fleet/frame" {
-			continue
-		}
-		shard, _ := attrString(r.Attrs, "shard")
-		stream, _ := attrInt(r.Attrs, "stream")
-		seq, _ := attrInt(r.Attrs, "seq")
-		device, _ := attrInt(r.Attrs, "device")
-		batch, _ := attrInt(r.Attrs, "batch")
-		attempts, _ := attrInt(r.Attrs, "attempts")
-		queue, _ := attrNum(r.Attrs, "queue_us")
-		reads, _ := attrNum(r.Attrs, "reads")
+	if len(c.frames) > 0 {
+		out = make([]FramePath, 0, len(c.frames))
+	}
+	for _, r := range c.frames {
+		shard, _ := r.Attrs.Str("shard")
+		stream, _ := r.Attrs.Int("stream")
+		seq, _ := r.Attrs.Int("seq")
+		device, _ := r.Attrs.Int("device")
+		batch, _ := r.Attrs.Int("batch")
+		attempts, _ := r.Attrs.Int("attempts")
+		queue, _ := r.Attrs.Num("queue_us")
+		reads, _ := r.Attrs.Num("reads")
 
 		fp := FramePath{
 			Shard: shard, Stream: stream, Seq: seq,
@@ -91,7 +117,7 @@ func CriticalPaths(records []telemetry.Record) []FramePath {
 			Arrival: r.T0, Finish: r.T1, Latency: r.T1 - r.T0,
 			Queue: queue, Attempts: attempts, Retried: attempts > 1,
 		}
-		if b := batches[bkey{shard, batch}]; b.ok {
+		if b := c.batches[batchKey{shard, batch}]; b.ok {
 			fp.Program = b.prog
 			fp.Anneal = reads * b.anneal
 			fp.Readout = reads * b.readout

@@ -20,7 +20,7 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add([]byte("not json at all\n{\"type\":\"event\"}"))                            // mixed garbage
 	f.Add([]byte(`{"type":"event","t0_us":2}` + "\n" + `{"type":"event","t0_us":1}`)) // out of order
 	f.Add([]byte(`{"type":"event","t0_us":1}` + "\n" + `{"type":"event","t0_us":1}`)) // duplicate
-	f.Add([]byte(`{"type":"event","attrs":{"k":["nested",{"deep":true}]}}`))
+	f.Add([]byte(`{"type":"event","attrs":{"k":["nested",{"deep":true}]}}`))          // not a typed attribute: rejected
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, stats, err := ParseTrace(bytes.NewReader(data), false)

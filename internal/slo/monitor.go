@@ -134,7 +134,7 @@ type Snapshot struct {
 type Monitor struct {
 	cfg  Config
 	mu   sync.Mutex
-	recs []telemetry.Record
+	recs telemetry.RecordLog
 }
 
 // NewMonitor returns a Monitor with the given config.
@@ -145,14 +145,16 @@ func NewMonitor(cfg Config) *Monitor {
 // ObserveRecord implements telemetry.RecordSink.
 func (m *Monitor) ObserveRecord(r telemetry.Record) {
 	m.mu.Lock()
-	m.recs = append(m.recs, r)
+	m.recs.Append(r)
 	m.mu.Unlock()
 }
 
 // ObserveAll buffers a batch of records (offline feeding).
 func (m *Monitor) ObserveAll(rs []telemetry.Record) {
 	m.mu.Lock()
-	m.recs = append(m.recs, rs...)
+	for _, r := range rs {
+		m.recs.Append(r)
+	}
 	m.mu.Unlock()
 }
 
@@ -160,16 +162,16 @@ func (m *Monitor) ObserveAll(rs []telemetry.Record) {
 func (m *Monitor) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.recs)
+	return m.recs.Len()
 }
 
-// Finish analyzes everything observed so far. The buffer is copied once
-// under the lock and that private copy is sorted in place.
+// Finish analyzes everything observed so far. It holds the lock
+// throughout: the buffer is sorted in place and read without a copy.
 func (m *Monitor) Finish() (*Snapshot, error) {
 	m.mu.Lock()
-	recs := append([]telemetry.Record(nil), m.recs...)
-	m.mu.Unlock()
-	return analyze(recs, m.cfg)
+	defer m.mu.Unlock()
+	m.recs.Sort()
+	return analyze(&m.recs, m.cfg)
 }
 
 // Analyze runs the full monitoring pass over a record set (live-captured
@@ -178,36 +180,57 @@ func (m *Monitor) Finish() (*Snapshot, error) {
 // deterministic order (telemetry.SortRecords) first, so the caller's
 // slice is never reordered.
 func Analyze(records []telemetry.Record, cfg Config) (*Snapshot, error) {
-	return analyze(append([]telemetry.Record(nil), records...), cfg)
+	var recs telemetry.RecordLog
+	for _, r := range records {
+		recs.Append(r)
+	}
+	recs.Sort()
+	return analyze(&recs, cfg)
 }
 
-// analyze is Analyze over a slice the caller hands over: recs is sorted
-// in place.
-func analyze(recs []telemetry.Record, cfg Config) (*Snapshot, error) {
+// analyze is the monitoring pass over records in telemetry.SortRecords
+// order.
+func analyze(recs *telemetry.RecordLog, cfg Config) (*Snapshot, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	telemetry.SortRecords(recs)
 
 	a := &analysis{
-		cfg:        cfg,
-		tierLat:    NewSeries(cfg.TickMicros),
-		tierQueue:  NewSeries(cfg.TickMicros),
-		shardLat:   map[string]*Series{},
-		shardQueue: map[string]*Series{},
-		cellLat:    map[int]*Series{},
-		scopes:     map[string]*scopeCount{},
-		specSeries: make([]map[string]*RatioSeries, len(cfg.Specs)),
-		load:       map[devKey]*SpanLoad{},
+		cfg:         cfg,
+		tierLat:     NewSeries(cfg.TickMicros),
+		tierQueue:   NewSeries(cfg.TickMicros),
+		shardLat:    map[string]*Series{},
+		shardQueue:  map[string]*Series{},
+		cellLat:     map[int]*Series{},
+		scopes:      map[string]*scopeCount{},
+		specSeries:  make([]map[string]*RatioSeries, len(cfg.Specs)),
+		shardScopes: map[string]string{},
+		load:        map[devKey]*SpanLoad{},
 	}
 	for i := range a.specSeries {
 		a.specSeries[i] = map[string]*RatioSeries{}
 	}
-	for _, r := range recs {
-		a.ingest(r)
+	// Size the per-frame slices up front; growing them would double the
+	// pass's garbage.
+	var stats, frames, batches int
+	for i := 0; i < recs.Len(); i++ {
+		switch recs.At(i).Name {
+		case "fleet/anneal-stats":
+			stats++
+		case "fleet/frame":
+			frames++
+		case "fleet/batch":
+			batches++
+		}
 	}
-	return a.snapshot(recs)
+	a.annealObs = make([]AnnealObs, 0, stats)
+	a.crit.frames = make([]*telemetry.Record, 0, frames)
+	a.crit.batches = make(map[batchKey]batchInfo, batches)
+	for i := 0; i < recs.Len(); i++ {
+		a.ingest(recs.At(i))
+	}
+	return a.snapshot()
 }
 
 type devKey struct {
@@ -231,8 +254,11 @@ type analysis struct {
 	scopes               map[string]*scopeCount
 
 	specSeries []map[string]*RatioSeries
-	load       map[devKey]*SpanLoad
-	annealObs  []AnnealObs
+	// shardScopes caches each shard label's "shard=<label>" scope.
+	shardScopes map[string]string
+	load        map[devKey]*SpanLoad
+	crit        critPaths
+	annealObs   []AnnealObs
 }
 
 func (a *analysis) touch(t float64) {
@@ -275,7 +301,11 @@ func (a *analysis) feedSpecs(kind Kind, shard string, at float64, bad func(Spec)
 				// instance of this spec already covers those events.
 				continue
 			}
-			key = "shard=" + shard
+			key = a.shardScopes[shard]
+			if key == "" {
+				key = "shard=" + shard
+				a.shardScopes[shard] = key
+			}
 		default:
 			if sp.Scope != "shard="+shard {
 				continue
@@ -293,20 +323,21 @@ func (a *analysis) feedSpecs(kind Kind, shard string, at float64, bad func(Spec)
 
 func constBad(b bool) func(Spec) bool { return func(Spec) bool { return b } }
 
-func (a *analysis) ingest(r telemetry.Record) {
+func (a *analysis) ingest(r *telemetry.Record) {
 	switch {
 	case r.Type == "span" && r.Name == "fleet/frame":
 		a.touch(r.T0)
 		a.touch(r.T1)
-		shard, _ := attrString(r.Attrs, "shard")
+		a.crit.frame(r)
+		shard, _ := r.Attrs.Str("shard")
 		lat := r.T1 - r.T0
 		a.tierLat.Observe(r.T1, lat)
 		a.seriesFor(a.shardLat, shard).Observe(r.T1, lat)
-		if q, ok := attrNum(r.Attrs, "queue_us"); ok {
+		if q, ok := r.Attrs.Num("queue_us"); ok {
 			a.tierQueue.Observe(r.T1, q)
 			a.seriesFor(a.shardQueue, shard).Observe(r.T1, q)
 		}
-		if stream, ok := attrInt(r.Attrs, "stream"); ok {
+		if stream, ok := r.Attrs.Int("stream"); ok {
 			cell := stream / uesPerCell
 			s := a.cellLat[cell]
 			if s == nil {
@@ -322,8 +353,9 @@ func (a *analysis) ingest(r telemetry.Record) {
 	case r.Type == "span" && r.Name == "fleet/batch":
 		a.touch(r.T0)
 		a.touch(r.T1)
-		shard, _ := attrString(r.Attrs, "shard")
-		dev, ok := attrInt(r.Attrs, "device")
+		a.crit.batch(r)
+		shard, _ := r.Attrs.Str("shard")
+		dev, ok := r.Attrs.Int("device")
 		if !ok {
 			return
 		}
@@ -337,9 +369,9 @@ func (a *analysis) ingest(r telemetry.Record) {
 
 	case r.Type == "event" && r.Name == "fleet/answer":
 		a.touch(r.T0)
-		shard, _ := attrString(r.Attrs, "shard")
-		source, _ := attrString(r.Attrs, "source")
-		shed := attrBool(r.Attrs, "shed")
+		shard, _ := r.Attrs.Str("shard")
+		source, _ := r.Attrs.Str("source")
+		shed := r.Attrs.Bool("shed")
 		fallback := source == "classical-fallback"
 		a.tier.answers++
 		sc := a.scope(shard)
@@ -373,18 +405,18 @@ func (a *analysis) ingest(r telemetry.Record) {
 
 	case r.Type == "event" && r.Name == "fleet/anneal-stats":
 		a.touch(r.T0)
-		shard, _ := attrString(r.Attrs, "shard")
-		dev, _ := attrInt(r.Attrs, "device")
-		stream, _ := attrInt(r.Attrs, "stream")
-		seq, _ := attrInt(r.Attrs, "seq")
+		shard, _ := r.Attrs.Str("shard")
+		dev, _ := r.Attrs.Int("device")
+		stream, _ := r.Attrs.Int("stream")
+		seq, _ := r.Attrs.Int("seq")
 		ob := AnnealObs{At: r.T0, Shard: shard, Device: dev, Stream: stream, Seq: seq}
-		if survived, _ := attrInt(r.Attrs, "survived"); survived == 0 {
+		if survived, _ := r.Attrs.Int("survived"); survived == 0 {
 			ob.HardFault = true
 		} else {
-			mean, _ := attrNum(r.Attrs, "mean_energy")
-			cand, _ := attrNum(r.Attrs, "cand_energy")
+			mean, _ := r.Attrs.Num("mean_energy")
+			cand, _ := r.Attrs.Num("cand_energy")
 			ob.Residual = mean - cand
-			ob.ChainBreakRate, _ = attrNum(r.Attrs, "chain_break_rate")
+			ob.ChainBreakRate, _ = r.Attrs.Num("chain_break_rate")
 		}
 		a.annealObs = append(a.annealObs, ob)
 
@@ -421,7 +453,7 @@ func summarize(scope string, c scopeCount, lat, queue *Series) ScopeSLI {
 	return sli
 }
 
-func (a *analysis) snapshot(recs []telemetry.Record) (*Snapshot, error) {
+func (a *analysis) snapshot() (*Snapshot, error) {
 	snap := &Snapshot{Config: a.cfg, StartMicros: a.start, EndMicros: a.end}
 	snap.Tier = summarize("", a.tier, a.tierLat, a.tierQueue)
 
@@ -491,7 +523,7 @@ func (a *analysis) snapshot(recs []telemetry.Record) (*Snapshot, error) {
 	}
 
 	snap.Devices = ScoreDevices(a.annealObs)
-	snap.Frames = CriticalPaths(recs)
+	snap.Frames = a.crit.paths()
 
 	// Burn-rate alerting: each spec over each scope it expanded to.
 	for i, sp := range a.cfg.Specs {

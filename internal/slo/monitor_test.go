@@ -345,7 +345,7 @@ func TestCellBucketingMatchesCranStreamID(t *testing.T) {
 		for _, ue := range []int{0, cran.MaxUEsPerCell - 1} {
 			recs = append(recs, telemetry.Record{
 				Type: "span", Name: "fleet/frame", T0: float64(10 * i), T1: float64(10*i + 5),
-				Attrs: telemetry.Attrs{"stream": cran.StreamID(cell, ue), "seq": 0},
+				Attrs: telemetry.Attrs{telemetry.Int("stream", cran.StreamID(cell, ue)), telemetry.Int("seq", 0)},
 			})
 		}
 	}

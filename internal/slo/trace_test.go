@@ -180,3 +180,79 @@ func TestParseTraceEmptyAndBlank(t *testing.T) {
 		t.Fatalf("blank input produced %d records, %+v", len(recs), stats)
 	}
 }
+
+// TestFixtureRoundTripsByteForByte reads the committed fixture back and
+// re-exports it: typed attributes decoded from JSON (every number a
+// float) must encode to the bytes they were read from.
+func TestFixtureRoundTripsByteForByte(t *testing.T) {
+	raw, err := os.ReadFile(fixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := ParseTrace(bytes.NewReader(raw), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := telemetry.NewTracer()
+	for _, r := range recs {
+		if r.Type == "span" {
+			tr.Span(r.Name, r.T0, r.T1, r.Attrs)
+		} else {
+			tr.Event(r.Name, r.T0, r.Attrs)
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), raw) {
+		t.Fatal("fixture did not round-trip byte for byte")
+	}
+}
+
+// TestParseTraceRejectsUntypedAttrs pins the typed decode: an attribute
+// that is neither a number, a string, a bool nor an array of numbers
+// (or null) fails strict parsing and is skipped leniently.
+func TestParseTraceRejectsUntypedAttrs(t *testing.T) {
+	good := `{"type":"event","name":"x","t0_us":1,"attrs":{"e":[1,2.5],"n":null,"s":"v","b":true,"k":3}}`
+	for _, bad := range []string{
+		`{"type":"event","name":"x","t0_us":2,"attrs":{"k":{"deep":true}}}`,
+		`{"type":"event","name":"x","t0_us":2,"attrs":{"k":["nested",1]}}`,
+		`{"type":"event","name":"x","t0_us":2,"attrs":{"k":[[1]]}}`,
+	} {
+		data := good + "\n" + bad + "\n"
+		_, _, err := ParseTrace(strings.NewReader(data), true)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 2 {
+			t.Fatalf("%s: strict error %v, want a *ParseError on line 2", bad, err)
+		}
+		recs, stats, err := ParseTrace(strings.NewReader(data), false)
+		if err != nil || stats.Skipped != 1 || len(recs) != 1 {
+			t.Fatalf("%s: lenient parse %d records, %+v, %v", bad, len(recs), stats, err)
+		}
+	}
+	recs, _, err := ParseTrace(strings.NewReader(good), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := recs[0].Attrs
+	var keys []string
+	for _, a := range as {
+		keys = append(keys, a.Key)
+	}
+	if strings.Join(keys, ",") != "b,e,k,n,s" {
+		t.Fatalf("decoded keys %v, want them sorted", keys)
+	}
+	if k, ok := as.Int("k"); !ok || k != 3 {
+		t.Fatalf("k = %d, %v", k, ok)
+	}
+	if s, ok := as.Str("s"); !ok || s != "v" || !as.Bool("b") {
+		t.Fatalf("s = %q, %v; b = %v", s, ok, as.Bool("b"))
+	}
+	if e, _ := as.Lookup("e"); !reflect.DeepEqual(e.Value(), []float64{1, 2.5}) {
+		t.Fatalf("e = %#v", e.Value())
+	}
+	if n, _ := as.Lookup("n"); !reflect.DeepEqual(n.Value(), []float64(nil)) {
+		t.Fatalf("n = %#v", n.Value())
+	}
+}

@@ -115,9 +115,9 @@ func (s *Series) Buckets() []Bucket {
 	}
 	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
 	out := make([]Bucket, 0, len(idxs))
+	var vals []float64
 	for _, i := range idxs {
-		a := s.buckets[i]
-		vals := append([]float64(nil), a.values...)
+		vals = append(vals[:0], s.buckets[i].values...)
 		sort.Float64s(vals)
 		b := Bucket{Index: i, T0: float64(i) * s.tick, T1: float64(i+1) * s.tick}
 		finalize(&b, vals)
@@ -141,8 +141,9 @@ func (s *Series) Sliding(k int) []Bucket {
 	}
 	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
 	out := make([]Bucket, 0, len(idxs))
+	var vals []float64
 	for _, i := range idxs {
-		var vals []float64
+		vals = vals[:0]
 		for j := i - int64(k) + 1; j <= i; j++ {
 			if a, ok := s.buckets[j]; ok {
 				vals = append(vals, a.values...)
@@ -159,7 +160,7 @@ func (s *Series) Sliding(k int) []Bucket {
 // All returns a single bucket summarizing every observation in the
 // series (the whole-run aggregate).
 func (s *Series) All() Bucket {
-	var vals []float64
+	vals := make([]float64, 0, s.Count())
 	lo, hi := int64(0), int64(0)
 	first := true
 	for i, a := range s.buckets {

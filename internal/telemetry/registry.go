@@ -20,30 +20,31 @@ type Label struct {
 	Key, Value string
 }
 
-// seriesKey returns the family name followed by the Prometheus-style
-// {k="v",...} label suffix, keys sorted (labels sharing a key keep their
-// given order), or the bare name for no labels. Values are quoted by
-// strconv, which is what %q does for strings.
-func seriesKey(name string, labels []Label) string {
+// appendSeriesKey appends the family name followed by the
+// Prometheus-style {k="v",...} label suffix, keys sorted (labels sharing
+// a key keep their given order), or the bare name for no labels. Values
+// are quoted by strconv, which is what %q does for strings.
+func appendSeriesKey(b []byte, name string, labels []Label) []byte {
+	b = append(b, name...)
 	if len(labels) == 0 {
-		return name
+		return b
 	}
 	byKey := func(a, b Label) int { return strings.Compare(a.Key, b.Key) }
 	if !slices.IsSortedFunc(labels, byKey) {
-		labels = slices.Clone(labels)
+		var sorted [8]Label
+		labels = append(sorted[:0], labels...)
 		slices.SortStableFunc(labels, byKey)
 	}
-	var arr [128]byte
-	buf := append(append(arr[:0], name...), '{')
+	b = append(b, '{')
 	for i, l := range labels {
 		if i > 0 {
-			buf = append(buf, ',')
+			b = append(b, ',')
 		}
-		buf = append(buf, l.Key...)
-		buf = append(buf, '=')
-		buf = strconv.AppendQuote(buf, l.Value)
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	return string(append(buf, '}'))
+	return append(b, '}')
 }
 
 // Counter is a monotonically increasing value. Nil-safe: Add/Inc on a nil
@@ -192,17 +193,23 @@ func (r *Registry) Enabled() bool { return r != nil }
 // under a different label set, since the exposition format emits one
 // # TYPE per family and mixed kinds would corrupt it. That is a
 // programming error, not a runtime condition.
+//
+// The key is built in a stack buffer, so finding an existing series
+// allocates nothing.
 func (r *Registry) lookup(name, kind string, labels []Label, mk func() *series) *series {
-	key := seriesKey(name, labels)
+	var arr [128]byte
+	buf := appendSeriesKey(arr[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if k, ok := r.kinds[name]; ok && k != kind {
+	if k, ok := r.kinds[name]; !ok {
+		r.kinds[name] = kind
+	} else if k != kind {
 		panic(fmt.Sprintf("telemetry: metric family %s registered as %s, requested as %s", name, k, kind))
 	}
-	r.kinds[name] = kind
-	if s, ok := r.series[key]; ok {
+	if s, ok := r.series[string(buf)]; ok {
 		return s
 	}
+	key := string(buf)
 	s := mk()
 	s.family = name
 	s.labels = key[len(name):]

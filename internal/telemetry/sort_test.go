@@ -11,13 +11,15 @@ import (
 
 	"repro/internal/slo"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 )
 
 // oracleKey is the eager (T0, Name, marshaled attrs) key the record order
-// was first written with: every comparison marshals both records' attrs.
-// It is kept here as the executable specification of SortRecords.
+// was first written with: every comparison marshals both records' attrs
+// as a map, whose keys encoding/json sorts. It is kept here as the
+// executable specification of SortRecords.
 func oracleKey(r telemetry.Record) (float64, string, string) {
-	attrs, _ := json.Marshal(r.Attrs)
+	attrs, _ := json.Marshal(telemetrytest.MapAttrs(r.Attrs))
 	return r.T0, r.Name, string(attrs)
 }
 
@@ -69,9 +71,13 @@ func tiedRecords(r *rand.Rand, n int) []telemetry.Record {
 		case 1:
 			rec.Attrs = telemetry.Attrs{}
 		case 2:
-			rec.Attrs = telemetry.Attrs{"seq": r.Intn(3)}
+			rec.Attrs = telemetry.Attrs{telemetry.Int("seq", r.Intn(3))}
 		default:
-			rec.Attrs = telemetry.Attrs{"shard": []string{"s0", "s1", "s10"}[r.Intn(3)], "seq": r.Intn(3), "shed": r.Intn(2) == 0}
+			rec.Attrs = telemetry.Attrs{
+				telemetry.Int("seq", r.Intn(3)),
+				telemetry.String("shard", []string{"s0", "s1", "s10"}[r.Intn(3)]),
+				telemetry.Bool("shed", r.Intn(2) == 0),
+			}
 		}
 		recs[i] = rec
 	}
@@ -132,8 +138,9 @@ func TestSortRecordsMatchesKeyOrder(t *testing.T) {
 		}
 
 		// ParseTrace sees the records as they come back from JSON (an
-		// empty attrs map is omitted and returns as nil), so the oracle
-		// judges the round-tripped records in input order.
+		// empty attrs list is omitted and returns as nil, every number
+		// as a float), so the oracle judges the round-tripped records in
+		// input order.
 		lines := jsonLines(t, recs)
 		input, err := telemetry.ReadJSONL(bytes.NewReader(lines))
 		if err != nil {
@@ -160,7 +167,7 @@ func TestSortRecordsDistinctT0Allocs(t *testing.T) {
 	const n = 4096
 	src := make([]telemetry.Record, n)
 	for i := range src {
-		src[i] = telemetry.Record{Type: "event", Name: "fleet/answer", T0: float64(i), Attrs: telemetry.Attrs{"seq": i}}
+		src[i] = telemetry.Record{Type: "event", Name: "fleet/answer", T0: float64(i), Attrs: telemetry.Attrs{telemetry.Int("seq", i)}}
 	}
 	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { src[i], src[j] = src[j], src[i] })
 	recs := make([]telemetry.Record, n)

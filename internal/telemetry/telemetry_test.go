@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -57,8 +58,8 @@ func TestTracerDeterministicOrder(t *testing.T) {
 	emit := func(order []int) *Tracer {
 		tr := NewTracer()
 		for _, i := range order {
-			tr.Span("qpu/anneal", float64(i), float64(i)+1, Attrs{"read": i})
-			tr.Event("fault", float64(i), Attrs{"kind": "drift", "read": i})
+			tr.Span("qpu/anneal", float64(i), float64(i)+1, Attrs{Int("read", i)})
+			tr.Event("fault", float64(i), Attrs{String("kind", "drift"), Int("read", i)})
 		}
 		return tr
 	}
@@ -79,7 +80,7 @@ func TestTracerDeterministicOrder(t *testing.T) {
 func TestTracerJSONLRoundTrip(t *testing.T) {
 	tr := NewTracer()
 	tr.SetManifest(&Manifest{Tool: "test", GoVersion: "go1.x"})
-	tr.Span("qpu/anneal", 10, 12.5, Attrs{"read": 7})
+	tr.Span("qpu/anneal", 10, 12.5, Attrs{Int("read", 7)})
 	tr.Event("deadline-miss", 99, nil)
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
@@ -111,12 +112,43 @@ func TestTracerConcurrentEmission(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.Span("s", float64(i), float64(i+1), Attrs{"w": w})
+				tr.Span("s", float64(i), float64(i+1), Attrs{Int("w", w)})
 			}
 		}(w)
 	}
 	wg.Wait()
 	if tr.Len() != 800 {
+		t.Fatalf("lost records: %d", tr.Len())
+	}
+}
+
+// TestTracerExportWhileEmitting exports while emitters append: Records
+// and WriteJSONL read the collected records outside the tracer's lock,
+// which is safe only because an appended record never changes. Run it
+// under -race.
+func TestTracerExportWhileEmitting(t *testing.T) {
+	tr := NewTracer()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3000; i++ {
+				tr.Event("e", float64(i), Attrs{Int("w", w), String("s", "x")})
+			}
+		}(w)
+	}
+	for i := 0; i < 20; i++ {
+		n := tr.Len()
+		if got := len(tr.Records()); got < n {
+			t.Fatalf("Records returned %d records after Len %d", got, n)
+		}
+		if err := tr.WriteJSONL(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if tr.Len() != 12000 {
 		t.Fatalf("lost records: %d", tr.Len())
 	}
 }

@@ -16,20 +16,13 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 	"sync"
 )
-
-// Attrs carries a record's free-form attributes. Values should be
-// deterministic (no wall times, no pointers); encoding/json sorts map
-// keys, so marshaled attrs are stable.
-type Attrs map[string]any
 
 // Record is one trace entry. Spans have T0 ≤ T1; events use only T0.
 type Record struct {
@@ -41,7 +34,8 @@ type Record struct {
 	// T0 and T1 are simulated μs. Events carry only T0.
 	T0 float64 `json:"t0_us"`
 	T1 float64 `json:"t1_us,omitempty"`
-	// Attrs carries structured details (read index, frame seq, fault kind).
+	// Attrs carries structured details (read index, frame seq, fault
+	// kind). Values should be deterministic (no wall times, no pointers).
 	Attrs Attrs `json:"attrs,omitempty"`
 	// Manifest is set only on the leading type:"manifest" record.
 	Manifest *Manifest `json:"manifest,omitempty"`
@@ -57,8 +51,7 @@ func (r Record) Duration() float64 { return r.T1 - r.T0 }
 // (parallel emitters interleave arbitrarily); a sink that needs the
 // deterministic order must bucket by simulated time or sort with
 // SortRecords on Finish, exactly as Records() does. Implementations must
-// be safe for concurrent calls and must not mutate the record's Attrs
-// map.
+// be safe for concurrent calls and must not mutate the record's Attrs.
 type RecordSink interface {
 	ObserveRecord(Record)
 }
@@ -71,7 +64,7 @@ type RecordSink interface {
 type Tracer struct {
 	mu       sync.Mutex
 	manifest *Manifest
-	records  []Record
+	records  RecordLog
 	sinks    []RecordSink
 }
 
@@ -102,10 +95,12 @@ func (t *Tracer) AddSink(s RecordSink) {
 	t.mu.Unlock()
 }
 
-// add appends a record and forwards it to every sink.
+// add puts the record's attributes into key order, appends the record
+// and forwards it to every sink.
 func (t *Tracer) add(r Record) {
+	r.Attrs = r.Attrs.normalize()
 	t.mu.Lock()
-	t.records = append(t.records, r)
+	t.records.Append(r)
 	sinks := t.sinks
 	t.mu.Unlock()
 	for _, s := range sinks {
@@ -113,7 +108,10 @@ func (t *Tracer) add(r Record) {
 	}
 }
 
-// Span records a [t0, t1] interval on the simulated clock.
+// Span records a [t0, t1] interval on the simulated clock. The tracer
+// keeps attrs and sorts it by key in place; of two attributes with one
+// key the later one is kept, as a map assignment would. Callers build
+// attrs only when the tracer is non-nil.
 func (t *Tracer) Span(name string, t0, t1 float64, attrs Attrs) {
 	if t == nil {
 		return
@@ -136,7 +134,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.records)
+	return t.records.Len()
 }
 
 // Records returns a deterministically ordered copy of the collected
@@ -148,18 +146,23 @@ func (t *Tracer) Records() []Record {
 		return nil
 	}
 	t.mu.Lock()
-	out := append([]Record(nil), t.records...)
+	recs := t.records.snapshot()
 	t.mu.Unlock()
-	SortRecords(out)
+	idx := order(recs.Len(), recs.At)
+	out := make([]Record, len(idx))
+	for i, k := range idx {
+		out[i] = *recs.At(int(k.pos))
+	}
 	return out
 }
 
 // RecordLess is the trace's one record order: by T0, then Name, then the
-// marshaled Attrs. Attrs are marshaled only when both T0 and Name tie, so
-// almost every comparison is a float and a string compare.
-func RecordLess(a, b Record) bool { return compareRecords(a, b) < 0 }
+// encoded Attrs (the JSON object of the JSONL line, or null for nil
+// attrs). Attrs are encoded only when both T0 and Name tie, so almost
+// every comparison is a float and a string compare.
+func RecordLess(a, b Record) bool { return compareRecords(&a, &b) < 0 }
 
-func compareRecords(a, b Record) int {
+func compareRecords(a, b *Record) int {
 	switch {
 	case a.T0 < b.T0:
 		return -1
@@ -173,9 +176,21 @@ func compareRecords(a, b Record) int {
 	if c := strings.Compare(a.Name, b.Name); c != 0 {
 		return c
 	}
-	aa, _ := json.Marshal(a.Attrs)
-	ab, _ := json.Marshal(b.Attrs)
-	return bytes.Compare(aa, ab)
+	var ba, bb [512]byte
+	return bytes.Compare(attrsKey(ba[:0], a.Attrs), attrsKey(bb[:0], b.Attrs))
+}
+
+// attrsKey appends the bytes json.Marshal gives for the attributes as a
+// map: null for nil, nothing on an encoding error.
+func attrsKey(b []byte, as Attrs) []byte {
+	if as == nil {
+		return append(b, "null"...)
+	}
+	out, err := appendObject(b, as.sorted())
+	if err != nil {
+		return b
+	}
+	return out
 }
 
 // SortRecords stable-sorts recs in place into RecordLess order. It is the
@@ -183,36 +198,50 @@ func compareRecords(a, b Record) int {
 // the offline trace parser all go through it, which is what makes a live
 // and an offline analysis of the same run agree byte for byte.
 func SortRecords(recs []Record) {
-	slices.SortStableFunc(recs, compareRecords)
+	sortInPlace(len(recs), func(i int) *Record { return &recs[i] })
 }
 
 // WriteJSONL writes the manifest (if set) followed by every record, one
-// JSON object per line, in deterministic order.
+// JSON object per line, in deterministic order. The manifest goes
+// through encoding/json; every other line is appended by appendRecord,
+// which writes the same bytes.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
 	t.mu.Lock()
-	m := t.manifest
+	m, recs := t.manifest, t.records.snapshot()
 	t.mu.Unlock()
+	buf := bytes.NewBuffer(make([]byte, 0, 64<<10))
 	if m != nil {
-		if err := enc.Encode(Record{Type: "manifest", Manifest: m}); err != nil {
+		if err := json.NewEncoder(buf).Encode(Record{Type: "manifest", Manifest: m}); err != nil {
 			return err
 		}
 	}
-	for _, r := range t.Records() {
-		if err := enc.Encode(r); err != nil {
+	b := buf.Bytes()
+	for _, k := range order(recs.Len(), recs.At) {
+		var err error
+		if b, err = appendRecord(b, recs.At(int(k.pos))); err != nil {
 			return err
 		}
+		if len(b) >= 32<<10 {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
 	}
-	return bw.Flush()
+	if len(b) == 0 {
+		return nil
+	}
+	_, err := w.Write(b)
+	return err
 }
 
 // ReadJSONL parses a JSONL trace back into records (manifest line
 // included, as a type:"manifest" record) — the consumer half used by
-// tests and offline analysis.
+// tests and offline analysis. Attributes decode as Attrs.UnmarshalJSON
+// does: every number becomes a Float.
 func ReadJSONL(r io.Reader) ([]Record, error) {
 	var out []Record
 	dec := json.NewDecoder(r)

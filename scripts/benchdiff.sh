@@ -32,6 +32,8 @@ else
         -bench 'BenchmarkFleetServe|BenchmarkEnsembleDetect' -benchtime=1x ./internal/fleet/ >/dev/null
     BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
         -bench 'BenchmarkCRANServe' -benchtime=1x ./internal/cran/ >/dev/null
+    BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
+        -bench 'BenchmarkWriteJSONL' -benchtime=1x ./internal/slo/ >/dev/null
 fi
 
 # ns_per_op lives on its own line in records written by
