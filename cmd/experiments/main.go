@@ -47,6 +47,10 @@ var (
 	fleetPolicy  string
 )
 
+// figures lists every figure name in -fig all order; "pipeline" is
+// accepted as an alias of "2".
+var figures = []string{"2", "3", "4", "6", "7", "8", "headline", "ablation-modules", "ablation-device", "ablation-gsorder", "ber", "hardness", "qaoa", "capacity", "availability", "fleet", "hybrid", "cran", "cran-slo", "ensemble"}
+
 // C-RAN-figure knobs, shared with runFigure.
 var (
 	cranShards    int
@@ -65,7 +69,7 @@ func main() {
 	log.RegisterVerbosity()
 	tel := cli.RegisterTelemetry()
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 2|3|4|6|7|8|headline|ablation-*|ber|hardness|qaoa|capacity|availability|fleet|hybrid|cran|cran-slo|ensemble|all")
+		fig       = flag.String("fig", "all", "figure to regenerate: "+strings.Join(figures, "|")+"|all")
 		scale     = flag.String("scale", "quick", "effort: quick|full")
 		out       = flag.String("out", "", "directory for per-figure output files (default stdout)")
 		seed      = flag.Uint64("seed", 0, "override experiment seed (0 = default)")
@@ -118,7 +122,7 @@ func main() {
 
 	figs := strings.Split(*fig, ",")
 	if *fig == "all" {
-		figs = []string{"2", "3", "4", "6", "7", "8", "headline", "ablation-modules", "ablation-device", "ablation-gsorder", "ber", "hardness", "qaoa", "capacity", "availability", "fleet", "hybrid", "cran", "cran-slo", "ensemble"}
+		figs = figures
 	}
 	for _, f := range figs {
 		if err := runFigure(strings.TrimSpace(f), cfg, *out, *benchJSON, log); err != nil {
@@ -243,7 +247,7 @@ func runFigure(fig string, cfg experiments.Config, outDir, benchDir string, log 
 		}
 		res, err = experiments.RunEnsemble(cfg, ensembleK, grid)
 	default:
-		return fmt.Errorf("unknown figure %q (2|3|4|6|7|8|headline|ablation-modules|ablation-device|ablation-gsorder)", fig)
+		return fmt.Errorf("unknown figure %q (%s)", fig, strings.Join(figures, "|"))
 	}
 	if err != nil {
 		return err

@@ -1,23 +1,27 @@
 // Pipeline: Figure 2's staged classical-quantum processing of successive
-// wireless channel uses. Frames arrive periodically; a CPU stage runs
-// greedy search while the QPU stage reverse-anneals the PREVIOUS frame,
-// so the two processor types overlap. The example prints the modelled
-// schedule, per-frame latencies against an ARQ deadline, and the
-// throughput gain over serial execution.
+// wireless channel uses. Frames arrive periodically; a CPU runs greedy
+// search while the QPU reverse-anneals the PREVIOUS frame, so the two
+// processor types overlap. The CPU stage is a ready-time recurrence
+// (ready_i = max(ready_{i-1}, arrival_i) + cpu) and the QPU stage is a
+// one-device fleet fed at those ready times. The example prints the
+// modelled schedule, per-frame latencies against an ARQ deadline, and
+// stage utilization.
 //
 //	go run ./examples/pipeline
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/instance"
-	"repro/internal/pipeline"
-	"repro/internal/rng"
-
+	"repro/internal/metrics"
+	"repro/internal/mimo"
 	"repro/internal/modulation"
 )
 
@@ -27,6 +31,9 @@ func main() {
 		frames         = 10
 		arrivalMicros  = 150.0  // channel-use spacing
 		deadlineMicros = 2000.0 // ARQ turn-around budget
+		// Model a heavier classical module (e.g. K-best) so the overlap
+		// with the quantum stage is visible.
+		cpuMicros = 70.0
 	)
 	insts, err := instance.Corpus(instance.Spec{
 		Users: users, Scheme: modulation.QAM16, Channel: channel.UnitGainRandomPhase,
@@ -35,49 +42,54 @@ func main() {
 		log.Fatal(err)
 	}
 
-	stages := []pipeline.Stage{
-		&pipeline.ClassicalStage{
-			Rng: rng.New(1),
-			// Model a heavier classical module (e.g. K-best) so the
-			// overlap with the quantum stage is visible.
-			MicrosFor: func(n int) float64 { return 70 },
-		},
-		&pipeline.QuantumStage{
-			NumReads: 60,
-			Config:   core.AnnealConfig{},
-			Rng:      rng.New(2),
-		},
+	// CPU stage: one greedy search per frame, in arrival order.
+	reqs := make([]fleet.Request, frames)
+	ready := 0.0
+	for i, inst := range insts {
+		init, err := core.GreedyModule{}.Initialize(inst.Reduction, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		ready = max(ready, float64(i)*arrivalMicros) + cpuMicros
+		reqs[i] = fleet.Request{Seq: i, Arrival: ready, Problem: inst.Reduction.Ising, InitialState: init}
 	}
-	p := &pipeline.Pipeline{Stages: stages, BufferSize: 1}
-
-	fr, err := pipeline.GenerateFrames(insts, arrivalMicros, deadlineMicros)
-	if err != nil {
-		log.Fatal(err)
-	}
-	processed, err := p.Run(fr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep, err := p.Schedule(processed)
+	// QPU stage: one simulated device, one frame per programming cycle.
+	res, err := fleet.Serve(context.Background(), fleet.Config{
+		Devices:  []fleet.Device{{}},
+		NumReads: 60,
+		BatchMax: 1,
+		Seed:     2,
+	}, reqs)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("pipeline: %v, %d channel uses arriving every %.0f μs\n",
-		rep.StageNames, frames, arrivalMicros)
+	fmt.Printf("stages: cpu:gs → qpu:ra, %d channel uses arriving every %.0f μs\n", frames, arrivalMicros)
 	fmt.Printf("%5s %10s %10s %10s %10s %8s %6s\n",
 		"frame", "arrive_us", "cpu_start", "qpu_start", "finish", "lat_us", "ok")
-	for i, ft := range rep.Frames {
-		pl := processed[i].Payload.(*pipeline.DetectionPayload)
+	var lat []float64
+	misses, qpuBusy := 0, 0.0
+	for i, o := range res.Outcomes {
+		arrive := float64(i) * arrivalMicros
+		l := o.Finish - arrive
+		lat = append(lat, l)
+		qpuBusy += o.Finish - o.Start
+		red := insts[i].Reduction
 		ok := "yes"
-		if ft.Missed || pl.SymbolErrors > 0 {
+		if l > deadlineMicros {
+			misses++
+			ok = "NO"
+		} else if mimo.SymbolErrors(red.DecodeSpins(o.Best.Spins), insts[i].Transmitted) > 0 {
 			ok = "NO"
 		}
 		fmt.Printf("%5d %10.0f %10.0f %10.0f %10.0f %8.0f %6s\n",
-			ft.Seq, ft.Arrival, ft.Start[0], ft.Start[1], ft.Finish[1], ft.Latency, ok)
+			i, arrive, reqs[i].Arrival-cpuMicros, o.Start, o.Finish, l, ok)
 	}
+	makespan := res.Report.MakespanMicros
+	mean := metrics.Mean(lat)
+	sort.Float64s(lat)
 	fmt.Printf("\nthroughput: %.0f frames/s  mean latency: %.0f μs  p95: %.0f μs\n",
-		rep.ThroughputPerSecond, rep.MeanLatency, rep.P95Latency)
+		float64(frames)/makespan*1e6, mean, metrics.NearestRank(lat, 95))
 	fmt.Printf("deadline misses: %.0f%%  stage utilization: cpu %.0f%%, qpu %.0f%%\n",
-		rep.DeadlineMissRate*100, rep.Utilization[0]*100, rep.Utilization[1]*100)
+		100*float64(misses)/frames, 100*frames*cpuMicros/makespan, 100*qpuBusy/makespan)
 }

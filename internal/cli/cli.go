@@ -109,7 +109,7 @@ type Telemetry struct {
 	Monitor *slo.Monitor
 
 	// Tracer and Registry are non-nil only when their output was
-	// requested; pass them to annealer.Params / pipeline.Pipeline /
+	// requested; pass them to annealer.Params / fleet.Config /
 	// core.AnnealConfig / experiments.Config.
 	Tracer   *telemetry.Tracer
 	Registry *telemetry.Registry

@@ -5,21 +5,21 @@ import (
 	"io"
 
 	"repro/internal/annealer"
+	"repro/internal/fleet"
 	"repro/internal/instance"
 	"repro/internal/modulation"
-	"repro/internal/pipeline"
-	"repro/internal/rng"
 )
 
 // AvailabilityRow is one injected-fault rate's end-to-end service quality
-// through the retry+fallback pipeline.
+// through the fleet's retry and classical-fallback ladder.
 type AvailabilityRow struct {
-	// ProgrammingFailureRate is the injected per-call QPU failure rate.
+	// ProgrammingFailureRate is the injected per-cycle QPU failure rate.
 	ProgrammingFailureRate float64
 	// Completed counts frames that produced an answer (must equal Frames:
 	// the fallback guarantee), Errors the frames that did not.
 	Completed, Errors int
-	// Retries / Fallbacks are summed over frames.
+	// Retries counts re-dispatches after a faulted programming cycle;
+	// Fallbacks counts frames shed to the classical candidate.
 	Retries, Fallbacks int
 	FallbackRate       float64
 	// DecodeRate is the fraction of frames decoded to the transmitted
@@ -29,7 +29,7 @@ type AvailabilityRow struct {
 	// stage (1 − fallback rate).
 	QuantumRate float64
 	// MeanLatencyMicros and DeadlineMissRate come from the modelled
-	// schedule, including retry backoff and failed-attempt charges.
+	// schedule, measured from each channel use's arrival.
 	MeanLatencyMicros float64
 	DeadlineMissRate  float64
 }
@@ -38,20 +38,22 @@ type AvailabilityRow struct {
 // staged classical-quantum pipeline as the simulated QPU degrades from
 // healthy to failing more than half its programming cycles.
 type AvailabilityResult struct {
-	Rows           []AvailabilityRow
-	Frames         int
+	Rows   []AvailabilityRow
+	Frames int
+	// MaxAttempts and BackoffMicros state the fleet's retry policy: one
+	// re-dispatch, immediately, before a frame is shed.
 	MaxAttempts    int
 	BackoffMicros  float64
 	DeadlineMicros float64
 }
 
 // RunAvailability sweeps the QPU programming-failure rate for a fixed
-// frame stream through the GS→RA pipeline with retry+fallback enabled.
-// The paper's Challenge 3 pipelines stages against a hard ARQ deadline;
-// this harness shows the robustness corollary: with bounded retries and
-// the classical GS candidate as fallback, every frame is answered at any
-// fault rate — fault pressure converts quality (decode rate, quantum
-// share), not availability.
+// frame stream through the GS→RA stages on one fleet device. The paper's
+// Challenge 3 pipelines stages against a hard ARQ deadline; this harness
+// shows the robustness corollary: with bounded retries and the classical
+// GS candidate as fallback, every frame is answered at any fault rate —
+// fault pressure converts quality (decode rate, quantum share), not
+// availability.
 func RunAvailability(cfg Config) (*AvailabilityResult, error) {
 	cfg = cfg.withDefaults()
 	const (
@@ -60,69 +62,51 @@ func RunAvailability(cfg Config) (*AvailabilityResult, error) {
 		intervalMicros = 400.0
 		deadlineMicros = 4_000.0
 		reads          = 60
-		maxAttempts    = 3
-		backoffMicros  = 25.0
 	)
 	insts, err := instance.Corpus(instance.Spec{Users: users, Scheme: modulation.QAM16},
 		cfg.Seed^0xFA17, frames)
 	if err != nil {
 		return nil, err
 	}
+	arrivals := make([]float64, frames)
+	for i := range arrivals {
+		arrivals[i] = float64(i) * intervalMicros
+	}
 	res := &AvailabilityResult{
-		Frames: frames, MaxAttempts: maxAttempts,
-		BackoffMicros: backoffMicros, DeadlineMicros: deadlineMicros,
+		Frames: frames, MaxAttempts: 2, DeadlineMicros: deadlineMicros,
 	}
 	for _, rate := range []float64{0, 0.1, 0.25, 0.5, 0.75} {
-		qcfg := cfg.annealConfig()
-		qcfg.Faults = annealer.FaultModel{ProgrammingFailureRate: rate}
-		p := &pipeline.Pipeline{Stages: []pipeline.Stage{
-			&pipeline.ClassicalStage{Rng: rng.New(cfg.Seed ^ 5)},
-			&pipeline.Retry{
-				Stage: &pipeline.QuantumStage{
-					NumReads: reads,
-					Config:   qcfg,
-					Rng:      rng.New(cfg.Seed ^ 6),
-				},
-				MaxAttempts:   maxAttempts,
-				BackoffMicros: backoffMicros,
-				Fallback:      &pipeline.ClassicalFallback{},
-				Trace:         cfg.Trace,
-			},
-		}, Trace: cfg.Trace, Metrics: cfg.Metrics}
-		fr, err := pipeline.GenerateFrames(insts, intervalMicros, deadlineMicros)
-		if err != nil {
-			return nil, err
-		}
-		processed, err := p.Run(fr)
+		dev := cfg.fleetDevice()
+		dev.Faults = annealer.FaultModel{ProgrammingFailureRate: rate}
+		served, err := runStaged(fleet.Config{
+			Devices:  []fleet.Device{dev},
+			NumReads: reads,
+			Seed:     cfg.Seed ^ 6,
+			Trace:    cfg.Trace,
+			Metrics:  cfg.Metrics,
+		}, insts, arrivals, 0)
 		if err != nil {
 			return nil, err
 		}
 		row := AvailabilityRow{ProgrammingFailureRate: rate}
-		decoded := 0
-		for _, f := range processed {
-			if f.Err != nil {
+		for _, o := range served.Outcomes {
+			if len(o.Best.Spins) == 0 {
 				row.Errors++
-				continue
-			}
-			row.Completed++
-			if f.Payload.(*pipeline.DetectionPayload).SymbolErrors == 0 {
-				decoded++
+			} else {
+				row.Completed++
 			}
 		}
 		if row.Errors > 0 {
-			return nil, fmt.Errorf("availability: %d frames errored at rate %.2f — fallback guarantee violated", row.Errors, rate)
+			return nil, fmt.Errorf("availability: %d frames unanswered at rate %.2f — fallback guarantee violated", row.Errors, rate)
 		}
-		rep, err := p.Schedule(processed)
-		if err != nil {
-			return nil, err
-		}
-		row.Retries = rep.Retries
-		row.Fallbacks = rep.Fallbacks
-		row.FallbackRate = rep.FallbackRate
-		row.QuantumRate = 1 - rep.FallbackRate
-		row.DecodeRate = float64(decoded) / float64(frames)
-		row.MeanLatencyMicros = rep.MeanLatency
-		row.DeadlineMissRate = rep.DeadlineMissRate
+		st := stageTiming(arrivals, finishTimes(served.Outcomes), deadlineMicros)
+		row.Retries = served.Report.Retries
+		row.Fallbacks = served.Report.Shed
+		row.FallbackRate = float64(row.Fallbacks) / float64(frames)
+		row.QuantumRate = 1 - row.FallbackRate
+		row.DecodeRate = float64(decodedFrames(insts, served.Outcomes)) / float64(frames)
+		row.MeanLatencyMicros = st.MeanLatency
+		row.DeadlineMissRate = st.DeadlineMissRate
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

@@ -3,10 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
+	"repro/internal/fleet"
 	"repro/internal/instance"
 	"repro/internal/modulation"
-	"repro/internal/pipeline"
 	"repro/internal/rng"
 )
 
@@ -24,14 +25,28 @@ type CapacityRow struct {
 // CapacityResult is the Challenge-3 capacity-planning study: how many
 // quantum processing units a base station needs for a given channel-use
 // arrival rate and ARQ deadline — the "assign those units to staged
-// processing units" question, answered with the pipeline model's
-// replicated-stage scheduling.
+// processing units" question, answered by serving the quantum stage on
+// fleets of growing size.
 type CapacityResult struct {
 	Rows           []CapacityRow
 	Frames         int
 	MeanArrival    float64
 	DeadlineMicros float64
 	ServiceMicros  float64
+}
+
+// poissonArrivals draws n arrival times with exponential gaps of the
+// given mean; the first frame arrives at 0.
+func poissonArrivals(n int, mean float64, r *rng.Source) []float64 {
+	out := make([]float64, n)
+	for i := 1; i < n; i++ {
+		u := r.Float64()
+		for u == 0 {
+			u = r.Float64()
+		}
+		out[i] = out[i-1] - mean*math.Log(u)
+	}
+	return out
 }
 
 // RunCapacity sweeps the QPU pool size for a bursty (Poisson) stream of
@@ -52,41 +67,39 @@ func RunCapacity(cfg Config) (*CapacityResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The same arrival draw for every pool size.
+	arrivals := poissonArrivals(frames, meanArrival, rng.New(cfg.Seed^0xA881))
 	res := &CapacityResult{Frames: frames, MeanArrival: meanArrival, DeadlineMicros: deadlineMicros}
 	for _, qpus := range []int{1, 2, 3, 4} {
-		stages := []pipeline.Stage{
-			&pipeline.ClassicalStage{Rng: rng.New(cfg.Seed ^ 3)},
-			&pipeline.QuantumStage{
-				NumReads: reads,
-				Config:   cfg.annealConfig(),
-				Rng:      rng.New(cfg.Seed ^ 4),
-			},
+		devs := make([]fleet.Device, qpus)
+		for d := range devs {
+			devs[d] = cfg.fleetDevice()
 		}
-		p := &pipeline.Pipeline{Stages: stages, Replicas: []int{1, qpus},
-			Trace: cfg.Trace, Metrics: cfg.Metrics}
-		fr, err := pipeline.GenerateFramesPoisson(insts, meanArrival, deadlineMicros,
-			rng.New(cfg.Seed^0xA881)) // same arrival draw for every pool size
+		served, err := runStaged(fleet.Config{
+			Devices:  devs,
+			NumReads: reads,
+			Seed:     cfg.Seed ^ 4,
+			Trace:    cfg.Trace,
+			Metrics:  cfg.Metrics,
+		}, insts, arrivals, 0)
 		if err != nil {
 			return nil, err
 		}
-		processed, err := p.Run(fr)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := p.Schedule(processed)
-		if err != nil {
-			return nil, err
+		busy := 0.0
+		for _, o := range served.Outcomes {
+			busy += o.Finish - o.Start
 		}
 		if res.ServiceMicros == 0 {
-			res.ServiceMicros = processed[0].ServiceTimes[1]
+			res.ServiceMicros = served.Outcomes[0].Finish - served.Outcomes[0].Start
 		}
+		st := stageTiming(arrivals, finishTimes(served.Outcomes), deadlineMicros)
 		res.Rows = append(res.Rows, CapacityRow{
 			QPUs:                qpus,
-			DeadlineMissRate:    rep.DeadlineMissRate,
-			MeanLatencyMicros:   rep.MeanLatency,
-			P95LatencyMicros:    rep.P95Latency,
-			QPUUtilization:      rep.Utilization[1],
-			ThroughputPerSecond: rep.ThroughputPerSecond,
+			DeadlineMissRate:    st.DeadlineMissRate,
+			MeanLatencyMicros:   st.MeanLatency,
+			P95LatencyMicros:    st.P95Latency,
+			QPUUtilization:      busy / st.Makespan / float64(qpus),
+			ThroughputPerSecond: st.ThroughputPerSecond,
 		})
 	}
 	return res, nil

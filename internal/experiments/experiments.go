@@ -96,7 +96,7 @@ type Config struct {
 	// runtime.NumCPU, capped at 8; deterministic at any level).
 	Parallelism int
 	// Trace and Metrics, when set, are threaded into every anneal batch
-	// and pipeline run a harness issues — one registry/trace accumulates
+	// and fleet serve a harness issues — one registry/trace accumulates
 	// the whole experiment. Nil-safe and observation-only (results are
 	// bit-identical either way).
 	Trace   *telemetry.Tracer

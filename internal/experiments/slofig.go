@@ -69,6 +69,17 @@ func RunCRANSLO(cfg Config, shards, cells int, placement cran.Placement) (*CRANS
 	if err != nil {
 		return nil, err
 	}
+	// The monitor taps a tracer of its own, so it sees this run alone;
+	// the run's records still go to the caller's trace.
+	if cfg.Trace != nil {
+		for _, r := range tracer.Records() {
+			if r.Type == "span" {
+				cfg.Trace.Span(r.Name, r.T0, r.T1, r.Attrs)
+			} else {
+				cfg.Trace.Event(r.Name, r.T0, r.Attrs)
+			}
+		}
+	}
 	return &CRANSLOResult{Shards: shards, Cells: cells, Frames: len(reqs), Snapshot: snap}, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cran"
 	"repro/internal/slo"
+	"repro/internal/telemetry"
 )
 
 // TestCRANSLOMonitoring gates the observability figure: serving the 2×
@@ -48,5 +49,38 @@ func TestCRANSLOMonitoring(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("dashboard missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestCRANSLOForwardsTrace: the figure's records reach the caller's
+// tracer, and the monitor, which taps a tracer of its own, renders the
+// same dashboard with or without one.
+func TestCRANSLOForwardsTrace(t *testing.T) {
+	var plain bytes.Buffer
+	res, err := RunCRANSLO(Quick(), 2, 24, cran.PlacementHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.WriteTable(&plain)
+
+	cfg := Quick()
+	cfg.Trace = telemetry.NewTracer()
+	res, err = RunCRANSLO(cfg, 2, 24, cran.PlacementHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traced bytes.Buffer
+	res.WriteTable(&traced)
+	if traced.String() != plain.String() {
+		t.Fatal("a caller tracer changed the dashboard")
+	}
+	fleetRecs := 0
+	for _, r := range cfg.Trace.Records() {
+		if strings.HasPrefix(r.Name, "fleet/") {
+			fleetRecs++
+		}
+	}
+	if fleetRecs == 0 {
+		t.Fatalf("caller trace holds no fleet/* records (%d records)", cfg.Trace.Len())
 	}
 }

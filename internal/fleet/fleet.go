@@ -2,7 +2,7 @@
 // needs: one scheduler owning a pool of N heterogeneous simulated QPUs
 // that serves M concurrent detection streams. The scheduler is an
 // event-driven simulation on the same deterministic microsecond clock the
-// annealer and pipeline account in, with per-device work queues, batching
+// annealer accounts in, with per-device work queues, batching
 // of schedule-compatible frames into shared programming cycles (amortizing
 // the 10 ms device programming overhead and the engine's Prepare compile
 // via annealer leases), pluggable dispatch policies, admission control

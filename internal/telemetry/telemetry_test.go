@@ -315,3 +315,76 @@ func TestStartPprofServes(t *testing.T) {
 		t.Fatalf("pprof endpoint status %d", resp.StatusCode)
 	}
 }
+
+// TestAttrAccessors: the typed accessors read back what the constructors
+// wrote, Int truncates a float (a number read back from JSONL), and a
+// missing key or a wrong kind reports not-found.
+func TestAttrAccessors(t *testing.T) {
+	as := Attrs{Bool("b", true), Float("f", 2.75), Int("i", 7), String("s", "x")}
+	if v, ok := as.Num("i"); !ok || v != 7 {
+		t.Fatalf("Num(i) = %v, %v", v, ok)
+	}
+	if v, ok := as.Num("f"); !ok || v != 2.75 {
+		t.Fatalf("Num(f) = %v, %v", v, ok)
+	}
+	if v, ok := as.Int("i"); !ok || v != 7 {
+		t.Fatalf("Int(i) = %v, %v", v, ok)
+	}
+	if v, ok := as.Int("f"); !ok || v != 2 {
+		t.Fatalf("Int(f) = %v, %v", v, ok)
+	}
+	if v, ok := as.Str("s"); !ok || v != "x" {
+		t.Fatalf("Str(s) = %q, %v", v, ok)
+	}
+	if !as.Bool("b") || as.Bool("s") || (Attrs{Bool("b", false)}).Bool("b") {
+		t.Fatal("Bool reads only a true boolean")
+	}
+	for _, key := range []string{"s", "missing"} {
+		if _, ok := as.Num(key); ok {
+			t.Fatalf("Num(%s) found", key)
+		}
+		if _, ok := as.Int(key); ok {
+			t.Fatalf("Int(%s) found", key)
+		}
+	}
+	if _, ok := as.Str("i"); ok {
+		t.Fatal("Str read an int")
+	}
+}
+
+// recordCollector is a RecordSink that keeps what it is given.
+type recordCollector struct {
+	mu  sync.Mutex
+	log RecordLog
+}
+
+func (c *recordCollector) ObserveRecord(r Record) {
+	c.mu.Lock()
+	c.log.Append(r)
+	c.mu.Unlock()
+}
+
+// TestSinkSeesEveryRecord: an attached sink receives each record with its
+// attributes in key order, and sorting what it got gives Records().
+func TestSinkSeesEveryRecord(t *testing.T) {
+	tr := NewTracer()
+	tr.AddSink(nil) // ignored
+	var c recordCollector
+	tr.AddSink(&c)
+	tr.Event("b", 2, Attrs{String("z", "last"), Int("a", 1)})
+	tr.Span("a", 1, 3, nil)
+	tr.Event("a", 1, nil)
+	if c.log.Len() != 3 {
+		t.Fatalf("sink saw %d records, want 3", c.log.Len())
+	}
+	if got := c.log.At(0).Attrs; got[0].Key != "a" || got[1].Key != "z" {
+		t.Fatalf("sink attrs not in key order: %+v", got)
+	}
+	c.log.Sort()
+	want := tr.Records()
+	for i := range want {
+		if got := c.log.At(i); got.Name != want[i].Name || got.Type != want[i].Type || got.T0 != want[i].T0 {
+			t.Fatalf("record %d: sink %+v, tracer %+v", i, *got, want[i])
+		}
+	}
+}

@@ -1,13 +1,13 @@
 // Package telemetry is the repository's observability layer: a span/event
 // tracer keyed to the SIMULATED microsecond clock the annealer and
-// pipeline already account in, a metrics registry (counters, gauges,
+// fleet already account in, a metrics registry (counters, gauges,
 // fixed-bucket histograms reusing metrics.Histogram) with Prometheus-text
 // and JSON exposition, run manifests, machine-readable benchmark records,
 // and a net/http/pprof helper.
 //
 // Two clocks exist in this system and the package keeps them separate by
 // construction: trace spans and events carry *simulated* μs (the
-// deterministic device/pipeline timing model — the numbers TTS and
+// deterministic device/fleet timing model — the numbers TTS and
 // deadline analyses are made of), while the run manifest records *wall*
 // time (when the process ran, for provenance only). Nothing in this
 // package feeds back into computation: telemetry consumes no RNG and
@@ -29,7 +29,7 @@ type Record struct {
 	// Type is "span", "event", or "manifest".
 	Type string `json:"type"`
 	// Name identifies the span/event taxonomy node (e.g. "qpu/anneal",
-	// "stage/cpu:gs", "retry/attempt").
+	// "fleet/frame", "fleet/shed").
 	Name string `json:"name,omitempty"`
 	// T0 and T1 are simulated μs. Events carry only T0.
 	T0 float64 `json:"t0_us"`
@@ -59,7 +59,7 @@ type RecordSink interface {
 // Tracer collects spans and events concurrently and writes them as JSONL
 // in a deterministic order. All methods are safe on a nil receiver (a nil
 // tracer is a disabled tracer) and safe for concurrent use — the
-// annealer's parallel read loop and the pipeline's stage goroutines emit
+// annealer's parallel read loop and the fleet's execute workers emit
 // into one tracer.
 type Tracer struct {
 	mu       sync.Mutex

@@ -24,12 +24,11 @@ repro/internal/metrics 94
 repro/internal/metropolis 98
 repro/internal/mimo 93
 repro/internal/modulation 94
-repro/internal/pipeline 92
 repro/internal/qaoa 95
 repro/internal/qubo 93
 repro/internal/rng 91
 repro/internal/slo 84
-repro/internal/telemetry 92
+repro/internal/telemetry 94
 repro/internal/validate 55
 '
 
