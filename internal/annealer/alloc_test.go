@@ -151,3 +151,42 @@ func TestPrepareProblemAllocs(t *testing.T) {
 		t.Errorf("PrepareProblem allocates %.0f objects on a %d-spin problem, want ≤ 7", got, is.N)
 	}
 }
+
+// TestLockstepGroupAllocs pins the lockstep groups' steady state: the
+// replica buffers, slot table, energies, ladder and scratch streams
+// all live in the pooled group scratch, so after warm-up an 8-lane
+// call allocates one object, its result spins. Each side runs on the
+// serve's hard 32-spin problem with the fleet's serving options.
+func TestLockstepGroupAllocs(t *testing.T) {
+	if !hasBatchSIMD {
+		t.Skip("no SIMD batch path on this host")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	is := allocTestIsing(t)
+	var srcs [lockstepWidth]rng.Source
+	var rs [lockstepWidth]*rng.Source
+	var out [lockstepWidth]qubo.Sample
+	root := rng.New(3)
+	for _, c := range []struct {
+		name  string
+		group func()
+	}{
+		{"PT", func() {
+			ParallelTemperingGroup(is, rs[:], qubo.PTOptions{Replicas: 4, Sweeps: 20, BetaMin: 0.1, BetaMax: 10, SwapInterval: 5}, out[:])
+		}},
+		{"SA", func() { SimulatedAnnealingGroup(is, rs[:], nil, qubo.SAOptions{Sweeps: 30}, out[:]) }},
+	} {
+		for j := range rs {
+			root.SplitInto(&srcs[j], uint64(j))
+			rs[j] = &srcs[j]
+		}
+		c.group() // warm the scratch pool
+		// 100 runs, so a GC emptying the pool mid-measurement (a few
+		// scratch allocations once) cannot lift the truncated mean.
+		if got := testing.AllocsPerRun(100, c.group); got > 1 {
+			t.Errorf("8-lane %s group allocates %.0f objects per call, want 1 (the result spins)", c.name, got)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/chimera"
 	"repro/internal/instance"
@@ -462,6 +463,84 @@ func BenchmarkSAGroup(b *testing.B) {
 			},
 			Series: fmt.Sprintf("spins=%d lanes=%d ns/restart=%.0f baseline=%.0f speedup=%.2fx",
 				reds[0].N, lockstepWidth, nsPerRestart, float64(baselineNsPerSARestart), baselineNsPerSARestart/nsPerRestart),
+		}
+		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// servingPT is the fleet's PT backend configuration (fleet.serving.pt):
+// four rungs, 200 sweeps, a swap pass every fifth sweep.
+var servingPT = qubo.PTOptions{Replicas: 4, Sweeps: 200, BetaMin: 0.1, BetaMax: 10, SwapInterval: 5}
+
+// baselineNsPerPTRead is the ns per serving-option read of the one-read
+// path, qubo.ParallelTempering, over the same problems as
+// BenchmarkPTGroup — the cost every PT read paid before the lockstep
+// group — keyed by spin count. Each is the median of five 2,560-read
+// runs on a 2-vCPU Xeon (Sapphire Rapids, KVM), Go 1.24.
+var baselineNsPerPTRead = map[int]float64{6: 151877, 32: 1058217}
+
+// BenchmarkPTGroup times the lockstep PT group with the serving options
+// on the hybrid pool's two frame shapes: 3-user QPSK (6 spins) and
+// 8-user 16-QAM (32 spins), 16 problems each. Every iteration runs one
+// full 8-lane group of each shape, timed apart, and the benchmark
+// reports ns per read of each against the recorded one-read baseline.
+func BenchmarkPTGroup(b *testing.B) {
+	shapes := []struct {
+		users  int
+		scheme modulation.Scheme
+	}{{3, modulation.QPSK}, {8, modulation.QAM16}}
+	problems := make([][]*qubo.Ising, len(shapes))
+	for si, sh := range shapes {
+		for i := 0; i < 16; i++ {
+			in, err := instance.Synthesize(instance.Spec{Users: sh.users, Scheme: sh.scheme, Seed: uint64(0x97 + 31*i)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			problems[si] = append(problems[si], in.Reduction.Ising)
+		}
+	}
+	var srcs [lockstepWidth]rng.Source
+	var rs [lockstepWidth]*rng.Source
+	var out [lockstepWidth]qubo.Sample
+	elapsed := make([]time.Duration, len(shapes))
+	root := rng.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for si, ps := range problems {
+			for j := range rs {
+				root.SplitInto(&srcs[j], uint64(i*lockstepWidth+j))
+				rs[j] = &srcs[j]
+			}
+			t0 := time.Now()
+			ParallelTemperingGroup(ps[i%len(ps)], rs[:], servingPT, out[:])
+			elapsed[si] += time.Since(t0)
+		}
+	}
+	config := map[string]any{
+		"lanes": lockstepWidth, "replicas": servingPT.Replicas, "sweeps": servingPT.Sweeps,
+		"swap_interval": servingPT.SwapInterval,
+	}
+	series := fmt.Sprintf("lanes=%d", lockstepWidth)
+	for si, ps := range problems {
+		n := ps[0].N
+		nsPerRead := float64(elapsed[si].Nanoseconds()) / float64(b.N*lockstepWidth)
+		base := baselineNsPerPTRead[n]
+		b.ReportMetric(nsPerRead, fmt.Sprintf("ns/read-%dspin", n))
+		config[fmt.Sprintf("ns_per_read_%dspin", n)] = nsPerRead
+		config[fmt.Sprintf("baseline_ns_per_read_%dspin", n)] = base
+		config[fmt.Sprintf("speedup_%dspin", n)] = base / nsPerRead
+		series += fmt.Sprintf(" spins=%d ns/read=%.0f baseline=%.0f speedup=%.2fx", n, nsPerRead, base, base/nsPerRead)
+	}
+	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
+		rec := telemetry.BenchRecord{
+			Name:       "AnnealerPTGroup",
+			NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+			Iterations: b.N,
+			Config:     config,
+			Series:     series,
 		}
 		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
 			b.Fatal(err)

@@ -36,6 +36,15 @@ import (
 // x + (−0) == x for every x, adding the whole row is bit-identical to
 // the one-read per-coupling adds, and exact-zero couplings keep their
 // signed-zero contributions.
+//
+// One lane driver serves two solvers. Each lane owns k state buffers
+// in the g/field block, laid out [8][k][np], and the kernel steps the
+// buffer lanoff[j] points at. Simulated annealing is the k = 1 case
+// with a per-sweep β; parallel tempering (pt_group.go) retargets lanoff
+// at each replica's buffer before that replica's sweep at its rung's β.
+// The driver — the kernel call, the exact settle of undecided lanes,
+// the best-spin save, apply and stepScalar — reads every buffer
+// through lanoff, so neither solver keeps its own copy.
 
 // saGroupMaxN bounds the dense row table (2·64·64 float64 = 64 KiB).
 // Larger models run their lanes through the one-read path.
@@ -78,13 +87,22 @@ type saStepArgs struct {
 	exm, bestm         uint32     // +716 +720 (kernel-written)
 }
 
-// saGroupScratch is one group's working set, pooled across calls.
+// saGroupScratch is one group's working set, pooled across calls. Each
+// lane owns k state buffers (k = 1 for SA, the replica count for PT)
+// and lanoff[j] points the kernel at the one lane j is stepping.
 type saGroupScratch struct {
 	args     saStepArgs
 	rows     []float64 // [2N][np] signed coupling rows
-	g, field []float64 // lane-major [8][np]: −2·spin and local field
+	g, field []float64 // lane-major [8][k][np]: −2·spin and local field
 	bestG    []float64 // lane-major [8][np]: g at each lane's best energy
-	start    []int8    // one lane's initial spins
+	start    []int8    // one buffer's initial spins
+	// PT only: slot[j·k+i] is the buffer (within lane j) replica i
+	// occupies, energy[j·k+b] the energy of lane j's buffer b, and
+	// betas the replica ladder.
+	slot   []int
+	energy []float64
+	betas  []float64
+	src    rng.Source // scratch stream: PT's random starts and exchanges
 }
 
 var saGroupPool = sync.Pool{New: func() any { return new(saGroupScratch) }}
@@ -109,20 +127,15 @@ var saRowSigns = [2]int8{1, -1}
 // explicit starts of the wrong length, and hosts without AVX2 run each
 // lane through the one-read path.
 func SimulatedAnnealingGroup(is *qubo.Ising, rs []*rng.Source, starts [][]int8, opts qubo.SAOptions, out []qubo.Sample) {
-	w := len(rs)
-	if w > lockstepWidth {
-		panic("annealer: SA group wider than 8 lanes")
-	}
 	startOf := func(j int) []int8 {
 		if starts == nil {
 			return nil
 		}
 		return starts[j]
 	}
-	n := is.N
 	st := saGroupPool.Get().(*saGroupScratch)
 	defer saGroupPool.Put(st)
-	if !hasBatchSIMD || n < 1 || n > saGroupMaxN || !startsFit(starts, n) || !st.buildRows(is) {
+	if !st.begin(is, len(rs), 1) || !startsFit(starts, is.N) {
 		for j, r := range rs {
 			if s := startOf(j); s != nil {
 				out[j] = qubo.SimulatedAnnealingFrom(is, r, s, opts)
@@ -133,45 +146,24 @@ func SimulatedAnnealingGroup(is *qubo.Ising, rs []*rng.Source, starts [][]int8, 
 		return
 	}
 	opts = opts.WithDefaults()
-	np := (n + 3) &^ 3
-	st.ensure(n, np)
 	a := &st.args
-	*a = saStepArgs{
-		spins: &st.g[0], field: &st.field[0], rows: &st.rows[0],
-		bounds: &metropolis.Bounds[0],
-		nb:     uint64(n), negnb: lemireThreshold(n), n: uint64(n), np: uint64(np),
-		live: uint32(1)<<uint(w) - 1,
-	}
+	np := int(a.np)
 
 	// Lane initialisation, in the one-read order: the random start (if
 	// any) is drawn from the lane's stream before its state is captured.
-	for j := 0; j < lockstepWidth; j++ {
-		if j >= w {
-			// Padding lanes: any nonzero xoshiro state works — they are
-			// advanced alongside the real lanes and never applied.
-			a.rs0[j], a.rs1[j], a.rs2[j], a.rs3[j] = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, uint64(j)+1
-			continue
-		}
+	for j, r := range rs {
 		sp := st.start
 		if s := startOf(j); s != nil {
 			copy(sp, s)
 		} else {
 			for i := range sp {
-				sp[i] = rs[j].Spin()
+				sp[i] = r.Spin()
 			}
 		}
-		a.energy[j] = is.Energy(sp)
+		a.energy[j] = st.load(is, sp, j*np)
 		a.bestE[j] = a.energy[j]
-		g, f := st.g[j*np:(j+1)*np], st.field[j*np:(j+1)*np]
-		for i := range g {
-			g[i], f[i] = 0, 0
-		}
-		for i, s := range sp {
-			g[i] = -2 * float64(s)
-			f[i] = is.LocalField(sp, i)
-		}
-		copy(st.bestG[j*np:(j+1)*np], g)
-		a.rs0[j], a.rs1[j], a.rs2[j], a.rs3[j] = rs[j].State()
+		copy(st.bestG[j*np:(j+1)*np], st.g[j*np:(j+1)*np])
+		a.rs0[j], a.rs1[j], a.rs2[j], a.rs3[j] = r.State()
 		a.lanoff[j] = uint64(j * np)
 	}
 
@@ -181,31 +173,97 @@ func SimulatedAnnealingGroup(is *qubo.Ising, rs []*rng.Source, starts [][]int8, 
 	}
 	beta := opts.BetaStart
 	for sweep := 0; sweep < opts.Sweeps; sweep++ {
-		a.beta = beta
-		for k := 0; k < n; k++ {
-			if saForceScalar || !saStepx8(a) {
-				st.stepScalar()
-			}
-			// The rare lanes the kernel leaves to Go: bracket-undecided
-			// proposals, and new bests whose spins must be saved.
-			bestm := a.bestm
-			for ex := a.exm & a.live; ex != 0; ex &= ex - 1 {
-				j := bits.TrailingZeros32(ex)
-				if metropolis.Exact(a.u[j], beta*a.dE[j]) && st.apply(j) {
-					bestm |= 1 << uint(j)
-				}
-			}
-			for ; bestm != 0; bestm &= bestm - 1 {
-				o := bits.TrailingZeros32(bestm) * np
-				copy(st.bestG[o:o+np], st.g[o:o+np])
-			}
-		}
+		st.sweep(beta)
 		beta *= ratio
 	}
-
-	best := make([]int8, w*n)
 	for j, r := range rs {
 		r.SetState(a.rs0[j], a.rs1[j], a.rs2[j], a.rs3[j])
+	}
+	st.results(is.N, out[:len(rs)])
+}
+
+// begin readies the scratch for a group of w ≤ 8 lanes on is with k
+// state buffers per lane: the dense rows, the buffers, and the step
+// arguments, with the padding lanes' streams seeded. It reports false —
+// the caller then runs the one-read path — when the group cannot run
+// is: no AVX2, N outside [1, 64], or adjacency the rows cannot
+// represent.
+func (st *saGroupScratch) begin(is *qubo.Ising, w, k int) bool {
+	if w > lockstepWidth {
+		panic("annealer: lockstep group wider than 8 lanes")
+	}
+	n := is.N
+	if !hasBatchSIMD || n < 1 || n > saGroupMaxN || !st.buildRows(is) {
+		return false
+	}
+	np := (n + 3) &^ 3
+	st.ensure(n, np, k)
+	a := &st.args
+	*a = saStepArgs{
+		spins: &st.g[0], field: &st.field[0], rows: &st.rows[0],
+		bounds: &metropolis.Bounds[0],
+		nb:     uint64(n), negnb: lemireThreshold(n), n: uint64(n), np: uint64(np),
+		live: uint32(1)<<uint(w) - 1,
+	}
+	// Padding lanes: any nonzero xoshiro state works — they are advanced
+	// alongside the real lanes and never applied, and lanoff 0 keeps
+	// their gathers in bounds.
+	for j := w; j < lockstepWidth; j++ {
+		a.rs0[j], a.rs1[j], a.rs2[j], a.rs3[j] = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, uint64(j)+1
+	}
+	return true
+}
+
+// load writes the buffer at offset off from the spins sp — g = −2·s
+// and the local fields, padding zeroed — and returns the energy of sp.
+func (st *saGroupScratch) load(is *qubo.Ising, sp []int8, off int) float64 {
+	np := int(st.args.np)
+	g, f := st.g[off:off+np], st.field[off:off+np]
+	for i := range g {
+		g[i], f[i] = 0, 0
+	}
+	for i, s := range sp {
+		g[i] = -2 * float64(s)
+		f[i] = is.LocalField(sp, i)
+	}
+	return is.Energy(sp)
+}
+
+// sweep runs one Metropolis sweep — N lockstep steps at inverse
+// temperature beta — on the buffers lanoff points at: the kernel step
+// (or its scalar replay), then the rare lanes the kernel leaves to Go:
+// bracket-undecided proposals, and new bests whose spins must be saved.
+func (st *saGroupScratch) sweep(beta float64) {
+	a := &st.args
+	a.beta = beta
+	np := int(a.np)
+	for k := uint64(0); k < a.n; k++ {
+		if saForceScalar || !saStepx8(a) {
+			st.stepScalar()
+		}
+		bestm := a.bestm
+		for ex := a.exm & a.live; ex != 0; ex &= ex - 1 {
+			j := bits.TrailingZeros32(ex)
+			if metropolis.Exact(a.u[j], beta*a.dE[j]) && st.apply(j) {
+				bestm |= 1 << uint(j)
+			}
+		}
+		for ; bestm != 0; bestm &= bestm - 1 {
+			j := bits.TrailingZeros32(bestm)
+			o := int(a.lanoff[j])
+			copy(st.bestG[j*np:(j+1)*np], st.g[o:o+np])
+		}
+	}
+}
+
+// results stores each live lane's best sample — spins decoded from
+// bestG, energy bestE — in out, the spins of all lanes in one
+// allocation.
+func (st *saGroupScratch) results(n int, out []qubo.Sample) {
+	a := &st.args
+	np := int(a.np)
+	best := make([]int8, len(out)*n)
+	for j := range out {
 		spins := best[j*n : (j+1)*n : (j+1)*n]
 		for i := range spins {
 			spins[i] = -1
@@ -227,20 +285,28 @@ func startsFit(starts [][]int8, n int) bool {
 	return true
 }
 
-// ensure sizes the lane arrays for n spins at row stride np.
-func (st *saGroupScratch) ensure(n, np int) {
-	if cap(st.g) < lockstepWidth*np {
-		st.g = make([]float64, lockstepWidth*np)
-		st.field = make([]float64, lockstepWidth*np)
+// ensure sizes the lane arrays for n spins at row stride np with k
+// buffers per lane.
+func (st *saGroupScratch) ensure(n, np, k int) {
+	size := lockstepWidth * k * np
+	if cap(st.g) < size {
+		st.g = make([]float64, size)
+		st.field = make([]float64, size)
+	}
+	st.g, st.field = st.g[:size], st.field[:size]
+	if cap(st.bestG) < lockstepWidth*np {
 		st.bestG = make([]float64, lockstepWidth*np)
 	}
-	st.g = st.g[:lockstepWidth*np]
-	st.field = st.field[:lockstepWidth*np]
 	st.bestG = st.bestG[:lockstepWidth*np]
 	if cap(st.start) < n {
 		st.start = make([]int8, n)
 	}
 	st.start = st.start[:n]
+	if cap(st.slot) < lockstepWidth*k {
+		st.slot = make([]int, lockstepWidth*k)
+		st.energy = make([]float64, lockstepWidth*k)
+	}
+	st.slot, st.energy = st.slot[:lockstepWidth*k], st.energy[:lockstepWidth*k]
 }
 
 // buildRows fills the signed coupling rows for is (1 ≤ N ≤ 64) and

@@ -28,12 +28,15 @@ const (
 	// anneal schedule plus the QPU programming/readout overheads; quality
 	// from the reverse-anneal engine behind an annealer.Lease.
 	BackendQPUSim BackendKind = iota
-	// BackendParallelTempering runs qubo.ParallelTempering per read —
-	// replica-exchange Monte Carlo, the strongest classical surrogate.
+	// BackendParallelTempering runs replica-exchange Monte Carlo, the
+	// strongest classical surrogate: eight reads at a time through
+	// annealer.ParallelTemperingGroup, each bit-identical to
+	// qubo.ParallelTempering.
 	BackendParallelTempering
-	// BackendSimulatedAnnealing runs qubo.SimulatedAnnealingFrom per read
-	// (eight reads at a time through annealer.SimulatedAnnealingGroup),
-	// seeded from the frame's classical candidate — a cheap local refiner.
+	// BackendSimulatedAnnealing runs simulated annealing seeded from the
+	// frame's classical candidate — a cheap local refiner: eight reads at
+	// a time through annealer.SimulatedAnnealingGroup, each bit-identical
+	// to qubo.SimulatedAnnealingFrom.
 	BackendSimulatedAnnealing
 	// BackendQAOA compiles the frame onto an exact statevector QAOA
 	// circuit, grid-optimizes the angles once, and draws the frame's reads
@@ -153,10 +156,12 @@ func runClassical(kind BackendKind, is *qubo.Ising, init []int8, reads int, r *r
 		reads = 1
 	}
 	switch kind {
-	case BackendSimulatedAnnealing:
-		// The reads run eight at a time in lockstep SA groups, each lane
-		// bit-identical to qubo.SimulatedAnnealingFrom(is, r.Split(k),
-		// init, serving.sa), and are folded in read order.
+	case BackendSimulatedAnnealing, BackendParallelTempering:
+		// The reads run eight at a time in lockstep groups, lane j of a
+		// group bit-identical to the one-read solver on r.Split(k) —
+		// qubo.SimulatedAnnealingFrom(·, init, serving.sa) or
+		// qubo.ParallelTempering(·, serving.pt) — and are folded in read
+		// order.
 		var srcs [8]rng.Source
 		var lanes [8]*rng.Source
 		var starts [8][]int8
@@ -169,23 +174,16 @@ func runClassical(kind BackendKind, is *qubo.Ising, init []int8, reads int, r *r
 				r.SplitInto(&srcs[j], uint64(k0+j))
 				lanes[j], starts[j] = &srcs[j], init
 			}
-			annealer.SimulatedAnnealingGroup(is, lanes[:w], starts[:w], serving.sa, samples[:w])
+			if kind == BackendSimulatedAnnealing {
+				annealer.SimulatedAnnealingGroup(is, lanes[:w], starts[:w], serving.sa, samples[:w])
+			} else {
+				annealer.ParallelTemperingGroup(is, lanes[:w], serving.pt, samples[:w])
+			}
 			for j, s := range samples[:w] {
 				sum += s.Energy
 				if k0+j == 0 || s.Energy < best.Energy {
 					best = s
 				}
-			}
-		}
-		return best, sum / float64(reads), nil
-	case BackendParallelTempering:
-		var best qubo.Sample
-		sum := 0.0
-		for k := 0; k < reads; k++ {
-			s := qubo.ParallelTempering(is, r.Split(uint64(k)), serving.pt)
-			sum += s.Energy
-			if k == 0 || s.Energy < best.Energy {
-				best = s
 			}
 		}
 		return best, sum / float64(reads), nil

@@ -109,8 +109,26 @@ func TestRunClassicalFindsGround(t *testing.T) {
 // TestRunClassicalSAMatchesOneRead pins the grouped SA backend to the
 // one-read fold it replaced: every read qubo.SimulatedAnnealingFrom on
 // r.Split(k) from the shared candidate, summed and minimized in read
-// order. Read counts straddle the 8-lane group width.
+// order.
 func TestRunClassicalSAMatchesOneRead(t *testing.T) {
+	checkRunClassicalOneRead(t, BackendSimulatedAnnealing, func(is *qubo.Ising, r *rng.Source, init []int8) qubo.Sample {
+		return qubo.SimulatedAnnealingFrom(is, r, init, serving.sa)
+	})
+}
+
+// TestRunClassicalPTMatchesOneRead is the same pin for the grouped PT
+// backend: every read qubo.ParallelTempering on r.Split(k).
+func TestRunClassicalPTMatchesOneRead(t *testing.T) {
+	checkRunClassicalOneRead(t, BackendParallelTempering, func(is *qubo.Ising, r *rng.Source, _ []int8) qubo.Sample {
+		return qubo.ParallelTempering(is, r, serving.pt)
+	})
+}
+
+// checkRunClassicalOneRead compares runClassical on kind against the
+// one-read fold of solve, over read counts that straddle the 8-lane
+// group width.
+func checkRunClassicalOneRead(t *testing.T, kind BackendKind, solve func(is *qubo.Ising, r *rng.Source, init []int8) qubo.Sample) {
+	t.Helper()
 	hard, err := instance.Synthesize(instance.Spec{Users: 8, Scheme: modulation.QAM16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -125,19 +143,19 @@ func TestRunClassicalSAMatchesOneRead(t *testing.T) {
 			var want qubo.Sample
 			sum := 0.0
 			for k := 0; k < reads; k++ {
-				s := qubo.SimulatedAnnealingFrom(is, r.Split(uint64(k)), init, serving.sa)
+				s := solve(is, r.Split(uint64(k)), init)
 				sum += s.Energy
 				if k == 0 || s.Energy < want.Energy {
 					want = s
 				}
 			}
-			got, mean, err := runClassical(BackendSimulatedAnnealing, is, init, reads, r)
+			got, mean, err := runClassical(kind, is, init, reads, r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) || mean != sum/float64(reads) {
-				t.Fatalf("problem %d, %d reads: grouped %v (mean %g), one-read %v (mean %g)",
-					pi, reads, got, mean, want, sum/float64(reads))
+				t.Fatalf("%s, problem %d, %d reads: grouped %v (mean %g), one-read %v (mean %g)",
+					kind, pi, reads, got, mean, want, sum/float64(reads))
 			}
 		}
 	}

@@ -50,7 +50,7 @@ func mathExpSimulatedAnnealingFrom(is *Ising, r *rng.Source, start []int8, opts 
 }
 
 func mathExpParallelTempering(is *Ising, r *rng.Source, opts PTOptions) Sample {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	k := opts.Replicas
 	betas := make([]float64, k)
 	ratio := math.Pow(opts.BetaMax/opts.BetaMin, 1/float64(k-1))

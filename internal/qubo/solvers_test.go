@@ -335,13 +335,28 @@ func TestParallelTemperingDeterministic(t *testing.T) {
 }
 
 func TestPTOptionsDefaults(t *testing.T) {
-	o := PTOptions{}.withDefaults()
+	o := PTOptions{}.WithDefaults()
 	if o.Replicas < 2 || o.Sweeps <= 0 || o.BetaMax <= o.BetaMin || o.SwapInterval <= 0 {
 		t.Fatalf("bad defaults: %+v", o)
 	}
 	// BetaMax below BetaMin gets repaired.
-	o = PTOptions{BetaMin: 5, BetaMax: 1}.withDefaults()
+	o = PTOptions{BetaMin: 5, BetaMax: 1}.WithDefaults()
 	if o.BetaMax <= o.BetaMin {
 		t.Fatal("inverted ladder not repaired")
+	}
+	// The ladder resolves defaults itself, runs geometrically from
+	// BetaMin to BetaMax, and appends to dst.
+	betas := PTOptions{Replicas: 5, BetaMin: 0.5, BetaMax: 8}.AppendBetas([]float64{-1})
+	want := []float64{-1, 0.5, 1, 2, 4, 8}
+	if len(betas) != len(want) {
+		t.Fatalf("ladder %v, want %v", betas, want)
+	}
+	for i, b := range betas {
+		if math.Abs(b-want[i]) > 1e-12 {
+			t.Fatalf("ladder %v, want %v", betas, want)
+		}
+	}
+	if got := len(PTOptions{}.AppendBetas(nil)); got != 8 {
+		t.Fatalf("default ladder has %d rungs, want 8", got)
 	}
 }

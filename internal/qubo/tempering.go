@@ -23,7 +23,11 @@ type PTOptions struct {
 	SwapInterval int
 }
 
-func (o PTOptions) withDefaults() PTOptions {
+// WithDefaults returns o with every unset field at the value
+// ParallelTempering would use, so a re-implementation of the same
+// dynamics (annealer.ParallelTemperingGroup) resolves options exactly
+// as the one-read path does.
+func (o PTOptions) WithDefaults() PTOptions {
 	if o.Replicas <= 1 {
 		o.Replicas = 8
 	}
@@ -42,20 +46,28 @@ func (o PTOptions) withDefaults() PTOptions {
 	return o
 }
 
+// AppendBetas appends the geometric inverse-temperature ladder of o
+// (defaults resolved) to dst: Replicas values from BetaMin, each the
+// previous one times (BetaMax/BetaMin)^(1/(Replicas−1)).
+func (o PTOptions) AppendBetas(dst []float64) []float64 {
+	o = o.WithDefaults()
+	ratio := math.Pow(o.BetaMax/o.BetaMin, 1/float64(o.Replicas-1))
+	b := o.BetaMin
+	for i := 0; i < o.Replicas; i++ {
+		dst = append(dst, b)
+		b *= ratio
+	}
+	return dst
+}
+
 // ParallelTempering runs replica-exchange Metropolis dynamics and returns
 // the best configuration seen. Hot replicas cross barriers, cold replicas
 // refine, and exchanges shuttle good configurations down the ladder —
 // the strongest general-purpose classical sampler in this package.
 func ParallelTempering(is *Ising, r *rng.Source, opts PTOptions) Sample {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	k := opts.Replicas
-	betas := make([]float64, k)
-	ratio := math.Pow(opts.BetaMax/opts.BetaMin, 1/float64(k-1))
-	b := opts.BetaMin
-	for i := range betas {
-		betas[i] = b
-		b *= ratio
-	}
+	betas := opts.AppendBetas(make([]float64, 0, k))
 	// Per-replica state, local fields, and energy.
 	spins := make([][]int8, k)
 	fields := make([][]float64, k)

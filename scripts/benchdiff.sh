@@ -24,7 +24,7 @@ else
     trap 'rm -rf "$FRESH_DIR"' EXIT
     echo "recording fresh benchmarks into $FRESH_DIR ..."
     BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
-        -bench 'BenchmarkSVMCSweep|BenchmarkPIMCSweep|BenchmarkSAGroup|BenchmarkRun$|BenchmarkRunMulti|BenchmarkLeasePreparedHit|BenchmarkLeaseServe16QAM' \
+        -bench 'BenchmarkSVMCSweep|BenchmarkPIMCSweep|BenchmarkSAGroup|BenchmarkPTGroup|BenchmarkRun$|BenchmarkRunMulti|BenchmarkLeasePreparedHit|BenchmarkLeaseServe16QAM' \
         -benchtime=1x ./internal/annealer/ >/dev/null
     BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
         -bench 'BenchmarkTopKCandidates' -benchtime=1x ./internal/core/ >/dev/null
