@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -184,6 +185,55 @@ func TestServingOutputsGolden(t *testing.T) {
 			if g != w {
 				t.Fatalf("serving outputs differ from %s at line %d:\n got  %s\n want %s", path, i+1, g, w)
 			}
+		}
+	}
+}
+
+// TestMetricsMatchReports requires every exposed fleet counter and gauge
+// that restates a report figure to equal it, for the standalone fleet
+// serve and for each shard of the tier (whose series carry the shard
+// label): served frames, sheds summed over the ladder's rungs, retries,
+// batches, per-device utilization, and per-backend frames and
+// utilization.
+func TestMetricsMatchReports(t *testing.T) {
+	reg, fleetRes, tierRes := servingGoldenRun(t)
+	reports := map[string]fleet.Report{"": fleetRes.Report}
+	for s, rep := range tierRes.ShardReports {
+		reports[fmt.Sprint(s)] = rep
+	}
+	for shard, rep := range reports {
+		labels := func(ls ...telemetry.Label) []telemetry.Label {
+			if shard != "" {
+				ls = append(ls, telemetry.Label{Key: "shard", Value: shard})
+			}
+			return ls
+		}
+		counter := func(name string, ls ...telemetry.Label) float64 {
+			return reg.Counter(name, labels(ls...)...).Value()
+		}
+		check := func(what string, got, want float64) {
+			t.Helper()
+			if got != want {
+				t.Errorf("shard %q: %s exposes %v, report %v", shard, what, got, want)
+			}
+		}
+		check("fleet_frames_served_total", counter("fleet_frames_served_total"), float64(rep.Served))
+		shed := 0.0
+		for _, reason := range []string{fleet.ShedStreamQueueFull, fleet.ShedDeadlineExpired,
+			fleet.ShedRetriesExhausted, fleet.ShedDeviceUnavailable, fleet.ShedNoCompatibleBackend} {
+			shed += counter("fleet_shed_total", telemetry.Label{Key: "reason", Value: reason})
+		}
+		check("Σ fleet_shed_total", shed, float64(rep.Shed))
+		check("fleet_retries_total", counter("fleet_retries_total"), float64(rep.Retries))
+		check("fleet_batches_total", counter("fleet_batches_total"), float64(rep.Batches))
+		for _, d := range rep.Devices {
+			l := telemetry.Label{Key: "device", Value: fmt.Sprint(d.ID)}
+			check("fleet_device_utilization "+l.Value, reg.Gauge("fleet_device_utilization", labels(l)...).Value(), d.Utilization)
+		}
+		for _, b := range rep.Backends {
+			l := telemetry.Label{Key: "backend", Value: b.Backend}
+			check("fleet_backend_frames_total "+b.Backend, counter("fleet_backend_frames_total", l), float64(b.Frames))
+			check("fleet_backend_utilization "+b.Backend, reg.Gauge("fleet_backend_utilization", labels(l)...).Value(), b.Utilization)
 		}
 	}
 }

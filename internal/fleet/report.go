@@ -28,7 +28,8 @@ type BackendStats struct {
 	Devices int    `json:"devices"`
 	Batches int    `json:"batches"`
 	Frames  int    `json:"frames"`
-	// Utilization is the mean across the kind's devices.
+	// Utilization is the kind's summed busy time over makespan × devices,
+	// the figure the fleet_backend_utilization gauge exposes.
 	Utilization float64 `json:"utilization"`
 }
 
@@ -184,6 +185,7 @@ func (pl *planner) report() Report {
 		rep.RouteFallbacks = pl.routeFallbacks
 		for kind := BackendQPUSim; kind <= BackendQAOA; kind++ {
 			bs := BackendStats{Backend: kind.String()}
+			busy := 0.0
 			for d := range devs {
 				if pl.cfg.Devices[d].Backend != kind {
 					continue
@@ -191,12 +193,14 @@ func (pl *planner) report() Report {
 				bs.Devices++
 				bs.Batches += devs[d].Batches
 				bs.Frames += devs[d].Frames
-				bs.Utilization += devs[d].Utilization
+				busy += devs[d].BusyMicros
 			}
 			if bs.Devices == 0 {
 				continue
 			}
-			bs.Utilization /= float64(bs.Devices)
+			if rep.MakespanMicros > 0 {
+				bs.Utilization = busy / (rep.MakespanMicros * float64(bs.Devices))
+			}
 			rep.Backends = append(rep.Backends, bs)
 		}
 	}
