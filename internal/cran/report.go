@@ -3,10 +3,9 @@ package cran
 import (
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 
-	"repro/internal/metrics"
+	"repro/internal/fleet"
 )
 
 // ShardStats aggregates one shard's slice of the tier run.
@@ -43,17 +42,10 @@ type Report struct {
 	// shard-level sheds.
 	Served int `json:"served"`
 	Shed   int `json:"shed"`
-	// MakespanMicros spans simulated time zero to the last finish.
-	MakespanMicros float64 `json:"makespan_us"`
-	// ThroughputPerSecond is served frames per simulated second.
-	ThroughputPerSecond float64 `json:"throughput_fps"`
-	// Latency figures are Finish − Arrival over served frames.
-	MeanLatencyMicros float64 `json:"mean_latency_us"`
-	P50LatencyMicros  float64 `json:"p50_latency_us"`
-	P99LatencyMicros  float64 `json:"p99_latency_us"`
-	P99QueueMicros    float64 `json:"p99_queue_us"`
-	DeadlineMissRate  float64 `json:"deadline_miss_rate"`
-	ShedRate          float64 `json:"shed_rate"`
+	// Timing is fleet.Report's figures over every tier frame, router
+	// sheds included.
+	fleet.Timing
+	ShedRate float64 `json:"shed_rate"`
 	// QuantumGainShare is fleet.Report's figure over the whole tier: the
 	// share of frames answered by a quantum strict improvement on their
 	// candidate.
@@ -62,25 +54,18 @@ type Report struct {
 	ShardRows []ShardStats `json:"shard_rows"`
 }
 
-// report aggregates the run into a Report.
+// report aggregates the run into a Report. Per-shard frame counts come
+// from the shards' own fleet reports; the tier figures are one fleet
+// tally over every outcome, router sheds included.
 func (rt *router) report(res *Result) Report {
 	rep := Report{
 		Placement:  rt.cfg.Placement.String(),
 		Shards:     len(rt.cfg.Shards),
 		Failovers:  rt.failovers,
 		RouterShed: rt.routerShed,
-		Frames:     len(res.Outcomes),
 	}
-	for _, devs := range rt.cfg.Shards {
-		rep.Devices += len(devs)
-	}
-
-	cells := map[int]bool{}
-	streams := map[int]bool{}
 	perShard := make([]ShardStats, len(rt.cfg.Shards))
 	for s := range perShard {
-		perShard[s].Shard = s
-		perShard[s].Devices = len(rt.cfg.Shards[s])
 		fr := res.ShardReports[s]
 		var util float64
 		for _, d := range fr.Devices {
@@ -89,67 +74,38 @@ func (rt *router) report(res *Result) Report {
 		if len(fr.Devices) > 0 {
 			util /= float64(len(fr.Devices))
 		}
-		perShard[s].MeanUtilization = util
+		perShard[s] = ShardStats{
+			Shard: s, Devices: len(rt.cfg.Shards[s]),
+			Frames: fr.Frames, Served: fr.Served, Shed: fr.Shed,
+			MeanUtilization: util,
+		}
+		rep.Devices += len(rt.cfg.Shards[s])
+		rep.Admitted += fr.Frames
 	}
 	for _, cs := range rt.cells {
 		perShard[cs.shard].Cells++
 	}
 
-	var latencies, queues []float64
-	var latSum float64
-	misses, gains := 0, 0
+	var t fleet.Tally
+	cells := map[int]bool{}
+	streams := map[int]bool{}
 	for i := range res.Outcomes {
 		o := &res.Outcomes[i]
-		if o.Frame.Gain {
-			gains++
-		}
+		t.Add(&o.Frame)
 		cells[o.Cell] = true
 		streams[StreamID(o.Cell, o.UE)] = true
-		if o.Frame.Finish > rep.MakespanMicros {
-			rep.MakespanMicros = o.Frame.Finish
-		}
 		if o.FailedOver {
 			rep.FailedOverFrames++
-		}
-		if o.Shard >= 0 {
-			rep.Admitted++
-			perShard[o.Shard].Frames++
-		}
-		if o.Frame.Shed {
-			rep.Shed++
-			if o.Shard >= 0 {
-				perShard[o.Shard].Shed++
-			}
-		} else {
-			rep.Served++
-			perShard[o.Shard].Served++
-			lat := o.Frame.Finish - o.Frame.Arrival
-			latencies = append(latencies, lat)
-			queues = append(queues, o.Frame.QueueMicros)
-			latSum += lat
-		}
-		if o.Frame.DeadlineMissed {
-			misses++
 		}
 	}
 	rep.Cells = len(cells)
 	rep.Streams = len(streams)
-	if rep.Served > 0 {
-		rep.MeanLatencyMicros = latSum / float64(rep.Served)
-	}
-	sort.Float64s(latencies)
-	sort.Float64s(queues)
-	rep.P50LatencyMicros = metrics.NearestRank(latencies, 50)
-	rep.P99LatencyMicros = metrics.NearestRank(latencies, 99)
-	rep.P99QueueMicros = metrics.NearestRank(queues, 99)
+	rep.Frames, rep.Served, rep.Shed = t.Frames, t.Served, t.Shed
+	rep.Timing = t.Timing()
 	if rep.Frames > 0 {
-		rep.DeadlineMissRate = float64(misses) / float64(rep.Frames)
 		rep.ShedRate = float64(rep.Shed) / float64(rep.Frames)
-		rep.QuantumGainShare = float64(gains) / float64(rep.Frames)
 	}
-	if rep.MakespanMicros > 0 {
-		rep.ThroughputPerSecond = float64(rep.Served) / rep.MakespanMicros * 1e6
-	}
+	rep.QuantumGainShare = t.GainShare()
 	rep.ShardRows = perShard
 	return rep
 }

@@ -391,11 +391,13 @@ func Serve(ctx context.Context, cfg Config, reqs []Request) (*Result, error) {
 		return nil, err
 	}
 	pl.simulate()
+	pl.publishPlan()
 	if err := pl.execute(ctx); err != nil {
 		return nil, err
 	}
-	pl.finishTelemetry()
-	return &Result{Outcomes: pl.outcomes, Report: pl.report()}, nil
+	rep := pl.report()
+	pl.publish(&rep)
+	return &Result{Outcomes: pl.outcomes, Report: rep}, nil
 }
 
 // schedKey is the batching-compatibility key: frames share a programming
@@ -487,9 +489,10 @@ type planner struct {
 
 	retries int
 
-	// hetero marks a pool with classical backends or hybrid routing; every
-	// new heterogeneous code path and telemetry series is gated on it so
-	// homogeneous QPU runs stay byte-identical to earlier releases.
+	// hetero marks a pool with classical backends or hybrid routing. It
+	// gates the output shape: Outcome.Backend, DeviceStats.Backend,
+	// Report.Backends and the per-backend series exist only for such
+	// pools, and only they consult routing classes.
 	hetero         bool
 	routeFallbacks int
 }
@@ -685,6 +688,7 @@ func (pl *planner) simulate() {
 		pl.queues[s] = nil
 	}
 	pl.queued = 0
+	pl.prepStats = pl.compiles()
 	for dev := range pl.cfg.Devices {
 		if f := pl.cfg.Devices[dev].FailAt; f > 0 && !pl.downEmitted[dev] {
 			pl.downEmitted[dev] = true
@@ -742,20 +746,12 @@ func (pl *planner) shed(fi int, reason string, t float64) {
 	if o.DeadlineMissed {
 		pl.deadlineMiss(fi, o.Finish)
 	}
-	if pl.cfg.Metrics != nil {
-		pl.cfg.Metrics.Counter("fleet_shed_total", pl.mlabels(telemetry.Label{Key: "reason", Value: reason})...).Inc()
-	}
 }
 
 func (pl *planner) deadlineMiss(fi int, at float64) {
-	f := &pl.frames[fi]
 	if pl.cfg.Trace != nil {
+		f := &pl.frames[fi]
 		pl.cfg.Trace.Event("fleet/deadline-miss", at, pl.tattrs(telemetry.Int("seq", f.req.Seq), telemetry.Int("stream", f.req.Stream)))
-	}
-	if pl.cfg.Metrics != nil {
-		pl.cfg.Metrics.Counter("fleet_deadline_misses_total", pl.mlabels()...).Inc()
-		pl.cfg.Metrics.Counter("fleet_stream_deadline_misses_total",
-			pl.mlabels(telemetry.Label{Key: "stream", Value: fmt.Sprint(f.req.Stream)})...).Inc()
 	}
 }
 
@@ -1123,12 +1119,6 @@ func (pl *planner) launch(dev, seed int) {
 		)
 		pl.cfg.Trace.Span("fleet/batch", b.start, b.finish, pl.tattrs(battrs...))
 	}
-	if pl.cfg.Metrics != nil {
-		pl.cfg.Metrics.Counter("fleet_batches_total", pl.mlabels()...).Inc()
-		if b.faulted {
-			pl.cfg.Metrics.Counter("fleet_batch_faults_total", pl.mlabels()...).Inc()
-		}
-	}
 	pl.events.push(event{t: b.finish, kind: 0, a: dev, b: id, payload: id})
 }
 
@@ -1157,9 +1147,6 @@ func (pl *planner) complete(batchID int) {
 			if o.DeadlineMissed {
 				pl.deadlineMiss(fi, o.Finish)
 			}
-			if pl.cfg.Metrics != nil {
-				pl.cfg.Metrics.Counter("fleet_frames_served_total", pl.mlabels()...).Inc()
-			}
 		}
 		return
 	}
@@ -1174,9 +1161,6 @@ func (pl *planner) complete(batchID int) {
 		}
 		requeued[f.stream] = append(requeued[f.stream], fi)
 		pl.retries++
-		if pl.cfg.Metrics != nil {
-			pl.cfg.Metrics.Counter("fleet_retries_total", pl.mlabels()...).Inc()
-		}
 	}
 	for s := range pl.queues {
 		if fis, ok := requeued[s]; ok {
@@ -1196,12 +1180,9 @@ func (pl *planner) execute(ctx context.Context) error {
 			jobs = append(jobs, i)
 		}
 	}
-	// Compile every lease up front (deterministic order, fail fast) and
-	// count the problem compiles runBatch's multi-run calls will make —
-	// RunMulti compiles each distinct *qubo.Ising of a batch once, so a
-	// frame whose problem a batch-mate before it carries is a hit. The
-	// plan alone fixes the counts. Classical backends run without leases
-	// — their solvers need no compiled embedding or schedule.
+	// Compile every lease up front (deterministic order, fail fast).
+	// Classical backends run without leases — their solvers need no
+	// compiled embedding or schedule.
 	for _, bi := range jobs {
 		b := &pl.batches[bi]
 		if pl.cfg.Devices[b.dev].Backend.Classical() {
@@ -1210,18 +1191,6 @@ func (pl *planner) execute(ctx context.Context) error {
 		if _, err := pl.lease(b.dev, b.key); err != nil {
 			return err
 		}
-		for k, fi := range b.frames {
-			is := pl.frames[fi].req.Problem
-			if slices.ContainsFunc(b.frames[:k], func(fj int) bool { return pl.frames[fj].req.Problem == is }) {
-				pl.prepStats.Hits++
-			} else {
-				pl.prepStats.Misses++
-			}
-		}
-	}
-	if pl.cfg.Metrics != nil {
-		pl.cfg.Metrics.Counter("fleet_prep_cache_hits_total", pl.mlabels()...).Add(float64(pl.prepStats.Hits))
-		pl.cfg.Metrics.Counter("fleet_prep_cache_misses_total", pl.mlabels()...).Add(float64(pl.prepStats.Misses))
 	}
 	ch := make(chan int)
 	var wg sync.WaitGroup
@@ -1255,6 +1224,29 @@ func (pl *planner) execute(ctx context.Context) error {
 	close(ch)
 	wg.Wait()
 	return firstErr
+}
+
+// compiles counts the problem compiles runBatch's multi-run calls will
+// make: RunMulti compiles each distinct *qubo.Ising of a batch once, so a
+// frame whose problem a batch-mate before it carries is a hit. The plan
+// alone fixes the counts; classical batches compile nothing.
+func (pl *planner) compiles() PrepStats {
+	var st PrepStats
+	for i := range pl.batches {
+		b := &pl.batches[i]
+		if b.faulted || pl.cfg.Devices[b.dev].Backend.Classical() {
+			continue
+		}
+		for k, fi := range b.frames {
+			is := pl.frames[fi].req.Problem
+			if slices.ContainsFunc(b.frames[:k], func(fj int) bool { return pl.frames[fj].req.Problem == is }) {
+				st.Hits++
+			} else {
+				st.Misses++
+			}
+		}
+	}
+	return st
 }
 
 // runBatch anneals one planned batch's frames through the device lease
@@ -1301,7 +1293,9 @@ func (pl *planner) runBatch(bi int) error {
 		}
 		ans := core.Reduce(f.req.Problem, [][]int8{f.req.InitialState}, []core.Arm{arm})
 		o.Best, o.Source, o.Gain = ans.Best, ans.Source, ans.Gain
-		pl.annealStats(f, o, res)
+		if pl.cfg.Trace != nil {
+			pl.annealStats(f, o, "", readStatsOf(res))
+		}
 	}
 	return nil
 }
@@ -1324,148 +1318,71 @@ func (pl *planner) runClassicalBatch(bi int) error {
 		}
 		ans := core.Reduce(f.req.Problem, [][]int8{f.req.InitialState}, []core.Arm{{Best: best, Source: core.AnswerClassicalSolver}})
 		o.Best, o.Source = ans.Best, ans.Source
-		pl.classicalStats(f, o, meanE, d.Backend)
+		if pl.cfg.Trace != nil {
+			// A classical solver has no chains to break and no per-read
+			// faults: every read survives.
+			pl.annealStats(f, o, d.Backend.String(), &readStats{best: o.Best.Energy, mean: meanE, survived: f.reads})
+		}
 	}
 	return nil
 }
 
-// classicalStats mirrors annealStats for classical backends so the SLO
-// monitor's health scoring sees one uniform quality stream: the same
-// event name and residual fields, chain/fault tallies pinned to zero (a
-// classical solver has no chains to break), plus the backend attribute.
-func (pl *planner) classicalStats(f *frame, o *Outcome, meanE float64, kind BackendKind) {
-	if pl.cfg.Trace == nil {
-		return
-	}
-	candE := f.req.Problem.Energy(f.req.InitialState)
-	pl.cfg.Trace.Event("fleet/anneal-stats", o.Finish, pl.tattrs(
-		telemetry.String("backend", kind.String()), telemetry.Int("batch", o.Batch),
-		telemetry.Float("best_energy", o.Best.Energy), telemetry.Float("cand_energy", candE),
-		telemetry.Float("chain_break_rate", 0), telemetry.Int("device", o.Device),
-		telemetry.Int("drifts", 0), telemetry.Float("mean_energy", meanE),
-		telemetry.Int("reads", f.reads), telemetry.Int("seq", f.req.Seq),
-		telemetry.Int("storms", 0), telemetry.Int("stream", f.req.Stream),
-		telemetry.Int("survived", f.reads), telemetry.Int("timeouts", 0),
-	))
+// readStats is the per-frame read quality a fleet/anneal-stats event
+// carries.
+type readStats struct {
+	best, mean, chainBreaks float64
+	survived                int
+	faults                  annealer.FaultStats
 }
 
-// annealStats publishes one frame's anneal-quality event — the raw
-// material the SLO monitor's per-device health scoring (internal/slo)
-// consumes: sample-energy residuals against the frame's own classical
-// candidate (a device-independent reference) plus the soft-fault tallies.
-// Every value derives from the plan-fixed RNG keys, so emission from the
-// concurrent execute phase cannot perturb the deterministic record set.
-// res == nil marks a hard fault that lost every read.
-func (pl *planner) annealStats(f *frame, o *Outcome, res *annealer.Result) {
-	if pl.cfg.Trace == nil {
-		return
-	}
-	candE := f.req.Problem.Energy(f.req.InitialState)
+// readStatsOf summarizes an anneal result; nil (a hard fault that lost
+// every read) stays nil.
+func readStatsOf(res *annealer.Result) *readStats {
 	if res == nil {
-		pl.cfg.Trace.Event("fleet/anneal-stats", o.Finish, pl.tattrs(
-			telemetry.Int("batch", o.Batch), telemetry.Float("cand_energy", candE),
-			telemetry.Int("device", o.Device), telemetry.Int("reads", f.reads),
-			telemetry.Int("seq", f.req.Seq), telemetry.Int("stream", f.req.Stream),
-			telemetry.Int("survived", 0),
-		))
-		return
+		return nil
 	}
 	var sum float64
 	for _, s := range res.Samples {
 		sum += s.Energy
 	}
-	pl.cfg.Trace.Event("fleet/anneal-stats", o.Finish, pl.tattrs(
-		telemetry.Int("batch", o.Batch), telemetry.Float("best_energy", res.Best.Energy),
-		telemetry.Float("cand_energy", candE), telemetry.Float("chain_break_rate", res.BrokenChainRate),
-		telemetry.Int("device", o.Device), telemetry.Int("drifts", res.Faults.CalibrationDrifts),
-		telemetry.Float("mean_energy", sum/float64(len(res.Samples))), telemetry.Int("reads", f.reads),
-		telemetry.Int("seq", f.req.Seq), telemetry.Int("storms", res.Faults.ChainBreakStorms),
-		telemetry.Int("stream", f.req.Stream), telemetry.Int("survived", len(res.Samples)),
-		telemetry.Int("timeouts", res.Faults.ReadTimeouts),
-	))
-}
-
-// finishTelemetry emits the post-execution aggregates in deterministic
-// (single-threaded, outcome-ordered) fashion.
-func (pl *planner) finishTelemetry() {
-	if pl.cfg.Trace != nil {
-		// One answer event per frame at its finish instant: the
-		// degradation-ladder position (quantum / classical-candidate /
-		// classical-fallback) is the availability SLI's raw event stream.
-		for i := range pl.outcomes {
-			o := &pl.outcomes[i]
-			as := make([]telemetry.Attr, 0, 6)
-			as = append(as, telemetry.Int("device", o.Device))
-			if o.Shed {
-				as = append(as, telemetry.String("reason", o.ShedReason))
-			}
-			as = append(as, telemetry.Int("seq", o.Seq))
-			if o.Shed {
-				as = append(as, telemetry.Bool("shed", true))
-			}
-			as = append(as, telemetry.String("source", o.Source.String()), telemetry.Int("stream", o.Stream))
-			pl.cfg.Trace.Event("fleet/answer", o.Finish, pl.tattrs(as...))
-		}
-	}
-	if pl.cfg.Metrics == nil {
-		return
-	}
-	for i := range pl.outcomes {
-		pl.cfg.Metrics.Counter("fleet_answers_total",
-			pl.mlabels(telemetry.Label{Key: "source", Value: pl.outcomes[i].Source.String()})...).Inc()
-	}
-	makespan := pl.makespan()
-	for d := range pl.cfg.Devices {
-		util := 0.0
-		if makespan > 0 {
-			util = pl.busy[d] / makespan
-		}
-		pl.cfg.Metrics.Gauge("fleet_device_utilization",
-			pl.mlabels(telemetry.Label{Key: "device", Value: fmt.Sprint(d)})...).Set(util)
-	}
-	if !pl.hetero {
-		return
-	}
-	// Per-backend aggregates, walked in kind order so the series set is
-	// deterministic: mean utilization across a kind's devices and the
-	// frames it actually served.
-	for kind := BackendQPUSim; kind <= BackendQAOA; kind++ {
-		ndev, busy := 0, 0.0
-		for d := range pl.cfg.Devices {
-			if pl.cfg.Devices[d].Backend != kind {
-				continue
-			}
-			ndev++
-			busy += pl.busy[d]
-		}
-		if ndev == 0 {
-			continue
-		}
-		util := 0.0
-		if makespan > 0 {
-			util = busy / (makespan * float64(ndev))
-		}
-		pl.cfg.Metrics.Gauge("fleet_backend_utilization",
-			pl.mlabels(telemetry.Label{Key: "backend", Value: kind.String()})...).Set(util)
-		served := 0
-		for i := range pl.batches {
-			b := &pl.batches[i]
-			if !b.faulted && pl.cfg.Devices[b.dev].Backend == kind {
-				served += len(b.frames)
-			}
-		}
-		pl.cfg.Metrics.Counter("fleet_backend_frames_total",
-			pl.mlabels(telemetry.Label{Key: "backend", Value: kind.String()})...).Add(float64(served))
+	return &readStats{
+		best: res.Best.Energy, mean: sum / float64(len(res.Samples)), chainBreaks: res.BrokenChainRate,
+		survived: len(res.Samples), faults: res.Faults,
 	}
 }
 
-// makespan is the span from time zero to the last finish.
-func (pl *planner) makespan() float64 {
-	m := 0.0
-	for i := range pl.outcomes {
-		if pl.outcomes[i].Finish > m {
-			m = pl.outcomes[i].Finish
-		}
+// annealStats publishes one frame's fleet/anneal-stats event — the raw
+// material the SLO monitor's per-device health scoring (internal/slo)
+// consumes: sample-energy residuals against the frame's own classical
+// candidate (a device-independent reference) plus the soft-fault
+// tallies. Classical backends publish the same event with their backend
+// named, so health scoring sees one uniform quality stream; st == nil
+// marks a hard fault that lost every read. Every value derives from the
+// plan-fixed RNG keys, so emission from the concurrent execute phase
+// cannot perturb the deterministic record set. Call it only when the
+// tracer is non-nil.
+func (pl *planner) annealStats(f *frame, o *Outcome, backend string, st *readStats) {
+	candE := f.req.Problem.Energy(f.req.InitialState)
+	as := make([]telemetry.Attr, 0, 14)
+	if backend != "" {
+		as = append(as, telemetry.String("backend", backend))
 	}
-	return m
+	as = append(as, telemetry.Int("batch", o.Batch))
+	if st == nil {
+		as = append(as,
+			telemetry.Float("cand_energy", candE), telemetry.Int("device", o.Device),
+			telemetry.Int("reads", f.reads), telemetry.Int("seq", f.req.Seq),
+			telemetry.Int("stream", f.req.Stream), telemetry.Int("survived", 0),
+		)
+	} else {
+		as = append(as,
+			telemetry.Float("best_energy", st.best), telemetry.Float("cand_energy", candE),
+			telemetry.Float("chain_break_rate", st.chainBreaks), telemetry.Int("device", o.Device),
+			telemetry.Int("drifts", st.faults.CalibrationDrifts), telemetry.Float("mean_energy", st.mean),
+			telemetry.Int("reads", f.reads), telemetry.Int("seq", f.req.Seq),
+			telemetry.Int("storms", st.faults.ChainBreakStorms), telemetry.Int("stream", f.req.Stream),
+			telemetry.Int("survived", st.survived), telemetry.Int("timeouts", st.faults.ReadTimeouts),
+		)
+	}
+	pl.cfg.Trace.Event("fleet/anneal-stats", o.Finish, pl.tattrs(as...))
 }

@@ -7,6 +7,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 )
 
 // DeviceStats aggregates one device's plan-phase accounting.
@@ -51,6 +52,83 @@ type PrepStats struct {
 	Hits, Misses uint64
 }
 
+// Timing holds a serve's makespan, throughput, latency and deadline
+// figures. Report and the C-RAN tier report embed it; Tally computes it.
+type Timing struct {
+	// MakespanMicros spans simulated time zero to the last finish.
+	MakespanMicros float64 `json:"makespan_us"`
+	// ThroughputPerSecond is served frames per simulated second.
+	ThroughputPerSecond float64 `json:"throughput_fps"`
+	// Latency figures are Finish − Arrival over served frames; queueing
+	// delay is Start − Arrival.
+	MeanLatencyMicros float64 `json:"mean_latency_us"`
+	P50LatencyMicros  float64 `json:"p50_latency_us"`
+	P99LatencyMicros  float64 `json:"p99_latency_us"`
+	P99QueueMicros    float64 `json:"p99_queue_us"`
+	DeadlineMissRate  float64 `json:"deadline_miss_rate"`
+}
+
+// Tally accumulates frame outcomes into a serve's counts and Timing. The
+// mean latency sums in Add order, so feed outcomes in a fixed order.
+type Tally struct {
+	Frames, Served, Shed int
+	// Gains counts quantum answers that strictly beat their candidate;
+	// Misses counts deadline misses.
+	Gains, Misses int
+
+	makespan, latSum  float64
+	latencies, queues []float64
+}
+
+// Add counts one frame.
+func (t *Tally) Add(o *Outcome) {
+	t.Frames++
+	if o.Gain {
+		t.Gains++
+	}
+	if o.DeadlineMissed {
+		t.Misses++
+	}
+	t.makespan = max(t.makespan, o.Finish)
+	if o.Shed {
+		t.Shed++
+		return
+	}
+	t.Served++
+	lat := o.Finish - o.Arrival
+	t.latencies = append(t.latencies, lat)
+	t.queues = append(t.queues, o.QueueMicros)
+	t.latSum += lat
+}
+
+// Timing returns the figures over the frames added so far.
+func (t *Tally) Timing() Timing {
+	tm := Timing{MakespanMicros: t.makespan}
+	if t.Served > 0 {
+		tm.MeanLatencyMicros = t.latSum / float64(t.Served)
+	}
+	sort.Float64s(t.latencies)
+	sort.Float64s(t.queues)
+	tm.P50LatencyMicros = metrics.NearestRank(t.latencies, 50)
+	tm.P99LatencyMicros = metrics.NearestRank(t.latencies, 99)
+	tm.P99QueueMicros = metrics.NearestRank(t.queues, 99)
+	if t.Frames > 0 {
+		tm.DeadlineMissRate = float64(t.Misses) / float64(t.Frames)
+	}
+	if tm.MakespanMicros > 0 {
+		tm.ThroughputPerSecond = float64(t.Served) / tm.MakespanMicros * 1e6
+	}
+	return tm
+}
+
+// GainShare is Gains over Frames (0 before any frame).
+func (t *Tally) GainShare() float64 {
+	if t.Frames == 0 {
+		return 0
+	}
+	return float64(t.Gains) / float64(t.Frames)
+}
+
 // Report summarizes one Serve call.
 type Report struct {
 	Policy string `json:"policy"`
@@ -66,17 +144,7 @@ type Report struct {
 	Batches        int `json:"batches"`
 	// MeanBatchSize counts frames per non-faulted programming cycle.
 	MeanBatchSize float64 `json:"mean_batch_size"`
-	// MakespanMicros spans simulated time zero to the last finish.
-	MakespanMicros float64 `json:"makespan_us"`
-	// ThroughputPerSecond is served frames per simulated second.
-	ThroughputPerSecond float64 `json:"throughput_fps"`
-	// Latency figures are Finish − Arrival over served frames; queueing
-	// delay is Start − Arrival.
-	MeanLatencyMicros float64 `json:"mean_latency_us"`
-	P50LatencyMicros  float64 `json:"p50_latency_us"`
-	P99LatencyMicros  float64 `json:"p99_latency_us"`
-	P99QueueMicros    float64 `json:"p99_queue_us"`
-	DeadlineMissRate  float64 `json:"deadline_miss_rate"`
+	Timing
 	// QuantumGainShare is the share of frames whose answer is quantum and
 	// strictly beat the frame's classical candidate (Outcome.Gain). A
 	// quantum answer that only ties its candidate does not count, so this
@@ -93,72 +161,45 @@ type Report struct {
 	Streams  []StreamStats  `json:"streams"`
 }
 
-// report aggregates the plan's accounting into a Report.
+// report aggregates the plan's accounting and the executed answers into
+// a Report.
 func (pl *planner) report() Report {
-	rep := Report{
-		Policy:  pl.cfg.Policy.String(),
-		Frames:  len(pl.outcomes),
-		Retries: pl.retries,
-		Batches: len(pl.batches),
-	}
-	rep.MakespanMicros = pl.makespan()
-	rep.PrepCache = pl.prepStats
-
-	var latencies, queues []float64
-	perStream := map[int]*StreamStats{}
-	var latSum float64
-	misses, gains := 0, 0
+	var t Tally
+	perStream := make([]StreamStats, len(pl.streams))
 	for i := range pl.outcomes {
 		o := &pl.outcomes[i]
-		if o.Gain {
-			gains++
-		}
-		ss := perStream[o.Stream]
-		if ss == nil {
-			ss = &StreamStats{Stream: o.Stream}
-			perStream[o.Stream] = ss
-		}
+		t.Add(o)
+		ss := &perStream[pl.frames[i].stream]
 		ss.Frames++
-		lat := o.Finish - o.Arrival
 		if o.Shed {
-			rep.Shed++
 			ss.Shed++
 		} else {
-			rep.Served++
 			ss.Served++
-			latencies = append(latencies, lat)
-			queues = append(queues, o.QueueMicros)
-			latSum += lat
-			ss.MeanLatency += lat
+			ss.MeanLatency += o.Finish - o.Arrival
 		}
 		if o.DeadlineMissed {
-			misses++
 			ss.DeadlineMisses++
 		}
 	}
-	if rep.Served > 0 {
-		rep.MeanLatencyMicros = latSum / float64(rep.Served)
+	rep := Report{
+		Policy:           pl.cfg.Policy.String(),
+		Frames:           t.Frames,
+		Served:           t.Served,
+		Shed:             t.Shed,
+		Retries:          pl.retries,
+		Batches:          len(pl.batches),
+		Timing:           t.Timing(),
+		QuantumGainShare: t.GainShare(),
+		PrepCache:        pl.prepStats,
 	}
-	sort.Float64s(latencies)
-	sort.Float64s(queues)
-	rep.P50LatencyMicros = metrics.NearestRank(latencies, 50)
-	rep.P99LatencyMicros = metrics.NearestRank(latencies, 99)
-	rep.P99QueueMicros = metrics.NearestRank(queues, 99)
-	if rep.Frames > 0 {
-		rep.DeadlineMissRate = float64(misses) / float64(rep.Frames)
-		rep.QuantumGainShare = float64(gains) / float64(rep.Frames)
-	}
-	if rep.MakespanMicros > 0 {
-		rep.ThroughputPerSecond = float64(rep.Served) / rep.MakespanMicros * 1e6
-	}
+	makespan := rep.MakespanMicros
 
-	served := 0
 	devs := make([]DeviceStats, len(pl.cfg.Devices))
 	for d := range devs {
 		devs[d].ID = d
 		devs[d].BusyMicros = pl.busy[d]
-		if rep.MakespanMicros > 0 {
-			devs[d].Utilization = pl.busy[d] / rep.MakespanMicros
+		if makespan > 0 {
+			devs[d].Utilization = pl.busy[d] / makespan
 		}
 		if pl.hetero {
 			devs[d].Backend = pl.cfg.Devices[d].Backend.String()
@@ -170,12 +211,12 @@ func (pl *planner) report() Report {
 		devs[b.dev].Batches++
 		if !b.faulted {
 			devs[b.dev].Frames += len(b.frames)
-			served += len(b.frames)
 			goodBatches++
 		}
 	}
+	// Every served frame ran in exactly one non-faulted batch.
 	if goodBatches > 0 {
-		rep.MeanBatchSize = float64(served) / float64(goodBatches)
+		rep.MeanBatchSize = float64(rep.Served) / float64(goodBatches)
 	}
 	rep.Devices = devs
 	if pl.hetero {
@@ -198,24 +239,124 @@ func (pl *planner) report() Report {
 			if bs.Devices == 0 {
 				continue
 			}
-			if rep.MakespanMicros > 0 {
-				bs.Utilization = busy / (rep.MakespanMicros * float64(bs.Devices))
+			if makespan > 0 {
+				bs.Utilization = busy / (makespan * float64(bs.Devices))
 			}
 			rep.Backends = append(rep.Backends, bs)
 		}
 	}
 
-	for _, id := range pl.streams {
-		ss := perStream[id]
-		if ss == nil {
-			continue
-		}
+	for d, id := range pl.streams {
+		ss := perStream[d]
+		ss.Stream = id
 		if ss.Served > 0 {
 			ss.MeanLatency /= float64(ss.Served)
 		}
-		rep.Streams = append(rep.Streams, *ss)
+		rep.Streams = append(rep.Streams, ss)
 	}
 	return rep
+}
+
+// shedRungs lists the degradation ladder's shed reasons in rung order.
+var shedRungs = [...]string{
+	ShedStreamQueueFull, ShedDeadlineExpired, ShedRetriesExhausted, ShedDeviceUnavailable, ShedNoCompatibleBackend,
+}
+
+// publishPlan adds the figures the plan phase fixes to the registry:
+// served frames, sheds by rung, deadline misses (fleet-wide and per
+// stream), batches, faulted batches, retries and problem compiles. A
+// count series appears only once it is positive; the compile counters
+// always appear. The plan-only series (queue depth, routing classes and
+// route fallbacks) go out as the plan makes them.
+func (pl *planner) publishPlan() {
+	reg := pl.cfg.Metrics
+	if reg == nil {
+		return
+	}
+	add := func(name string, n int, ls ...telemetry.Label) {
+		if n > 0 {
+			reg.Counter(name, pl.mlabels(ls...)...).Add(float64(n))
+		}
+	}
+	served, misses := 0, 0
+	var sheds [len(shedRungs)]int
+	streamMisses := make([]int, len(pl.streams))
+	for i := range pl.outcomes {
+		o := &pl.outcomes[i]
+		if o.Shed {
+			for r, reason := range shedRungs {
+				if o.ShedReason == reason {
+					sheds[r]++
+				}
+			}
+		} else {
+			served++
+		}
+		if o.DeadlineMissed {
+			misses++
+			streamMisses[pl.frames[i].stream]++
+		}
+	}
+	faults := 0
+	for i := range pl.batches {
+		if pl.batches[i].faulted {
+			faults++
+		}
+	}
+	add("fleet_frames_served_total", served)
+	for r, reason := range shedRungs {
+		add("fleet_shed_total", sheds[r], telemetry.Label{Key: "reason", Value: reason})
+	}
+	add("fleet_deadline_misses_total", misses)
+	for d, id := range pl.streams {
+		add("fleet_stream_deadline_misses_total", streamMisses[d], telemetry.Label{Key: "stream", Value: fmt.Sprint(id)})
+	}
+	add("fleet_batches_total", len(pl.batches))
+	add("fleet_batch_faults_total", faults)
+	add("fleet_retries_total", pl.retries)
+	reg.Counter("fleet_prep_cache_hits_total", pl.mlabels()...).Add(float64(pl.prepStats.Hits))
+	reg.Counter("fleet_prep_cache_misses_total", pl.mlabels()...).Add(float64(pl.prepStats.Misses))
+}
+
+// publish emits what the execute phase settles: one fleet/answer trace
+// event per frame at its finish instant (the degradation-ladder position
+// — quantum, classical-candidate or classical-fallback — is the
+// availability SLI's raw event stream), answers by source, and the
+// report's device and backend accounting.
+func (pl *planner) publish(rep *Report) {
+	if pl.cfg.Trace != nil {
+		for i := range pl.outcomes {
+			o := &pl.outcomes[i]
+			as := make([]telemetry.Attr, 0, 6)
+			as = append(as, telemetry.Int("device", o.Device))
+			if o.Shed {
+				as = append(as, telemetry.String("reason", o.ShedReason))
+			}
+			as = append(as, telemetry.Int("seq", o.Seq))
+			if o.Shed {
+				as = append(as, telemetry.Bool("shed", true))
+			}
+			as = append(as, telemetry.String("source", o.Source.String()), telemetry.Int("stream", o.Stream))
+			pl.cfg.Trace.Event("fleet/answer", o.Finish, pl.tattrs(as...))
+		}
+	}
+	reg := pl.cfg.Metrics
+	if reg == nil {
+		return
+	}
+	for i := range pl.outcomes {
+		reg.Counter("fleet_answers_total",
+			pl.mlabels(telemetry.Label{Key: "source", Value: pl.outcomes[i].Source.String()})...).Inc()
+	}
+	for _, d := range rep.Devices {
+		reg.Gauge("fleet_device_utilization",
+			pl.mlabels(telemetry.Label{Key: "device", Value: fmt.Sprint(d.ID)})...).Set(d.Utilization)
+	}
+	for _, b := range rep.Backends {
+		label := telemetry.Label{Key: "backend", Value: b.Backend}
+		reg.Gauge("fleet_backend_utilization", pl.mlabels(label)...).Set(b.Utilization)
+		reg.Counter("fleet_backend_frames_total", pl.mlabels(label)...).Add(float64(b.Frames))
+	}
 }
 
 // WriteTable renders the report for terminals.
