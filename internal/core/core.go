@@ -90,22 +90,6 @@ func (m SAModule) Initialize(red *mimo.Reduction, r *rng.Source) ([]int8, error)
 	return qubo.SimulatedAnnealing(red.Ising, r, m.Opts).Spins, nil
 }
 
-// PTModule uses parallel tempering (replica-exchange Monte Carlo, the
-// paper's reference [48] among quantum-inspired methods) as the
-// classical module — the strongest pure-classical initializer in the
-// repository, for calibrating how much headroom the quantum module has.
-type PTModule struct {
-	Opts qubo.PTOptions
-}
-
-// Name implements ClassicalModule.
-func (PTModule) Name() string { return "pt" }
-
-// Initialize implements ClassicalModule.
-func (m PTModule) Initialize(red *mimo.Reduction, r *rng.Source) ([]int8, error) {
-	return qubo.ParallelTempering(red.Ising, r, m.Opts).Spins, nil
-}
-
 // FixedModule replays a pre-computed state — used to study RA performance
 // as a function of the initial state's quality (Figures 7 and 8).
 type FixedModule struct {

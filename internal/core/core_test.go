@@ -283,14 +283,6 @@ func TestOptimizeSp(t *testing.T) {
 	}
 }
 
-func TestGroundWitnessSmall(t *testing.T) {
-	inst := testInstance(t, modulation.QPSK, 3, 79) // 12 spins: exhaustive
-	w := GroundWitness(inst.Reduction, rng.New(83))
-	if math.Abs(w-inst.GroundEnergy) > 1e-8 {
-		t.Fatalf("witness %v, truth %v", w, inst.GroundEnergy)
-	}
-}
-
 // TestHybridOnEmbeddedQPU exercises the full path through Chimera
 // embedding (QPU.Chains), and beside it the default QPU, which anneals
 // the logical problem.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/annealer"
 	"repro/internal/metrics"
 	"repro/internal/mimo"
-	"repro/internal/qubo"
 	"repro/internal/rng"
 )
 
@@ -115,17 +114,4 @@ func OptimizeSp(red *mimo.Reduction, classical ClassicalModule, groundEnergy flo
 		return SpPoint{}, init, fmt.Errorf("core: no s_p in the grid found the ground state")
 	}
 	return best, init, nil
-}
-
-// GroundWitness returns the best available ground-state energy for a
-// reduced problem: exhaustive when small, multi-start heuristic
-// otherwise. Experiments on noiseless instances should prefer the
-// instance's built-in witness.
-func GroundWitness(red *mimo.Reduction, r *rng.Source) float64 {
-	if red.NumSpins() <= qubo.MaxExhaustiveVars {
-		if g, err := qubo.ExhaustiveIsing(red.Ising); err == nil {
-			return g.Energy
-		}
-	}
-	return qubo.MultiStartGroundEstimate(red.Ising, r, 8).Energy
 }

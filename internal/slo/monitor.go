@@ -149,15 +149,6 @@ func (m *Monitor) ObserveRecord(r telemetry.Record) {
 	m.mu.Unlock()
 }
 
-// ObserveAll buffers a batch of records (offline feeding).
-func (m *Monitor) ObserveAll(rs []telemetry.Record) {
-	m.mu.Lock()
-	for _, r := range rs {
-		m.recs.Append(r)
-	}
-	m.mu.Unlock()
-}
-
 // Len returns the number of buffered records.
 func (m *Monitor) Len() int {
 	m.mu.Lock()

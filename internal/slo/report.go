@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // WriteDashboard renders the snapshot as a plain-text operator view:
@@ -149,21 +148,4 @@ func clipZ(z float64) float64 {
 		return -999
 	}
 	return z
-}
-
-// RenderAlertTimeline returns the alert transitions as a compact
-// multi-line string (used by -slo-report outputs).
-func RenderAlertTimeline(ts []AlertTransition) string {
-	if len(ts) == 0 {
-		return "(no alert transitions)\n"
-	}
-	var sb strings.Builder
-	for _, t := range ts {
-		scope := t.Scope
-		if scope == "" {
-			scope = "tier"
-		}
-		fmt.Fprintf(&sb, "%10.0f us  %-20s %-12s %s -> %s\n", t.AtMicros, t.SLO, scope, t.From, t.To)
-	}
-	return sb.String()
 }
