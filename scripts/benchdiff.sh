@@ -3,8 +3,14 @@
 # baselines in results/bench/ and print per-benchmark ns/op deltas.
 #
 # Usage:
-#   scripts/benchdiff.sh             # run the bench suite, then diff
-#   scripts/benchdiff.sh FRESH_DIR   # diff already-recorded FRESH_DIR
+#   scripts/benchdiff.sh                 # record into a temporary dir, diff, remove it
+#   scripts/benchdiff.sh -record DIR     # record into DIR (kept), then diff
+#   scripts/benchdiff.sh FRESH_DIR       # diff already-recorded FRESH_DIR
+#
+# Recording runs every benchmark in the list below once (-benchtime=1x):
+# the BENCH_*.json records land in the directory and the raw
+# `go test -bench` output in its bench.txt. This is the only bench run
+# list; CI calls `-record`.
 #
 # The timing report is informational: shared CI runners are too noisy
 # to gate on wall time, so deltas never fail the script unless
@@ -14,27 +20,38 @@
 # not produce at all is a stale baseline and always fails.
 set -eu
 
-cd "$(dirname "$0")/.."
-BASE_DIR=results/bench
+# record DIR runs the bench list into DIR, which must be an absolute
+# path: each package's benchmarks run in that package's directory.
+# 'BenchmarkSVMCSweep' is unanchored: it also runs BenchmarkSVMCSweepReverse.
+record() {
+    echo "recording fresh benchmarks into $1 ..."
+    : > "$1/bench.txt"
+    while read -r pkg pattern; do
+        BENCH_JSON_DIR="$1" go test -run '^$' -bench "$pattern" -benchtime=1x -benchmem "$pkg" >> "$1/bench.txt"
+    done <<LIST
+./internal/annealer/ BenchmarkSVMCSweep|BenchmarkPIMCSweep|BenchmarkSAGroup|BenchmarkPTGroup|BenchmarkRun|BenchmarkLease
+./internal/core/ BenchmarkTopKCandidates
+./internal/fleet/ BenchmarkFleetServe|BenchmarkEnsembleDetect
+./internal/cran/ BenchmarkCRANServe
+./internal/slo/ BenchmarkAnalyze|BenchmarkWriteJSONL
+LIST
+}
 
-if [ $# -ge 1 ]; then
-    FRESH_DIR=$1
+if [ $# -ge 2 ] && [ "$1" = -record ]; then
+    mkdir -p "$2"
+    FRESH_DIR=$(cd "$2" && pwd)
+    cd "$(dirname "$0")/.."
+    record "$FRESH_DIR"
+elif [ $# -ge 1 ]; then
+    FRESH_DIR=$(cd "$1" && pwd)
+    cd "$(dirname "$0")/.."
 else
+    cd "$(dirname "$0")/.."
     FRESH_DIR=$(mktemp -d)
     trap 'rm -rf "$FRESH_DIR"' EXIT
-    echo "recording fresh benchmarks into $FRESH_DIR ..."
-    BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
-        -bench 'BenchmarkSVMCSweep|BenchmarkPIMCSweep|BenchmarkSAGroup|BenchmarkPTGroup|BenchmarkRun$|BenchmarkRunMulti|BenchmarkLeasePreparedHit|BenchmarkLeaseServe16QAM' \
-        -benchtime=1x ./internal/annealer/ >/dev/null
-    BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
-        -bench 'BenchmarkTopKCandidates' -benchtime=1x ./internal/core/ >/dev/null
-    BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
-        -bench 'BenchmarkFleetServe|BenchmarkEnsembleDetect' -benchtime=1x ./internal/fleet/ >/dev/null
-    BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
-        -bench 'BenchmarkCRANServe' -benchtime=1x ./internal/cran/ >/dev/null
-    BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
-        -bench 'BenchmarkWriteJSONL' -benchtime=1x ./internal/slo/ >/dev/null
+    record "$FRESH_DIR"
 fi
+BASE_DIR=results/bench
 
 # ns_per_op lives on its own line in records written by
 # telemetry.WriteBenchJSON; take the first match.
@@ -50,7 +67,7 @@ for base in "$BASE_DIR"/BENCH_*.json; do
     if [ ! -f "$fresh" ]; then
         # A committed record with no fresh counterpart means the
         # benchmark was renamed or dropped (or fell out of the run list
-        # above) — that's a stale baseline, not timing noise, so it
+        # in record) — that's a stale baseline, not timing noise, so it
         # fails even without BENCHDIFF_GATE_PCT.
         printf '%-36s %15s %15s %9s\n' "${name#BENCH_}" "$(ns_per_op "$base")" - MISSING
         fail=1
