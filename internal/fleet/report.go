@@ -6,6 +6,7 @@ import (
 	"sort"
 	"text/tabwriter"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
@@ -257,16 +258,12 @@ func (pl *planner) report() Report {
 	return rep
 }
 
-// shedRungs lists the degradation ladder's shed reasons in rung order.
-var shedRungs = [...]string{
-	ShedStreamQueueFull, ShedDeadlineExpired, ShedRetriesExhausted, ShedDeviceUnavailable, ShedNoCompatibleBackend,
-}
-
 // publishPlan adds the figures the plan phase fixes to the registry:
 // served frames, sheds by rung, deadline misses (fleet-wide and per
 // stream), batches, faulted batches, retries and problem compiles. A
 // count series appears only once it is positive; the compile counters
-// always appear. The plan-only series (queue depth, routing classes and
+// always appear. The registry orders series itself, so map order does
+// not matter. The plan-only series (queue depth, routing classes and
 // route fallbacks) go out as the plan makes them.
 func (pl *planner) publishPlan() {
 	reg := pl.cfg.Metrics
@@ -279,16 +276,12 @@ func (pl *planner) publishPlan() {
 		}
 	}
 	served, misses := 0, 0
-	var sheds [len(shedRungs)]int
+	sheds := map[string]int{}
 	streamMisses := make([]int, len(pl.streams))
 	for i := range pl.outcomes {
 		o := &pl.outcomes[i]
 		if o.Shed {
-			for r, reason := range shedRungs {
-				if o.ShedReason == reason {
-					sheds[r]++
-				}
-			}
+			sheds[o.ShedReason]++
 		} else {
 			served++
 		}
@@ -304,8 +297,8 @@ func (pl *planner) publishPlan() {
 		}
 	}
 	add("fleet_frames_served_total", served)
-	for r, reason := range shedRungs {
-		add("fleet_shed_total", sheds[r], telemetry.Label{Key: "reason", Value: reason})
+	for reason, n := range sheds {
+		add("fleet_shed_total", n, telemetry.Label{Key: "reason", Value: reason})
 	}
 	add("fleet_deadline_misses_total", misses)
 	for d, id := range pl.streams {
@@ -344,9 +337,12 @@ func (pl *planner) publish(rep *Report) {
 	if reg == nil {
 		return
 	}
+	answers := map[core.AnswerSource]int{}
 	for i := range pl.outcomes {
-		reg.Counter("fleet_answers_total",
-			pl.mlabels(telemetry.Label{Key: "source", Value: pl.outcomes[i].Source.String()})...).Inc()
+		answers[pl.outcomes[i].Source]++
+	}
+	for src, n := range answers {
+		reg.Counter("fleet_answers_total", pl.mlabels(telemetry.Label{Key: "source", Value: src.String()})...).Add(float64(n))
 	}
 	for _, d := range rep.Devices {
 		reg.Gauge("fleet_device_utilization",
