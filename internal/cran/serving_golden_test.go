@@ -120,7 +120,7 @@ func servingGoldenRun(t testing.TB) (reg *telemetry.Registry, fleetRes *fleet.Re
 // TestServingOutputsGolden pins the metric exposition and the report
 // JSON of a fleet and a C-RAN serve against testdata/serving.golden, so
 // a change to how a serve's figures are computed or published cannot
-// move any of them unnoticed. Regenerate with -update and review the
+// move any of them unnoticed. Regenerate with -update and inspect the
 // diff.
 func TestServingOutputsGolden(t *testing.T) {
 	reg, fleetRes, tierRes := servingGoldenRun(t)
