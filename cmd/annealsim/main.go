@@ -52,6 +52,9 @@ func main() {
 		probe        = flag.Bool("probe", false, "record sweep-level engine observations into -trace-out/-metrics-out")
 	)
 	flag.Parse()
+	if *reads < 1 {
+		log.Fatalf("-reads %d: want at least 1 read", *reads)
+	}
 	if err := tel.Start("annealsim", log); err != nil {
 		log.Fatalf("%v", err)
 	}

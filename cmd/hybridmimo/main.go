@@ -79,6 +79,9 @@ func main() {
 	)
 	flag.Parse()
 	log.SetVerbose(*verbose)
+	if *reads < 1 {
+		log.Fatalf("-reads %d: want at least 1 read", *reads)
+	}
 	if err := tel.Start("hybridmimo", log); err != nil {
 		log.Fatalf("%v", err)
 	}

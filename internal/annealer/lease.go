@@ -46,8 +46,8 @@ func NewLease(p Params) (*Lease, error) {
 
 // Lease returns a prepared session on the QPU. Its runs anneal the
 // logical problem — bit-identical to NewLease(p) with the same RNG — but
-// reject problems beyond MaxProblemSize, charge the QPU's programming and
-// readout in ServiceMicros, and lay trace spans out with them. With
+// reject problems beyond MaxProblemSize and lay trace spans out with the
+// QPU's programming and readout overheads. With
 // q.Chains set, runs take the full hardware path instead: minor-embedding
 // onto the QPU's Chimera graph, physical anneal, majority-vote
 // unembedding. On a nil QPU it is NewLease(p): a plain logical lease
@@ -61,31 +61,10 @@ func (q *QPU) Lease(p Params) (*Lease, error) {
 	return l, nil
 }
 
-// Schedule returns the anneal program the lease was prepared for.
-func (l *Lease) Schedule() *Schedule { return l.p.Schedule }
-
 // Embedded reports whether runs take the Chimera-embedded chain path (a
 // QPU lease with QPU.Chains set). A default QPU lease is not embedded: it
 // models the QPU's capacity and clock but anneals the logical problem.
 func (l *Lease) Embedded() bool { return l.qpu != nil && l.qpu.Chains }
-
-// Faults returns the fault model runs are subject to.
-func (l *Lease) Faults() FaultModel { return l.p.Faults }
-
-// ServiceMicros returns the modelled wall-clock μs one Run call of
-// numReads reads occupies the device: the leased QPU's programming and
-// readout overheads around the anneal time (with or without chains), or
-// the bare anneal time for a NewLease lease (numReads ≤ 0 uses the lease
-// default).
-func (l *Lease) ServiceMicros(numReads int) float64 {
-	if numReads <= 0 {
-		numReads = l.p.NumReads
-	}
-	if l.qpu != nil {
-		return l.qpu.ServiceTime(l.p.Schedule, numReads)
-	}
-	return float64(numReads) * l.p.Schedule.Duration()
-}
 
 // Run draws numReads reads (≤ 0: the lease default) for one problem,
 // reverse-annealing from init when the leased schedule starts classical.

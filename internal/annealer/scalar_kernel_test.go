@@ -148,14 +148,8 @@ func TestLeaseAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lease.Schedule() != sc {
-		t.Fatal("Schedule() did not return the prepared schedule")
-	}
 	if lease.Embedded() {
 		t.Fatal("logical lease reports embedded")
-	}
-	if got := lease.Faults(); got != fm {
-		t.Fatalf("Faults() = %+v, want %+v", got, fm)
 	}
 
 	stripped := fm.WithoutProgrammingFailures()

@@ -23,10 +23,6 @@ type Graph struct {
 	adj [][]int
 }
 
-// DWave2000Q returns the C_16 graph of the paper's hardware platform
-// (2048 qubits).
-func DWave2000Q() *Graph { return NewGraph(16) }
-
 // NewGraph builds C_m.
 func NewGraph(m int) *Graph {
 	if m <= 0 {
@@ -67,15 +63,6 @@ func (g *Graph) addEdge(a, b int) {
 // NumQubits returns 8·m².
 func (g *Graph) NumQubits() int { return 8 * g.M * g.M }
 
-// NumCouplers returns the number of physical couplers.
-func (g *Graph) NumCouplers() int {
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return total / 2
-}
-
 // QubitID maps (row, col, side, unit) to a physical qubit index. side 0 is
 // vertical, side 1 horizontal; unit ∈ [0, 4).
 func (g *Graph) QubitID(row, col, side, unit int) int {
@@ -85,29 +72,5 @@ func (g *Graph) QubitID(row, col, side, unit int) int {
 	return ((row*g.M+col)*2+side)*CellUnits + unit
 }
 
-// Coord inverts QubitID.
-func (g *Graph) Coord(id int) (row, col, side, unit int) {
-	unit = id % CellUnits
-	id /= CellUnits
-	side = id % 2
-	id /= 2
-	col = id % g.M
-	row = id / g.M
-	return
-}
-
 // Neighbors returns the physical neighbours of a qubit.
 func (g *Graph) Neighbors(id int) []int { return g.adj[id] }
-
-// HasEdge reports whether qubits a and b share a physical coupler.
-func (g *Graph) HasEdge(a, b int) bool {
-	for _, n := range g.adj[a] {
-		if n == b {
-			return true
-		}
-	}
-	return false
-}
-
-// Degree returns the coupler count of a qubit (≤ 6 on Chimera).
-func (g *Graph) Degree(id int) int { return len(g.adj[id]) }

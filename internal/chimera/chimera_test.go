@@ -2,6 +2,7 @@ package chimera
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/qubo"
@@ -15,10 +16,14 @@ func TestGraphSizes(t *testing.T) {
 	}
 	// C_m couplers: m²·16 intra + 2·m·(m−1)·4 inter.
 	want := 2*2*16 + 2*2*1*4
-	if g.NumCouplers() != want {
-		t.Fatalf("C_2 has %d couplers, want %d", g.NumCouplers(), want)
+	ends := 0
+	for id := 0; id < g.NumQubits(); id++ {
+		ends += len(g.Neighbors(id))
 	}
-	dw := DWave2000Q()
+	if ends/2 != want {
+		t.Fatalf("C_2 has %d couplers, want %d", ends/2, want)
+	}
+	dw := NewGraph(16)
 	if dw.NumQubits() != 2048 {
 		t.Fatalf("2000Q model has %d qubits", dw.NumQubits())
 	}
@@ -27,12 +32,23 @@ func TestGraphSizes(t *testing.T) {
 	}
 }
 
+// TestQubitIDCoordRoundTrip: every (row, col, side, unit) coordinate maps
+// to its own in-range qubit id, so ids and coordinates correspond one to
+// one.
 func TestQubitIDCoordRoundTrip(t *testing.T) {
 	g := NewGraph(4)
-	for id := 0; id < g.NumQubits(); id++ {
-		r, c, s, u := g.Coord(id)
-		if g.QubitID(r, c, s, u) != id {
-			t.Fatalf("coord round trip failed at %d", id)
+	seen := make([]bool, g.NumQubits())
+	for r := 0; r < g.M; r++ {
+		for c := 0; c < g.M; c++ {
+			for s := 0; s < 2; s++ {
+				for u := 0; u < CellUnits; u++ {
+					id := g.QubitID(r, c, s, u)
+					if id < 0 || id >= len(seen) || seen[id] {
+						t.Fatalf("QubitID(%d,%d,%d,%d) = %d is out of range or taken", r, c, s, u, id)
+					}
+					seen[id] = true
+				}
+			}
 		}
 	}
 }
@@ -50,7 +66,7 @@ func TestQubitIDPanicsOutOfRange(t *testing.T) {
 func TestDegreeBounds(t *testing.T) {
 	g := NewGraph(16)
 	for id := 0; id < g.NumQubits(); id++ {
-		d := g.Degree(id)
+		d := len(g.Neighbors(id))
 		if d < 4 || d > 6 {
 			t.Fatalf("qubit %d has degree %d (Chimera degree is 4..6)", id, d)
 		}
@@ -61,13 +77,13 @@ func TestIntraCellK44(t *testing.T) {
 	g := NewGraph(3)
 	for kv := 0; kv < 4; kv++ {
 		for kh := 0; kh < 4; kh++ {
-			if !g.HasEdge(g.QubitID(1, 1, 0, kv), g.QubitID(1, 1, 1, kh)) {
+			if !slices.Contains(g.Neighbors(g.QubitID(1, 1, 0, kv)), g.QubitID(1, 1, 1, kh)) {
 				t.Fatalf("missing intra-cell edge v%d-h%d", kv, kh)
 			}
 		}
 	}
 	// No vertical-vertical edges within a cell.
-	if g.HasEdge(g.QubitID(1, 1, 0, 0), g.QubitID(1, 1, 0, 1)) {
+	if slices.Contains(g.Neighbors(g.QubitID(1, 1, 0, 0)), g.QubitID(1, 1, 0, 1)) {
 		t.Fatal("spurious vertical-vertical intra-cell edge")
 	}
 }
@@ -75,19 +91,19 @@ func TestIntraCellK44(t *testing.T) {
 func TestInterCellCouplers(t *testing.T) {
 	g := NewGraph(3)
 	// Vertical unit k couples down the column.
-	if !g.HasEdge(g.QubitID(0, 1, 0, 2), g.QubitID(1, 1, 0, 2)) {
+	if !slices.Contains(g.Neighbors(g.QubitID(0, 1, 0, 2)), g.QubitID(1, 1, 0, 2)) {
 		t.Fatal("missing vertical inter-cell edge")
 	}
 	// Horizontal unit k couples along the row.
-	if !g.HasEdge(g.QubitID(1, 0, 1, 3), g.QubitID(1, 1, 1, 3)) {
+	if !slices.Contains(g.Neighbors(g.QubitID(1, 0, 1, 3)), g.QubitID(1, 1, 1, 3)) {
 		t.Fatal("missing horizontal inter-cell edge")
 	}
 	// No diagonal coupling.
-	if g.HasEdge(g.QubitID(0, 0, 0, 0), g.QubitID(1, 1, 0, 0)) {
+	if slices.Contains(g.Neighbors(g.QubitID(0, 0, 0, 0)), g.QubitID(1, 1, 0, 0)) {
 		t.Fatal("spurious diagonal edge")
 	}
 	// Vertical qubits do not couple along rows.
-	if g.HasEdge(g.QubitID(1, 0, 0, 0), g.QubitID(1, 1, 0, 0)) {
+	if slices.Contains(g.Neighbors(g.QubitID(1, 0, 0, 0)), g.QubitID(1, 1, 0, 0)) {
 		t.Fatal("vertical qubits coupled along a row")
 	}
 }
@@ -113,8 +129,8 @@ func TestEmbedCliqueChainsValid(t *testing.T) {
 					t.Fatalf("qubit %d in two chains", q)
 				}
 				seen[q] = true
-				if e.ChainOf(q) != i {
-					t.Fatalf("chainOf(%d) = %d, want %d", q, e.ChainOf(q), i)
+				if e.chainOf[q] != i {
+					t.Fatalf("chainOf(%d) = %d, want %d", q, e.chainOf[q], i)
 				}
 			}
 			if !chainConnected(g, chain) {
@@ -226,7 +242,8 @@ func TestUnembedMajorityVote(t *testing.T) {
 	}
 	logical := []int8{1, -1, 1, -1, 1}
 	phys := e.EmbedSpins(logical)
-	got, broken := e.Unembed(phys)
+	got := make([]int8, e.N())
+	broken := e.UnembedInto(got, phys)
 	if broken != 0 {
 		t.Fatalf("intact state reported %d broken chains", broken)
 	}
@@ -238,7 +255,7 @@ func TestUnembedMajorityVote(t *testing.T) {
 	// Flip one qubit of chain 2 (chains have 4 qubits on C_3; majority
 	// stays with the original value).
 	phys[e.Chains[2][0]] = -phys[e.Chains[2][0]]
-	got, broken = e.Unembed(phys)
+	broken = e.UnembedInto(got, phys)
 	if broken != 1 {
 		t.Fatalf("broken chains = %d, want 1", broken)
 	}
@@ -290,7 +307,8 @@ func TestEmbeddedGroundStateMatchesLogical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, broken := e.Unembed(pg.Spins)
+	got := make([]int8, n)
+	broken := e.UnembedInto(got, pg.Spins)
 	if broken != 0 {
 		t.Fatal("physical ground state has broken chains despite strong coupling")
 	}

@@ -77,9 +77,6 @@ func EmbedClique(g *Graph, n int) (*Embedding, error) {
 	return e, nil
 }
 
-// ChainOf returns the logical variable owning physical qubit q, or −1.
-func (e *Embedding) ChainOf(q int) int { return e.chainOf[q] }
-
 // N returns the number of logical variables.
 func (e *Embedding) N() int { return len(e.Chains) }
 
@@ -158,20 +155,14 @@ func (e *Embedding) EmbedIsing(logical *qubo.Ising, chainStrength float64) (*qub
 	return phys, nil
 }
 
-// Unembed recovers a logical spin configuration from a physical one by
-// majority vote over each chain (ties break to +1), also reporting how
-// many chains were broken (not unanimous).
-func (e *Embedding) Unembed(physSpins []int8) (logical []int8, brokenChains int) {
-	logical = make([]int8, e.N())
-	return logical, e.UnembedInto(logical, physSpins)
-}
-
-// UnembedInto is Unembed writing into a caller-provided logical buffer of
-// length N(), for hot paths that unembed every read without allocating.
-// It returns the broken-chain count.
+// UnembedInto recovers a logical spin configuration from a physical one
+// by majority vote over each chain (ties break to +1), writing it into a
+// caller-provided buffer of length N() so hot paths unembed every read
+// without allocating. It returns how many chains were broken (not
+// unanimous).
 func (e *Embedding) UnembedInto(logical []int8, physSpins []int8) (brokenChains int) {
 	if len(physSpins) != e.Graph.NumQubits() {
-		panic("chimera: Unembed with wrong-length physical state")
+		panic("chimera: UnembedInto with wrong-length physical state")
 	}
 	if len(logical) != e.N() {
 		panic("chimera: UnembedInto with wrong-length logical buffer")

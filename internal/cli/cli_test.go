@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/slo"
 	"repro/internal/telemetry"
 )
 
@@ -78,7 +79,7 @@ func TestTelemetryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := telemetry.ReadJSONL(bytes.NewReader(trace))
+	recs, _, err := slo.ParseTrace(bytes.NewReader(trace), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,6 @@ func NewConvCode75() *ConvCode { return &ConvCode{K: 3, Polys: []uint32{0o7, 0o5
 // wireless standards.
 func NewConvCode133171() *ConvCode { return &ConvCode{K: 7, Polys: []uint32{0o133, 0o171}} }
 
-// Rate returns the code rate 1/len(Polys).
-func (c *ConvCode) Rate() float64 { return 1 / float64(len(c.Polys)) }
-
 // Validate checks the code's shape.
 func (c *ConvCode) Validate() error {
 	if c.K < 2 || c.K > 16 {

@@ -175,7 +175,4 @@ func TestCodedLengthAndRate(t *testing.T) {
 	if c.CodedLength(10) != 24 {
 		t.Fatalf("coded length %d", c.CodedLength(10))
 	}
-	if c.Rate() != 0.5 {
-		t.Fatalf("rate %v", c.Rate())
-	}
 }

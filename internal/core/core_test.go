@@ -42,16 +42,6 @@ func TestModuleNames(t *testing.T) {
 			t.Fatalf("module %d name %q, want %q", i, m.Name(), want[i])
 		}
 	}
-	h := &Hybrid{}
-	if h.Name() != "gs+ra" {
-		t.Fatalf("hybrid name %q", h.Name())
-	}
-	if (&ForwardSolver{}).Name() != "fa" || (&ForwardReverseSolver{}).Name() != "fr" {
-		t.Fatal("solver names wrong")
-	}
-	if (&PostProcessing{}).Name() != "fa+descent" || (&CoProcessing{}).Name() != "co" {
-		t.Fatal("structure names wrong")
-	}
 }
 
 func TestClassicalModulesProduceValidStates(t *testing.T) {

@@ -35,9 +35,6 @@ type Decomposition struct {
 	Config    AnnealConfig
 }
 
-// Name identifies the solver.
-func (*Decomposition) Name() string { return "decomp" }
-
 // Solve runs the decomposition loop on a reduced detection problem.
 func (d *Decomposition) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
 	out, err := d.SolveIsing(red.Ising, red.NumSpins(), func(rr *rng.Source) ([]int8, error) {

@@ -11,12 +11,6 @@ import (
 	"repro/internal/rng"
 )
 
-func TestDecompositionName(t *testing.T) {
-	if (&Decomposition{}).Name() != "decomp" {
-		t.Fatal("name wrong")
-	}
-}
-
 // TestDecompositionSolvesBeyondBlockSize: a 96-spin problem (16-user
 // 64-QAM would be 96; here 8-user 64-QAM = 48 spins with 16-spin blocks)
 // is solved through subproblems strictly smaller than itself, and the

@@ -227,18 +227,8 @@ type Ensemble struct {
 	// from the pooled energy spread — see mimo.FuseLLRs).
 	Beta float64
 	// Config bundles the simulated-device settings shared by all arms.
+	// A device fault on any arm fails the solve.
 	Config AnnealConfig
-	// FallbackOnFault degrades per arm: a faulted arm contributes no
-	// samples but the frame still answers from the surviving arms (or
-	// the best classical candidate when every arm faults). Without it a
-	// device fault fails the solve, matching Hybrid.
-	FallbackOnFault bool
-}
-
-// Name identifies the solver.
-func (e *Ensemble) Name() string {
-	cfg := e.withDefaults()
-	return fmt.Sprintf("gs+ra-ensemble[k=%d,g=%d]", cfg.K, len(cfg.SpGrid))
 }
 
 func (e *Ensemble) withDefaults() Ensemble {
@@ -308,7 +298,7 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 	if err != nil {
 		return nil, err
 	}
-	out, err := cfg.Config.runArms(red, cands, cfg.SpGrid, cfg.Tp, cfg.NumReads, cfg.FallbackOnFault, r)
+	out, err := cfg.Config.runArms(red, cands, cfg.SpGrid, cfg.Tp, cfg.NumReads, false, r)
 	if err != nil {
 		return nil, err
 	}

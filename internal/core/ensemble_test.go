@@ -139,15 +139,15 @@ func TestEnsembleK1ByteIdenticalToHybrid(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := &Hybrid{NumReads: 40, Config: tc.cfg, FallbackOnFault: true}
-			want, err := h.Solve(inst.Reduction, rng.New(77))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := &Ensemble{NumReads: 40, Config: tc.cfg, FallbackOnFault: true}
+			h := &Hybrid{NumReads: 40, Config: tc.cfg}
+			want, werr := h.Solve(inst.Reduction, rng.New(77))
+			e := &Ensemble{NumReads: 40, Config: tc.cfg}
 			got, err := e.Solve(inst.Reduction, rng.New(77))
-			if err != nil {
-				t.Fatal(err)
+			if werr != nil || err != nil {
+				if werr == nil || err == nil || werr.Error() != err.Error() {
+					t.Fatalf("K=1 ensemble error %v, Hybrid error %v", err, werr)
+				}
+				return
 			}
 			wb, gb := marshalOutcome(t, want), marshalOutcome(t, &got.Outcome)
 			if !bytes.Equal(wb, gb) {
@@ -198,9 +198,6 @@ func TestEnsembleZeroValueMatchesHybridZeroValue(t *testing.T) {
 	if e.K != 1 || len(e.SpGrid) != 1 || e.SpGrid[0] != h.Sp || e.Tp != h.Tp || e.NumReads != h.NumReads {
 		t.Fatalf("ensemble defaults %+v do not collapse onto hybrid defaults Sp=%g Tp=%g reads=%d", e, h.Sp, h.Tp, h.NumReads)
 	}
-	if (&Ensemble{}).Name() != "gs+ra-ensemble[k=1,g=1]" {
-		t.Fatalf("name %q", (&Ensemble{}).Name())
-	}
 }
 
 // TestEnsembleMultiArmSolve: a K×G ensemble runs every planned arm,
@@ -250,31 +247,16 @@ func TestEnsembleMultiArmSolve(t *testing.T) {
 }
 
 // TestEnsembleAllArmsFaulted: with every arm lost to programming faults
-// and FallbackOnFault set, the frame degrades to the best classical
-// candidate like Hybrid's fallback; without the flag the fault surfaces.
+// the typed device fault surfaces; the ensemble never answers without
+// reads.
 func TestEnsembleAllArmsFaulted(t *testing.T) {
 	inst := testInstance(t, modulation.QAM16, 4, 15)
 	cfg := fastCfg()
 	cfg.Faults = annealer.FaultModel{ProgrammingFailureRate: 1}
-	e := &Ensemble{K: 2, SpGrid: []float64{0.37, 0.45}, NumReads: 10, Config: cfg, FallbackOnFault: true}
+	e := &Ensemble{K: 2, SpGrid: []float64{0.37, 0.45}, NumReads: 10, Config: cfg}
 	out, err := e.Solve(inst.Reduction, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Source != AnswerClassicalFallback || out.Fault == nil {
-		t.Fatalf("all-faulted frame answered source=%v fault=%v", out.Source, out.Fault)
-	}
-	if out.FusedLLRs != nil {
-		t.Fatal("faulted frame produced fused LLRs with no reads")
-	}
-	for i, ao := range out.Arms {
-		if ao.Fault == nil {
-			t.Fatalf("arm %d recorded no fault", i)
-		}
-	}
-	e.FallbackOnFault = false
-	if _, err := e.Solve(inst.Reduction, rng.New(3)); err == nil {
-		t.Fatal("programming fault swallowed without FallbackOnFault")
+	if fe, ok := annealer.AsFault(err); !ok || fe.Kind != annealer.FaultProgramming {
+		t.Fatalf("all-faulted ensemble returned %v, %v; want a programming fault", out, err)
 	}
 }
 

@@ -32,15 +32,6 @@ type Hybrid struct {
 	FallbackOnFault bool
 }
 
-// Name identifies the solver.
-func (h *Hybrid) Name() string {
-	c := h.Classical
-	if c == nil {
-		c = GreedyModule{}
-	}
-	return c.Name() + "+ra"
-}
-
 func (h *Hybrid) withDefaults() Hybrid {
 	out := *h
 	if out.Classical == nil {
@@ -90,9 +81,6 @@ type ForwardSolver struct {
 	Config   AnnealConfig
 }
 
-// Name identifies the solver.
-func (*ForwardSolver) Name() string { return "fa" }
-
 // Solve runs FA on the reduced problem.
 func (f *ForwardSolver) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
 	ta, sp, tp, reads := f.Ta, f.Sp, f.Tp, f.NumReads
@@ -132,9 +120,6 @@ type ForwardReverseSolver struct {
 	NumReads int
 	Config   AnnealConfig
 }
-
-// Name identifies the solver.
-func (*ForwardReverseSolver) Name() string { return "fr" }
 
 // Solve runs FR on the reduced problem.
 func (f *ForwardReverseSolver) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {

@@ -27,9 +27,6 @@ type SamplePersistence struct {
 	Config     AnnealConfig
 }
 
-// Name identifies the solver.
-func (*SamplePersistence) Name() string { return "persist" }
-
 // Solve runs the loop on a reduced detection problem.
 func (s *SamplePersistence) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
 	out, err := s.SolveIsing(red.Ising, r)

@@ -44,48 +44,9 @@ func TestPersistentSpins(t *testing.T) {
 	}
 }
 
-func TestClampComplement(t *testing.T) {
-	r := rng.New(61)
-	is := qubo.NewIsing(5)
-	for i := 0; i < 5; i++ {
-		is.H[i] = r.NormFloat64()
-		for j := i + 1; j < 5; j++ {
-			is.SetCoupling(i, j, r.NormFloat64())
-		}
-	}
-	state := []int8{1, 1, 1, 1, 1}
-	sub, clamped, err := qubo.ClampComplement(is, state, []int{1, 3}, []int8{-1, -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clamped[1] != -1 || clamped[3] != -1 {
-		t.Fatal("clamp not applied")
-	}
-	if sub.Ising.N != 3 {
-		t.Fatalf("subproblem size %d", sub.Ising.N)
-	}
-	// Energy equivalence through the clamp.
-	subSpins := []int8{-1, 1, -1}
-	full := sub.Apply(clamped, subSpins)
-	if math.Abs(sub.Ising.Energy(subSpins)-is.Energy(full)) > 1e-9 {
-		t.Fatal("clamped energies differ")
-	}
-	// Clamping everything returns no subproblem.
-	all, allClamped, err := qubo.ClampComplement(is, state, []int{0, 1, 2, 3, 4}, []int8{1, 1, 1, 1, 1})
-	if err != nil || all != nil || len(allClamped) != 5 {
-		t.Fatalf("full clamp: %v %v %v", all, allClamped, err)
-	}
-	if _, _, err := qubo.ClampComplement(is, state, []int{9}, []int8{1}); err == nil {
-		t.Fatal("out-of-range clamp accepted")
-	}
-}
-
 func TestSamplePersistenceSolves(t *testing.T) {
 	inst := testInstance(t, modulation.QAM16, 5, 63) // 20 spins
 	s := &SamplePersistence{Rounds: 3, ReadsPerRound: 40, Config: fastCfg()}
-	if s.Name() != "persist" {
-		t.Fatal("name wrong")
-	}
 	out, err := s.Solve(inst.Reduction, rng.New(65))
 	if err != nil {
 		t.Fatal(err)

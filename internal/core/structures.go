@@ -24,9 +24,6 @@ type PostProcessing struct {
 	Refine int
 }
 
-// Name identifies the solver.
-func (*PostProcessing) Name() string { return "fa+descent" }
-
 // Solve implements the structure.
 func (p *PostProcessing) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
 	out, err := p.Forward.Solve(red, r)
@@ -89,9 +86,6 @@ type CoProcessing struct {
 	Classical ClassicalModule
 	Config    AnnealConfig
 }
-
-// Name identifies the solver.
-func (*CoProcessing) Name() string { return "co" }
 
 // Solve implements the structure.
 func (c *CoProcessing) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {

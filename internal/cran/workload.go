@@ -78,9 +78,6 @@ type Workload struct {
 	Seed uint64
 }
 
-// Streams is the concurrent UE stream count.
-func (w Workload) Streams() int { return w.Cells * w.UEsPerCell }
-
 func bad(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
 // Validate rejects unservable specs: NaN/Inf/negative rates, zero cells,

@@ -118,16 +118,6 @@ func (r *ModuleAblation) WriteTable(w io.Writer) {
 	}
 }
 
-// RowFor fetches one module's row.
-func (r *ModuleAblation) RowFor(name string) (ModuleAblationRow, bool) {
-	for _, row := range r.Rows {
-		if row.Module == name {
-			return row, true
-		}
-	}
-	return ModuleAblationRow{}, false
-}
-
 // DeviceAblationRow scores one simulator configuration on the Figure 8
 // mechanism set.
 type DeviceAblationRow struct {
@@ -251,16 +241,6 @@ func (r *DeviceAblation) WriteTable(w io.Writer) {
 	for _, row := range r.Rows {
 		writeRow(w, row.Variant, row.RetentionHighSp, row.RepairMidSp, row.FAPStar, row.BrokenChainRate)
 	}
-}
-
-// RowFor fetches one variant's row.
-func (r *DeviceAblation) RowFor(name string) (DeviceAblationRow, bool) {
-	for _, row := range r.Rows {
-		if row.Variant == name {
-			return row, true
-		}
-	}
-	return DeviceAblationRow{}, false
 }
 
 // GreedyOrderAblation resolves the paper's §4.1 prose ambiguity

@@ -21,9 +21,13 @@ func TestModuleAblationShape(t *testing.T) {
 	if len(res.Rows) != 6 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
-	gs, ok1 := res.RowFor("gs")
-	kb, ok2 := res.RowFor("kbest")
-	rnd, ok3 := res.RowFor("random")
+	rows := map[string]ModuleAblationRow{}
+	for _, row := range res.Rows {
+		rows[row.Module] = row
+	}
+	gs, ok1 := rows["gs"]
+	kb, ok2 := rows["kbest"]
+	rnd, ok3 := rows["random"]
 	if !ok1 || !ok2 || !ok3 {
 		t.Fatal("missing rows")
 	}
@@ -62,7 +66,11 @@ func TestDeviceAblationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, ok := res.RowFor("calibrated")
+	rows := map[string]DeviceAblationRow{}
+	for _, row := range res.Rows {
+		rows[row.Variant] = row
+	}
+	cal, ok := rows["calibrated"]
 	if !ok {
 		t.Fatal("missing calibrated row")
 	}
@@ -72,21 +80,21 @@ func TestDeviceAblationShape(t *testing.T) {
 	if cal.RepairMidSp <= 0 {
 		t.Fatal("calibrated simulator never repaired the imperfect candidate")
 	}
-	tf, ok := res.RowFor("svmc-tf")
+	tf, ok := rows["svmc-tf"]
 	if !ok {
 		t.Fatal("missing svmc-tf row")
 	}
 	if tf.RetentionHighSp < cal.RetentionHighSp-0.2 {
 		t.Fatalf("TF retention %v unexpectedly below calibrated %v", tf.RetentionHighSp, cal.RetentionHighSp)
 	}
-	emb, ok := res.RowFor("embedded")
+	emb, ok := rows["embedded"]
 	if !ok {
 		t.Fatal("missing embedded row")
 	}
 	if emb.BrokenChainRate <= 0 {
 		t.Fatal("embedded runs reported no chain breakage")
 	}
-	ice, ok := res.RowFor("ice-noise")
+	ice, ok := rows["ice-noise"]
 	if !ok {
 		t.Fatal("missing ice row")
 	}
@@ -139,11 +147,17 @@ func TestBERShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalBER("zf") <= res.TotalBER("sd") {
-		t.Fatalf("ZF (%v) not worse than exact ML (%v)", res.TotalBER("zf"), res.TotalBER("sd"))
+	total := map[string]float64{}
+	for det, bers := range res.BER {
+		for _, b := range bers {
+			total[det] += b
+		}
 	}
-	if res.TotalBER("gs+ra") > res.TotalBER("zf") {
-		t.Fatalf("hybrid (%v) worse than ZF (%v)", res.TotalBER("gs+ra"), res.TotalBER("zf"))
+	if total["zf"] <= total["sd"] {
+		t.Fatalf("ZF (%v) not worse than exact ML (%v)", total["zf"], total["sd"])
+	}
+	if total["gs+ra"] > total["zf"] {
+		t.Fatalf("hybrid (%v) worse than ZF (%v)", total["gs+ra"], total["zf"])
 	}
 	// BER decreases with SNR for the ML detector.
 	sd := res.BER["sd"]
@@ -168,7 +182,12 @@ func TestHardnessShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.PopulatedRows()
+	var rows []HardnessRow
+	for _, row := range res.Rows {
+		if row.Instances > 0 {
+			rows = append(rows, row)
+		}
+	}
 	if len(rows) < 2 {
 		t.Fatalf("only %d condition-number buckets populated", len(rows))
 	}

@@ -115,13 +115,3 @@ func (r *BERResult) WriteTable(w io.Writer) {
 		writeRow(w, row...)
 	}
 }
-
-// TotalBER sums a detector's BER over the sweep (for coarse ordering
-// checks).
-func (r *BERResult) TotalBER(detector string) float64 {
-	var sum float64
-	for _, b := range r.BER[detector] {
-		sum += b
-	}
-	return sum
-}

@@ -78,27 +78,3 @@ func (r *Fig3Result) WriteTable(w io.Writer) {
 		writeRow(w, p.Scheme.String(), p.Variables, p.SimplifiedRatio, p.AvgFixed)
 	}
 }
-
-// VanishingPoint returns, per scheme, the smallest size from which the
-// simplification ratio stays at or below `threshold` for every larger
-// measured size — the paper's "nearly no effect over 32–40 variables"
-// observation.
-func (r *Fig3Result) VanishingPoint(s modulation.Scheme, threshold float64) (int, bool) {
-	best, found := 0, false
-	// Walk sizes descending; extend the vanishing run while the ratio
-	// stays under threshold.
-	var pts []Fig3Point
-	for _, p := range r.Points {
-		if p.Scheme == s {
-			pts = append(pts, p)
-		}
-	}
-	for i := len(pts) - 1; i >= 0; i-- {
-		if pts[i].SimplifiedRatio <= threshold {
-			best, found = pts[i].Variables, true
-		} else {
-			break
-		}
-	}
-	return best, found
-}

@@ -132,13 +132,3 @@ func (r *Fig4Result) WriteTable(w io.Writer) {
 		writeRow(w, prior, row.Weight, row.PStar, row.MeanDeltaE, moved)
 	}
 }
-
-// RowFor fetches one (prior, weight) row.
-func (r *Fig4Result) RowFor(wrong bool, weight float64) (Fig4Row, bool) {
-	for _, row := range r.Rows {
-		if row.PriorWrong == wrong && row.Weight == weight {
-			return row, true
-		}
-	}
-	return Fig4Row{}, false
-}

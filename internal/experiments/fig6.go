@@ -132,13 +132,3 @@ func (r *Fig6Result) WriteTable(w io.Writer) {
 		fmt.Fprintf(w, "## %s %s\n%s", sr.Scheme, sr.Algorithm, sr.Hist.String())
 	}
 }
-
-// SeriesFor retrieves one (scheme, algorithm) series.
-func (r *Fig6Result) SeriesFor(s modulation.Scheme, alg Fig6Algorithm) *Fig6Series {
-	for _, sr := range r.Series {
-		if sr.Scheme == s && sr.Algorithm == alg {
-			return sr
-		}
-	}
-	return nil
-}

@@ -306,23 +306,9 @@ func (r *Fig8Result) FamilyPoints() []Fig8Point {
 	return out
 }
 
-// SuccessWindow returns the s_p interval [lo, hi] over which the solver's
-// p★ is strictly positive (the paper: RA succeeds on 0.33–0.49, FA only
-// at 0.41).
-func (r *Fig8Result) SuccessWindow(sv Fig8Solver) (lo, hi float64, ok bool) {
-	for _, p := range r.PointsFor(sv) {
-		if p.PStar > 0 {
-			if !ok {
-				lo, hi, ok = p.Sp, p.Sp, true
-			} else {
-				hi = p.Sp
-			}
-		}
-	}
-	return lo, hi, ok
-}
-
-// FamilySuccessWindow is SuccessWindow over the whole RA family.
+// FamilySuccessWindow returns the s_p interval [lo, hi] over which some
+// RA-family point's p★ is strictly positive (the paper: RA succeeds on
+// 0.33–0.49).
 func (r *Fig8Result) FamilySuccessWindow() (lo, hi float64, ok bool) {
 	for _, p := range r.FamilyPoints() {
 		if p.PStar > 0 {

@@ -121,14 +121,3 @@ func (r *HardnessResult) WriteTable(w io.Writer) {
 		writeRow(w, label, row.Instances, row.MeanGSDeltaE, row.FAPStar, row.HybridPStar)
 	}
 }
-
-// PopulatedRows returns buckets that received instances.
-func (r *HardnessResult) PopulatedRows() []HardnessRow {
-	var out []HardnessRow
-	for _, row := range r.Rows {
-		if row.Instances > 0 {
-			out = append(out, row)
-		}
-	}
-	return out
-}

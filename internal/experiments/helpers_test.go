@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/modulation"
 )
 
 // The figure result helpers are consumed by the validation harness on
@@ -13,60 +11,18 @@ import (
 // edge behavior: empty sweeps answer (0, false)-style "not found", single
 // points behave like one-element runs, and thresholds are inclusive.
 
-func TestVanishingPointTable(t *testing.T) {
-	mk := func(ratios ...float64) *Fig3Result {
-		r := &Fig3Result{Instances: 5}
-		for i, ratio := range ratios {
-			r.Points = append(r.Points, Fig3Point{
-				Scheme: modulation.BPSK, Variables: (i + 1) * 4, SimplifiedRatio: ratio,
-			})
-		}
-		return r
-	}
-	cases := []struct {
-		name      string
-		res       *Fig3Result
-		threshold float64
-		want      int
-		found     bool
-	}{
-		{"empty sweep", mk(), 0.2, 0, false},
-		{"single point above", mk(0.8), 0.2, 0, false},
-		{"single point at threshold (inclusive)", mk(0.2), 0.2, 4, true},
-		{"single point below", mk(0.1), 0.2, 4, true},
-		{"vanishes mid-sweep", mk(1, 0.8, 0.15, 0.1), 0.2, 12, true},
-		{"re-emerges then vanishes", mk(1, 0.1, 0.9, 0.05), 0.2, 16, true},
-		{"never vanishes", mk(1, 0.9, 0.8), 0.2, 0, false},
-		{"all below threshold", mk(0.1, 0.05, 0), 0.2, 4, true},
-		{"other scheme untouched", mk(0.1), 0.2, 0, false},
-	}
-	for _, tc := range cases {
-		scheme := modulation.BPSK
-		if tc.name == "other scheme untouched" {
-			scheme = modulation.QAM16
-		}
-		got, found := tc.res.VanishingPoint(scheme, tc.threshold)
-		if got != tc.want || found != tc.found {
-			t.Errorf("%s: VanishingPoint = (%d, %v), want (%d, %v)",
-				tc.name, got, found, tc.want, tc.found)
-		}
-	}
-}
-
 func TestFig8WindowAndBestTTSTable(t *testing.T) {
+	const ra Fig8Solver = "RA-dE10"
 	mk := func(ps ...float64) *Fig8Result {
 		r := &Fig8Result{Confidence: 99}
 		for i, p := range ps {
-			r.add(Fig8FA, 0.25+0.04*float64(i), p, 2.0, math.NaN(), int(p*100), 100)
+			r.add(ra, 0.25+0.04*float64(i), p, 2.0, math.NaN(), int(p*100), 100)
 		}
 		return r
 	}
 	t.Run("empty sweep", func(t *testing.T) {
 		r := mk()
-		if _, _, ok := r.SuccessWindow(Fig8FA); ok {
-			t.Fatal("empty sweep reported a success window")
-		}
-		if _, ok := r.BestTTS(Fig8FA); ok {
+		if _, ok := r.BestTTS(ra); ok {
 			t.Fatal("empty sweep reported a best-TTS point")
 		}
 		if _, _, ok := r.FamilySuccessWindow(); ok {
@@ -78,31 +34,31 @@ func TestFig8WindowAndBestTTSTable(t *testing.T) {
 	})
 	t.Run("all-zero p-star", func(t *testing.T) {
 		r := mk(0, 0, 0)
-		if _, _, ok := r.SuccessWindow(Fig8FA); ok {
+		if _, _, ok := r.FamilySuccessWindow(); ok {
 			t.Fatal("all-zero sweep has no window")
 		}
-		if _, ok := r.BestTTS(Fig8FA); ok {
+		if _, ok := r.BestTTS(ra); ok {
 			t.Fatal("all-zero sweep has no finite TTS")
 		}
 	})
 	t.Run("single positive point", func(t *testing.T) {
 		r := mk(0.3)
-		lo, hi, ok := r.SuccessWindow(Fig8FA)
+		lo, hi, ok := r.FamilySuccessWindow()
 		if !ok || lo != hi || lo != 0.25 {
 			t.Fatalf("window = (%g, %g, %v), want single point at 0.25", lo, hi, ok)
 		}
-		best, ok := r.BestTTS(Fig8FA)
+		best, ok := r.BestTTS(ra)
 		if !ok || best.Sp != 0.25 {
 			t.Fatalf("best = %+v, %v", best, ok)
 		}
 	})
 	t.Run("window with interior zero", func(t *testing.T) {
 		r := mk(0, 0.2, 0, 0.4, 0)
-		lo, hi, ok := r.SuccessWindow(Fig8FA)
+		lo, hi, ok := r.FamilySuccessWindow()
 		if !ok || lo != 0.29 || hi != 0.37 {
 			t.Fatalf("window = (%g, %g, %v), want (0.29, 0.37)", lo, hi, ok)
 		}
-		best, ok := r.BestTTS(Fig8FA)
+		best, ok := r.BestTTS(ra)
 		if !ok || best.Sp != 0.37 {
 			t.Fatalf("best-TTS point %+v, want the p=0.4 point", best)
 		}
@@ -132,37 +88,6 @@ func TestFig7MonotoneTable(t *testing.T) {
 		if got := tc.res.Monotone(); got != tc.want {
 			t.Errorf("%s: Monotone = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-}
-
-func TestFig4RowForTable(t *testing.T) {
-	r := &Fig4Result{Rows: []Fig4Row{
-		{Weight: 0, PriorWrong: false, PStar: 0.3},
-		{Weight: 2, PriorWrong: true, PStar: 0.1},
-	}}
-	if row, ok := r.RowFor(true, 2); !ok || row.PStar != 0.1 {
-		t.Fatalf("RowFor(true, 2) = %+v, %v", row, ok)
-	}
-	if _, ok := r.RowFor(false, 99); ok {
-		t.Fatal("missing weight reported found")
-	}
-	empty := &Fig4Result{}
-	if _, ok := empty.RowFor(false, 0); ok {
-		t.Fatal("empty result reported a row")
-	}
-}
-
-func TestFig6SeriesForTable(t *testing.T) {
-	empty := &Fig6Result{}
-	if sr := empty.SeriesFor(modulation.BPSK, Fig6FA); sr != nil {
-		t.Fatal("empty result returned a series")
-	}
-	r := &Fig6Result{Series: []*Fig6Series{{Scheme: modulation.QPSK, Algorithm: Fig6RAGS}}}
-	if sr := r.SeriesFor(modulation.QPSK, Fig6RAGS); sr == nil {
-		t.Fatal("present series not found")
-	}
-	if sr := r.SeriesFor(modulation.QPSK, Fig6FA); sr != nil {
-		t.Fatal("absent algorithm reported present")
 	}
 }
 

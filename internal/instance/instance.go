@@ -56,9 +56,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// NumSpins returns the Ising size the spec reduces to.
-func (s Spec) NumSpins() int { return s.Users * s.Scheme.BitsPerSymbol() }
-
 // Instance is a fully materialized detection problem with ground truth.
 type Instance struct {
 	Spec        Spec
@@ -150,10 +147,4 @@ func VariableBudgetUsers(s modulation.Scheme, target int) (int, error) {
 		return 0, fmt.Errorf("instance: %d variables not divisible by %s's %d bits/symbol", target, s, b)
 	}
 	return target / b, nil
-}
-
-// NewProblemFromParts reassembles a Problem (used by deserialization and
-// the CLI tools).
-func NewProblemFromParts(h *linalg.CMatrix, y []complex128, s modulation.Scheme) *mimo.Problem {
-	return &mimo.Problem{H: h, Y: y, Scheme: s}
 }

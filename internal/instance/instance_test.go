@@ -26,8 +26,8 @@ func TestSynthesizeNoiseless(t *testing.T) {
 		if math.Abs(inst.GroundEnergy) > 1e-6 {
 			t.Fatalf("%v: ground energy %v, want ≈0", s, inst.GroundEnergy)
 		}
-		if len(inst.GroundSpins) != spec.NumSpins() {
-			t.Fatalf("%v: %d ground spins, want %d", s, len(inst.GroundSpins), spec.NumSpins())
+		if want := spec.Users * s.BitsPerSymbol(); len(inst.GroundSpins) != want {
+			t.Fatalf("%v: %d ground spins, want %d", s, len(inst.GroundSpins), want)
 		}
 		// Optimal == transmitted in the noiseless setting.
 		for i := range inst.Optimal {
@@ -258,8 +258,8 @@ func TestSynthesizeMassiveMIMO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inst.Problem.Nr() != 12 || inst.Problem.Nt() != 4 {
-		t.Fatalf("channel is %dx%d", inst.Problem.Nr(), inst.Problem.Nt())
+	if inst.Problem.H.Rows != 12 || inst.Problem.Nt() != 4 {
+		t.Fatalf("channel is %dx%d", inst.Problem.H.Rows, inst.Problem.Nt())
 	}
 	if math.Abs(inst.GroundEnergy) > 1e-6 {
 		t.Fatalf("ground energy %v", inst.GroundEnergy)
@@ -283,19 +283,5 @@ func TestSynthesizeAntennaValidation(t *testing.T) {
 	}
 	if _, err := Synthesize(Spec{Users: 4, Antennas: -1, Scheme: modulation.BPSK}); err == nil {
 		t.Fatal("negative antennas accepted")
-	}
-}
-
-func TestNewProblemFromParts(t *testing.T) {
-	inst, err := Synthesize(Spec{Users: 2, Scheme: modulation.QPSK, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewProblemFromParts(inst.Problem.H, inst.Problem.Y, inst.Problem.Scheme)
-	if p.Nt() != 2 || p.Scheme != modulation.QPSK {
-		t.Fatal("reassembled problem wrong")
-	}
-	if p.Objective(inst.Transmitted) > 1e-18 {
-		t.Fatal("reassembled problem differs")
 	}
 }

@@ -3,8 +3,9 @@
 //
 // The package is deliberately small and allocation-conscious rather than
 // general: matrices are dense row-major float64/complex128 buffers, and the
-// factorizations provided (Gaussian elimination, Householder QR, Cholesky)
-// are exactly the ones the detectors need. Everything is stdlib-only.
+// factorizations provided (Gaussian elimination, Cholesky, Jacobi
+// eigenvalues) are exactly the ones the detectors need. Everything is
+// stdlib-only.
 package linalg
 
 import (
@@ -115,27 +116,6 @@ func (m *CMatrix) MulVec(x []complex128) []complex128 {
 	return out
 }
 
-// Add returns m + b.
-func (m *CMatrix) Add(b *CMatrix) *CMatrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: Add dimension mismatch")
-	}
-	out := NewCMatrix(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] + b.Data[i]
-	}
-	return out
-}
-
-// Scale returns a·m.
-func (m *CMatrix) Scale(a complex128) *CMatrix {
-	out := NewCMatrix(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = a * v
-	}
-	return out
-}
-
 // AddScaledIdentity returns m + a·I for square m.
 func (m *CMatrix) AddScaledIdentity(a complex128) *CMatrix {
 	if m.Rows != m.Cols {
@@ -204,96 +184,6 @@ func (m *CMatrix) swapRows(i, j int) {
 	}
 }
 
-// QR computes the thin Householder QR decomposition m = Q·R with Q
-// (Rows×Cols) having orthonormal columns and R (Cols×Cols) upper
-// triangular. Requires Rows >= Cols.
-func (m *CMatrix) QR() (q, r *CMatrix, err error) {
-	rows, cols := m.Rows, m.Cols
-	if rows < cols {
-		return nil, nil, fmt.Errorf("linalg: QR requires rows >= cols, got %dx%d", rows, cols)
-	}
-	a := m.Clone()
-	// Accumulate Householder vectors; build Q by applying reflectors to I.
-	vs := make([][]complex128, 0, cols)
-	for k := 0; k < cols; k++ {
-		// Compute the reflector for column k below the diagonal.
-		var normSq float64
-		for i := k; i < rows; i++ {
-			v := a.At(i, k)
-			normSq += real(v)*real(v) + imag(v)*imag(v)
-		}
-		norm := math.Sqrt(normSq)
-		if norm == 0 {
-			vs = append(vs, nil)
-			continue
-		}
-		akk := a.At(k, k)
-		// alpha = -exp(i·arg(akk))·norm keeps the reflector well conditioned.
-		phase := complex(1, 0)
-		if akk != 0 {
-			phase = akk / complex(cmplx.Abs(akk), 0)
-		}
-		alpha := -phase * complex(norm, 0)
-		v := make([]complex128, rows-k)
-		for i := k; i < rows; i++ {
-			v[i-k] = a.At(i, k)
-		}
-		v[0] -= alpha
-		var vNormSq float64
-		for _, vv := range v {
-			vNormSq += real(vv)*real(vv) + imag(vv)*imag(vv)
-		}
-		if vNormSq < 1e-300 {
-			vs = append(vs, nil)
-			continue
-		}
-		// Apply (I - 2 v vᴴ / ‖v‖²) to the trailing submatrix of a.
-		for c := k; c < cols; c++ {
-			var dot complex128
-			for i := k; i < rows; i++ {
-				dot += cmplx.Conj(v[i-k]) * a.At(i, c)
-			}
-			f := 2 * dot / complex(vNormSq, 0)
-			for i := k; i < rows; i++ {
-				a.Data[i*cols+c] -= f * v[i-k]
-			}
-		}
-		vs = append(vs, v)
-	}
-	r = NewCMatrix(cols, cols)
-	for i := 0; i < cols; i++ {
-		for j := i; j < cols; j++ {
-			r.Set(i, j, a.At(i, j))
-		}
-	}
-	// Q = H_0 H_1 … H_{cols-1} applied to the first cols columns of I.
-	q = NewCMatrix(rows, cols)
-	for i := 0; i < cols; i++ {
-		q.Set(i, i, 1)
-	}
-	for k := cols - 1; k >= 0; k-- {
-		v := vs[k]
-		if v == nil {
-			continue
-		}
-		var vNormSq float64
-		for _, vv := range v {
-			vNormSq += real(vv)*real(vv) + imag(vv)*imag(vv)
-		}
-		for c := 0; c < cols; c++ {
-			var dot complex128
-			for i := k; i < rows; i++ {
-				dot += cmplx.Conj(v[i-k]) * q.At(i, c)
-			}
-			f := 2 * dot / complex(vNormSq, 0)
-			for i := k; i < rows; i++ {
-				q.Data[i*cols+c] -= f * v[i-k]
-			}
-		}
-	}
-	return q, r, nil
-}
-
 // FrobeniusNorm returns ‖m‖_F.
 func (m *CMatrix) FrobeniusNorm() float64 {
 	var s float64
@@ -335,18 +225,6 @@ func CVecNormSq(x []complex128) float64 {
 	var s float64
 	for _, v := range x {
 		s += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return s
-}
-
-// CVecDot returns aᴴ·b.
-func CVecDot(a, b []complex128) complex128 {
-	if len(a) != len(b) {
-		panic("linalg: CVecDot length mismatch")
-	}
-	var s complex128
-	for i := range a {
-		s += cmplx.Conj(a[i]) * b[i]
 	}
 	return s
 }

@@ -106,27 +106,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 	return out
 }
 
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: Add dimension mismatch")
-	}
-	out := NewMatrix(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] + b.Data[i]
-	}
-	return out
-}
-
-// Scale returns a·m.
-func (m *Matrix) Scale(a float64) *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = a * v
-	}
-	return out
-}
-
 // Inverse returns m⁻¹ via Gauss-Jordan with partial pivoting.
 func (m *Matrix) Inverse() (*Matrix, error) {
 	if m.Rows != m.Cols {
@@ -226,30 +205,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return best
-}
-
-// VecSub returns a−b.
-func VecSub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: VecSub length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// VecDot returns a·b.
-func VecDot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: VecDot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 // VecNormSq returns ‖x‖².

@@ -3,7 +3,6 @@ package linalg
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rng"
 )
@@ -99,7 +98,10 @@ func TestCholesky(t *testing.T) {
 		n := 1 + r.Intn(10)
 		a := randomMatrix(r, n, n)
 		// AᵀA + I is SPD.
-		spd := a.Transpose().Mul(a).Add(Identity(n))
+		spd := a.Transpose().Mul(a)
+		for i := 0; i < n; i++ {
+			spd.Set(i, i, spd.At(i, i)+1)
+		}
 		l, err := spd.Cholesky()
 		if err != nil {
 			t.Fatal(err)
@@ -125,15 +127,8 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 }
 
 func TestVecHelpers(t *testing.T) {
-	if got := VecDot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("VecDot = %v", got)
-	}
 	if got := VecNormSq([]float64{3, 4}); got != 25 {
 		t.Fatalf("VecNormSq = %v", got)
-	}
-	d := VecSub([]float64{5, 5}, []float64{2, 3})
-	if d[0] != 3 || d[1] != 2 {
-		t.Fatalf("VecSub = %v", d)
 	}
 }
 
@@ -197,26 +192,13 @@ func TestRealDecomposePreservesNorm(t *testing.T) {
 		xt[i] = real(v)
 		xt[4+i] = imag(v)
 	}
-	realObj := VecNormSq(VecSub(yr, hr.MulVec(xt)))
+	resid := hr.MulVec(xt)
+	for i := range resid {
+		resid[i] -= yr[i]
+	}
+	realObj := VecNormSq(resid)
 	if math.Abs(complexObj-realObj) > 1e-9 {
 		t.Fatalf("objective changed: %v vs %v", complexObj, realObj)
-	}
-}
-
-func TestScaleDistributesProperty(t *testing.T) {
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsInf(a, 0) || math.IsNaN(b) || math.IsInf(b, 0) {
-			return true
-		}
-		a = math.Mod(a, 1e6)
-		b = math.Mod(b, 1e6)
-		m := MatrixFromRows([][]float64{{a, b}, {b, a}})
-		left := m.Scale(2).Add(m.Scale(3))
-		right := m.Scale(5)
-		return matApproxEq(left, right, 1e-6*math.Max(1, math.Abs(a)+math.Abs(b)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

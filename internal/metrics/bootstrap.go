@@ -17,9 +17,6 @@ type CI struct {
 	N int `json:"n"`
 }
 
-// Contains reports whether x lies inside [Lo, Hi].
-func (c CI) Contains(x float64) bool { return x >= c.Lo && x <= c.Hi }
-
 // Overlaps reports whether two intervals share any point. Degenerate
 // (Lo == Hi) intervals are handled like any other; an interval with a
 // NaN endpoint overlaps nothing.

@@ -224,46 +224,3 @@ func (h *Histogram) String() string {
 	}
 	return out
 }
-
-// Binned groups (x, y) observations into fixed-width x-bins and reports
-// each bin's mean y — the construction behind Figure 7's ΔE_IS% sweep.
-type Binned struct {
-	Min, Width float64
-	sums       []float64
-	counts     []int
-}
-
-// NewBinned builds bins [min+k·width, min+(k+1)·width) for k < n.
-func NewBinned(min, width float64, n int) *Binned {
-	if width <= 0 || n <= 0 {
-		panic("metrics: bad binning shape")
-	}
-	return &Binned{Min: min, Width: width, sums: make([]float64, n), counts: make([]int, n)}
-}
-
-// Add records observation (x, y); out-of-range x is dropped.
-func (b *Binned) Add(x, y float64) {
-	k := int((x - b.Min) / b.Width)
-	if k < 0 || k >= len(b.sums) {
-		return
-	}
-	b.sums[k] += y
-	b.counts[k]++
-}
-
-// Bins returns the number of bins.
-func (b *Binned) Bins() int { return len(b.sums) }
-
-// Center returns bin k's x midpoint.
-func (b *Binned) Center(k int) float64 { return b.Min + (float64(k)+0.5)*b.Width }
-
-// MeanAt returns bin k's mean y and whether the bin has data.
-func (b *Binned) MeanAt(k int) (float64, bool) {
-	if b.counts[k] == 0 {
-		return 0, false
-	}
-	return b.sums[k] / float64(b.counts[k]), true
-}
-
-// CountAt returns bin k's observation count.
-func (b *Binned) CountAt(k int) int { return b.counts[k] }

@@ -264,44 +264,9 @@ func TestHistogramBadShapePanics(t *testing.T) {
 	NewHistogram(5, 5, 3)
 }
 
-func TestBinned(t *testing.T) {
-	b := NewBinned(0, 2, 5) // bins [0,2) [2,4) ... [8,10)
-	b.Add(1, 10)
-	b.Add(1.5, 20)
-	b.Add(9, 7)
-	b.Add(50, 99) // out of range: dropped
-	if b.Bins() != 5 {
-		t.Fatal("bin count wrong")
-	}
-	if m, ok := b.MeanAt(0); !ok || m != 15 {
-		t.Fatalf("bin 0 mean %v ok=%v", m, ok)
-	}
-	if _, ok := b.MeanAt(1); ok {
-		t.Fatal("empty bin reported data")
-	}
-	if m, _ := b.MeanAt(4); m != 7 {
-		t.Fatal("bin 4 mean wrong")
-	}
-	if b.CountAt(0) != 2 || b.CountAt(4) != 1 {
-		t.Fatal("counts wrong")
-	}
-	if b.Center(0) != 1 || b.Center(4) != 9 {
-		t.Fatal("centers wrong")
-	}
-}
-
 func TestHistogramEmptyFraction(t *testing.T) {
 	h := NewHistogram(0, 1, 2)
 	if h.Fraction(0) != 0 {
 		t.Fatal("empty fraction not 0")
 	}
-}
-
-func TestBinnedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad binning accepted")
-		}
-	}()
-	NewBinned(0, 0, 3)
 }

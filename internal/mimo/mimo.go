@@ -30,13 +30,6 @@ type Problem struct {
 // Nt returns the number of transmitters (users).
 func (p *Problem) Nt() int { return p.H.Cols }
 
-// Nr returns the number of receive antennas.
-func (p *Problem) Nr() int { return p.H.Rows }
-
-// NumSpins returns the number of Ising spins the reduction produces:
-// bits-per-symbol spins per user.
-func (p *Problem) NumSpins() int { return p.Nt() * p.Scheme.BitsPerSymbol() }
-
 // Objective evaluates the ML cost ‖y − H·x‖² for a candidate symbol
 // vector.
 func (p *Problem) Objective(x []complex128) float64 {

@@ -162,9 +162,6 @@ func copySpins(dst []int8, off int, src []int8) {
 	copy(dst[off:off+len(src)], src)
 }
 
-// SpinsPerUser returns the number of spins encoding one user's symbol.
-func (r *Reduction) SpinsPerUser() int { return r.scheme.BitsPerSymbol() }
-
 // Scheme returns the modulation the reduction was built for.
 func (r *Reduction) Scheme() modulation.Scheme { return r.scheme }
 

@@ -89,9 +89,6 @@ func (s Scheme) BitsPerDimQ() int {
 // BitsPerSymbol returns the total bits per complex symbol.
 func (s Scheme) BitsPerSymbol() int { return s.BitsPerDimI() + s.BitsPerDimQ() }
 
-// Order returns the constellation size M.
-func (s Scheme) Order() int { return 1 << uint(s.BitsPerSymbol()) }
-
 // Norm returns the scale factor applied to raw PAM amplitudes so the
 // constellation has unit average symbol energy ("unit gain signal",
 // §4.2): 1/√1 for BPSK, 1/√2 QPSK, 1/√10 16-QAM, 1/√42 64-QAM.
@@ -233,17 +230,6 @@ func (s Scheme) Alphabet() []complex128 {
 		}
 	}
 	return out
-}
-
-// AverageEnergy returns the mean |x|² over the alphabet (≈1 by
-// construction; exposed for tests and SNR accounting).
-func (s Scheme) AverageEnergy() float64 {
-	var sum float64
-	alpha := s.Alphabet()
-	for _, x := range alpha {
-		sum += real(x)*real(x) + imag(x)*imag(x)
-	}
-	return sum / float64(len(alpha))
 }
 
 // SpinWeights returns the weights w_k such that a dimension's raw PAM

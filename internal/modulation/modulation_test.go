@@ -24,7 +24,7 @@ func TestSchemeProperties(t *testing.T) {
 		{QAM64, 6, 64, 3, 3, "64-QAM", 42},
 	}
 	for _, c := range cases {
-		if c.s.BitsPerSymbol() != c.bits || c.s.Order() != c.order {
+		if c.s.BitsPerSymbol() != c.bits || 1<<c.s.BitsPerSymbol() != c.order {
 			t.Fatalf("%v: bits/order wrong", c.s)
 		}
 		if c.s.BitsPerDimI() != c.bitsI || c.s.BitsPerDimQ() != c.bitsQ {
@@ -53,7 +53,11 @@ func TestParseScheme(t *testing.T) {
 // TestUnitAverageEnergy: §4.2's "unit gain signal".
 func TestUnitAverageEnergy(t *testing.T) {
 	for _, s := range Schemes {
-		if e := s.AverageEnergy(); math.Abs(e-1) > 1e-12 {
+		var e float64
+		for _, x := range s.Alphabet() {
+			e += real(x)*real(x) + imag(x)*imag(x)
+		}
+		if e /= float64(len(s.Alphabet())); math.Abs(e-1) > 1e-12 {
 			t.Fatalf("%v: average energy %v", s, e)
 		}
 	}
@@ -92,7 +96,7 @@ func TestModulateWrongLength(t *testing.T) {
 func TestAlphabetSizeAndUniqueness(t *testing.T) {
 	for _, s := range Schemes {
 		alpha := s.Alphabet()
-		if len(alpha) != s.Order() {
+		if len(alpha) != 1<<s.BitsPerSymbol() {
 			t.Fatalf("%v: alphabet size %d", s, len(alpha))
 		}
 		for i := range alpha {
@@ -122,8 +126,8 @@ func TestModulateCoversAlphabet(t *testing.T) {
 			}
 			seen[x]++
 		}
-		if len(seen) != s.Order() {
-			t.Fatalf("%v: %d distinct symbols from %d patterns", s, len(seen), s.Order())
+		if len(seen) != 1<<s.BitsPerSymbol() {
+			t.Fatalf("%v: %d distinct symbols from %d patterns", s, len(seen), 1<<s.BitsPerSymbol())
 		}
 		for x, c := range seen {
 			if c != 1 {
@@ -222,7 +226,7 @@ func TestSliceSnapsNoise(t *testing.T) {
 	r := rng.New(2)
 	for _, s := range Schemes {
 		for trial := 0; trial < 100; trial++ {
-			pt := s.Alphabet()[r.Intn(s.Order())]
+			pt := s.Alphabet()[r.Intn(1<<s.BitsPerSymbol())]
 			// Perturb by less than half the min distance: must snap back.
 			eps := s.MinDistance() * 0.49
 			noisy := pt + complex(eps/math.Sqrt2*0.9, eps/math.Sqrt2*0.9)
@@ -320,8 +324,8 @@ func TestModulateBinaryCoversAlphabet(t *testing.T) {
 			x, _ := s.ModulateBinary(bits)
 			seen[x] = true
 		}
-		if len(seen) != s.Order() {
-			t.Fatalf("%v: binary labeling covers %d/%d points", s, len(seen), s.Order())
+		if len(seen) != 1<<s.BitsPerSymbol() {
+			t.Fatalf("%v: binary labeling covers %d/%d points", s, len(seen), 1<<s.BitsPerSymbol())
 		}
 	}
 }

@@ -92,13 +92,6 @@ func trailingZeros(x uint) int {
 	return n
 }
 
-// N returns the qubit count.
-func (c *Circuit) N() int { return c.n }
-
-// GroundEnergy returns the exact minimum cost (from the compiled
-// spectrum).
-func (c *Circuit) GroundEnergy() float64 { return c.ground }
-
 // Run evolves the depth-p circuit with angle schedules gammas and betas
 // (equal lengths) and returns the final statevector.
 func (c *Circuit) Run(gammas, betas []float64) ([]complex128, error) {

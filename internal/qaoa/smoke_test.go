@@ -18,8 +18,8 @@ func TestFixedDepthSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.N() != 6 {
-		t.Fatalf("N() = %d, want 6", c.N())
+	if c.n != 6 {
+		t.Fatalf("compiled %d qubits, want 6", c.n)
 	}
 	base, err := c.OptimizeGrid(4, math.Pi)
 	if err != nil {
@@ -47,7 +47,7 @@ func TestFixedDepthSmoke(t *testing.T) {
 			t.Fatalf("state %d: EnergyOf %v but decoded spins give %v",
 				z, c.EnergyOf(z), is.Energy(spins))
 		}
-		if c.EnergyOf(z) < c.GroundEnergy()-1e-9 {
+		if c.EnergyOf(z) < c.ground-1e-9 {
 			t.Fatalf("state %d below ground energy", z)
 		}
 	}

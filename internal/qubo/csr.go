@@ -104,16 +104,6 @@ func (c *CSR) find(i int, col int32) int32 {
 	return lo
 }
 
-// Degree returns the number of neighbors of spin i.
-func (c *CSR) Degree(i int) int { return int(c.Offsets[i+1] - c.Offsets[i]) }
-
-// Row returns spin i's neighbor columns and weights, sorted by column.
-// The slices alias the CSR's storage and must not be mutated.
-func (c *CSR) Row(i int) ([]int32, []float64) {
-	lo, hi := c.Offsets[i], c.Offsets[i+1]
-	return c.Cols[lo:hi], c.W[lo:hi]
-}
-
 // Normalize scales H, W, and Offset in place so max(|h|, |J|) = 1 (the
 // device coefficient range), returning the scale factor applied. It
 // matches Ising.Normalized followed by NewCSR — same maximum, same

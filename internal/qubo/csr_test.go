@@ -72,8 +72,9 @@ func checkCSRAgainstAdjacency(t *testing.T, is *qubo.Ising, r *rng.Source) {
 		}
 	}
 	for i := 0; i < is.N; i++ {
-		cols, w := c.Row(i)
-		if len(cols) != len(is.Adj[i]) || c.Degree(i) != len(is.Adj[i]) {
+		lo, hi := c.Offsets[i], c.Offsets[i+1]
+		cols, w := c.Cols[lo:hi], c.W[lo:hi]
+		if len(cols) != len(is.Adj[i]) {
 			t.Fatalf("row %d has %d entries, adjacency has %d", i, len(cols), len(is.Adj[i]))
 		}
 		for k, col := range cols {
@@ -126,7 +127,7 @@ func TestCSRAfterEdgeDeletion(t *testing.T) {
 	c := qubo.NewCSR(is)
 	for _, del := range []int{0, len(edges) / 2, len(edges) - 1} {
 		e := edges[del]
-		cols, _ := c.Row(e.I)
+		cols := c.Cols[c.Offsets[e.I]:c.Offsets[e.I+1]]
 		for _, col := range cols {
 			if int(col) == e.J {
 				t.Fatalf("deleted edge (%d,%d) still present in CSR", e.I, e.J)

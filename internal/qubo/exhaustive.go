@@ -68,46 +68,6 @@ func ExhaustiveIsing(is *Ising) (Sample, error) {
 	return Sample{Spins: best, Energy: bestEnergy}, nil
 }
 
-// GroundStates enumerates every globally optimal assignment of a small
-// QUBO (energies within tol of the minimum), for degeneracy analysis in
-// tests and experiments.
-func GroundStates(q *QUBO, tol float64) ([]Solution, error) {
-	if q.n > MaxExhaustiveVars {
-		return nil, fmt.Errorf("qubo: exhaustive search limited to %d variables, got %d", MaxExhaustiveVars, q.n)
-	}
-	bits := make([]int8, q.n)
-	energy := q.Energy(bits)
-	bestEnergy := energy
-	type entry struct {
-		bits   []int8
-		energy float64
-	}
-	entries := []entry{{append([]int8(nil), bits...), energy}}
-	total := uint64(1) << uint(q.n)
-	for k := uint64(1); k < total; k++ {
-		i := trailingZeros(k)
-		energy += q.FlipDelta(bits, i)
-		bits[i] ^= 1
-		if energy < bestEnergy-tol {
-			bestEnergy = energy
-			entries = entries[:0]
-		}
-		if energy <= bestEnergy+tol {
-			if energy < bestEnergy {
-				bestEnergy = energy
-			}
-			entries = append(entries, entry{append([]int8(nil), bits...), energy})
-		}
-	}
-	var out []Solution
-	for _, e := range entries {
-		if e.energy <= bestEnergy+tol {
-			out = append(out, Solution{Bits: e.bits, Energy: e.energy})
-		}
-	}
-	return out, nil
-}
-
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
 
 // BruteForceEnergyRange returns the minimum and maximum energies of a

@@ -44,7 +44,7 @@ func FuzzPreprocessPreservesEnergies(f *testing.F) {
 			}
 		}
 		res := Preprocess(q)
-		m := res.Reduced.N()
+		m := res.Reduced.n
 		for k := 0; k < 6; k++ {
 			bits := randomBits(r, m)
 			full := res.Expand(bits)

@@ -27,7 +27,7 @@ import (
 // certain bits first is what makes the later conditional assignments
 // meaningful.
 
-// GreedyOrder selects the bit-commitment order for GreedySearch.
+// GreedyOrder selects the bit-commitment order for GreedySearchIsing.
 type GreedyOrder int
 
 const (
@@ -38,19 +38,10 @@ const (
 	OrderAscending
 )
 
-// GreedySearch runs the GS module on a QUBO and returns its solution. It
-// is deterministic and runs in O(N²) time (O(N·deg) field updates after an
-// O(N log N) sort — "linear complexity" in the paper's sense of a single
-// pass over the variables).
-func GreedySearch(q *QUBO, order GreedyOrder) Solution {
-	is := q.ToIsing()
-	spins := GreedySearchIsing(is, order)
-	bits := SpinsToBits(spins)
-	return Solution{Bits: bits, Energy: q.Energy(bits)}
-}
-
-// GreedySearchIsing runs GS directly on an Ising model and returns the
-// chosen spins.
+// GreedySearchIsing runs the GS module on an Ising model and returns the
+// chosen spins. It is deterministic and runs in O(N²) time (O(N·deg)
+// field updates after an O(N log N) sort — "linear complexity" in the
+// paper's sense of a single pass over the variables).
 func GreedySearchIsing(is *Ising, order GreedyOrder) []int8 {
 	n := is.N
 	idx := make([]int, n)

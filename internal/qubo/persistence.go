@@ -65,36 +65,3 @@ func selectElite(samples []Sample, eliteFraction float64) []Sample {
 	}
 	return out[:k]
 }
-
-// ClampComplement returns the subproblem over the NON-persistent spins
-// with the persistent ones clamped to their agreed values, starting from
-// the given reference state (whose persistent entries are overridden).
-// Returns nil (no subproblem) when everything persisted.
-func ClampComplement(is *Ising, state []int8, vars []int, values []int8) (*Subproblem, []int8, error) {
-	if len(vars) != len(values) {
-		return nil, nil, fmt.Errorf("qubo: vars/values length mismatch")
-	}
-	clamped := append([]int8(nil), state...)
-	fixed := make(map[int]bool, len(vars))
-	for k, v := range vars {
-		if v < 0 || v >= is.N {
-			return nil, nil, fmt.Errorf("qubo: persistent spin %d out of range", v)
-		}
-		clamped[v] = values[k]
-		fixed[v] = true
-	}
-	var free []int
-	for i := 0; i < is.N; i++ {
-		if !fixed[i] {
-			free = append(free, i)
-		}
-	}
-	if len(free) == 0 {
-		return nil, clamped, nil
-	}
-	sub, err := NewSubproblem(is, free, clamped)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, clamped, nil
-}

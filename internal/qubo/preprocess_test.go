@@ -80,7 +80,7 @@ func TestPreprocessEnergyEquivalenceAllAssignments(t *testing.T) {
 			}
 		}
 		res := Preprocess(q)
-		m := res.Reduced.N()
+		m := res.Reduced.n
 		bits := make([]int8, m)
 		for mask := 0; mask < 1<<uint(m); mask++ {
 			for i := 0; i < m; i++ {
@@ -105,7 +105,7 @@ func TestPreprocessFixedPoint(t *testing.T) {
 	q.SetCoeff(2, 2, -0.5)
 	res := Preprocess(q)
 	// All variables should end up fixed (the residual has a trivial form).
-	if res.Reduced.N() != 0 {
+	if res.Reduced.n != 0 {
 		// Even if not all fixed, the invariant must hold; check it.
 		red, err := Exhaustive(res.Reduced)
 		if err != nil {
@@ -137,7 +137,7 @@ func TestPreprocessNoFalseFixing(t *testing.T) {
 	if res.Simplified {
 		t.Fatalf("balanced problem was simplified: %v", res.Fixed)
 	}
-	if res.Reduced.N() != 4 {
+	if res.Reduced.n != 4 {
 		t.Fatal("variables disappeared without fixing")
 	}
 }
@@ -150,5 +150,5 @@ func TestExpandLengthMismatchPanics(t *testing.T) {
 			t.Fatal("bad Expand length did not panic")
 		}
 	}()
-	res.Expand(make([]int8, res.Reduced.N()+1))
+	res.Expand(make([]int8, res.Reduced.n+1))
 }

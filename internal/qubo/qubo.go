@@ -35,9 +35,6 @@ func New(n int) *QUBO {
 	return &QUBO{n: n, coeff: make([]float64, n*(n+1)/2)}
 }
 
-// N returns the number of binary variables.
-func (q *QUBO) N() int { return q.n }
-
 // idx maps (i, j) with i <= j to the packed upper-triangle index.
 func (q *QUBO) idx(i, j int) int {
 	if i > j {
@@ -107,17 +104,6 @@ func (q *QUBO) FlipDelta(bits []int8, i int) float64 {
 		return -sum
 	}
 	return sum
-}
-
-// MaxAbsCoeff returns the largest |Q_ij|, or 0 for an empty form.
-func (q *QUBO) MaxAbsCoeff() float64 {
-	var best float64
-	for _, v := range q.coeff {
-		if a := math.Abs(v); a > best {
-			best = a
-		}
-	}
-	return best
 }
 
 // ToIsing converts to the exactly energy-equivalent Ising model under the

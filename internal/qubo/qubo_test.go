@@ -225,6 +225,22 @@ func TestEdgesSortedUnique(t *testing.T) {
 	}
 }
 
+func TestMaxAbsCoeff(t *testing.T) {
+	is := NewIsing(3)
+	if is.MaxAbsCoeff() != 0 {
+		t.Fatal("empty max wrong")
+	}
+	is.H[1] = 3
+	is.SetCoupling(0, 2, -5)
+	if is.MaxAbsCoeff() != 5 {
+		t.Fatalf("max = %v, want the coupling's 5", is.MaxAbsCoeff())
+	}
+	is.H[2] = -7
+	if is.MaxAbsCoeff() != 7 {
+		t.Fatalf("max = %v, want the field's 7", is.MaxAbsCoeff())
+	}
+}
+
 func TestNormalized(t *testing.T) {
 	is := NewIsing(2)
 	is.H[0] = 4
@@ -312,18 +328,6 @@ func TestCloneIndependence(t *testing.T) {
 	ic.SetCoupling(0, 1, 9)
 	if is.Coupling(0, 1) != 1 {
 		t.Fatal("Ising clone aliases")
-	}
-}
-
-func TestMaxAbsCoeff(t *testing.T) {
-	q := New(3)
-	if q.MaxAbsCoeff() != 0 {
-		t.Fatal("empty max wrong")
-	}
-	q.SetCoeff(0, 2, -5)
-	q.SetCoeff(1, 1, 3)
-	if q.MaxAbsCoeff() != 5 {
-		t.Fatalf("max = %v", q.MaxAbsCoeff())
 	}
 }
 

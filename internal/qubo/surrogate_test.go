@@ -208,63 +208,3 @@ func TestCSRCoefficientPooling(t *testing.T) {
 		t.Fatalf("re-cloning did not restore energy: %v vs %v", got, want)
 	}
 }
-
-// TestClampComplement covers the persistence clamp: the subproblem over
-// the free spins must reproduce full-model energies for every completion,
-// and the error paths must reject malformed clamp sets.
-func TestClampComplement(t *testing.T) {
-	is := randomDenseIsing(rng.New(47), 6, 0.9)
-	state := []int8{1, -1, 1, -1, 1, -1}
-	vars := []int{0, 3}
-	values := []int8{-1, 1}
-
-	sub, clamped, err := qubo.ClampComplement(is, state, vars, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub == nil || sub.Ising.N != is.N-len(vars) {
-		t.Fatalf("subproblem over %d spins, want %d free", sub.Ising.N, is.N-len(vars))
-	}
-	for k, v := range vars {
-		if clamped[v] != values[k] {
-			t.Fatalf("clamped state spin %d = %d, want %d", v, clamped[v], values[k])
-		}
-	}
-	// Energy identity over every completion of the free spins.
-	free := make([]int8, sub.Ising.N)
-	for mask := 0; mask < 1<<uint(len(free)); mask++ {
-		for i := range free {
-			if mask>>uint(i)&1 == 1 {
-				free[i] = 1
-			} else {
-				free[i] = -1
-			}
-		}
-		full := sub.Apply(clamped, free)
-		if math.Abs(sub.Ising.Energy(free)-is.Energy(full)) > 1e-9 {
-			t.Fatalf("mask %d: sub energy %v vs full %v", mask,
-				sub.Ising.Energy(free), is.Energy(full))
-		}
-	}
-
-	if _, _, err := qubo.ClampComplement(is, state, []int{0}, []int8{1, -1}); err == nil {
-		t.Fatal("vars/values length mismatch accepted")
-	}
-	if _, _, err := qubo.ClampComplement(is, state, []int{is.N}, []int8{1}); err == nil {
-		t.Fatal("out-of-range clamp variable accepted")
-	}
-	allVars := []int{0, 1, 2, 3, 4, 5}
-	allVals := []int8{1, 1, 1, 1, 1, 1}
-	sub, clamped, err = qubo.ClampComplement(is, state, allVars, allVals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub != nil {
-		t.Fatal("everything-persisted clamp should return nil subproblem")
-	}
-	for i, v := range clamped {
-		if v != allVals[i] {
-			t.Fatalf("fully clamped state spin %d = %d", i, v)
-		}
-	}
-}

@@ -44,25 +44,6 @@ type batchInfo struct {
 	ok                    bool
 }
 
-// CriticalPaths decomposes every served frame in a record set. Records
-// may be in any order; frames whose batch span is missing from the trace
-// fall back to a queue+service split using only the frame span's own
-// attributes. Output is sorted by (Shard, Stream, Seq).
-func CriticalPaths(records []telemetry.Record) []FramePath {
-	var c critPaths
-	for i := range records {
-		if r := &records[i]; r.Type == "span" {
-			switch r.Name {
-			case "fleet/batch":
-				c.batch(r)
-			case "fleet/frame":
-				c.frame(r)
-			}
-		}
-	}
-	return c.paths()
-}
-
 type batchKey struct {
 	shard string
 	batch int
@@ -95,7 +76,9 @@ func (c *critPaths) batch(r *telemetry.Record) {
 
 func (c *critPaths) frame(r *telemetry.Record) { c.frames = append(c.frames, r) }
 
-// paths joins every collected frame with its batch.
+// paths joins every collected frame with its batch. A frame whose batch
+// span is missing from the trace keeps only its queue time from the frame
+// span's own attributes. Output is sorted by (Shard, Stream, Seq).
 func (c *critPaths) paths() []FramePath {
 	var out []FramePath
 	if len(c.frames) > 0 {

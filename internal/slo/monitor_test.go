@@ -227,7 +227,11 @@ func TestCriticalPathTilesLatency(t *testing.T) {
 	}, reqs); err != nil {
 		t.Fatal(err)
 	}
-	paths := CriticalPaths(tr.Records())
+	snap, err := Analyze(tr.Records(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := snap.Frames
 	if len(paths) != len(reqs) {
 		t.Fatalf("%d paths for %d served frames", len(paths), len(reqs))
 	}

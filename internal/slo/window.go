@@ -187,14 +187,6 @@ type RatioBucket struct {
 	Bad, Total int
 }
 
-// BadFraction returns Bad/Total (0 when empty).
-func (b RatioBucket) BadFraction() float64 {
-	if b.Total == 0 {
-		return 0
-	}
-	return float64(b.Bad) / float64(b.Total)
-}
-
 // RatioSeries buckets binary (good/bad) events into tumbling windows.
 type RatioSeries struct {
 	tick    float64

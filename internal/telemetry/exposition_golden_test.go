@@ -7,13 +7,10 @@ import (
 
 // Golden exposition test over the cran shard-label shape: several
 // families whose labelled series interleave alphabetically (shard, then
-// reason/source/device labels) must each get exactly one # HELP / # TYPE
-// header pair, with every series of a family grouped under it.
+// reason/source/device labels) must each get exactly one # TYPE header,
+// with every series of a family grouped under it.
 func TestWritePrometheusGoldenCRANShardLabels(t *testing.T) {
 	r := NewRegistry()
-	r.SetHelp("cran_admitted_total", "Frames admitted to a shard dispatcher.")
-	r.SetHelp("fleet_shed_total", "Frames shed to the classical fallback, by ladder rung.")
-	r.SetHelp("fleet_device_utilization", "Per-device busy fraction of the makespan.")
 
 	// Registration order deliberately interleaves families and label sets;
 	// the exposition must still group by family.
@@ -29,11 +26,9 @@ func TestWritePrometheusGoldenCRANShardLabels(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP cran_admitted_total Frames admitted to a shard dispatcher.
-# TYPE cran_admitted_total counter
+	want := `# TYPE cran_admitted_total counter
 cran_admitted_total{shard="0"} 40
 cran_admitted_total{shard="1"} 38
-# HELP fleet_device_utilization Per-device busy fraction of the makespan.
 # TYPE fleet_device_utilization gauge
 fleet_device_utilization{device="0",shard="1"} 0.25
 fleet_device_utilization{device="1",shard="0"} 0.5
@@ -43,27 +38,12 @@ fleet_queue_depth_bucket{shard="0",le="4"} 1
 fleet_queue_depth_bucket{shard="0",le="+Inf"} 1
 fleet_queue_depth_sum{shard="0"} 1
 fleet_queue_depth_count{shard="0"} 1
-# HELP fleet_shed_total Frames shed to the classical fallback, by ladder rung.
 # TYPE fleet_shed_total counter
 fleet_shed_total{reason="deadline-expired",shard="1"} 3
 fleet_shed_total{reason="stream-queue-full",shard="0"} 2
 `
 	if got := sb.String(); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-// # HELP text with backslashes and newlines must escape per the format.
-func TestWritePrometheusHelpEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.SetHelp("x_total", "path C:\\tmp\nsecond line")
-	r.Counter("x_total").Inc()
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `# HELP x_total path C:\\tmp\nsecond line`) {
-		t.Errorf("help escaping wrong:\n%s", sb.String())
 	}
 }
 

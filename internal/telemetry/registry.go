@@ -125,16 +125,6 @@ func (h *Histogram) Observe(x float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.hist.Total
-}
-
 // snapshot returns copies of the underlying state.
 func (h *Histogram) snapshot() (hist metrics.Histogram, counts []int, sum float64) {
 	h.mu.Lock()
@@ -160,7 +150,6 @@ type Registry struct {
 	mu     sync.Mutex
 	series map[string]*series
 	kinds  map[string]string // family → kind, across ALL label sets
-	help   map[string]string // family → # HELP text
 }
 
 // NewRegistry returns an empty registry.
@@ -168,25 +157,8 @@ func NewRegistry() *Registry {
 	return &Registry{
 		series: make(map[string]*series),
 		kinds:  make(map[string]string),
-		help:   make(map[string]string),
 	}
 }
-
-// SetHelp attaches a # HELP line to a metric family. The text is rendered
-// once per family by WritePrometheus (backslashes and newlines escaped per
-// the exposition format). Setting help for a family that never registers a
-// series is harmless — nothing is emitted.
-func (r *Registry) SetHelp(family, text string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.help[family] = text
-	r.mu.Unlock()
-}
-
-// Enabled reports whether the registry collects (false for nil).
-func (r *Registry) Enabled() bool { return r != nil }
 
 // lookup returns the series for (name, labels), creating it with mk on
 // first use. Panics if the FAMILY was registered with another kind — even
@@ -268,17 +240,11 @@ func (r *Registry) sortedSeries() []*series {
 	return out
 }
 
-// escapeHelp escapes a # HELP text per the exposition format.
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format: # HELP (when set) and # TYPE headers exactly once per metric
-// family — labelled series of one family stay grouped under a single
-// header pair no matter how many label sets interleave — one sample line
-// per series, and cumulative _bucket/_sum/_count lines per histogram.
+// format: a # TYPE header exactly once per metric family — labelled
+// series of one family stay grouped under a single header no matter how
+// many label sets interleave — one sample line per series, and
+// cumulative _bucket/_sum/_count lines per histogram.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -288,12 +254,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, s := range r.sortedSeries() {
 		if !emitted[s.family] {
 			emitted[s.family] = true
-			r.mu.Lock()
-			help := r.help[s.family]
-			r.mu.Unlock()
-			if help != "" {
-				fmt.Fprintf(bw, "# HELP %s %s\n", s.family, escapeHelp(help))
-			}
 			fmt.Fprintf(bw, "# TYPE %s %s\n", s.family, s.kind)
 		}
 		switch s.kind {

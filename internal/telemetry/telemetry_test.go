@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -20,7 +21,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	tr.Span("x", 0, 1, nil)
 	tr.Event("y", 2, nil)
 	tr.SetManifest(&Manifest{})
-	if tr.Enabled() || tr.Len() != 0 || tr.Records() != nil {
+	if tr.Len() != 0 || tr.Records() != nil {
 		t.Fatal("nil tracer did something")
 	}
 	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -28,9 +29,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 
 	var reg *Registry
-	if reg.Enabled() {
-		t.Fatal("nil registry enabled")
-	}
 	c := reg.Counter("a")
 	g := reg.Gauge("b")
 	h := reg.Histogram("c", 0, 1, 4)
@@ -38,7 +36,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	c.Add(3)
 	g.Set(5)
 	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h != nil {
 		t.Fatal("nil-registry instruments recorded values")
 	}
 	if reg.Snapshot() != nil {
@@ -86,17 +84,20 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
+	dec := json.NewDecoder(&buf)
+	recs := make([]Record, 3)
+	for i := range recs {
+		if err := dec.Decode(&recs[i]); err != nil {
+			t.Fatalf("record %d of manifest + span + event: %v", i, err)
+		}
 	}
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want manifest + span + event", len(recs))
+	if dec.More() {
+		t.Fatal("more records than manifest + span + event")
 	}
 	if recs[0].Type != "manifest" || recs[0].Manifest == nil || recs[0].Manifest.Tool != "test" {
 		t.Fatalf("first line is not the manifest: %+v", recs[0])
 	}
-	if recs[1].Type != "span" || recs[1].Name != "qpu/anneal" || recs[1].Duration() != 2.5 {
+	if recs[1].Type != "span" || recs[1].Name != "qpu/anneal" || recs[1].T1-recs[1].T0 != 2.5 {
 		t.Fatalf("span mangled: %+v", recs[1])
 	}
 	if recs[2].Type != "event" || recs[2].T0 != 99 {
@@ -182,8 +183,8 @@ func TestRegistryCounterGaugeHistogram(t *testing.T) {
 	h.Observe(95)
 	h.Observe(250) // clamps to last bucket
 	h.Observe(math.NaN())
-	if h.Count() != 3 {
-		t.Fatalf("histogram count %d", h.Count())
+	if h.hist.Total != 3 {
+		t.Fatalf("histogram count %d", h.hist.Total)
 	}
 }
 

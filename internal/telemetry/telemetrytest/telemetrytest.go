@@ -79,7 +79,7 @@ func CheckTrace(t testing.TB, tr *telemetry.Tracer) {
 
 // Reencode decodes a JSONL line as encoding/json does, attributes into a
 // map (every number a float64), and encodes it again with Marshal's
-// encoding: the line a record read back by telemetry.ReadJSONL must
+// encoding: the line a record decoded back into a telemetry.Record must
 // re-encode to. It equals the input when every number survives a trip
 // through float64, which integers of magnitude up to 2^53 do.
 func Reencode(line []byte) ([]byte, error) {

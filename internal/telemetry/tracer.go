@@ -18,7 +18,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -40,9 +39,6 @@ type Record struct {
 	// Manifest is set only on the leading type:"manifest" record.
 	Manifest *Manifest `json:"manifest,omitempty"`
 }
-
-// Duration returns the span's simulated length (0 for events).
-func (r Record) Duration() float64 { return r.T1 - r.T0 }
 
 // RecordSink receives every record a tracer collects, as it is emitted.
 // Sinks are the tap the SLO monitor (internal/slo) hangs off: they observe
@@ -70,9 +66,6 @@ type Tracer struct {
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }
-
-// Enabled reports whether the tracer collects (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // SetManifest attaches the run manifest emitted as the first JSONL line.
 func (t *Tracer) SetManifest(m *Manifest) {
@@ -236,22 +229,4 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	}
 	_, err := w.Write(b)
 	return err
-}
-
-// ReadJSONL parses a JSONL trace back into records (manifest line
-// included, as a type:"manifest" record) — the consumer half used by
-// tests and offline analysis. Attributes decode as Attrs.UnmarshalJSON
-// does: every number becomes a Float.
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	var out []Record
-	dec := json.NewDecoder(r)
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("telemetry: parse trace: %w", err)
-		}
-		out = append(out, rec)
-	}
 }

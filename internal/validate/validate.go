@@ -211,9 +211,6 @@ func NewEnv(opts Options) *Env {
 	return &Env{opts: o, root: rng.New(o.Config.Seed).SplitString("validate")}
 }
 
-// Options returns the environment's normalized options.
-func (e *Env) Options() Options { return e.opts }
-
 // claimRng derives a claim's private randomness stream.
 func (e *Env) claimRng(name string) *rng.Source { return e.root.SplitString(name) }
 

@@ -19,7 +19,7 @@ repro/internal/cran 95
 repro/internal/experiments 84
 repro/internal/fleet 94
 repro/internal/instance 91
-repro/internal/linalg 90
+repro/internal/linalg 91
 repro/internal/metrics 94
 repro/internal/metropolis 98
 repro/internal/mimo 93
@@ -27,7 +27,7 @@ repro/internal/modulation 94
 repro/internal/qaoa 95
 repro/internal/qubo 93
 repro/internal/rng 91
-repro/internal/slo 84
+repro/internal/slo 87
 repro/internal/telemetry 94
 repro/internal/validate 55
 '
