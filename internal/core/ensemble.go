@@ -276,13 +276,14 @@ type ArmOutcome struct {
 type EnsembleOutcome struct {
 	Outcome
 	Arms []ArmOutcome
-	// FusedLLRs is the per-spin soft output fused across every surviving
-	// arm's reads (nil when every arm faulted).
+	// FusedLLRs is the per-spin soft output fused across every arm's
+	// reads (set by Ensemble.Solve only).
 	FusedLLRs []float64
 }
 
 // Solve fans the frame into K×G arms on the shared arm runner and fuses
-// the surviving arms' reads into per-spin soft output.
+// every arm's reads into per-spin soft output. A device fault on any arm
+// fails the solve.
 //
 // Determinism: arm 0 runs on the exact RNG stream Hybrid.Solve uses
 // ("quantum" under r), every further arm on its own "ensemble/arm"
@@ -302,11 +303,9 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 	if err != nil {
 		return nil, err
 	}
-	armSamples := make([][]qubo.Sample, 0, len(out.Arms))
+	armSamples := make([][]qubo.Sample, len(out.Arms))
 	for i := range out.Arms {
-		if out.Arms[i].Fault == nil {
-			armSamples = append(armSamples, out.Arms[i].Samples)
-		}
+		armSamples[i] = out.Arms[i].Samples
 	}
 	if llrs, err := mimo.FuseLLRs(armSamples, cfg.Beta, 0); err == nil {
 		out.FusedLLRs = llrs

@@ -40,10 +40,18 @@ func TestFigure3Shape(t *testing.T) {
 	}
 	for _, s := range []modulation.Scheme{modulation.BPSK, modulation.QPSK, modulation.QAM16} {
 		var small, large float64
-		var nSmall, nLarge int
+		var nSmall, nLarge, nVanished int
 		for _, p := range res.Points {
 			if p.Scheme != s {
 				continue
+			}
+			// Simplification has vanished by 44 variables: every size from
+			// there up stays at or below a 0.1 ratio.
+			if p.Variables >= 44 {
+				if p.SimplifiedRatio > 0.1 {
+					t.Fatalf("%v: %d-variable problems simplified at rate %v, expected ≤0.1", s, p.Variables, p.SimplifiedRatio)
+				}
+				nVanished++
 			}
 			if p.Variables <= 12 {
 				small += p.SimplifiedRatio
@@ -54,7 +62,7 @@ func TestFigure3Shape(t *testing.T) {
 				nLarge++
 			}
 		}
-		if nSmall == 0 || nLarge == 0 {
+		if nSmall == 0 || nLarge == 0 || nVanished == 0 {
 			t.Fatalf("%v: sweep missing sizes", s)
 		}
 		small /= float64(nSmall)
