@@ -526,3 +526,27 @@ func TestSVMCTFRetainsHarder(t *testing.T) {
 		t.Fatal("TF engine name wrong")
 	}
 }
+
+// TestEngineClampDefaults pins the engines' fixed numerical guards: PIMC
+// clamps the replica coupling K(s) at 5 as A(s) → 0, and SVMC-TF floors
+// its proposal width at 0.02 of π once the driver has died away.
+func TestEngineClampDefaults(t *testing.T) {
+	if k := (PIMC{}).temporalCoupling(4, 0, 16); k != 5 {
+		t.Fatalf("PIMC coupling clamp %v, want 5", k)
+	}
+	sc, err := Forward(1, 0.41, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := (SVMC{TFMoves: true}).compile(sc, DWave2000QProfile(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := math.Inf(1)
+	for _, s := range prog.scale {
+		lo = math.Min(lo, s)
+	}
+	if lo != 0.02 {
+		t.Fatalf("SVMC-TF minimum move scale %v, want the 0.02 floor", lo)
+	}
+}
