@@ -339,11 +339,11 @@ func solve(name string, inst *instance.Instance, cfg core.AnnealConfig, reads in
 	case "fa+descent":
 		out, err = (&core.PostProcessing{Forward: core.ForwardSolver{NumReads: reads, Config: cfg}}).Solve(red, r)
 	case "co":
-		out, err = (&core.CoProcessing{ReadsPerRound: reads / 3, Sp: sp, Config: cfg}).Solve(red, r)
+		out, err = (&core.CoProcessing{ReadsPerRound: max(1, reads/3), Sp: sp, Config: cfg}).Solve(red, r)
 	case "decomp":
-		out, err = (&core.Decomposition{ReadsPerBlock: reads / 4, Sp: sp, Config: cfg}).Solve(red, r)
+		out, err = (&core.Decomposition{ReadsPerBlock: max(1, reads/4), Sp: sp, Config: cfg}).Solve(red, r)
 	case "persist":
-		out, err = (&core.SamplePersistence{ReadsPerRound: reads / 3, Config: cfg}).Solve(red, r)
+		out, err = (&core.SamplePersistence{ReadsPerRound: max(1, reads/3), Config: cfg}).Solve(red, r)
 	default:
 		return nil, "", fmt.Errorf("unknown solver %q", name)
 	}

@@ -389,10 +389,10 @@ func TestPIMCTemporalCoupling(t *testing.T) {
 	if weak >= strong {
 		t.Fatalf("K(A=6)=%v not below K(A≈0)=%v", weak, strong)
 	}
-	if strong != e.kMax() {
+	if strong != maxTemporalCoupling {
 		t.Fatalf("K not clamped: %v", strong)
 	}
-	if e.temporalCoupling(beta, 0, 16) != e.kMax() {
+	if e.temporalCoupling(beta, 0, 16) != maxTemporalCoupling {
 		t.Fatal("A=0 not clamped")
 	}
 }

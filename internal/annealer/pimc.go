@@ -28,10 +28,11 @@ type PIMC struct {
 	// Slices is the Trotter number P (default 16, at most 64: the
 	// production kernel packs one replica slice per bit of a word).
 	Slices int
-	// MaxTemporalCoupling clamps K(s) as A(s) → 0 so late-schedule
-	// dynamics freeze smoothly instead of dividing by zero (default 5).
-	MaxTemporalCoupling float64
 }
+
+// maxTemporalCoupling clamps K(s) as A(s) → 0 so late-schedule dynamics
+// freeze smoothly instead of dividing by zero.
+const maxTemporalCoupling = 5.0
 
 // Name implements Engine.
 func (PIMC) Name() string { return "pimc" }
@@ -43,29 +44,22 @@ func (e PIMC) slices() int {
 	return e.Slices
 }
 
-func (e PIMC) kMax() float64 {
-	if e.MaxTemporalCoupling <= 0 {
-		return 5
-	}
-	return e.MaxTemporalCoupling
-}
-
-// temporalCoupling returns K(s), clamped to [0, kMax].
+// temporalCoupling returns K(s), clamped to [0, maxTemporalCoupling].
 func (e PIMC) temporalCoupling(beta, a float64, p int) float64 {
 	arg := beta * a / (2 * float64(p))
 	if arg <= 0 {
-		return e.kMax()
+		return maxTemporalCoupling
 	}
 	t := math.Tanh(arg)
 	if t <= 0 {
-		return e.kMax()
+		return maxTemporalCoupling
 	}
 	k := -0.5 * math.Log(t)
 	if k < 0 {
 		k = 0 // tanh > 1 cannot happen; guard for rounding
 	}
-	if k > e.kMax() {
-		k = e.kMax()
+	if k > maxTemporalCoupling {
+		k = maxTemporalCoupling
 	}
 	return k
 }

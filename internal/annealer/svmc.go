@@ -31,10 +31,11 @@ import "sync"
 // default; TF remains available for ablation.
 type SVMC struct {
 	TFMoves bool
-	// MinMoveScale floors the TF proposal width (fraction of π) so the
-	// frozen regime retains a sliver of ergodicity (default 0.02).
-	MinMoveScale float64
 }
+
+// minMoveScale floors the TF proposal width (fraction of π) so the
+// frozen regime retains a sliver of ergodicity.
+const minMoveScale = 0.02
 
 // Name implements Engine.
 func (e SVMC) Name() string {
@@ -45,16 +46,16 @@ func (e SVMC) Name() string {
 }
 
 // moveScale is the TF proposal width as a fraction of π: A/(A+B),
-// floored. Early in the schedule (A ≫ B) rotors make full-range moves;
-// as the problem Hamiltonian overtakes the driver the moves shrink and
-// the dynamics freeze out.
-func moveScale(a, b, floor float64) float64 {
+// floored at minMoveScale. Early in the schedule (A ≫ B) rotors make
+// full-range moves; as the problem Hamiltonian overtakes the driver the
+// moves shrink and the dynamics freeze out.
+func moveScale(a, b float64) float64 {
 	if a+b <= 0 {
 		return 1
 	}
 	s := a / (a + b)
-	if s < floor {
-		s = floor
+	if s < minMoveScale {
+		s = minMoveScale
 	}
 	return s
 }
@@ -75,17 +76,13 @@ func (e SVMC) compile(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) 
 	if err != nil {
 		return nil, err
 	}
-	minScale := e.MinMoveScale
-	if minScale <= 0 {
-		minScale = 0.02
-	}
 	// TF proposal widths are pure functions of the sweep's (A, B): one
 	// table shared by every read instead of a divide per sweep per read.
 	var scale []float64
 	if e.TFMoves {
 		scale = make([]float64, tab.sweeps())
 		for i := range scale {
-			scale[i] = moveScale(tab.a[i], tab.b[i], minScale)
+			scale[i] = moveScale(tab.a[i], tab.b[i])
 		}
 	}
 	return &svmcProgram{tab: tab, scale: scale, beta: 1 / prof.TemperatureGHz,

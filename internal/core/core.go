@@ -21,6 +21,18 @@ import (
 	"repro/internal/telemetry"
 )
 
+// The paper's operating point. Reverse anneals switch at s_p = RASp,
+// inside the 0.33–0.49 working window, and pause PauseMicros (§4.2);
+// the forward-anneal baseline (QuAMax) anneals for AnnealMicros, the
+// hardware minimum, with its PauseMicros pause at s_p = FASp, the only
+// location where FA succeeded in Figure 8.
+const (
+	RASp         = 0.45
+	FASp         = 0.41
+	PauseMicros  = 1.0
+	AnnealMicros = 1.0
+)
+
 // ClassicalModule produces a candidate spin state for a reduced detection
 // problem — the classical half of the hybrid design.
 type ClassicalModule interface {
@@ -31,17 +43,16 @@ type ClassicalModule interface {
 }
 
 // GreedyModule is the paper's §4.1(1) classical module: deterministic
-// greedy search over the QUBO/Ising form.
-type GreedyModule struct {
-	Order qubo.GreedyOrder
-}
+// greedy search over the QUBO/Ising form, committing the strongest
+// fields first.
+type GreedyModule struct{}
 
 // Name implements ClassicalModule.
 func (GreedyModule) Name() string { return "gs" }
 
 // Initialize implements ClassicalModule.
-func (m GreedyModule) Initialize(red *mimo.Reduction, _ *rng.Source) ([]int8, error) {
-	return qubo.GreedySearchIsing(red.Ising, m.Order), nil
+func (GreedyModule) Initialize(red *mimo.Reduction, _ *rng.Source) ([]int8, error) {
+	return qubo.GreedySearchIsing(red.Ising, qubo.OrderDescending), nil
 }
 
 // RandomModule draws a uniformly random initial state — Figure 6
@@ -108,16 +119,13 @@ func (m FixedModule) Initialize(red *mimo.Reduction, _ *rng.Source) ([]int8, err
 }
 
 // AnnealConfig bundles the simulated-device settings shared by all
-// solvers so comparisons hold them fixed.
+// solvers so comparisons hold them fixed. Every solver simulates SVMC
+// dynamics without control-error noise.
 type AnnealConfig struct {
-	// Engine simulates the quantum dynamics (default annealer.SVMC{}).
-	Engine annealer.Engine
 	// Profile sets energy scales (default the 2000Q profile).
 	Profile *annealer.Profile
 	// SweepsPerMicrosecond is the simulation clock rate (default 100).
 	SweepsPerMicrosecond float64
-	// ICE is per-read control-error noise.
-	ICE annealer.ICE
 	// Faults injects hard device failures (programming failures, read
 	// timeouts, chain-break storms, calibration drift).
 	Faults annealer.FaultModel
@@ -145,10 +153,8 @@ func (c AnnealConfig) params(sc *annealer.Schedule, init []int8, reads int) anne
 		Schedule:             sc,
 		InitialState:         init,
 		NumReads:             reads,
-		Engine:               c.Engine,
 		Profile:              c.Profile,
 		SweepsPerMicrosecond: c.SweepsPerMicrosecond,
-		ICE:                  c.ICE,
 		Faults:               c.Faults,
 		Parallelism:          c.Parallelism,
 		Trace:                c.Trace,

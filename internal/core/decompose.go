@@ -26,34 +26,17 @@ type Decomposition struct {
 	BlockSize int
 	// Rounds is the number of full passes over the variables (default 3).
 	Rounds int
-	// Sp, Tp, ReadsPerBlock configure each block's RA run (defaults
-	// 0.45, 1, 50).
-	Sp, Tp        float64
+	// Sp, ReadsPerBlock configure each block's RA run (defaults RASp,
+	// 50); every block pauses PauseMicros.
+	Sp            float64
 	ReadsPerBlock int
-	// Classical seeds the incumbent (default GreedyModule).
-	Classical ClassicalModule
-	Config    AnnealConfig
+	Config        AnnealConfig
 }
 
-// Solve runs the decomposition loop on a reduced detection problem.
+// Solve runs the decomposition loop on a reduced detection problem,
+// starting from the greedy-search incumbent.
 func (d *Decomposition) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
-	out, err := d.SolveIsing(red.Ising, red.NumSpins(), func(rr *rng.Source) ([]int8, error) {
-		m := d.Classical
-		if m == nil {
-			m = GreedyModule{}
-		}
-		return m.Initialize(red, rr)
-	}, r)
-	if err != nil {
-		return nil, err
-	}
-	out.Symbols = red.DecodeSpins(out.Best.Spins)
-	return out, nil
-}
-
-// SolveIsing runs the decomposition loop on a bare Ising problem, with
-// init supplying the starting incumbent.
-func (d *Decomposition) SolveIsing(is *qubo.Ising, n int, init func(*rng.Source) ([]int8, error), r *rng.Source) (*Outcome, error) {
+	is, n := red.Ising, red.NumSpins()
 	blockSize := d.BlockSize
 	if blockSize <= 0 {
 		blockSize = 32
@@ -65,27 +48,18 @@ func (d *Decomposition) SolveIsing(is *qubo.Ising, n int, init func(*rng.Source)
 	if rounds <= 0 {
 		rounds = 3
 	}
-	sp, tp, reads := d.Sp, d.Tp, d.ReadsPerBlock
+	sp, reads := d.Sp, d.ReadsPerBlock
 	if sp == 0 {
-		sp = 0.45
-	}
-	if tp == 0 {
-		tp = 1
+		sp = RASp
 	}
 	if reads <= 0 {
 		reads = 50
 	}
-	sc, err := annealer.Reverse(sp, tp)
+	sc, err := annealer.Reverse(sp, PauseMicros)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := init(r.SplitString("init"))
-	if err != nil {
-		return nil, err
-	}
-	if len(cur) != n {
-		return nil, fmt.Errorf("core: decomposition init has %d spins, problem %d", len(cur), n)
-	}
+	cur := qubo.GreedySearchIsing(is, qubo.OrderDescending)
 	out := &Outcome{
 		InitialState:     append([]int8(nil), cur...),
 		InitialEnergy:    is.Energy(cur),
@@ -114,6 +88,7 @@ func (d *Decomposition) SolveIsing(is *qubo.Ising, n int, init func(*rng.Source)
 		}
 	}
 	out.Best = qubo.Sample{Spins: cur, Energy: curEnergy}
+	out.Symbols = red.DecodeSpins(cur)
 	return out, nil
 }
 

@@ -209,23 +209,19 @@ func spinsEqual(a, b []int8) bool {
 	return true
 }
 
-// Ensemble is the flexible-parallelism RA detector. The zero value is
-// exactly the paper's single-RA hybrid (K=1, grid {0.45}): Solve's
-// outcome is byte-identical to Hybrid.Solve with the same defaults, and
-// every K>1 or longer grid strictly extends that run with extra arms on
-// independent RNG streams.
+// Ensemble is the flexible-parallelism RA detector. Every arm pauses
+// PauseMicros, and fusion re-weights at mimo.FuseLLRs' scale-free
+// sharpness. The zero value is exactly the paper's single-RA hybrid
+// (K=1, grid {RASp}): Solve's outcome is byte-identical to Hybrid.Solve
+// with the same defaults, and every K>1 or longer grid strictly extends
+// that run with extra arms on independent RNG streams.
 type Ensemble struct {
 	// K is the classical-candidate count (default 1, max MaxEnsembleK).
 	K int
-	// SpGrid is the s_p switch-point grid (default {0.45}).
+	// SpGrid is the s_p switch-point grid (default {RASp}).
 	SpGrid []float64
-	// Tp is the pause duration in μs shared by all arms (default 1).
-	Tp float64
 	// NumReads is the per-ARM read count (default 100).
 	NumReads int
-	// Beta is the fusion re-weighting sharpness (≤ 0: scale-free default
-	// from the pooled energy spread — see mimo.FuseLLRs).
-	Beta float64
 	// Config bundles the simulated-device settings shared by all arms.
 	// A device fault on any arm fails the solve.
 	Config AnnealConfig
@@ -237,14 +233,9 @@ func (e *Ensemble) withDefaults() Ensemble {
 		out.K = 1
 	}
 	if len(out.SpGrid) == 0 {
-		out.SpGrid = []float64{0.45}
+		out.SpGrid = []float64{RASp}
 	}
-	if out.Tp == 0 {
-		out.Tp = 1
-	}
-	if out.NumReads <= 0 {
-		out.NumReads = 100
-	}
+	out.NumReads = defaultReads(out.NumReads)
 	return out
 }
 
@@ -288,7 +279,7 @@ type EnsembleOutcome struct {
 // Determinism: arm 0 runs on the exact RNG stream Hybrid.Solve uses
 // ("quantum" under r), every further arm on its own "ensemble/arm"
 // split, and fusion is canonical-order — so results are a pure function
-// of (problem, config, r) and a K=1/{0.45} ensemble reproduces the
+// of (problem, config, r) and a K=1/{RASp} ensemble reproduces the
 // single-RA path byte for byte.
 func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, error) {
 	cfg := e.withDefaults()
@@ -299,7 +290,7 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 	if err != nil {
 		return nil, err
 	}
-	out, err := cfg.Config.runArms(red, cands, cfg.SpGrid, cfg.Tp, cfg.NumReads, false, r)
+	out, err := cfg.Config.runArms(red, cands, cfg.SpGrid, cfg.NumReads, false, r)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +298,7 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 	for i := range out.Arms {
 		armSamples[i] = out.Arms[i].Samples
 	}
-	if llrs, err := mimo.FuseLLRs(armSamples, cfg.Beta, 0); err == nil {
+	if llrs, err := mimo.FuseLLRs(armSamples, 0, 0); err == nil {
 		out.FusedLLRs = llrs
 	}
 	return out, nil
@@ -324,7 +315,7 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 // further arm on its own "ensemble/arm" split. With fallback a faulted
 // arm contributes nothing and the frame answers from the survivors (or
 // the fallback rung); without it any arm fault fails the solve.
-func (c AnnealConfig) runArms(red *mimo.Reduction, cands [][]int8, grid []float64, tp float64, reads int, fallback bool, r *rng.Source) (*EnsembleOutcome, error) {
+func (c AnnealConfig) runArms(red *mimo.Reduction, cands [][]int8, grid []float64, reads int, fallback bool, r *rng.Source) (*EnsembleOutcome, error) {
 	for i, cand := range cands {
 		if len(cand) != red.NumSpins() {
 			return nil, fmt.Errorf("core: candidate %d has %d spins for %d-spin problem", i, len(cand), red.NumSpins())
@@ -336,7 +327,7 @@ func (c AnnealConfig) runArms(red *mimo.Reduction, cands [][]int8, grid []float6
 	extra := r.SplitString("ensemble/arm")
 	var firstDuration float64
 	for g, sp := range grid {
-		sc, err := annealer.Reverse(sp, tp)
+		sc, err := annealer.Reverse(sp, PauseMicros)
 		if err != nil {
 			return nil, err
 		}

@@ -195,8 +195,8 @@ func TestEnsembleK1SoftMatchesGroundSigns(t *testing.T) {
 func TestEnsembleZeroValueMatchesHybridZeroValue(t *testing.T) {
 	e := (&Ensemble{}).withDefaults()
 	h := (&Hybrid{}).withDefaults()
-	if e.K != 1 || len(e.SpGrid) != 1 || e.SpGrid[0] != h.Sp || e.Tp != h.Tp || e.NumReads != h.NumReads {
-		t.Fatalf("ensemble defaults %+v do not collapse onto hybrid defaults Sp=%g Tp=%g reads=%d", e, h.Sp, h.Tp, h.NumReads)
+	if e.K != 1 || len(e.SpGrid) != 1 || e.SpGrid[0] != h.Sp || h.Sp != RASp || e.NumReads != h.NumReads {
+		t.Fatalf("ensemble defaults %+v do not collapse onto hybrid defaults Sp=%g reads=%d", e, h.Sp, h.NumReads)
 	}
 }
 

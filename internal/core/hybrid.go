@@ -10,17 +10,14 @@ import (
 
 // Hybrid is the paper's prototype (§4.1): a sequential classical→quantum
 // pre-processing structure. The classical module's candidate initializes
-// a Reverse Annealing run with switch/pause location Sp and pause time
-// Tp; the lowest-energy state seen (including the candidate itself) is
-// the answer.
+// a Reverse Annealing run with switch/pause location Sp and a
+// PauseMicros pause; the lowest-energy state seen (including the
+// candidate itself) is the answer.
 type Hybrid struct {
 	// Classical produces the RA initial state (default GreedyModule).
 	Classical ClassicalModule
-	// Sp is the RA switch+pause location (default 0.45, inside the
-	// paper's working window of 0.33–0.49).
+	// Sp is the RA switch+pause location (default RASp).
 	Sp float64
-	// Tp is the pause duration in μs (default 1, per §4.2).
-	Tp float64
 	// NumReads is the anneal sample count per solve (default 100).
 	NumReads int
 	// Config bundles the simulated-device settings.
@@ -38,14 +35,9 @@ func (h *Hybrid) withDefaults() Hybrid {
 		out.Classical = GreedyModule{}
 	}
 	if out.Sp == 0 {
-		out.Sp = 0.45
+		out.Sp = RASp
 	}
-	if out.Tp == 0 {
-		out.Tp = 1
-	}
-	if out.NumReads <= 0 {
-		out.NumReads = 100
-	}
+	out.NumReads = defaultReads(out.NumReads)
 	return out
 }
 
@@ -58,24 +50,17 @@ func (h *Hybrid) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: classical module: %w", err)
 	}
-	out, err := cfg.Config.runArms(red, [][]int8{init}, []float64{cfg.Sp}, cfg.Tp, cfg.NumReads, h.FallbackOnFault, r)
+	out, err := cfg.Config.runArms(red, [][]int8{init}, []float64{cfg.Sp}, cfg.NumReads, h.FallbackOnFault, r)
 	if err != nil {
 		return nil, err
 	}
 	return &out.Outcome, nil
 }
 
-// ForwardSolver runs plain Forward Annealing — the fully quantum baseline
-// (QuAMax) the paper compares against.
+// ForwardSolver runs plain Forward Annealing at the paper's forward
+// operating point (AnnealMicros, FASp, PauseMicros) — the fully quantum
+// baseline (QuAMax) the paper compares against.
 type ForwardSolver struct {
-	// Ta is the anneal time in μs (default 1, the hardware minimum the
-	// paper uses).
-	Ta float64
-	// Sp is the pause location (default 0.41, the only value where FA
-	// succeeded in Figure 8).
-	Sp float64
-	// Tp is the pause duration in μs (default 1).
-	Tp float64
 	// NumReads is the sample count (default 100).
 	NumReads int
 	Config   AnnealConfig
@@ -83,39 +68,21 @@ type ForwardSolver struct {
 
 // Solve runs FA on the reduced problem.
 func (f *ForwardSolver) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
-	ta, sp, tp, reads := f.Ta, f.Sp, f.Tp, f.NumReads
-	if ta == 0 {
-		ta = 1
-	}
-	if sp == 0 {
-		sp = 0.41
-	}
-	if tp == 0 {
-		tp = 1
-	}
-	if reads <= 0 {
-		reads = 100
-	}
-	sc, err := annealer.Forward(ta, sp, tp)
+	sc, err := annealer.Forward(AnnealMicros, FASp, PauseMicros)
 	if err != nil {
 		return nil, err
 	}
-	return f.Config.anneal(red, sc, reads, r)
+	return f.Config.anneal(red, sc, defaultReads(f.NumReads), r)
 }
 
 // ForwardReverseSolver runs the single-step FR schedule — the second
 // fully quantum comparison scheme, where the RA initial state is the
-// un-measured state the forward leg reaches at s = cp.
+// un-measured state the forward leg reaches at the turn point c_p = 0.7
+// (the paper's "oracle" scheme searches c_p exhaustively); the pause is
+// PauseMicros and the final forward leg AnnealMicros.
 type ForwardReverseSolver struct {
-	// Cp is the forward turn point (searched exhaustively in the paper's
-	// "oracle" scheme; default 0.7).
-	Cp float64
-	// Sp is the reversal/pause location (default 0.45).
+	// Sp is the reversal/pause location (default RASp).
 	Sp float64
-	// Tp is the pause duration in μs (default 1).
-	Tp float64
-	// Ta is the final forward leg's anneal time (default 1).
-	Ta float64
 	// NumReads is the sample count (default 100).
 	NumReads int
 	Config   AnnealConfig
@@ -123,27 +90,23 @@ type ForwardReverseSolver struct {
 
 // Solve runs FR on the reduced problem.
 func (f *ForwardReverseSolver) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
-	cp, sp, tp, ta, reads := f.Cp, f.Sp, f.Tp, f.Ta, f.NumReads
-	if cp == 0 {
-		cp = 0.7
-	}
+	sp := f.Sp
 	if sp == 0 {
-		sp = 0.45
+		sp = RASp
 	}
-	if tp == 0 {
-		tp = 1
-	}
-	if ta == 0 {
-		ta = 1
-	}
-	if reads <= 0 {
-		reads = 100
-	}
-	sc, err := annealer.ForwardReverse(cp, sp, tp, ta)
+	sc, err := annealer.ForwardReverse(0.7, sp, PauseMicros, AnnealMicros)
 	if err != nil {
 		return nil, err
 	}
-	return f.Config.anneal(red, sc, reads, r)
+	return f.Config.anneal(red, sc, defaultReads(f.NumReads), r)
+}
+
+// defaultReads resolves a solver's NumReads: non-positive means 100.
+func defaultReads(n int) int {
+	if n <= 0 {
+		return 100
+	}
+	return n
 }
 
 // anneal is the fully quantum schemes' shared tail: one batch of reads

@@ -64,7 +64,7 @@ func SweepSp(red *mimo.Reduction, init []int8, groundEnergy float64, sps []float
 	res := &SweepResult{Best: -1}
 	tol := groundTolerance(groundEnergy)
 	for i, sp := range sps {
-		sc, err := annealer.Reverse(sp, 1)
+		sc, err := annealer.Reverse(sp, PauseMicros)
 		if err != nil {
 			return nil, err
 		}

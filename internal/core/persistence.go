@@ -10,8 +10,9 @@ import (
 )
 
 // SamplePersistence is the iterative prefix-and-recurse hybrid of the
-// paper's reference [28]: draw a forward-anneal batch, clamp the spins
-// whose values persist across the elite samples, and re-anneal the
+// paper's reference [28]: draw a forward-anneal batch at the forward
+// operating point (AnnealMicros, FASp, PauseMicros), clamp the spins
+// unanimous across the better half of the samples, and re-anneal the
 // residual subproblem — shrinking the search space each round while the
 // clamped context sharpens the remaining spins' effective fields.
 type SamplePersistence struct {
@@ -19,12 +20,7 @@ type SamplePersistence struct {
 	Rounds int
 	// ReadsPerRound is the FA batch size per round (default 60).
 	ReadsPerRound int
-	// EliteFraction and Agreement select the persistence rule (defaults
-	// 0.5 and 1.0 — unanimity among the better half).
-	EliteFraction, Agreement float64
-	// Ta, Sp, Tp configure the FA schedule (defaults 1, 0.41, 1).
-	Ta, Sp, Tp float64
-	Config     AnnealConfig
+	Config        AnnealConfig
 }
 
 // Solve runs the loop on a reduced detection problem.
@@ -47,24 +43,7 @@ func (s *SamplePersistence) SolveIsing(is *qubo.Ising, r *rng.Source) (*Outcome,
 	if reads <= 0 {
 		reads = 60
 	}
-	elite, agree := s.EliteFraction, s.Agreement
-	if elite == 0 {
-		elite = 0.5
-	}
-	if agree == 0 {
-		agree = 1.0
-	}
-	ta, sp, tp := s.Ta, s.Sp, s.Tp
-	if ta == 0 {
-		ta = 1
-	}
-	if sp == 0 {
-		sp = 0.41
-	}
-	if tp == 0 {
-		tp = 1
-	}
-	sc, err := annealer.Forward(ta, sp, tp)
+	sc, err := annealer.Forward(AnnealMicros, FASp, PauseMicros)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +77,7 @@ func (s *SamplePersistence) SolveIsing(is *qubo.Ising, r *rng.Source) (*Outcome,
 				haveBest = true
 			}
 		}
-		vars, values, err := qubo.PersistentSpins(res.Samples, elite, agree)
+		vars, values, err := qubo.PersistentSpins(res.Samples, 0.5, 1.0)
 		if err != nil {
 			return nil, err
 		}

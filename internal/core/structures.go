@@ -15,13 +15,11 @@ import (
 // of classical refinement and reverse annealing).
 
 // PostProcessing runs a quantum FA pass and then classically refines the
-// best samples by steepest descent — the structure where classical
-// computing "checks and repairs" quantum output.
+// ten lowest-energy samples by steepest descent — the structure where
+// classical computing "checks and repairs" quantum output.
 type PostProcessing struct {
 	// Forward configures the quantum pass.
 	Forward ForwardSolver
-	// Refine is the number of top samples to descend from (default 10).
-	Refine int
 }
 
 // Solve implements the structure.
@@ -30,14 +28,9 @@ func (p *PostProcessing) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, er
 	if err != nil {
 		return nil, err
 	}
-	refine := p.Refine
-	if refine <= 0 {
-		refine = 10
-	}
-	// Descend from the lowest-energy distinct samples.
 	best := out.Best
 	seen := 0
-	for _, s := range lowestSamples(out.Samples, refine) {
+	for _, s := range qubo.LowestSamples(out.Samples, 10) {
 		seen++
 		d := qubo.SteepestDescent(red.Ising, s.Spins)
 		if d.Energy < best.Energy {
@@ -52,39 +45,18 @@ func (p *PostProcessing) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, er
 	return out, nil
 }
 
-// lowestSamples returns up to k samples with the lowest energies.
-func lowestSamples(samples []qubo.Sample, k int) []qubo.Sample {
-	out := append([]qubo.Sample(nil), samples...)
-	// Partial selection sort: k is small.
-	if k > len(out) {
-		k = len(out)
-	}
-	for i := 0; i < k; i++ {
-		min := i
-		for j := i + 1; j < len(out); j++ {
-			if out[j].Energy < out[min].Energy {
-				min = j
-			}
-		}
-		out[i], out[min] = out[min], out[i]
-	}
-	return out[:k]
-}
-
 // CoProcessing alternates classical refinement and reverse annealing for
-// a fixed number of rounds: each round descends classically from the
-// incumbent and then reverse-anneals from the result, keeping the best
-// state seen. This is Figure 1's tightest coupling of the two processor
-// types.
+// a fixed number of rounds: greedy search seeds round one, each round
+// descends classically from the incumbent and then reverse-anneals from
+// the result with a PauseMicros pause, keeping the best state seen. This
+// is Figure 1's tightest coupling of the two processor types.
 type CoProcessing struct {
 	// Rounds is the number of classical↔quantum iterations (default 3).
 	Rounds int
-	// Sp, Tp, ReadsPerRound configure each RA pass (defaults 0.45, 1, 30).
-	Sp, Tp        float64
+	// Sp, ReadsPerRound configure each RA pass (defaults RASp, 30).
+	Sp            float64
 	ReadsPerRound int
-	// Classical seeds round one (default GreedyModule).
-	Classical ClassicalModule
-	Config    AnnealConfig
+	Config        AnnealConfig
 }
 
 // Solve implements the structure.
@@ -93,28 +65,18 @@ func (c *CoProcessing) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, erro
 	if rounds <= 0 {
 		rounds = 3
 	}
-	sp, tp, reads := c.Sp, c.Tp, c.ReadsPerRound
+	sp, reads := c.Sp, c.ReadsPerRound
 	if sp == 0 {
-		sp = 0.45
-	}
-	if tp == 0 {
-		tp = 1
+		sp = RASp
 	}
 	if reads <= 0 {
 		reads = 30
 	}
-	classical := c.Classical
-	if classical == nil {
-		classical = GreedyModule{}
-	}
-	init, err := classical.Initialize(red, r.SplitString("classical"))
+	sc, err := annealer.Reverse(sp, PauseMicros)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := annealer.Reverse(sp, tp)
-	if err != nil {
-		return nil, err
-	}
+	init := qubo.GreedySearchIsing(red.Ising, qubo.OrderDescending)
 	cur := qubo.SteepestDescent(red.Ising, init)
 	best := cur
 	out := &Outcome{

@@ -66,11 +66,10 @@ type Workload struct {
 	// Instances is the per-class detection-problem corpus size (default
 	// 3); frames cycle through the corpus.
 	Instances int
-	// DeadlineMicros, NumReads, Sp, Tp stamp every request (0: serving
-	// defaults).
+	// DeadlineMicros and NumReads stamp every request (0: serving
+	// defaults); every request runs the shard's s_p and pause defaults.
 	DeadlineMicros float64
 	NumReads       int
-	Sp, Tp         float64
 	// MaxFrames, when > 0, truncates the generated set to its earliest
 	// MaxFrames arrivals (a time-prefix, so per-stream FIFO survives).
 	MaxFrames int
@@ -244,8 +243,7 @@ func (w Workload) Generate() ([]Request, error) {
 					Deadline:     w.DeadlineMicros,
 					Problem:      p.ising,
 					InitialState: p.init,
-					Sp:           w.Sp, Tp: w.Tp,
-					NumReads: w.NumReads,
+					NumReads:     w.NumReads,
 				})
 				seq++
 			}

@@ -40,10 +40,9 @@ type AvailabilityRow struct {
 type AvailabilityResult struct {
 	Rows   []AvailabilityRow
 	Frames int
-	// MaxAttempts and BackoffMicros state the fleet's retry policy: one
-	// re-dispatch, immediately, before a frame is shed.
+	// MaxAttempts states the fleet's retry policy: one re-dispatch,
+	// immediately (0 μs backoff), before a frame is shed.
 	MaxAttempts    int
-	BackoffMicros  float64
 	DeadlineMicros float64
 }
 
@@ -114,8 +113,8 @@ func RunAvailability(cfg Config) (*AvailabilityResult, error) {
 
 // WriteTable renders the study.
 func (r *AvailabilityResult) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "# Availability under QPU soft failure (%d frames, ≤%d attempts, %.0f μs backoff, %.0f μs deadline)\n",
-		r.Frames, r.MaxAttempts, r.BackoffMicros, r.DeadlineMicros)
+	fmt.Fprintf(w, "# Availability under QPU soft failure (%d frames, ≤%d attempts, 0 μs backoff, %.0f μs deadline)\n",
+		r.Frames, r.MaxAttempts, r.DeadlineMicros)
 	writeRow(w, "fail_rate", "done", "retries", "fallbacks", "quantum", "decode", "mean_lat", "miss_rate")
 	for _, row := range r.Rows {
 		writeRow(w, row.ProgrammingFailureRate, row.Completed, row.Retries,

@@ -39,7 +39,7 @@ type EnsembleVariant struct {
 func EnsembleVariants() []EnsembleVariant {
 	grid := core.DefaultSpGrid()
 	return []EnsembleVariant{
-		{"single", 1, []float64{0.45}},
+		{"single", 1, []float64{core.RASp}},
 		{"k1-grid3", 1, grid},
 		{"k2-grid3", 2, grid},
 		{"k4-grid3", 4, grid},

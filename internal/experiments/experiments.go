@@ -86,12 +86,9 @@ type Config struct {
 	// default of 30 keeps dynamics diabatic: forward anneals cannot fully
 	// equilibrate (as on hardware), which is what separates the solvers.
 	SweepsPerMicrosecond float64
-	// Engine simulates quantum dynamics (default SVMC).
-	Engine annealer.Engine
 	// Profile sets device energy scales (default CalibratedProfile).
+	// Every harness simulates SVMC dynamics without control-error noise.
 	Profile *annealer.Profile
-	// ICE applies control-error noise when non-zero.
-	ICE annealer.ICE
 	// Parallelism fans anneal reads across goroutines (default
 	// runtime.NumCPU, capped at 8; deterministic at any level).
 	Parallelism int
@@ -158,10 +155,8 @@ func (c Config) withDefaults() Config {
 // annealConfig builds the shared device settings.
 func (c Config) annealConfig() core.AnnealConfig {
 	return core.AnnealConfig{
-		Engine:               c.Engine,
 		Profile:              c.Profile,
 		SweepsPerMicrosecond: c.SweepsPerMicrosecond,
-		ICE:                  c.ICE,
 		Parallelism:          c.Parallelism,
 		Trace:                c.Trace,
 		Metrics:              c.Metrics,
@@ -175,10 +170,8 @@ func (c Config) annealParams(sc *annealer.Schedule, init []int8, reads int) anne
 		Schedule:             sc,
 		InitialState:         init,
 		NumReads:             reads,
-		Engine:               c.Engine,
 		Profile:              c.Profile,
 		SweepsPerMicrosecond: c.SweepsPerMicrosecond,
-		ICE:                  c.ICE,
 		Parallelism:          c.Parallelism,
 		Trace:                c.Trace,
 		Metrics:              c.Metrics,

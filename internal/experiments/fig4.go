@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/annealer"
+	"repro/internal/core"
 	"repro/internal/instance"
 	"repro/internal/metrics"
 	"repro/internal/modulation"
@@ -53,7 +54,7 @@ func Figure4(cfg Config) (*Fig4Result, error) {
 	res := &Fig4Result{Users: users, Scheme: modulation.QAM16}
 	base := in.Reduction.Ising.ToQUBO()
 	groundBits := qubo.SpinsToBits(in.GroundSpins)
-	sc, err := annealer.Forward(1, 0.41, 1)
+	sc, err := annealer.Forward(core.AnnealMicros, core.FASp, core.PauseMicros)
 	if err != nil {
 		return nil, err
 	}

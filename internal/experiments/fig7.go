@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/annealer"
+	"repro/internal/core"
 	"repro/internal/instance"
 	"repro/internal/metrics"
 	"repro/internal/modulation"
@@ -44,7 +45,7 @@ func Figure7(cfg Config) (*Fig7Result, error) {
 	cfg = cfg.withDefaults()
 	const (
 		users = 8
-		sp    = 0.45
+		sp    = core.RASp
 		delta = 2.0  // bin width, %
 		maxD  = 12.0 // sweep range, %
 	)

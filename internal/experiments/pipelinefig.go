@@ -57,10 +57,8 @@ func stageTiming(arrivals, finishes []float64, deadline float64) StageTiming {
 // overhead, the configuration's dynamics.
 func (c Config) fleetDevice() fleet.Device {
 	return fleet.Device{
-		Engine:               c.Engine,
 		Profile:              c.Profile,
 		SweepsPerMicrosecond: c.SweepsPerMicrosecond,
-		ICE:                  c.ICE,
 	}
 }
 

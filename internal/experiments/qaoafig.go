@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/annealer"
+	"repro/internal/core"
 	"repro/internal/instance"
 	"repro/internal/metrics"
 	"repro/internal/modulation"
@@ -81,7 +82,7 @@ func RunQAOA(cfg Config) (*QAOAResult, error) {
 			}
 			row.QAOAP1Oracle += oracle.SuccessProbability
 
-			fa, err := annealer.Forward(1, 0.41, 1)
+			fa, err := annealer.Forward(core.AnnealMicros, core.FASp, core.PauseMicros)
 			if err != nil {
 				return nil, err
 			}
@@ -91,7 +92,7 @@ func RunQAOA(cfg Config) (*QAOAResult, error) {
 			}
 			row.FAPStar += metrics.SuccessProbability(fres.Samples, in.GroundEnergy, 1e-6)
 
-			ra, err := annealer.Reverse(0.45, 1)
+			ra, err := annealer.Reverse(core.RASp, core.PauseMicros)
 			if err != nil {
 				return nil, err
 			}

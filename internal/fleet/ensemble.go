@@ -36,7 +36,7 @@ type EnsembleConfig struct {
 	// Sp/Tp/NumReads defaults are ignored: the ensemble's grid drives
 	// them.
 	Fleet Config
-	// SpGrid is the per-candidate s_p schedule grid (default {0.45}).
+	// SpGrid is the per-candidate s_p schedule grid (default {core.RASp}).
 	SpGrid []float64
 	// Tp is the pause μs shared by all arms (default Fleet default).
 	Tp float64
@@ -85,7 +85,7 @@ type EnsembleResult struct {
 func ServeEnsemble(ctx context.Context, cfg EnsembleConfig, frames []EnsembleFrame) (*EnsembleResult, error) {
 	grid := cfg.SpGrid
 	if len(grid) == 0 {
-		grid = []float64{0.45}
+		grid = []float64{core.RASp}
 	}
 	if err := core.ValidateSpGrid(grid); err != nil {
 		return nil, err

@@ -162,7 +162,7 @@ type Config struct {
 	// routing-off failure injection.
 	Router RouterConfig
 	// Sp, Tp are the default reverse-anneal switch point and pause μs
-	// (defaults 0.45, 1 — the paper's working point).
+	// (defaults core.RASp, core.PauseMicros — the paper's working point).
 	Sp, Tp float64
 	// NumReads is the default per-frame read count (default
 	// DefaultNumReads).
@@ -315,10 +315,10 @@ func (cfg Config) withDefaults() (Config, error) {
 		return cfg, fmt.Errorf("fleet: unknown forced class %d", int(c))
 	}
 	if cfg.Sp == 0 {
-		cfg.Sp = 0.45
+		cfg.Sp = core.RASp
 	}
 	if cfg.Tp == 0 {
-		cfg.Tp = 1
+		cfg.Tp = core.PauseMicros
 	}
 	if cfg.Sp <= 0 || cfg.Sp >= 1 || math.IsNaN(cfg.Sp) {
 		return cfg, fmt.Errorf("fleet: switch point %g out of (0, 1)", cfg.Sp)

@@ -105,16 +105,14 @@ func (rl *realLattice) symbols(x []float64) []complex128 {
 // SphereDecoder is the Schnorr–Euchner depth-first sphere decoder. It is
 // an exact ML detector: it returns the same answer as exhaustive ML at a
 // (typically far smaller, but worst-case exponential) data-dependent
-// cost. InitialRadius optionally seeds the pruning radius (0 = infinite).
-type SphereDecoder struct {
-	InitialRadius float64
-}
+// cost. The search starts from an infinite pruning radius.
+type SphereDecoder struct{}
 
 // Name implements Detector.
 func (SphereDecoder) Name() string { return "sd" }
 
 // Detect implements Detector.
-func (d SphereDecoder) Detect(p *Problem) ([]complex128, error) {
+func (SphereDecoder) Detect(p *Problem) ([]complex128, error) {
 	rl, err := newRealLattice(p)
 	if err != nil {
 		return nil, err
@@ -123,9 +121,6 @@ func (d SphereDecoder) Detect(p *Problem) ([]complex128, error) {
 	x := make([]float64, n)
 	best := make([]float64, n)
 	bestCost := math.Inf(1)
-	if d.InitialRadius > 0 {
-		bestCost = d.InitialRadius * d.InitialRadius
-	}
 	found := false
 
 	var descend func(dim int, partial float64)
@@ -156,7 +151,7 @@ func (d SphereDecoder) Detect(p *Problem) ([]complex128, error) {
 	}
 	descend(n-1, 0)
 	if !found {
-		return nil, fmt.Errorf("mimo: sphere decoder found no lattice point within initial radius %g", d.InitialRadius)
+		return nil, fmt.Errorf("mimo: sphere decoder found no lattice point")
 	}
 	return rl.symbols(best), nil
 }

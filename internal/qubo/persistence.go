@@ -22,7 +22,7 @@ func PersistentSpins(samples []Sample, eliteFraction, agreement float64) (vars [
 		return nil, nil, fmt.Errorf("qubo: persistence fractions must lie in (0,1]")
 	}
 	n := len(samples[0].Spins)
-	elite := selectElite(samples, eliteFraction)
+	elite := LowestSamples(samples, max(1, int(eliteFraction*float64(len(samples)))))
 	need := int(agreement * float64(len(elite)))
 	if need < 1 {
 		need = 1
@@ -45,23 +45,21 @@ func PersistentSpins(samples []Sample, eliteFraction, agreement float64) (vars [
 	return vars, values, nil
 }
 
-// selectElite returns the eliteFraction lowest-energy samples (at least
-// one) without mutating the input.
-func selectElite(samples []Sample, eliteFraction float64) []Sample {
-	k := int(eliteFraction * float64(len(samples)))
-	if k < 1 {
-		k = 1
-	}
+// LowestSamples returns the k lowest-energy samples (all of them when
+// k ≥ len(samples)) without mutating the input. It is a partial
+// selection sort, so among equal energies the order is the sort's swap
+// order, not the input order.
+func LowestSamples(samples []Sample, k int) []Sample {
 	out := append([]Sample(nil), samples...)
-	// Partial selection sort; k is usually small relative to len.
+	k = min(k, len(out))
 	for i := 0; i < k; i++ {
-		min := i
+		lo := i
 		for j := i + 1; j < len(out); j++ {
-			if out[j].Energy < out[min].Energy {
-				min = j
+			if out[j].Energy < out[lo].Energy {
+				lo = j
 			}
 		}
-		out[i], out[min] = out[min], out[i]
+		out[i], out[lo] = out[lo], out[i]
 	}
 	return out[:k]
 }

@@ -135,7 +135,7 @@ func evalRABeatsFA(e *Env) ([]Estimate, int, error) {
 	cand, _ := experiments.CandidateAtQuality(is, in.GroundSpins, in.GroundEnergy, 5, r.SplitString("cand"))
 	cand = e.candidate(cand, r.SplitString("inject"))
 
-	fa, err := annealer.Forward(1, 0.41, 1)
+	fa, err := annealer.Forward(core.AnnealMicros, core.FASp, core.PauseMicros)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -186,7 +186,7 @@ func evalFreezeErase(e *Env) ([]Estimate, int, error) {
 	r := e.claimRng("fig8-freeze-erase")
 	cand := e.candidate(qubo.GreedySearchIsing(is, qubo.OrderDescending), r.SplitString("inject"))
 
-	sps := []float64{0.45, 0.97, 0.25} // peak, frozen, erased
+	sps := []float64{core.RASp, 0.97, 0.25} // peak, frozen, erased
 	arms := make([]*arm, len(sps))
 	for i, sp := range sps {
 		ra, err := annealer.Reverse(sp, 1)
@@ -641,7 +641,7 @@ func evalEnsembleRA(e *Env) ([]Estimate, int, error) {
 	}
 	k, grid := 4, core.DefaultSpGrid()
 	if e.opts.Inject == "ensemble-collapsed" {
-		k, grid = 1, []float64{0.45}
+		k, grid = 1, []float64{core.RASp}
 	}
 	// Two reads per arm keeps the single arm off its saturation plateau:
 	// the claim separates arm counts, not read counts.

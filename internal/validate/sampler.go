@@ -33,10 +33,8 @@ func (e *Env) newArm(name string, sc *annealer.Schedule, init []int8, r *rng.Sou
 	cfg := e.opts.Config
 	l, err := annealer.NewLease(annealer.Params{
 		Schedule:             sc,
-		Engine:               cfg.Engine,
 		Profile:              cfg.Profile,
 		SweepsPerMicrosecond: cfg.SweepsPerMicrosecond,
-		ICE:                  cfg.ICE,
 		Parallelism:          max(cfg.Parallelism, 1),
 	})
 	if err != nil {

@@ -14,7 +14,7 @@ repro/internal/channel 87
 repro/internal/chimera 92
 repro/internal/cli 56
 repro/internal/coding 93
-repro/internal/core 87
+repro/internal/core 88
 repro/internal/cran 95
 repro/internal/experiments 84
 repro/internal/fleet 94
