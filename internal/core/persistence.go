@@ -25,16 +25,7 @@ type SamplePersistence struct {
 
 // Solve runs the loop on a reduced detection problem.
 func (s *SamplePersistence) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
-	out, err := s.SolveIsing(red.Ising, r)
-	if err != nil {
-		return nil, err
-	}
-	out.Symbols = red.DecodeSpins(out.Best.Spins)
-	return out, nil
-}
-
-// SolveIsing runs the loop on a bare Ising problem.
-func (s *SamplePersistence) SolveIsing(is *qubo.Ising, r *rng.Source) (*Outcome, error) {
+	is := red.Ising
 	rounds := s.Rounds
 	if rounds <= 0 {
 		rounds = 3
@@ -118,6 +109,7 @@ func (s *SamplePersistence) SolveIsing(is *qubo.Ising, r *rng.Source) (*Outcome,
 		return nil, fmt.Errorf("core: persistence loop produced no samples")
 	}
 	out.Best = best
+	out.Symbols = red.DecodeSpins(best.Spins)
 	return out, nil
 }
 
