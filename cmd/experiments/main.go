@@ -97,8 +97,8 @@ func main() {
 	}
 
 	if *doValidate || *checkGolden || *updateGolden {
-		opts := validate.Options{Inject: *inject, MaxReads: *maxReads}
-		opts.Config.Seed = *seed // 0 keeps the validation default (2020)
+		// -seed 0 keeps the validation default (2020).
+		opts := validate.Options{Seed: *seed, Inject: *inject, MaxReads: *maxReads}
 		if err := runValidation(opts, *doValidate, *checkGolden, *updateGolden, *goldenDir, *driftOut, log); err != nil {
 			log.Fatalf("%v", err)
 		}

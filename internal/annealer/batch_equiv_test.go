@@ -183,6 +183,44 @@ func mixedLanes(t testing.TB, r *rng.Source, n, reads int, reverse bool) lanes {
 	return ln
 }
 
+// fullRowLanes builds the lanes of a group that mixes the kernel's two
+// apply paths: a dense n-spin problem, whose rows are all full (every
+// other spin a neighbour), the same problem one coupling short, so two
+// of its rows walk their columns, and an ICE-noised program of the
+// dense one (as the odd-indexed fleet devices run), which shares its
+// topology but not its coefficients. For reverse schedules each lane
+// gets its own random initial state.
+func fullRowLanes(t testing.TB, r *rng.Source, n, reads int, reverse bool) lanes {
+	t.Helper()
+	dense := randomIsing(t, r, n, 1)
+	short := dense.Clone()
+	short.SetCoupling(0, n-1, 0)
+	var ln lanes
+	for _, is := range []*qubo.Ising{dense, short} {
+		pr := qubo.NewCSR(is)
+		pr.Normalize()
+		ln.prs = append(ln.prs, pr)
+	}
+	if full := int32(n - 1); ln.prs[0].Offsets[1] != full || ln.prs[1].Offsets[1] != full-1 {
+		t.Fatalf("full-row lanes: row 0 has %d and %d entries, want %d and %d",
+			ln.prs[0].Offsets[1], ln.prs[1].Offsets[1], full, full-1)
+	}
+	ice := ln.prs[0].CloneCoeffsInto(new(qubo.CSR))
+	sigma := DWave2000QICE()
+	applyGaussianCSR(ice, sigma.SigmaH, sigma.SigmaJ, r)
+	ln.prs = append(ln.prs, ice)
+	if reverse {
+		for j := 0; j < reads; j++ {
+			init := make([]int8, n)
+			for i := range init {
+				init[i] = r.Spin()
+			}
+			ln.inits = append(ln.inits, init)
+		}
+	}
+	return ln
+}
+
 // uplinkLanes builds the lanes of the uplink-16qam workload: two 8-user
 // 16-QAM frames (32 logical spins each), each started from its
 // greedy-search candidate as the serve loads a reverse anneal. Logical
@@ -233,7 +271,11 @@ func uplinkLanes(tb testing.TB, embedded bool) lanes {
 // same final RNG state, and with a probe attached the same per-sweep
 // observations for every read. The mixed cases pack lanes of different
 // problems of one size, each with its own initial state, into one group,
-// as the run body does across the runs of a multi-run batch.
+// as the run body does across the runs of a multi-run batch. The
+// full-row cases mix, in one group, lanes whose rows are all full (the
+// AVX2 apply's quad path), a problem one coupling short (its column
+// walk) and an ICE-noised program, at sizes that give the quad path one,
+// two and eight quads of fields, with and without padding.
 func TestLockstepMatchesSequential(t *testing.T) {
 	prof := DWave2000QProfile()
 	r := rng.New(0x10c)
@@ -288,6 +330,24 @@ func TestLockstepMatchesSequential(t *testing.T) {
 					ln := mixedLanes(t, r, 17, reads, reverse)
 					checkLockstepMatches(t, name, tc.eng, sc, prof, ln, reads, r.Uint64())
 				})
+			}
+		}
+		for _, n := range []int{3, 6, 30, 32} {
+			for _, reads := range []int{12, 16} {
+				for _, reverse := range []bool{false, true} {
+					name := fmt.Sprintf("%s/full-rows/n=%d/reads=%d/reverse=%v", tc.name, n, reads, reverse)
+					t.Run(name, func(t *testing.T) {
+						sc, err := Forward(1, 0.41, 1)
+						if reverse {
+							sc, err = Reverse(0.45, 1)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						ln := fullRowLanes(t, r, n, reads, reverse)
+						checkLockstepMatches(t, name, tc.eng, sc, prof, ln, reads, r.Uint64())
+					})
+				}
 			}
 		}
 	}

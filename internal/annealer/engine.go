@@ -102,11 +102,16 @@ const lockstepWidth = 8
 // branches, retires at about one instruction per cycle. The AVX2 kernel
 // scores every 4-lane half of two 8-lane chunks before it applies any
 // accept, and staggers the two chunks' applies, so sixteen reads put
-// twice the independent chains in flight per step: on the same kernel
-// BenchmarkSVMCSweepReverse measured ~15% fewer ns per read-sweep at 16
-// reads than at 8 (9,642 against 11,397, medians of eight interleaved
-// runs on a 2-vCPU Xeon). Sixteen reads of the 512-qubit embedded
-// uplink problem hold 256 KB of rotor state, inside L2.
+// twice the independent chains in flight per step. That pays on the
+// 512-qubit chain path, whose rows are short: BenchmarkSVMCSweepReverse
+// measured ~15% fewer ns per read-sweep at 16 reads than at 8 (9,642
+// against 11,397, medians of eight interleaved runs on a 2-vCPU Xeon),
+// and sixteen such reads hold 192 KB of rotor and field state, inside
+// L2. On the 32-spin logical problem the serve anneals, where the
+// full-row apply dominates, 16 and 8 reads measure the same (930
+// against 935 ns per read-sweep, two frames reverse-annealed from their
+// greedy candidates, medians of seven interleaved runs on the same
+// host), so the chain path sets the width.
 const svmcGroupWidth = 16
 
 // maxGroupWidth is the widest group any engine declares.

@@ -50,6 +50,12 @@ func TestLockstepScalarMatchesSIMD(t *testing.T) {
 			}
 		}
 	}
+	for _, n := range []int{6, 30} {
+		for _, sc := range []*Schedule{fwd, rev} {
+			ln := fullRowLanes(t, r, n, 12, sc.StartsClassical())
+			checkLockstepMatches(t, "scalar-svmc/full-rows", SVMC{}, sc, prof, ln, 12, r.Uint64())
+		}
+	}
 }
 
 // TestScalarScoreMatchesStage1 pins the scalar replay scorer (the Lemire
@@ -91,16 +97,17 @@ func TestScalarScoreReplay(t *testing.T) {
 	const n, reads = 5, 8
 	build := func() *svmcBatchScratch {
 		st := new(svmcBatchScratch)
-		st.ensure(reads, n)
+		np := st.ensure(reads, n, false)
 		r := rng.New(0x5c0e)
 		for j := 0; j < reads; j++ {
 			st.rs0[j], st.rs1[j], st.rs2[j], st.rs3[j] = r.Uint64()|1, r.Uint64(), r.Uint64(), r.Uint64()
-			st.lanoff[j] = uint64(4 * n * j)
+			st.lanoff[j] = uint64(np * j)
 			for i := 0; i < n; i++ {
+				g := np*j + i
 				sn, cs := sinCosPi(r.Float64())
-				st.rot[4*(n*j+i)] = cs
-				st.rot[4*(n*j+i)+1] = sn
-				st.rot[4*(n*j+i)+2] = r.NormFloat64()
+				st.rot[2*g] = cs
+				st.rot[2*g+1] = sn
+				st.fld[g] = r.NormFloat64()
 			}
 		}
 		return st
@@ -108,8 +115,8 @@ func TestScalarScoreReplay(t *testing.T) {
 	nb := uint64(n)
 	negnb := lemireThreshold(n)
 	a, b := build(), build()
-	amA, emA := svmcScoreScalar(a, 0, nb, negnb, a.rot, 0.8, 1.2, 3)
-	amB, emB := svmcScoreScalar(b, 0, nb, negnb, b.rot, 0.8, 1.2, 3)
+	amA, emA := svmcScoreScalar(a, 0, nb, negnb, 0.8, 1.2, 3)
+	amB, emB := svmcScoreScalar(b, 0, nb, negnb, 0.8, 1.2, 3)
 	if amA != amB || emA != emB {
 		t.Fatalf("replay not deterministic: masks %x/%x vs %x/%x", amA, emA, amB, emB)
 	}
@@ -178,8 +185,9 @@ func TestLeaseAccessors(t *testing.T) {
 // observations bit for bit. The kernel bails to the replay with
 // probability n/2⁶⁴ per lane, so no workload reaches it naturally. The
 // shapes are TestLockstepMatchesSequential's: partial live masks
-// (reads 1, 3, 11, 12), mixed-problem groups, forward and reverse, and
-// the serve-shaped logical and embedded groups, every read probed.
+// (reads 1, 3, 11, 12), mixed-problem groups, full-row groups,
+// forward and reverse, and the serve-shaped logical and embedded
+// groups, every read probed.
 func TestSVMCReplayMatchesKernelApply(t *testing.T) {
 	if !hasBatchSIMD {
 		t.Skip("no SIMD batch path on this host")
@@ -199,6 +207,12 @@ func TestSVMCReplayMatchesKernelApply(t *testing.T) {
 		for _, sc := range []*Schedule{fwd, rev} {
 			ln := mixedLanes(t, r, 17, reads, sc.StartsClassical())
 			check(fmt.Sprintf("replay/mixed/reads=%d/reverse=%v", reads, sc == rev), sc, ln, reads)
+		}
+	}
+	for _, n := range []int{6, 30} {
+		for _, sc := range []*Schedule{fwd, rev} {
+			ln := fullRowLanes(t, r, n, 12, sc.StartsClassical())
+			check(fmt.Sprintf("replay/full-rows/n=%d/reverse=%v", n, sc == rev), sc, ln, 12)
 		}
 	}
 	ra, err := Reverse(0.45, 1)
@@ -234,6 +248,9 @@ func TestSVMCKernelExitsMatchReplay(t *testing.T) {
 	}
 	ln := mixedLanes(t, r, 17, 16, true)
 	check("exits/mixed/reads=16/reverse", rev, ln, 16)
+	for _, n := range []int{6, 30} {
+		check(fmt.Sprintf("exits/full-rows/n=%d/reads=16/reverse", n), rev, fullRowLanes(t, r, n, 16, true), 16)
+	}
 	ra, err := Reverse(0.45, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -19,15 +19,17 @@ import (
 // instead of once per read. Each lane walks its own CSR, so the reads
 // may belong to different problems.
 //
-// Per-read state is struct-of-arrays in read-major contiguous blocks:
-// read j's rotor caches live at [j*n, (j+1)*n). The quantities the accept
-// test reads together — z, sin θ, and the local field — are interleaved
-// with the rotor angle (TF moves only; padding otherwise) as one 32-byte
-// quadruple per spin in a flat rot array (spin bi at rot[4bi..4bi+3]), so
-// scoring a proposal touches ONE cache line where the column layout took
-// three, and no quadruple straddles a line the way a 24-byte triplet
-// stride let one in four do: with sixteen resident reads the rotor state
-// overflows L1, and the dE loads are the kernel's largest miss source.
+// Per-read state is struct-of-arrays in lane-major blocks with a row
+// stride np = n rounded up to 4, as in the SA group (sa_group.go): read
+// j's spin i sits at slot j·np+i of each array. The rotor array rot
+// holds the (z, sin θ) pair the score reads, 16 bytes per slot, so one
+// aligned 16-byte load fetches both and never straddles a cache line.
+// The local fields live in their own contiguous array fld, so a spin's
+// neighbours' fields are consecutive doubles: the AVX2 apply of an
+// accept on a full CSR row (every other spin a neighbour, as on the
+// dense logical problems the serve anneals) updates fld[0:i] and
+// fld[i+1:n] four fields at a time. The rotor angle θ, which only TF
+// moves read, has a third array of its own.
 // On amd64 one AVX2 call (svmcStepx8) runs a whole sweep for up to
 // sixteen reads — per proposal step the draws, trig, score and verdict
 // of every live 4-lane half, then the apply of every decided accept —
@@ -44,14 +46,16 @@ import (
 // so outcomes are bit-identical to the one-read reference kernel the
 // tests keep.
 type svmcBatchScratch struct {
-	rot                []float64 // z, sinT, zField, theta (TF only) quadruples per (read, spin)
+	rot                []float64 // (z, sin θ) pair per (read, spin) slot
+	fld                []float64 // local field per (read, spin) slot
+	theta              []float64 // rotor angle per (read, spin) slot (TF only)
 	rs0, rs1, rs2, rs3 []uint64  // per-read xoshiro256++ state
 	idx                []uint64  // stage-1 proposal index per read
 	nsin, ncos         []float64 // stage-1 proposal trig per read
 	nang               []float64 // stage-1 proposal angle (TF only)
 	dE                 []float64 // stage-2 proposal energy delta per read
 	u                  []float64 // stage-2 uphill uniform per read (SIMD)
-	lanoff             []uint64  // per-lane rot offset 4·j·n (0 for padding)
+	lanoff             []uint64  // per-lane slot offset j·np (0 for padding)
 	accepted           []int     // per-lane accepts this sweep (read by probes)
 	probeSpins         []int8    // one lane's projected state (probed reads only)
 	args               []svmcStepArgs
@@ -67,8 +71,10 @@ type svmcBatchScratch struct {
 // did not run that step, 2 when both ran) are OUTPUTS. live masks the
 // real lanes, acc counts each lane's accepts the kernel applied, and
 // offs/cols/w hold each live lane's CSR arrays for the kernel's row walk
-// (lanes may carry different problems). bounds points at
-// metropolis.Bounds, the one exp bracket every Metropolis test reads.
+// (lanes may carry different problems). rot and fld are the scratch's
+// rotor and field arrays, lanoff each lane's slot offset into both.
+// bounds points at metropolis.Bounds, the one exp bracket every
+// Metropolis test reads.
 type svmcStepArgs struct {
 	rs0, rs1, rs2, rs3 *[svmcGroupWidth]uint64  // +0 +8 +16 +24
 	idx                *[svmcGroupWidth]uint64  // +32
@@ -86,6 +92,7 @@ type svmcStepArgs struct {
 	acc                *[svmcGroupWidth]int     // +152
 	offs, cols         [svmcGroupWidth]*int32   // +160 +288
 	w                  [svmcGroupWidth]*float64 // +416
+	fld                *float64                 // +544
 }
 
 // svmcChunks is the number of 8-lane chunks in one svmcStepArgs block.
@@ -102,15 +109,27 @@ var svmcForceScalar = false
 // per draw, fires on a large share of steps.
 var svmcLemireThreshold = lemireThreshold
 
-// ensure sizes the scratch for an r-read group of n spins. The per-lane
-// arrays (states, proposal outputs) are rounded up to a multiple of the
-// sixteen-lane kernel block; lanes beyond r are padding the SIMD kernel
-// can advance harmlessly (stage 2 and the epilogue only walk j < r).
-func (st *svmcBatchScratch) ensure(r, n int) {
-	if cap(st.rot) < 4*r*n {
-		st.rot = make([]float64, 4*r*n)
+// ensure sizes the scratch for an r-read group of n spins, with the
+// angle array only for TF moves, and returns the slot stride np. The
+// per-lane arrays (states, proposal outputs) are rounded up to a
+// multiple of the sixteen-lane kernel block; lanes beyond r are padding
+// the SIMD kernel can advance harmlessly (stage 2 and the epilogue only
+// walk j < r).
+func (st *svmcBatchScratch) ensure(r, n int, tf bool) (np int) {
+	np = (n + 3) &^ 3
+	slots := r * np
+	if cap(st.fld) < slots {
+		st.rot = make([]float64, 2*slots)
+		st.fld = make([]float64, slots)
 	}
-	st.rot = st.rot[:4*r*n]
+	st.rot = st.rot[:2*slots]
+	st.fld = st.fld[:slots]
+	if tf {
+		if cap(st.theta) < slots {
+			st.theta = make([]float64, slots)
+		}
+		st.theta = st.theta[:slots]
+	}
 	if cap(st.probeSpins) < n {
 		st.probeSpins = make([]int8, n)
 	}
@@ -144,6 +163,7 @@ func (st *svmcBatchScratch) ensure(r, n int) {
 	st.lanoff = st.lanoff[:rr]
 	st.accepted = st.accepted[:rr]
 	st.args = st.args[:rr/svmcGroupWidth]
+	return np
 }
 
 // svmcBatchRead evolves one lockstep group. Reads must share the problem
@@ -154,9 +174,9 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	tab, scale, beta := prog.tab, prog.scale, prog.beta
 	r := len(reads)
 	n := reads[0].Prog.N
-	st.ensure(r, n)
-	rot := st.rot
 	tf := scale != nil
+	np := st.ensure(r, n, tf)
+	rot, fld, theta := st.rot, st.fld, st.theta
 	acc := st.accepted
 	probed := false
 
@@ -166,34 +186,43 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	// π, not zero, and must match bit for bit).
 	sinPi := math.Sin(math.Pi)
 	for j := range reads {
-		base := j * n
+		base := j * np
+		pairs := rot[2*base : 2*(base+n)] // lane j's (z, sin θ) pairs
+		var th []float64
+		if tf {
+			th = theta[base : base+n]
+		}
 		if prog.startsClassical {
 			for i, s := range reads[j].Init {
 				if s > 0 {
-					rot[4*(base+i)] = 1
-					rot[4*(base+i)+1] = 0
-					rot[4*(base+i)+3] = 0
+					pairs[2*i], pairs[2*i+1] = 1, 0
+					if tf {
+						th[i] = 0
+					}
 				} else {
-					rot[4*(base+i)] = -1
-					rot[4*(base+i)+1] = sinPi
-					rot[4*(base+i)+3] = math.Pi
+					pairs[2*i], pairs[2*i+1] = -1, sinPi
+					if tf {
+						th[i] = math.Pi
+					}
 				}
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				rot[4*(base+i)] = 0
-				rot[4*(base+i)+1] = 1
-				rot[4*(base+i)+3] = math.Pi / 2
+				pairs[2*i], pairs[2*i+1] = 0, 1
+				if tf {
+					th[i] = math.Pi / 2
+				}
 			}
 		}
 		pr := reads[j].Prog
 		cols, w, offs := pr.Cols, pr.W, pr.Offsets
-		for i := 0; i < n; i++ {
-			f := pr.H[i]
+		f := fld[base : base+n]
+		for i := range f {
+			fi := pr.H[i]
 			for k := offs[i]; k < offs[i+1]; k++ {
-				f += w[k] * rot[4*(base+int(cols[k]))]
+				fi += w[k] * pairs[2*int(cols[k])]
 			}
-			rot[4*(base+i)+2] = f
+			f[i] = fi
 		}
 		st.rs0[j], st.rs1[j], st.rs2[j], st.rs3[j] = reads[j].Rng.State()
 		acc[j] = 0
@@ -213,12 +242,12 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	// branch on the gate draw and read theta, so they stay scalar. The
 	// nb bound is the 32-bit limb decomposition's precondition.
 	useSIMD := hasBatchSIMD && !tf && nb <= 0xFFFFFFFF
-	// Per-lane rot offsets for the kernel's quadruple loads; padding
-	// lanes alias read 0's block so their (never-read) loads stay inside
-	// the allocation.
+	// Per-lane slot offsets for the kernel's rotor and field loads;
+	// padding lanes alias read 0's block so their (never-read) loads stay
+	// inside the allocation.
 	lan := st.lanoff
 	for j := 0; j < r; j++ {
-		lan[j] = uint64(4 * j * n)
+		lan[j] = uint64(j * np)
 	}
 	for j := r; j < rr; j++ {
 		lan[j] = 0
@@ -231,7 +260,7 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 			rs2: (*[svmcGroupWidth]uint64)(rs2[c:]), rs3: (*[svmcGroupWidth]uint64)(rs3[c:]),
 			idx: (*[svmcGroupWidth]uint64)(st.idx[c:]),
 			sn:  (*[svmcGroupWidth]float64)(st.nsin[c:]), cs: (*[svmcGroupWidth]float64)(st.ncos[c:]),
-			rot: &rot[0], lanoff: (*[svmcGroupWidth]uint64)(lan[c:]),
+			rot: &rot[0], fld: &fld[0], lanoff: (*[svmcGroupWidth]uint64)(lan[c:]),
 			dE: (*[svmcGroupWidth]float64)(st.dE[c:]), u: (*[svmcGroupWidth]float64)(st.u[c:]),
 			nb: nb, negnb: negnb, beta: beta,
 			bounds: &metropolis.Bounds[0], acc: (*[svmcGroupWidth]int)(acc[c:]),
@@ -277,7 +306,7 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 			svmcSweepStaged(st, reads, n, na2, b2, beta, tf, sc)
 		}
 		if probed {
-			svmcObserveSweep(tab, sweep, n, reads, rot, st)
+			svmcObserveSweep(tab, sweep, n, reads, st)
 		}
 	}
 
@@ -288,10 +317,10 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	}
 	for j := range reads {
 		reads[j].Rng.SetState(rs0[j], rs1[j], rs2[j], rs3[j])
-		base := j * n
+		z := rot[2*int(lan[j]):]
 		out := reads[j].Out
 		for i := 0; i < n; i++ {
-			if rot[4*(base+i)] >= 0 {
+			if z[2*i] >= 0 {
 				out[i] = 1
 			} else {
 				out[i] = -1
@@ -313,7 +342,7 @@ func svmcFinishStep(st *svmcBatchScratch, reads []BatchRead, a *svmcStepArgs, c,
 			continue // the kernel skips a chunk with no live lane too
 		}
 		c0 := c + 8*ch
-		am, em := svmcScoreScalar(st, c0, a.nb, a.negnb, st.rot, a.na2, a.b2, a.beta)
+		am, em := svmcScoreScalar(st, c0, a.nb, a.negnb, a.na2, a.b2, a.beta)
 		a.exm = a.exm&^(0xFF<<shift) | uint16(em)<<shift
 		for m := am &^ em & live; m != 0; m &= m - 1 {
 			j := c0 + bits.TrailingZeros32(m)
@@ -338,7 +367,7 @@ func svmcFinishStep(st *svmcBatchScratch, reads []BatchRead, a *svmcStepArgs, c,
 func svmcSweepStaged(st *svmcBatchScratch, reads []BatchRead, n int, na2, b2, beta float64, tf bool, sc float64) {
 	r := len(reads)
 	nb, negnb := uint64(n), svmcLemireThreshold(n)
-	rot := st.rot
+	rot, fld, lan := st.rot, st.fld, st.lanoff
 	rs0, rs1, rs2, rs3 := st.rs0, st.rs1, st.rs2, st.rs3
 	idx, nsin, ncos, nang := st.idx, st.nsin, st.ncos, st.nang
 	for k := 0; k < n; k++ {
@@ -371,7 +400,7 @@ func svmcSweepStaged(st *svmcBatchScratch, reads []BatchRead, n int, na2, b2, be
 					nt = math.Pi * u
 					sinNt, nz = sinCosPi(u)
 				} else {
-					nt = rot[4*(j*n+i)+3] + (2*(float64(x>>11)*(1.0/(1<<53)))-1)*math.Pi*sc
+					nt = st.theta[int(lan[j])+i] + (2*(float64(x>>11)*(1.0/(1<<53)))-1)*math.Pi*sc
 					if nt < 0 {
 						nt = -nt
 					}
@@ -391,16 +420,16 @@ func svmcSweepStaged(st *svmcBatchScratch, reads []BatchRead, n int, na2, b2, be
 			}
 		}
 		// Stage 2a: score every resident read branch-free. Split from
-		// the decision loop below so all R quadruple loads issue and
-		// retire before the first unpredictable accept branch — a
+		// the decision loop below so all R rotor and field loads issue
+		// and retire before the first unpredictable accept branch — a
 		// mispredict there would otherwise flush the speculated loads
 		// of every later read and serialize the misses.
 		dEs := st.dE
 		for j := 0; j < r; j++ {
-			bi := 4 * (j*n + int(idx[j]))
-			// One quadruple load — same expression tree as the reference
-			// kernel, so the rounding is identical.
-			dEs[j] = na2*(nsin[j]-rot[bi+1]) + b2*(ncos[j]-rot[bi])*rot[bi+2]
+			bi := int(lan[j]) + int(idx[j])
+			// Same expression tree as the reference kernel, so the
+			// rounding is identical.
+			dEs[j] = na2*(nsin[j]-rot[2*bi+1]) + b2*(ncos[j]-rot[2*bi])*fld[bi]
 		}
 		// Stage 2b: decide and apply. The accept/reject branches live
 		// here, after every read's trig and dE have already retired.
@@ -447,19 +476,18 @@ func svmcSweepStaged(st *svmcBatchScratch, reads []BatchRead, n int, na2, b2, be
 func svmcApply(st *svmcBatchScratch, pr *qubo.CSR, j int, tf bool) {
 	i := int(st.idx[j])
 	base := int(st.lanoff[j])
-	rot := st.rot
-	bi := base + 4*i
+	bi := base + i
 	nz := st.ncos[j]
-	dz := nz - rot[bi]
-	rot[bi] = nz
-	rot[bi+1] = st.nsin[j]
+	dz := nz - st.rot[2*bi]
+	st.rot[2*bi] = nz
+	st.rot[2*bi+1] = st.nsin[j]
 	if tf {
-		rot[bi+3] = st.nang[j]
+		st.theta[bi] = st.nang[j]
 	}
-	field := rot[base+2:]
+	field := st.fld[base:]
 	cols, w := pr.Cols, pr.W
 	for k := pr.Offsets[i]; k < pr.Offsets[i+1]; k++ {
-		field[4*int(cols[k])] += w[k] * dz
+		field[cols[k]] += w[k] * dz
 	}
 }
 
@@ -501,12 +529,12 @@ func svmcStage1Scalar(st *svmcBatchScratch, c0, c1 int, nb, negnb uint64) {
 // that case, so replaying from the untouched states is exact. Padding
 // lanes score against read 0's block through their zero lanoff,
 // mirroring the kernel's in-bounds garbage lanes.
-func svmcScoreScalar(st *svmcBatchScratch, c0 int, nb, negnb uint64,
-	rot []float64, na2, b2, beta float64) (am, em uint32) {
+func svmcScoreScalar(st *svmcBatchScratch, c0 int, nb, negnb uint64, na2, b2, beta float64) (am, em uint32) {
 	svmcStage1Scalar(st, c0, c0+8, nb, negnb)
+	rot := st.rot
 	for j := c0; j < c0+8; j++ {
-		bi := int(st.lanoff[j]) + 4*int(st.idx[j])
-		dE := na2*(st.nsin[j]-rot[bi+1]) + b2*(st.ncos[j]-rot[bi])*rot[bi+2]
+		bi := int(st.lanoff[j]) + int(st.idx[j])
+		dE := na2*(st.nsin[j]-rot[2*bi+1]) + b2*(st.ncos[j]-rot[2*bi])*st.fld[bi]
 		st.dE[j] = dE
 		bit := uint32(1) << uint(j-c0)
 		if dE <= 0 {
@@ -532,13 +560,13 @@ func svmcScoreScalar(st *svmcBatchScratch, c0 int, nb, negnb uint64,
 // svmcObserveSweep reports one sweep to every probed read of the group —
 // the read's state projected to sign(cos θ), its problem-frame energy,
 // and the sweep's accept count — and resets every lane's count.
-func svmcObserveSweep(tab *sweepTable, sweep, n int, reads []BatchRead, rot []float64, st *svmcBatchScratch) {
+func svmcObserveSweep(tab *sweepTable, sweep, n int, reads []BatchRead, st *svmcBatchScratch) {
 	spins := st.probeSpins
 	for j := range reads {
 		if probe := reads[j].Probe; probe != nil {
-			base := j * n
+			z := st.rot[2*int(st.lanoff[j]):]
 			for i := range spins {
-				if rot[4*(base+i)] >= 0 {
+				if z[2*i] >= 0 {
 					spins[i] = 1
 				} else {
 					spins[i] = -1

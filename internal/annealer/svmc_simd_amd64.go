@@ -9,9 +9,9 @@ import (
 // The lockstep SVMC kernel in svmc_simd_amd64.s: one call runs the
 // proposal steps of one sweep for up to sixteen resident reads — two
 // 8-lane chunks, each two 4-wide AVX2 halves. Per step and chunk with a
-// live lane it runs the index and angle draws, sinCosPi, the load of
-// (z, sinθ, field), the dE score, the conditional uphill uniform draw
-// and the exp-bracket verdict, and then applies the decided accepts
+// live lane it runs the index and angle draws, sinCosPi, the loads of
+// (z, sinθ) and the field, the dE score, the conditional uphill uniform
+// draw and the exp-bracket verdict, and then applies the decided accepts
 // lane by lane. Every operation is either exact integer arithmetic
 // (xoshiro256++, the Lemire product, the (x>>11)·2⁻⁵³ conversion, the
 // fold/swap/sign bit masks, the mask logic) or an IEEE-754 mul/add/sub
@@ -26,11 +26,13 @@ import (
 // the uphill uniform, exactly the one-read draw order) and fills a.idx,
 // sn, cs, dE (the proposal's energy delta) and u (the uphill uniform;
 // garbage for downhill lanes). It applies every decided accept of a
-// lane in a.live: the lane's quadruple at rot[lanoff[j]+4·idx[j]] takes
-// (cs[j], sn[j]), and dz = cs[j] − z is added to the field of every
-// column of the lane's CSR row idx[j] (a.offs/cols/w[j]), in row order,
-// with the Go apply's expression tree; a.acc[j] counts the accepts it
-// applies. It returns true once the sweep is done (a.k = a.nb). It
+// lane in a.live: with g = lanoff[j]+idx[j], the lane's rotor pair at
+// rot[2g] takes (cs[j], sn[j]), and dz = cs[j] − z is added to the field
+// fld[lanoff[j]+col] of every column of the lane's CSR row idx[j]
+// (a.offs/cols/w[j]) with the Go apply's expression, field + w·dz. A
+// full row (n−1 entries, so every other spin) is applied a quad of
+// fields at a time, any other row column by column; a.acc[j] counts the
+// accepts it applies. It returns true once the sweep is done (a.k = a.nb). It
 // returns false with a.k at a step the caller must finish, in one of
 // two cases, and the caller then resumes the sweep at a.k+1:
 //   - Undecided (a.rej = 2): the bracket could not decide the live lanes
@@ -44,12 +46,16 @@ import (
 //     applies their accepts. Chunks before c ran the step: their decided
 //     accepts are applied and a.exm holds their undecided lanes.
 //
-// Lane j's spin quadruples live at rot[lanoff[j]+4i]; a padding lane
-// (outside live) must carry lanoff 0 so its loads stay in bounds, and
-// is never applied. Its state and outputs are unspecified: the kernel
-// skips a chunk with no live lane, and the second half of a chunk with
-// no live lane there. Requires nb < 2³², nonzero states, and AVX2
-// (hasBatchSIMD).
+// Lane j's spin i sits at slot lanoff[j]+i of a.rot (pairs) and a.fld,
+// where lanoff[j] is a multiple of 4 and the lane owns its slots up to
+// the next multiple of 4 at or above nb (the full-row apply reads and
+// rewrites the padding slots, leaving them as they were). The CSR rows
+// must be sorted with distinct columns and no diagonal entry, as
+// qubo.NewCSR builds them. A padding lane (outside live) must carry
+// lanoff 0 so its loads stay in bounds, and is never applied. Its state
+// and outputs are unspecified: the kernel skips a chunk with no live
+// lane, and the second half of a chunk with no live lane there. Requires
+// nb < 2³², nonzero states, and AVX2 (hasBatchSIMD).
 func svmcStepx8(a *svmcStepArgs) bool
 
 // saStepx8 is the lockstep simulated-annealing step in sa_simd_amd64.s;
@@ -82,6 +88,8 @@ var svmcSIMDTab struct {
 	cosC     [8][4]float64 // +512
 	expStep  [4]float64    // +768  metropolis.GridStep
 	expCap   [4]uint64     // +800  metropolis.GridMax (as int64)
+	iota     [4]uint64     // +832  0, 1, 2, 3
+	four     [4]uint64     // +864  4
 }
 
 func init() {
@@ -104,6 +112,8 @@ func init() {
 	}
 	fillF(&svmcSIMDTab.expStep, metropolis.GridStep)
 	fill(&svmcSIMDTab.expCap, metropolis.GridMax)
+	svmcSIMDTab.iota = [4]uint64{0, 1, 2, 3}
+	fill(&svmcSIMDTab.four, 4)
 	// The u64→f64 magic-number identity the conversion rests on, checked
 	// once at startup so a miscompiled constant can never ship silently.
 	if v := uint64(1)<<52 | 12345; float64(v) != (math.Float64frombits(0x4530000000000000|v>>32)-(0x1p84+0x1p52))+math.Float64frombits(0x4330000000000000|v&0xFFFFFFFF) {

@@ -95,46 +95,49 @@
 // SCORE scores the proposal for one 4-lane half at byte offset OFF of
 // every per-lane array and hands its energy delta to VERDICT
 // (lockstep_simd.h). Inputs, all set up by the main body: CX the args
-// struct (read-only here; sn/cs pointers come from it), R8–R11 the
+// struct (read-only here; sn/cs/fld pointers come from it), R8–R11 the
 // state arrays (holding post-angle-draw states), R12 idx, R13 rot,
 // R14 lanoff, R15 bounds, DX dE, SI u, and the stack frame holds
 // na2 (0), b2 (32), beta (64) broadcast 4-wide. DI/BX accumulate the
-// acc/ex bitmasks. AX and Y0–Y8/X2 are clobbered. With the operand
-// convention "op A, B, C ⇒ C = B op A":
+// acc/ex bitmasks. AX and Y0–Y8/X2 are clobbered; DX is borrowed for the
+// fld pointer and reloaded. With the operand convention
+// "op A, B, C ⇒ C = B op A":
 //
-//  1. For each lane l of the half, gi = lanoff + 4·idx addresses its
-//     32-byte (z, sin θ, field, θ) quadruple, which never straddles a
-//     cache line. Two 16-byte loads per lane, paired across lanes
-//     (l, l+2) and (l+1, l+3) into the two 128-bit halves of a YMM
-//     register, and three unpacks transpose them into zv = rot[gi],
-//     sT = rot[gi+1], fv = rot[gi+2]; plain loads are on the chain to
-//     the verdict for less time than three gathers would be.
+//  1. For each lane l of the half, g = lanoff + idx is its slot: the
+//     field is fld[g] and the 16-byte (z, sin θ) pair is rot[2g:2g+2],
+//     which never straddles a cache line. The pairs of lanes (l, l+2)
+//     and (l+1, l+3) load into the two 128-bit halves of a YMM register
+//     and two unpacks transpose them into zv = z and sT = sin θ; the
+//     fields load as scalars into fv the same way. Plain loads are on
+//     the chain to the verdict for less time than gathers would be.
 //  2. dE = na2·(sn−sT) + (b2·(cs−zv))·fv into Y6, the scalar
 //     expression tree op for op.
 #define SCORE(OFF, SHIFT) \
+	MOVQ 544(CX), DX                        \
 	MOVQ OFF(R12), AX                       \
-	SHLQ $2, AX                             \
 	ADDQ OFF(R14), AX                       \
+	VMOVSD (DX)(AX*8), X5                   \
+	SHLQ $1, AX                             \
 	VMOVUPD (R13)(AX*8), X1                 \
-	VMOVUPD 16(R13)(AX*8), X6               \
 	MOVQ OFF+16(R12), AX                    \
-	SHLQ $2, AX                             \
 	ADDQ OFF+16(R14), AX                    \
+	VMOVSD (DX)(AX*8), X7                   \
+	SHLQ $1, AX                             \
 	VINSERTF128 $1, (R13)(AX*8), Y1, Y1     \
-	VINSERTF128 $1, 16(R13)(AX*8), Y6, Y6   \
 	MOVQ OFF+8(R12), AX                     \
-	SHLQ $2, AX                             \
 	ADDQ OFF+8(R14), AX                     \
+	VMOVHPD (DX)(AX*8), X5, X5              \
+	SHLQ $1, AX                             \
 	VMOVUPD (R13)(AX*8), X2                 \
-	VMOVUPD 16(R13)(AX*8), X7               \
 	MOVQ OFF+24(R12), AX                    \
-	SHLQ $2, AX                             \
 	ADDQ OFF+24(R14), AX                    \
+	VMOVHPD (DX)(AX*8), X7, X7              \
+	SHLQ $1, AX                             \
 	VINSERTF128 $1, (R13)(AX*8), Y2, Y2     \
-	VINSERTF128 $1, 16(R13)(AX*8), Y7, Y7   \
+	VINSERTF128 $1, X7, Y5, Y5              \
+	MOVQ 72(CX), DX                         \
 	VUNPCKLPD Y2, Y1, Y3                    \
 	VUNPCKHPD Y2, Y1, Y4                    \
-	VUNPCKLPD Y7, Y6, Y5                    \
 	MOVQ 40(CX), AX                         \
 	VMOVUPD OFF(AX), Y6                     \
 	MOVQ 48(CX), AX                         \
@@ -232,14 +235,50 @@
 	SCOREREGS                                \
 	SCORE(OA, SA)
 
+// EDGEQUAD is one quad of APPLY's full-row update with masked loads,
+// for the first and last quads of the row, where a plain load of W could
+// leave the array. Y4 holds the quad's spin indices j, Y2 = i, Y12 = n,
+// Y1 = dz; R15 points at W[off+j₀] and R11 at fld[lanoff+j₀], j₀ the
+// quad's first index. Lanes j < i take W[off+j], lanes i < j < n take
+// W[off+j−1]; lane i and the padding keep their fields. Advances R15,
+// R11 and Y4 by one quad; clobbers Y5–Y9 and leaves the flags alone.
+#define EDGEQUAD \
+	VPCMPGTQ Y4, Y2, Y5          \
+	VPCMPGTQ Y2, Y4, Y6          \
+	VPCMPGTQ Y4, Y12, Y7         \
+	VPAND Y7, Y6, Y6             \
+	VMASKMOVPD (R15), Y5, Y8     \
+	VMASKMOVPD -8(R15), Y6, Y9   \
+	VORPD Y9, Y8, Y8             \
+	VMULPD Y1, Y8, Y8            \
+	VMOVUPD (R11), Y9            \
+	VADDPD Y9, Y8, Y8            \
+	VPOR  Y6, Y5, Y5             \
+	VBLENDVPD Y5, Y8, Y9, Y9     \
+	VMOVUPD Y9, (R11)            \
+	VPADDQ ·svmcSIMDTab+864(SB), Y4, Y4 \
+	LEAQ  32(R15), R15           \
+	LEAQ  32(R11), R11
+
 // APPLY applies the decided accepts of the lanes in DI, in lane order:
-// the rotor takes the proposal's (cos, sin), and dz = nz − z is added to
-// the lane's fields along its own CSR row, in row order — the same
-// operations, in the same order, as the Go apply — and the lane's
-// accept count is bumped. LOOP, ROW and DONE name the expansion's
-// labels; it falls through at DONE. Needs CX; clobbers AX, BX, DX, SI,
-// DI, R8–R15 and X0/X1.
-#define APPLY(LOOP, ROW, DONE) \
+// the rotor pair at rot[2g], g = lanoff + idx, takes the proposal's
+// (cos, sin), dz = nz − z is added to the lane's fields along its own
+// CSR row, and the lane's accept count is bumped. Each field takes one
+// field + w·dz — the Go apply's operations; the fields of a row are
+// distinct, so their order cannot matter. A full row (n−1 entries:
+// sorted, distinct and without the diagonal, so every other spin in
+// order) updates the two spans fld[0:i] from W[off:off+i] and
+// fld[i+1:n] from W[off+i:off+n−1] a quad of fields at a time, with
+// VMULPD/VADDPD, which round like the scalar ops: lanes j < i take
+// W[off+j], lanes j > i take W[off+j−1]. The quad count depends only on
+// n, so no branch depends on i. The first and last quads load W masked
+// (EDGEQUAD) and keep lane i and the padding; the middle quads' plain
+// loads stay inside the row, and lane i, which they may add to, gets
+// its saved field back. Any other row walks its columns. The row length
+// is the lane's own, so lanes of one group may take different paths.
+// LOOP … DONE name the expansion's labels; it falls through at DONE.
+// Needs CX and Y12 (nb); clobbers AX, BX, DX, SI, DI, R8–R15 and Y0–Y9.
+#define APPLY(LOOP, ROW, FULL, QUAD, MID, LAST, DONE) \
 	MOVQ 40(CX), R8              \
 	MOVQ 48(CX), R9              \
 	MOVQ 32(CX), R12             \
@@ -254,7 +293,8 @@ LOOP:                                \
 	INCQ  (DX)(AX*8)             \
 	MOVQ  (R12)(AX*8), R10       \
 	MOVQ  (R14)(AX*8), R11       \
-	LEAQ  (R11)(R10*4), BX       \
+	LEAQ  (R11)(R10*1), BX       \
+	SHLQ  $1, BX                 \
 	VMOVSD (R9)(AX*8), X0        \
 	VSUBSD (R13)(BX*8), X0, X1   \
 	VMOVSD X0, (R13)(BX*8)       \
@@ -265,18 +305,55 @@ LOOP:                                \
 	MOVLQSX 4(DX)(R10*4), DX     \
 	CMPQ  SI, DX                 \
 	JGE   LOOP                   \
-	MOVQ  288(CX)(AX*8), R10     \
 	MOVQ  416(CX)(AX*8), R15     \
-	LEAQ  16(R13)(R11*8), R11    \
+	MOVQ  544(CX), BX            \
+	LEAQ  (BX)(R11*8), R11       \
+	MOVQ  DX, BX                 \
+	SUBQ  SI, BX                 \
+	INCQ  BX                     \
+	CMPQ  BX, 88(CX)             \
+	JEQ   FULL                   \
+	MOVQ  288(CX)(AX*8), R10     \
 ROW:                                 \
 	MOVLQSX (R10)(SI*4), BX      \
-	SHLQ  $2, BX                 \
 	VMULSD (R15)(SI*8), X1, X0   \
 	VADDSD (R11)(BX*8), X0, X0   \
 	VMOVSD X0, (R11)(BX*8)       \
 	INCQ  SI                     \
 	CMPQ  SI, DX                 \
 	JLT   ROW                    \
+	JMP   LOOP                   \
+FULL:                                \
+	LEAQ  (R15)(SI*8), R15       \
+	VBROADCASTSD X1, Y1          \
+	VMOVQ R10, X2                \
+	VPBROADCASTQ X2, Y2          \
+	VMOVDQU ·svmcSIMDTab+832(SB), Y4 \
+	LEAQ  (R11)(R10*8), R10      \
+	VMOVSD (R10), X3             \
+	MOVQ  88(CX), SI             \
+	ADDQ  $3, SI                 \
+	SHRQ  $2, SI                 \
+	SUBQ  $2, SI                 \
+	EDGEQUAD                     \
+	JL    LAST                   \
+	JZ    MID                    \
+QUAD:                                \
+	VPCMPGTQ Y2, Y4, Y6          \
+	VMOVUPD (R15), Y8            \
+	VBLENDVPD Y6, -8(R15), Y8, Y8 \
+	VMULPD Y1, Y8, Y8            \
+	VADDPD (R11), Y8, Y8         \
+	VMOVUPD Y8, (R11)            \
+	VPADDQ ·svmcSIMDTab+864(SB), Y4, Y4 \
+	ADDQ  $32, R15               \
+	ADDQ  $32, R11               \
+	DECQ  SI                     \
+	JNZ   QUAD                   \
+MID:                                 \
+	EDGEQUAD                     \
+LAST:                                \
+	VMOVSD X3, (R10)             \
 	JMP   LOOP                   \
 DONE:
 
@@ -290,7 +367,7 @@ DONE:
 
 // func svmcStepx8(a *svmcStepArgs) bool
 //
-// The svmcStepArgs field offsets (+0 rs0 … +416 w) are a hard contract
+// The svmcStepArgs field offsets (+0 rs0 … +544 fld) are a hard contract
 // with the struct definition in svmc_batch.go; CX holds the struct base
 // for the whole body. One call runs proposal steps a.k, a.k+1, … of a
 // sweep over two 8-lane chunks (lanes 0–7 and 8–15); a chunk with no
@@ -344,7 +421,7 @@ chain0:
 	TESTL $0xFF00, AX        // any live lane in lanes 8–15?
 	JZ    chain1
 	MOVQ 96(SP), DI          // chunk 1's accepts of step k−1
-	APPLY(pend, pendrow, pended)
+	APPLY(pend, pendrow, pendfull, pendquad, pendmid, pendlast, pended)
 	MOVQ 0(CX), R8
 	MOVQ 8(CX), R9
 	MOVQ 16(CX), R10
@@ -364,7 +441,7 @@ scored1:
 
 chain1:
 	MOVQ 104(SP), DI
-	APPLY(own, ownrow, owned)
+	APPLY(own, ownrow, ownfull, ownquad, ownmid, ownlast, owned)
 	MOVQ 112(SP), AX
 	MOVWLZX 138(CX), BX
 	ANDL BX, AX
@@ -387,7 +464,7 @@ drain:
 	// sees every lane at the same step.
 	MOVQ 96(SP), DI
 drainlanes:
-	APPLY(fin, finrow, fined)
+	APPLY(fin, finrow, finfull, finquad, finmid, finlast, fined)
 	VZEROUPPER
 	RET
 

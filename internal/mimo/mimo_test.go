@@ -2,6 +2,7 @@ package mimo
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"repro/internal/channel"
@@ -388,6 +389,53 @@ func TestRankDeficientChannelRejected(t *testing.T) {
 	}
 	if _, err := (ZeroForcing{}).Detect(p); err == nil {
 		t.Fatal("singular channel accepted by ZF")
+	}
+}
+
+// TestReduceMatchesAddCoupling pins Reduce's append-built adjacency to
+// the model AddCoupling builds from the same quadratic form, pair by
+// pair in (i, j) order: the same neighbours in the same order with the
+// same bits, and the same fields and offset. A real channel decouples
+// every user's I and Q dimensions exactly, so its forms also cover the
+// pairs the nonzero count skips.
+func TestReduceMatchesAddCoupling(t *testing.T) {
+	r := rng.New(0xadd)
+	for _, s := range []modulation.Scheme{modulation.QPSK, modulation.QAM16, modulation.QAM64} {
+		for _, realH := range []bool{false, true} {
+			p, _ := synth(r, s, 8, 0.1)
+			if realH {
+				for k, h := range p.H.Data {
+					p.H.Data[k] = complex(cmplx.Abs(h), 0)
+				}
+			}
+			red, err := Reduce(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hr, yr := linalg.RealDecompose(p.H, p.Y)
+			n := red.Ising.N
+			m, c := quadraticForm(hr, yr, weightMatrix(s.Norm(), red.dimBits, red.dimOffset, n))
+			want := qubo.NewIsing(n)
+			want.Offset = linalg.VecNormSq(yr)
+			zeros := 0
+			for i := 0; i < n; i++ {
+				want.H[i] = -2 * c[i]
+				want.Offset += m.At(i, i)
+				for j := i + 1; j < n; j++ {
+					if v := m.At(i, j); v != 0 {
+						want.AddCoupling(i, j, 2*v)
+					} else {
+						zeros++
+					}
+				}
+			}
+			if !red.Ising.Equal(want) {
+				t.Fatalf("%v real=%v: Reduce's model differs from the AddCoupling-built one", s, realH)
+			}
+			if realH && zeros == 0 {
+				t.Fatalf("%v: a real channel gave no exact-zero coupling", s)
+			}
+		}
 	}
 }
 

@@ -73,41 +73,74 @@ func Reduce(p *Problem) (*Reduction, error) {
 		return nil, fmt.Errorf("mimo: reduction produced no spins")
 	}
 
-	// A is (2·nt) × total with A[d][σ(d)+k] = norm·w_k.
-	a := linalg.NewMatrix(2*nt, total)
-	for d := 0; d < 2*nt; d++ {
-		w := modulation.SpinWeights(dimBits[d])
-		for k, wk := range w {
-			a.Set(d, dimOffset[d]+k, norm*wk)
-		}
-	}
-
-	g := hr.Transpose().Mul(hr)
-	m := a.Transpose().Mul(g).Mul(a)
-	// c = Aᵀ·H̃ᵀ·ỹ
-	hty := hr.Transpose().MulVec(yr)
-	c := a.Transpose().MulVec(hty)
-
-	is := qubo.NewIsing(total)
-	is.Offset = linalg.VecNormSq(yr)
-	for i := 0; i < total; i++ {
-		is.H[i] = -2 * c[i]
-		is.Offset += m.At(i, i)
-		for j := i + 1; j < total; j++ {
-			if v := m.At(i, j); v != 0 {
-				// M is symmetric; s_i·s_j collects M_ij + M_ji = 2·M_ij.
-				is.AddCoupling(i, j, 2*v)
-			}
-		}
-	}
+	m, c := quadraticForm(hr, yr, weightMatrix(norm, dimBits, dimOffset, total))
 	return &Reduction{
-		Ising:     is,
+		Ising:     isingOf(m, c, linalg.VecNormSq(yr)),
 		problem:   p,
 		scheme:    p.Scheme,
 		nt:        nt,
 		dimBits:   dimBits,
 		dimOffset: dimOffset,
 	}, nil
+}
+
+// weightMatrix returns A, (2·nt) × total with A[d][σ(d)+k] = norm·w_k.
+func weightMatrix(norm float64, dimBits, dimOffset []int, total int) *linalg.Matrix {
+	a := linalg.NewMatrix(len(dimBits), total)
+	for d, b := range dimBits {
+		for k, wk := range modulation.SpinWeights(b) {
+			a.Set(d, dimOffset[d]+k, norm*wk)
+		}
+	}
+	return a
+}
+
+// quadraticForm returns M = AᵀGA, G = H̃ᵀH̃, and c = AᵀH̃ᵀỹ.
+func quadraticForm(hr *linalg.Matrix, yr []float64, a *linalg.Matrix) (*linalg.Matrix, []float64) {
+	g := hr.Transpose().Mul(hr)
+	m := a.Transpose().Mul(g).Mul(a)
+	hty := hr.Transpose().MulVec(yr)
+	return m, a.Transpose().MulVec(hty)
+}
+
+// isingOf assembles the Ising model h_i = −2·c_i, J_ij = 2·M_ij (i<j),
+// offset = ‖ỹ‖² + tr(M). Each pair i < j is visited once, so the
+// couplings are appended rather than searched for: row i lists its
+// neighbours k < i, then j > i, in ascending order, as AddCoupling
+// would, in one backing array sized from the nonzero count.
+func isingOf(m *linalg.Matrix, c []float64, yNormSq float64) *qubo.Ising {
+	n := len(c)
+	deg := make([]int, n)
+	nnz := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if m.At(i, j) != 0 {
+				deg[i]++
+				deg[j]++
+				nnz += 2
+			}
+		}
+	}
+	is := qubo.NewIsing(n)
+	buf := make([]qubo.Coupling, nnz)
+	for i, d := range deg {
+		if d > 0 {
+			is.Adj[i], buf = buf[:0:d], buf[d:]
+		}
+	}
+	is.Offset = yNormSq
+	for i := 0; i < n; i++ {
+		is.H[i] = -2 * c[i]
+		is.Offset += m.At(i, i)
+		for j := i + 1; j < n; j++ {
+			if v := m.At(i, j); v != 0 {
+				// M is symmetric; s_i·s_j collects M_ij + M_ji = 2·M_ij.
+				is.Adj[i] = append(is.Adj[i], qubo.Coupling{To: j, J: 2 * v})
+				is.Adj[j] = append(is.Adj[j], qubo.Coupling{To: i, J: 2 * v})
+			}
+		}
+	}
+	return is
 }
 
 // NumSpins returns the Ising problem size.

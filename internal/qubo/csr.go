@@ -9,9 +9,10 @@ import "math"
 // read; per-read coefficient noise (ICE, calibration drift) works on a
 // CloneCoeffsInto copy that shares the immutable topology arrays.
 //
-// Rows are sorted by column, and each undirected coupling appears twice
-// (once per endpoint); Mirror links the two halves so symmetric weight
-// updates stay O(1) per edge.
+// Rows are sorted by column, with distinct columns and no diagonal
+// entry, so a row of N−1 entries is every other spin in order. Each
+// undirected coupling appears twice (once per endpoint); Mirror links
+// the two halves so symmetric weight updates stay O(1) per edge.
 type CSR struct {
 	N      int
 	Offset float64
@@ -29,7 +30,9 @@ type CSR struct {
 }
 
 // NewCSR compiles the adjacency-list problem into its CSR view. The input
-// is not retained; later mutations of is are not reflected.
+// is not retained; later mutations of is are not reflected. It panics on
+// adjacency that is asymmetric, repeats a neighbour or couples a spin to
+// itself (Ising.SetCoupling never builds such a problem).
 func NewCSR(is *Ising) *CSR {
 	n := is.N
 	c := &CSR{
@@ -55,17 +58,35 @@ func NewCSR(is *Ising) *CSR {
 			pos++
 		}
 		// Sort the row by column so neighbor iteration is deterministic
-		// regardless of insertion order and mirrors are binary-searchable.
+		// regardless of insertion order and mirrors link in one pass.
 		// Insertion sort: rows are short, usually already sorted (edges
 		// are inserted in ascending order), and sort.Sort's interface
 		// value would allocate once per row.
 		lo := int(c.Offsets[i])
 		sortRow(c.Cols[lo:pos], c.W[lo:pos])
+		for k := lo; k < pos; k++ {
+			if c.Cols[k] == int32(i) || k > lo && c.Cols[k] == c.Cols[k-1] {
+				panic("qubo: CSR row repeats a neighbour or couples a spin to itself")
+			}
+		}
 	}
 	c.Offsets[n] = int32(pos)
+	// Link the mirrors with one cursor per row. Rows are visited in order
+	// and each is sorted, so the entries (i, col) that point into row col
+	// arrive with i ascending, which is the order of row col's own
+	// columns: each one's mirror is the entry under row col's cursor.
+	// The cursors of a logical-sized problem live on the stack.
+	var stack [64]int32
+	next := append(stack[:0], c.Offsets[:n]...)
 	for i := 0; i < n; i++ {
 		for k := c.Offsets[i]; k < c.Offsets[i+1]; k++ {
-			c.Mirror[k] = c.find(int(c.Cols[k]), int32(i))
+			col := c.Cols[k]
+			m := next[col]
+			if m >= c.Offsets[col+1] || c.Cols[m] != int32(i) {
+				panic("qubo: CSR mirror entry missing; adjacency was asymmetric")
+			}
+			c.Mirror[k] = m
+			next[col]++
 		}
 	}
 	return c
@@ -84,24 +105,6 @@ func sortRow(cols []int32, w []float64) {
 		}
 		cols[j], w[j] = ci, wi
 	}
-}
-
-// find binary-searches row i for column col; the adjacency symmetry
-// invariant guarantees presence for mirror lookups.
-func (c *CSR) find(i int, col int32) int32 {
-	lo, hi := c.Offsets[i], c.Offsets[i+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.Cols[mid] < col {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= c.Offsets[i+1] || c.Cols[lo] != col {
-		panic("qubo: CSR mirror entry missing; adjacency was asymmetric")
-	}
-	return lo
 }
 
 // Normalize scales H, W, and Offset in place so max(|h|, |J|) = 1 (the

@@ -138,6 +138,79 @@ func TestCSRAfterEdgeDeletion(t *testing.T) {
 
 // Quench must reproduce SteepestDescent exactly: same pick order, same
 // final spins.
+// searchMirror links each CSR entry (i, col) to its reverse by binary
+// search of row col, the way NewCSR linked them before its one-pass
+// cursors.
+func searchMirror(c *qubo.CSR) []int32 {
+	out := make([]int32, len(c.Cols))
+	for i := 0; i < c.N; i++ {
+		for k := c.Offsets[i]; k < c.Offsets[i+1]; k++ {
+			col := c.Cols[k]
+			lo, hi := c.Offsets[col], c.Offsets[col+1]
+			for lo < hi {
+				mid := (lo + hi) / 2
+				if c.Cols[mid] < int32(i) {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			out[k] = lo
+		}
+	}
+	return out
+}
+
+// TestCSRMirrorMatchesSearch pins NewCSR's cursor-linked Mirror to the
+// binary-search linking, entry for entry, on a dense logical problem, a
+// clique embedded on Chimera (chain rows, inter-chain couplers and idle
+// qubits with empty rows) and a random sparse problem.
+func TestCSRMirrorMatchesSearch(t *testing.T) {
+	r := rng.New(0x3177)
+	logical := randomDenseIsing(r, 32, 1)
+	emb, err := chimera.EmbedClique(chimera.NewGraph(chimera.MinGridFor(12)), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	embedded, err := emb.EmbedIsing(randomDenseIsing(r, 12, 1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, is := range map[string]*qubo.Ising{
+		"dense-logical": logical, "chimera-embedded": embedded, "sparse": randomDenseIsing(r, 60, 0.05),
+	} {
+		c := qubo.NewCSR(is)
+		want := searchMirror(c)
+		for k, m := range c.Mirror {
+			if m != want[k] {
+				t.Fatalf("%s: Mirror[%d] = %d, binary search gives %d", name, k, m, want[k])
+			}
+		}
+	}
+}
+
+// TestNewCSRRejectsMalformedRows checks that NewCSR refuses the
+// adjacency its row invariants exclude.
+func TestNewCSRRejectsMalformedRows(t *testing.T) {
+	r := rng.New(0xbad)
+	self := randomDenseIsing(r, 5, 1)
+	self.Adj[2] = append(self.Adj[2], qubo.Coupling{To: 2, J: 0.5})
+	dup := randomDenseIsing(r, 5, 1)
+	dup.Adj[1] = append(dup.Adj[1], dup.Adj[1][0])
+	asym := randomDenseIsing(r, 5, 0)
+	asym.Adj[0] = append(asym.Adj[0], qubo.Coupling{To: 3, J: 0.5})
+	for name, is := range map[string]*qubo.Ising{"self-coupling": self, "repeated-neighbour": dup, "asymmetric": asym} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewCSR accepted it", name)
+				}
+			}()
+			qubo.NewCSR(is)
+		}()
+	}
+}
+
 func TestCSRQuenchMatchesSteepestDescent(t *testing.T) {
 	r := rng.New(0x5DE)
 	for trial := 0; trial < 20; trial++ {

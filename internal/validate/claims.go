@@ -96,7 +96,7 @@ func Claims() []Claim {
 // fig8Instance reproduces the Figure 7/8 study instance.
 func (e *Env) fig8Instance() (*instance.Instance, error) {
 	return instance.Synthesize(instance.Spec{
-		Users: 8, Scheme: modulation.QAM16, Seed: e.opts.Config.Seed ^ 0x88,
+		Users: 8, Scheme: modulation.QAM16, Seed: e.cfg.Seed ^ 0x88,
 	})
 }
 
@@ -154,7 +154,7 @@ func evalRABeatsFA(e *Env) ([]Estimate, int, error) {
 	boot := r.SplitString("bootstrap")
 	judge := func() []Estimate {
 		ci := metrics.BootstrapCI2(pVector(raArm), pVector(faArm), ratioStat,
-			e.opts.Resamples, e.opts.Confidence, boot)
+			bootstrapResamples, bootstrapConfidence, boot)
 		return []Estimate{gradeAbove("p_star_ratio_ra_over_fa", ci, 1.5)}
 	}
 	arms := []*arm{raArm, faArm}
@@ -202,9 +202,9 @@ func evalFreezeErase(e *Env) ([]Estimate, int, error) {
 	boot := r.SplitString("bootstrap")
 	judge := func() []Estimate {
 		freeze := metrics.BootstrapCI2(pVector(peak), pVector(frozen), diffStat,
-			e.opts.Resamples, e.opts.Confidence, boot)
+			bootstrapResamples, bootstrapConfidence, boot)
 		erase := metrics.BootstrapCI2(pVector(peak), pVector(erased), diffStat,
-			e.opts.Resamples, e.opts.Confidence, boot)
+			bootstrapResamples, bootstrapConfidence, boot)
 		return []Estimate{
 			gradeAbove("p_peak_minus_p_frozen", freeze, 0.02),
 			gradeAbove("p_peak_minus_p_erased", erase, 0.02),
@@ -285,11 +285,11 @@ func evalTTSOrdering(e *Env) ([]Estimate, int, error) {
 	boot := r.SplitString("bootstrap")
 	judge := func() []Estimate {
 		faOverRA := metrics.BootstrapCI2(pVector(faArm), pVector(raArm), ttsRatioStat(faArm.dur, raArm.dur),
-			e.opts.Resamples, e.opts.Confidence, boot)
+			bootstrapResamples, bootstrapConfidence, boot)
 		frOverRA := metrics.BootstrapCI2(pVector(frArm), pVector(raArm), ttsRatioStat(frArm.dur, raArm.dur),
-			e.opts.Resamples, e.opts.Confidence, boot)
+			bootstrapResamples, bootstrapConfidence, boot)
 		faOverFR := metrics.BootstrapCI2(pVector(faArm), pVector(frArm), ttsRatioStat(faArm.dur, frArm.dur),
-			e.opts.Resamples, e.opts.Confidence, boot)
+			bootstrapResamples, bootstrapConfidence, boot)
 		return []Estimate{
 			gradeAbove("tts_fa_over_ra", faOverRA, 1.25),
 			gradeAbove("tts_fr_over_ra", frOverRA, 1.25),
@@ -339,7 +339,7 @@ func evalFig3Window(e *Env) ([]Estimate, int, error) {
 				if v%s.BitsPerSymbol() != 0 {
 					continue
 				}
-				seed := e.opts.Config.Seed ^ uint64(v*131+int(s)) ^ uint64(round)<<20
+				seed := e.cfg.Seed ^ uint64(v*131+int(s)) ^ uint64(round)<<20
 				insts, err := instance.Corpus(instance.Spec{Users: v / s.BitsPerSymbol(), Scheme: s}, seed, perPoint)
 				if err != nil {
 					return 0, 0, err
@@ -369,9 +369,9 @@ func evalFig3Window(e *Env) ([]Estimate, int, error) {
 	}
 	judge := func() []Estimate {
 		small := metrics.BootstrapCI(metrics.BernoulliVector(smallSucc, smallTrials),
-			metrics.Mean, e.opts.Resamples, e.opts.Confidence, boot)
+			metrics.Mean, bootstrapResamples, bootstrapConfidence, boot)
 		large := metrics.BootstrapCI(metrics.BernoulliVector(largeSucc, largeTrials),
-			metrics.Mean, e.opts.Resamples, e.opts.Confidence, boot)
+			metrics.Mean, bootstrapResamples, bootstrapConfidence, boot)
 		return []Estimate{
 			gradeAbove("small_simplified_ratio", small, 0.5),
 			gradeBelow("large_simplified_ratio", large, 0.3),
@@ -392,7 +392,7 @@ func evalFleetSpeedup(e *Env) ([]Estimate, int, error) {
 		perStream = 4
 		reads     = 30
 	)
-	devices := e.opts.FleetDevices
+	devices := fleetDevices
 	if e.opts.Inject == "fleet-serial" {
 		devices = 1
 	}
@@ -401,7 +401,7 @@ func evalFleetSpeedup(e *Env) ([]Estimate, int, error) {
 
 	var speedups []float64
 	round := func(rep int) (int, error) {
-		seed := e.opts.Config.Seed ^ uint64(0xF1EE+rep*1009)
+		seed := e.cfg.Seed ^ uint64(0xF1EE+rep*1009)
 		reqs, err := experiments.FleetWorkload(seed, streams, perStream, r.Split(uint64(rep)))
 		if err != nil {
 			return 0, err
@@ -434,7 +434,7 @@ func evalFleetSpeedup(e *Env) ([]Estimate, int, error) {
 		return len(reqs) * reads * 2, nil
 	}
 	judge := func() []Estimate {
-		ci := metrics.BootstrapMeanCI(speedups, e.opts.Resamples, e.opts.Confidence, boot)
+		ci := metrics.BootstrapMeanCI(speedups, bootstrapResamples, bootstrapConfidence, boot)
 		return []Estimate{gradeAbove(fmt.Sprintf("fleet_speedup_%dx1", devices), ci, 3.0)}
 	}
 	return e.sequential(seqTest{round: round, judge: judge, warmup: replicateWarmup, cap: replicateCap})
@@ -461,8 +461,8 @@ func evalHybridRouting(e *Env) ([]Estimate, int, error) {
 
 	var overQPU, overClassical []float64
 	round := func(rep int) (int, error) {
-		seed := e.opts.Config.Seed ^ uint64(0x4B1D+rep*6151)
-		reqs, err := experiments.HybridWorkload(e.opts.Config, seed, 2)
+		seed := e.cfg.Seed ^ uint64(0x4B1D+rep*6151)
+		reqs, err := experiments.HybridWorkload(e.cfg, seed, 2)
 		if err != nil {
 			return 0, err
 		}
@@ -472,7 +472,7 @@ func evalHybridRouting(e *Env) ([]Estimate, int, error) {
 			if pool.Name == "hybrid" {
 				rc = router
 			}
-			rep2, err := experiments.ServeHybridPool(e.opts.Config, pool.Devices, pool.Route, rc, seed, reqs)
+			rep2, err := experiments.ServeHybridPool(e.cfg, pool.Devices, pool.Route, rc, seed, reqs)
 			if err != nil {
 				return 0, err
 			}
@@ -483,8 +483,8 @@ func evalHybridRouting(e *Env) ([]Estimate, int, error) {
 		return 3 * len(reqs) * experiments.HybridReads, nil
 	}
 	judge := func() []Estimate {
-		qpuCI := metrics.BootstrapMeanCI(overQPU, e.opts.Resamples, e.opts.Confidence, boot)
-		classicalCI := metrics.BootstrapMeanCI(overClassical, e.opts.Resamples, e.opts.Confidence, boot)
+		qpuCI := metrics.BootstrapMeanCI(overQPU, bootstrapResamples, bootstrapConfidence, boot)
+		classicalCI := metrics.BootstrapMeanCI(overClassical, bootstrapResamples, bootstrapConfidence, boot)
 		return []Estimate{
 			gradeAbove("hybrid_hit_minus_all_qpu", qpuCI, 0.2),
 			gradeAbove("hybrid_hit_minus_all_classical", classicalCI, 0.06),
@@ -514,7 +514,7 @@ func evalClassicalBERParity(e *Env) ([]Estimate, int, error) {
 
 	var diffs []float64
 	round := func(rep int) (int, error) {
-		seed := e.opts.Config.Seed ^ uint64(0xBE12+rep*7919)
+		seed := e.cfg.Seed ^ uint64(0xBE12+rep*7919)
 		n0 := channel.NoiseVarianceForSNR(snrDB, users)
 		insts, err := instance.Corpus(instance.Spec{
 			Users: users, Scheme: scheme, Channel: channel.Rayleigh,
@@ -547,7 +547,7 @@ func evalClassicalBERParity(e *Env) ([]Estimate, int, error) {
 		return 2 * frames * readsEach, nil
 	}
 	judge := func() []Estimate {
-		ci := metrics.BootstrapMeanCI(diffs, e.opts.Resamples, e.opts.Confidence, boot)
+		ci := metrics.BootstrapMeanCI(diffs, bootstrapResamples, bootstrapConfidence, boot)
 		return []Estimate{gradeBelow("classical_minus_qpu_ber", ci, 0.02)}
 	}
 	return e.sequential(seqTest{round: round, judge: judge, warmup: replicateWarmup, cap: replicateCap})
@@ -576,7 +576,7 @@ func evalCRANShardScaling(e *Env) ([]Estimate, int, error) {
 
 	var speedups []float64
 	round := func(rep int) (int, error) {
-		seed := e.opts.Config.Seed ^ uint64(0xC7A9+rep*7919)
+		seed := e.cfg.Seed ^ uint64(0xC7A9+rep*7919)
 		reqs, err := cran.Workload{
 			// City-scale cell count: consistent-hash balance tightens with
 			// cells, and the speedup ceiling is set by the hottest shard's
@@ -618,7 +618,7 @@ func evalCRANShardScaling(e *Env) ([]Estimate, int, error) {
 		return len(reqs) * reads * 2, nil
 	}
 	judge := func() []Estimate {
-		ci := metrics.BootstrapMeanCI(speedups, e.opts.Resamples, e.opts.Confidence, boot)
+		ci := metrics.BootstrapMeanCI(speedups, bootstrapResamples, bootstrapConfidence, boot)
 		return []Estimate{gradeAbove(fmt.Sprintf("cran_shard_speedup_%dx1", shards), ci, 2.5)}
 	}
 	return e.sequential(seqTest{round: round, judge: judge, warmup: replicateWarmup, cap: replicateCap})
@@ -677,7 +677,7 @@ func evalEnsembleRA(e *Env) ([]Estimate, int, error) {
 		return arms * readsPerArm * batchTrials, nil
 	}
 	judge := func() []Estimate {
-		ci := metrics.BootstrapMeanCI(diffs, e.opts.Resamples, e.opts.Confidence, boot)
+		ci := metrics.BootstrapMeanCI(diffs, bootstrapResamples, bootstrapConfidence, boot)
 		return []Estimate{gradeAbove("ensemble_minus_single_success", ci, 0.12)}
 	}
 	return e.sequential(seqTest{round: round, judge: judge})

@@ -38,8 +38,7 @@ func bandCI(v, rel, abs float64) metrics.CI {
 // vectors bootstrap intervals, and deterministic model outputs explicit
 // tolerance bands.
 func RunGoldenFigure(name string, opts Options) (*Golden, error) {
-	opts = opts.withDefaults()
-	cfg := opts.Config
+	cfg := opts.config()
 	g := &Golden{
 		Schema: GoldenSchema, Figure: name,
 		Seed: cfg.Seed, Instances: cfg.Instances, Reads: cfg.Reads,
@@ -101,7 +100,7 @@ func RunGoldenFigure(name string, opts Options) (*Golden, error) {
 			res = r
 			for _, p := range r.Points {
 				g.add(fmt.Sprintf("fig7/dE%g/p_star", p.DeltaEIS),
-					metrics.BootstrapMeanCI(p.PStars, opts.Resamples, opts.Confidence, boot))
+					metrics.BootstrapMeanCI(p.PStars, bootstrapResamples, bootstrapConfidence, boot))
 			}
 			mono := 0.0
 			if r.Monotone() {

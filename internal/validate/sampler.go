@@ -30,7 +30,7 @@ type arm struct {
 // newArm prepares a sampling arm from the environment's anneal
 // configuration.
 func (e *Env) newArm(name string, sc *annealer.Schedule, init []int8, r *rng.Source) (*arm, error) {
-	cfg := e.opts.Config
+	cfg := e.cfg
 	l, err := annealer.NewLease(annealer.Params{
 		Schedule:             sc,
 		Profile:              cfg.Profile,

@@ -35,11 +35,24 @@ const (
 	Inconclusive Verdict = "inconclusive"
 )
 
+// The fixed scale of a validation run: every claim draws from
+// experiments on validationInstances instances at validationReads reads
+// (the rest as experiments.Config.WithDefaults), decides with
+// bootstrapResamples-resample bootstrap CIs at bootstrapConfidence
+// percent, and the fleet-speedup claim scales to fleetDevices devices.
+const (
+	validationInstances = 3
+	validationReads     = 150
+	bootstrapResamples  = 500
+	bootstrapConfidence = 95
+	fleetDevices        = 8
+)
+
 // Options tunes a validation run.
 type Options struct {
-	// Config scales the underlying experiments (zero value: 3 instances,
-	// 150 reads, the rest as experiments.Config.WithDefaults).
-	Config experiments.Config
+	// Seed roots every claim's streams and the golden figures' inputs
+	// (zero: 2020, the experiments default).
+	Seed uint64
 	// BatchReads is the per-arm batch size of the sequential sampler.
 	BatchReads int
 	// MaxReads is each claim's read budget, across all of its arms — the
@@ -48,11 +61,6 @@ type Options struct {
 	// The first round and a claim's warm-up rounds are always drawn, so
 	// a tiny budget can still be overspent by those.
 	MaxReads int
-	// Resamples and Confidence parameterize the bootstrap.
-	Resamples  int
-	Confidence float64
-	// FleetDevices is the pool size the fleet-speedup claim scales to.
-	FleetDevices int
 	// Inject enables a deliberate regression for harness self-tests:
 	// "ra-degraded" replaces every RA candidate state with random spins,
 	// "reads-slashed" cuts MaxReads 10×, "fleet-serial" serves the
@@ -65,32 +73,22 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Config.Instances <= 0 {
-		o.Config.Instances = 3
-	}
-	if o.Config.Reads <= 0 {
-		o.Config.Reads = 150
-	}
-	o.Config = o.Config.WithDefaults()
 	if o.BatchReads <= 0 {
 		o.BatchReads = 250
 	}
 	if o.MaxReads <= 0 {
 		o.MaxReads = 30000
 	}
-	if o.Resamples <= 0 {
-		o.Resamples = 500
-	}
-	if o.Confidence <= 0 || o.Confidence >= 100 {
-		o.Confidence = 95
-	}
-	if o.FleetDevices <= 0 {
-		o.FleetDevices = 8
-	}
 	if o.Inject == "reads-slashed" {
 		o.MaxReads = (o.MaxReads + 9) / 10
 	}
 	return o
+}
+
+// config is the experiments configuration a run's claims and golden
+// figures draw from.
+func (o Options) config() experiments.Config {
+	return experiments.Config{Instances: validationInstances, Reads: validationReads, Seed: o.Seed}.WithDefaults()
 }
 
 // Estimate is one gated statistic of a claim: the bootstrap CI, the gate
@@ -202,13 +200,15 @@ func (r *Report) WriteTable(w io.Writer) {
 // deterministic streams from.
 type Env struct {
 	opts Options
+	cfg  experiments.Config
 	root *rng.Source
 }
 
 // NewEnv builds an environment from options (defaults applied).
 func NewEnv(opts Options) *Env {
 	o := opts.withDefaults()
-	return &Env{opts: o, root: rng.New(o.Config.Seed).SplitString("validate")}
+	cfg := o.config()
+	return &Env{opts: o, cfg: cfg, root: rng.New(cfg.Seed).SplitString("validate")}
 }
 
 // claimRng derives a claim's private randomness stream.
@@ -220,8 +220,8 @@ func Run(opts Options) *Report {
 	env := NewEnv(opts)
 	rep := &Report{
 		Schema:     GoldenSchema,
-		Seed:       env.opts.Config.Seed,
-		Confidence: env.opts.Confidence,
+		Seed:       env.cfg.Seed,
+		Confidence: bootstrapConfidence,
 		Inject:     env.opts.Inject,
 	}
 	for _, cl := range Claims() {

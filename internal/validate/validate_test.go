@@ -75,9 +75,8 @@ func TestCombineVerdicts(t *testing.T) {
 
 func TestOptionsDefaultsAndInjection(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Config.Seed != 2020 || o.BatchReads <= 0 || o.MaxReads <= 0 ||
-		o.Resamples <= 0 || o.Confidence != 95 || o.FleetDevices != 8 {
-		t.Fatalf("defaults not applied: %+v", o)
+	if cfg := o.config(); cfg.Seed != 2020 || cfg.Instances != 3 || cfg.Reads != 150 || o.BatchReads <= 0 || o.MaxReads <= 0 {
+		t.Fatalf("defaults not applied: %+v, %+v", o, cfg)
 	}
 	slashed := Options{Inject: "reads-slashed"}.withDefaults()
 	if slashed.MaxReads != (o.MaxReads+9)/10 {
