@@ -165,13 +165,16 @@ func compactReads(samples []qubo.Sample, faults []readFault) ([]qubo.Sample, Fau
 
 // readScratch is the per-read working set that survives between reads:
 // the RNG streams (split in place instead of allocated), the coefficient
-// clone that per-read noise is programmed into, and the quench's
-// local-field buffer. One package pool serves every run, so a steady
-// stream of runs reuses the same few scratches — and their clone
-// storage — instead of building a pool, and fresh clones, per run.
+// clone and dense row weights that per-read noise is programmed into,
+// the noise draws, and the quench's local-field buffer. One package pool
+// serves every run, so a steady stream of runs reuses the same few
+// scratches — and their clone storage — instead of building a pool, and
+// fresh clones, per run.
 type readScratch struct {
 	rr, fr rng.Source
 	prog   *qubo.CSR // re-pointed at each noisy read's problem by program
+	rows   svmcRows  // a noisy read's row table; mask is the run's own
+	noise  []float64
 	field  []float64
 }
 
@@ -183,19 +186,22 @@ func (st *readScratch) release() {
 	if st.prog != nil {
 		st.prog.Offsets, st.prog.Cols, st.prog.Mirror = nil, nil, nil
 	}
+	st.rows.mask = nil
 	readScratchPool.Put(st)
 }
 
 // run is one problem's batch of reads in the run body. pr is the
 // normalized CSR the engine sweeps: is's own, or with a non-nil emb the
-// physical problem of is under emb. Compiled artifacts are only read, so
+// physical problem of is under emb; rows is its dense row table when the
+// engine's kernel applies along one. Compiled artifacts are only read, so
 // one compiled problem may serve concurrent runs.
 type run struct {
-	is  *qubo.Ising
-	emb *chimera.Embedding
-	pr  *qubo.CSR
-	p   Params
-	r   *rng.Source
+	is   *qubo.Ising
+	emb  *chimera.Embedding
+	pr   *qubo.CSR
+	rows *svmcRows // pr's dense row table, or nil
+	p    Params
+	r    *rng.Source
 
 	samples  []qubo.Sample
 	faults   []readFault
@@ -305,30 +311,43 @@ func (ru *run) start() error {
 	return nil
 }
 
-// program returns the problem a read should run against: the run's
-// compiled problem when no noise applies, or the scratch's coefficient
-// clone, re-pointed at the run's problem, with ICE and (when the fault
-// fires) calibration drift programmed in. The noise draw order matches
-// the adjacency-list ICE/drift path: h in spin order (nonzero entries
-// only), then couplings in (i, j), i < j order.
-func (ru *run) program(st *readScratch, drifted *bool) *qubo.CSR {
+// program returns the problem a read should run against and its dense
+// row table: the run's compiled problem when no noise applies, or the
+// scratch's coefficient clone, re-pointed at the run's problem, with ICE
+// and (when the fault fires) calibration drift programmed in — into the
+// scratch's row weights too when the run has a row table, in the same
+// pass. The noise draw order matches the adjacency-list ICE/drift path:
+// per layer, h in spin order (nonzero entries only), then couplings in
+// (i, j), i < j order.
+func (ru *run) program(st *readScratch, drifted *bool) (*qubo.CSR, *svmcRows) {
 	ice := ru.p.ICE
 	*drifted = ru.p.Faults.driftFires(&st.fr)
 	if !ice.enabled() && !*drifted {
-		return ru.pr
+		return ru.pr, ru.rows
+	}
+	var layers [2]gaussNoise
+	nl := 0
+	if ice.enabled() {
+		layers[nl] = gaussNoise{ice.SigmaH, ice.SigmaJ, &st.rr}
+		nl++
+	}
+	if *drifted {
+		sigma := ru.p.Faults.driftSigma()
+		layers[nl] = gaussNoise{sigma, sigma, &st.fr}
+		nl++
 	}
 	if st.prog == nil {
 		st.prog = new(qubo.CSR)
 	}
 	ru.pr.CloneCoeffsInto(st.prog)
-	if ice.enabled() {
-		applyGaussianCSR(st.prog, ice.SigmaH, ice.SigmaJ, &st.rr)
+	var rows *svmcRows
+	if ru.rows != nil {
+		st.rows.w = slices.Grow(st.rows.w[:0], len(ru.rows.w))[:len(ru.rows.w)]
+		st.rows.mask = ru.rows.mask
+		rows = &st.rows
 	}
-	if *drifted {
-		sigma := ru.p.Faults.driftSigma()
-		applyGaussianCSR(st.prog, sigma, sigma, &st.fr)
-	}
-	return st.prog
+	applyGaussianCSR(st.prog, rows, layers[:nl], &st.noise)
+	return st.prog, rows
 }
 
 // groupReads runs one packed group of reads through the engine kernel.
@@ -363,11 +382,13 @@ func groupReads(kernel BatchReadFunc, refs []readRef) {
 			st.field = make([]float64, n)
 		}
 		st.field = st.field[:n]
+		prog, rows := ru.program(st, &ru.faults[read].drift)
 		group[ng] = BatchRead{
-			Prog: ru.program(st, &ru.faults[read].drift),
+			Prog: prog,
 			Init: ru.p.InitialState,
 			Out:  ru.spins[read*n : (read+1)*n],
 			Rng:  &st.rr,
+			rows: rows,
 		}
 		if ru.p.Probe != nil {
 			group[ng].Probe = readProbe{ru.p.Probe, read}

@@ -32,6 +32,9 @@ func probeFor(log obsLog, j int) Probe {
 type lanes struct {
 	prs   []*qubo.CSR
 	inits [][]int8
+	// rows, when set, holds prs[k]'s dense row table at rows[k]; the
+	// groups otherwise build each one as PrepareProblem does.
+	rows []*svmcRows
 }
 
 // oneProblem is the lane assignment of a single-problem group.
@@ -45,6 +48,21 @@ func (ln lanes) at(j int) (*qubo.CSR, []int8) {
 		init = ln.inits[j%len(ln.inits)]
 	}
 	return ln.prs[j%len(ln.prs)], init
+}
+
+// rowsAt returns read j's dense row table: the lanes' own, or one built
+// from its problem when it has at most svmcRowSpins spins, else nil.
+func (ln lanes) rowsAt(j int) *svmcRows {
+	if len(ln.rows) > 0 {
+		return ln.rows[j%len(ln.rows)]
+	}
+	pr, _ := ln.at(j)
+	if pr.N > svmcRowSpins {
+		return nil
+	}
+	rows := new(svmcRows)
+	rows.build(pr)
+	return rows
 }
 
 // lockstepGroup runs reads of one group through the engine's production
@@ -64,7 +82,7 @@ func lockstepGroup(t testing.TB, eng Engine, sc *Schedule, prof Profile, rate fl
 		pr, init := ln.at(j)
 		outs[j] = make([]int8, pr.N)
 		root.SplitInto(&rngs[j], uint64(j))
-		group[j] = BatchRead{Prog: pr, Init: init, Out: outs[j], Rng: &rngs[j], Probe: probeFor(log, j)}
+		group[j] = BatchRead{Prog: pr, Init: init, Out: outs[j], Rng: &rngs[j], Probe: probeFor(log, j), rows: ln.rowsAt(j)}
 	}
 	kernel(group)
 	return outs, rngs
@@ -207,8 +225,60 @@ func fullRowLanes(t testing.TB, r *rng.Source, n, reads int, reverse bool) lanes
 	}
 	ice := ln.prs[0].CloneCoeffsInto(new(qubo.CSR))
 	sigma := DWave2000QICE()
-	applyGaussianCSR(ice, sigma.SigmaH, sigma.SigmaJ, r)
+	var buf []float64
+	applyGaussianCSR(ice, nil, []gaussNoise{{sigma.SigmaH, sigma.SigmaJ, r}}, &buf)
 	ln.prs = append(ln.prs, ice)
+	if reverse {
+		for j := 0; j < reads; j++ {
+			init := make([]int8, n)
+			for i := range init {
+				init[i] = r.Spin()
+			}
+			ln.inits = append(ln.inits, init)
+		}
+	}
+	return ln
+}
+
+// holeLanes builds the lanes of a group whose rows have holes: exact-zero
+// couplings the problem drops, which the dense row tables mask. Two
+// problems derive from one dense n-spin problem (n ≥ 6): the first
+// drops (0, 1) and (0, n−1), so rows miss column 0, column n−1, and a
+// column next to their own; the second drops (2, 3), (2, 4), (n−2, n−1)
+// and (1, n−1), so row 2 misses two adjacent columns and holes sit
+// inside the first and last quads, beside the spin itself and, when n
+// is not a multiple of 4, beside the padding. The third lane is an
+// ICE-noised program of the first, programmed as the run body programs
+// a noisy read: into a per-read table that shares the first's masks and
+// whose masked slots hold stale weights, as a pooled table's do. For
+// reverse schedules each lane gets its own random initial state.
+func holeLanes(t testing.TB, r *rng.Source, n, reads int, reverse bool) lanes {
+	t.Helper()
+	dense := randomIsing(t, r, n, 1)
+	var ln lanes
+	for _, holes := range [][][2]int{{{0, 1}, {0, n - 1}}, {{2, 3}, {2, 4}, {n - 2, n - 1}, {1, n - 1}}} {
+		is := dense.Clone()
+		for _, h := range holes {
+			is.SetCoupling(h[0], h[1], 0)
+		}
+		pr := qubo.NewCSR(is)
+		pr.Normalize()
+		if got, want := int(pr.Offsets[n]), n*(n-1)-2*len(holes); got != want {
+			t.Fatalf("hole lanes: %d CSR entries, want %d", got, want)
+		}
+		rows := new(svmcRows)
+		rows.build(pr)
+		ln.prs, ln.rows = append(ln.prs, pr), append(ln.rows, rows)
+	}
+	ice := ln.prs[0].CloneCoeffsInto(new(qubo.CSR))
+	stale := &svmcRows{w: make([]float64, len(ln.rows[0].w)), mask: ln.rows[0].mask}
+	for k := range stale.w {
+		stale.w[k] = 0.75
+	}
+	sigma := DWave2000QICE()
+	var buf []float64
+	applyGaussianCSR(ice, stale, []gaussNoise{{sigma.SigmaH, sigma.SigmaJ, r}}, &buf)
+	ln.prs, ln.rows = append(ln.prs, ice), append(ln.rows, stale)
 	if reverse {
 		for j := 0; j < reads; j++ {
 			init := make([]int8, n)
@@ -272,10 +342,12 @@ func uplinkLanes(tb testing.TB, embedded bool) lanes {
 // observations for every read. The mixed cases pack lanes of different
 // problems of one size, each with its own initial state, into one group,
 // as the run body does across the runs of a multi-run batch. The
-// full-row cases mix, in one group, lanes whose rows are all full (the
-// AVX2 apply's quad path), a problem one coupling short (its column
-// walk) and an ICE-noised program, at sizes that give the quad path one,
-// two and eight quads of fields, with and without padding.
+// full-row cases mix, in one group, lanes whose rows are all full, a
+// problem one coupling short and an ICE-noised program, at sizes that
+// give the dense apply one, two and eight quads of fields, with and
+// without padding. The hole cases put the masked columns where the
+// dense apply's quads and mask shifts must get them right (holeLanes),
+// with an ICE-noised lane programmed into a stale per-read table.
 func TestLockstepMatchesSequential(t *testing.T) {
 	prof := DWave2000QProfile()
 	r := rng.New(0x10c)
@@ -332,21 +404,27 @@ func TestLockstepMatchesSequential(t *testing.T) {
 				})
 			}
 		}
-		for _, n := range []int{3, 6, 30, 32} {
-			for _, reads := range []int{12, 16} {
-				for _, reverse := range []bool{false, true} {
-					name := fmt.Sprintf("%s/full-rows/n=%d/reads=%d/reverse=%v", tc.name, n, reads, reverse)
-					t.Run(name, func(t *testing.T) {
-						sc, err := Forward(1, 0.41, 1)
-						if reverse {
-							sc, err = Reverse(0.45, 1)
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						ln := fullRowLanes(t, r, n, reads, reverse)
-						checkLockstepMatches(t, name, tc.eng, sc, prof, ln, reads, r.Uint64())
-					})
+		for _, shape := range []struct {
+			name  string
+			ns    []int
+			lanes func(testing.TB, *rng.Source, int, int, bool) lanes
+		}{{"full-rows", []int{3, 6, 30, 32}, fullRowLanes}, {"holes", []int{6, 16, 32}, holeLanes}} {
+			for _, n := range shape.ns {
+				for _, reads := range []int{12, 16} {
+					for _, reverse := range []bool{false, true} {
+						name := fmt.Sprintf("%s/%s/n=%d/reads=%d/reverse=%v", tc.name, shape.name, n, reads, reverse)
+						t.Run(name, func(t *testing.T) {
+							sc, err := Forward(1, 0.41, 1)
+							if reverse {
+								sc, err = Reverse(0.45, 1)
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							ln := shape.lanes(t, r, n, reads, reverse)
+							checkLockstepMatches(t, name, tc.eng, sc, prof, ln, reads, r.Uint64())
+						})
+					}
 				}
 			}
 		}

@@ -281,19 +281,34 @@ const baselineNsPerServeFrame = 10999670
 // s_p 0.45 with a 1 μs pause from its greedy candidate, through Lease.Run
 // on a default QPU lease, so the anneal runs the logical problem and each
 // frame pays its own compile, as every frame of the workload does: each
-// has a fresh channel, so no frame shares a Prepared. The device is fleet.DefaultDevices[0]:
-// the nominal 2000Q, the calibrated profile, 30 sweeps/μs and no ICE.
-// The frames cycle through 32 channel draws. The record also carries the
-// share of frames whose best read strictly beats the candidate: the
-// answer the serve's quantum arm adds.
+// has a fresh channel, so no frame shares a Prepared. The nominal
+// sub-benchmark is fleet.DefaultDevices[0]: the nominal 2000Q, the
+// calibrated profile, 30 sweeps/μs and no ICE. The ICE one is
+// fleet.DefaultDevices[1], which programs every read with
+// DWave2000QICE noise: the stock profile at 33 sweeps/μs. The frames
+// cycle through 32 channel draws. The record also carries the share of
+// frames whose best read strictly beats the candidate: the answer the
+// serve's quantum arm adds.
 func BenchmarkLeaseServe16QAM(b *testing.B) {
+	b.Run("nominal", func(b *testing.B) {
+		benchServe16QAM(b, "AnnealerLeaseServe16QAM", "fleet.DefaultDevices[0]", CalibratedProfile(), 30, ICE{})
+	})
+	b.Run("ICE", func(b *testing.B) {
+		benchServe16QAM(b, "AnnealerLeaseServe16QAMICE", "fleet.DefaultDevices[1]", DWave2000QProfile(), 33, DWave2000QICE())
+	})
+}
+
+// benchServe16QAM is one BenchmarkLeaseServe16QAM device: the frames on
+// a QPU lease with profile prof, rate sweeps per μs and ICE noise ice,
+// recorded as name. Only the nominal device carries the embedded-lease
+// baseline.
+func benchServe16QAM(b *testing.B, name, device string, prof Profile, rate float64, ice ICE) {
 	const frames, reads = 32, 12
-	prof := CalibratedProfile()
 	ra, err := Reverse(0.45, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := NewQPU2000Q().Lease(Params{Schedule: ra, NumReads: reads, Profile: &prof, SweepsPerMicrosecond: 30})
+	l, err := NewQPU2000Q().Lease(Params{Schedule: ra, NumReads: reads, Profile: &prof, SweepsPerMicrosecond: rate, ICE: ice})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -325,20 +340,21 @@ func BenchmarkLeaseServe16QAM(b *testing.B) {
 	b.ReportMetric(share, "beats-candidate/frame")
 	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
 		nsPerFrame := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		rec := telemetry.BenchRecord{
-			Name:       "AnnealerLeaseServe16QAM",
-			NsPerOp:    nsPerFrame,
-			Iterations: b.N,
-			Config: map[string]any{
-				"engine": "svmc", "reads": reads, "spins": problems[0].N, "path": "qpu-logical",
-				"schedule": "reverse s_p=0.45 pause=1us", "candidate": "greedy",
-				"device": "fleet.DefaultDevices[0]", "beats_candidate_share": share,
-				"baseline_ns_per_frame": baselineNsPerServeFrame, "speedup": baselineNsPerServeFrame / nsPerFrame,
-				"host": fmt.Sprintf("%s/%s, %d CPUs, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version()),
-			},
-			Series: fmt.Sprintf("reads=%d spins=%d ns/frame=%.0f baseline=%d speedup=%.2fx beats-candidate=%.3f",
-				reads, problems[0].N, nsPerFrame, baselineNsPerServeFrame, baselineNsPerServeFrame/nsPerFrame, share),
+		cfg := map[string]any{
+			"engine": "svmc", "reads": reads, "spins": problems[0].N, "path": "qpu-logical",
+			"schedule": "reverse s_p=0.45 pause=1us", "candidate": "greedy",
+			"device": device, "beats_candidate_share": share, "sweeps_per_us": rate,
+			"ice_sigma_h": ice.SigmaH, "ice_sigma_j": ice.SigmaJ,
+			"host": fmt.Sprintf("%s/%s, %d CPUs, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version()),
 		}
+		series := fmt.Sprintf("reads=%d spins=%d ns/frame=%.0f beats-candidate=%.3f", reads, problems[0].N, nsPerFrame, share)
+		if !ice.enabled() {
+			cfg["baseline_ns_per_frame"] = baselineNsPerServeFrame
+			cfg["speedup"] = baselineNsPerServeFrame / nsPerFrame
+			series = fmt.Sprintf("reads=%d spins=%d ns/frame=%.0f baseline=%d speedup=%.2fx beats-candidate=%.3f",
+				reads, problems[0].N, nsPerFrame, baselineNsPerServeFrame, baselineNsPerServeFrame/nsPerFrame, share)
+		}
+		rec := telemetry.BenchRecord{Name: name, NsPerOp: nsPerFrame, Iterations: b.N, Config: cfg, Series: series}
 		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
 			b.Fatal(err)
 		}

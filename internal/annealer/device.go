@@ -3,6 +3,7 @@ package annealer
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/qubo"
 	"repro/internal/rng"
@@ -133,28 +134,80 @@ func (ice ICE) Validate() error {
 // enabled reports whether any noise can be drawn.
 func (ice ICE) enabled() bool { return ice.SigmaH != 0 || ice.SigmaJ != 0 }
 
-// applyGaussianCSR perturbs a compiled problem's coefficients in place:
-// nonzero fields by N(0, sigmaH²) and each undirected coupling by
-// N(0, sigmaJ²), both halves of the mirrored entry receiving the same
-// draw. The draw order — fields in spin order, then couplings in (i, j),
-// i < j order — matches ICE.Perturb on the adjacency form, so a seed
-// programs the same noise through either path.
-func applyGaussianCSR(c *qubo.CSR, sigmaH, sigmaJ float64, r *rng.Source) {
-	if sigmaH > 0 {
-		for i, h := range c.H {
-			if h != 0 {
-				c.H[i] += sigmaH * r.NormFloat64()
+// gaussNoise is one layer of per-read coefficient noise: nonzero fields
+// take N(0, sigmaH²) and couplings N(0, sigmaJ²), drawn from r.
+type gaussNoise struct {
+	sigmaH, sigmaJ float64
+	r              *rng.Source
+}
+
+// applyGaussianCSR perturbs a compiled problem's coefficients in place
+// by each layer in turn, as ICE.Perturb would one layer after another:
+// nonzero fields (after the layers before) by N(0, sigmaH²), and each
+// undirected coupling by N(0, sigmaJ²), both halves of the mirrored
+// entry receiving the same draw. A layer's draw order — fields in spin
+// order, then couplings in (i, j), i < j order — matches ICE.Perturb on
+// the adjacency form, so a seed programs the same noise through either
+// path. Each layer draws its normals in one batch (NormFloat64s) into
+// buf, and one pass over the couplings adds every layer's draws and,
+// when rows is non-nil, writes each perturbed coupling into the dense
+// row table too, whose masks must be c's topology.
+func applyGaussianCSR(c *qubo.CSR, rows *svmcRows, layers []gaussNoise, buf *[]float64) {
+	couplings := len(c.W) / 2
+	var js [2][]float64 // each layer's coupling draws
+	noise := (*buf)[:0]
+	for l, ly := range layers {
+		fields := 0
+		if ly.sigmaH > 0 {
+			for _, h := range c.H {
+				if h != 0 {
+					fields++
+				}
 			}
 		}
-	}
-	if sigmaJ > 0 {
-		for i := 0; i < c.N; i++ {
-			for k := c.Offsets[i]; k < c.Offsets[i+1]; k++ {
-				if int(c.Cols[k]) > i {
-					dv := sigmaJ * r.NormFloat64()
-					c.W[k] += dv
-					c.W[c.Mirror[k]] += dv
+		draws := fields
+		if ly.sigmaJ > 0 {
+			draws += couplings
+		}
+		at := len(noise)
+		noise = slices.Grow(noise, draws)[:at+draws]
+		seg := noise[at:]
+		ly.r.NormFloat64s(seg)
+		if ly.sigmaH > 0 {
+			t := 0
+			for i, h := range c.H {
+				if h != 0 {
+					c.H[i] += ly.sigmaH * seg[t]
+					t++
 				}
+			}
+		}
+		if ly.sigmaJ > 0 {
+			js[l] = seg[fields:]
+		}
+	}
+	*buf = noise
+	np := (c.N + 3) &^ 3
+	t := 0
+	for i := 0; i < c.N; i++ {
+		for k := c.Offsets[i]; k < c.Offsets[i+1]; k++ {
+			j := int(c.Cols[k])
+			if j <= i {
+				continue // written with its mirror
+			}
+			m := c.Mirror[k]
+			a, b := c.W[k], c.W[m]
+			for l, ly := range layers {
+				if js[l] != nil {
+					dv := ly.sigmaJ * js[l][t]
+					a += dv
+					b += dv
+				}
+			}
+			t++
+			c.W[k], c.W[m] = a, b
+			if rows != nil {
+				rows.w[i*np+j], rows.w[j*np+i] = a, b
 			}
 		}
 	}

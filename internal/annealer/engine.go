@@ -58,6 +58,10 @@ type BatchRead struct {
 	Out   []int8
 	Rng   *rng.Source
 	Probe Probe
+
+	// rows is Prog's dense row table (svmcRows) when the run body built
+	// one, else nil; the SVMC kernel then walks Prog's CSR rows.
+	rows *svmcRows
 }
 
 // BatchReadFunc evolves a group of reads in LOCKSTEP: all reads advance

@@ -84,7 +84,8 @@ func TestApplyGaussianCSRMatchesPerturb(t *testing.T) {
 	const seed = 0xD1F7
 	want := qubo.NewCSR(ice.Perturb(is, rng.New(seed)))
 	got := qubo.NewCSR(is)
-	applyGaussianCSR(got, ice.SigmaH, ice.SigmaJ, rng.New(seed))
+	var buf []float64
+	applyGaussianCSR(got, nil, []gaussNoise{{ice.SigmaH, ice.SigmaJ, rng.New(seed)}}, &buf)
 
 	for i := range want.H {
 		if got.H[i] != want.H[i] {

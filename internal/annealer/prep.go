@@ -24,14 +24,17 @@ import (
 )
 
 // Prepared is one problem compiled for one lease: the normalized CSR of
-// the problem the engine actually sweeps (physical for chain leases)
-// plus, on the chain path, the minor embedding. It is immutable after
+// the problem the engine actually sweeps (physical for chain leases),
+// its dense row table when the lease's SVMC kernel applies along one
+// (problems of at most svmcRowSpins spins), plus, on the chain path,
+// the minor embedding. It is immutable after
 // PrepareProblem and safe for concurrent RunPrepared calls.
 type Prepared struct {
-	l   *Lease
-	is  *qubo.Ising
-	pr  *qubo.CSR
-	emb *chimera.Embedding
+	l    *Lease
+	is   *qubo.Ising
+	pr   *qubo.CSR
+	rows svmcRows // pr's dense row table when the lease's kernel uses one
+	emb  *chimera.Embedding
 }
 
 // Problem returns the problem the Prepared was compiled from — the
@@ -39,7 +42,8 @@ type Prepared struct {
 func (p *Prepared) Problem() *qubo.Ising { return p.is }
 
 // PrepareProblem compiles is for this lease: CSR + normalization, plus
-// embedding and physical coefficients when the lease runs chains. A QPU
+// embedding and physical coefficients when the lease runs chains, and
+// the dense row table of a problem the SIMD SVMC kernel sweeps. A QPU
 // lease rejects a problem beyond the QPU's clique capacity here. The
 // Prepared keeps is itself, not a copy: the caller must not mutate is
 // while the Prepared is in use, or its runs would mix the new
@@ -55,15 +59,18 @@ func (l *Lease) PrepareProblem(is *qubo.Ising) (*Prepared, error) {
 			return nil, err
 		}
 		prep.emb, prep.pr = emb, pr
-		return prep, nil
-	}
-	if l.qpu != nil {
-		if err := l.qpu.checkCapacity(is); err != nil {
-			return nil, err
+	} else {
+		if l.qpu != nil {
+			if err := l.qpu.checkCapacity(is); err != nil {
+				return nil, err
+			}
 		}
+		prep.pr = qubo.NewCSR(is)
+		prep.pr.Normalize()
 	}
-	prep.pr = qubo.NewCSR(is)
-	prep.pr.Normalize()
+	if l.rows && prep.pr.N <= svmcRowSpins {
+		prep.rows.build(prep.pr)
+	}
 	return prep, nil
 }
 
@@ -86,5 +93,9 @@ func (l *Lease) preparedRun(prep *Prepared, init []int8, numReads int, r *rng.So
 	if l.qpu != nil {
 		p = l.qpu.withTiming(p)
 	}
-	return &run{is: prep.is, emb: prep.emb, pr: prep.pr, p: p, r: r, err: err}
+	ru := &run{is: prep.is, emb: prep.emb, pr: prep.pr, p: p, r: r, err: err}
+	if prep.rows.w != nil {
+		ru.rows = &prep.rows
+	}
+	return ru
 }

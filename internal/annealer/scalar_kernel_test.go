@@ -56,6 +56,12 @@ func TestLockstepScalarMatchesSIMD(t *testing.T) {
 			checkLockstepMatches(t, "scalar-svmc/full-rows", SVMC{}, sc, prof, ln, 12, r.Uint64())
 		}
 	}
+	for _, n := range []int{6, 16, 32} {
+		for _, sc := range []*Schedule{fwd, rev} {
+			ln := holeLanes(t, r, n, 12, sc.StartsClassical())
+			checkLockstepMatches(t, fmt.Sprintf("scalar-svmc/holes/n=%d", n), SVMC{}, sc, prof, ln, 12, r.Uint64())
+		}
+	}
 }
 
 // TestScalarScoreMatchesStage1 pins the scalar replay scorer (the Lemire
@@ -185,8 +191,8 @@ func TestLeaseAccessors(t *testing.T) {
 // observations bit for bit. The kernel bails to the replay with
 // probability n/2⁶⁴ per lane, so no workload reaches it naturally. The
 // shapes are TestLockstepMatchesSequential's: partial live masks
-// (reads 1, 3, 11, 12), mixed-problem groups, full-row groups,
-// forward and reverse, and the serve-shaped logical and embedded
+// (reads 1, 3, 11, 12), mixed-problem groups, full-row groups, groups
+// whose rows have holes, forward and reverse, and the serve-shaped logical and embedded
 // groups, every read probed.
 func TestSVMCReplayMatchesKernelApply(t *testing.T) {
 	if !hasBatchSIMD {
@@ -213,6 +219,12 @@ func TestSVMCReplayMatchesKernelApply(t *testing.T) {
 		for _, sc := range []*Schedule{fwd, rev} {
 			ln := fullRowLanes(t, r, n, 12, sc.StartsClassical())
 			check(fmt.Sprintf("replay/full-rows/n=%d/reverse=%v", n, sc == rev), sc, ln, 12)
+		}
+	}
+	for _, n := range []int{6, 16, 32} {
+		for _, sc := range []*Schedule{fwd, rev} {
+			ln := holeLanes(t, r, n, 12, sc.StartsClassical())
+			check(fmt.Sprintf("replay/holes/n=%d/reverse=%v", n, sc == rev), sc, ln, 12)
 		}
 	}
 	ra, err := Reverse(0.45, 1)
@@ -250,6 +262,9 @@ func TestSVMCKernelExitsMatchReplay(t *testing.T) {
 	check("exits/mixed/reads=16/reverse", rev, ln, 16)
 	for _, n := range []int{6, 30} {
 		check(fmt.Sprintf("exits/full-rows/n=%d/reads=16/reverse", n), rev, fullRowLanes(t, r, n, 16, true), 16)
+	}
+	for _, n := range []int{6, 16, 32} {
+		check(fmt.Sprintf("exits/holes/n=%d/reads=16/reverse", n), rev, holeLanes(t, r, n, 16, true), 16)
 	}
 	ra, err := Reverse(0.45, 1)
 	if err != nil {

@@ -71,8 +71,10 @@ type svmcBatchScratch struct {
 // did not run that step, 2 when both ran) are OUTPUTS. live masks the
 // real lanes, acc counts each lane's accepts the kernel applied, and
 // offs/cols/w hold each live lane's CSR arrays for the kernel's row walk
-// (lanes may carry different problems). rot and fld are the scratch's
-// rotor and field arrays, lanoff each lane's slot offset into both.
+// (lanes may carry different problems), and dw/dm the weights and
+// masks of its dense row table (svmcRows), nil when it has none. rot
+// and fld are the scratch's rotor and field arrays, lanoff each lane's
+// slot offset into both.
 // bounds points at metropolis.Bounds, the one exp bracket every
 // Metropolis test reads.
 type svmcStepArgs struct {
@@ -93,6 +95,51 @@ type svmcStepArgs struct {
 	offs, cols         [svmcGroupWidth]*int32   // +160 +288
 	w                  [svmcGroupWidth]*float64 // +416
 	fld                *float64                 // +544
+	dw                 [svmcGroupWidth]*float64 // +552
+	dm                 [svmcGroupWidth]*uint64  // +680
+}
+
+// svmcRowSpins is the largest problem that gets a dense row table: a
+// row's mask is one uint64.
+const svmcRowSpins = 64
+
+// svmcRows is a problem's dense row table, the layout the SIMD kernel
+// applies an accept along. Row i holds spin i's couplings in column
+// order: w[i·np+j] is J_ij, with np = n rounded up to 4, the kernel's
+// slot stride. Bit j of mask[i] marks a column row i does not couple:
+// j = i itself, an exact-zero coupling the problem dropped, and the
+// padding j ≥ n. A masked slot holds any finite weight (zero, or a
+// stale one in a pooled per-read table): the kernel adds w·dz to all np
+// fields of the lane's block and blends every masked field back, so a
+// −0 field stays −0 and the result is the CSR walk's, bit for bit. The
+// unmasked weights must equal the CSR's.
+type svmcRows struct {
+	w    []float64
+	mask []uint64
+}
+
+// build makes rows pr's dense row table (pr.N ≤ svmcRowSpins).
+func (rows *svmcRows) build(pr *qubo.CSR) {
+	n := pr.N
+	np := (n + 3) &^ 3
+	*rows = svmcRows{w: make([]float64, n*np), mask: make([]uint64, n)}
+	for i := range rows.mask {
+		m := ^uint64(0)
+		for k := pr.Offsets[i]; k < pr.Offsets[i+1]; k++ {
+			j := pr.Cols[k]
+			rows.w[i*np+int(j)] = pr.W[k]
+			m &^= 1 << uint(j)
+		}
+		rows.mask[i] = m
+	}
+}
+
+// svmcUsesRows reports whether eng's kernel applies along dense row
+// tables: the SIMD kernel, which covers SVMC's uniform moves. The
+// staged Go kernel walks the CSR rows.
+func svmcUsesRows(eng Engine) bool {
+	e, ok := eng.(SVMC)
+	return ok && !e.TFMoves && hasBatchSIMD
 }
 
 // svmcChunks is the number of 8-lane chunks in one svmcStepArgs block.
@@ -271,6 +318,10 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 			a.offs[l] = unsafe.SliceData(pr.Offsets)
 			a.cols[l] = unsafe.SliceData(pr.Cols)
 			a.w[l] = unsafe.SliceData(pr.W)
+			if rows := reads[c+l].rows; rows != nil {
+				a.dw[l] = unsafe.SliceData(rows.w)
+				a.dm[l] = unsafe.SliceData(rows.mask)
+			}
 		}
 	}
 	sweeps := tab.sweeps()
@@ -314,6 +365,7 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	for ci := range st.args {
 		a := &st.args[ci]
 		a.offs, a.cols, a.w = [svmcGroupWidth]*int32{}, [svmcGroupWidth]*int32{}, [svmcGroupWidth]*float64{}
+		a.dw, a.dm = [svmcGroupWidth]*float64{}, [svmcGroupWidth]*uint64{}
 	}
 	for j := range reads {
 		reads[j].Rng.SetState(rs0[j], rs1[j], rs2[j], rs3[j])

@@ -23,7 +23,8 @@ func TestSVMCStepArgsLayout(t *testing.T) {
 		{"rej", unsafe.Offsetof(a.rej), 140}, {"bounds", unsafe.Offsetof(a.bounds), 144},
 		{"acc", unsafe.Offsetof(a.acc), 152}, {"offs", unsafe.Offsetof(a.offs), 160},
 		{"cols", unsafe.Offsetof(a.cols), 288}, {"w", unsafe.Offsetof(a.w), 416},
-		{"fld", unsafe.Offsetof(a.fld), 544}, {"size", unsafe.Sizeof(a), 552},
+		{"fld", unsafe.Offsetof(a.fld), 544}, {"dw", unsafe.Offsetof(a.dw), 552},
+		{"dm", unsafe.Offsetof(a.dm), 680}, {"size", unsafe.Sizeof(a), 808},
 		// The kernel indexes the 16-lane arrays by lane and sizes k, exm,
 		// live, rej and the acc counters by these widths.
 		{"lanes", uintptr(len(a.rs0)), 16}, {"k-width", unsafe.Sizeof(a.k), 8},

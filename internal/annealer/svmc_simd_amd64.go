@@ -88,8 +88,8 @@ var svmcSIMDTab struct {
 	cosC     [8][4]float64 // +512
 	expStep  [4]float64    // +768  metropolis.GridStep
 	expCap   [4]uint64     // +800  metropolis.GridMax (as int64)
-	iota     [4]uint64     // +832  0, 1, 2, 3
-	four     [4]uint64     // +864  4
+	laneBit  [4]uint64     // +832  63, 62, 61, 60: shifts taking mask bit l to lane l's sign
+	laneBit2 [4]uint64     // +864  59, 58, 57, 56: the same for mask bit 4+l
 }
 
 func init() {
@@ -112,8 +112,8 @@ func init() {
 	}
 	fillF(&svmcSIMDTab.expStep, metropolis.GridStep)
 	fill(&svmcSIMDTab.expCap, metropolis.GridMax)
-	svmcSIMDTab.iota = [4]uint64{0, 1, 2, 3}
-	fill(&svmcSIMDTab.four, 4)
+	svmcSIMDTab.laneBit = [4]uint64{63, 62, 61, 60}
+	svmcSIMDTab.laneBit2 = [4]uint64{59, 58, 57, 56}
 	// The u64→f64 magic-number identity the conversion rests on, checked
 	// once at startup so a miscompiled constant can never ship silently.
 	if v := uint64(1)<<52 | 12345; float64(v) != (math.Float64frombits(0x4530000000000000|v>>32)-(0x1p84+0x1p52))+math.Float64frombits(0x4330000000000000|v&0xFFFFFFFF) {

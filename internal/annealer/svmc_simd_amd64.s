@@ -8,7 +8,7 @@
 //   +0 mask32  +32 magicHi  +64 magicLo  +96 magicSub(2⁸⁴+2⁵²)
 //   +128 2⁻⁵³  +160 0.5  +192 0.25  +224 absMask  +256 signBit
 //   +288+32k sinPiCoef[k] (k ≤ 6)   +512+32k cosPiCoef[k] (k ≤ 7)
-//   +768 expGridStep  +800 expGridMax (int64)
+//   +768 expGridStep  +800 expGridMax (int64)  +832 laneBit (63−l)  +864 laneBit2 (59−l)
 
 #include "textflag.h"
 #include "lockstep_simd.h"
@@ -235,50 +235,37 @@
 	SCOREREGS                                \
 	SCORE(OA, SA)
 
-// EDGEQUAD is one quad of APPLY's full-row update with masked loads,
-// for the first and last quads of the row, where a plain load of W could
-// leave the array. Y4 holds the quad's spin indices j, Y2 = i, Y12 = n,
-// Y1 = dz; R15 points at W[off+j₀] and R11 at fld[lanoff+j₀], j₀ the
-// quad's first index. Lanes j < i take W[off+j], lanes i < j < n take
-// W[off+j−1]; lane i and the padding keep their fields. Advances R15,
-// R11 and Y4 by one quad; clobbers Y5–Y9 and leaves the flags alone.
-#define EDGEQUAD \
-	VPCMPGTQ Y4, Y2, Y5          \
-	VPCMPGTQ Y2, Y4, Y6          \
-	VPCMPGTQ Y4, Y12, Y7         \
-	VPAND Y7, Y6, Y6             \
-	VMASKMOVPD (R15), Y5, Y8     \
-	VMASKMOVPD -8(R15), Y6, Y9   \
-	VORPD Y9, Y8, Y8             \
-	VMULPD Y1, Y8, Y8            \
-	VMOVUPD (R11), Y9            \
-	VADDPD Y9, Y8, Y8            \
-	VPOR  Y6, Y5, Y5             \
-	VBLENDVPD Y5, Y8, Y9, Y9     \
-	VMOVUPD Y9, (R11)            \
-	VPADDQ ·svmcSIMDTab+864(SB), Y4, Y4 \
-	LEAQ  32(R15), R15           \
-	LEAQ  32(R11), R11
+// DENSEQUAD is one quad of APPLY's dense-row update, the quad at byte
+// offset OFF from SI·8 past R15 (weights) and R11 (fields): the fields
+// take field + w·dz (Y1 = dz), then VBLENDVPD restores every lane whose
+// mask bit the shift counts in SH bring to the sign bit of Y2's copy.
+// Clobbers T, U and V.
+#define DENSEQUAD(OFF, SH, T, U, V) \
+	VMULPD OFF(R15)(SI*8), Y1, U  \
+	VMOVUPD OFF(R11)(SI*8), V     \
+	VADDPD U, V, U                \
+	VPSLLVQ SH, Y2, T             \
+	VBLENDVPD T, V, U, U          \
+	VMOVUPD U, OFF(R11)(SI*8)
 
 // APPLY applies the decided accepts of the lanes in DI, in lane order:
 // the rotor pair at rot[2g], g = lanoff + idx, takes the proposal's
-// (cos, sin), dz = nz − z is added to the lane's fields along its own
-// CSR row, and the lane's accept count is bumped. Each field takes one
-// field + w·dz — the Go apply's operations; the fields of a row are
-// distinct, so their order cannot matter. A full row (n−1 entries:
-// sorted, distinct and without the diagonal, so every other spin in
-// order) updates the two spans fld[0:i] from W[off:off+i] and
-// fld[i+1:n] from W[off+i:off+n−1] a quad of fields at a time, with
-// VMULPD/VADDPD, which round like the scalar ops: lanes j < i take
-// W[off+j], lanes j > i take W[off+j−1]. The quad count depends only on
-// n, so no branch depends on i. The first and last quads load W masked
-// (EDGEQUAD) and keep lane i and the padding; the middle quads' plain
-// loads stay inside the row, and lane i, which they may add to, gets
-// its saved field back. Any other row walks its columns. The row length
+// (cos, sin), dz = nz − z is added to the lane's fields along row idx of
+// its problem, and the lane's accept count is bumped. Each field takes
+// one field + w·dz, the Go apply's operations; the fields of a row are
+// distinct, so their order cannot matter. A lane with a dense row table
+// (a.dw, a.dm) updates all np fields of its block a quad at a time with
+// VMULPD/VADDPD, which round like the scalar ops, and VBLENDVPD puts
+// back the old field of every column the row's mask marks (the spin
+// itself, a dropped zero coupling, the padding), so such a field is
+// stored unchanged, −0 included. The mask bit of lane l's column reaches
+// its sign bit by a shift of 63−l (or 59−l in the second quad of a
+// pair), and the mask moves on by eight bits a pair of quads; an odd
+// quad count runs one quad first. SI counts up from −np to 0. A lane without one walks its CSR row column by column. The path
 // is the lane's own, so lanes of one group may take different paths.
 // LOOP … DONE name the expansion's labels; it falls through at DONE.
-// Needs CX and Y12 (nb); clobbers AX, BX, DX, SI, DI, R8–R15 and Y0–Y9.
-#define APPLY(LOOP, ROW, FULL, QUAD, MID, LAST, DONE) \
+// Needs CX; clobbers AX, BX, DX, SI, DI, R8–R15 and Y0–Y9.
+#define APPLY(LOOP, ROW, DENSE, QUAD, DONE) \
 	MOVQ 40(CX), R8              \
 	MOVQ 48(CX), R9              \
 	MOVQ 32(CX), R12             \
@@ -300,19 +287,17 @@ LOOP:                                \
 	VMOVSD X0, (R13)(BX*8)       \
 	VMOVSD (R8)(AX*8), X0        \
 	VMOVSD X0, 8(R13)(BX*8)      \
+	MOVQ  544(CX), BX            \
+	LEAQ  (BX)(R11*8), R11       \
+	MOVQ  552(CX)(AX*8), R15     \
+	TESTQ R15, R15               \
+	JNZ   DENSE                  \
 	MOVQ  160(CX)(AX*8), DX      \
 	MOVLQSX (DX)(R10*4), SI      \
 	MOVLQSX 4(DX)(R10*4), DX     \
 	CMPQ  SI, DX                 \
 	JGE   LOOP                   \
 	MOVQ  416(CX)(AX*8), R15     \
-	MOVQ  544(CX), BX            \
-	LEAQ  (BX)(R11*8), R11       \
-	MOVQ  DX, BX                 \
-	SUBQ  SI, BX                 \
-	INCQ  BX                     \
-	CMPQ  BX, 88(CX)             \
-	JEQ   FULL                   \
 	MOVQ  288(CX)(AX*8), R10     \
 ROW:                                 \
 	MOVLQSX (R10)(SI*4), BX      \
@@ -323,37 +308,32 @@ ROW:                                 \
 	CMPQ  SI, DX                 \
 	JLT   ROW                    \
 	JMP   LOOP                   \
-FULL:                                \
-	LEAQ  (R15)(SI*8), R15       \
-	VBROADCASTSD X1, Y1          \
-	VMOVQ R10, X2                \
-	VPBROADCASTQ X2, Y2          \
-	VMOVDQU ·svmcSIMDTab+832(SB), Y4 \
-	LEAQ  (R11)(R10*8), R10      \
-	VMOVSD (R10), X3             \
+DENSE:                               \
+	MOVQ  680(CX)(AX*8), DX      \
+	VPBROADCASTQ (DX)(R10*8), Y2 \
 	MOVQ  88(CX), SI             \
 	ADDQ  $3, SI                 \
-	SHRQ  $2, SI                 \
-	SUBQ  $2, SI                 \
-	EDGEQUAD                     \
-	JL    LAST                   \
-	JZ    MID                    \
+	ANDQ  $~3, SI                \
+	IMULQ SI, R10                \
+	LEAQ  (R15)(R10*8), R15      \
+	LEAQ  (R15)(SI*8), R15       \
+	LEAQ  (R11)(SI*8), R11       \
+	NEGQ  SI                     \
+	VBROADCASTSD X1, Y1          \
+	VMOVDQU ·svmcSIMDTab+832(SB), Y3 \
+	VMOVDQU ·svmcSIMDTab+864(SB), Y4 \
+	TESTQ $4, SI                 \
+	JZ    QUAD                   \
+	DENSEQUAD(0, Y3, Y7, Y8, Y9) \
+	VPSRLQ $4, Y2, Y2            \
+	ADDQ  $4, SI                 \
+	JZ    LOOP                   \
 QUAD:                                \
-	VPCMPGTQ Y2, Y4, Y6          \
-	VMOVUPD (R15), Y8            \
-	VBLENDVPD Y6, -8(R15), Y8, Y8 \
-	VMULPD Y1, Y8, Y8            \
-	VADDPD (R11), Y8, Y8         \
-	VMOVUPD Y8, (R11)            \
-	VPADDQ ·svmcSIMDTab+864(SB), Y4, Y4 \
-	ADDQ  $32, R15               \
-	ADDQ  $32, R11               \
-	DECQ  SI                     \
+	DENSEQUAD(0, Y3, Y7, Y8, Y9) \
+	DENSEQUAD(32, Y4, Y5, Y6, Y0) \
+	VPSRLQ $8, Y2, Y2            \
+	ADDQ  $8, SI                 \
 	JNZ   QUAD                   \
-MID:                                 \
-	EDGEQUAD                     \
-LAST:                                \
-	VMOVSD X3, (R10)             \
 	JMP   LOOP                   \
 DONE:
 
@@ -367,7 +347,7 @@ DONE:
 
 // func svmcStepx8(a *svmcStepArgs) bool
 //
-// The svmcStepArgs field offsets (+0 rs0 … +544 fld) are a hard contract
+// The svmcStepArgs field offsets (+0 rs0 … +680 dm) are a hard contract
 // with the struct definition in svmc_batch.go; CX holds the struct base
 // for the whole body. One call runs proposal steps a.k, a.k+1, … of a
 // sweep over two 8-lane chunks (lanes 0–7 and 8–15); a chunk with no
@@ -421,7 +401,7 @@ chain0:
 	TESTL $0xFF00, AX        // any live lane in lanes 8–15?
 	JZ    chain1
 	MOVQ 96(SP), DI          // chunk 1's accepts of step k−1
-	APPLY(pend, pendrow, pendfull, pendquad, pendmid, pendlast, pended)
+	APPLY(pend, pendrow, penddense, pendquad, pended)
 	MOVQ 0(CX), R8
 	MOVQ 8(CX), R9
 	MOVQ 16(CX), R10
@@ -441,7 +421,7 @@ scored1:
 
 chain1:
 	MOVQ 104(SP), DI
-	APPLY(own, ownrow, ownfull, ownquad, ownmid, ownlast, owned)
+	APPLY(own, ownrow, owndense, ownquad, owned)
 	MOVQ 112(SP), AX
 	MOVWLZX 138(CX), BX
 	ANDL BX, AX
@@ -464,7 +444,7 @@ drain:
 	// sees every lane at the same step.
 	MOVQ 96(SP), DI
 drainlanes:
-	APPLY(fin, finrow, finfull, finquad, finmid, finlast, fined)
+	APPLY(fin, finrow, findense, finquad, fined)
 	VZEROUPPER
 	RET
 

@@ -80,9 +80,10 @@ func BitErrors(s modulation.Scheme, est, truth []complex128) int {
 		panic("mimo: BitErrors length mismatch")
 	}
 	errs := 0
+	var abuf, bbuf [8]int8 // a symbol's bits: 6 at most, for 64-QAM
 	for i := range est {
-		a := s.Demodulate(est[i])
-		b := s.Demodulate(truth[i])
+		a := s.AppendDemodulate(abuf[:0], est[i])
+		b := s.AppendDemodulate(bbuf[:0], truth[i])
 		for k := range a {
 			if a[k] != b[k] {
 				errs++
@@ -100,7 +101,7 @@ func RandomSymbols(r *rng.Source, s modulation.Scheme, nt int) (symbols []comple
 	bits = make([]int8, 0, nt*s.BitsPerSymbol())
 	for i := range symbols {
 		symbols[i] = alpha[r.Intn(len(alpha))]
-		bits = append(bits, s.Demodulate(symbols[i])...)
+		bits = s.AppendDemodulate(bits, symbols[i])
 	}
 	return symbols, bits
 }

@@ -414,7 +414,7 @@ func TestReduceMatchesAddCoupling(t *testing.T) {
 			}
 			hr, yr := linalg.RealDecompose(p.H, p.Y)
 			n := red.Ising.N
-			m, c := quadraticForm(hr, yr, weightMatrix(s.Norm(), red.dimBits, red.dimOffset, n))
+			m, c := quadraticForm(hr, yr, s.Norm(), red.dimBits, red.dimOffset)
 			want := qubo.NewIsing(n)
 			want.Offset = linalg.VecNormSq(yr)
 			zeros := 0
@@ -434,6 +434,50 @@ func TestReduceMatchesAddCoupling(t *testing.T) {
 			}
 			if realH && zeros == 0 {
 				t.Fatalf("%v: a real channel gave no exact-zero coupling", s)
+			}
+		}
+	}
+}
+
+// TestQuadraticFormMatchesMul pins quadraticForm to the dense form it
+// replaced, M = (AᵀG)·A with G = H̃ᵀ·H̃ and c = Aᵀ·(H̃ᵀ·ỹ) through
+// Transpose, Mul and MulVec: every entry of M and c bit for bit, on
+// complex and real channels (a real one leaves exact zeros in G) for
+// each scheme.
+func TestQuadraticFormMatchesMul(t *testing.T) {
+	r := rng.New(0xf0)
+	for _, s := range []modulation.Scheme{modulation.QPSK, modulation.QAM16, modulation.QAM64} {
+		for _, realH := range []bool{false, true} {
+			p, _ := synth(r, s, 8, 0.1)
+			if realH {
+				for k, h := range p.H.Data {
+					p.H.Data[k] = complex(real(h), 0)
+				}
+			}
+			red, err := Reduce(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hr, yr := linalg.RealDecompose(p.H, p.Y)
+			n := red.Ising.N
+			a := linalg.NewMatrix(len(red.dimBits), n)
+			for d, b := range red.dimBits {
+				for k, wk := range modulation.SpinWeights(b) {
+					a.Set(d, red.dimOffset[d]+k, s.Norm()*wk)
+				}
+			}
+			wantM := a.Transpose().Mul(hr.Transpose().Mul(hr)).Mul(a)
+			wantC := a.Transpose().MulVec(hr.Transpose().MulVec(yr))
+			m, c := quadraticForm(hr, yr, s.Norm(), red.dimBits, red.dimOffset)
+			for i := 0; i < n; i++ {
+				if math.Float64bits(c[i]) != math.Float64bits(wantC[i]) {
+					t.Fatalf("%v real=%v: c[%d] = %v, Mul form %v", s, realH, i, c[i], wantC[i])
+				}
+				for j := 0; j < n; j++ {
+					if got, want := m.At(i, j), wantM.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v real=%v: M[%d][%d] = %v, Mul form %v", s, realH, i, j, got, want)
+					}
+				}
 			}
 		}
 	}

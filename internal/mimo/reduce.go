@@ -73,7 +73,7 @@ func Reduce(p *Problem) (*Reduction, error) {
 		return nil, fmt.Errorf("mimo: reduction produced no spins")
 	}
 
-	m, c := quadraticForm(hr, yr, weightMatrix(norm, dimBits, dimOffset, total))
+	m, c := quadraticForm(hr, yr, norm, dimBits, dimOffset)
 	return &Reduction{
 		Ising:     isingOf(m, c, linalg.VecNormSq(yr)),
 		problem:   p,
@@ -84,23 +84,59 @@ func Reduce(p *Problem) (*Reduction, error) {
 	}, nil
 }
 
-// weightMatrix returns A, (2·nt) × total with A[d][σ(d)+k] = norm·w_k.
-func weightMatrix(norm float64, dimBits, dimOffset []int, total int) *linalg.Matrix {
-	a := linalg.NewMatrix(len(dimBits), total)
-	for d, b := range dimBits {
-		for k, wk := range modulation.SpinWeights(b) {
-			a.Set(d, dimOffset[d]+k, norm*wk)
+// quadraticForm returns M = AᵀGA, G = H̃ᵀH̃, and c = AᵀH̃ᵀỹ for the weight
+// matrix A, (2·nt) × total with A[d][σ(d)+k] = norm·w_k. Each column of
+// A holds one nonzero, a_i = norm·w_k at row d_i, so
+//
+//	M_ij = (a_i·G[d_i][d_j])·a_j,  c_i = a_i·(H̃ᵀỹ)[d_i],
+//
+// and neither A nor a transpose is built. G_rc sums H̃_kr·H̃_kc over k in
+// ascending order, skipping H̃_kr = 0, as Matrix.Mul does; G_cr sums the
+// same products in the same order (a skipped term is ±0, which leaves a
+// sum that starts at +0 unchanged), so G is symmetric bit for bit and its
+// upper triangle is computed once and mirrored. Every entry accumulates
+// from +0 as the Transpose/Mul/MulVec chain does, so the bits are that
+// chain's (TestQuadraticFormMatchesMul).
+func quadraticForm(hr *linalg.Matrix, yr []float64, norm float64, dimBits, dimOffset []int) (*linalg.Matrix, []float64) {
+	dims := hr.Cols
+	total := dimOffset[dims-1] + dimBits[dims-1]
+	g := make([]float64, dims*dims+dims+2*total)
+	hty, a := g[dims*dims:dims*dims+dims], g[dims*dims+dims:dims*dims+dims+total]
+	dimOf := make([]int, total)
+	for r := 0; r < dims; r++ {
+		for c := r; c < dims; c++ {
+			var sum float64
+			for k := 0; k < hr.Rows; k++ {
+				if v := hr.Data[k*dims+r]; v != 0 {
+					sum += v * hr.Data[k*dims+c]
+				}
+			}
+			g[r*dims+c], g[c*dims+r] = sum, sum
+		}
+		for k, y := range yr {
+			hty[r] += hr.Data[k*dims+r] * y
 		}
 	}
-	return a
-}
-
-// quadraticForm returns M = AᵀGA, G = H̃ᵀH̃, and c = AᵀH̃ᵀỹ.
-func quadraticForm(hr *linalg.Matrix, yr []float64, a *linalg.Matrix) (*linalg.Matrix, []float64) {
-	g := hr.Transpose().Mul(hr)
-	m := a.Transpose().Mul(g).Mul(a)
-	hty := hr.Transpose().MulVec(yr)
-	return m, a.Transpose().MulVec(hty)
+	for d, b := range dimBits {
+		for k := 0; k < b; k++ {
+			dimOf[dimOffset[d]+k] = d
+			a[dimOffset[d]+k] = norm * float64(int(1)<<uint(b-1-k))
+		}
+	}
+	m := linalg.NewMatrix(total, total)
+	c := g[dims*dims+dims+total:]
+	for i := 0; i < total; i++ {
+		row, gi := m.Data[i*total:(i+1)*total], g[dimOf[i]*dims:(dimOf[i]+1)*dims]
+		for j := range row {
+			var t float64
+			t += a[i] * gi[dimOf[j]]
+			if t != 0 {
+				row[j] += t * a[j]
+			}
+		}
+		c[i] += a[i] * hty[dimOf[i]]
+	}
+	return m, c
 }
 
 // isingOf assembles the Ising model h_i = −2·c_i, J_ij = 2·M_ij (i<j),
@@ -165,9 +201,7 @@ func (r *Reduction) DecodeSpins(spins []int8) []complex128 {
 }
 
 func (r *Reduction) dimLevel(spins []int8, d int) float64 {
-	b := r.dimBits[d]
-	off := r.dimOffset[d]
-	return modulation.SpinsToLevel(spins[off : off+b])
+	return modulation.SpinsToLevel(r.dimSpins(spins, d))
 }
 
 // EncodeSymbols converts a symbol vector into the spin configuration that
@@ -181,18 +215,17 @@ func (r *Reduction) EncodeSymbols(symbols []complex128) ([]int8, error) {
 	norm := r.scheme.Norm()
 	spins := make([]int8, r.Ising.N)
 	for u, x := range symbols {
-		iLevel := real(x) / norm
-		copySpins(spins, r.dimOffset[u], modulation.LevelToSpins(iLevel, r.dimBits[u]))
-		if b := r.dimBits[r.nt+u]; b > 0 {
-			qLevel := imag(x) / norm
-			copySpins(spins, r.dimOffset[r.nt+u], modulation.LevelToSpins(qLevel, b))
+		modulation.LevelToSpinsInto(r.dimSpins(spins, u), real(x)/norm)
+		if r.dimBits[r.nt+u] > 0 {
+			modulation.LevelToSpinsInto(r.dimSpins(spins, r.nt+u), imag(x)/norm)
 		}
 	}
 	return spins, nil
 }
 
-func copySpins(dst []int8, off int, src []int8) {
-	copy(dst[off:off+len(src)], src)
+// dimSpins returns the spins of real dimension d.
+func (r *Reduction) dimSpins(spins []int8, d int) []int8 {
+	return spins[r.dimOffset[d] : r.dimOffset[d]+r.dimBits[d]]
 }
 
 // Scheme returns the modulation the reduction was built for.

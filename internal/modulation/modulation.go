@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 )
 
 // Scheme identifies a modulation.
@@ -141,10 +142,10 @@ func levelFromBits(bits []int8) float64 {
 	return float64(2*idx - n + 1)
 }
 
-// bitsFromLevel maps a raw PAM amplitude (which must be a valid level) to
-// its Gray-coded bit label (MSB first).
-func bitsFromLevel(level float64, bitsPerDim int) []int8 {
-	n := 1 << uint(bitsPerDim)
+// bitsFromLevel writes the Gray-coded bit label (MSB first) of a raw PAM
+// amplitude, which must be a valid level of len(dst) bits, into dst.
+func bitsFromLevel(dst []int8, level float64) {
+	n := 1 << uint(len(dst))
 	idx := int(math.Round((level + float64(n) - 1) / 2))
 	if idx < 0 {
 		idx = 0
@@ -153,12 +154,10 @@ func bitsFromLevel(level float64, bitsPerDim int) []int8 {
 		idx = n - 1
 	}
 	g := grayEncode(idx)
-	bits := make([]int8, bitsPerDim)
-	for k := bitsPerDim - 1; k >= 0; k-- {
-		bits[k] = int8(g & 1)
+	for k := len(dst) - 1; k >= 0; k-- {
+		dst[k] = int8(g & 1)
 		g >>= 1
 	}
-	return bits
 }
 
 // Modulate maps BitsPerSymbol() Gray-coded bits (I bits first, then Q) to
@@ -179,14 +178,20 @@ func (s Scheme) Modulate(bits []int8) (complex128, error) {
 // Demodulate hard-slices a (noisy) received point to the nearest
 // constellation symbol's Gray-coded bits.
 func (s Scheme) Demodulate(x complex128) []int8 {
-	bi := s.BitsPerDimI()
-	iLevel := nearestLevel(real(x)/s.Norm(), bi)
-	bits := bitsFromLevel(iLevel, bi)
-	if bq := s.BitsPerDimQ(); bq > 0 {
-		qLevel := nearestLevel(imag(x)/s.Norm(), bq)
-		bits = append(bits, bitsFromLevel(qLevel, bq)...)
+	return s.AppendDemodulate(make([]int8, 0, s.BitsPerSymbol()), x)
+}
+
+// AppendDemodulate appends Demodulate(x)'s bits to dst and returns the
+// extended slice; with room in dst it allocates nothing.
+func (s Scheme) AppendDemodulate(dst []int8, x complex128) []int8 {
+	bi, bq := s.BitsPerDimI(), s.BitsPerDimQ()
+	at := len(dst)
+	dst = slices.Grow(dst, bi+bq)[:at+bi+bq]
+	bitsFromLevel(dst[at:at+bi], nearestLevel(real(x)/s.Norm(), bi))
+	if bq > 0 {
+		bitsFromLevel(dst[at+bi:], nearestLevel(imag(x)/s.Norm(), bq))
 	}
-	return bits
+	return dst
 }
 
 // nearestLevel snaps a raw amplitude to the closest valid PAM level.
@@ -240,17 +245,19 @@ func (s Scheme) Alphabet() []complex128 {
 func SpinWeights(bitsPerDim int) []float64 {
 	w := make([]float64, bitsPerDim)
 	for k := range w {
-		w[k] = float64(int(1) << uint(bitsPerDim-1-k))
+		w[k] = spinWeight(bitsPerDim, k)
 	}
 	return w
 }
 
+// spinWeight is SpinWeights(b)[k], 2^{b−1−k}.
+func spinWeight(b, k int) float64 { return float64(int(1) << uint(b-1-k)) }
+
 // SpinsToLevel evaluates the weighted-spin decomposition.
 func SpinsToLevel(spins []int8) float64 {
-	w := SpinWeights(len(spins))
 	var v float64
 	for k, s := range spins {
-		v += w[k] * float64(s)
+		v += spinWeight(len(spins), k) * float64(s)
 	}
 	return v
 }
@@ -258,17 +265,23 @@ func SpinsToLevel(spins []int8) float64 {
 // LevelToSpins inverts SpinsToLevel for a valid PAM level.
 func LevelToSpins(level float64, bitsPerDim int) []int8 {
 	spins := make([]int8, bitsPerDim)
+	LevelToSpinsInto(spins, level)
+	return spins
+}
+
+// LevelToSpinsInto is LevelToSpins into dst, for len(dst) bits.
+func LevelToSpinsInto(dst []int8, level float64) {
 	v := level
-	for k, w := range SpinWeights(bitsPerDim) {
+	for k := range dst {
+		w := spinWeight(len(dst), k)
 		if v >= 0 {
-			spins[k] = 1
+			dst[k] = 1
 			v -= w
 		} else {
-			spins[k] = -1
+			dst[k] = -1
 			v += w
 		}
 	}
-	return spins
 }
 
 // MinDistance returns the minimum Euclidean distance between distinct

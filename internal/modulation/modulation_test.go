@@ -144,8 +144,9 @@ func TestGrayAdjacency(t *testing.T) {
 		b := s.BitsPerDimI()
 		levels := Levels(b)
 		for k := 1; k < len(levels); k++ {
-			a := bitsFromLevel(levels[k-1], b)
-			c := bitsFromLevel(levels[k], b)
+			a, c := make([]int8, b), make([]int8, b)
+			bitsFromLevel(a, levels[k-1])
+			bitsFromLevel(c, levels[k])
 			diff := 0
 			for i := range a {
 				if a[i] != c[i] {
@@ -333,5 +334,89 @@ func TestModulateBinaryCoversAlphabet(t *testing.T) {
 func TestModulateBinaryWrongLength(t *testing.T) {
 	if _, err := QPSK.ModulateBinary([]int8{1}); err == nil {
 		t.Fatal("wrong bit count accepted")
+	}
+}
+
+// grayLabels and spinLabels pin, per bits per dimension, each PAM level's
+// Gray bit label (levels ascending) and its weighted-spin decomposition.
+var (
+	grayLabels = map[int][]string{
+		1: {"0", "1"},
+		2: {"00", "01", "11", "10"},
+		3: {"000", "001", "011", "010", "110", "111", "101", "100"},
+	}
+	spinLabels = map[int][]string{
+		1: {"-", "+"},
+		2: {"--", "-+", "+-", "++"},
+		3: {"---", "--+", "-+-", "-++", "+--", "+-+", "++-", "+++"},
+	}
+)
+
+// TestDecodeTables pins the decode path for every scheme against literal
+// tables: Demodulate and AppendDemodulate of every constellation point,
+// and of the point pushed a third of a level step in each direction, give
+// the Gray labels of its I then Q level; each level's spins convert to
+// it and back. With room in dst, AppendDemodulate, SpinsToLevel and
+// LevelToSpinsInto allocate nothing.
+func TestDecodeTables(t *testing.T) {
+	label := func(bits []int8) string {
+		out := make([]byte, len(bits))
+		for i, b := range bits {
+			out[i] = '0' + byte(b)
+		}
+		return string(out)
+	}
+	for _, s := range Schemes {
+		bi, bq := s.BitsPerDimI(), s.BitsPerDimQ()
+		for ii, il := range Levels(bi) {
+			qLevels, qLabels := []float64{0}, []string{""}
+			if bq > 0 {
+				qLevels, qLabels = Levels(bq), grayLabels[bq]
+			}
+			for qi, ql := range qLevels {
+				want := grayLabels[bi][ii] + qLabels[qi]
+				for _, d := range []complex128{0, complex(0.3, 0), complex(-0.3, 0.3), complex(0.3, -0.3)} {
+					if bq == 0 {
+						d = complex(real(d), 0)
+					}
+					x := (complex(il, ql) + d) * complex(s.Norm(), 0)
+					if got := label(s.Demodulate(x)); got != want {
+						t.Fatalf("%v: Demodulate(%v) = %s, want %s", s, x, got, want)
+					}
+					if got := s.AppendDemodulate([]int8{1}, x); label(got) != "1"+want {
+						t.Fatalf("%v: AppendDemodulate(%v) = %s, want 1%s", s, x, label(got), want)
+					}
+				}
+			}
+		}
+		for _, b := range []int{bi, bq} {
+			if b == 0 {
+				continue // BPSK has no Q dimension
+			}
+			for k, l := range Levels(b) {
+				spins := make([]int8, b)
+				for i, c := range spinLabels[b][k] {
+					spins[i] = map[rune]int8{'-': -1, '+': 1}[c]
+				}
+				if got := SpinsToLevel(spins); got != l {
+					t.Fatalf("b=%d: SpinsToLevel(%s) = %v, want %v", b, spinLabels[b][k], got, l)
+				}
+				back := LevelToSpins(l, b)
+				for i := range spins {
+					if back[i] != spins[i] {
+						t.Fatalf("b=%d: LevelToSpins(%v) = %v, want %s", b, l, back, spinLabels[b][k])
+					}
+				}
+			}
+		}
+		buf := make([]int8, 0, 8)
+		spins := make([]int8, bi)
+		x := complex(0.1, -0.2)
+		if a := testing.AllocsPerRun(10, func() {
+			buf = s.AppendDemodulate(buf[:0], x)
+			LevelToSpinsInto(spins, SpinsToLevel(spins))
+		}); a != 0 {
+			t.Fatalf("%v: the decode path allocates %v objects", s, a)
+		}
 	}
 }

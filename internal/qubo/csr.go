@@ -35,19 +35,22 @@ type CSR struct {
 // itself (Ising.SetCoupling never builds such a problem).
 func NewCSR(is *Ising) *CSR {
 	n := is.N
-	c := &CSR{
-		N:       n,
-		Offset:  is.Offset,
-		H:       append([]float64(nil), is.H...),
-		Offsets: make([]int32, n+1),
-	}
 	total := 0
 	for _, adj := range is.Adj {
 		total += len(adj)
 	}
-	c.Cols = make([]int32, total)
-	c.W = make([]float64, total)
-	c.Mirror = make([]int32, total)
+	// The three int32 arrays share one allocation, each capped at its
+	// own length.
+	idx := make([]int32, n+1+2*total)
+	c := &CSR{
+		N:       n,
+		Offset:  is.Offset,
+		H:       append([]float64(nil), is.H...),
+		Offsets: idx[: n+1 : n+1],
+		Cols:    idx[n+1 : n+1+total : n+1+total],
+		W:       make([]float64, total),
+		Mirror:  idx[n+1+total:],
+	}
 	pos := 0
 	for i := 0; i < n; i++ {
 		c.Offsets[i] = int32(pos)

@@ -199,6 +199,80 @@ func (r *Source) NormFloat64() float64 {
 	}
 }
 
+// normChunk is the number of polar pairs NormFloat64s draws before it
+// scales them, so the pairs' radii fit a stack buffer.
+const normChunk = 64
+
+// NormFloat64s fills dst with the next len(dst) NormFloat64 values, bit
+// for bit: a cached spare comes first, then the same polar pairs from
+// the same stream in the same order, and for an odd remainder the last
+// pair's second value is cached as the spare. The Source ends in the
+// state len(dst) successive NormFloat64 calls leave. The uniforms are
+// drawn with the state in locals, and the accepted pairs are scaled a
+// block at a time by polarScale, whose log matches math.Log bit for bit.
+func (r *Source) NormFloat64s(dst []float64) {
+	if len(dst) == 0 {
+		return
+	}
+	if r.hasSpare {
+		r.hasSpare = false
+		dst[0] = r.spare
+		dst = dst[1:]
+	}
+	var rad [normChunk]float64
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for len(dst) >= 2 {
+		pairs := min(len(dst)/2, normChunk)
+		uv := dst[:2*pairs]
+		for p := range rad[:pairs] {
+			for {
+				var x uint64
+				x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+				u := 2*(float64(x>>11)*(1.0/(1<<53))) - 1
+				x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+				v := 2*(float64(x>>11)*(1.0/(1<<53))) - 1
+				if s := u*u + v*v; s < 1 && s != 0 {
+					uv[2*p], uv[2*p+1], rad[p] = u, v, s
+					break
+				}
+			}
+		}
+		polarScale(uv, rad[:pairs])
+		// NormFloat64 leaves the consumed spare's value in the field.
+		r.spare = uv[2*pairs-1]
+		dst = dst[2*pairs:]
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	if len(dst) == 1 {
+		dst[0] = r.NormFloat64()
+	}
+}
+
+// next is one xoshiro256++ step on a state held in locals: the output,
+// then the successor state. It is Uint64 without the memory traffic.
+func next(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = rotl(s0+s3, 23) + s0
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return x, s0, s1, s2, s3
+}
+
+// polarScaleGo turns accepted polar pairs into normals, as NormFloat64
+// does: with f = √(−2·ln s / s), pair p's (u, v) at uv[2p:2p+2] becomes
+// (u·f, v·f), s = s[p].
+func polarScaleGo(uv, s []float64) {
+	for p, sp := range s {
+		f := math.Sqrt(-2 * math.Log(sp) / sp)
+		uv[2*p] *= f
+		uv[2*p+1] *= f
+	}
+}
+
 // Perm returns a uniformly random permutation of [0, n) using
 // Fisher-Yates.
 func (r *Source) Perm(n int) []int {

@@ -259,3 +259,78 @@ func BenchmarkNormFloat64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestNormFloat64sMatchesCalls holds the batched normals to successive
+// NormFloat64 calls: for every count from 0 to 1,100, odd and even, and
+// with or without a spare already cached, the values, the final
+// xoshiro state and the cached spare must be bit-identical.
+func TestNormFloat64sMatchesCalls(t *testing.T) {
+	root := New(0x9a55)
+	got := make([]float64, 1100)
+	for count := 0; count <= 1100; count++ {
+		for _, spare := range []bool{false, true} {
+			a := root.Split(uint64(2*count) + map[bool]uint64{false: 0, true: 1}[spare])
+			if spare {
+				a.NormFloat64() // leaves the pair's second value cached
+			}
+			b := *a
+			dst := got[:count]
+			b.NormFloat64s(dst)
+			for i := range dst {
+				if want := a.NormFloat64(); math.Float64bits(dst[i]) != math.Float64bits(want) {
+					t.Fatalf("count %d, spare %v: value %d is %v, NormFloat64 gives %v", count, spare, i, dst[i], want)
+				}
+			}
+			if a.s != b.s || a.hasSpare != b.hasSpare || math.Float64bits(a.spare) != math.Float64bits(b.spare) {
+				t.Fatalf("count %d, spare %v: final state %v/%v/%v, NormFloat64 leaves %v/%v/%v",
+					count, spare, b.s, b.hasSpare, b.spare, a.s, a.hasSpare, a.spare)
+			}
+		}
+	}
+}
+
+// TestPolarScaleMatchesLog pins polarScale's log to math.Log at the
+// radii where its reduction branches: at and beside f1 = √2/2, where the
+// exponent step flips; at the smallest radius a pair can draw (2⁻¹⁰⁴);
+// just below 1; across exponents; and at random radii. Each batch length
+// from 1 to 9 runs the four-pair blocks and the Go remainder.
+func TestPolarScaleMatchesLog(t *testing.T) {
+	edge := math.Float64frombits(0x3FE6A09E667F3BCD) // √2/2: f1 at the boundary
+	radii := []float64{edge, math.Nextafter(edge, 0), math.Nextafter(edge, 1), edge / 2, edge / 1024,
+		0x1p-104, math.Nextafter(1, 0), 0.5, 0.25, 0.75, 0x1p-52, 3 * 0x1p-60}
+	r := New(0x109)
+	for len(radii) < 4096 {
+		radii = append(radii, r.Float64()*math.Pow(2, -float64(r.Intn(100))))
+	}
+	for _, s := range radii {
+		if s <= 0 || s >= 1 {
+			continue
+		}
+		for width := 1; width <= 9; width++ {
+			rad := make([]float64, width)
+			uv := make([]float64, 2*width)
+			for p := range rad {
+				rad[p] = s
+				uv[2*p], uv[2*p+1] = 0.5+float64(p), -0.25
+			}
+			want := append([]float64(nil), uv...)
+			polarScaleGo(want, rad)
+			polarScale(uv, rad)
+			for i := range uv {
+				if math.Float64bits(uv[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("radius %v (%#x), width %d, value %d: batched %v, math.Log path %v",
+						s, math.Float64bits(s), width, i, uv[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkNormFloat64s(b *testing.B) {
+	r := New(1)
+	dst := make([]float64, 528) // one 32-spin ICE program's draws
+	b.SetBytes(int64(8 * len(dst)))
+	for i := 0; i < b.N; i++ {
+		r.NormFloat64s(dst)
+	}
+}
