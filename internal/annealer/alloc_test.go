@@ -131,8 +131,9 @@ func TestLogicalLeaseAllocs(t *testing.T) {
 }
 
 // TestPrepareProblemAllocs pins the logical compile on the serve's
-// 32-spin problem: the CSR layout and its normalization, about 7
-// allocations. PrepareProblem keeps the caller's problem rather than a
+// 32-spin problem: the CSR layout (whose three index arrays share one
+// allocation) and its normalization, and the kernel's dense row table,
+// about 7 allocations. PrepareProblem keeps the caller's problem rather than a
 // deep copy (which alone cost 35 allocations here), so a frame's compile
 // stays this small.
 func TestPrepareProblemAllocs(t *testing.T) {

@@ -201,13 +201,13 @@ func mixedLanes(t testing.TB, r *rng.Source, n, reads int, reverse bool) lanes {
 	return ln
 }
 
-// fullRowLanes builds the lanes of a group that mixes the kernel's two
-// apply paths: a dense n-spin problem, whose rows are all full (every
-// other spin a neighbour), the same problem one coupling short, so two
-// of its rows walk their columns, and an ICE-noised program of the
-// dense one (as the odd-indexed fleet devices run), which shares its
-// topology but not its coefficients. For reverse schedules each lane
-// gets its own random initial state.
+// fullRowLanes builds the lanes of a group that mixes row shapes: a
+// dense n-spin problem, whose rows are all full (every other spin a
+// neighbour), the same problem one coupling short, so two of its rows
+// mask a hole, and an ICE-noised program of the dense one (as the
+// odd-indexed fleet devices run), which shares its topology but not its
+// coefficients. For reverse schedules each lane gets its own random
+// initial state.
 func fullRowLanes(t testing.TB, r *rng.Source, n, reads int, reverse bool) lanes {
 	t.Helper()
 	dense := randomIsing(t, r, n, 1)

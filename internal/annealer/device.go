@@ -142,7 +142,8 @@ type gaussNoise struct {
 }
 
 // applyGaussianCSR perturbs a compiled problem's coefficients in place
-// by each layer in turn, as ICE.Perturb would one layer after another:
+// by each of at most two layers (a read's ICE, then its drift) in turn,
+// as ICE.Perturb would one layer after another:
 // nonzero fields (after the layers before) by N(0, sigmaH²), and each
 // undirected coupling by N(0, sigmaJ²), both halves of the mirrored
 // entry receiving the same draw. A layer's draw order — fields in spin

@@ -112,7 +112,7 @@ const lockstepWidth = 8
 // against 11,397, medians of eight interleaved runs on a 2-vCPU Xeon),
 // and sixteen such reads hold 192 KB of rotor and field state, inside
 // L2. On the 32-spin logical problem the serve anneals, where the
-// full-row apply dominates, 16 and 8 reads measure the same (930
+// row apply dominates, 16 and 8 reads measure the same (930
 // against 935 ns per read-sweep, two frames reverse-annealed from their
 // greedy candidates, medians of seven interleaved runs on the same
 // host), so the chain path sets the width.

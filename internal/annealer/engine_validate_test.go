@@ -66,7 +66,9 @@ func TestPrepareRejectsTooManySlices(t *testing.T) {
 // applyGaussianCSR is the per-read noise path on the compiled problem;
 // it must program the same coefficients as ICE.Perturb on the adjacency
 // form given the same seed, so the CSR refactor cannot change which
-// noisy instance a read sees.
+// noisy instance a read sees. Two layers (ICE, then a drift) must match
+// Perturb applied twice, and the dense row table the same pass writes
+// must hold every perturbed coupling at its (row, column) slot.
 func TestApplyGaussianCSRMatchesPerturb(t *testing.T) {
 	r := rng.New(0x1CE0)
 	is := qubo.NewIsing(12)
@@ -81,23 +83,40 @@ func TestApplyGaussianCSRMatchesPerturb(t *testing.T) {
 	is.H[3] = 0 // zero fields must stay exactly zero under ICE
 
 	ice := ICE{SigmaH: 0.03, SigmaJ: 0.02}
-	const seed = 0xD1F7
-	want := qubo.NewCSR(ice.Perturb(is, rng.New(seed)))
-	got := qubo.NewCSR(is)
-	var buf []float64
-	applyGaussianCSR(got, nil, []gaussNoise{{ice.SigmaH, ice.SigmaJ, rng.New(seed)}}, &buf)
-
-	for i := range want.H {
-		if got.H[i] != want.H[i] {
-			t.Fatalf("H[%d] = %v, want %v", i, got.H[i], want.H[i])
+	drift := ICE{SigmaH: 0.05, SigmaJ: 0.05}
+	const seed, driftSeed = 0xD1F7, 0xD21F
+	for _, layers := range []int{1, 2} {
+		want := ice.Perturb(is, rng.New(seed))
+		noise := []gaussNoise{{ice.SigmaH, ice.SigmaJ, rng.New(seed)}}
+		if layers == 2 {
+			want = drift.Perturb(want, rng.New(driftSeed))
+			noise = append(noise, gaussNoise{drift.SigmaH, drift.SigmaJ, rng.New(driftSeed)})
 		}
-	}
-	if got.H[3] != 0 {
-		t.Fatalf("zero field perturbed to %v", got.H[3])
-	}
-	for k := range want.W {
-		if got.W[k] != want.W[k] {
-			t.Fatalf("W[%d] = %v, want %v", k, got.W[k], want.W[k])
+		wantCSR := qubo.NewCSR(want)
+		got := qubo.NewCSR(is)
+		var rows svmcRows
+		rows.build(got)
+		var buf []float64
+		applyGaussianCSR(got, &rows, noise, &buf)
+
+		for i := range wantCSR.H {
+			if got.H[i] != wantCSR.H[i] {
+				t.Fatalf("%d layers: H[%d] = %v, want %v", layers, i, got.H[i], wantCSR.H[i])
+			}
+		}
+		if got.H[3] != 0 {
+			t.Fatalf("%d layers: zero field perturbed to %v", layers, got.H[3])
+		}
+		np := (is.N + 3) &^ 3
+		for i := 0; i < got.N; i++ {
+			for k := got.Offsets[i]; k < got.Offsets[i+1]; k++ {
+				if got.W[k] != wantCSR.W[k] {
+					t.Fatalf("%d layers: W[%d] = %v, want %v", layers, k, got.W[k], wantCSR.W[k])
+				}
+				if w := rows.w[i*np+int(got.Cols[k])]; w != got.W[k] {
+					t.Fatalf("%d layers: row %d column %d holds %v, the CSR %v", layers, i, got.Cols[k], w, got.W[k])
+				}
+			}
 		}
 	}
 }

@@ -96,7 +96,8 @@ func (fm FaultModel) readTimesOut(fr *rng.Source) bool {
 // driftFires decides one read's calibration-drift fault from its fault
 // stream, consuming exactly one draw iff the rate is positive (so a
 // zero-rate model stays an exact no-op). The drifted coefficients
-// themselves are programmed by applyGaussianCSR with driftSigma.
+// themselves are programmed by applyGaussianCSR with driftSigma, as a
+// noise layer after the read's ICE.
 func (fm FaultModel) driftFires(fr *rng.Source) bool {
 	return fm.CalibrationDriftRate > 0 && fr.Float64() < fm.CalibrationDriftRate
 }

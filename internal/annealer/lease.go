@@ -23,8 +23,7 @@ import (
 type Lease struct {
 	p      Params
 	kernel BatchReadFunc
-	width  int  // reads per lockstep group of kernel (groupWidth)
-	rows   bool // kernel applies along dense row tables (svmcUsesRows)
+	width  int // reads per lockstep group of kernel (groupWidth)
 	qpu    *QPU
 }
 
@@ -42,7 +41,7 @@ func NewLease(p Params) (*Lease, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Lease{p: p, kernel: kernel, width: groupWidth(p.Engine), rows: svmcUsesRows(p.Engine)}, nil
+	return &Lease{p: p, kernel: kernel, width: groupWidth(p.Engine)}, nil
 }
 
 // Lease returns a prepared session on the QPU. Its runs anneal the

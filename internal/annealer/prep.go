@@ -68,7 +68,7 @@ func (l *Lease) PrepareProblem(is *qubo.Ising) (*Prepared, error) {
 		prep.pr = qubo.NewCSR(is)
 		prep.pr.Normalize()
 	}
-	if l.rows && prep.pr.N <= svmcRowSpins {
+	if svmcUsesRows(l.p.Engine) && prep.pr.N <= svmcRowSpins {
 		prep.rows.build(prep.pr)
 	}
 	return prep, nil

@@ -26,9 +26,10 @@ import (
 // aligned 16-byte load fetches both and never straddles a cache line.
 // The local fields live in their own contiguous array fld, so a spin's
 // neighbours' fields are consecutive doubles: the AVX2 apply of an
-// accept on a full CSR row (every other spin a neighbour, as on the
-// dense logical problems the serve anneals) updates fld[0:i] and
-// fld[i+1:n] four fields at a time. The rotor angle θ, which only TF
+// accept along a dense row table (svmcRows, built for every problem of
+// at most 64 spins, as the logical problems the serve anneals are)
+// updates the lane's whole field block four fields at a time, and
+// larger problems walk their CSR rows. The rotor angle θ, which only TF
 // moves read, has a third array of its own.
 // On amd64 one AVX2 call (svmcStepx8) runs a whole sweep for up to
 // sixteen reads — per proposal step the draws, trig, score and verdict

@@ -28,11 +28,12 @@ import (
 // garbage for downhill lanes). It applies every decided accept of a
 // lane in a.live: with g = lanoff[j]+idx[j], the lane's rotor pair at
 // rot[2g] takes (cs[j], sn[j]), and dz = cs[j] − z is added to the field
-// fld[lanoff[j]+col] of every column of the lane's CSR row idx[j]
-// (a.offs/cols/w[j]) with the Go apply's expression, field + w·dz. A
-// full row (n−1 entries, so every other spin) is applied a quad of
-// fields at a time, any other row column by column; a.acc[j] counts the
-// accepts it applies. It returns true once the sweep is done (a.k = a.nb). It
+// fld[lanoff[j]+col] of every column the lane's row idx[j] couples, with
+// the Go apply's expression, field + w·dz. A lane with a dense row table
+// (a.dw/dm[j], an svmcRows) updates the np fields of its block a quad at
+// a time and restores every field its row mask marks; a lane without one
+// walks its CSR row (a.offs/cols/w[j]) column by column. a.acc[j] counts
+// the accepts it applies. It returns true once the sweep is done (a.k = a.nb). It
 // returns false with a.k at a step the caller must finish, in one of
 // two cases, and the caller then resumes the sweep at a.k+1:
 //   - Undecided (a.rej = 2): the bracket could not decide the live lanes
@@ -48,10 +49,10 @@ import (
 //
 // Lane j's spin i sits at slot lanoff[j]+i of a.rot (pairs) and a.fld,
 // where lanoff[j] is a multiple of 4 and the lane owns its slots up to
-// the next multiple of 4 at or above nb (the full-row apply reads and
-// rewrites the padding slots, leaving them as they were). The CSR rows
-// must be sorted with distinct columns and no diagonal entry, as
-// qubo.NewCSR builds them. A padding lane (outside live) must carry
+// np, the next multiple of 4 at or above nb (the dense apply reads and
+// rewrites the padding slots, leaving them as they were). A dense
+// table's unmasked weights must equal the CSR row's, its masked ones be
+// finite, and nb ≤ 64 (one mask word per row). A padding lane (outside live) must carry
 // lanoff 0 so its loads stay in bounds, and is never applied. Its state
 // and outputs are unspecified: the kernel skips a chunk with no live
 // lane, and the second half of a chunk with no live lane there. Requires

@@ -261,8 +261,9 @@
 // stored unchanged, −0 included. The mask bit of lane l's column reaches
 // its sign bit by a shift of 63−l (or 59−l in the second quad of a
 // pair), and the mask moves on by eight bits a pair of quads; an odd
-// quad count runs one quad first. SI counts up from −np to 0. A lane without one walks its CSR row column by column. The path
-// is the lane's own, so lanes of one group may take different paths.
+// quad count runs one quad first, and SI counts up from −np to 0. A
+// lane without a table walks its CSR row column by column. The path is
+// the lane's own, so lanes of one group may take different paths.
 // LOOP … DONE name the expansion's labels; it falls through at DONE.
 // Needs CX; clobbers AX, BX, DX, SI, DI, R8–R15 and Y0–Y9.
 #define APPLY(LOOP, ROW, DENSE, QUAD, DONE) \

@@ -462,8 +462,8 @@ func TestQuadraticFormMatchesMul(t *testing.T) {
 			n := red.Ising.N
 			a := linalg.NewMatrix(len(red.dimBits), n)
 			for d, b := range red.dimBits {
-				for k, wk := range modulation.SpinWeights(b) {
-					a.Set(d, red.dimOffset[d]+k, s.Norm()*wk)
+				for k := 0; k < b; k++ {
+					a.Set(d, red.dimOffset[d]+k, s.Norm()*modulation.SpinWeight(b, k))
 				}
 			}
 			wantM := a.Transpose().Mul(hr.Transpose().Mul(hr)).Mul(a)

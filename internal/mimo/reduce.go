@@ -14,7 +14,7 @@ import (
 //
 // Derivation. After the real-valued decomposition ỹ = H̃·x̃ (linalg.
 // RealDecompose), each of the 2·nt real dimensions carries a PAM amplitude
-// expressible as a weighted sum of spins (modulation.SpinWeights):
+// expressible as a weighted sum of spins (modulation.SpinWeight):
 //
 //	x̃_d = norm · Σ_k w_k·s_{σ(d)+k} ,  s ∈ {−1,+1}
 //
@@ -100,8 +100,11 @@ func Reduce(p *Problem) (*Reduction, error) {
 func quadraticForm(hr *linalg.Matrix, yr []float64, norm float64, dimBits, dimOffset []int) (*linalg.Matrix, []float64) {
 	dims := hr.Cols
 	total := dimOffset[dims-1] + dimBits[dims-1]
-	g := make([]float64, dims*dims+dims+2*total)
-	hty, a := g[dims*dims:dims*dims+dims], g[dims*dims+dims:dims*dims+dims+total]
+	// One allocation holds G (row-major), H̃ᵀỹ, the weights a_i and c.
+	buf := make([]float64, dims*dims+dims+2*total)
+	g, buf := buf[:dims*dims], buf[dims*dims:]
+	hty, buf := buf[:dims], buf[dims:]
+	a, c := buf[:total], buf[total:]
 	dimOf := make([]int, total)
 	for r := 0; r < dims; r++ {
 		for c := r; c < dims; c++ {
@@ -120,11 +123,10 @@ func quadraticForm(hr *linalg.Matrix, yr []float64, norm float64, dimBits, dimOf
 	for d, b := range dimBits {
 		for k := 0; k < b; k++ {
 			dimOf[dimOffset[d]+k] = d
-			a[dimOffset[d]+k] = norm * float64(int(1)<<uint(b-1-k))
+			a[dimOffset[d]+k] = norm * modulation.SpinWeight(b, k)
 		}
 	}
 	m := linalg.NewMatrix(total, total)
-	c := g[dims*dims+dims+total:]
 	for i := 0; i < total; i++ {
 		row, gi := m.Data[i*total:(i+1)*total], g[dimOf[i]*dims:(dimOf[i]+1)*dims]
 		for j := range row {

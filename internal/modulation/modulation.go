@@ -237,27 +237,18 @@ func (s Scheme) Alphabet() []complex128 {
 	return out
 }
 
-// SpinWeights returns the weights w_k such that a dimension's raw PAM
-// amplitude is Σ_k w_k·s_k over spins s_k ∈ {−1, +1}: w = (2^{b−1}, …, 2,
-// 1) for b bits. This is the linear spin decomposition the ML-to-QUBO
-// reduction uses; SpinsToLevel/LevelToSpins convert between the two
-// labelings.
-func SpinWeights(bitsPerDim int) []float64 {
-	w := make([]float64, bitsPerDim)
-	for k := range w {
-		w[k] = spinWeight(bitsPerDim, k)
-	}
-	return w
-}
-
-// spinWeight is SpinWeights(b)[k], 2^{b−1−k}.
-func spinWeight(b, k int) float64 { return float64(int(1) << uint(b-1-k)) }
+// SpinWeight returns the weight w_k such that a dimension's raw PAM
+// amplitude is Σ_k w_k·s_k over spins s_k ∈ {−1, +1}: w_k = 2^{b−1−k}
+// for b bits, so w = (2^{b−1}, …, 2, 1). This is the linear spin
+// decomposition the ML-to-QUBO reduction uses; SpinsToLevel and
+// LevelToSpins convert between the two labelings.
+func SpinWeight(bitsPerDim, k int) float64 { return float64(int(1) << uint(bitsPerDim-1-k)) }
 
 // SpinsToLevel evaluates the weighted-spin decomposition.
 func SpinsToLevel(spins []int8) float64 {
 	var v float64
 	for k, s := range spins {
-		v += spinWeight(len(spins), k) * float64(s)
+		v += SpinWeight(len(spins), k) * float64(s)
 	}
 	return v
 }
@@ -273,7 +264,7 @@ func LevelToSpins(level float64, bitsPerDim int) []int8 {
 func LevelToSpinsInto(dst []int8, level float64) {
 	v := level
 	for k := range dst {
-		w := spinWeight(len(dst), k)
+		w := SpinWeight(len(dst), k)
 		if v >= 0 {
 			dst[k] = 1
 			v -= w
