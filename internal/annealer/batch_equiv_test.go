@@ -60,9 +60,7 @@ func (ln lanes) rowsAt(j int) *svmcRows {
 	if pr.N > svmcRowSpins {
 		return nil
 	}
-	rows := new(svmcRows)
-	rows.build(pr)
-	return rows
+	return newSVMCRows(pr)
 }
 
 // lockstepGroup runs reads of one group through the engine's production
@@ -266,9 +264,7 @@ func holeLanes(t testing.TB, r *rng.Source, n, reads int, reverse bool) lanes {
 		if got, want := int(pr.Offsets[n]), n*(n-1)-2*len(holes); got != want {
 			t.Fatalf("hole lanes: %d CSR entries, want %d", got, want)
 		}
-		rows := new(svmcRows)
-		rows.build(pr)
-		ln.prs, ln.rows = append(ln.prs, pr), append(ln.rows, rows)
+		ln.prs, ln.rows = append(ln.prs, pr), append(ln.rows, newSVMCRows(pr))
 	}
 	ice := ln.prs[0].CloneCoeffsInto(new(qubo.CSR))
 	stale := &svmcRows{w: make([]float64, len(ln.rows[0].w)), mask: ln.rows[0].mask}

@@ -94,10 +94,9 @@ func TestApplyGaussianCSRMatchesPerturb(t *testing.T) {
 		}
 		wantCSR := qubo.NewCSR(want)
 		got := qubo.NewCSR(is)
-		var rows svmcRows
-		rows.build(got)
+		rows := newSVMCRows(got)
 		var buf []float64
-		applyGaussianCSR(got, &rows, noise, &buf)
+		applyGaussianCSR(got, rows, noise, &buf)
 
 		for i := range wantCSR.H {
 			if got.H[i] != wantCSR.H[i] {

@@ -76,6 +76,7 @@ func (l *Lease) Run(is *qubo.Ising, init []int8, numReads int, r *rng.Source) (*
 	if err != nil {
 		return nil, err
 	}
+	defer prep.release()
 	return l.RunPrepared(prep, init, numReads, r)
 }
 

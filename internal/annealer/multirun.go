@@ -44,11 +44,14 @@ type MultiRun struct {
 // Problem and an Rng, and every problem must compile for this lease
 // (PrepareProblem's error, returned as is).
 func (l *Lease) RunMulti(runs []MultiRun) (results []*Result, errs []error, err error) {
-	rs, err := l.multiRuns(runs)
+	rs, preps, err := l.multiRuns(runs)
 	if err != nil {
 		return nil, nil, err
 	}
 	runAll(rs, l.kernel, l.width)
+	for _, prep := range preps {
+		prep.release() // a shared compile's second release is a no-op
+	}
 	results = make([]*Result, len(runs))
 	errs = make([]error, len(runs))
 	for i, ru := range rs {
@@ -59,19 +62,20 @@ func (l *Lease) RunMulti(runs []MultiRun) (results []*Result, errs []error, err 
 
 // multiRuns validates a batch and builds its runs for the run body,
 // compiling each distinct problem pointer once: a run whose Problem an
-// earlier run carries shares that run's compiled artifacts.
-func (l *Lease) multiRuns(runs []MultiRun) ([]*run, error) {
+// earlier run carries shares that run's compiled artifacts. It also
+// returns each run's compile.
+func (l *Lease) multiRuns(runs []MultiRun) ([]*run, []*Prepared, error) {
 	if len(runs) == 0 {
-		return nil, fmt.Errorf("annealer: multi-run batch needs at least one run")
+		return nil, nil, fmt.Errorf("annealer: multi-run batch needs at least one run")
 	}
 	rs := make([]*run, len(runs))
 	preps := make([]*Prepared, len(runs))
 	for i, mr := range runs {
 		if mr.Problem == nil {
-			return nil, fmt.Errorf("annealer: multi-run %d has no problem", i)
+			return nil, nil, fmt.Errorf("annealer: multi-run %d has no problem", i)
 		}
 		if mr.Rng == nil {
-			return nil, fmt.Errorf("annealer: multi-run %d has no rng stream", i)
+			return nil, nil, fmt.Errorf("annealer: multi-run %d has no rng stream", i)
 		}
 		for j := range i {
 			if runs[j].Problem == mr.Problem {
@@ -82,10 +86,10 @@ func (l *Lease) multiRuns(runs []MultiRun) ([]*run, error) {
 		if preps[i] == nil {
 			var err error
 			if preps[i], err = l.PrepareProblem(mr.Problem); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		rs[i] = l.preparedRun(preps[i], mr.InitialState, mr.NumReads, mr.Rng)
 	}
-	return rs, nil
+	return rs, preps, nil
 }

@@ -150,7 +150,7 @@ func TestRunMultiSharesCompiles(t *testing.T) {
 				seeds[i] = 40 + uint64(i)
 			}
 			runs := multiTestRuns(ordered, seeds)
-			rs, err := l.multiRuns(runs)
+			rs, _, err := l.multiRuns(runs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,7 +33,7 @@ type Prepared struct {
 	l    *Lease
 	is   *qubo.Ising
 	pr   *qubo.CSR
-	rows svmcRows // pr's dense row table when the lease's kernel uses one
+	rows *svmcRows // pr's dense row table when the lease's kernel uses one
 	emb  *chimera.Embedding
 }
 
@@ -69,7 +69,7 @@ func (l *Lease) PrepareProblem(is *qubo.Ising) (*Prepared, error) {
 		prep.pr.Normalize()
 	}
 	if svmcUsesRows(l.p.Engine) && prep.pr.N <= svmcRowSpins {
-		prep.rows.build(prep.pr)
+		prep.rows = newSVMCRows(prep.pr)
 	}
 	return prep, nil
 }
@@ -93,9 +93,15 @@ func (l *Lease) preparedRun(prep *Prepared, init []int8, numReads int, r *rng.So
 	if l.qpu != nil {
 		p = l.qpu.withTiming(p)
 	}
-	ru := &run{is: prep.is, emb: prep.emb, pr: prep.pr, p: p, r: r, err: err}
-	if prep.rows.w != nil {
-		ru.rows = &prep.rows
+	return &run{is: prep.is, emb: prep.emb, pr: prep.pr, rows: prep.rows, p: p, r: r, err: err}
+}
+
+// release hands the row table of a Prepared compiled for one call back
+// to the pool once the call's runs are done; the Prepared must not run
+// again. Run and RunMulti release the problems they compile themselves.
+func (p *Prepared) release() {
+	if p.rows != nil {
+		svmcRowsPool.Put(p.rows)
+		p.rows = nil
 	}
-	return ru
 }

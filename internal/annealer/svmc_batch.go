@@ -3,6 +3,7 @@ package annealer
 import (
 	"math"
 	"math/bits"
+	"sync"
 	"unsafe"
 
 	"repro/internal/metropolis"
@@ -109,21 +110,37 @@ const svmcRowSpins = 64
 // order: w[i·np+j] is J_ij, with np = n rounded up to 4, the kernel's
 // slot stride. Bit j of mask[i] marks a column row i does not couple:
 // j = i itself, an exact-zero coupling the problem dropped, and the
-// padding j ≥ n. A masked slot holds any finite weight (zero, or a
-// stale one in a pooled per-read table): the kernel adds w·dz to all np
+// padding j ≥ n. A masked slot's weight never reaches a field (it is
+// zero, or stale in a pooled table): the kernel adds w·dz to all np
 // fields of the lane's block and blends every masked field back, so a
 // −0 field stays −0 and the result is the CSR walk's, bit for bit. The
 // unmasked weights must equal the CSR's.
 type svmcRows struct {
 	w    []float64
 	mask []uint64
+	buf  []float64 // one allocation behind w and mask (built tables)
 }
 
-// build makes rows pr's dense row table (pr.N ≤ svmcRowSpins).
-func (rows *svmcRows) build(pr *qubo.CSR) {
+// svmcRowsPool holds the row tables of problems compiled for a single
+// call (Prepared.release), so a stream of calls reuses a few tables.
+var svmcRowsPool sync.Pool
+
+// newSVMCRows returns pr's dense row table (pr.N ≤ svmcRowSpins), in a
+// pooled table when one is free. The weights and the masks share one
+// allocation, the masks a uint64 view of its tail.
+func newSVMCRows(pr *qubo.CSR) *svmcRows {
+	rows, _ := svmcRowsPool.Get().(*svmcRows)
+	if rows == nil {
+		rows = new(svmcRows)
+	}
 	n := pr.N
 	np := (n + 3) &^ 3
-	*rows = svmcRows{w: make([]float64, n*np), mask: make([]uint64, n)}
+	if cap(rows.buf) < n*np+n {
+		rows.buf = make([]float64, n*np+n)
+	}
+	buf := rows.buf[:n*np+n]
+	rows.w = buf[: n*np : n*np]
+	rows.mask = unsafe.Slice((*uint64)(unsafe.Pointer(&buf[n*np])), n)
 	for i := range rows.mask {
 		m := ^uint64(0)
 		for k := pr.Offsets[i]; k < pr.Offsets[i+1]; k++ {
@@ -133,6 +150,7 @@ func (rows *svmcRows) build(pr *qubo.CSR) {
 		}
 		rows.mask[i] = m
 	}
+	return rows
 }
 
 // svmcUsesRows reports whether eng's kernel applies along dense row
