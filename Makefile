@@ -64,9 +64,10 @@ slo:
 bench-harness:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Off amd64 the SVMC lockstep kernel is the pure-Go staged path
-# (svmc_simd_generic.go): build and vet it for arm64 so a change to the
-# kernel cannot break the only SVMC kernel those hosts run.
+# Off amd64 every SVMC proposal step runs the Go step (svmcFinishStep;
+# svmc_simd_generic.go stubs the assembly): build and vet it for arm64
+# so a change to the kernel cannot break the only SVMC kernel those
+# hosts run.
 cross:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/annealer/
 

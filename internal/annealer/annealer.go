@@ -339,14 +339,13 @@ func (ru *run) program(st *readScratch, drifted *bool) (*qubo.CSR, *svmcRows) {
 	if st.prog == nil {
 		st.prog = new(qubo.CSR)
 	}
-	ru.pr.CloneCoeffsInto(st.prog)
 	var rows *svmcRows
 	if ru.rows != nil {
 		st.rows.w = slices.Grow(st.rows.w[:0], len(ru.rows.w))[:len(ru.rows.w)]
 		st.rows.mask = ru.rows.mask
 		rows = &st.rows
 	}
-	applyGaussianCSR(st.prog, rows, layers[:nl], &st.noise)
+	applyGaussianCSR(st.prog, ru.pr, rows, layers[:nl], &st.noise)
 	return st.prog, rows
 }
 

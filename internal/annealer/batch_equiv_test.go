@@ -221,10 +221,10 @@ func fullRowLanes(t testing.TB, r *rng.Source, n, reads int, reverse bool) lanes
 		t.Fatalf("full-row lanes: row 0 has %d and %d entries, want %d and %d",
 			ln.prs[0].Offsets[1], ln.prs[1].Offsets[1], full, full-1)
 	}
-	ice := ln.prs[0].CloneCoeffsInto(new(qubo.CSR))
+	ice := new(qubo.CSR)
 	sigma := DWave2000QICE()
 	var buf []float64
-	applyGaussianCSR(ice, nil, []gaussNoise{{sigma.SigmaH, sigma.SigmaJ, r}}, &buf)
+	applyGaussianCSR(ice, ln.prs[0], nil, []gaussNoise{{sigma.SigmaH, sigma.SigmaJ, r}}, &buf)
 	ln.prs = append(ln.prs, ice)
 	if reverse {
 		for j := 0; j < reads; j++ {
@@ -266,14 +266,14 @@ func holeLanes(t testing.TB, r *rng.Source, n, reads int, reverse bool) lanes {
 		}
 		ln.prs, ln.rows = append(ln.prs, pr), append(ln.rows, newSVMCRows(pr))
 	}
-	ice := ln.prs[0].CloneCoeffsInto(new(qubo.CSR))
+	ice := new(qubo.CSR)
 	stale := &svmcRows{w: make([]float64, len(ln.rows[0].w)), mask: ln.rows[0].mask}
 	for k := range stale.w {
 		stale.w[k] = 0.75
 	}
 	sigma := DWave2000QICE()
 	var buf []float64
-	applyGaussianCSR(ice, stale, []gaussNoise{{sigma.SigmaH, sigma.SigmaJ, r}}, &buf)
+	applyGaussianCSR(ice, ln.prs[0], stale, []gaussNoise{{sigma.SigmaH, sigma.SigmaJ, r}}, &buf)
 	ln.prs, ln.rows = append(ln.prs, ice), append(ln.rows, stale)
 	if reverse {
 		for j := 0; j < reads; j++ {

@@ -69,7 +69,8 @@ type benchSweepConfig struct {
 // benchGroup times eng's production kernel on one group of `reads` of
 // ln's reads per iteration, annealed along sc at rate sweeps per μs. It
 // reports ns per read-sweep and returns that figure with the sweep count
-// per read.
+// per read. Each read carries the dense row table a prepared problem
+// would.
 func benchGroup(b *testing.B, eng Engine, sc *Schedule, rate float64, ln lanes, reads int) (nsPerSweep float64, sweeps int) {
 	b.Helper()
 	sweeps, err := sweepCount(sc, rate)
@@ -87,6 +88,9 @@ func benchGroup(b *testing.B, eng Engine, sc *Schedule, rate float64, ln lanes, 
 		pr, init := ln.at(j)
 		root.SplitInto(&rngs[j], uint64(j))
 		group[j] = BatchRead{Prog: pr, Init: init, Out: make([]int8, pr.N), Rng: &rngs[j]}
+		if svmcUsesRows(eng) {
+			group[j].rows = ln.rowsAt(j) // as PrepareProblem builds them
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -106,7 +110,8 @@ func benchmarkSweep(b *testing.B, eng Engine) {
 }
 
 // writeSweepRecord writes a sweep benchmark's BENCH_*.json record when
-// BENCH_JSON_DIR is set; base is the recorded baseline ns/read-sweep.
+// BENCH_JSON_DIR is set; base is the recorded baseline ns/read-sweep, or
+// 0 when the benchmark has none.
 func writeSweepRecord(b *testing.B, name, engine string, spins, reads, sweeps int, nsPerSweep, base float64) {
 	b.Helper()
 	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
@@ -122,8 +127,10 @@ func writeSweepRecord(b *testing.B, name, engine string, spins, reads, sweeps in
 			NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 			Iterations: b.N,
 			Config:     cfg,
-			Series: fmt.Sprintf("engine=%s spins=%d reads/group=%d ns/read-sweep=%.0f baseline=%.0f speedup=%.2fx",
-				engine, spins, reads, nsPerSweep, base, cfg.Speedup),
+			Series:     fmt.Sprintf("engine=%s spins=%d reads/group=%d ns/read-sweep=%.0f", engine, spins, reads, nsPerSweep),
+		}
+		if base > 0 {
+			rec.Series += fmt.Sprintf(" baseline=%.0f speedup=%.2fx", base, cfg.Speedup)
 		}
 		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
 			b.Fatal(err)
@@ -141,27 +148,40 @@ func BenchmarkPIMCSweep(b *testing.B) { benchmarkSweep(b, PIMC{Slices: 16}) }
 // Go 1.24.
 const baselineNsPerReverseSweep = 12405
 
-// BenchmarkSVMCSweepReverse times SVMC on the uplink-16qam group shape
-// as a chain lease runs it: two embedded 8-user 16-QAM frames sharing
-// one group, reverse-annealed at s_p 0.45 with a 1 μs pause at 30
-// sweeps/μs from their greedy candidates (uplinkLanes). The serve itself
-// anneals the 32-spin logical problem (BenchmarkLeaseServe16QAM).
-// reads=16 is SVMC's full group and the recorded case;
-// reads=12 is uplink's common group (a batch averages 1.48 frames of
-// 12 reads): one full chunk plus a chunk with only its first half live.
+// BenchmarkSVMCSweepReverse times SVMC on the uplink-16qam group shapes:
+// two 8-user 16-QAM frames sharing one group, reverse-annealed at s_p
+// 0.45 with a 1 μs pause at 30 sweeps/μs from their greedy candidates
+// (uplinkLanes). "embedded" is the physical problem a chain lease
+// sweeps; "logical" is the 32-spin problem the serve anneals, with its
+// dense row tables; "logical-tf" runs the logical group with TF moves,
+// which take the Go proposal step on every host. reads=16 is SVMC's full
+// group and each case's recorded one; reads=12 is uplink's common group
+// (a batch averages 1.48 frames of 12 reads): one full chunk plus a
+// chunk with only its first half live.
 func BenchmarkSVMCSweepReverse(b *testing.B) {
-	ln := uplinkLanes(b, true)
 	ra, err := Reverse(0.45, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, reads := range []int{svmcGroupWidth, 12} {
-		b.Run(fmt.Sprintf("reads=%d", reads), func(b *testing.B) {
-			nsPerSweep, sweeps := benchGroup(b, SVMC{}, ra, 30, ln, reads)
-			if reads == svmcGroupWidth {
-				writeSweepRecord(b, "AnnealersvmcSweepReverse", "svmc", ln.prs[0].N, reads, sweeps, nsPerSweep, baselineNsPerReverseSweep)
-			}
-		})
+	embedded, logical := uplinkLanes(b, true), uplinkLanes(b, false)
+	for _, tc := range []struct {
+		name, record string
+		eng          SVMC
+		ln           lanes
+		base         float64
+	}{
+		{"embedded", "AnnealersvmcSweepReverse", SVMC{}, embedded, baselineNsPerReverseSweep},
+		{"logical", "AnnealersvmcSweepReverseLogical", SVMC{}, logical, 0},
+		{"logical-tf", "Annealersvmc-tfSweepReverseLogical", SVMC{TFMoves: true}, logical, 0},
+	} {
+		for _, reads := range []int{svmcGroupWidth, 12} {
+			b.Run(fmt.Sprintf("%s/reads=%d", tc.name, reads), func(b *testing.B) {
+				nsPerSweep, sweeps := benchGroup(b, tc.eng, ra, 30, tc.ln, reads)
+				if reads == svmcGroupWidth {
+					writeSweepRecord(b, tc.record, tc.eng.Name(), tc.ln.prs[0].N, reads, sweeps, nsPerSweep, tc.base)
+				}
+			})
+		}
 	}
 }
 

@@ -141,27 +141,35 @@ type gaussNoise struct {
 	r              *rng.Source
 }
 
-// applyGaussianCSR perturbs a compiled problem's coefficients in place
+// applyGaussianCSR programs dst as a noisy copy of the compiled problem
+// src: dst shares src's topology (Offsets, Cols, Mirror) and holds the
+// coefficients in its own storage, reused when large enough, perturbed
 // by each of at most two layers (a read's ICE, then its drift) in turn,
-// as ICE.Perturb would one layer after another:
-// nonzero fields (after the layers before) by N(0, sigmaH²), and each
-// undirected coupling by N(0, sigmaJ²), both halves of the mirrored
-// entry receiving the same draw. A layer's draw order — fields in spin
-// order, then couplings in (i, j), i < j order — matches ICE.Perturb on
-// the adjacency form, so a seed programs the same noise through either
-// path. Each layer draws its normals in one batch (NormFloat64s) into
-// buf, and one pass over the couplings adds every layer's draws and,
-// when rows is non-nil, writes each perturbed coupling into the dense
-// row table too, whose masks must be c's topology.
-func applyGaussianCSR(c *qubo.CSR, rows *svmcRows, layers []gaussNoise, buf *[]float64) {
-	couplings := len(c.W) / 2
+// as ICE.Perturb would one layer after another: nonzero fields (after
+// the layers before) by N(0, sigmaH²), and each undirected coupling by
+// N(0, sigmaJ²), both halves of the mirrored entry receiving the same
+// draw. A layer's draw order — fields in spin order, then couplings in
+// (i, j), i < j order — matches ICE.Perturb on the adjacency form, so a
+// seed programs the same noise through either path. Each layer draws its
+// normals in one batch (NormFloat64s) into buf. One pass over src's
+// couplings then writes both halves of every coupling of dst, with
+// every layer's draws added — every entry of W is the i < j half of a
+// coupling or its mirror, so the pass writes all of it — and, when rows
+// is non-nil, writes each perturbed coupling into the dense row table
+// too, whose masks must be src's topology.
+func applyGaussianCSR(dst, src *qubo.CSR, rows *svmcRows, layers []gaussNoise, buf *[]float64) {
+	h := append(dst.H[:0], src.H...)
+	w := slices.Grow(dst.W[:0], len(src.W))[:len(src.W)]
+	*dst = *src
+	dst.H, dst.W = h, w
+	couplings := len(w) / 2
 	var js [2][]float64 // each layer's coupling draws
 	noise := (*buf)[:0]
 	for l, ly := range layers {
 		fields := 0
 		if ly.sigmaH > 0 {
-			for _, h := range c.H {
-				if h != 0 {
+			for _, hi := range h {
+				if hi != 0 {
 					fields++
 				}
 			}
@@ -176,9 +184,9 @@ func applyGaussianCSR(c *qubo.CSR, rows *svmcRows, layers []gaussNoise, buf *[]f
 		ly.r.NormFloat64s(seg)
 		if ly.sigmaH > 0 {
 			t := 0
-			for i, h := range c.H {
-				if h != 0 {
-					c.H[i] += ly.sigmaH * seg[t]
+			for i, hi := range h {
+				if hi != 0 {
+					h[i] += ly.sigmaH * seg[t]
 					t++
 				}
 			}
@@ -188,16 +196,16 @@ func applyGaussianCSR(c *qubo.CSR, rows *svmcRows, layers []gaussNoise, buf *[]f
 		}
 	}
 	*buf = noise
-	np := (c.N + 3) &^ 3
+	np := (src.N + 3) &^ 3
 	t := 0
-	for i := 0; i < c.N; i++ {
-		for k := c.Offsets[i]; k < c.Offsets[i+1]; k++ {
-			j := int(c.Cols[k])
+	for i := 0; i < src.N; i++ {
+		for k := src.Offsets[i]; k < src.Offsets[i+1]; k++ {
+			j := int(src.Cols[k])
 			if j <= i {
 				continue // written with its mirror
 			}
-			m := c.Mirror[k]
-			a, b := c.W[k], c.W[m]
+			m := src.Mirror[k]
+			a, b := src.W[k], src.W[m]
 			for l, ly := range layers {
 				if js[l] != nil {
 					dv := ly.sigmaJ * js[l][t]
@@ -206,7 +214,7 @@ func applyGaussianCSR(c *qubo.CSR, rows *svmcRows, layers []gaussNoise, buf *[]f
 				}
 			}
 			t++
-			c.W[k], c.W[m] = a, b
+			w[k], w[m] = a, b
 			if rows != nil {
 				rows.w[i*np+j], rows.w[j*np+i] = a, b
 			}

@@ -1,6 +1,8 @@
 package annealer
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/qubo"
@@ -68,7 +70,10 @@ func TestPrepareRejectsTooManySlices(t *testing.T) {
 // form given the same seed, so the CSR refactor cannot change which
 // noisy instance a read sees. Two layers (ICE, then a drift) must match
 // Perturb applied twice, and the dense row table the same pass writes
-// must hold every perturbed coupling at its (row, column) slot.
+// must hold every perturbed coupling at its (row, column) slot. The
+// program goes into a reused clone whose coefficient storage holds
+// NaNs: the pass must overwrite every entry in that storage, share the
+// compiled problem's topology, and leave the compiled problem as it was.
 func TestApplyGaussianCSRMatchesPerturb(t *testing.T) {
 	r := rng.New(0x1CE0)
 	is := qubo.NewIsing(12)
@@ -93,10 +98,21 @@ func TestApplyGaussianCSRMatchesPerturb(t *testing.T) {
 			noise = append(noise, gaussNoise{drift.SigmaH, drift.SigmaJ, rng.New(driftSeed)})
 		}
 		wantCSR := qubo.NewCSR(want)
-		got := qubo.NewCSR(is)
-		rows := newSVMCRows(got)
+		src := qubo.NewCSR(is)
+		rows := newSVMCRows(src)
+		got := &qubo.CSR{H: make([]float64, 0, is.N), W: make([]float64, len(src.W))}
+		for k := range got.W {
+			got.W[k] = math.NaN()
+		}
+		w0 := &got.W[0]
 		var buf []float64
-		applyGaussianCSR(got, rows, noise, &buf)
+		applyGaussianCSR(got, src, rows, noise, &buf)
+		if &got.W[0] != w0 || &got.Cols[0] != &src.Cols[0] || &got.Mirror[0] != &src.Mirror[0] {
+			t.Fatalf("%d layers: the clone must reuse its coefficient storage and share the topology", layers)
+		}
+		if fresh := qubo.NewCSR(is); !slices.Equal(src.H, fresh.H) || !slices.Equal(src.W, fresh.W) {
+			t.Fatalf("%d layers: programming the clone changed the compiled problem", layers)
+		}
 
 		for i := range wantCSR.H {
 			if got.H[i] != wantCSR.H[i] {

@@ -159,6 +159,8 @@ func pimcPackedRead(pr *qubo.CSR, prog *pimcProgram, init, out []int8,
 				if !accept {
 					x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
 					u := float64(x>>11) * (1.0 / (1 << 53))
+					// metropolis.Accept, with the bracket inlined: a call
+					// per uphill draw spills this loop's live registers.
 					v := metropolis.Bracket(u, dS)
 					accept = v > 0 || (v == 0 && metropolis.Exact(u, dS))
 				}

@@ -182,9 +182,7 @@ func (e SVMC) read(pr *qubo.CSR, tab *sweepTable, scale []float64, beta float64,
 			if !accept {
 				x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
 				u := float64(x>>11) * (1.0 / (1 << 53))
-				xx := beta * dE
-				v := metropolis.Bracket(u, xx)
-				accept = v > 0 || (v == 0 && metropolis.Exact(u, xx))
+				accept = metropolis.Accept(u, beta*dE)
 			}
 			if accept {
 				accepted++
@@ -345,8 +343,7 @@ func pimcRead(pr *qubo.CSR, tab *sweepTable, spatial, temporal []float64, p int,
 				if !accept {
 					x, rs0, rs1, rs2, rs3 = xoshiroNext(rs0, rs1, rs2, rs3)
 					u := float64(x>>11) * (1.0 / (1 << 53))
-					v := metropolis.Bracket(u, dS)
-					accept = v > 0 || (v == 0 && metropolis.Exact(u, dS))
+					accept = metropolis.Accept(u, dS)
 				}
 				if accept {
 					accepted++

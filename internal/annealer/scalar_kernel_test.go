@@ -8,12 +8,15 @@ import (
 	"repro/internal/rng"
 )
 
-// TestLockstepScalarMatchesSIMD pins the pure-Go staged kernel against
-// the reference: with the SIMD gate forced off, the lockstep group must
-// still reproduce the one-read reference kernel bit for bit, unprobed
-// and probed, for one-problem and mixed-problem groups. On AVX2 hosts this exercises the scalar stage-1 kernel the
-// SIMD path shadows — the only SVMC kernel off amd64; elsewhere it is a
-// plain re-run of the equivalence property.
+// TestLockstepScalarMatchesSIMD pins the Go proposal step against the
+// reference: with the SIMD gate forced off, every step of the lockstep
+// group runs in Go (svmcFinishStep), and the group must still reproduce
+// the one-read reference kernel bit for bit, unprobed and probed, for
+// uniform and TF moves and for one-problem and mixed-problem groups. The
+// read counts cover a partial first chunk (1, 3), a full one (8), a
+// half-live second chunk (11, 12), two full chunks (16) and two kernel
+// blocks (20). This is the only SVMC kernel off amd64 and the one TF
+// moves run everywhere.
 func TestLockstepScalarMatchesSIMD(t *testing.T) {
 	saved := hasBatchSIMD
 	hasBatchSIMD = false
@@ -21,82 +24,49 @@ func TestLockstepScalarMatchesSIMD(t *testing.T) {
 
 	prof := DWave2000QProfile()
 	r := rng.New(0x5ca1a)
-	fwd, err := Forward(1, 0.41, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rev, err := Reverse(0.55, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{4, 17} {
-		for _, reads := range []int{1, 3, 8, 11} {
-			for _, sc := range []*Schedule{fwd, rev} {
-				is := randomIsing(t, r, n, 0.5)
-				pr := qubo.NewCSR(is)
-				pr.Normalize()
-				var init []int8
-				if sc.StartsClassical() {
-					init = make([]int8, n)
-					for i := range init {
-						init[i] = int8(1 - 2*(i%3%2))
+	fwd, rev := fwdRev(t)
+	for _, eng := range []SVMC{{}, {TFMoves: true}} {
+		label := "scalar-" + eng.Name()
+		for _, n := range []int{4, 17} {
+			for _, reads := range []int{1, 3, 8, 11, 12, 16, 20} {
+				for _, sc := range []*Schedule{fwd, rev} {
+					is := randomIsing(t, r, n, 0.5)
+					pr := qubo.NewCSR(is)
+					pr.Normalize()
+					var init []int8
+					if sc.StartsClassical() {
+						init = make([]int8, n)
+						for i := range init {
+							init[i] = int8(1 - 2*(i%3%2))
+						}
 					}
+					name := fmt.Sprintf("%s/n=%d/reads=%d/reverse=%v", label, n, reads, sc == rev)
+					checkLockstepMatches(t, name, eng, sc, prof, oneProblem(pr, init), reads, r.Uint64())
 				}
-				checkLockstepMatches(t, "scalar-svmc", SVMC{}, sc, prof, oneProblem(pr, init), reads, r.Uint64())
+				for _, sc := range []*Schedule{fwd, rev} {
+					ln := mixedLanes(t, r, n, reads, sc.StartsClassical())
+					name := fmt.Sprintf("%s/mixed/n=%d/reads=%d/reverse=%v", label, n, reads, sc == rev)
+					checkLockstepMatches(t, name, eng, sc, prof, ln, reads, r.Uint64())
+				}
 			}
+		}
+		for _, n := range []int{6, 30} {
 			for _, sc := range []*Schedule{fwd, rev} {
-				ln := mixedLanes(t, r, n, reads, sc.StartsClassical())
-				checkLockstepMatches(t, "scalar-svmc/mixed", SVMC{}, sc, prof, ln, reads, r.Uint64())
+				ln := fullRowLanes(t, r, n, 12, sc.StartsClassical())
+				checkLockstepMatches(t, label+"/full-rows", eng, sc, prof, ln, 12, r.Uint64())
+			}
+		}
+		for _, n := range []int{6, 16, 32} {
+			for _, sc := range []*Schedule{fwd, rev} {
+				ln := holeLanes(t, r, n, 12, sc.StartsClassical())
+				checkLockstepMatches(t, fmt.Sprintf("%s/holes/n=%d", label, n), eng, sc, prof, ln, 12, r.Uint64())
 			}
 		}
 	}
-	for _, n := range []int{6, 30} {
-		for _, sc := range []*Schedule{fwd, rev} {
-			ln := fullRowLanes(t, r, n, 12, sc.StartsClassical())
-			checkLockstepMatches(t, "scalar-svmc/full-rows", SVMC{}, sc, prof, ln, 12, r.Uint64())
-		}
-	}
-	for _, n := range []int{6, 16, 32} {
-		for _, sc := range []*Schedule{fwd, rev} {
-			ln := holeLanes(t, r, n, 12, sc.StartsClassical())
-			checkLockstepMatches(t, fmt.Sprintf("scalar-svmc/holes/n=%d", n), SVMC{}, sc, prof, ln, 12, r.Uint64())
-		}
-	}
 }
 
-// TestScalarScoreMatchesStage1 pins the scalar replay scorer (the Lemire
-// rejection fallback of the SIMD chunk loop) to the plain staged kernel:
-// on the same scratch state both must produce identical proposal draws,
-// trig, and advance the lane RNGs identically — the scorer only adds the
-// accept/exp verdict masks.
-func TestScalarScoreMatchesStage1(t *testing.T) {
-	if !hasBatchSIMD {
-		t.Skip("no SIMD batch path on this host")
-	}
-	prof := DWave2000QProfile()
-	r := rng.New(0xbeef)
-	is := randomIsing(t, r, 9, 0.6)
-	pr := qubo.NewCSR(is)
-	pr.Normalize()
-	sc, err := Forward(1, 0.41, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force the SIMD gate off for one group and on for another with the
-	// same seed: the verdict replay path and the staged kernel must agree
-	// on every read's output and final RNG state.
-	seed := r.Uint64()
-	simdOuts, simdRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, oneProblem(pr, nil), 8, seed, nil)
-	hasBatchSIMD = false
-	scalarOuts, scalarRngs := lockstepGroup(t, SVMC{}, sc, prof, 50, oneProblem(pr, nil), 8, seed, nil)
-	hasBatchSIMD = true
-	assertGroupsEqual(t, "simd-vs-scalar", simdOuts, scalarOuts, simdRngs, scalarRngs)
-}
-
-// TestScalarScoreReplay drives the Lemire-rejection replay scorer
-// directly (the SIMD path reaches it with probability ~n/2⁶⁴, so no
-// workload covers it naturally): replaying from identical scratch states
-// must be bit-deterministic, the accept/exp masks must be disjoint and
+// TestScalarScoreReplay drives the Go step's scorer directly: replaying
+// from identical scratch states must be bit-deterministic, the accept/exp masks must be disjoint and
 // consistent with the materialized dE values, and downhill proposals must
 // always accept.
 func TestScalarScoreReplay(t *testing.T) {
@@ -118,11 +88,10 @@ func TestScalarScoreReplay(t *testing.T) {
 		}
 		return st
 	}
-	nb := uint64(n)
-	negnb := lemireThreshold(n)
+	args := &svmcStepArgs{nb: n, negnb: lemireThreshold(n), na2: 0.8, b2: 1.2, beta: 3}
 	a, b := build(), build()
-	amA, emA := svmcScoreScalar(a, 0, nb, negnb, 0.8, 1.2, 3)
-	amB, emB := svmcScoreScalar(b, 0, nb, negnb, 0.8, 1.2, 3)
+	amA, emA := svmcScoreScalar(a, args, 0, reads, false, 0)
+	amB, emB := svmcScoreScalar(b, args, 0, reads, false, 0)
 	if amA != amB || emA != emB {
 		t.Fatalf("replay not deterministic: masks %x/%x vs %x/%x", amA, emA, amB, emB)
 	}

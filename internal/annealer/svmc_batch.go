@@ -37,16 +37,17 @@ import (
 // of every live 4-lane half, then the apply of every decided accept —
 // and returns to Go only when a lane needs it: a bracket-undecided lane
 // for Go to settle, or a Lemire rejection for Go to replay.
-// The pure-Go path (TF moves, non-amd64 hosts) splits each step into
-// two stages: stage 1 draws the proposal (index + angle) and evaluates
-// the trig for every resident read — branch-light, so the FP chains
-// pipeline back to back — and stage 2 scores and applies it, confining
-// the unpredictable accept/reject branches to code the trig no longer
-// waits on. Both apply through the same operations (svmcApply is the Go
-// one). Every read draws from its own stream in exactly the one-read
-// order (index draw, angle draw, then one uniform per uphill proposal),
-// so outcomes are bit-identical to the one-read reference kernel the
-// tests keep.
+// Every step the kernel does not run — TF moves, non-amd64 hosts, and
+// the chunks it hands back on a Lemire rejection — runs as the same
+// step in Go (svmcFinishStep), one 8-lane chunk at a time over the
+// chunk's live lanes: stage 1 draws each proposal and evaluates its trig, the scorer
+// (svmcScoreScalar) takes the dE score and the bracket's verdict, the
+// outright accepts are applied (svmcApply is the Go apply), and the
+// undecided lanes are settled with metropolis.Exact. Every read draws
+// from its own stream in exactly the one-read order (index draw, TF's
+// gate draw, angle draw, then one uniform per uphill proposal), so
+// outcomes are bit-identical to the one-read reference kernel the tests
+// keep.
 type svmcBatchScratch struct {
 	rot                []float64 // (z, sin θ) pair per (read, spin) slot
 	fld                []float64 // local field per (read, spin) slot
@@ -56,7 +57,7 @@ type svmcBatchScratch struct {
 	nsin, ncos         []float64 // stage-1 proposal trig per read
 	nang               []float64 // stage-1 proposal angle (TF only)
 	dE                 []float64 // stage-2 proposal energy delta per read
-	u                  []float64 // stage-2 uphill uniform per read (SIMD)
+	u                  []float64 // stage-2 uphill uniform per read
 	lanoff             []uint64  // per-lane slot offset j·np (0 for padding)
 	accepted           []int     // per-lane accepts this sweep (read by probes)
 	probeSpins         []int8    // one lane's projected state (probed reads only)
@@ -154,8 +155,8 @@ func newSVMCRows(pr *qubo.CSR) *svmcRows {
 }
 
 // svmcUsesRows reports whether eng's kernel applies along dense row
-// tables: the SIMD kernel, which covers SVMC's uniform moves. The
-// staged Go kernel walks the CSR rows.
+// tables: the SIMD kernel, which covers SVMC's uniform moves. The Go
+// step (svmcApply) walks the CSR rows.
 func svmcUsesRows(eng Engine) bool {
 	e, ok := eng.(SVMC)
 	return ok && !e.TFMoves && hasBatchSIMD
@@ -164,9 +165,9 @@ func svmcUsesRows(eng Engine) bool {
 // svmcChunks is the number of 8-lane chunks in one svmcStepArgs block.
 const svmcChunks = svmcGroupWidth / 8
 
-// svmcForceScalar makes every SIMD proposal step take the scalar replay
-// (svmcScoreScalar plus the Go apply); TestSVMCReplayMatchesKernelApply
-// and TestSVMCKernelExitsMatchReplay set it.
+// svmcForceScalar makes every proposal step of a SIMD-eligible group
+// run in Go (svmcFinishStep); TestSVMCReplayMatchesKernelApply and
+// TestSVMCKernelExitsMatchReplay set it.
 var svmcForceScalar = false
 
 // svmcLemireThreshold is the bounded index draw's rejection threshold
@@ -179,8 +180,8 @@ var svmcLemireThreshold = lemireThreshold
 // angle array only for TF moves, and returns the slot stride np. The
 // per-lane arrays (states, proposal outputs) are rounded up to a
 // multiple of the sixteen-lane kernel block; lanes beyond r are padding
-// the SIMD kernel can advance harmlessly (stage 2 and the epilogue only
-// walk j < r).
+// the SIMD kernel can advance harmlessly (the Go step and the epilogue
+// only walk j < r).
 func (st *svmcBatchScratch) ensure(r, n int, tf bool) (np int) {
 	np = (n + 3) &^ 3
 	slots := r * np
@@ -305,9 +306,9 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	nb := uint64(n)
 	negnb := svmcLemireThreshold(n)
 	// The AVX2 kernel covers the default (global-move) proposal; TF moves
-	// branch on the gate draw and read theta, so they stay scalar. The
-	// nb bound is the 32-bit limb decomposition's precondition.
-	useSIMD := hasBatchSIMD && !tf && nb <= 0xFFFFFFFF
+	// branch on the gate draw and read theta, so they run in Go. The nb
+	// bound is the 32-bit limb decomposition's precondition.
+	useSIMD := hasBatchSIMD && !tf && nb <= 0xFFFFFFFF && !svmcForceScalar
 	// Per-lane slot offsets for the kernel's rotor and field loads;
 	// padding lanes alias read 0's block so their (never-read) loads stay
 	// inside the allocation.
@@ -347,33 +348,29 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	for sweep := 0; sweep < sweeps; sweep++ {
 		na2 := -tab.a[sweep] / 2
 		b2 := tab.b[sweep] / 2
-		if useSIMD {
-			// One kernel call runs the sweep's n proposal steps for every
-			// live half of the block. It stops early only at a step where
-			// Go must act — a bracket-undecided lane, or a chunk whose
-			// index draw hit the Lemire rejection (probability n/2⁶⁴ per
-			// lane) — and resumes at the next step once Go has finished
-			// that one.
-			for ci := range st.args {
-				a := &st.args[ci]
-				a.na2, a.b2 = na2, b2
-				for a.k = 0; a.k < nb; a.k++ {
-					from := 0
-					if !svmcForceScalar {
-						if svmcStepx8(a) {
-							break
-						}
-						from = int(a.rej)
+		var sc float64
+		if tf {
+			sc = scale[sweep]
+		}
+		// With SIMD, one kernel call runs the sweep's n proposal steps for
+		// every live half of the block. It stops early only at a step
+		// where Go must act — a bracket-undecided lane, or a chunk whose
+		// index draw hit the Lemire rejection (probability n/2⁶⁴ per lane)
+		// — and resumes at the next step once Go has finished that one.
+		// Without it, Go runs every step.
+		for ci := range st.args {
+			a := &st.args[ci]
+			a.na2, a.b2 = na2, b2
+			for a.k = 0; a.k < nb; a.k++ {
+				from := 0
+				if useSIMD {
+					if svmcStepx8(a) {
+						break
 					}
-					svmcFinishStep(st, reads, a, ci*svmcGroupWidth, from)
+					from = int(a.rej)
 				}
+				svmcFinishStep(st, reads, a, ci*svmcGroupWidth, from, tf, sc)
 			}
-		} else {
-			sc := 1.0
-			if tf {
-				sc = scale[sweep]
-			}
-			svmcSweepStaged(st, reads, n, na2, b2, beta, tf, sc)
 		}
 		if probed {
 			svmcObserveSweep(tab, sweep, n, reads, st)
@@ -401,140 +398,32 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 }
 
 // svmcFinishStep completes proposal step a.k of the kernel block whose
-// lanes start at c, where the kernel stopped: chunks from `from` on did
-// not run the step, so they replay it through the scalar reference
-// scorer and Go applies their accepts; then every live bracket-undecided
-// lane of the step is settled with metropolis.Exact.
-func svmcFinishStep(st *svmcBatchScratch, reads []BatchRead, a *svmcStepArgs, c, from int) {
+// lanes start at c in Go. Chunks from `from` on did not run the step
+// (every chunk, when Go runs the whole step): each runs it over its live
+// lanes — svmcScoreScalar's draws, score and verdict — and Go applies
+// its outright accepts. Then every live bracket-undecided lane of the
+// step is settled with metropolis.Exact. tf selects TF moves, whose
+// sweep width is sc.
+func svmcFinishStep(st *svmcBatchScratch, reads []BatchRead, a *svmcStepArgs, c, from int, tf bool, sc float64) {
 	for ch := from; ch < svmcChunks; ch++ {
-		shift := uint(8 * ch)
-		live := uint32(a.live>>shift) & 0xFF
-		if live == 0 {
-			continue // the kernel skips a chunk with no live lane too
-		}
 		c0 := c + 8*ch
-		am, em := svmcScoreScalar(st, c0, a.nb, a.negnb, a.na2, a.b2, a.beta)
+		if c0 >= len(reads) {
+			break // no live lane; the kernel skips such a chunk too
+		}
+		am, em := svmcScoreScalar(st, a, c0, min(c0+8, len(reads)), tf, sc)
+		shift := uint(8 * ch)
 		a.exm = a.exm&^(0xFF<<shift) | uint16(em)<<shift
-		for m := am &^ em & live; m != 0; m &= m - 1 {
+		for m := am; m != 0; m &= m - 1 {
 			j := c0 + bits.TrailingZeros32(m)
 			st.accepted[j]++
-			svmcApply(st, reads[j].Prog, j, false)
+			svmcApply(st, reads[j].Prog, j, tf)
 		}
 	}
 	for m := uint32(a.exm & a.live); m != 0; m &= m - 1 {
 		j := c + bits.TrailingZeros32(m)
 		if metropolis.Exact(st.u[j], a.beta*st.dE[j]) {
 			st.accepted[j]++
-			svmcApply(st, reads[j].Prog, j, false)
-		}
-	}
-}
-
-// svmcSweepStaged is one sweep of the pure-Go staged kernel over every
-// read of the group: for each of the n proposal steps, stage 1 draws
-// every read's proposal and evaluates its trig, and stage 2 scores,
-// decides and applies it. sc is the sweep's TF proposal width (read
-// only for TF moves).
-func svmcSweepStaged(st *svmcBatchScratch, reads []BatchRead, n int, na2, b2, beta float64, tf bool, sc float64) {
-	r := len(reads)
-	nb, negnb := uint64(n), svmcLemireThreshold(n)
-	rot, fld, lan := st.rot, st.fld, st.lanoff
-	rs0, rs1, rs2, rs3 := st.rs0, st.rs1, st.rs2, st.rs3
-	idx, nsin, ncos, nang := st.idx, st.nsin, st.ncos, st.nang
-	for k := 0; k < n; k++ {
-		// Stage 1: draw every resident read's proposal and evaluate its
-		// trig. No data-dependent branches on the default path (the
-		// Lemire rejection loop retries with probability n/2⁶⁴), so the
-		// R sinCosPi chains overlap freely.
-		if !tf {
-			svmcStage1Scalar(st, 0, r, nb, negnb)
-		} else {
-			// TF proposals draw index, gate, then angle — exactly the
-			// one-read order — and need the current rotor angle for
-			// local moves, so theta is live here.
-			for j := 0; j < r; j++ {
-				s0, s1, s2, s3 := rs0[j], rs1[j], rs2[j], rs3[j]
-				var x uint64
-				x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
-				hi, lo := bits.Mul64(x, nb)
-				for lo < negnb {
-					x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
-					hi, lo = bits.Mul64(x, nb)
-				}
-				i := int(hi)
-				x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
-				global := float64(x>>11)*(1.0/(1<<53)) < sc
-				var nt, sinNt, nz float64
-				x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
-				if global {
-					u := float64(x>>11) * (1.0 / (1 << 53))
-					nt = math.Pi * u
-					sinNt, nz = sinCosPi(u)
-				} else {
-					nt = st.theta[int(lan[j])+i] + (2*(float64(x>>11)*(1.0/(1<<53)))-1)*math.Pi*sc
-					if nt < 0 {
-						nt = -nt
-					}
-					if nt > math.Pi {
-						nt = 2*math.Pi - nt
-					}
-					u := nt * (1 / math.Pi)
-					if u > 1 {
-						u = 1 // guard the π·(1/π) rounding at nt = π
-					}
-					sinNt, nz = sinCosPi(u)
-				}
-				rs0[j], rs1[j], rs2[j], rs3[j] = s0, s1, s2, s3
-				idx[j] = hi
-				nang[j] = nt
-				nsin[j], ncos[j] = sinNt, nz
-			}
-		}
-		// Stage 2a: score every resident read branch-free. Split from
-		// the decision loop below so all R rotor and field loads issue
-		// and retire before the first unpredictable accept branch — a
-		// mispredict there would otherwise flush the speculated loads
-		// of every later read and serialize the misses.
-		dEs := st.dE
-		for j := 0; j < r; j++ {
-			bi := int(lan[j]) + int(idx[j])
-			// Same expression tree as the reference kernel, so the
-			// rounding is identical.
-			dEs[j] = na2*(nsin[j]-rot[2*bi+1]) + b2*(ncos[j]-rot[2*bi])*fld[bi]
-		}
-		// Stage 2b: decide and apply. The accept/reject branches live
-		// here, after every read's trig and dE have already retired.
-		for j := 0; j < r; j++ {
-			dE := dEs[j]
-			accept := dE <= 0
-			if !accept {
-				s0, s1, s2, s3 := rs0[j], rs1[j], rs2[j], rs3[j]
-				var x uint64
-				x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
-				rs0[j], rs1[j], rs2[j], rs3[j] = s0, s1, s2, s3
-				u := float64(x>>11) * (1.0 / (1 << 53))
-				xx := beta * dE
-				// metropolis.Bracket, unrolled branchlessly: the outcome of
-				// u < exp(−xx) is a coin flip the branch predictor
-				// cannot learn, so resolve both bracket compares as
-				// flags (one cache line, loads issued unconditionally)
-				// and branch only for the rare inside-the-bracket case.
-				// Decision-identical to metropolis.Accept on every input.
-				k := uint(xx * metropolis.GridStep)
-				if k < metropolis.GridMax {
-					acc := u < metropolis.Bounds[2*k+1]
-					if acc != (u < metropolis.Bounds[2*k]) {
-						acc = metropolis.Exact(u, xx)
-					}
-					accept = acc
-				} else {
-					accept = u < 0x1p-53 && metropolis.Exact(u, xx)
-				}
-			}
-			if accept {
-				st.accepted[j]++
-				svmcApply(st, reads[j].Prog, j, tf)
-			}
+			svmcApply(st, reads[j].Prog, j, tf)
 		}
 	}
 }
@@ -562,13 +451,9 @@ func svmcApply(st *svmcBatchScratch, pr *qubo.CSR, j int, tf bool) {
 	}
 }
 
-// svmcStage1Scalar is the pure-Go stage 1 for the default (global-move)
+// svmcStage1Scalar is the Go stage 1 for the default (global-move)
 // proposal over lanes [c0, c1): one bounded index draw, one angle draw,
-// sinCosPi. It is both the non-SIMD path and the reference the AVX2
-// kernel must match bit for bit — and the fallback that replays a chunk
-// whose SIMD call bailed on a Lemire rejection (the kernel stores
-// nothing in that case, so replaying from the untouched states is
-// exact, rejection loop included).
+// sinCosPi. It is the reference the AVX2 kernel must match bit for bit.
 func svmcStage1Scalar(st *svmcBatchScratch, c0, c1 int, nb, negnb uint64) {
 	rs0, rs1, rs2, rs3 := st.rs0, st.rs1, st.rs2, st.rs3
 	idx, nsin, ncos := st.idx, st.nsin, st.ncos
@@ -590,40 +475,97 @@ func svmcStage1Scalar(st *svmcBatchScratch, c0, c1 int, nb, negnb uint64) {
 	}
 }
 
-// svmcScoreScalar is the scalar reference for the full SIMD proposal
-// step over the 8-lane chunk starting at c0: stage 1 plus the dE score,
-// the conditional uphill draw, and the bracket verdict, materialized
-// into the same per-lane arrays svmcStepx8 fills, with the verdicts as
-// masks: am (accepted outright) and em (bracket-undecided). It applies
-// nothing; the caller applies the accepts. It replays a chunk whose
-// SIMD call bailed on a Lemire rejection — the kernel stores nothing in
-// that case, so replaying from the untouched states is exact. Padding
-// lanes score against read 0's block through their zero lanoff,
-// mirroring the kernel's in-bounds garbage lanes.
-func svmcScoreScalar(st *svmcBatchScratch, c0 int, nb, negnb uint64, na2, b2, beta float64) (am, em uint32) {
-	svmcStage1Scalar(st, c0, c0+8, nb, negnb)
-	rot := st.rot
-	for j := c0; j < c0+8; j++ {
-		bi := int(st.lanoff[j]) + int(st.idx[j])
-		dE := na2*(st.nsin[j]-rot[2*bi+1]) + b2*(st.ncos[j]-rot[2*bi])*st.fld[bi]
-		st.dE[j] = dE
-		bit := uint32(1) << uint(j-c0)
-		if dE <= 0 {
-			am |= bit
-		} else {
-			s0, s1, s2, s3 := st.rs0[j], st.rs1[j], st.rs2[j], st.rs3[j]
-			var x uint64
+// svmcStage1TF is stage 1 for TF moves of width sc over lanes [c0, c1):
+// the index draw, the gate draw, then the angle draw — exactly the
+// one-read order. A local move steps from the rotor's current angle, so
+// theta is live here.
+func svmcStage1TF(st *svmcBatchScratch, c0, c1 int, nb, negnb uint64, sc float64) {
+	rs0, rs1, rs2, rs3 := st.rs0, st.rs1, st.rs2, st.rs3
+	idx, nsin, ncos, nang := st.idx, st.nsin, st.ncos, st.nang
+	theta, lan := st.theta, st.lanoff
+	for j := c0; j < c1; j++ {
+		s0, s1, s2, s3 := rs0[j], rs1[j], rs2[j], rs3[j]
+		var x uint64
+		x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+		hi, lo := bits.Mul64(x, nb)
+		for lo < negnb {
 			x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
-			st.rs0[j], st.rs1[j], st.rs2[j], st.rs3[j] = s0, s1, s2, s3
-			u := float64(x>>11) * (1.0 / (1 << 53))
-			st.u[j] = u
-			switch metropolis.Bracket(u, beta*dE) {
-			case 1:
-				am |= bit
-			case 0:
-				em |= bit
-			}
+			hi, lo = bits.Mul64(x, nb)
 		}
+		i := int(hi)
+		x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+		global := float64(x>>11)*(1.0/(1<<53)) < sc
+		var nt, sinNt, nz float64
+		x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+		if global {
+			u := float64(x>>11) * (1.0 / (1 << 53))
+			nt = math.Pi * u
+			sinNt, nz = sinCosPi(u)
+		} else {
+			nt = theta[int(lan[j])+i] + (2*(float64(x>>11)*(1.0/(1<<53)))-1)*math.Pi*sc
+			if nt < 0 {
+				nt = -nt
+			}
+			if nt > math.Pi {
+				nt = 2*math.Pi - nt
+			}
+			u := nt * (1 / math.Pi)
+			if u > 1 {
+				u = 1 // guard the π·(1/π) rounding at nt = π
+			}
+			sinNt, nz = sinCosPi(u)
+		}
+		rs0[j], rs1[j], rs2[j], rs3[j] = s0, s1, s2, s3
+		idx[j] = hi
+		nang[j] = nt
+		nsin[j], ncos[j] = sinNt, nz
+	}
+}
+
+// svmcScoreScalar runs proposal step a.k in Go over lanes [c0, c1) of
+// one 8-lane chunk: stage 1 (svmcStage1TF for TF moves of width sc,
+// else svmcStage1Scalar), the dE score, the conditional uphill draw and
+// the bracket verdict, materialized into the same per-lane arrays
+// svmcStepx8 fills, with the verdicts as masks over the chunk's lanes:
+// am (accepted outright) and em (bracket-undecided). It applies
+// nothing; the caller applies the accepts. It also replays a chunk
+// whose SIMD call bailed on a Lemire rejection — the kernel stores
+// nothing in that case, so replaying from the untouched states is
+// exact, rejection loop included.
+func svmcScoreScalar(st *svmcBatchScratch, a *svmcStepArgs, c0, c1 int, tf bool, sc float64) (am, em uint32) {
+	if tf {
+		svmcStage1TF(st, c0, c1, a.nb, a.negnb, sc)
+	} else {
+		svmcStage1Scalar(st, c0, c1, a.nb, a.negnb)
+	}
+	// Score every lane before the first verdict, so no lane's rotor and
+	// field loads wait behind another lane's unpredictable branch.
+	rot, fld, lan, dEs := st.rot, st.fld, st.lanoff, st.dE
+	na2, b2, beta := a.na2, a.b2, a.beta
+	for j := c0; j < c1; j++ {
+		bi := int(lan[j]) + int(st.idx[j])
+		// Same expression tree as the reference kernel, so the rounding
+		// is identical.
+		dEs[j] = na2*(st.nsin[j]-rot[2*bi+1]) + b2*(st.ncos[j]-rot[2*bi])*fld[bi]
+	}
+	rs0, rs1, rs2, rs3 := st.rs0, st.rs1, st.rs2, st.rs3
+	for j := c0; j < c1; j++ {
+		dE := dEs[j]
+		bit := uint(j - c0)
+		if dE <= 0 {
+			am |= 1 << bit
+			continue
+		}
+		s0, s1, s2, s3 := rs0[j], rs1[j], rs2[j], rs3[j]
+		var x uint64
+		x, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+		rs0[j], rs1[j], rs2[j], rs3[j] = s0, s1, s2, s3
+		u := float64(x>>11) * (1.0 / (1 << 53))
+		st.u[j] = u
+		// v is +1, 0 or −1: accept, undecided, reject.
+		v := metropolis.Bracket(u, beta*dE)
+		am |= uint32(v+1) >> 1 << bit
+		em |= uint32(v&1^1) << bit
 	}
 	return am, em
 }

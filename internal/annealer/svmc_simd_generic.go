@@ -2,9 +2,9 @@
 
 package annealer
 
-// Non-amd64 builds take the pure-Go staged SVMC kernel and the one-read
-// simulated-annealing path; hasBatchSIMD gates every call site, so the
-// stubs below are unreachable.
+// Non-amd64 builds run every SVMC proposal step in Go (svmcFinishStep)
+// and take the one-read simulated-annealing path; hasBatchSIMD gates
+// every call site, so the stubs below are unreachable.
 var hasBatchSIMD = false
 
 func svmcStepx8(a *svmcStepArgs) bool {

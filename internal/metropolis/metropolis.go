@@ -42,7 +42,11 @@ func init() {
 // Bracket resolves u < exp(−x) against the bracket alone: +1 means
 // accept, −1 reject, 0 undecided (the draw landed inside the bracket) —
 // undecided must be settled by Exact. It contains no calls, so it
-// inlines into the callers' proposal loops.
+// inlines into the callers' proposal loops. Inside the table it takes
+// both compares as flags rather than branches (the slot's lower bound
+// is below its upper, so at most one holds): the verdict is a coin flip
+// no branch predictor learns, and a caller that turns it into masks,
+// as the SVMC Go step does, then branches on nothing.
 //
 // Past the table (x ≥ 40, up to one rounding of x·32) exp(−x) < 4.3e−18
 // is strictly below 2⁻⁵³, so every u ≥ 2⁻⁵³ rejects without touching the
@@ -60,18 +64,21 @@ func Bracket(u, x float64) int32 {
 		}
 		return 0
 	}
-	if u >= Bounds[2*k] {
-		return -1
-	}
+	var v int32
 	if u < Bounds[2*k+1] {
-		return 1
+		v = 1
 	}
-	return 0
+	if u >= Bounds[2*k] {
+		v = -1
+	}
+	return v
 }
 
 // Accept reports u < exp(−x) for x > 0, bit-identically to computing
 // math.Exp(−x) — the bracket only short-circuits decisions the exact
-// comparison could not decide differently.
+// comparison could not decide differently. Its call to Exact puts it
+// over the inlining budget, so a hot loop that must not pay a call per
+// uphill draw inlines Bracket and calls Exact only when it returns 0.
 func Accept(u, x float64) bool {
 	v := Bracket(u, x)
 	return v > 0 || (v == 0 && Exact(u, x))
@@ -81,7 +88,7 @@ func Accept(u, x float64) bool {
 // there exp(−x) is smaller than the smallest nonzero Float64() draw, so
 // u < exp(−x) is false for every u except u == 0, which the comparison
 // itself gets right (including after exp underflows to 0). Kept out of
-// line so Accept fits the inlining budget.
+// line: its callers reach it only for the rare undecided draw.
 //
 //go:noinline
 func Exact(u, x float64) bool {

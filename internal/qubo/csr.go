@@ -6,8 +6,8 @@ import "math"
 // lists flattened into three parallel arrays so the annealer's sweep loops
 // walk contiguous memory instead of chasing []Coupling slice headers. It
 // is compiled once per batch (NewCSR) and shared read-only across every
-// read; per-read coefficient noise (ICE, calibration drift) works on a
-// CloneCoeffsInto copy that shares the immutable topology arrays.
+// read; per-read coefficient noise (ICE, calibration drift) programs a
+// copy that shares the immutable topology arrays.
 //
 // Rows are sorted by column, with distinct columns and no diagonal
 // entry, so a row of N−1 entries is every other spin in order. Each
@@ -138,18 +138,6 @@ func (c *CSR) Normalize() float64 {
 	}
 	c.Offset *= inv
 	return inv
-}
-
-// CloneCoeffsInto makes dst a copy of c that shares the immutable
-// topology arrays (Offsets, Cols, Mirror) and holds H/W in dst's own
-// storage, reused when it is large enough — the per-read programmable
-// surface for coefficient noise, re-pointed at each read's problem. It
-// returns dst.
-func (c *CSR) CloneCoeffsInto(dst *CSR) *CSR {
-	h, w := append(dst.H[:0], c.H...), append(dst.W[:0], c.W...)
-	*dst = *c
-	dst.H, dst.W = h, w
-	return dst
 }
 
 // Energy evaluates E(s) for spins in {−1,+1}, counting each undirected

@@ -169,42 +169,3 @@ func TestIsingContentHashAndEqual(t *testing.T) {
 		t.Fatal("different sizes Equal")
 	}
 }
-
-// TestCSRCoefficientPooling covers the re-programming surface used for
-// per-read coefficient noise: CloneCoeffsInto shares topology but not
-// coefficients, and re-cloning into a used clone restores them in its
-// own storage.
-func TestCSRCoefficientPooling(t *testing.T) {
-	is := randomDenseIsing(rng.New(46), 8, 0.7)
-	c := qubo.NewCSR(is)
-	spins := make([]int8, is.N)
-	for i := range spins {
-		spins[i] = 1
-	}
-	want := c.Energy(spins)
-
-	clone := c.CloneCoeffsInto(new(qubo.CSR))
-	if &clone.Cols[0] != &c.Cols[0] || &clone.W[0] == &c.W[0] {
-		t.Fatal("clone must share topology and own its coefficients")
-	}
-	h, w := &clone.H[0], &clone.W[0]
-	for i := range clone.H {
-		clone.H[i] += 0.25
-	}
-	for i := range clone.W {
-		clone.W[i] -= 0.25
-	}
-	clone.Offset += 1
-	if got := c.Energy(spins); got != want {
-		t.Fatalf("mutating clone changed original energy: %v vs %v", got, want)
-	}
-	if clone.Energy(spins) == want {
-		t.Fatal("clone coefficients did not change its energy")
-	}
-	if c.CloneCoeffsInto(clone) != clone || &clone.H[0] != h || &clone.W[0] != w {
-		t.Fatal("re-cloning did not reuse the clone's coefficient storage")
-	}
-	if got := clone.Energy(spins); got != want {
-		t.Fatalf("re-cloning did not restore energy: %v vs %v", got, want)
-	}
-}
