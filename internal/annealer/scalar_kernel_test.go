@@ -66,9 +66,9 @@ func TestLockstepScalarMatchesSIMD(t *testing.T) {
 }
 
 // TestScalarScoreReplay drives the Go step's scorer directly: replaying
-// from identical scratch states must be bit-deterministic, the accept/exp masks must be disjoint and
-// consistent with the materialized dE values, and downhill proposals must
-// always accept.
+// from identical scratch states must be bit-deterministic, the
+// accept/exp masks must be disjoint and consistent with the materialized
+// dE values, and downhill proposals must always accept.
 func TestScalarScoreReplay(t *testing.T) {
 	const n, reads = 5, 8
 	build := func() *svmcBatchScratch {
