@@ -281,16 +281,7 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 				}
 			}
 		}
-		pr := reads[j].Prog
-		cols, w, offs := pr.Cols, pr.W, pr.Offsets
-		f := fld[base : base+n]
-		for i := range f {
-			fi := pr.H[i]
-			for k := offs[i]; k < offs[i+1]; k++ {
-				fi += w[k] * pairs[2*int(cols[k])]
-			}
-			f[i] = fi
-		}
+		qubo.LocalFields(reads[j].Prog, pairs, 2, fld[base:base+n])
 		st.rs0[j], st.rs1[j], st.rs2[j], st.rs3[j] = reads[j].Rng.State()
 		acc[j] = 0
 		probed = probed || reads[j].Probe != nil

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -73,74 +75,165 @@ func topKCandidatesOneRead(red *mimo.Reduction, k int, r *rng.Source) ([][]int8,
 	return out, i
 }
 
-// TestTopKCandidatesMatchesOneRead pins the grouped restart loop to the
-// one-restart-at-a-time oracle on 300 ensemble-shaped frames (4-user
-// 16-QAM, 11 dB Rayleigh, K=4): the candidate lists must be identical,
-// and the frame mix must include frames that stop after restart 0,
-// frames that stop inside a group, and frames that hit the restart cap.
-func TestTopKCandidatesMatchesOneRead(t *testing.T) {
-	const frames, k = 300, 4
-	n0 := channel.NoiseVarianceForSNR(11, 4)
-	var first, mid, capped, grouped, unused int
-	for f := 0; f < frames; f++ {
+// topKFrames synthesizes n ensemble-shaped frames (16-QAM, 11 dB
+// Rayleigh) with the given user count.
+func topKFrames(tb testing.TB, users, n int) []*mimo.Reduction {
+	tb.Helper()
+	n0 := channel.NoiseVarianceForSNR(11, users)
+	reds := make([]*mimo.Reduction, n)
+	for f := range reds {
 		in, err := instance.Synthesize(instance.Spec{
-			Users: 4, Scheme: modulation.QAM16, Channel: channel.Rayleigh,
+			Users: users, Scheme: modulation.QAM16, Channel: channel.Rayleigh,
 			NoiseVariance: n0, Seed: uint64(0x70C0 + f),
 		})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		got, err := TopKCandidates(in.Reduction, k, rng.New(uint64(f)))
-		if err != nil {
-			t.Fatal(err)
+		reds[f] = in.Reduction
+	}
+	return reds
+}
+
+// waveLanes is the number of SA lanes TopKCandidates computes at
+// GOMAXPROCS procs on a frame whose stop rule consumed the given number
+// of restarts: restarts 1 … restarts−1 run in groups of 8, the groups
+// in waves of procs, and the last group is clipped at the 4K+16 cap.
+func waveLanes(restarts, k, procs int) int {
+	if restarts <= 1 {
+		return 0
+	}
+	wave := 8 * procs
+	return min((restarts-1+wave-1)/wave*wave, 4*k+15)
+}
+
+// TestTopKCandidatesMatchesOneRead pins the wave-parallel restart loop
+// to the one-restart-at-a-time oracle at GOMAXPROCS 2, 1 and 4: the
+// candidate lists must be identical. Two frame mixes:
+//   - 300 4-user frames at K=4, the ensemble's shape: most stop after
+//     restart 0 and most of the rest hit the restart cap. GOMAXPROCS 2
+//     runs them all, and lanes computed past the stopping restart must
+//     stay under 5% of the lanes the waves computed; GOMAXPROCS 1 and 4
+//     run every third frame.
+//   - 16 8-user frames at K=8, whose larger problems leave more distinct
+//     local minima: most stop inside a wave, so the candidates change if
+//     a wave's groups are consumed out of restart order.
+//
+// Each mix must hold frames that stop inside a wave and capped frames.
+func TestTopKCandidatesMatchesOneRead(t *testing.T) {
+	for _, mix := range []struct {
+		users, k, frames int
+	}{{4, 4, 300}, {8, 8, 16}} {
+		reds := topKFrames(t, mix.users, mix.frames)
+		k := mix.k
+		want := make([][][]int8, len(reds))
+		restarts := make([]int, len(reds))
+		for f, red := range reds {
+			want[f], restarts[f] = topKCandidatesOneRead(red, k, rng.New(uint64(f)))
 		}
-		want, restarts := topKCandidatesOneRead(in.Reduction, k, rng.New(uint64(f)))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame %d (%d restarts): grouped candidates %v, one-read %v", f, restarts, got, want)
-		}
-		if restarts > 1 {
-			// Restarts 1 … restarts−1 ran in groups of 8, the last one
-			// clipped at the cap; lanes past the stopping restart were
-			// computed and discarded.
-			lanes := min((restarts-1+7)/8*8, 4*k+15)
-			grouped += lanes
-			unused += lanes - (restarts - 1)
-		}
-		switch {
-		case restarts <= 1:
-			first++
-		case restarts == 4*k+16:
-			capped++
-		default:
-			mid++
+		for _, procs := range []int{2, 1, 4} {
+			t.Run(fmt.Sprintf("users=%d/k=%d/gomaxprocs=%d", mix.users, k, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				step := 1
+				if mix.frames > 100 && procs != 2 {
+					step = 3
+				}
+				var first, mid, capped, computed, unused int
+				for f := 0; f < len(reds); f += step {
+					got, err := TopKCandidates(reds[f], k, rng.New(uint64(f)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want[f]) {
+						t.Fatalf("frame %d (%d restarts): wave candidates %v, one-read %v", f, restarts[f], got, want[f])
+					}
+					if lanes := waveLanes(restarts[f], k, procs); lanes > 0 {
+						computed += lanes
+						unused += lanes - (restarts[f] - 1)
+					}
+					switch {
+					case restarts[f] <= 1:
+						first++
+					case restarts[f] == 4*k+16:
+						capped++
+					default:
+						mid++
+					}
+				}
+				t.Logf("%d stop by restart 0, %d in between, %d capped; %d lanes computed, %d unused",
+					first, mid, capped, computed, unused)
+				if capped == 0 || mid == 0 {
+					t.Fatalf("frame mix lacks capped (%d) or in-between (%d) frames", capped, mid)
+				}
+				if mix.users == 4 && procs == 2 && unused*20 >= computed {
+					t.Fatalf("%d of %d computed lanes unused, want under 5%%", unused, computed)
+				}
+			})
 		}
 	}
-	t.Logf("%d frames: %d stop by restart 0, %d in between, %d capped; %d grouped lanes, %d unused",
-		frames, first, mid, capped, grouped, unused)
-	if capped == 0 || mid == 0 {
-		t.Fatalf("frame mix lacks capped (%d) or in-between (%d) frames", capped, mid)
+}
+
+// TestTopKCandidatesConcurrentCalls runs four goroutines through the
+// same frames at once, sharing each frame's reduction and RNG source, at
+// GOMAXPROCS 4 so every call's waves fan out too. Every call must return
+// the serial call's candidates; under -race (make race-ensemble) it also
+// checks that the waves and the calls share nothing they write.
+func TestTopKCandidatesConcurrentCalls(t *testing.T) {
+	const frames, k, callers = 12, 4, 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	reds := topKFrames(t, 4, frames)
+	srcs := make([]*rng.Source, frames)
+	want := make([][][]int8, frames)
+	capped := 0
+	for f, red := range reds {
+		srcs[f] = rng.New(uint64(f))
+		var err error
+		if want[f], err = TopKCandidates(red, k, srcs[f]); err != nil {
+			t.Fatal(err)
+		}
+		if _, n := topKCandidatesOneRead(red, k, rng.New(uint64(f))); n == 4*k+16 {
+			capped++
+		}
+	}
+	if capped == 0 {
+		t.Fatal("frame mix has no capped frame")
+	}
+	got := make([][][][]int8, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for c := range got {
+		got[c] = make([][][]int8, frames)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f, red := range reds {
+				if got[c][f], errs[c] = TopKCandidates(red, k, srcs[f]); errs[c] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for c := range got {
+		if errs[c] != nil {
+			t.Fatal(errs[c])
+		}
+		for f := range reds {
+			if !reflect.DeepEqual(got[c][f], want[f]) {
+				t.Fatalf("caller %d frame %d: candidates %v, serial %v", c, f, got[c][f], want[f])
+			}
+		}
 	}
 }
 
 // BenchmarkTopKCandidates times K=4 candidate generation over a fixed
 // 32-frame ensemble-shaped mix (4-user 16-QAM, 11 dB Rayleigh) that
 // includes frames hitting the restart cap; one op is one pass over the
-// mix. The record also carries the one-restart-at-a-time oracle's cost
-// for one pass, timed once at set-up on the same host.
+// mix, in wall-clock at the running GOMAXPROCS (-cpu), which the record
+// carries. The record also carries the one-restart-at-a-time oracle's
+// cost for one pass, timed once at set-up on the same host.
 func BenchmarkTopKCandidates(b *testing.B) {
 	const frames, k = 32, 4
-	n0 := channel.NoiseVarianceForSNR(11, 4)
-	reds := make([]*mimo.Reduction, frames)
-	for f := range reds {
-		in, err := instance.Synthesize(instance.Spec{
-			Users: 4, Scheme: modulation.QAM16, Channel: channel.Rayleigh,
-			NoiseVariance: n0, Seed: uint64(0x70C0 + f),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reds[f] = in.Reduction
-	}
+	reds := topKFrames(b, 4, frames)
 	restarts, capped := 0, 0
 	start := time.Now()
 	for f, red := range reds {
@@ -165,16 +258,17 @@ func BenchmarkTopKCandidates(b *testing.B) {
 	}
 	nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
+		procs := runtime.GOMAXPROCS(0)
 		rec := telemetry.BenchRecord{
 			Name:       "CoreTopKCandidatesK4",
 			NsPerOp:    nsPerOp,
 			Iterations: b.N,
 			Config: map[string]any{
 				"k": k, "frames": frames, "restarts": restarts, "capped_frames": capped,
-				"one_read_ns_per_op": oneRead.Nanoseconds(),
+				"one_read_ns_per_op": oneRead.Nanoseconds(), "gomaxprocs": procs,
 			},
-			Series: fmt.Sprintf("k=%d frames=%d restarts=%d capped=%d ns/op=%.0f one-read=%d",
-				k, frames, restarts, capped, nsPerOp, oneRead.Nanoseconds()),
+			Series: fmt.Sprintf("k=%d frames=%d restarts=%d capped=%d gomaxprocs=%d ns/op=%.0f one-read=%d",
+				k, frames, restarts, capped, procs, nsPerOp, oneRead.Nanoseconds()),
 		}
 		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
 			b.Fatal(err)

@@ -171,6 +171,51 @@ func (c *CSR) LocalField(spins []int8, i int) float64 {
 	return f
 }
 
+// LocalFields sets field[i] = h_i + Σ_j J_ij·x[stride·j] for every row
+// of c: the local fields of spins x (stride 1), or of the z components
+// of interleaved (z, ·) pairs (stride 2). A row's sum is one chain of
+// dependent adds, so four rows are summed side by side, each in its own
+// column order: over their common prefix, then their ragged tails. Each
+// field takes LocalField's adds in LocalField's order, so the bits
+// match.
+func LocalFields[T int8 | float64](c *CSR, x []T, stride int, field []float64) {
+	cols, w, offs := c.Cols, c.W, c.Offsets
+	i := 0
+	for ; i+4 <= c.N; i += 4 {
+		o0, o1, o2, o3, o4 := int(offs[i]), int(offs[i+1]), int(offs[i+2]), int(offs[i+3]), int(offs[i+4])
+		m := min(o1-o0, o2-o1, o3-o2, o4-o3)
+		c0, c1, c2, c3 := cols[o0:o0+m], cols[o1:o1+m], cols[o2:o2+m], cols[o3:o3+m]
+		w0, w1, w2, w3 := w[o0:o0+m], w[o1:o1+m], w[o2:o2+m], w[o3:o3+m]
+		f0, f1, f2, f3 := c.H[i], c.H[i+1], c.H[i+2], c.H[i+3]
+		for k := range c0 {
+			f0 += w0[k] * float64(x[stride*int(c0[k])])
+			f1 += w1[k] * float64(x[stride*int(c1[k])])
+			f2 += w2[k] * float64(x[stride*int(c2[k])])
+			f3 += w3[k] * float64(x[stride*int(c3[k])])
+		}
+		for k := o0 + m; k < o1; k++ {
+			f0 += w[k] * float64(x[stride*int(cols[k])])
+		}
+		for k := o1 + m; k < o2; k++ {
+			f1 += w[k] * float64(x[stride*int(cols[k])])
+		}
+		for k := o2 + m; k < o3; k++ {
+			f2 += w[k] * float64(x[stride*int(cols[k])])
+		}
+		for k := o3 + m; k < o4; k++ {
+			f3 += w[k] * float64(x[stride*int(cols[k])])
+		}
+		field[i], field[i+1], field[i+2], field[i+3] = f0, f1, f2, f3
+	}
+	for ; i < c.N; i++ {
+		f := c.H[i]
+		for k := offs[i]; k < offs[i+1]; k++ {
+			f += w[k] * float64(x[stride*int(cols[k])])
+		}
+		field[i] = f
+	}
+}
+
 // Quench relaxes spins in place to a 1-flip local minimum by steepest
 // descent — the same pick order as SteepestDescent, without its per-call
 // allocations. field must have length N; it is used as scratch and holds
@@ -179,9 +224,7 @@ func (c *CSR) Quench(spins []int8, field []float64) {
 	if len(spins) != c.N || len(field) != c.N {
 		panic("qubo: Quench with wrong-length buffers")
 	}
-	for i := range field {
-		field[i] = c.LocalField(spins, i)
-	}
+	LocalFields(c, spins, 1, field)
 	cols, w := c.Cols, c.W
 	for {
 		bestI, bestDelta := -1, 0.0

@@ -211,19 +211,56 @@ func TestNewCSRRejectsMalformedRows(t *testing.T) {
 	}
 }
 
+// Quench must relax to SteepestDescent's local minimum, and the fields
+// it returns must be LocalField's bit for bit: re-quenching the minimum
+// flips nothing, so its field is the four-rows-at-once initial sum. The
+// models draw couplings from a 0.25 grid, and SetCoupling drops the
+// exact zeros, so rows are ragged and N = 5 and 33 leave a tail row.
 func TestCSRQuenchMatchesSteepestDescent(t *testing.T) {
 	r := rng.New(0x5DE)
-	for trial := 0; trial < 20; trial++ {
-		is := randomDenseIsing(r, 16, 0.5)
-		c := qubo.NewCSR(is)
-		start := randomSpins(r, is.N)
-		want := qubo.SteepestDescent(is, start)
-		got := append([]int8(nil), start...)
-		field := make([]float64, is.N)
-		c.Quench(got, field)
-		for i := range got {
-			if got[i] != want.Spins[i] {
-				t.Fatalf("trial %d: Quench spins differ from SteepestDescent at %d", trial, i)
+	for _, n := range []int{5, 16, 33} {
+		for trial := 0; trial < 20; trial++ {
+			is := qubo.NewIsing(n)
+			for i := 0; i < n; i++ {
+				is.H[i] = 2*r.Float64() - 1
+				for j := i + 1; j < n; j++ {
+					if r.Float64() < 0.6 {
+						is.SetCoupling(i, j, float64(int(9*r.Float64())-4)/4)
+					}
+				}
+			}
+			c := qubo.NewCSR(is)
+			start := randomSpins(r, is.N)
+			// The SVMC kernel's stride-2 form over (z, sin θ) pairs.
+			pairs := make([]float64, 2*n)
+			for i, s := range start {
+				pairs[2*i], pairs[2*i+1] = float64(s), 0.5
+			}
+			field := make([]float64, n)
+			qubo.LocalFields(c, pairs, 2, field)
+			for i := range field {
+				if want := c.LocalField(start, i); math.Float64bits(field[i]) != math.Float64bits(want) {
+					t.Fatalf("n=%d trial %d: stride-2 field[%d] = %v, LocalField %v", n, trial, i, field[i], want)
+				}
+			}
+
+			want := qubo.SteepestDescent(is, start)
+			got := append([]int8(nil), start...)
+			c.Quench(got, field)
+			for i := range got {
+				if got[i] != want.Spins[i] {
+					t.Fatalf("n=%d trial %d: Quench spins differ from SteepestDescent at %d", n, trial, i)
+				}
+			}
+			local := append([]int8(nil), got...)
+			c.Quench(got, field)
+			for i := range got {
+				if got[i] != local[i] {
+					t.Fatalf("n=%d trial %d: re-quench of a local minimum flipped spin %d", n, trial, i)
+				}
+				if want := c.LocalField(got, i); math.Float64bits(field[i]) != math.Float64bits(want) {
+					t.Fatalf("n=%d trial %d: Quench field[%d] = %v, LocalField %v", n, trial, i, field[i], want)
+				}
 			}
 		}
 	}
