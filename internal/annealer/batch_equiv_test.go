@@ -157,8 +157,9 @@ func assertObservationsEqual(t *testing.T, label string, reads int, seq, batch o
 
 // checkLockstepMatches runs one group through the production kernel,
 // unprobed and probed, and through the probed reference kernel. It
-// requires identical spins and final RNG states across all three, and
-// identical per-read observation streams from the two probed runs.
+// requires identical spins and final RNG states across all three,
+// identical per-read observation streams from the two probed runs, and,
+// for SVMC, identical local fields right after the start.
 func checkLockstepMatches(t *testing.T, label string, eng Engine, sc *Schedule, prof Profile,
 	ln lanes, reads int, seed uint64) {
 	t.Helper()
@@ -170,6 +171,42 @@ func checkLockstepMatches(t *testing.T, label string, eng Engine, sc *Schedule, 
 	assertGroupsEqual(t, label, seqOuts, batchOuts, seqRngs, batchRngs)
 	assertGroupsEqual(t, label+"/probed-vs-unprobed", batchOuts, probedOuts, batchRngs, probedRngs)
 	assertObservationsEqual(t, label, reads, seqLog, batchLog)
+	if e, ok := eng.(SVMC); ok {
+		checkSVMCStartFields(t, label, e, sc, prof, rate, ln, reads)
+	}
+}
+
+// checkSVMCStartFields requires every lane's local fields, right after
+// the lockstep kernel's start, to equal the one-read reference kernel's
+// after its start bit for bit. The dynamics only read the fields through
+// Metropolis verdicts, so a last-bit change in their summation order
+// would otherwise show only as a rare flipped verdict.
+func checkSVMCStartFields(t *testing.T, label string, eng SVMC, sc *Schedule, prof Profile, rate float64, ln lanes, reads int) {
+	t.Helper()
+	prog, err := eng.compile(sc, prof, rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := make([]BatchRead, reads)
+	srcs := make([]rng.Source, reads)
+	for j := range group {
+		pr, init := ln.at(j)
+		group[j] = BatchRead{Prog: pr, Init: init, Rng: &srcs[j]}
+	}
+	n := group[0].Prog.N
+	st := new(svmcBatchScratch)
+	np := st.ensure(reads, n, prog.scale != nil)
+	st.start(prog, group, np)
+	ref := new(svmcScratch)
+	ref.ensure(n)
+	for j := range group {
+		ref.start(group[j].Prog, prog.startsClassical, group[j].Init)
+		for i, want := range ref.zField {
+			if got := st.fld[j*np+i]; !sameBits(got, want) {
+				t.Fatalf("%s: read %d field %d after start: lockstep %v, reference %v", label, j, i, got, want)
+			}
+		}
+	}
 }
 
 // mixedLanes builds the lanes of a mixed-problem group: three problems of

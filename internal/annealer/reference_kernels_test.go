@@ -74,10 +74,10 @@ func (sc *svmcScratch) ensure(n int) {
 	sc.probeSpins = sc.probeSpins[:n]
 }
 
-// read evolves one SVMC read. It draws from r in exactly the same order
-// regardless of probe, so probed and unprobed runs are bit-identical.
-func (e SVMC) read(pr *qubo.CSR, tab *sweepTable, scale []float64, beta float64,
-	startsClassical bool, init, out []int8, st *svmcScratch, r *rng.Source, probe Probe) {
+// start puts the read in its initial state: the rotor angles of a
+// reverse start from init, or of a forward start, and the local fields
+// zField[i] = h_i + Σ_j J_ij·cos θ_j of those angles.
+func (st *svmcScratch) start(pr *qubo.CSR, startsClassical bool, init []int8) {
 	n := pr.N
 	theta, z, sinT, zField := st.theta, st.z, st.sinT, st.zField
 	if startsClassical {
@@ -118,6 +118,17 @@ func (e SVMC) read(pr *qubo.CSR, tab *sweepTable, scale []float64, beta float64,
 		}
 		zField[i] = f
 	}
+}
+
+// read evolves one SVMC read. It draws from r in exactly the same order
+// regardless of probe, so probed and unprobed runs are bit-identical.
+func (e SVMC) read(pr *qubo.CSR, tab *sweepTable, scale []float64, beta float64,
+	startsClassical bool, init, out []int8, st *svmcScratch, r *rng.Source, probe Probe) {
+	n := pr.N
+	st.start(pr, startsClassical, init)
+	theta, z, sinT, zField := st.theta, st.z, st.sinT, st.zField
+	// zField is maintained incrementally from here on.
+	cols, w, offs := pr.Cols, pr.W, pr.Offsets
 
 	// The sweep loop advances the generator in locals (see fastrand.go);
 	// the draw sequence — index, optional TF gate, proposal angle, one

@@ -243,49 +243,9 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 	n := reads[0].Prog.N
 	tf := scale != nil
 	np := st.ensure(r, n, tf)
-	rot, fld, theta := st.rot, st.fld, st.theta
+	probed := st.start(prog, reads, np)
+	rot, fld := st.rot, st.fld
 	acc := st.accepted
-	probed := false
-
-	// Per-read state initialisation — identical constants to the
-	// reference kernel, with the reverse-start transcendentals hoisted
-	// (cos π = −1 exactly; sin π is the libm value at the double nearest
-	// π, not zero, and must match bit for bit).
-	sinPi := math.Sin(math.Pi)
-	for j := range reads {
-		base := j * np
-		pairs := rot[2*base : 2*(base+n)] // lane j's (z, sin θ) pairs
-		var th []float64
-		if tf {
-			th = theta[base : base+n]
-		}
-		if prog.startsClassical {
-			for i, s := range reads[j].Init {
-				if s > 0 {
-					pairs[2*i], pairs[2*i+1] = 1, 0
-					if tf {
-						th[i] = 0
-					}
-				} else {
-					pairs[2*i], pairs[2*i+1] = -1, sinPi
-					if tf {
-						th[i] = math.Pi
-					}
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				pairs[2*i], pairs[2*i+1] = 0, 1
-				if tf {
-					th[i] = math.Pi / 2
-				}
-			}
-		}
-		qubo.LocalFields(reads[j].Prog, pairs, 2, fld[base:base+n])
-		st.rs0[j], st.rs1[j], st.rs2[j], st.rs3[j] = reads[j].Rng.State()
-		acc[j] = 0
-		probed = probed || reads[j].Probe != nil
-	}
 	rs0, rs1, rs2, rs3 := st.rs0, st.rs1, st.rs2, st.rs3
 	// SIMD padding lanes: any nonzero xoshiro state works — they may be
 	// advanced alongside the real lanes, and their outputs are never read.
@@ -386,6 +346,58 @@ func svmcBatchRead(prog *svmcProgram, reads []BatchRead, st *svmcBatchScratch) {
 			}
 		}
 	}
+}
+
+// start puts each read of an n-spin group in its lane's initial state:
+// the rotors (and, for TF moves, the angles) of prog's start, their local
+// fields, the read's RNG state and a zero accept count. np is the lane
+// stride ensure returned. It reports whether any read is probed.
+// TestLockstepMatchesSequential compares the fields it leaves with the
+// one-read reference kernel's, bit for bit.
+func (st *svmcBatchScratch) start(prog *svmcProgram, reads []BatchRead, np int) (probed bool) {
+	n := reads[0].Prog.N
+	tf := prog.scale != nil
+	rot, fld, theta := st.rot, st.fld, st.theta
+	// Per-read state initialisation — identical constants to the
+	// reference kernel, with the reverse-start transcendentals hoisted
+	// (cos π = −1 exactly; sin π is the libm value at the double nearest
+	// π, not zero, and must match bit for bit).
+	sinPi := math.Sin(math.Pi)
+	for j := range reads {
+		base := j * np
+		pairs := rot[2*base : 2*(base+n)] // lane j's (z, sin θ) pairs
+		var th []float64
+		if tf {
+			th = theta[base : base+n]
+		}
+		if prog.startsClassical {
+			for i, s := range reads[j].Init {
+				if s > 0 {
+					pairs[2*i], pairs[2*i+1] = 1, 0
+					if tf {
+						th[i] = 0
+					}
+				} else {
+					pairs[2*i], pairs[2*i+1] = -1, sinPi
+					if tf {
+						th[i] = math.Pi
+					}
+				}
+			}
+		} else {
+			for i := 0; i < n; i++ {
+				pairs[2*i], pairs[2*i+1] = 0, 1
+				if tf {
+					th[i] = math.Pi / 2
+				}
+			}
+		}
+		qubo.LocalFields(reads[j].Prog, pairs, 2, fld[base:base+n])
+		st.rs0[j], st.rs1[j], st.rs2[j], st.rs3[j] = reads[j].Rng.State()
+		st.accepted[j] = 0
+		probed = probed || reads[j].Probe != nil
+	}
+	return probed
 }
 
 // svmcFinishStep completes proposal step a.k of the kernel block whose

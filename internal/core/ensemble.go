@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/annealer"
 	"repro/internal/mimo"
@@ -106,21 +104,27 @@ func ValidateSpGrid(grid []float64) error {
 	return nil
 }
 
+// topKPatience is TopKCandidates' patience: restarts stop once this many
+// in a row, restart 0 counted, add no distinct candidate. On the frames
+// that reach the restarts, later ones almost never add one, and a
+// restart that adds no candidate adds no arm to the ensemble.
+const topKPatience = 8
+
 // TopKCandidates produces the ensemble's K classical candidates for a
 // reduced problem, deterministically from r. Candidate 0 is always the
 // default greedy-search state (GreedyModule{} — the single-RA seed, so a
 // K=1 ensemble collapses onto today's hybrid path exactly); the rest are
 // drawn from a fixed generation order — the ascending greedy order, the
-// zero-forcing linear detector, then up to 4K+16 simulated-annealing
-// restarts, restart i on r's "sa" stream split by i — deduplicated and
-// ranked by ascending energy. Restarts stop as soon as the pool holds
-// K−1 distinct candidates. Restart 0 runs one-read; restarts 1, 2, …
-// run in groups of eight through annealer.SimulatedAnnealingGroup,
-// whose lanes are bit-identical to one-read restarts. The groups run in
-// waves of up to GOMAXPROCS, one goroutine per group, and a wave's
-// samples are consumed in restart-index order under the stop rule, so
-// the candidates are exactly those of one restart at a time whatever
-// GOMAXPROCS is. r is only read; concurrent calls may share it.
+// zero-forcing linear detector, then simulated-annealing restarts,
+// restart i on r's "sa" stream split by i — deduplicated and ranked by
+// ascending energy. Restarts stop at the first of: the pool holds K−1
+// distinct candidates, topKPatience restarts in a row added none, or
+// 4K+16 restarts ran. Restart 0 runs one-read; restarts 1, 2, … run in
+// groups of up to eight through annealer.SimulatedAnnealingGroup, whose
+// lanes are bit-identical to one-read restarts. A group is planned for
+// no more restarts than the patience and the cap leave, and its samples
+// are consumed in restart order, so the candidates are exactly those of
+// one restart at a time. r is only read; concurrent calls may share it.
 func TopKCandidates(red *mimo.Reduction, k int, r *rng.Source) ([][]int8, error) {
 	if k < 1 || k > MaxEnsembleK {
 		return nil, fmt.Errorf("core: ensemble K %d out of [1, %d]", k, MaxEnsembleK)
@@ -144,12 +148,14 @@ func TopKCandidates(red *mimo.Reduction, k int, r *rng.Source) ([][]int8, error)
 		energy float64
 	}
 	var pool []ranked
-	add := func(s []int8) {
+	// add reports whether s joined the pool as a new distinct candidate.
+	add := func(s []int8) bool {
 		if len(s) != is.N || seen(s) {
-			return
+			return false
 		}
 		cands = append(cands, s) // reserve for dedup; replaced by ranked order below
 		pool = append(pool, ranked{spins: s, energy: is.Energy(s)})
+		return true
 	}
 	add(qubo.GreedySearchIsing(is, qubo.OrderAscending))
 	if p := red.Problem(); p != nil {
@@ -159,39 +165,35 @@ func TopKCandidates(red *mimo.Reduction, k int, r *rng.Source) ([][]int8, error)
 			}
 		}
 	}
-	// Restart 0 runs one-read: it fills the pool on most frames, and one
-	// live lane in an 8-lane group costs more than a one-read restart.
+	// end is the restart the patience or the cap stops before; restart i
+	// adding a candidate moves it to i+1+topKPatience. Restart 0 runs
+	// one-read: it fills the pool on most frames, and one live lane in an
+	// 8-lane group costs more than a one-read restart.
 	sa := r.SplitString("sa")
 	restarts := 4*k + 16
-	if len(pool) < k-1 {
-		add(qubo.SimulatedAnnealing(is, sa.Split(0), qubo.SAOptions{}).Spins)
+	end := min(topKPatience, restarts)
+	keep := func(i int, s []int8) {
+		if add(s) {
+			end = min(i+1+topKPatience, restarts)
+		}
 	}
 	if len(pool) < k-1 {
-		// A frame that reaches the groups almost always needs all of
-		// them, so each wave runs the next GOMAXPROCS groups at once.
-		// Lanes past the stopping restart are discarded unused.
-		wave := make([]saGroup, min(runtime.GOMAXPROCS(0), (restarts-1+7)/8))
-		var wg sync.WaitGroup
-		for i := 1; len(pool) < k-1 && i < restarts; {
-			n := 0
-			for ; n < len(wave) && i < restarts; n++ {
-				i = wave[n].plan(sa, i, restarts)
-			}
-			for g := 1; g < n; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					wave[g].run(is)
-				}()
-			}
-			wave[0].run(is)
-			wg.Wait()
-			for g := range wave[:n] {
-				for j := 0; j < wave[g].w && len(pool) < k-1; j++ {
-					add(wave[g].samples[j].Spins)
-				}
-			}
+		keep(0, qubo.SimulatedAnnealing(is, sa.Split(0), qubo.SAOptions{}).Spins)
+	}
+	var srcs [8]rng.Source
+	var lanes [8]*rng.Source
+	var samples [8]qubo.Sample
+	for i := 1; len(pool) < k-1 && i < end; {
+		w := min(len(lanes), end-i)
+		for j := 0; j < w; j++ {
+			sa.SplitInto(&srcs[j], uint64(i+j))
+			lanes[j] = &srcs[j]
 		}
+		annealer.SimulatedAnnealingGroup(is, lanes[:w], nil, qubo.SAOptions{}, samples[:w])
+		for j := 0; j < w && len(pool) < k-1; j++ {
+			keep(i+j, samples[j].Spins)
+		}
+		i += w
 	}
 	// Rank the non-base pool by quality; the base candidate keeps slot 0
 	// regardless (the collapse anchor), ties keep generation order.
@@ -211,33 +213,6 @@ func TopKCandidates(red *mimo.Reduction, k int, r *rng.Source) ([][]int8, error)
 		out = append(out, append([]int8(nil), out[i%len(out)]...))
 	}
 	return out, nil
-}
-
-// saGroup is one group of up to 8 top-K restarts in a wave: its own
-// lane streams and sample slots, so the groups of a wave share nothing
-// but the read-only model.
-type saGroup struct {
-	w       int
-	srcs    [8]rng.Source
-	lanes   [8]*rng.Source
-	samples [8]qubo.Sample
-}
-
-// plan keys the group's lanes to restarts first, first+1, … (at most 8,
-// none at or past restarts) on sa's splits and returns the next
-// restart index.
-func (g *saGroup) plan(sa *rng.Source, first, restarts int) int {
-	g.w = min(len(g.lanes), restarts-first)
-	for j := 0; j < g.w; j++ {
-		sa.SplitInto(&g.srcs[j], uint64(first+j))
-		g.lanes[j] = &g.srcs[j]
-	}
-	return first + g.w
-}
-
-// run anneals the planned lanes into the group's sample slots.
-func (g *saGroup) run(is *qubo.Ising) {
-	annealer.SimulatedAnnealingGroup(is, g.lanes[:g.w], nil, qubo.SAOptions{}, g.samples[:g.w])
 }
 
 func spinsEqual(a, b []int8) bool {
