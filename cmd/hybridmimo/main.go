@@ -313,8 +313,9 @@ func solve(name string, inst *instance.Instance, cfg core.AnnealConfig, reads in
 		sol := qubo.GreedySearchIsing(is, qubo.OrderDescending)
 		return red.DecodeSpins(sol), fmt.Sprintf("ΔE%%: %.3f\n", deltaOf(is.Energy(sol))), nil
 	case "sa":
-		sol := qubo.SimulatedAnnealing(is, r, qubo.SAOptions{})
-		return red.DecodeSpins(sol.Spins), fmt.Sprintf("ΔE%%: %.3f\n", deltaOf(sol.Energy)), nil
+		var sol [1]qubo.Sample
+		annealer.SimulatedAnnealingGroup(is, []*rng.Source{r}, nil, qubo.SAOptions{}, sol[:])
+		return red.DecodeSpins(sol[0].Spins), fmt.Sprintf("ΔE%%: %.3f\n", deltaOf(sol[0].Energy)), nil
 	case "tabu":
 		sol := qubo.TabuSearch(is, r, qubo.TabuOptions{})
 		return red.DecodeSpins(sol.Spins), fmt.Sprintf("ΔE%%: %.3f\n", deltaOf(sol.Energy)), nil

@@ -155,9 +155,10 @@ func TestPrepareProblemAllocs(t *testing.T) {
 
 // TestLockstepGroupAllocs pins the lockstep groups' steady state: the
 // replica buffers, slot table, energies, ladder and scratch streams
-// all live in the pooled group scratch, so after warm-up an 8-lane
-// call allocates one object, its result spins. Each side runs on the
-// serve's hard 32-spin problem with the fleet's serving options.
+// all live in the pooled group scratch, and the scalar lane's argument
+// block on the stack, so after warm-up an 8-lane or a one-lane call
+// allocates one object, its result spins. Each runs on the serve's hard
+// 32-spin problem with the fleet's serving options.
 func TestLockstepGroupAllocs(t *testing.T) {
 	if !hasBatchSIMD {
 		t.Skip("no SIMD batch path on this host")
@@ -174,10 +175,11 @@ func TestLockstepGroupAllocs(t *testing.T) {
 		name  string
 		group func()
 	}{
-		{"PT", func() {
+		{"8-lane PT", func() {
 			ParallelTemperingGroup(is, rs[:], qubo.PTOptions{Replicas: 4, Sweeps: 20, BetaMin: 0.1, BetaMax: 10, SwapInterval: 5}, out[:])
 		}},
-		{"SA", func() { SimulatedAnnealingGroup(is, rs[:], nil, qubo.SAOptions{Sweeps: 30}, out[:]) }},
+		{"8-lane SA", func() { SimulatedAnnealingGroup(is, rs[:], nil, qubo.SAOptions{Sweeps: 30}, out[:]) }},
+		{"1-lane SA (the scalar lane)", func() { SimulatedAnnealingGroup(is, rs[:1], nil, qubo.SAOptions{Sweeps: 30}, out[:1]) }},
 	} {
 		for j := range rs {
 			root.SplitInto(&srcs[j], uint64(j))
@@ -187,7 +189,7 @@ func TestLockstepGroupAllocs(t *testing.T) {
 		// 100 runs, so a GC emptying the pool mid-measurement (a few
 		// scratch allocations once) cannot lift the truncated mean.
 		if got := testing.AllocsPerRun(100, c.group); got > 1 {
-			t.Errorf("8-lane %s group allocates %.0f objects per call, want 1 (the result spins)", c.name, got)
+			t.Errorf("%s group allocates %.0f objects per call, want 1 (the result spins)", c.name, got)
 		}
 	}
 }

@@ -200,6 +200,7 @@ func BenchmarkRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
 	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
 		rec := telemetry.BenchRecord{
 			Name:       "AnnealerRun32Reads",
@@ -247,6 +248,7 @@ func BenchmarkLeasePreparedHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
 	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
 		rec := telemetry.BenchRecord{
 			Name:       "AnnealerLeasePreparedHit32Reads",
@@ -441,6 +443,7 @@ func BenchmarkRunMulti(b *testing.B) {
 			b.Fatal(err, errs[0])
 		}
 	}
+	b.StopTimer()
 	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
 		rec := telemetry.BenchRecord{
 			Name:       "AnnealerRunMulti4x4",
@@ -465,44 +468,102 @@ func BenchmarkRunMulti(b *testing.B) {
 // Rapids, KVM), Go 1.24.
 const baselineNsPerSARestart = 698675
 
-// BenchmarkSAGroup times the lockstep SA group on the 16-spin 4-user
-// 16-QAM reductions top-K candidate generation anneals: one full
-// 8-lane group of default-option restarts per iteration, cycling over
-// 60 reductions. It reports ns per restart, with the one-read cost as
-// the recorded baseline.
+// servingSA is the fleet's SA backend configuration (fleet.serving.sa):
+// 300 sweeps from β 0.1 to 10.
+var servingSA = qubo.SAOptions{Sweeps: 300, BetaStart: 0.1, BetaEnd: 10}
+
+// BenchmarkSAGroup times SimulatedAnnealingGroup per restart at every
+// width, 1 to 8 — below saKernelMinWidth on the scalar lane, from it on
+// saStepx8 — against the one-read oracle, on two shapes: the
+// 16-spin 4-user 16-QAM reductions top-K candidate generation anneals
+// with default options, cycling over 60 reductions, and the 6-spin
+// 3-user QPSK problems the hybrid pool's SA backend serves with
+// servingSA, cycling over 16. Each sub-benchmark reports ns per
+// restart. Only the 16-spin 8-lane case writes the AnnealerSAGroup
+// record, with the one-read cost as its recorded baseline.
 func BenchmarkSAGroup(b *testing.B) {
-	reds := saReductions(b, 60)
+	qpsk := make([]*qubo.Ising, 16)
+	for i := range qpsk {
+		in, err := instance.Synthesize(instance.Spec{Users: 3, Scheme: modulation.QPSK, Seed: uint64(0x97 + 31*i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		qpsk[i] = in.Reduction.Ising
+	}
+	for _, sh := range []struct {
+		name     string
+		problems []*qubo.Ising
+		opts     qubo.SAOptions
+	}{
+		{"16spin", saReductions(b, 60), qubo.SAOptions{}},
+		{"6spin-serving", qpsk, servingSA},
+	} {
+		for w := 0; w <= lockstepWidth; w++ {
+			name := fmt.Sprintf("%s/lanes=%d", sh.name, w)
+			if w == 0 {
+				name = sh.name + "/one-read"
+			}
+			b.Run(name, func(b *testing.B) {
+				nsPerRestart := benchSARestarts(b, sh.problems, sh.opts, w)
+				if sh.name == "16spin" && w == lockstepWidth {
+					writeSAGroupRecord(b, sh.problems[0].N, nsPerRestart)
+				}
+			})
+		}
+	}
+}
+
+// benchSARestarts runs one w-lane group per iteration (w = 0: one
+// one-read restart), cycling over problems, and reports and returns ns
+// per restart.
+func benchSARestarts(b *testing.B, problems []*qubo.Ising, opts qubo.SAOptions, w int) float64 {
 	var srcs [lockstepWidth]rng.Source
 	var rs [lockstepWidth]*rng.Source
 	var out [lockstepWidth]qubo.Sample
 	root := rng.New(1)
+	lanes := max(w, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range rs {
-			root.SplitInto(&srcs[j], uint64(i*lockstepWidth+j))
+		for j := 0; j < lanes; j++ {
+			root.SplitInto(&srcs[j], uint64(i*lanes+j))
 			rs[j] = &srcs[j]
 		}
-		SimulatedAnnealingGroup(reds[i%len(reds)], rs[:], nil, qubo.SAOptions{}, out[:])
+		is := problems[i%len(problems)]
+		if w == 0 {
+			out[0] = qubo.SimulatedAnnealing(is, rs[0], opts)
+		} else {
+			SimulatedAnnealingGroup(is, rs[:w], nil, opts, out[:w])
+		}
 	}
-	nsPerRestart := float64(b.Elapsed().Nanoseconds()) / float64(b.N*lockstepWidth)
+	b.StopTimer()
+	nsPerRestart := float64(b.Elapsed().Nanoseconds()) / float64(b.N*lanes)
 	b.ReportMetric(nsPerRestart, "ns/restart")
-	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
-		rec := telemetry.BenchRecord{
-			Name:       "AnnealerSAGroup",
-			NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-			Iterations: b.N,
-			Config: map[string]any{
-				"spins": reds[0].N, "sweeps_per_restart": 1000, "lanes": lockstepWidth,
-				"ns_per_restart": nsPerRestart, "baseline_ns_per_restart": baselineNsPerSARestart,
-				"speedup": baselineNsPerSARestart / nsPerRestart,
-			},
-			Series: fmt.Sprintf("spins=%d lanes=%d ns/restart=%.0f baseline=%.0f speedup=%.2fx",
-				reds[0].N, lockstepWidth, nsPerRestart, float64(baselineNsPerSARestart), baselineNsPerSARestart/nsPerRestart),
-		}
-		if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
-			b.Fatal(err)
-		}
+	return nsPerRestart
+}
+
+// writeSAGroupRecord writes BenchmarkSAGroup's AnnealerSAGroup record
+// for the full 8-lane group on the 16-spin reductions when
+// BENCH_JSON_DIR is set.
+func writeSAGroupRecord(b *testing.B, spins int, nsPerRestart float64) {
+	dir := os.Getenv(telemetry.BenchJSONDirEnv)
+	if dir == "" {
+		return
+	}
+	rec := telemetry.BenchRecord{
+		Name:       "AnnealerSAGroup",
+		NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+		Iterations: b.N,
+		Config: map[string]any{
+			"spins": spins, "sweeps_per_restart": 1000, "lanes": lockstepWidth,
+			"ns_per_restart": nsPerRestart, "baseline_ns_per_restart": baselineNsPerSARestart,
+			"speedup": baselineNsPerSARestart / nsPerRestart,
+		},
+		Series: fmt.Sprintf("spins=%d lanes=%d ns/restart=%.0f baseline=%.0f speedup=%.2fx",
+			spins, lockstepWidth, nsPerRestart, float64(baselineNsPerSARestart), baselineNsPerSARestart/nsPerRestart),
+	}
+	if err := telemetry.WriteBenchJSON(dir, rec); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -555,6 +616,7 @@ func BenchmarkPTGroup(b *testing.B) {
 			elapsed[si] += time.Since(t0)
 		}
 	}
+	b.StopTimer()
 	config := map[string]any{
 		"lanes": lockstepWidth, "replicas": servingPT.Replicas, "sweeps": servingPT.Sweeps,
 		"swap_interval": servingPT.SwapInterval,

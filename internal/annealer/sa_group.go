@@ -37,6 +37,15 @@ import (
 // the one-read per-coupling adds, and exact-zero couplings keep their
 // signed-zero contributions.
 //
+// Groups narrower than saKernelMinWidth lanes do not pay for the 8-lane
+// step, whose cost per step is nearly the same at any width: one live
+// lane there costs two to three one-read restarts. They run lane by
+// lane on the scalar lane (saLanex1, sa_simd_amd64.s) instead: the same
+// dense rows, buffers, start and results as the kernel, with the
+// lane's stream, β and energies held in registers across many sweeps
+// and the row add 4-wide. Each lane is bit-identical to the one-read run on
+// either path, so the width only picks the faster one.
+//
 // One lane driver serves two solvers. Each lane owns k state buffers
 // in the g/field block, laid out [8][k][np], and the kernel steps the
 // buffer lanoff[j] points at. Simulated annealing is the k = 1 case
@@ -107,6 +116,15 @@ type saGroupScratch struct {
 
 var saGroupPool = sync.Pool{New: func() any { return new(saGroupScratch) }}
 
+// saKernelMinWidth is the narrowest group saStepx8 runs; narrower SA
+// groups run each lane on the scalar lane. Up to five lanes the lane is
+// the cheaper path per restart on both the 16-spin top-K problems and
+// the 6-spin serving problems; at six it ties the kernel at 16 spins and
+// wins at 6; at seven the kernel wins at 16 spins and ties at 6
+// (BenchmarkSAGroup's width table in DESIGN.md, "Restart 0 on the
+// scalar lane").
+const saKernelMinWidth = 7
+
 // saForceScalar makes every group step take the scalar replay;
 // TestSAGroupScalarMatchesSIMD sets it.
 var saForceScalar = false
@@ -122,10 +140,13 @@ var saRowSigns = [2]int8{1, -1}
 // bit-identical to qubo.SimulatedAnnealingFrom(is, rs[j], starts[j],
 // opts) — or, when starts is nil or starts[j] is nil, to
 // qubo.SimulatedAnnealing(is, rs[j], opts) — sample and final rs[j]
-// state alike. Models above 64 spins, adjacency the dense rows cannot
-// represent (self-couplings, repeated or out-of-range neighbours),
-// explicit starts of the wrong length, and hosts without AVX2 run each
-// lane through the one-read path.
+// state alike. Groups of saKernelMinWidth or more lanes step in
+// lockstep on saStepx8; narrower ones, a single read included, run lane
+// by lane on the scalar lane, which costs less than the one-read path.
+// Models above 64 spins, adjacency the dense rows cannot represent
+// (self-couplings, repeated or out-of-range neighbours), explicit starts
+// of the wrong length, and hosts without AVX2 run each lane through the
+// one-read path.
 func SimulatedAnnealingGroup(is *qubo.Ising, rs []*rng.Source, starts [][]int8, opts qubo.SAOptions, out []qubo.Sample) {
 	startOf := func(j int) []int8 {
 		if starts == nil {
@@ -171,10 +192,16 @@ func SimulatedAnnealingGroup(is *qubo.Ising, rs []*rng.Source, starts [][]int8, 
 	if opts.Sweeps > 1 {
 		ratio = math.Pow(opts.BetaEnd/opts.BetaStart, 1/float64(opts.Sweeps-1))
 	}
-	beta := opts.BetaStart
-	for sweep := 0; sweep < opts.Sweeps; sweep++ {
-		st.sweep(beta)
-		beta *= ratio
+	if len(rs) < saKernelMinWidth {
+		for j := range rs {
+			st.lane(j, opts.Sweeps, opts.BetaStart, ratio)
+		}
+	} else {
+		beta := opts.BetaStart
+		for sweep := 0; sweep < opts.Sweeps; sweep++ {
+			st.sweep(beta)
+			beta *= ratio
+		}
 	}
 	for j, r := range rs {
 		r.SetState(a.rs0[j], a.rs1[j], a.rs2[j], a.rs3[j])
@@ -407,4 +434,74 @@ func (st *saGroupScratch) stepScalar() {
 		}
 	}
 	a.exm, a.bestm = exm, bestm
+}
+
+// saLaneArgs is saLanex1's argument block, at the fixed offsets
+// sa_simd_amd64.s reads (TestSALaneArgsLayout). One saLanex1 call runs
+// a lane's anneal from step k of the current sweep until left sweeps,
+// the current one counted, are done, at inverse temperature beta,
+// multiplied by ratio after each sweep. Each step is the one-read step:
+// the Lemire index draw from rs0..rs3 (redrawing while lo < negnb),
+// dE = g[i]·field[i], and for dE > 0 (or NaN) a uniform u judged by
+// the bracket at bounds. An accept negates g[i], adds row i (new spin
+// +1) or nb+i (−1) of rows to the fields 4-wide, adds dE to energy,
+// and on a strictly lower energy sets bestE and copies g to bestG.
+// g, field and bestG hold np floats, rows 2·nb rows of np.
+//
+// The call returns true when the left sweeps are done. When the bracket
+// cannot decide a proposal it returns false instead, with the state
+// saved before that proposal's outcome and the proposal in i, dE,
+// x = beta·dE and u, and settle set to saLanePending; the caller sets
+// settle to saLaneAccept if metropolis.Exact(u, x) accepts and calls
+// again, which finishes the proposal and goes on. Requires AVX2
+// (hasBatchSIMD), np a multiple of 4, and left ≥ 1 on a fresh call.
+type saLaneArgs struct {
+	rs0, rs1, rs2, rs3    uint64   // +0 +8 +16 +24
+	g, field, bestG, rows *float64 // +32 +40 +48 +56
+	bounds                *float64 // +64
+	nb, negnb, np         uint64   // +72 +80 +88
+	beta, ratio           float64  // +96 +104
+	energy, bestE         float64  // +112 +120
+	k, left               uint64   // +128 +136
+	i                     uint64   // +144 (kernel-written)
+	dE, x, u              float64  // +152 +160 +168 (kernel-written)
+	settle                uint64   // +176
+}
+
+// saLaneArgs.settle values.
+const (
+	saLanePending = 1 // an undecided proposal the caller rejected
+	saLaneAccept  = 2 // an undecided proposal the caller accepted
+)
+
+// saLaneSweeps bounds the sweeps one saLanex1 call runs. The runtime
+// cannot preempt an assembly function, so a stop-the-world waits for
+// the call to return; 64 sweeps of a 64-spin model are 4,096 steps.
+const saLaneSweeps = 64
+
+// lane runs lane j's whole anneal — sweeps sweeps of N steps, β from
+// beta multiplied by ratio after each sweep — on saLanex1, in the
+// one-read order, in place on the lane's buffers and its args state;
+// the rare proposals the bracket cannot decide are settled here with
+// metropolis.Exact.
+func (st *saGroupScratch) lane(j, sweeps int, beta, ratio float64) {
+	a := &st.args
+	o := j * int(a.np)
+	la := saLaneArgs{
+		rs0: a.rs0[j], rs1: a.rs1[j], rs2: a.rs2[j], rs3: a.rs3[j],
+		g: &st.g[o], field: &st.field[o], bestG: &st.bestG[o], rows: &st.rows[0],
+		bounds: a.bounds, nb: a.nb, negnb: a.negnb, np: a.np,
+		beta: beta, ratio: ratio, energy: a.energy[j], bestE: a.bestE[j],
+	}
+	for left := sweeps; left > 0; {
+		chunk := min(left, saLaneSweeps)
+		la.left, left = uint64(chunk), left-chunk
+		for !saLanex1(&la) {
+			if metropolis.Exact(la.u, la.x) {
+				la.settle = saLaneAccept
+			}
+		}
+	}
+	a.rs0[j], a.rs1[j], a.rs2[j], a.rs3[j] = la.rs0, la.rs1, la.rs2, la.rs3
+	a.energy[j], a.bestE[j] = la.energy, la.bestE
 }

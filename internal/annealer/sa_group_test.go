@@ -109,14 +109,32 @@ func checkSAGroup(t *testing.T, label string, is *qubo.Ising, w int, explicit bo
 // forced-scalar runs: sizes on both sides of the 64-spin bound, every
 // group width, default, short and frozen-tail schedules, three coupling
 // scales with exact-zero couplings, tie-heavy integer models, random
-// and explicit starts, and real detection reductions.
+// and explicit starts, and real detection reductions. Every width below
+// saKernelMinWidth — the scalar lane — meets every size up to the bound,
+// the default and frozen-tail schedules, and both start kinds, and every
+// width meets the tie models.
 func saBattery(t *testing.T, tag string) {
 	r := rng.New(0x5A6)
+	frozenTail := qubo.SAOptions{Sweeps: 40, BetaStart: 1, BetaEnd: 400}
 	optsList := []qubo.SAOptions{
 		{},
 		{Sweeps: 1},
 		{Sweeps: 3},
-		{Sweeps: 40, BetaStart: 1, BetaEnd: 400},
+		frozenTail,
+	}
+	for _, n := range []int{1, 2, 3, 5, 16, 64} {
+		is := saCouplingIsing(r, n, 2)
+		for w := 1; w < saKernelMinWidth; w++ {
+			for _, opts := range []qubo.SAOptions{{}, frozenTail} {
+				if opts.Sweeps == 0 && n > 16 {
+					continue // keeps the battery fast under -race
+				}
+				for _, explicit := range []bool{false, true} {
+					label := fmt.Sprintf("%s lane n=%d opts=%+v w=%d explicit=%v", tag, n, opts, w, explicit)
+					checkSAGroup(t, label, is, w, explicit, opts, r.Uint64())
+				}
+			}
+		}
 	}
 	w := 0
 	for _, n := range []int{1, 2, 3, 5, 16, 32, 64, 65} {
@@ -147,8 +165,8 @@ func saBattery(t *testing.T, tag string) {
 				}
 			}
 		}
-		for w := 3; w <= lockstepWidth; w += 5 {
-			checkSAGroup(t, fmt.Sprintf("%s ties n=%d w=%d", tag, n, w), is, w, w == 3, qubo.SAOptions{Sweeps: 200}, r.Uint64())
+		for w := 1; w <= lockstepWidth; w++ {
+			checkSAGroup(t, fmt.Sprintf("%s ties n=%d w=%d", tag, n, w), is, w, w%2 == 1, qubo.SAOptions{Sweeps: 200}, r.Uint64())
 		}
 	}
 	for i, is := range saReductions(t, 60) {
@@ -176,9 +194,16 @@ func TestSAGroupScalarMatchesSIMD(t *testing.T) {
 }
 
 // TestSAGroupFallbacks covers the inputs the dense rows cannot
-// represent: each must run through the one-read path unchanged.
+// represent: each must run through the one-read path unchanged. A
+// one-lane group on a model past the 64-spin bound takes that path too,
+// not the scalar lane.
 func TestSAGroupFallbacks(t *testing.T) {
 	r := rng.New(0xFA11)
+	big := saCouplingIsing(r, saGroupMaxN+1, 1)
+	if new(saGroupScratch).begin(big, 1, 1) {
+		t.Fatalf("begin accepted a %d-spin model", big.N)
+	}
+	checkSAGroup(t, "65 spins", big, 1, false, qubo.SAOptions{Sweeps: 20}, r.Uint64())
 	self := saCouplingIsing(r, 6, 1)
 	self.Adj[2] = append(self.Adj[2], qubo.Coupling{To: 2, J: 0.5})
 	dup := saCouplingIsing(r, 6, 1)
@@ -214,6 +239,32 @@ func TestSAStepArgsLayout(t *testing.T) {
 	} {
 		if f.got != f.want {
 			t.Errorf("saStepArgs.%s at offset %d, sa_simd_amd64.s assumes %d", f.name, f.got, f.want)
+		}
+	}
+}
+
+// TestSALaneArgsLayout pins the saLaneArgs offsets saLanex1 reads.
+func TestSALaneArgsLayout(t *testing.T) {
+	var a saLaneArgs
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"rs0", unsafe.Offsetof(a.rs0), 0}, {"rs1", unsafe.Offsetof(a.rs1), 8},
+		{"rs2", unsafe.Offsetof(a.rs2), 16}, {"rs3", unsafe.Offsetof(a.rs3), 24},
+		{"g", unsafe.Offsetof(a.g), 32}, {"field", unsafe.Offsetof(a.field), 40},
+		{"bestG", unsafe.Offsetof(a.bestG), 48}, {"rows", unsafe.Offsetof(a.rows), 56},
+		{"bounds", unsafe.Offsetof(a.bounds), 64}, {"nb", unsafe.Offsetof(a.nb), 72},
+		{"negnb", unsafe.Offsetof(a.negnb), 80}, {"np", unsafe.Offsetof(a.np), 88},
+		{"beta", unsafe.Offsetof(a.beta), 96}, {"ratio", unsafe.Offsetof(a.ratio), 104},
+		{"energy", unsafe.Offsetof(a.energy), 112}, {"bestE", unsafe.Offsetof(a.bestE), 120},
+		{"k", unsafe.Offsetof(a.k), 128}, {"left", unsafe.Offsetof(a.left), 136},
+		{"i", unsafe.Offsetof(a.i), 144}, {"dE", unsafe.Offsetof(a.dE), 152},
+		{"x", unsafe.Offsetof(a.x), 160}, {"u", unsafe.Offsetof(a.u), 168},
+		{"settle", unsafe.Offsetof(a.settle), 176},
+	} {
+		if f.got != f.want {
+			t.Errorf("saLaneArgs.%s at offset %d, sa_simd_amd64.s assumes %d", f.name, f.got, f.want)
 		}
 	}
 }

@@ -63,6 +63,13 @@ func svmcStepx8(a *svmcStepArgs) bool
 // see saStepArgs in sa_group.go for the contract.
 func saStepx8(a *saStepArgs) bool
 
+// saLanex1 is the scalar simulated-annealing lane in sa_simd_amd64.s;
+// see saLaneArgs in sa_group.go for the contract. It keeps no pointer
+// past the call, so its argument block can live on the caller's stack.
+//
+//go:noescape
+func saLanex1(a *saLaneArgs) bool
+
 // cpuHasAVX2 reports AVX2 plus OS support for YMM state (OSXSAVE +
 // XCR0 XMM|YMM), probed with CPUID/XGETBV in svmc_simd_amd64.s.
 func cpuHasAVX2() bool

@@ -14,3 +14,7 @@ func svmcStepx8(a *svmcStepArgs) bool {
 func saStepx8(a *saStepArgs) bool {
 	panic("annealer: saStepx8 without SIMD support")
 }
+
+func saLanex1(a *saLaneArgs) bool {
+	panic("annealer: saLanex1 without SIMD support")
+}

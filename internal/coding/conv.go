@@ -52,17 +52,6 @@ func (c *ConvCode) states() int { return 1 << uint(c.K-1) }
 // including the K−1 tail bits that flush the register.
 func (c *ConvCode) CodedLength(n int) int { return (n + c.K - 1) * len(c.Polys) }
 
-// outputs computes the coded bits emitted when `in` enters state `st`
-// (state = previous K−1 input bits, LSB = most recent).
-func (c *ConvCode) outputs(st int, in int) []int8 {
-	reg := uint32(st)<<1 | uint32(in)
-	out := make([]int8, len(c.Polys))
-	for i, p := range c.Polys {
-		out[i] = int8(bits.OnesCount32(reg&p) & 1)
-	}
-	return out
-}
-
 // next returns the trellis successor state.
 func (c *ConvCode) next(st int, in int) int {
 	return (st<<1 | in) & (c.states() - 1)
@@ -77,7 +66,10 @@ func (c *ConvCode) Encode(info []int8) ([]int8, error) {
 	out := make([]int8, 0, c.CodedLength(len(info)))
 	st := 0
 	emit := func(b int) {
-		out = append(out, c.outputs(st, b)...)
+		reg := uint32(st)<<1 | uint32(b)
+		for _, p := range c.Polys {
+			out = append(out, int8(bits.OnesCount32(reg&p)&1))
+		}
 		st = c.next(st, b)
 	}
 	for _, b := range info {
@@ -124,28 +116,29 @@ func (c *ConvCode) DecodeSoft(llrs []float64) ([]int8, error) {
 	}
 	nStates := c.states()
 	neg := math.Inf(-1)
-	metric := make([]float64, nStates)
+	buf := make([]float64, 2*nStates)
+	metric, next := buf[:nStates], buf[nStates:]
 	for s := 1; s < nStates; s++ {
 		metric[s] = neg // the encoder starts in state 0
 	}
-	// back[t][s] packs the predecessor state and input bit.
-	back := make([][]int32, steps)
-	next := make([]float64, nStates)
+	// back[t·nStates+s] packs the predecessor state and input bit.
+	back := make([]int32, steps*nStates)
 	for t := 0; t < steps; t++ {
-		back[t] = make([]int32, nStates)
-		for s := 0; s < nStates; s++ {
+		for s := range next {
 			next[s] = neg
 		}
-		seg := llrs[t*r : (t+1)*r]
+		seg, row := llrs[t*r:(t+1)*r], back[t*nStates:(t+1)*nStates]
 		for s := 0; s < nStates; s++ {
 			if metric[s] == neg {
 				continue
 			}
 			for in := 0; in <= 1; in++ {
-				outBits := c.outputs(s, in)
+				// The branch correlates seg with the coded bits the
+				// register emits: each polynomial's tap parity.
+				reg := uint32(s)<<1 | uint32(in)
 				branch := 0.0
-				for i, b := range outBits {
-					if b == 1 {
+				for i, p := range c.Polys {
+					if bits.OnesCount32(reg&p)&1 == 1 {
 						branch += seg[i]
 					} else {
 						branch -= seg[i]
@@ -154,11 +147,11 @@ func (c *ConvCode) DecodeSoft(llrs []float64) ([]int8, error) {
 				ns := c.next(s, in)
 				if m := metric[s] + branch; m > next[ns] {
 					next[ns] = m
-					back[t][ns] = int32(s<<1 | in)
+					row[ns] = int32(s<<1 | in)
 				}
 			}
 		}
-		copy(metric, next)
+		metric, next = next, metric
 	}
 	// The tail drives the encoder back to state 0.
 	if metric[0] == neg {
@@ -167,7 +160,7 @@ func (c *ConvCode) DecodeSoft(llrs []float64) ([]int8, error) {
 	decoded := make([]int8, steps)
 	st := 0
 	for t := steps - 1; t >= 0; t-- {
-		packed := back[t][st]
+		packed := back[t*nStates+st]
 		decoded[t] = int8(packed & 1)
 		st = int(packed >> 1)
 	}

@@ -1,6 +1,10 @@
 package coding
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -174,5 +178,139 @@ func TestCodedLengthAndRate(t *testing.T) {
 	c := NewConvCode75()
 	if c.CodedLength(10) != 24 {
 		t.Fatalf("coded length %d", c.CodedLength(10))
+	}
+}
+
+// decodeSoftReference is the soft Viterbi as first written — a fresh
+// coded-bit slice per trellis branch and one back-pointer row per step
+// — kept as the oracle DecodeSoft's flat, allocation-light form must
+// reproduce.
+func decodeSoftReference(c *ConvCode, llrs []float64) ([]int8, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	r := len(c.Polys)
+	if len(llrs)%r != 0 {
+		return nil, fmt.Errorf("coding: %d coded values not a multiple of rate denominator %d", len(llrs), r)
+	}
+	steps := len(llrs) / r
+	if steps < c.K-1 {
+		return nil, fmt.Errorf("coding: codeword shorter than the tail")
+	}
+	outputs := func(st, in int) []int8 {
+		reg := uint32(st)<<1 | uint32(in)
+		out := make([]int8, len(c.Polys))
+		for i, p := range c.Polys {
+			out[i] = int8(bits.OnesCount32(reg&p) & 1)
+		}
+		return out
+	}
+	nStates := c.states()
+	neg := math.Inf(-1)
+	metric := make([]float64, nStates)
+	for s := 1; s < nStates; s++ {
+		metric[s] = neg
+	}
+	back := make([][]int32, steps)
+	next := make([]float64, nStates)
+	for t := 0; t < steps; t++ {
+		back[t] = make([]int32, nStates)
+		for s := 0; s < nStates; s++ {
+			next[s] = neg
+		}
+		seg := llrs[t*r : (t+1)*r]
+		for s := 0; s < nStates; s++ {
+			if metric[s] == neg {
+				continue
+			}
+			for in := 0; in <= 1; in++ {
+				branch := 0.0
+				for i, b := range outputs(s, in) {
+					if b == 1 {
+						branch += seg[i]
+					} else {
+						branch -= seg[i]
+					}
+				}
+				ns := c.next(s, in)
+				if m := metric[s] + branch; m > next[ns] {
+					next[ns] = m
+					back[t][ns] = int32(s<<1 | in)
+				}
+			}
+		}
+		copy(metric, next)
+	}
+	if metric[0] == neg {
+		return nil, fmt.Errorf("coding: no surviving path to the zero state")
+	}
+	decoded := make([]int8, steps)
+	st := 0
+	for t := steps - 1; t >= 0; t-- {
+		packed := back[t][st]
+		decoded[t] = int8(packed & 1)
+		st = int(packed >> 1)
+	}
+	return decoded[:steps-(c.K-1)], nil
+}
+
+// TestDecodeSoftMatchesReference holds DecodeSoft to the reference
+// decoder, bits and errors alike, on random LLRs of three kinds:
+// Gaussian, small integers (every path metric an exact integer, so
+// survivor comparisons tie often and the strict > is pinned), and
+// Gaussian with ±Inf and zero entries mixed in (metrics that reach −Inf
+// or NaN).
+func TestDecodeSoftMatchesReference(t *testing.T) {
+	r := rng.New(0x5F7)
+	codes := []*ConvCode{NewConvCode75(), NewConvCode133171(), {K: 4, Polys: []uint32{0o13, 0o15, 0o17}}}
+	for trial := 0; trial < 600; trial++ {
+		c := codes[trial%len(codes)]
+		steps := c.K - 1 + int(r.Uint64()%40)
+		llrs := make([]float64, steps*len(c.Polys))
+		for i := range llrs {
+			switch trial % 3 {
+			case 0:
+				llrs[i] = 2 * r.NormFloat64()
+			case 1:
+				llrs[i] = float64(int(r.Uint64()%5) - 2)
+			default:
+				switch r.Uint64() % 8 {
+				case 0:
+					llrs[i] = math.Inf(1)
+				case 1:
+					llrs[i] = math.Inf(-1)
+				case 2:
+					llrs[i] = 0
+				default:
+					llrs[i] = r.NormFloat64()
+				}
+			}
+		}
+		want, wantErr := decodeSoftReference(c, llrs)
+		got, err := c.DecodeSoft(llrs)
+		if (err != nil) != (wantErr != nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (K=%d, %d LLRs %v): DecodeSoft %v/%v, reference %v/%v",
+				trial, c.K, len(llrs), llrs, got, err, want, wantErr)
+		}
+	}
+}
+
+// TestDecodeSoftAllocs bounds a 64-LLR packet's soft decode (the
+// ensemble's K=7 packet) to a handful of allocations: the metric pair,
+// the flat back-pointer table and the decoded bits — none per trellis
+// branch or step.
+func TestDecodeSoftAllocs(t *testing.T) {
+	c := NewConvCode133171()
+	r := rng.New(9)
+	llrs := make([]float64, 64)
+	for i := range llrs {
+		llrs[i] = r.NormFloat64()
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		if _, err := c.DecodeSoft(llrs); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 8 {
+		t.Fatalf("DecodeSoft allocates %.0f objects per 64-LLR packet, want ≤ 8", got)
 	}
 }

@@ -96,9 +96,13 @@ type SAModule struct {
 // Name implements ClassicalModule.
 func (SAModule) Name() string { return "sa" }
 
-// Initialize implements ClassicalModule.
+// Initialize implements ClassicalModule with one read of a one-lane
+// annealer.SimulatedAnnealingGroup, bit-identical to
+// qubo.SimulatedAnnealing(red.Ising, r, m.Opts).
 func (m SAModule) Initialize(red *mimo.Reduction, r *rng.Source) ([]int8, error) {
-	return qubo.SimulatedAnnealing(red.Ising, r, m.Opts).Spins, nil
+	var out [1]qubo.Sample
+	annealer.SimulatedAnnealingGroup(red.Ising, []*rng.Source{r}, nil, m.Opts, out[:])
+	return out[0].Spins, nil
 }
 
 // FixedModule replays a pre-computed state — used to study RA performance

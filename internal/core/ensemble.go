@@ -119,12 +119,15 @@ const topKPatience = 8
 // restart i on r's "sa" stream split by i — deduplicated and ranked by
 // ascending energy. Restarts stop at the first of: the pool holds K−1
 // distinct candidates, topKPatience restarts in a row added none, or
-// 4K+16 restarts ran. Restart 0 runs one-read; restarts 1, 2, … run in
-// groups of up to eight through annealer.SimulatedAnnealingGroup, whose
-// lanes are bit-identical to one-read restarts. A group is planned for
-// no more restarts than the patience and the cap leave, and its samples
-// are consumed in restart order, so the candidates are exactly those of
-// one restart at a time. r is only read; concurrent calls may share it.
+// 4K+16 restarts ran. Every restart runs through
+// annealer.SimulatedAnnealingGroup, whose lanes are bit-identical to
+// one-read restarts: restart 0 as a one-lane group (the group's scalar
+// lane, since it fills the pool on most frames), restarts 1, 2, … in
+// groups of up to eight. A group is planned for no more restarts than
+// the patience and the cap leave — a tail of one to six runs on the
+// scalar lane too — and its samples are consumed in restart order, so
+// the candidates are exactly those of one restart at a time. r is only
+// read; concurrent calls may share it.
 func TopKCandidates(red *mimo.Reduction, k int, r *rng.Source) ([][]int8, error) {
 	if k < 1 || k > MaxEnsembleK {
 		return nil, fmt.Errorf("core: ensemble K %d out of [1, %d]", k, MaxEnsembleK)
@@ -167,33 +170,28 @@ func TopKCandidates(red *mimo.Reduction, k int, r *rng.Source) ([][]int8, error)
 	}
 	// end is the restart the patience or the cap stops before; restart i
 	// adding a candidate moves it to i+1+topKPatience. Restart 0 runs
-	// one-read: it fills the pool on most frames, and one live lane in an
-	// 8-lane group costs more than a one-read restart.
+	// alone, as a one-lane group, since it fills the pool on most frames;
+	// later groups take up to eight of the restarts left before end.
 	sa := r.SplitString("sa")
 	restarts := 4*k + 16
 	end := min(topKPatience, restarts)
-	keep := func(i int, s []int8) {
-		if add(s) {
-			end = min(i+1+topKPatience, restarts)
-		}
-	}
-	if len(pool) < k-1 {
-		keep(0, qubo.SimulatedAnnealing(is, sa.Split(0), qubo.SAOptions{}).Spins)
-	}
 	var srcs [8]rng.Source
 	var lanes [8]*rng.Source
 	var samples [8]qubo.Sample
-	for i := 1; len(pool) < k-1 && i < end; {
-		w := min(len(lanes), end-i)
+	for i, w := 0, 1; len(pool) < k-1 && i < end; i += w {
+		if i > 0 {
+			w = min(len(lanes), end-i)
+		}
 		for j := 0; j < w; j++ {
 			sa.SplitInto(&srcs[j], uint64(i+j))
 			lanes[j] = &srcs[j]
 		}
 		annealer.SimulatedAnnealingGroup(is, lanes[:w], nil, qubo.SAOptions{}, samples[:w])
 		for j := 0; j < w && len(pool) < k-1; j++ {
-			keep(i+j, samples[j].Spins)
+			if add(samples[j].Spins) {
+				end = min(i+j+1+topKPatience, restarts)
+			}
 		}
-		i += w
 	}
 	// Rank the non-base pool by quality; the base candidate keeps slot 0
 	// regardless (the collapse anchor), ties keep generation order.

@@ -398,6 +398,7 @@ func BenchmarkTopKCandidates(b *testing.B) {
 			}
 		}
 	}
+	b.StopTimer()
 	nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	if dir := os.Getenv(telemetry.BenchJSONDirEnv); dir != "" {
 		procs := runtime.GOMAXPROCS(0)
